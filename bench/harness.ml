@@ -27,6 +27,19 @@ let with_bechamel = ref false
 
 let wants name = !selected = [] || List.mem name !selected
 
+(* Cross-checks between two implementations (offline vs online
+   failures, pairwise vs detector races) record a disagreement here
+   instead of stopping the run; the process exits 1 after every
+   selected experiment has run and BENCH_CORE.json is written. *)
+let failed_self_checks : string list ref = ref []
+let self_check_failed msg = failed_self_checks := msg :: !failed_self_checks
+
+let exit_on_failed_self_checks () =
+  if !failed_self_checks <> [] then begin
+    List.iter (Printf.eprintf "self-check failed: %s\n") (List.rev !failed_self_checks);
+    exit 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* BENCH_CORE.json writer                                              *)
 (* ------------------------------------------------------------------ *)

@@ -720,8 +720,9 @@ let exp_online () =
   let sizes =
     if !quick then [ 1_000; 4_000 ] else [ 2_000; 5_000; 10_500; 21_000 ]
   in
-  (* the offline checker closes the causality relation transitively and
-     retains the whole history; cap the sizes it runs at *)
+  (* the offline checker retains the whole history and one n x n bit
+     matrix per closure (five under Mixed with four procs); cap the sizes
+     it runs at to bound that memory *)
   let offline_cap = if !quick then 4_000 else 11_000 in
   let rows = ref [] and json = ref [] in
   List.iter
@@ -767,6 +768,10 @@ let exp_online () =
         | Some (off_fail, _) -> if off_fail = on_fail then "yes" else "NO"
         | None -> "-"
       in
+      if agree = "NO" then
+        self_check_failed
+          (Printf.sprintf "EXP-ONLINE at %d ops: offline %d failures, online %d" n
+             (Option.get offline |> fst) on_fail);
       rows :=
         [
           string_of_int n;
@@ -829,10 +834,11 @@ let exp_online () =
     (Printf.sprintf "    \"runs\": [\n%s\n    ]"
        (String.concat ",\n" (List.rev !json)));
   print_endline
-    "the offline path closes the causality relation transitively and keeps all n\n\
-     recorded operations resident; the streaming checker validates each read at\n\
-     response time from incremental chain clocks and retires operations once their\n\
-     causal past is covered, so its window stays bounded while throughput scales."
+    "the offline path closes each model relation once (SCC condensation) and keeps\n\
+     all n recorded operations resident; the streaming checker validates each read\n\
+     at response time from incremental chain clocks and retires operations once\n\
+     their causal past is covered, so its window stays bounded while throughput\n\
+     scales."
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -1205,9 +1211,9 @@ let lint_workload ~procs ~ops_per_proc =
 
 let exp_lint () =
   let procs = 4 in
-  (* the pairwise scan needs the O(n^3/word) transitive closure of the
-     causality relation plus an O(n^2) pair enumeration; cap the sizes it
-     runs at so the experiment terminates promptly *)
+  (* the pairwise scan needs the transitive closure of the causality
+     relation, an n x n bit matrix, plus an O(n^2) pair enumeration; cap
+     the sizes it runs at to bound that memory and time *)
   let sizes, pairwise_cap =
     if !quick then ([ 400; 1_000; 2_000; 10_000 ], 2_000)
     else ([ 1_000; 2_500; 5_000; 10_000; 20_000; 40_000 ], 13_000)
@@ -1237,6 +1243,11 @@ let exp_lint () =
         | Some pairs -> if pairs = fast_pairs then "yes" else "NO"
         | None -> "-"
       in
+      if agree = "NO" then
+        self_check_failed
+          (Printf.sprintf "EXP-LINT at %d ops: pairwise %d race pairs, detector %d" n
+             (List.length (Option.get pairwise))
+             (List.length fast_pairs));
       rows :=
         [
           string_of_int n;
@@ -1258,11 +1269,11 @@ let exp_lint () =
     ~headers:[ "ops"; "races"; "pairwise (s)"; "detector (s)"; "speedup"; "agree" ]
     (List.rev !rows);
   print_endline
-    "the pairwise scan closes the causality relation transitively (cubic in history\n\
-     length) before checking every operation pair; the detector derives\n\
-     happens-before chain clocks from the covering relations and screens\n\
-     lock-protected locations with Eraser candidate locksets, so it keeps scaling\n\
-     past the sizes where the closure becomes intractable."
+    "the pairwise scan closes the causality relation transitively (an n x n bit\n\
+     matrix) before checking every operation pair, quadratic in history length;\n\
+     the detector derives happens-before chain clocks from the covering relations\n\
+     and screens lock-protected locations with Eraser candidate locksets, so it\n\
+     keeps scaling past the sizes where the pairwise scan runs out of memory."
 
 (* ------------------------------------------------------------------ *)
 (* EXP-OBS: overhead of the observability layer                        *)
@@ -1537,8 +1548,9 @@ module Lattice = Mc_consistency.Lattice
 (* one phase-disciplined execution, checked at every point of the
    lattice ladder. Verdict monotonicity shows directly: failure sets
    grow with model strength. Cost splits into a cold pass (builds and
-   memoizes the per-reader relations on the history) and warm passes
-   (re-verdicts against the memoized relations); streamable points are
+   memoizes the point's closures on a freshly materialized history, so
+   no row reuses closures an earlier row built) and warm passes
+   (re-verdicts against the memoized closures); streamable points are
    additionally replayed through the online engine. *)
 let exp_lattice () =
   let procs = 4 in
@@ -1551,11 +1563,11 @@ let exp_lattice () =
     Api.spawn rt i (online_workload ~procs ~rounds)
   done;
   ignore (Runtime.run rt);
-  let h = Runtime.history rt in
-  let n = Mc_history.History.length h in
+  let n = Mc_history.History.length (Runtime.history rt) in
   let rows = ref [] and json = ref [] in
   List.iter
     (fun model ->
+      let h = Runtime.history rt in
       let t0 = Sys.time () in
       let fs = Lattice.failures h model in
       let cold = Sys.time () -. t0 in
@@ -1628,9 +1640,10 @@ let exp_lattice () =
   print_endline
     "models are values: one generic read-rule engine checks every ladder point.\n\
      failure sets grow monotonically with model strength (session ... linearizable);\n\
-     the cold pass builds and memoizes each point's per-reader relations, warm\n\
-     passes re-verdict against the memo, and streamable points also replay through\n\
-     the online chain-clock engine."
+     the cold pass builds and memoizes each point's closures on a fresh history\n\
+     (one per axiom set, per reader only for reader-scoped axioms), warm passes\n\
+     re-verdict against the memo, and streamable points also replay through the\n\
+     online chain-clock engine."
 
 (* ------------------------------------------------------------------ *)
 (* EXP-SHARD: partial replication vs full replication                  *)
@@ -1968,6 +1981,12 @@ let experiments =
   ]
 
 let () =
+  let usage problem =
+    Printf.eprintf "%s\nusage: main.exe [--quick] [--bechamel] [--exp <%s>]...\n"
+      problem
+      (String.concat "|" (List.map fst experiments));
+    exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -1977,16 +1996,14 @@ let () =
       with_bechamel := true;
       parse rest
     | "--exp" :: name :: rest ->
+      if not (List.mem_assoc name experiments) then
+        usage (Printf.sprintf "unknown experiment %s" name);
       selected := name :: !selected;
       parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "unknown argument %s\nusage: main.exe [--quick] [--bechamel] [--exp <%s>]...\n"
-        arg
-        (String.concat "|" (List.map fst experiments));
-      exit 2
+    | arg :: _ -> usage (Printf.sprintf "unknown argument %s" arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   List.iter (fun (name, f) -> if wants name then f ()) experiments;
   write_bench_core ();
-  if !with_bechamel then bechamel_suite ()
+  if !with_bechamel then bechamel_suite ();
+  exit_on_failed_self_checks ()

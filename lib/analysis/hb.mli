@@ -1,8 +1,8 @@
 (** Vector-clock happens-before derived from the causality relation [⇝].
 
     [History.causality] materializes the full transitive closure of
-    program order ∪ reads-from ∪ synchronization order — O(n³/word) time
-    and O(n²) space. The race detector only ever asks "are these two
+    program order ∪ reads-from ∪ synchronization order — an n×n bit
+    matrix, O(n²) space and at least O(n²/word) time. The race detector only ever asks "are these two
     operations ⇝-related?", which vector clocks answer in O(1) after an
     O((n + e)·c) construction pass, where [e] is the number of covering
     edges and [c] the number of program-order chains (= the process count

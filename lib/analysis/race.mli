@@ -2,8 +2,8 @@
 
     This is exactly the first premise of Theorem 1
     ([Commute.theorem1_report]), recast as a compiler-style analysis:
-    instead of closing the causality relation transitively (O(n³/word))
-    and scanning all O(n²) pairs, the detector
+    instead of closing the causality relation transitively (an n×n bit
+    matrix) and scanning all O(n²) pairs, the detector
 
     + derives happens-before vector clocks from the causality base
       relation ({!Hb}, O((n + e)·procs)),

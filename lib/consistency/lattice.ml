@@ -23,6 +23,12 @@
    - rt:   the real-time total order over all operations, again the id
            order.
 
+   One closure of the selected edges is built and memoized per axiom
+   set; it is keyed by the reader only when an axiom is reader-scoped
+   ([S_reader] or [Po_session]). The closure is not restricted:
+   {!Read_rule.check} skips other processes' memory reads itself, which
+   gives the same verdicts as checking against the restricted relation.
+
    Verdicts come from the one generic {!Read_rule} engine applied to
    that relation, so [Causal]/[PRAM]/[Group]/[Mixed] reproduce the seed
    checkers verdict-for-verdict (the differential suite in
@@ -313,10 +319,6 @@ let locs_of (o : Op.t) =
   let add acc = function Some (l, _) -> l :: acc | None -> acc in
   add (add [] (Op.writes_value o)) (Op.reads_value o)
 
-let share_loc a b =
-  let la = locs_of a in
-  List.exists (fun l -> List.mem l la) (locs_of b)
-
 let scope_admits scope ~reader =
   match scope with
   | S_none -> fun _ _ -> false
@@ -332,6 +334,14 @@ let scope_key = function
   | S_group g -> "g" ^ String.concat "," (List.map string_of_int (norm_group g))
   | S_all -> "*"
 
+(* The relation depends on the reader only through reader-scoped axioms;
+   every other axiom set shares one closure across all readers. *)
+let reader_scoped ax =
+  (match ax.po with
+  | Po_session _ -> true
+  | Po_none | Po_per_location | Po_global -> false)
+  || ax.wi = S_reader || ax.sync = S_reader
+
 let axioms_key ax ~reader =
   let po =
     match ax.po with
@@ -343,8 +353,9 @@ let axioms_key ax ~reader =
   let wo =
     match ax.wo with Wo_none -> "n" | Wo_per_location -> "l" | Wo_global -> "*"
   in
-  Printf.sprintf "lat|po=%s|wi=%s|sy=%s|wo=%s|rt=%b|i=%d" po (scope_key ax.wi)
-    (scope_key ax.sync) wo ax.rt reader
+  Printf.sprintf "lat|po=%s|wi=%s|sy=%s|wo=%s|rt=%b|i=%s" po (scope_key ax.wi)
+    (scope_key ax.sync) wo ax.rt
+    (if reader_scoped ax then string_of_int reader else "*")
 
 (* chain consecutive elements; the transitive closure totally orders
    them. Ids ascend, so the chain is the sim-time order. *)
@@ -359,29 +370,31 @@ let build h ax ~reader =
   let add_filtered src keep =
     Relation.fold src (fun () i j -> if keep i j then Relation.add e i j) ()
   in
+  (* unfiltered sources are ORed in row by row *)
+  let add_scoped src = function
+    | S_none -> ()
+    | S_all -> Relation.union_into e src
+    | (S_reader | S_group _) as scope ->
+      let admits = scope_admits scope ~reader in
+      add_filtered src (fun i j -> admits ops.(i).Op.proc ops.(j).Op.proc)
+  in
   (match ax.po with
   | Po_none -> ()
-  | Po_global -> add_filtered (History.program_order h) (fun _ _ -> true)
+  | Po_global -> Relation.union_into e (History.program_order h)
   | Po_per_location ->
     (* same-location edges; synchronization operations act as fences *)
+    let locs = Array.map locs_of ops in
     add_filtered (History.program_order h) (fun i j ->
-        let a = ops.(i) and b = ops.(j) in
-        Op.is_sync a || Op.is_sync b || share_loc a b)
+        Op.is_sync ops.(i) || Op.is_sync ops.(j)
+        || List.exists (fun l -> List.mem l locs.(i)) locs.(j))
   | Po_session { ryw; mr } ->
     add_filtered (History.program_order h) (fun i j ->
         let a = ops.(i) and b = ops.(j) in
         a.Op.proc = reader && b.Op.proc = reader
         && Op.is_memory_read b
         && ((ryw && Op.is_write_like a) || (mr && Op.is_memory_read a))));
-  (let admits = scope_admits ax.wi ~reader in
-   add_filtered (History.reads_from h) (fun i j ->
-       admits ops.(i).Op.proc ops.(j).Op.proc));
-  (match ax.sync with
-  | S_none -> ()
-  | sc ->
-    let admits = scope_admits sc ~reader in
-    add_filtered (History.sync_order_reduced h) (fun i j ->
-        admits ops.(i).Op.proc ops.(j).Op.proc));
+  add_scoped (History.reads_from h) ax.wi;
+  add_scoped (History.sync_order_reduced h) ax.sync;
   (match ax.wo with
   | Wo_none -> ()
   | Wo_per_location ->
@@ -413,14 +426,18 @@ let validate_scope h ~reader = function
       g
   | S_none | S_reader | S_all -> ()
 
-let relation h ax ~reader =
+(* The memoized closure of the axiom-selected edges, unrestricted: other
+   processes' memory reads stay in it, and [Read_rule.check] skips them. *)
+let closure h ax ~reader =
   validate_scope h ~reader ax.wi;
   validate_scope h ~reader ax.sync;
   History.cached_relation h (axioms_key ax ~reader) (fun () ->
-      let tc = Relation.transitive_closure (build h ax ~reader) in
-      Relation.restrict tc (fun id ->
-          let o = History.op h id in
-          not (Op.is_memory_read o && o.Op.proc <> reader)))
+      Relation.transitive_closure (build h ax ~reader))
+
+let relation h ax ~reader =
+  Relation.restrict (closure h ax ~reader) (fun id ->
+      let o = History.op h id in
+      not (Op.is_memory_read o && o.Op.proc <> reader))
 
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)
@@ -432,7 +449,7 @@ let augment_group ~reader g = norm_group (reader :: g)
 
 let verdict_at h label ~read_id =
   let reader = (History.op h read_id).Op.proc in
-  Read_rule.check h (relation h (axioms_of_label label) ~reader) ~read_id
+  Read_rule.check h (closure h (axioms_of_label label) ~reader) ~read_id
 
 let verdict h model ~read_id =
   let o = History.op h read_id in
@@ -444,9 +461,9 @@ let verdict h model ~read_id =
     | _ -> invalid_arg "Read_rule.check: not a memory read")
   | Group g ->
     Read_rule.check h
-      (relation h (axioms_of (Group (augment_group ~reader g))) ~reader)
+      (closure h (axioms_of (Group (augment_group ~reader g))) ~reader)
       ~read_id
-  | m -> Read_rule.check h (relation h (axioms_of m) ~reader) ~read_id
+  | m -> Read_rule.check h (closure h (axioms_of m) ~reader) ~read_id
 
 let failures h model =
   let acc = ref [] in

@@ -104,9 +104,12 @@ val ladder : t list
 
 (** {1 Checking} *)
 
-(** [relation h ax ~reader] builds (and caches on [h]) the axiom set's
-    relation for [reader]: the transitive closure of the selected edges
-    restricted to exclude other processes' memory reads. Raises
+(** [relation h ax ~reader] is the axiom set's relation for [reader]:
+    the transitive closure of the selected edges restricted to exclude
+    other processes' memory reads. The unrestricted closure is built
+    once per axiom set (per reader only for reader-scoped axioms) and
+    cached on [h]; the restriction is a fresh copy on every call, and
+    the checking functions below never make it. Raises
     [Invalid_argument] if a group scope omits the reader or has a
     member out of range. *)
 val relation : Mc_history.History.t -> axioms -> reader:int -> Mc_util.Relation.t

@@ -26,22 +26,24 @@ let check h rel ~read_id =
     | _ -> invalid_arg "Read_rule.check: not a memory read"
   in
   let ops = History.ops h in
+  (* only operations touching [loc] can be interposers; they come in
+     ascending id order, so the first one found is the lowest id *)
+  let touching = History.ops_at h loc in
   (* [interposed w] finds an operation o(x)u, u <> value, strictly between
      [w] and the read in [rel]. [w = None] stands for the virtual initial
-     write, which precedes every operation. *)
+     write, which precedes every operation. Memory reads of other
+     processes are not candidates: the per-process relations of
+     Definitions 2 and 3 exclude them. *)
   let interposed w =
-    let found = ref None in
-    Array.iter
-      (fun (o : Op.t) ->
-        if !found = None && o.id <> read_id && Some o.id <> w then
-          let after_w =
-            match w with None -> true | Some w_id -> Relation.mem rel w_id o.id
-          in
-          if after_w && Relation.mem rel o.id read_id then
-            let bad = List.exists (fun u -> u <> value) (values_at o loc) in
-            if bad then found := Some o.id)
-      ops;
-    !found
+    let candidate id =
+      let o = ops.(id) in
+      id <> read_id
+      && (match w with None -> true | Some w_id -> w_id <> id && Relation.mem rel w_id id)
+      && (o.proc = r.proc || not (Op.is_memory_read o))
+      && Relation.mem rel id read_id
+      && List.exists (fun u -> u <> value) (values_at o loc)
+    in
+    List.find_opt candidate touching
   in
   let candidate_writers =
     List.filter

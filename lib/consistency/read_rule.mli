@@ -7,7 +7,11 @@
 
     Initial values are modelled as a virtual write of 0 to every location
     that precedes every operation; reading the initial value is therefore
-    valid iff no operation [o(x)u] with [u ≠ 0] satisfies [o R r]. *)
+    valid iff no operation [o(x)u] with [u ≠ 0] satisfies [o R r].
+
+    Memory reads of processes other than [i] are never interposers: the
+    relations of Definitions 2 and 3 exclude them, so [R] may be given
+    either restricted to the remaining operations or unrestricted. *)
 
 type verdict =
   | Valid
@@ -18,7 +22,10 @@ type verdict =
 
 (** [check history relation ~read_id] applies the rule. [relation] must
     be a relation over the history's op ids (typically
-    {!Mc_history.History.causal_relation} or [pram_relation]). Raises
+    {!Mc_history.History.causal_relation} or [pram_relation]). Only the
+    operations that touch the read's location are scanned
+    ({!Mc_history.History.ops_at}), in ascending id order, so
+    [Overwritten o] names the lowest-id interposer. Raises
     [Invalid_argument] if [read_id] is not a memory read. *)
 val check : Mc_history.History.t -> Mc_util.Relation.t -> read_id:int -> verdict
 

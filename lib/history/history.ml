@@ -15,8 +15,11 @@ type t = {
   causal_rel_memo : Relation.t option array;
   pram_rel_memo : Relation.t option array;
   (* string-keyed memo for relations derived by other layers (the
-     lattice engine caches one relation per (model, reader) here) *)
+     lattice engine caches one closure per axiom set here) *)
   rel_cache : (string, Relation.t) Hashtbl.t;
+  (* location -> ids of the operations reading or writing it, built on
+     first use *)
+  mutable loc_index : (Op.location, int list) Hashtbl.t option;
 }
 
 let create ~procs ops =
@@ -55,6 +58,7 @@ let create ~procs ops =
     causal_rel_memo = Array.make procs None;
     pram_rel_memo = Array.make procs None;
     rel_cache = Hashtbl.create 8;
+    loc_index = None;
   }
 
 let procs t = t.procs
@@ -65,6 +69,22 @@ let initial_value _t _loc = 0
 
 let writers_of t loc v =
   Option.value ~default:[] (Hashtbl.find_opt t.writers (loc, v)) |> List.sort compare
+
+let build_loc_index t =
+  let index = Hashtbl.create 64 in
+  (* walking ids downwards leaves every list ascending *)
+  for id = Array.length t.ops - 1 downto 0 do
+    let note = function
+      | None -> ()
+      | Some (loc, _) -> (
+        match Hashtbl.find_opt index loc with
+        | Some (id' :: _) when id' = id -> () (* a decrement reads and writes *)
+        | prev -> Hashtbl.replace index loc (id :: Option.value ~default:[] prev))
+    in
+    note (Op.writes_value t.ops.(id));
+    note (Op.reads_value t.ops.(id))
+  done;
+  index
 
 let cached_relation t key compute =
   match Hashtbl.find_opt t.rel_cache key with
@@ -82,6 +102,12 @@ let with_memo get set t compute =
     let r = compute t in
     set t (Some r);
     r
+
+let ops_at t loc =
+  let index =
+    with_memo (fun t -> t.loc_index) (fun t v -> t.loc_index <- v) t build_loc_index
+  in
+  Option.value ~default:[] (Hashtbl.find_opt index loc)
 
 (* ------------------------------------------------------------------ *)
 (* Program order                                                       *)

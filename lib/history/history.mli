@@ -127,9 +127,15 @@ val group_relation : t -> reader:int -> group:int list -> Mc_util.Relation.t
     value [v] at [loc]. With unique writes there is at most one. *)
 val writers_of : t -> Op.location -> Op.value -> int list
 
+(** [ops_at h loc] lists, in ascending id order, the operations that
+    write or observe [loc] (those whose {!Op.writes_value} or
+    {!Op.reads_value} is at [loc]). The per-location index is built on
+    the first call and memoized. *)
+val ops_at : t -> Op.location -> int list
+
 (** [cached_relation h key compute] memoizes [compute ()] on the history
     under [key]. Histories are immutable, so derived relations built by
-    other layers (e.g. the per-(model, reader) relations of
+    other layers (e.g. the per-axiom-set closures of
     [Mc_consistency.Lattice]) can be cached here without recomputation. *)
 val cached_relation : t -> string -> (unit -> Mc_util.Relation.t) -> Mc_util.Relation.t
 

@@ -28,54 +28,158 @@ let mem t i j =
 let copy t =
   { t with rows = Array.map Array.copy t.rows }
 
-let union a b =
-  if a.n <> b.n then invalid_arg "Relation.union: size mismatch";
-  let r = copy a in
-  for i = 0 to a.n - 1 do
-    for w = 0 to a.words - 1 do
-      r.rows.(i).(w) <- r.rows.(i).(w) lor b.rows.(i).(w)
-    done
-  done;
-  r
-
 let or_row dst src words =
   for w = 0 to words - 1 do
     dst.(w) <- dst.(w) lor src.(w)
   done
 
-(* Warshall's algorithm with bitset rows: if i reaches k, fold k's row in. *)
-let transitive_closure t =
-  let r = copy t in
-  for k = 0 to t.n - 1 do
-    let kw = k / word_bits and kb = k mod word_bits in
-    let krow = r.rows.(k) in
-    for i = 0 to t.n - 1 do
-      if i <> k && r.rows.(i).(kw) land (1 lsl kb) <> 0 then
-        or_row r.rows.(i) krow t.words
-    done
-  done;
+let union_into dst src =
+  if dst.n <> src.n then invalid_arg "Relation.union: size mismatch";
+  for i = 0 to dst.n - 1 do
+    or_row dst.rows.(i) src.rows.(i) dst.words
+  done
+
+let union a b =
+  let r = copy a in
+  union_into r b;
   r
 
-let successors t i =
-  let acc = ref [] in
-  for j = t.n - 1 downto 0 do
-    if mem t i j then acc := j :: !acc
+(* Index of the lowest set bit of a nonzero word. *)
+let lowest_bit x =
+  let x = ref (x land -x) and b = ref 0 in
+  if !x land 0xFFFFFFFF = 0 then (x := !x lsr 32; b := 32);
+  if !x land 0xFFFF = 0 then (x := !x lsr 16; b := !b + 16);
+  if !x land 0xFF = 0 then (x := !x lsr 8; b := !b + 8);
+  if !x land 0xF = 0 then (x := !x lsr 4; b := !b + 4);
+  if !x land 0x3 = 0 then (x := !x lsr 2; b := !b + 2);
+  if !x land 0x1 = 0 then b := !b + 1;
+  !b
+
+(* [iter_row f row words] calls [f j] for every bit [j] of [row], ascending. *)
+let iter_row f row words =
+  for w = 0 to words - 1 do
+    let x = ref row.(w) in
+    while !x <> 0 do
+      f ((w * word_bits) + lowest_bit !x);
+      x := !x land (!x - 1)
+    done
+  done
+
+(* Closure by SCC condensation. An iterative Tarjan pass over the set bits
+   finishes strongly connected components sinks first, so when a component
+   is finished every successor outside it already has its final row. The
+   component's row is the union of its members' successors and of their
+   rows. A successor whose bit is already in the accumulated row needs no
+   work (its row was folded in with it, or it is a member of the
+   component), so covered successors are masked out a word at a time.
+   The DFS likewise masks out successors whose component is finished:
+   they cannot change a low-link, and every other visited successor is
+   on the Tarjan stack. Members of a cyclic component (two or more
+   members, or a self-loop) reach each other and themselves; any other
+   element does not reach itself. *)
+let transitive_closure t =
+  let n = t.n and words = t.words in
+  let rows = Array.make n [||] in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let finished = Array.make words 0 in
+  let stack = Array.make n 0 and sp = ref 0 and next_index = ref 0 in
+  (* DFS frames: vertex, current word of its row, bits of that word not
+     yet visited *)
+  let frame_v = Array.make n 0 and frame_w = Array.make n 0 in
+  let frame_bits = Array.make n 0 and depth = ref 0 in
+  let push v =
+    index.(v) <- !next_index;
+    low.(v) <- !next_index;
+    incr next_index;
+    stack.(!sp) <- v;
+    incr sp;
+    frame_v.(!depth) <- v;
+    frame_w.(!depth) <- 0;
+    frame_bits.(!depth) <- t.rows.(v).(0);
+    incr depth
+  in
+  let finish root =
+    let top = !sp in
+    let base = ref (top - 1) in
+    while stack.(!base) <> root do
+      decr base
+    done;
+    let base = !base in
+    sp := base;
+    let acc = Array.make words 0 in
+    let cyclic = top - base > 1 || mem t root root in
+    for k = base to top - 1 do
+      let v = stack.(k) in
+      let w = v / word_bits and bit = 1 lsl (v mod word_bits) in
+      finished.(w) <- finished.(w) lor bit;
+      if cyclic then acc.(w) <- acc.(w) lor bit
+    done;
+    for k = base to top - 1 do
+      let src = t.rows.(stack.(k)) in
+      for w = 0 to words - 1 do
+        let x = ref (src.(w) land lnot acc.(w)) in
+        while !x <> 0 do
+          or_row acc rows.((w * word_bits) + lowest_bit !x) words;
+          acc.(w) <- acc.(w) lor (!x land - !x);
+          x := !x land lnot acc.(w)
+        done
+      done
+    done;
+    rows.(root) <- acc;
+    for k = base to top - 1 do
+      let v = stack.(k) in
+      if v <> root then rows.(v) <- Array.copy acc
+    done
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      push root;
+      while !depth > 0 do
+        let d = !depth - 1 in
+        let v = frame_v.(d) in
+        let bits = frame_bits.(d) land lnot finished.(frame_w.(d)) in
+        if bits <> 0 then begin
+          frame_bits.(d) <- bits land (bits - 1);
+          let u = (frame_w.(d) * word_bits) + lowest_bit bits in
+          if index.(u) < 0 then push u
+          else if index.(u) < low.(v) then low.(v) <- index.(u)
+        end
+        else if frame_w.(d) + 1 < words then begin
+          frame_w.(d) <- frame_w.(d) + 1;
+          frame_bits.(d) <- t.rows.(v).(frame_w.(d))
+        end
+        else begin
+          depth := d;
+          if d > 0 then begin
+            let parent = frame_v.(d - 1) in
+            if low.(v) < low.(parent) then low.(parent) <- low.(v)
+          end;
+          if low.(v) = index.(v) then finish v
+        end
+      done
+    end
   done;
-  !acc
+  { n; words; rows }
+
+let successors t i =
+  check t i i;
+  let acc = ref [] in
+  iter_row (fun j -> acc := j :: !acc) t.rows.(i) t.words;
+  List.rev !acc
 
 let predecessors t j =
+  check t j j;
+  let w = j / word_bits and bit = 1 lsl (j mod word_bits) in
   let acc = ref [] in
   for i = t.n - 1 downto 0 do
-    if mem t i j then acc := i :: !acc
+    if t.rows.(i).(w) land bit <> 0 then acc := i :: !acc
   done;
   !acc
 
 let fold t f init =
   let acc = ref init in
   for i = 0 to t.n - 1 do
-    for j = 0 to t.n - 1 do
-      if mem t i j then acc := f !acc i j
-    done
+    iter_row (fun j -> acc := f !acc i j) t.rows.(i) t.words
   done;
   !acc
 
@@ -113,16 +217,22 @@ let subset a b =
       done;
       !ok)
 
+(* [keep] is asked once per element; kept rows are masked word by word *)
 let restrict t keep =
-  let r = create t.n in
+  let mask = Array.make t.words 0 in
   for i = 0 to t.n - 1 do
     if keep i then
-      for j = 0 to t.n - 1 do
-        if keep j && mem t i j then add r i j
+      mask.(i / word_bits) <- mask.(i / word_bits) lor (1 lsl (i mod word_bits))
+  done;
+  let r = create t.n in
+  for i = 0 to t.n - 1 do
+    if mask.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0 then
+      let src = t.rows.(i) and dst = r.rows.(i) in
+      for w = 0 to t.words - 1 do
+        dst.(w) <- src.(w) land mask.(w)
       done
   done;
   r
-
 let is_acyclic t =
   (* Kahn's algorithm: repeatedly remove zero-in-degree nodes. *)
   let indeg = Array.make t.n 0 in

@@ -24,8 +24,19 @@ val copy : t -> t
     relations must have the same size. *)
 val union : t -> t -> t
 
+(** [union_into dst src] adds every pair of [src] to [dst], a word at a
+    time. The two relations must have the same size. *)
+val union_into : t -> t -> unit
+
 (** [transitive_closure t] is a new relation: the transitive closure.
-    O(n^3 / word_size) via bitset row unions. *)
+    [i] reaches itself only when it lies on a cycle (a self-loop
+    included). Computed by SCC condensation: an iterative Tarjan pass
+    finishes components sinks first and each component's row is the
+    union of its successors' finished rows, skipping successors already
+    covered a word at a time. Cost is O(n * n / word_size) to scan the
+    rows plus O(n / word_size) per successor that is not already
+    covered; on the sparse causality-style relations of this code base
+    that is close to linear in the size of the output. *)
 val transitive_closure : t -> t
 
 (** [transitive_reduction t] is a new relation: the unique minimal relation
@@ -48,7 +59,8 @@ val successors : t -> int -> int list
 (** [predecessors t j] lists [i] with (i, j) in the relation, ascending. *)
 val predecessors : t -> int -> int list
 
-(** [fold t f init] folds over all pairs (i, j) of the relation. *)
+(** [fold t f init] folds over all pairs (i, j) of the relation, in
+    ascending (i, j) order. Visits set bits only. *)
 val fold : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
 
 (** [cardinal t] is the number of pairs. *)
@@ -61,5 +73,6 @@ val equal : t -> t -> bool
 val subset : t -> t -> bool
 
 (** [restrict t keep] is the relation restricted to pairs whose endpoints
-    both satisfy [keep]. Size is preserved; indices are not renumbered. *)
+    both satisfy [keep]. Size is preserved; indices are not renumbered.
+    [keep] is called once per element. *)
 val restrict : t -> (int -> bool) -> t

@@ -1,0 +1,199 @@
+(* Test-only oracles for the offline checking path, built the plain way
+   so they share no loop with the code under test:
+
+   - [warshall]: transitive closure by Warshall's algorithm over packed
+     bit rows of its own, read from and written back to a [Relation]
+     with [Relation.mem]/[Relation.add] only;
+   - [Lattice]: a model's relation rebuilt pair by pair from the
+     history's derived relations, closed by Warshall, restricted for
+     each reader, and checked by the read rule scanning every operation
+     of the history. The checker's SCC closure, its closures shared
+     across readers and its per-location read scan must all agree with
+     it. *)
+
+module Relation = Mc_util.Relation
+module History = Mc_history.History
+module Op = Mc_history.Op
+
+let to_matrix r =
+  let n = Relation.size r in
+  Array.init n (fun i -> Array.init n (fun j -> Relation.mem r i j))
+
+let of_matrix m =
+  let r = Relation.create (Array.length m) in
+  Array.iteri (fun i row -> Array.iteri (fun j b -> if b then Relation.add r i j) row) m;
+  r
+
+(* Warshall's algorithm over packed bit rows: if i reaches k, OR k's row
+   into i's *)
+let warshall_matrix m =
+  let n = Array.length m in
+  let words = (n + 61) / 62 in
+  let rows =
+    Array.map
+      (fun row ->
+        let r = Array.make words 0 in
+        Array.iteri (fun j b -> if b then r.(j / 62) <- r.(j / 62) lor (1 lsl (j mod 62))) row;
+        r)
+      m
+  in
+  for k = 0 to n - 1 do
+    let kw = k / 62 and kb = 1 lsl (k mod 62) in
+    for i = 0 to n - 1 do
+      if i <> k && rows.(i).(kw) land kb <> 0 then
+        for w = 0 to words - 1 do
+          rows.(i).(w) <- rows.(i).(w) lor rows.(k).(w)
+        done
+    done
+  done;
+  Array.map (fun r -> Array.init n (fun j -> r.(j / 62) land (1 lsl (j mod 62)) <> 0)) rows
+
+let warshall r = of_matrix (warshall_matrix (to_matrix r))
+
+module Lattice = struct
+  module L = Mc_consistency.Lattice
+  module Read_rule = Mc_consistency.Read_rule
+
+  let locs_of (o : Op.t) =
+    List.filter_map (Option.map fst) [ Op.writes_value o; Op.reads_value o ]
+
+  let share_loc a b = List.exists (fun l -> List.mem l (locs_of a)) (locs_of b)
+
+  let admits (scope : L.scope) ~reader sp np =
+    match scope with
+    | L.S_none -> false
+    | L.S_reader -> sp = reader || np = reader
+    | L.S_group g -> List.mem sp g || List.mem np g
+    | L.S_all -> true
+
+  (* one history's derived relations as bool matrices, and the
+     restricted relations built so far, per (axiom set, reader) *)
+  type t = {
+    h : History.t;
+    po : bool array array;
+    rf : bool array array;
+    sync : bool array array;
+    memo : (L.axioms * int, bool array array) Hashtbl.t;
+  }
+
+  let create h =
+    {
+      h;
+      po = to_matrix (History.program_order h);
+      rf = to_matrix (History.reads_from h);
+      sync = to_matrix (History.sync_order_reduced h);
+      memo = Hashtbl.create 16;
+    }
+
+  (* the axiom-selected edges, as a bool matrix *)
+  let edges t (ax : L.axioms) ~reader =
+    let n = History.length t.h in
+    let ops = History.ops t.h in
+    let m = Array.make_matrix n n false in
+    let add_filtered src keep =
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if src.(i).(j) && keep ops.(i) ops.(j) then m.(i).(j) <- true
+        done
+      done
+    in
+    (match ax.L.po with
+    | L.Po_none -> ()
+    | L.Po_global -> add_filtered t.po (fun _ _ -> true)
+    | L.Po_per_location ->
+      add_filtered t.po (fun a b -> Op.is_sync a || Op.is_sync b || share_loc a b)
+    | L.Po_session { ryw; mr } ->
+      add_filtered t.po (fun a b ->
+          a.Op.proc = reader && b.Op.proc = reader && Op.is_memory_read b
+          && ((ryw && Op.is_write_like a) || (mr && Op.is_memory_read a))));
+    add_filtered t.rf (fun a b -> admits ax.L.wi ~reader a.Op.proc b.Op.proc);
+    add_filtered t.sync (fun a b -> admits ax.L.sync ~reader a.Op.proc b.Op.proc);
+    (* consecutive elements of an ascending id list *)
+    let rec chain = function
+      | a :: (b :: _ as rest) ->
+        m.(a).(b) <- true;
+        chain rest
+      | [] | [ _ ] -> ()
+    in
+    let ids p = List.filter (fun id -> p ops.(id)) (List.init n Fun.id) in
+    (match ax.L.wo with
+    | L.Wo_none -> ()
+    | L.Wo_per_location ->
+      let locs = List.sort_uniq compare (List.concat_map locs_of (Array.to_list ops)) in
+      List.iter
+        (fun loc ->
+          chain
+            (ids (fun o ->
+                 match Op.writes_value o with Some (l, _) -> l = loc | None -> false)))
+        locs
+    | L.Wo_global -> chain (ids Op.is_write_like));
+    if ax.L.rt then chain (List.init n Fun.id);
+    m
+
+  (* Warshall, then drop the other processes' memory reads *)
+  let relation t ax ~reader =
+    match Hashtbl.find_opt t.memo (ax, reader) with
+    | Some rel -> rel
+    | None ->
+      let c = warshall_matrix (edges t ax ~reader) in
+      let keep id =
+        let o = History.op t.h id in
+        not (Op.is_memory_read o && o.Op.proc <> reader)
+      in
+      let rel = Array.mapi (fun i row -> Array.mapi (fun j b -> b && keep i && keep j) row) c in
+      Hashtbl.add t.memo (ax, reader) rel;
+      rel
+
+  let values_at (o : Op.t) loc =
+    List.filter_map
+      (function Some (l, v) when l = loc -> Some v | Some _ | None -> None)
+      [ Op.writes_value o; Op.reads_value o ]
+
+  (* the read rule, scanning every operation for the first interposer *)
+  let read_rule h rel ~read_id =
+    let loc, value =
+      match (History.op h read_id).Op.kind with
+      | Op.Read { loc; value; _ } -> (loc, value)
+      | _ -> invalid_arg "Oracle.read_rule: not a memory read"
+    in
+    let interposed w =
+      let found = ref None in
+      Array.iter
+        (fun (o : Op.t) ->
+          let after_w = match w with None -> true | Some w -> w <> o.Op.id && rel.(w).(o.Op.id) in
+          if !found = None && o.Op.id <> read_id && after_w && rel.(o.Op.id).(read_id)
+             && List.exists (fun u -> u <> value) (values_at o loc)
+          then found := Some o.Op.id)
+        (History.ops h);
+      !found
+    in
+    let writers = List.filter (fun w -> rel.(w).(read_id)) (History.writers_of h loc value) in
+    match List.find_opt (fun w -> interposed (Some w) = None) writers with
+    | Some _ -> Read_rule.Valid
+    | None -> (
+      if value = History.initial_value h loc then
+        match interposed None with None -> Read_rule.Valid | Some o -> Read_rule.Overwritten o
+      else
+        match writers with
+        | [] -> Read_rule.No_matching_write
+        | w :: _ -> Read_rule.Overwritten (Option.get (interposed (Some w))))
+
+  (* the axiom set a model checks a read at, as [Lattice.verdict] picks it *)
+  let axioms_for model (o : Op.t) =
+    match (model, o.Op.kind) with
+    | L.Mixed, Op.Read { label; _ } -> L.axioms_of_label label
+    | L.Group g, _ -> L.axioms_of (L.Group (List.sort_uniq compare (o.Op.proc :: g)))
+    | m, _ -> L.axioms_of m
+
+  (* [failures t m] as (read id, verdict) pairs *)
+  let failures t model =
+    List.filter_map
+      (fun (o : Op.t) ->
+        if not (Op.is_memory_read o) then None
+        else
+          let rel = relation t (axioms_for model o) ~reader:o.Op.proc in
+          match read_rule t.h rel ~read_id:o.Op.id with
+          | Read_rule.Valid -> None
+          | v -> Some (o.Op.id, v))
+      (Array.to_list (History.ops t.h))
+end

@@ -10,6 +10,11 @@
      three read labels, [Lattice.verdict_at] equals [Read_rule.check]
      over the seed [History] relations for every memory read, and the
      [Mixed] model point reproduces [Mixed.failures] exactly;
+   - oracle: at every pool point [Lattice.failures] equals the
+     independent path of test/oracle.ml (Warshall, a restricted copy
+     per reader, the read rule scanning every operation), read ids and
+     verdicts alike, on random histories, on histories whose SC, cache
+     and processor relations are cyclic, and on the Section-5 apps;
    - QCheck monotonicity: [leq m1 m2] implies the failing read-id set
      of [m1] is contained in that of [m2], across the whole pool
      including the witness-based SC/linearizable points;
@@ -72,7 +77,7 @@ let programs_gen ~procs ~segments ~max_ops =
     list_size (return procs)
       (list_size (return segments) (list_size (int_bound max_ops) choice_gen)))
 
-let history_of_programs ~procs (progs : program list) =
+let history_of_programs ?(prefix = fun _ -> []) ~procs (progs : program list) =
   let next_value = ref 0 in
   let values = ref [ 0 ] in
   let collect_simple s =
@@ -133,10 +138,11 @@ let history_of_programs ~procs (progs : program list) =
   done;
   let per_proc =
     List.init procs (fun proc ->
-        List.concat
-          (List.init segments (fun seg ->
-               out.(proc).(seg)
-               @ if seg < segments - 1 then [ Dsl.bar seg ] else [])))
+        prefix proc
+        @ List.concat
+            (List.init segments (fun seg ->
+                 out.(proc).(seg)
+                 @ if seg < segments - 1 then [ Dsl.bar seg ] else [])))
   in
   Dsl.make ~procs per_proc
 
@@ -403,6 +409,77 @@ let online_uniform_diff =
       online_uniform_ok h)
 
 (* ------------------------------------------------------------------ *)
+(* Oracle: Warshall, a restricted copy per reader, a full read scan    *)
+(* ------------------------------------------------------------------ *)
+
+let failure_pairs h m =
+  List.map (fun (f : Lattice.failure) -> (f.Lattice.read_id, f.Lattice.verdict))
+    (Lattice.failures h m)
+
+let pp_pairs fmt l =
+  List.iter
+    (fun (id, v) -> Format.fprintf fmt "read %d: %a@ " id Read_rule.pp_verdict v)
+    l
+
+(* identical failures (read ids and verdicts, [Overwritten] ids included)
+   at every pool point, and [Lattice.relation] equal to the oracle's
+   restricted relation for every reader *)
+let oracle_ok h =
+  let oracle = Oracle.Lattice.create h in
+  List.for_all
+    (fun m ->
+      let got = failure_pairs h m and want = Oracle.Lattice.failures oracle m in
+      got = want
+      || begin
+           Format.eprintf "@[<v>%a disagrees with the oracle:@ got  %a@ want %a@ %a@]@."
+             Lattice.pp m pp_pairs got pp_pairs want History.pp h;
+           false
+         end)
+    pool
+  && List.for_all
+       (fun m ->
+         match m with
+         | Lattice.Mixed | Lattice.Group _ -> true
+         | m ->
+           let ax = Lattice.axioms_of m in
+           List.for_all
+             (fun reader ->
+               Mc_util.Relation.equal
+                 (Lattice.relation h ax ~reader)
+                 (Oracle.of_matrix (Oracle.Lattice.relation oracle ax ~reader)))
+             (List.init (History.procs h) Fun.id))
+       pool
+
+let oracle_random =
+  QCheck.Test.make ~name:"failures = Warshall oracle on random histories"
+    ~count:150
+    (sync_history_arb ~procs:3 ~segments:2 ~max_ops:4)
+    (fun progs -> oracle_ok (history_of_programs ~procs:3 progs))
+
+(* a prefix that closes a cycle through the sim-time write orders: p0
+   reads p1's write of g, which is recorded after all of p0's operations,
+   then writes g itself; that write has the lower id, so the global and
+   the per-location write chains both lead from it back to p1's write *)
+let cycle_prefix = function
+  | 0 -> [ Dsl.rc "g" 1_000_001; Dsl.w "g" 1_000_002 ]
+  | 1 -> [ Dsl.w "g" 1_000_001 ]
+  | _ -> []
+
+let cyclic_at h m =
+  let edges = Oracle.Lattice.edges (Oracle.Lattice.create h) (Lattice.axioms_of m) ~reader:0 in
+  let c = Oracle.warshall_matrix edges in
+  Array.exists Fun.id (Array.mapi (fun i row -> row.(i)) c)
+
+let oracle_cyclic =
+  QCheck.Test.make ~name:"failures = Warshall oracle when SC relations are cyclic"
+    ~count:100
+    (sync_history_arb ~procs:3 ~segments:2 ~max_ops:4)
+    (fun progs ->
+      let h = history_of_programs ~prefix:cycle_prefix ~procs:3 progs in
+      List.for_all (cyclic_at h) Lattice.[ SC; Linearizable; Cache; Processor ]
+      && oracle_ok h)
+
+(* ------------------------------------------------------------------ *)
 (* Section-5 applications                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -424,6 +501,7 @@ let record_app ?(procs = 3) f =
   Runtime.history rt
 
 let app_sweep name h =
+  check (name ^ ": failures = Warshall oracle") true (oracle_ok h);
   check (name ^ ": verdict_at = seed") true (differential_ok h);
   check (name ^ ": mixed point = seed Mixed") true (mixed_point_matches_seed h);
   check (name ^ ": monotone on the pool") true (monotone_ok h);
@@ -577,8 +655,13 @@ let () =
             test_ladder_is_linear_extension;
         ] );
       ( "differential",
-        [ qt lattice_diff_random; qt lattice_monotone; qt online_uniform_diff ]
-      );
+        [
+          qt lattice_diff_random;
+          qt lattice_monotone;
+          qt online_uniform_diff;
+          qt oracle_random;
+          qt oracle_cyclic;
+        ] );
       ( "online",
         [ Alcotest.test_case "supports" `Quick test_supports ] );
       ( "apps",

@@ -225,6 +225,81 @@ let relation_reduction_preserves_closure =
         (Relation.transitive_closure r)
       && Relation.subset red r)
 
+(* The closure kernel and the word-level scans against per-bit loops.
+   Sizes straddle the 62-bit word boundary; the edge lists give dense
+   graphs with cycles and sparse ones without, plus planted self-loops
+   and isolated elements. *)
+let random_relation_gen =
+  QCheck.Gen.(
+    oneofl [ 1; 61; 62; 63; 124; 125 ] >>= fun n ->
+    let node = int_bound (n - 1) in
+    int_bound (3 * n) >>= fun m ->
+    list_repeat m (pair node node) >>= fun edges ->
+    list_size (int_bound 3) node >>= fun loops ->
+    list_size (int_bound 5) node >>= fun isolated ->
+    array_repeat n bool >>= fun keep ->
+    return (n, edges, loops, isolated, keep))
+
+let random_relation_arb =
+  QCheck.make
+    ~print:(fun (n, edges, loops, isolated, _) ->
+      Printf.sprintf "n=%d edges=[%s] loops=[%s] isolated=[%s]" n
+        (String.concat "; " (List.map (fun (i, j) -> Printf.sprintf "%d,%d" i j) edges))
+        (String.concat "; " (List.map string_of_int loops))
+        (String.concat "; " (List.map string_of_int isolated)))
+    random_relation_gen
+
+let relation_of (n, edges, loops, isolated, _) =
+  let r = Relation.create n in
+  let free i = not (List.mem i isolated) in
+  List.iter (fun (i, j) -> if free i && free j then Relation.add r i j) edges;
+  List.iter (fun i -> if free i then Relation.add r i i) loops;
+  r
+
+let pairs_per_bit r =
+  let n = Relation.size r in
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun j -> if Relation.mem r i j then Some (i, j) else None)
+           (List.init n Fun.id)))
+
+let closure_matches_warshall =
+  QCheck.Test.make ~name:"closure = Warshall across the word boundary" ~count:300
+    random_relation_arb (fun input ->
+      let r = relation_of input in
+      Relation.equal (Relation.transitive_closure r) (Oracle.warshall r))
+
+let scans_match_per_bit_loops =
+  QCheck.Test.make ~name:"fold/successors/predecessors/restrict = per-bit loops"
+    ~count:300 random_relation_arb (fun ((n, _, _, _, keep) as input) ->
+      let r = relation_of input in
+      let ids = List.init n Fun.id in
+      let restricted = Relation.create n in
+      List.iter
+        (fun (i, j) -> if keep.(i) && keep.(j) then Relation.add restricted i j)
+        (pairs_per_bit r);
+      List.rev (Relation.fold r (fun acc i j -> (i, j) :: acc) []) = pairs_per_bit r
+      && List.for_all
+           (fun i ->
+             Relation.successors r i = List.filter (fun j -> Relation.mem r i j) ids
+             && Relation.predecessors r i = List.filter (fun j -> Relation.mem r j i) ids)
+           ids
+      && Relation.equal (Relation.restrict r (fun i -> keep.(i))) restricted)
+
+let test_relation_closure_cycles () =
+  (* a 3-cycle reaching a tail, a self-loop, and an acyclic singleton *)
+  let r = Relation.create 6 in
+  List.iter (fun (i, j) -> Relation.add r i j) [ (0, 1); (1, 2); (2, 0); (2, 3); (4, 4) ];
+  let c = Relation.transitive_closure r in
+  check "cycle members reach themselves" true
+    (List.for_all (fun i -> Relation.mem c i i) [ 0; 1; 2 ]);
+  check "cycle reaches the tail" true (Relation.mem c 1 3);
+  check "the tail does not reach itself" false (Relation.mem c 3 3);
+  check "self-loop kept" true (Relation.mem c 4 4);
+  check "isolated element reaches nothing" true (Relation.successors c 5 = []);
+  check "equals Warshall" true (Relation.equal c (Oracle.warshall r))
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -310,8 +385,11 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_relation_cycles;
           Alcotest.test_case "topological order" `Quick test_relation_topo;
           Alcotest.test_case "union/subset/restrict" `Quick test_relation_union_subset_restrict;
+          Alcotest.test_case "closure on cycles" `Quick test_relation_closure_cycles;
           qt relation_closure_idempotent;
           qt relation_reduction_preserves_closure;
+          qt closure_matches_warshall;
+          qt scans_match_per_bit_loops;
         ] );
       ( "stats",
         [
