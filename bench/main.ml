@@ -529,17 +529,17 @@ let exp_theory () =
      are sequentially consistent; the checkers verify this on recorded runs."
 
 (* ------------------------------------------------------------------ *)
-(* EXP-DELIVERY: fast causal delivery engine vs seed pending list      *)
+(* EXP-DELIVERY: causal delivery drain and update batching             *)
 (* ------------------------------------------------------------------ *)
 
 module Replica = Mc_dsm.Replica
 module Protocol = Mc_dsm.Protocol
 
-(* Worst case for the rescanned pending list: each writer's stream is fed
+(* Worst case for a rescanned pending list: each writer's stream is fed
    newest-first (round-robin across writers), so nothing is deliverable
    until the writer's first update arrives — by then the buffer holds the
-   writer's whole stream and each rescan pass frees exactly one update.
-   The per-writer-queue engine buffers each arrival in O(1) and drains
+   writer's whole stream and each rescan pass would free exactly one
+   update. The per-writer queues buffer each arrival in O(1) and drain
    the cascade in O(updates x procs). *)
 let drain_workload ~p ~depth =
   let updates = ref [] in
@@ -562,14 +562,14 @@ let drain_workload ~p ~depth =
   done;
   List.rev !updates
 
-let run_drain ~delivery ~p updates =
+let run_drain ~p updates =
   let engine = Engine.create () in
-  let r = Replica.create engine ~id:0 ~n:p ~delivery () in
+  let r = Replica.create engine ~id:0 ~n:p () in
   let t0 = Sys.time () in
   List.iter (Replica.receive r) updates;
   let dt = Sys.time () -. t0 in
   assert (Replica.pending_count r = 0);
-  (r, dt)
+  dt
 
 let batch_workload ~procs ~writes (api : Api.t) =
   let me = api.Api.proc_id in
@@ -603,40 +603,32 @@ let exp_delivery () =
           let depth = max 1 (buffered_target / (p - 1)) in
           let buffered = depth * (p - 1) in
           let updates = drain_workload ~p ~depth in
-          let r_ref, t_ref = run_drain ~delivery:Config.Reference ~p updates in
-          let r_fast, t_fast = run_drain ~delivery:Config.Fast ~p updates in
-          (* both engines must agree on the final state *)
-          assert (Replica.applied r_ref = Replica.applied r_fast);
-          for w = 1 to p - 1 do
-            let loc = "x:" ^ string_of_int w in
-            assert (Replica.causal_read r_ref loc = Replica.causal_read r_fast loc)
-          done;
-          let rate t = float_of_int buffered /. Float.max t 1e-9 in
-          let speedup = rate t_fast /. rate t_ref in
+          (* best of 5: one sub-millisecond drain is mostly heap-growth noise *)
+          let t_fast =
+            List.fold_left
+              (fun best _ -> Float.min best (run_drain ~p updates))
+              infinity [ 1; 2; 3; 4; 5 ]
+          in
+          let rate = float_of_int buffered /. Float.max t_fast 1e-9 in
           drain_rows :=
             [
               string_of_int p;
               string_of_int buffered;
-              Printf.sprintf "%.4f" t_ref;
               Printf.sprintf "%.4f" t_fast;
-              Printf.sprintf "%.3e" (rate t_ref);
-              Printf.sprintf "%.3e" (rate t_fast);
-              T.fmt_ratio speedup;
+              Printf.sprintf "%.3e" rate;
             ]
             :: !drain_rows;
           drain_json :=
             Printf.sprintf
-              "    {\"p\": %d, \"depth\": %d, \"buffered\": %d, \"ref_s\": %.6f, \
-               \"fast_s\": %.6f, \"ref_updates_per_s\": %.1f, \"fast_updates_per_s\": \
-               %.1f, \"speedup\": %.2f}"
-              p depth buffered t_ref t_fast (rate t_ref) (rate t_fast) speedup
+              "    {\"p\": %d, \"depth\": %d, \"buffered\": %d, \"fast_s\": %.6f, \
+               \"fast_updates_per_s\": %.1f}"
+              p depth buffered t_fast rate
             :: !drain_json)
         ps)
     drain_targets;
   T.print
-    ~title:"EXP-DELIVERY/drain: buffered-update drain, per-writer queues vs rescan"
-    ~headers:
-      [ "p"; "buffered"; "ref (s)"; "fast (s)"; "ref upd/s"; "fast upd/s"; "speedup" ]
+    ~title:"EXP-DELIVERY/drain: buffered-update drain through the per-writer queues"
+    ~headers:[ "p"; "buffered"; "fast (s)"; "fast upd/s" ]
     (List.rev !drain_rows);
   let procs = 4 in
   let writes = if !quick then 50 else 200 in
@@ -679,9 +671,9 @@ let exp_delivery () =
        (String.concat ",\n" (List.rev !batch_json)));
   print_endline
     "per-writer FIFO queues make deliverability a single head check (channels are\n\
-     FIFO, so only the head can apply); the seed rescans its whole pending list on\n\
-     every receive. Batching coalesces consecutive same-writer updates between sync\n\
-     points, delta-encoding the dependency clocks. Raw numbers: BENCH_CORE.json."
+     FIFO, so only the head can apply). Batching coalesces consecutive same-writer\n\
+     updates between sync points, delta-encoding the dependency clocks. Raw\n\
+     numbers: BENCH_CORE.json."
 
 (* ------------------------------------------------------------------ *)
 (* EXP-ONLINE: record-then-check vs the streaming online checker       *)
@@ -918,10 +910,7 @@ let bechamel_suite () =
             ignore s);
         stage "exp_delivery/drain-fast"
           (let updates = drain_workload ~p:4 ~depth:100 in
-           fun () -> ignore (run_drain ~delivery:Config.Fast ~p:4 updates));
-        stage "exp_delivery/drain-reference"
-          (let updates = drain_workload ~p:4 ~depth:100 in
-           fun () -> ignore (run_drain ~delivery:Config.Reference ~p:4 updates));
+           fun () -> ignore (run_drain ~p:4 updates));
         stage "exp_theory/checkers" (fun () ->
             let h =
               Mc_history.Dsl.make ~procs:3
@@ -1380,7 +1369,7 @@ let exp_obs () =
     let best = ref infinity in
     for _ = 1 to reps do
       let engine = Engine.create () in
-      let r = Replica.create engine ~id:0 ~n:p ~delivery:Config.Fast () in
+      let r = Replica.create engine ~id:0 ~n:p () in
       if attach then Replica.attach_metrics r (Metrics.Registry.create ());
       let t0 = Sys.time () in
       List.iter (Replica.receive r) updates;

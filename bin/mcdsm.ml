@@ -19,6 +19,7 @@ module Solver = Mc_apps.Linear_solver
 module Em = Mc_apps.Em_field
 module Sparse = Mc_apps.Sparse_spd
 module Cholesky = Mc_apps.Cholesky
+module Json = Mc_obs.Report.Json
 
 type memory = Mixed | Central | Invalidate
 
@@ -131,15 +132,16 @@ let verdict_fields = function
 
 let failure_json (f : Mixed_chk.failure) =
   let verdict, over = verdict_fields f.Mixed_chk.verdict in
-  Printf.sprintf "{\"read_id\":%d,\"label\":%S,\"verdict\":%S%s}"
+  Printf.sprintf "{\"read_id\":%d,\"label\":%s,\"verdict\":%s%s}"
     f.Mixed_chk.read_id
-    (label_string f.Mixed_chk.label)
-    verdict
+    (Json.quote (label_string f.Mixed_chk.label))
+    (Json.quote verdict)
     (match over with Some o -> Printf.sprintf ",\"overwritten_by\":%d" o | None -> "")
 
 let lattice_failure_json (f : Lattice.failure) =
   let verdict, over = verdict_fields f.Lattice.verdict in
-  Printf.sprintf "{\"read_id\":%d,\"verdict\":%S%s}" f.Lattice.read_id verdict
+  Printf.sprintf "{\"read_id\":%d,\"verdict\":%s%s}" f.Lattice.read_id
+    (Json.quote verdict)
     (match over with Some o -> Printf.sprintf ",\"overwritten_by\":%d" o | None -> "")
 
 let read_counts h =
@@ -161,13 +163,13 @@ let read_counts h =
 let check_json ?model ~extra ~history ~checker () =
   let parts = ref [] in
   let add fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
-  List.iter (fun (k, v) -> add "%S:%s" k v) extra;
+  List.iter (fun (k, v) -> add "%s:%s" (Json.quote k) v) extra;
   (match (model, history) with
   | Some m, Some h ->
     let failures = Lattice.failures h m in
     add
-      "\"model\":{\"name\":%S,\"consistent\":%b,\"streamable\":%b,\"failures\":[%s]}"
-      (Lattice.to_string m) (failures = []) (Online.supports m)
+      "\"model\":{\"name\":%s,\"consistent\":%b,\"streamable\":%b,\"failures\":[%s]}"
+      (Json.quote (Lattice.to_string m)) (failures = []) (Online.supports m)
       (String.concat "," (List.map lattice_failure_json failures))
   | _ -> ());
   (match history with
@@ -420,8 +422,8 @@ let solver_cmd =
     info ~json "sim time=%.1fus messages=%d exact=%b\n" time msgs exact;
     let extra =
       [
-        ("app", Printf.sprintf "%S" "solver");
-        ("variant", Printf.sprintf "%S" (Solver.variant_to_string variant));
+        ("app", Json.quote "solver");
+        ("variant", Json.quote (Solver.variant_to_string variant));
         ("iterations", string_of_int r.Solver.iterations);
         ("converged", string_of_bool r.Solver.converged);
         ("sim_time_us", Printf.sprintf "%.1f" time);
@@ -434,7 +436,7 @@ let solver_cmd =
       | Some pl ->
         [
           ("shards", string_of_int shards);
-          ("placement", Printf.sprintf "%S" (Placement.policy_to_string (Placement.policy pl)));
+          ("placement", Json.quote (Placement.policy_to_string (Placement.policy pl)));
         ]
     in
     exit_if_inconsistent
@@ -476,7 +478,7 @@ let em_cmd =
       r.Em.energy;
     let extra =
       [
-        ("app", Printf.sprintf "%S" "em");
+        ("app", Json.quote "em");
         ("steps", string_of_int steps);
         ("energy", string_of_int r.Em.energy);
         ("sim_time_us", Printf.sprintf "%.1f" time);
@@ -524,8 +526,8 @@ let cholesky_cmd =
       exact r.Cholesky.max_error;
     let extra =
       [
-        ("app", Printf.sprintf "%S" "cholesky");
-        ("variant", Printf.sprintf "%S" (Cholesky.variant_to_string variant));
+        ("app", Json.quote "cholesky");
+        ("variant", Json.quote (Cholesky.variant_to_string variant));
         ("max_error", string_of_int r.Cholesky.max_error);
         ("sim_time_us", Printf.sprintf "%.1f" time);
         ("messages", string_of_int msgs);
@@ -687,7 +689,7 @@ let lint_cmd =
       List.iteri
         (fun i (name, r) ->
           if i > 0 then print_string ",";
-          Printf.printf "{\"name\":%S,\"report\":%s}" name
+          Printf.printf "{\"name\":%s,\"report\":%s}" (Json.quote name)
             (Mc_analysis.Analysis.to_json r))
         reports;
       print_endline "]"
@@ -808,9 +810,9 @@ let check_cmd =
         (fun i (name, h, failures, well_formed, online_agrees) ->
           if i > 0 then print_string ",";
           Printf.printf
-            "{\"name\":%S,\"model\":%S,\"shards\":%d,\"ops\":%d,\"well_formed\":%b,\"consistent\":%b,\"streamable\":%b%s,\"failures\":[%s]}"
-            name
-            (Lattice.to_string model)
+            "{\"name\":%s,\"model\":%s,\"shards\":%d,\"ops\":%d,\"well_formed\":%b,\"consistent\":%b,\"streamable\":%b%s,\"failures\":[%s]}"
+            (Json.quote name)
+            (Json.quote (Lattice.to_string model))
             shards
             (Mc_history.History.length h)
             well_formed (failures = []) streamable
@@ -969,7 +971,8 @@ let metrics_cmd =
     | Some path ->
       write_file path payload;
       if json then
-        Printf.printf "{\"out\":%S,\"series\":%d,\"sim_time_us\":%.1f}\n" path
+        Printf.printf "{\"out\":%s,\"series\":%d,\"sim_time_us\":%.1f}\n"
+          (Json.quote path)
           (Metrics.Registry.series_count reg)
           time
       else Printf.printf "metrics written to %s\n" path
@@ -1012,13 +1015,14 @@ let trace_cmd =
       events ops path;
     if json then
       Printf.printf
-        "{\"app\":%S,\"out\":%S,\"spans\":%d,\"events\":%d,\"dropped\":%d,\"ops\":%d,\"sim_time_us\":%.1f,\"spans_match_ops\":%b}\n"
-        (match app with
-        | `Solver -> "solver"
-        | `Em -> "em"
-        | `Cholesky -> "cholesky"
-        | `Delivery -> "delivery")
-        path spans events dropped ops time (spans = ops);
+        "{\"app\":%s,\"out\":%s,\"spans\":%d,\"events\":%d,\"dropped\":%d,\"ops\":%d,\"sim_time_us\":%.1f,\"spans_match_ops\":%b}\n"
+        (Json.quote
+           (match app with
+           | `Solver -> "solver"
+           | `Em -> "em"
+           | `Cholesky -> "cholesky"
+           | `Delivery -> "delivery"))
+        (Json.quote path) spans events dropped ops time (spans = ops);
     if spans <> ops then begin
       info ~json "error: span count %d does not match recorded op count %d\n"
         spans ops;
@@ -1277,7 +1281,8 @@ let report_cmd =
     | Some path ->
       write_file path payload;
       if json then
-        Printf.printf "{\"out\":%S,\"events\":%d}\n" path report.Report.r_events
+        Printf.printf "{\"out\":%s,\"events\":%d}\n" (Json.quote path)
+          report.Report.r_events
       else Printf.printf "report written to %s\n" path
     | None -> print_string (payload ^ if json then "\n" else "")
   in
@@ -1466,23 +1471,35 @@ let litmus_cmd =
     (Cmd.info "litmus" ~doc:"Check classic litmus histories against the definitions")
     Term.(const run $ const ())
 
+(* Every failure ends the same way: one line, "mcdsm: <message>", on
+   stderr, and exit status 2 for a bad flag value or an unreadable or
+   malformed file, 1 for a run that deadlocked. *)
 let () =
   let info =
     Cmd.info "mcdsm" ~version:"1.0.0"
       ~doc:"Mixed-consistency distributed shared memory (PODC '94 reproduction)"
   in
+  let cmd =
+    Cmd.group info
+      [
+        solver_cmd;
+        em_cmd;
+        cholesky_cmd;
+        analyze_cmd;
+        check_cmd;
+        litmus_cmd;
+        lint_cmd;
+        metrics_cmd;
+        trace_cmd;
+        report_cmd;
+      ]
+  in
+  let fail status msg =
+    prerr_endline ("mcdsm: " ^ msg);
+    status
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            solver_cmd;
-            em_cmd;
-            cholesky_cmd;
-            analyze_cmd;
-            check_cmd;
-            litmus_cmd;
-            lint_cmd;
-            metrics_cmd;
-            trace_cmd;
-            report_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Invalid_argument msg | Sys_error msg -> fail 2 msg
+    | Json.Parse_error msg -> fail 2 ("malformed JSON input: " ^ msg)
+    | Engine.Deadlock msg -> fail 1 ("run deadlocked: " ^ msg))

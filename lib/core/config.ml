@@ -1,5 +1,4 @@
 type propagation = Eager | Lazy | Demand | Entry
-type delivery = Fast | Reference
 
 type t = {
   procs : int;
@@ -17,7 +16,6 @@ type t = {
   groups : int list list;
   multicast : (Mc_history.Op.location -> int list option) option;
   placement : Mc_placement.Placement.t option;
-  delivery : delivery;
   batch_max : int;
   batch_window : float;
   observe : bool;
@@ -41,7 +39,6 @@ let default ~procs =
     groups = [];
     multicast = None;
     placement = None;
-    delivery = Fast;
     batch_max = 1;
     batch_window = 1.0;
     observe = false;

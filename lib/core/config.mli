@@ -19,18 +19,6 @@
     accesses outside critical sections see stale values. *)
 type propagation = Eager | Lazy | Demand | Entry
 
-(** Which causal-delivery engine the replicas run. [Fast] (the default)
-    uses per-writer FIFO queues with an O(1) deliverability check, a
-    blocked-on index waking only the queues whose gating entry advanced,
-    and indexed demand-invalidation / watcher wake-ups. [Reference] is the
-    retained naive implementation — a single pending list rescanned in
-    full after every message, whole-table invalidation folds and
-    re-evaluation of every watcher on every event. Both produce
-    bit-identical executions (the differential test in
-    [test/test_delivery.ml] proves it); [Reference] exists as the oracle
-    and as the before-side of the EXP-DELIVERY benchmark. *)
-type delivery = Fast | Reference
-
 type t = {
   procs : int;  (** number of DSM nodes / application processes *)
   propagation : propagation;
@@ -98,7 +86,6 @@ type t = {
           use the Section-6 update-count scheme as under [multicast].
           Locks and [Group] reads are not available in this mode. Writes
           are restricted to subscribed shards. *)
-  delivery : delivery;  (** causal-delivery engine, see {!delivery} *)
   batch_max : int;
       (** maximum number of consecutive same-writer updates coalesced
           into one {!Protocol.Update_batch} wire message. [1] (the

@@ -7,13 +7,11 @@ type cell = { mutable numeric : int; mutable tag : int }
 (* Watchers                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Watchers are indexed by what their predicate depends on, so the fast
-   delivery engine re-evaluates only the ones whose guard can have
-   changed. [Any] watchers are re-evaluated on every state change (the
-   seed behavior for all watchers, kept as the default and as the
-   reference mode). Wake-ups preserve the seed's ordering — ready
-   watchers resume newest-first — via the installation sequence number,
-   so both engines schedule continuations in the identical order. *)
+(* Watchers are indexed by what their predicate depends on, so a state
+   change re-evaluates only the ones whose guard can have changed. [Any]
+   watchers are re-evaluated on every state change (the default).
+   Ready watchers resume newest-first, via the installation sequence
+   number. *)
 type hint = Loc of Mc_history.Op.location | Clock | Any
 
 type watcher = { wseq : int; hint : hint; pred : unit -> bool; resume : unit -> unit }
@@ -30,80 +28,37 @@ type obs = {
   gap_buffered : (int, Mc_obs.Metrics.Counter.t) Hashtbl.t;
 }
 
-(* A Section-3.2 group view: causality maintained across [members].
-   [g_applied] counts updates applied to this view per writer. An update
-   applies once its dependencies on members are applied here and its
-   dependencies on non-members have at least been received; the group
-   relation only tracks edges touching members, so received counts are
-   enough for the rest. *)
-type group_view = {
-  members : bool array;
-  g_view : (Mc_history.Op.location, cell) Hashtbl.t;
-  g_applied : int array;
-  (* reference engine: single rescanned pending list *)
-  mutable g_pending : Protocol.update list;
-  (* fast engine: per-writer buffers keyed by (writer, useq) carrying the
-     arrival sequence number, plus blocked-on indexes. A writer with a
-     buffered head is in exactly one place: parked on a member whose view
-     application must advance, parked on a non-member whose receipt count
-     must advance, or queued in the delivery worklist mid-drain. *)
-  g_buffer : (int * int, Protocol.update * int) Hashtbl.t;
-  g_wait_applied : int list array;
-  g_wait_received : int list array;
-}
-
-(* Sharded (partially-replicated) mode: per-subscribed-shard delivery
-   state. Within a shard, updates are delivered causally against the
-   shard-scoped clock ([Protocol.shard_update.su_sdep]); per-writer
-   counts are kept sparse because a node only ever sees the writers
-   active in the shards it subscribes to. The pending list is the
-   reference-style rescan engine — per-shard traffic is a small slice of
-   the system, and tree paths are fixed per (writer, shard) stream, so
-   arrivals are near-causal and the list stays short. *)
-type shard_state = {
-  sh_applied : (int, int) Hashtbl.t; (* writer -> applied sseq count *)
-  sh_view : (Mc_history.Op.location, cell) Hashtbl.t;
-  mutable sh_pending : Protocol.shard_update list;
-}
+(* What holds a buffered head back: its view's applied count of a
+   writer (re-examined when the view applies that writer), or — for a
+   group view — the node's receipt count of a non-member (re-examined
+   when an update from that writer is received). *)
+type gate = Ready | Applied of int | Received of int
 
 type t = {
   engine : Engine.t;
   node_id : int;
-  n : int;
-  fast : bool;
   mutable own_seq : int;
   applied_counts : int array;
   received_counts : int array;
   causal_view : (Mc_history.Op.location, cell) Hashtbl.t;
   pram_view : (Mc_history.Op.location, cell) Hashtbl.t;
-  (* reference engine: causal delivery buffer, rescanned in full *)
-  mutable pending : Protocol.update list;
-  (* fast engine: per-writer FIFO buffers keyed by (writer, useq),
-     carrying each update's arrival sequence number. The head of writer
-     [w] is the update with useq [applied_counts.(w) + 1]; while present
-     it is either parked in [wait_applied.(k)] for the first blocking
-     writer [k], or queued in the worklist during an ongoing drain. *)
-  buffer : (int * int, Protocol.update * int) Hashtbl.t;
-  wait_applied : int list array;
-  mutable n_pending : int;
+  main : Protocol.update queue; (* delivery into [causal_view] *)
   mutable arr_counter : int;
   (* drain worklist scratch (empty between events): heads ready to apply
-     in the current pass / the next pass, keyed by arrival order. The
-     two-heap structure reproduces the reference engine's apply order
-     exactly — see the fast-engine comment below. *)
+     in the current pass / the next pass, keyed by arrival order *)
   mutable wl_cur : int Pqueue.t;
   mutable wl_next : int Pqueue.t;
   invalid : (Mc_history.Op.location, int array) Hashtbl.t;
-  (* fast engine: demand-mode obligations parked on their first
-     unsatisfied clock entry; an obligation is re-examined only when that
-     writer's applied count advances *)
+  (* demand-mode obligations parked on their first unsatisfied clock
+     entry; an obligation is re-examined only when that writer's applied
+     count advances *)
   inv_wait : Mc_history.Op.location list array;
   (* watcher buckets *)
   mutable w_any : watcher list;
   mutable w_clock : watcher list;
   w_loc : (Mc_history.Op.location, watcher list ref) Hashtbl.t;
   mutable next_wseq : int;
-  (* dirty sets accumulated between watcher firings (fast engine) *)
+  (* dirty sets accumulated between watcher firings *)
   dirty_locs : (Mc_history.Op.location, unit) Hashtbl.t;
   mutable dirty_clock : bool;
   group_views : (int list * group_view) list;
@@ -119,57 +74,48 @@ type t = {
   mutable on_shard_apply : (shard:int -> writer:int -> sseq:int -> unit) option;
 }
 
-let create engine ~id ~n ?(groups = []) ?(causal_delivery = true)
-    ?(delivery = Config.Fast) () =
-  let make_group members_list =
-    let members = Array.make n false in
-    List.iter
-      (fun m ->
-        if m < 0 || m >= n then invalid_arg "Replica.create: group member out of range";
-        members.(m) <- true)
-      members_list;
-    ( List.sort_uniq compare members_list,
-      {
-        members;
-        g_view = Hashtbl.create 32;
-        g_applied = Array.make n 0;
-        g_pending = [];
-        g_buffer = Hashtbl.create 32;
-        g_wait_applied = Array.make n [];
-        g_wait_received = Array.make n [];
-      } )
-  in
-  {
-    engine;
-    node_id = id;
-    n;
-    fast = (delivery = Config.Fast);
-    own_seq = 0;
-    applied_counts = Array.make n 0;
-    received_counts = Array.make n 0;
-    causal_view = Hashtbl.create 64;
-    pram_view = Hashtbl.create 64;
-    pending = [];
-    buffer = Hashtbl.create 64;
-    wait_applied = Array.make n [];
-    n_pending = 0;
-    arr_counter = 0;
-    wl_cur = Pqueue.create ();
-    wl_next = Pqueue.create ();
-    invalid = Hashtbl.create 8;
-    inv_wait = Array.make n [];
-    w_any = [];
-    w_clock = [];
-    w_loc = Hashtbl.create 8;
-    next_wseq = 0;
-    dirty_locs = Hashtbl.create 8;
-    dirty_clock = false;
-    group_views = List.map make_group groups;
-    causal_delivery;
-    shards = Hashtbl.create 8;
-    obs = None;
-    on_shard_apply = None;
-  }
+(* A Section-3.2 group view: causality maintained across the group's
+   members. An update applies once its dependencies on members are
+   applied to this view and its dependencies on non-members have at
+   least been received; the group relation only tracks edges touching
+   members, so received counts are enough for the rest (see
+   [make_group]). *)
+and group_view = {
+  g_view : (Mc_history.Op.location, cell) Hashtbl.t;
+  g_queue : Protocol.update queue;
+}
+
+(* Sharded (partially-replicated) mode: per-subscribed-shard delivery
+   state. Within a shard, updates are delivered causally against the
+   shard-scoped clock ([Protocol.shard_update.su_sdep]); per-writer
+   counts are kept sparse because a node only ever sees the writers
+   active in the shards it subscribes to. *)
+and shard_state = {
+  sh_applied : (int, int) Hashtbl.t; (* writer -> applied sseq count *)
+  sh_view : (Mc_history.Op.location, cell) Hashtbl.t;
+  sh_queue : Protocol.shard_update queue;
+}
+
+(* One view's causal-delivery queue. The main causal view, every group
+   view and every subscribed shard own one, and all of them run the same
+   [enqueue]/[drain] below. A view supplies three functions:
+   - [next t w]: the sequence number the view applies next from [w];
+   - [gate t u]: the first gate blocking [u] — never the writer's own
+     entry, which [next] covers — or [Ready];
+   - [apply t u]: apply [u] to the view, advancing [next] of its writer.
+   Channels are FIFO per writer (per (writer, shard) stream under
+   placement), so the only update of writer [w] that can ever apply is
+   its head [(w, next t w)]. While buffered, a head is either parked
+   under its first blocking gate or queued in the worklist mid-drain;
+   updates behind it just wait in [buffer]. *)
+and 'u queue = {
+  next : t -> int -> int;
+  gate : t -> 'u -> gate;
+  apply : t -> 'u -> unit;
+  buffer : (int * int, 'u * int) Hashtbl.t; (* (writer, seq) -> update, arrival *)
+  parked : (gate, int list) Hashtbl.t; (* gate -> writers whose head it blocks *)
+  mutable depth : int; (* buffered updates *)
+}
 
 let set_shard_apply_observer t f = t.on_shard_apply <- Some f
 
@@ -229,12 +175,8 @@ let id t = t.node_id
 let applied t = Array.copy t.applied_counts
 let received t = Array.copy t.received_counts
 
-let shard_pending_total t =
-  Hashtbl.fold (fun _ st acc -> acc + List.length st.sh_pending) t.shards 0
-
 let pending_count t =
-  (if t.fast then t.n_pending else List.length t.pending)
-  + shard_pending_total t
+  Hashtbl.fold (fun _ st acc -> acc + st.sh_queue.depth) t.shards t.main.depth
 
 let view_cell view loc =
   match Hashtbl.find_opt view loc with
@@ -249,13 +191,16 @@ let read_view view loc =
   | Some c -> (c.numeric, c.tag)
   | None -> (0, 0)
 
-let apply_to_view view (u : Protocol.update) =
-  let c = view_cell view u.loc in
-  if u.is_dec then c.numeric <- c.numeric - u.numeric
+let apply_payload view ~loc ~numeric ~tag ~is_dec =
+  let c = view_cell view loc in
+  if is_dec then c.numeric <- c.numeric - numeric
   else begin
-    c.numeric <- u.numeric;
-    c.tag <- u.tag
+    c.numeric <- numeric;
+    c.tag <- tag
   end
+
+let apply_to_view view (u : Protocol.update) =
+  apply_payload view ~loc:u.loc ~numeric:u.numeric ~tag:u.tag ~is_dec:u.is_dec
 
 let causal_read t loc = read_view t.causal_view loc
 let pram_read t loc = read_view t.pram_view loc
@@ -272,18 +217,29 @@ let find_group t group =
 
 let group_read t ~group loc = read_view (find_group t group).g_view loc
 
-let dep_satisfied t dep =
-  let ok = ref true in
-  Array.iteri (fun j d -> if t.applied_counts.(j) < d then ok := false) dep;
-  !ok
+(* first clock entry not yet applied locally, skipping [except]; [None]
+   means satisfied *)
+let blocking_index t ~except dep =
+  let k = ref (-1) in
+  (try
+     Array.iteri
+       (fun j d ->
+         if j <> except && t.applied_counts.(j) < d then begin
+           k := j;
+           raise Exit
+         end)
+       dep
+   with Exit -> ());
+  if !k < 0 then None else Some !k
+
+let dep_satisfied t dep = blocking_index t ~except:(-1) dep = None
 
 (* ------------------------------------------------------------------ *)
 (* Watcher firing                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let mark_dirty_loc t loc =
-  if t.fast && not (Hashtbl.mem t.dirty_locs loc) then
-    Hashtbl.add t.dirty_locs loc ()
+  if not (Hashtbl.mem t.dirty_locs loc) then Hashtbl.add t.dirty_locs loc ()
 
 let put_back t w =
   match w.hint with
@@ -305,75 +261,49 @@ let fire_candidates t candidates =
     let sorted = List.sort (fun a b -> compare b.wseq a.wseq) candidates in
     List.iter (fun w -> if w.pred () then w.resume () else put_back t w) sorted
 
-let fire_all t =
-  Hashtbl.reset t.dirty_locs;
-  t.dirty_clock <- false;
+let fire_dirty t =
   let candidates = ref [] in
   candidates := List.rev_append t.w_any !candidates;
   t.w_any <- [];
-  candidates := List.rev_append t.w_clock !candidates;
-  t.w_clock <- [];
-  Hashtbl.iter (fun _ r -> candidates := List.rev_append !r !candidates) t.w_loc;
-  Hashtbl.reset t.w_loc;
+  if t.dirty_clock then begin
+    candidates := List.rev_append t.w_clock !candidates;
+    t.w_clock <- []
+  end;
+  Hashtbl.iter
+    (fun loc () ->
+      match Hashtbl.find_opt t.w_loc loc with
+      | Some r ->
+        candidates := List.rev_append !r !candidates;
+        Hashtbl.remove t.w_loc loc
+      | None -> ())
+    t.dirty_locs;
+  Hashtbl.reset t.dirty_locs;
+  t.dirty_clock <- false;
   fire_candidates t !candidates
 
-let fire_dirty t =
-  if not t.fast then fire_all t
-  else begin
-    let candidates = ref [] in
-    candidates := List.rev_append t.w_any !candidates;
-    t.w_any <- [];
-    if t.dirty_clock then begin
-      candidates := List.rev_append t.w_clock !candidates;
-      t.w_clock <- []
-    end;
-    Hashtbl.iter
-      (fun loc () ->
-        match Hashtbl.find_opt t.w_loc loc with
-        | Some r ->
-          candidates := List.rev_append !r !candidates;
-          Hashtbl.remove t.w_loc loc
-        | None -> ())
-      t.dirty_locs;
-    Hashtbl.reset t.dirty_locs;
-    t.dirty_clock <- false;
-    fire_candidates t !candidates
-  end
-
-let notify t = fire_all t
+(* everything counts as changed: every watcher is re-evaluated *)
+let notify t =
+  t.dirty_clock <- true;
+  Hashtbl.iter (fun loc _ -> mark_dirty_loc t loc) t.w_loc;
+  fire_dirty t
 
 (* ------------------------------------------------------------------ *)
 (* Demand-mode invalidation                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* first clock entry not yet applied locally; [None] means satisfied *)
-let blocking_index t dep =
-  let k = ref (-1) in
-  (try
-     Array.iteri
-       (fun j d ->
-         if t.applied_counts.(j) < d then begin
-           k := j;
-           raise Exit
-         end)
-       dep
-   with Exit -> ());
-  if !k < 0 then None else Some !k
-
 let mark_invalid t loc dep =
-  if not (dep_satisfied t dep) then
+  match blocking_index t ~except:(-1) dep with
+  | None -> ()
+  | Some k -> (
     match Hashtbl.find_opt t.invalid loc with
     | Some prev ->
-      (* the fast engine keeps the existing parking: the parked clock was
-         unsatisfied and the merged clock only grows entrywise *)
+      (* keep the existing parking: the parked clock was unsatisfied and
+         the merged clock only grows entrywise *)
       Hashtbl.replace t.invalid loc
         (Array.init (Array.length dep) (fun j -> max prev.(j) dep.(j)))
-    | None -> (
+    | None ->
       Hashtbl.replace t.invalid loc dep;
-      if t.fast then
-        match blocking_index t dep with
-        | Some k -> t.inv_wait.(k) <- loc :: t.inv_wait.(k)
-        | None -> assert false)
+      t.inv_wait.(k) <- loc :: t.inv_wait.(k))
 
 let location_blocked t loc =
   match Hashtbl.find_opt t.invalid loc with
@@ -393,7 +323,7 @@ let recheck_invalid t w =
         match Hashtbl.find_opt t.invalid loc with
         | None -> ()
         | Some dep -> (
-          match blocking_index t dep with
+          match blocking_index t ~except:(-1) dep with
           | None ->
             Hashtbl.remove t.invalid loc;
             mark_dirty_loc t loc
@@ -401,131 +331,26 @@ let recheck_invalid t w =
       locs
 
 (* ------------------------------------------------------------------ *)
-(* Causal application                                                  *)
+(* Delivery queues                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let causal_apply t (u : Protocol.update) =
-  (match t.obs with
-  | Some o -> (
-    let key = (u.writer, u.useq) in
-    match Hashtbl.find_opt o.arrivals key with
-    | Some arrived ->
-      Hashtbl.remove o.arrivals key;
-      Mc_obs.Metrics.Histogram.observe o.h_delay (Engine.now t.engine -. arrived)
-    | None -> ())
-  | None -> ());
-  apply_to_view t.causal_view u;
-  mark_dirty_loc t u.loc;
-  t.applied_counts.(u.writer) <- t.applied_counts.(u.writer) + 1;
-  t.dirty_clock <- true;
-  if t.fast then recheck_invalid t u.writer
-  else begin
-    (* clear satisfied demand-mode obligations (whole-table fold) *)
-    let cleared =
-      Hashtbl.fold
-        (fun loc dep acc -> if dep_satisfied t dep then loc :: acc else acc)
-        t.invalid []
-    in
-    List.iter (Hashtbl.remove t.invalid) cleared
-  end
+(* The drain reproduces a rescan fixpoint exactly: buffer every update
+   in arrival order, then walk the buffer in passes, each applying
+   whatever is deliverable at its scan position, until a pass applies
+   nothing. The apply ORDER is observable — two concurrent updates to
+   one location resolve last-writer-wins — so it is part of the
+   contract. An update ends up applied at lexicographic key (pass,
+   arrival position): one enabled by an application at arrival position
+   [a] joins the SAME pass if it sits after [a] in arrival order and the
+   NEXT pass otherwise; updates deliverable when the event starts form
+   pass 1. A ready head enters a two-heap worklist (current pass / next
+   pass, ordered by arrival) whose pops follow exactly that order. Once
+   queued a head stays deliverable: the counts it gates on only grow.
+   The rescan itself is kept in [test/oracle.ml] as the differential
+   oracle. *)
 
-(* ------------------------------------------------------------------ *)
-(* Reference delivery engine (retained naive path)                     *)
-(* ------------------------------------------------------------------ *)
-
-let deliverable t (u : Protocol.update) =
-  t.applied_counts.(u.writer) = u.useq - 1
-  && (let ok = ref true in
-      Array.iteri
-        (fun k d -> if k <> u.writer && t.applied_counts.(k) < d then ok := false)
-        u.dep;
-      !ok)
-
-let drain_pending_ref t =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let rec scan acc = function
-      | [] -> List.rev acc
-      | u :: rest ->
-        if deliverable t u then begin
-          causal_apply t u;
-          progress := true;
-          scan acc rest
-        end
-        else scan (u :: acc) rest
-    in
-    t.pending <- scan [] t.pending
-  done
-
-(* a member update is deliverable to a group view when its member
-   dependencies are applied to the view (per-writer in order) and its
-   non-member dependencies have at least been received *)
-let group_deliverable t g (u : Protocol.update) =
-  g.g_applied.(u.writer) = u.useq - 1
-  && (let ok = ref true in
-      Array.iteri
-        (fun k d ->
-          if k <> u.writer then
-            if g.members.(k) then begin
-              if g.g_applied.(k) < d then ok := false
-            end
-            else if t.received_counts.(k) < d then ok := false)
-        u.dep;
-      !ok)
-
-let group_apply t g (u : Protocol.update) =
-  apply_to_view g.g_view u;
-  mark_dirty_loc t u.loc;
-  g.g_applied.(u.writer) <- g.g_applied.(u.writer) + 1
-
-let drain_group_ref t g =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let rec scan acc = function
-      | [] -> List.rev acc
-      | u :: rest ->
-        if group_deliverable t g u then begin
-          group_apply t g u;
-          progress := true;
-          scan acc rest
-        end
-        else scan (u :: acc) rest
-    in
-    g.g_pending <- scan [] g.g_pending
-  done
-
-let group_receive_ref t g (u : Protocol.update) =
-  (* every update waits for its dependencies on group members to be
-     applied to this view: a non-member's update can causally depend on a
-     member's write (the writer observed it before writing), and the
-     group relation includes reads-from edges that touch members *)
-  g.g_pending <- g.g_pending @ [ u ];
-  drain_group_ref t g
-
-(* ------------------------------------------------------------------ *)
-(* Fast delivery engine                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The reference drain is a fixpoint of full rescans: each pass walks
-   the pending buffer in arrival order applying whatever is deliverable
-   at its scan position. The apply ORDER is observable — two concurrent
-   updates to one location resolve last-writer-wins — so the fast engine
-   must reproduce it exactly. An update ends up applied at lexicographic
-   key (pass, arrival position), where an update enabled by an
-   application at arrival position [a] joins the SAME pass if it sits
-   after [a] in arrival order and the NEXT pass otherwise; updates
-   deliverable when the event starts form pass 1.
-
-   The engine keeps per-writer FIFO buffers — channels are FIFO, so the
-   only possibly-deliverable update of writer [w] is its head, useq
-   [applied.(w) + 1] — making deliverability one O(procs) check instead
-   of a rescan. A blocked head parks on the first clock entry gating it
-   and is re-examined exactly when that entry advances; a ready head
-   enters a two-heap worklist (current pass / next pass, ordered by
-   arrival) whose pops follow exactly the reference order. Once queued a
-   head stays deliverable: applied counts only grow. *)
+let new_queue ~next ~gate ~apply =
+  { next; gate; apply; buffer = Hashtbl.create 8; parked = Hashtbl.create 8; depth = 0 }
 
 let pop_ready t =
   if Pqueue.is_empty t.wl_cur then
@@ -542,126 +367,189 @@ let pop_ready t =
     let arr, w = Pqueue.pop_min t.wl_cur in
     Some (int_of_float arr, w)
 
-(* first clock entry blocking [u] from the causal view, excluding the
-   writer's own entry (the per-writer head invariant covers it). An
-   update is never gated on the receiving node itself: FIFO channels
-   give [dep.(self) <= applied.(self)] at receipt, so parking on self —
-   which could never be woken — cannot happen. *)
-let blocking_writer t (u : Protocol.update) =
-  let k = ref (-1) in
-  (try
-     Array.iteri
-       (fun j d ->
-         if j <> u.writer && t.applied_counts.(j) < d then begin
-           k := j;
-           raise Exit
-         end)
-       u.dep
-   with Exit -> ());
-  if !k < 0 then None else Some !k
-
-(* examine writer [w]'s head after the state advanced: park it if still
-   blocked, otherwise queue it for the pass implied by the enabling
-   arrival position [from_arr] ([-1] seeds pass 1 at event start) *)
-let check_writer t ~from_arr w =
-  match Hashtbl.find_opt t.buffer (w, t.applied_counts.(w) + 1) with
+(* examine writer [w]'s head: park it under its first blocking gate, or
+   queue it for the pass implied by the enabling arrival position
+   [from_arr] ([-1] seeds pass 1 at event start) *)
+let check_head t q ~from_arr w =
+  match Hashtbl.find_opt q.buffer (w, q.next t w) with
   | None -> ()
   | Some (u, arr) -> (
-    match blocking_writer t u with
-    | Some k -> t.wait_applied.(k) <- w :: t.wait_applied.(k)
-    | None ->
+    match q.gate t u with
+    | Ready ->
       Pqueue.add
         (if arr > from_arr then t.wl_cur else t.wl_next)
-        ~priority:(float_of_int arr) w)
+        ~priority:(float_of_int arr) w
+    | blocked ->
+      let parked = Option.value (Hashtbl.find_opt q.parked blocked) ~default:[] in
+      Hashtbl.replace q.parked blocked (w :: parked))
 
-let run_main_worklist t =
+(* re-examine the heads parked under [gate] after it advanced *)
+let wake t q ~from_arr gate =
+  match Hashtbl.find_opt q.parked gate with
+  | None -> ()
+  | Some parked ->
+    Hashtbl.remove q.parked gate;
+    List.iter (check_head t q ~from_arr) parked
+
+(* buffer [u], the [seq]-th update of [writer]; an arriving head can
+   apply in pass 1 (a receipt alone advances no applied count) *)
+let enqueue t q ~writer ~seq u =
+  t.arr_counter <- t.arr_counter + 1;
+  Hashtbl.add q.buffer (writer, seq) (u, t.arr_counter);
+  q.depth <- q.depth + 1;
+  if seq = q.next t writer then check_head t q ~from_arr:(-1) writer
+
+let drain t q =
   let rec go () =
     match pop_ready t with
     | None -> ()
-    | Some (arr_v, w) ->
-      let key = (w, t.applied_counts.(w) + 1) in
-      let u, _ = Hashtbl.find t.buffer key in
-      Hashtbl.remove t.buffer key;
-      t.n_pending <- t.n_pending - 1;
-      causal_apply t u;
-      check_writer t ~from_arr:arr_v w;
-      let parked = t.wait_applied.(w) in
-      t.wait_applied.(w) <- [];
-      List.iter (fun w' -> check_writer t ~from_arr:arr_v w') parked;
+    | Some (arr, w) ->
+      let key = (w, q.next t w) in
+      let u, _ = Hashtbl.find q.buffer key in
+      Hashtbl.remove q.buffer key;
+      q.depth <- q.depth - 1;
+      q.apply t u;
+      check_head t q ~from_arr:arr w;
+      wake t q ~from_arr:arr (Applied w);
       go ()
   in
   go ()
 
-(* group-view analogue: the blocked-on index distinguishes member
-   entries (woken when the view applies that writer) from non-member
-   entries (woken when an update from that writer is received) *)
-let g_blocking t g (u : Protocol.update) =
-  let res = ref None in
+(* ------------------------------------------------------------------ *)
+(* Views                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* main causal view. An update is never gated on the receiving node
+   itself: FIFO channels give [dep.(self) <= applied.(self)] at receipt,
+   so a head parked on self — which could never be woken — cannot
+   happen. *)
+let main_next t w = t.applied_counts.(w) + 1
+
+let main_gate t (u : Protocol.update) =
+  match blocking_index t ~except:u.writer u.dep with
+  | Some k -> Applied k
+  | None -> Ready
+
+let causal_apply t (u : Protocol.update) =
+  (match t.obs with
+  | Some o -> (
+    let key = (u.writer, u.useq) in
+    match Hashtbl.find_opt o.arrivals key with
+    | Some arrived ->
+      Hashtbl.remove o.arrivals key;
+      Mc_obs.Metrics.Histogram.observe o.h_delay (Engine.now t.engine -. arrived)
+    | None -> ())
+  | None -> ());
+  apply_to_view t.causal_view u;
+  mark_dirty_loc t u.loc;
+  t.applied_counts.(u.writer) <- t.applied_counts.(u.writer) + 1;
+  t.dirty_clock <- true;
+  recheck_invalid t u.writer
+
+(* group view: member entries gate on the view's own applies, non-member
+   entries on receipt *)
+let group_gate members g_applied t (u : Protocol.update) =
+  let res = ref Ready in
   (try
      Array.iteri
        (fun j d ->
          if j <> u.writer then
-           if g.members.(j) then begin
-             if g.g_applied.(j) < d then begin
-               res := Some (`Member j);
+           if members.(j) then begin
+             if g_applied.(j) < d then begin
+               res := Applied j;
                raise Exit
              end
            end
            else if t.received_counts.(j) < d then begin
-             res := Some (`Non_member j);
+             res := Received j;
              raise Exit
            end)
        u.dep
    with Exit -> ());
   !res
 
-let g_check_writer t g ~from_arr w =
-  match Hashtbl.find_opt g.g_buffer (w, g.g_applied.(w) + 1) with
-  | None -> ()
-  | Some (u, arr) -> (
-    match g_blocking t g u with
-    | Some (`Member k) -> g.g_wait_applied.(k) <- w :: g.g_wait_applied.(k)
-    | Some (`Non_member k) -> g.g_wait_received.(k) <- w :: g.g_wait_received.(k)
-    | None ->
-      Pqueue.add
-        (if arr > from_arr then t.wl_cur else t.wl_next)
-        ~priority:(float_of_int arr) w)
+let group_apply g_view g_applied t (u : Protocol.update) =
+  apply_to_view g_view u;
+  mark_dirty_loc t u.loc;
+  g_applied.(u.writer) <- g_applied.(u.writer) + 1
 
-let run_group_worklist t g =
-  let rec go () =
-    match pop_ready t with
-    | None -> ()
-    | Some (arr_v, w) ->
-      let key = (w, g.g_applied.(w) + 1) in
-      let u, _ = Hashtbl.find g.g_buffer key in
-      Hashtbl.remove g.g_buffer key;
-      group_apply t g u;
-      g_check_writer t g ~from_arr:arr_v w;
-      (* only member applications advance here; receipt counts are
-         constant within a drain, so g_wait_received stays parked *)
-      let parked = g.g_wait_applied.(w) in
-      g.g_wait_applied.(w) <- [];
-      List.iter (fun w' -> g_check_writer t g ~from_arr:arr_v w') parked;
-      go ()
-  in
-  go ()
+let make_group ~n members_list =
+  let members = Array.make n false in
+  List.iter
+    (fun m ->
+      if m < 0 || m >= n then invalid_arg "Replica.create: group member out of range";
+      members.(m) <- true)
+    members_list;
+  let g_view = Hashtbl.create 32 in
+  let g_applied = Array.make n 0 (* updates applied to the view, per writer *) in
+  ( List.sort_uniq compare members_list,
+    {
+      g_view;
+      g_queue =
+        new_queue
+          ~next:(fun _ w -> g_applied.(w) + 1)
+          ~gate:(group_gate members g_applied)
+          ~apply:(group_apply g_view g_applied);
+    } )
 
-(* heads unblocked by an advance of [received_counts.(w)] (or of
-   [g_applied.(w)] for a local write) all join pass 1, exactly as the
-   reference's first rescan applies them in arrival order *)
-let g_seed_received t g w =
-  match g.g_wait_received.(w) with
-  | [] -> ()
-  | parked ->
-    g.g_wait_received.(w) <- [];
-    List.iter (g_check_writer t g ~from_arr:(-1)) parked
+(* shard view *)
+let sh_get sh_applied w =
+  match Hashtbl.find_opt sh_applied w with Some c -> c | None -> 0
 
-let g_seed_applied t g w =
-  match g.g_wait_applied.(w) with
-  | [] -> ()
-  | parked ->
-    g.g_wait_applied.(w) <- [];
-    List.iter (g_check_writer t g ~from_arr:(-1)) parked
+let shard_gate sh_applied _ (su : Protocol.shard_update) =
+  match List.find_opt (fun (j, d) -> sh_get sh_applied j < d) su.su_sdep with
+  | Some (j, _) -> Applied j
+  | None -> Ready
+
+let shard_apply sh_view sh_applied t (su : Protocol.shard_update) =
+  apply_payload sh_view ~loc:su.su_loc ~numeric:su.su_numeric ~tag:su.su_tag
+    ~is_dec:su.su_is_dec;
+  Hashtbl.replace sh_applied su.su_writer su.su_sseq;
+  mark_dirty_loc t su.su_loc;
+  match t.on_shard_apply with
+  | Some f when su.su_writer <> t.node_id ->
+    f ~shard:su.su_shard ~writer:su.su_writer ~sseq:su.su_sseq
+  | _ -> ()
+
+let make_shard () =
+  let sh_applied = Hashtbl.create 8 and sh_view = Hashtbl.create 32 in
+  {
+    sh_applied;
+    sh_view;
+    sh_queue =
+      new_queue
+        ~next:(fun _ w -> sh_get sh_applied w + 1)
+        ~gate:(shard_gate sh_applied)
+        ~apply:(shard_apply sh_view sh_applied);
+  }
+
+let create engine ~id ~n ?(groups = []) ?(causal_delivery = true) () =
+  {
+    engine;
+    node_id = id;
+    own_seq = 0;
+    applied_counts = Array.make n 0;
+    received_counts = Array.make n 0;
+    causal_view = Hashtbl.create 64;
+    pram_view = Hashtbl.create 64;
+    main = new_queue ~next:main_next ~gate:main_gate ~apply:causal_apply;
+    arr_counter = 0;
+    wl_cur = Pqueue.create ();
+    wl_next = Pqueue.create ();
+    invalid = Hashtbl.create 8;
+    inv_wait = Array.make n [];
+    w_any = [];
+    w_clock = [];
+    w_loc = Hashtbl.create 8;
+    next_wseq = 0;
+    dirty_locs = Hashtbl.create 8;
+    dirty_clock = false;
+    group_views = List.map (make_group ~n) groups;
+    causal_delivery;
+    shards = Hashtbl.create 8;
+    obs = None;
+    on_shard_apply = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Receive                                                             *)
@@ -674,38 +562,22 @@ let receive_one t (u : Protocol.update) =
   t.dirty_clock <- true;
   apply_to_view t.pram_view u;
   mark_dirty_loc t u.loc;
-  (match t.obs with
-  | Some o when t.causal_delivery ->
-    Hashtbl.replace o.arrivals (u.writer, u.useq) (Engine.now t.engine)
-  | _ -> ());
-  if t.causal_delivery then
-    if t.fast then begin
-      t.arr_counter <- t.arr_counter + 1;
-      let arr = t.arr_counter in
-      Hashtbl.add t.buffer (u.writer, u.useq) (u, arr);
-      t.n_pending <- t.n_pending + 1;
-      (* main view: only the arriving writer's head can have become
-         deliverable (applied counts are unchanged by mere receipt) *)
-      if u.useq = t.applied_counts.(u.writer) + 1 then begin
-        check_writer t ~from_arr:(-1) u.writer;
-        run_main_worklist t
-      end;
-      List.iter
-        (fun (_, g) ->
-          Hashtbl.add g.g_buffer (u.writer, u.useq) (u, arr);
-          if u.useq = g.g_applied.(u.writer) + 1 then
-            g_check_writer t g ~from_arr:(-1) u.writer;
-          (* the receipt-count advance can unblock heads parked on this
-             (non-member) writer *)
-          g_seed_received t g u.writer;
-          run_group_worklist t g)
-        t.group_views
-    end
-    else begin
-      t.pending <- t.pending @ [ u ];
-      drain_pending_ref t;
-      List.iter (fun (_, g) -> group_receive_ref t g u) t.group_views
-    end;
+  if t.causal_delivery then begin
+    (match t.obs with
+    | Some o -> Hashtbl.replace o.arrivals (u.writer, u.useq) (Engine.now t.engine)
+    | None -> ());
+    enqueue t t.main ~writer:u.writer ~seq:u.useq u;
+    drain t t.main;
+    List.iter
+      (fun (_, g) ->
+        let q = g.g_queue in
+        enqueue t q ~writer:u.writer ~seq:u.useq u;
+        (* the receipt can also unblock heads gated on this writer's
+           receipt count; they join pass 1 *)
+        wake t q ~from_arr:(-1) (Received u.writer);
+        drain t q)
+      t.group_views
+  end;
   match t.obs with
   | Some o -> Mc_obs.Metrics.Gauge.set o.g_depth (float_of_int (pending_count t))
   | None -> ()
@@ -741,19 +613,10 @@ let make_update t ~loc ~numeric ~tag ~is_dec =
   t.received_counts.(t.node_id) <- t.received_counts.(t.node_id) + 1;
   t.dirty_clock <- true;
   (* a remote update's dependency on us never exceeds the updates we had
-     already issued when it was sent, so the main view needs no re-drain
-     here — but group views also gate on receipt counts, and our own
-     write advances both counts for this node *)
-  List.iter
-    (fun (_, g) ->
-      group_apply t g u;
-      if t.fast then begin
-        g_seed_applied t g t.node_id;
-        g_seed_received t g t.node_id;
-        run_group_worklist t g
-      end
-      else drain_group_ref t g)
-    t.group_views;
+     already issued when it was sent, and every view counts each of ours
+     (applied and received) as it is made, so no head is ever gated on
+     us and no view needs a drain here *)
+  List.iter (fun (_, g) -> g.g_queue.apply t u) t.group_views;
   fire_dirty t;
   u
 
@@ -769,11 +632,7 @@ let local_dec t ~loc ~amount =
    vector bookkeeping is untouched (the lock discipline provides the
    ordering) *)
 let install_direct t ~loc ~numeric ~tag =
-  let set view =
-    let c = view_cell view loc in
-    c.numeric <- numeric;
-    c.tag <- tag
-  in
+  let set view = apply_payload view ~loc ~numeric ~tag ~is_dec:false in
   set t.causal_view;
   set t.pram_view;
   List.iter (fun (_, g) -> set g.g_view) t.group_views;
@@ -801,25 +660,14 @@ let find_shard t shard =
 let shard_subscribed t ~shard = Hashtbl.mem t.shards shard
 
 let subscribe_shard t ?(clock = []) ?(values = []) ~shard () =
-  let st =
-    {
-      sh_applied = Hashtbl.create 8;
-      sh_view = Hashtbl.create 32;
-      sh_pending = [];
-    }
-  in
+  let st = make_shard () in
   List.iter (fun (w, c) -> Hashtbl.replace st.sh_applied w c) clock;
   (* state transfer: the snapshot values enter both the shard view and
      the PRAM view (they are this node's local copy now) *)
   List.iter
     (fun (loc, numeric, tag) ->
-      let set view =
-        let c = view_cell view loc in
-        c.numeric <- numeric;
-        c.tag <- tag
-      in
-      set st.sh_view;
-      set t.pram_view;
+      apply_payload st.sh_view ~loc ~numeric ~tag ~is_dec:false;
+      apply_payload t.pram_view ~loc ~numeric ~tag ~is_dec:false;
       mark_dirty_loc t loc)
     values;
   Hashtbl.replace t.shards shard st;
@@ -827,51 +675,12 @@ let subscribe_shard t ?(clock = []) ?(values = []) ~shard () =
 
 let unsubscribe_shard t ~shard = Hashtbl.remove t.shards shard
 
-let sh_get st w =
-  match Hashtbl.find_opt st.sh_applied w with Some c -> c | None -> 0
-
-let shard_deliverable st (su : Protocol.shard_update) =
-  sh_get st su.su_writer = su.su_sseq - 1
-  && List.for_all (fun (j, d) -> sh_get st j >= d) su.su_sdep
-
-let apply_shard_payload view ~loc ~numeric ~tag ~is_dec =
-  let c = view_cell view loc in
-  if is_dec then c.numeric <- c.numeric - numeric
-  else begin
-    c.numeric <- numeric;
-    c.tag <- tag
-  end
-
-let shard_apply t st (su : Protocol.shard_update) =
-  apply_shard_payload st.sh_view ~loc:su.su_loc ~numeric:su.su_numeric
-    ~tag:su.su_tag ~is_dec:su.su_is_dec;
-  Hashtbl.replace st.sh_applied su.su_writer su.su_sseq;
-  mark_dirty_loc t su.su_loc;
-  match t.on_shard_apply with
-  | Some f when su.su_writer <> t.node_id ->
-    f ~shard:su.su_shard ~writer:su.su_writer ~sseq:su.su_sseq
-  | _ -> ()
-
-let drain_shard t st =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let rec scan acc = function
-      | [] -> List.rev acc
-      | su :: rest ->
-        if shard_deliverable st su then begin
-          shard_apply t st su;
-          progress := true;
-          scan acc rest
-        end
-        else scan (su :: acc) rest
-    in
-    st.sh_pending <- scan [] st.sh_pending
-  done
-
+(* a remote shard update never depends on more of our writes than we
+   had issued when it was sent, and the shard view counts each of ours
+   as it is made, so our own write unblocks nothing and needs no drain *)
 let shard_make t ~shard ~loc ~numeric ~tag ~is_dec =
   let st = find_shard t shard in
-  let sseq = sh_get st t.node_id + 1 in
+  let sseq = sh_get st.sh_applied t.node_id + 1 in
   let sdep =
     Hashtbl.fold
       (fun j c acc -> if j <> t.node_id && c > 0 then (j, c) :: acc else acc)
@@ -890,8 +699,8 @@ let shard_make t ~shard ~loc ~numeric ~tag ~is_dec =
       su_is_dec = is_dec;
     }
   in
-  apply_shard_payload t.pram_view ~loc ~numeric ~tag ~is_dec;
-  shard_apply t st su;
+  apply_payload t.pram_view ~loc ~numeric ~tag ~is_dec;
+  st.sh_queue.apply t su;
   t.received_counts.(t.node_id) <- t.received_counts.(t.node_id) + 1;
   t.dirty_clock <- true;
   fire_dirty t;
@@ -911,7 +720,7 @@ let shard_receive t (su : Protocol.shard_update) =
     invalid_arg "Replica.shard_receive: update from self";
   match Hashtbl.find_opt t.shards su.su_shard with
   | None -> () (* gap-tolerant: not subscribed, ignore *)
-  | Some st when su.su_sseq <= sh_get st su.su_writer ->
+  | Some st when su.su_sseq <= sh_get st.sh_applied su.su_writer ->
     (* already covered by the snapshot installed at subscription time
        (or a duplicate): its payload is reflected in the snapshot
        values, so applying it again would go back in time *)
@@ -919,21 +728,19 @@ let shard_receive t (su : Protocol.shard_update) =
   | Some st ->
     t.received_counts.(su.su_writer) <- t.received_counts.(su.su_writer) + 1;
     t.dirty_clock <- true;
-    apply_shard_payload t.pram_view ~loc:su.su_loc ~numeric:su.su_numeric
-      ~tag:su.su_tag ~is_dec:su.su_is_dec;
+    apply_payload t.pram_view ~loc:su.su_loc ~numeric:su.su_numeric ~tag:su.su_tag
+      ~is_dec:su.su_is_dec;
     mark_dirty_loc t su.su_loc;
-    (match t.obs with
-    | Some o when not (shard_deliverable st su) ->
-      (* arrived ahead of a sequence gap: it will sit in the buffer *)
-      Mc_obs.Metrics.Counter.incr (gap_counter o su.su_shard)
-    | _ -> ());
-    st.sh_pending <- st.sh_pending @ [ su ];
-    drain_shard t st;
+    let q = st.sh_queue in
+    let before = q.depth in
+    enqueue t q ~writer:su.su_writer ~seq:su.su_sseq su;
+    drain t q;
     (match t.obs with
     | Some o ->
+      (* nothing applied: it arrived ahead of a sequence gap *)
+      if q.depth > before then Mc_obs.Metrics.Counter.incr (gap_counter o su.su_shard);
       Mc_obs.Metrics.Gauge.set o.g_depth (float_of_int (pending_count t));
-      Mc_obs.Metrics.Gauge.set (gap_gauge o su.su_shard)
-        (float_of_int (List.length st.sh_pending))
+      Mc_obs.Metrics.Gauge.set (gap_gauge o su.su_shard) (float_of_int q.depth)
     | None -> ());
     fire_dirty t
 
@@ -946,12 +753,10 @@ let shard_clock t ~shard =
 let resident_objects t = Hashtbl.length t.pram_view
 
 let shard_queue_depths t =
-  Hashtbl.fold
-    (fun shard st acc -> (shard, List.length st.sh_pending) :: acc)
-    t.shards []
+  Hashtbl.fold (fun shard st acc -> (shard, st.sh_queue.depth) :: acc) t.shards []
   |> List.sort compare
 
 let shard_pending_len t ~shard =
   match Hashtbl.find_opt t.shards shard with
-  | Some st -> List.length st.sh_pending
+  | Some st -> st.sh_queue.depth
   | None -> 0

@@ -12,18 +12,16 @@
     tag (counter objects are only ever read through awaits and
     decrements).
 
-    Two interchangeable delivery engines implement causal delivery (see
-    {!Config.delivery}). The fast engine keeps one FIFO buffer per
-    writer: since channels are FIFO, the only update by writer [w] that
-    can ever be deliverable is the buffered head with
-    [useq = applied.(w) + 1], so deliverability is an O(procs) check of
-    that single update rather than a rescan of everything pending. A
-    blocked head is parked on the first clock entry still gating it, and
-    is re-examined exactly when that writer's applied count advances.
-    The reference engine is the seed's rescan-everything pending list,
-    retained as a differential-testing oracle. Both engines apply the
-    same updates in the same order and wake watchers in the same order,
-    so executions are bit-identical. *)
+    Causal delivery runs one engine for the main causal view, every
+    group view and every subscribed shard: each keeps a per-writer
+    buffer and applies only the head [useq = next(w)] of each writer
+    (channels are FIFO, so nothing behind the head can be deliverable),
+    making deliverability an O(procs) check of one update rather than a
+    rescan of everything pending. A blocked head is parked under the
+    first clock entry still gating it and re-examined exactly when that
+    entry advances. Updates apply in the order of the seed's
+    rescan-everything pending list — by (pass, arrival) — which
+    [test/oracle.ml] keeps as the differential oracle. *)
 
 type t
 
@@ -39,14 +37,11 @@ val create :
   n:int ->
   ?groups:int list list ->
   ?causal_delivery:bool ->
-  ?delivery:Config.delivery ->
   unit ->
   t
 (** [causal_delivery:false] disables the causal view and group views —
     used by the multicast routing mode, where updates arrive with gaps in
-    writer sequences and only the PRAM view is meaningful.
-    [delivery] selects the causal-delivery engine (default
-    {!Config.Fast}). *)
+    writer sequences and only the PRAM view is meaningful. *)
 
 val id : t -> int
 
@@ -120,8 +115,8 @@ val location_blocked : t -> Mc_history.Op.location -> bool
 
 (** {1 Blocking} *)
 
-(** What a watcher's predicate depends on, so the fast engine
-    re-evaluates it only when that part of the replica state changes:
+(** What a watcher's predicate depends on, so the replica re-evaluates
+    it only when that part of its state changes:
     [Loc l] — the value or demand-obligation of location [l]; [Clock] —
     the applied/received counts; [Any] — re-evaluated on every change
     (always safe, the default). A hint must be {e conservative}: the

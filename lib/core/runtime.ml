@@ -417,8 +417,7 @@ let create engine ?latency cfg =
                {
                  replica =
                    Replica.create engine ~id ~n ~groups:cfg.Config.groups
-                     ~causal_delivery:full_replication
-                     ~delivery:cfg.Config.delivery ();
+                     ~causal_delivery:full_replication ();
                  grant_waiters = Hashtbl.create 4;
                  ack_waiters = Hashtbl.create 4;
                  flush_waiter = None;

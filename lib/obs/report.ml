@@ -172,6 +172,22 @@ module Json = struct
     | _ -> None
 
   let to_int v = Option.map int_of_float (to_num v)
+
+  let quote s =
+    let b = Buffer.create (String.length s + 2) in
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"';
+    Buffer.contents b
 end
 
 (* ---------------- trace / metrics ingestion ---------------- *)
@@ -617,20 +633,6 @@ let analyze ?(top_k = 5) (input : input) : report =
 
 (* ---------------- rendering ---------------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* fixed decimal rendering: stable under JSON round trips (the trace
    exporter prints 9 significant digits, so re-parsed values differ by
    far less than 0.05 µs) *)
@@ -686,8 +688,8 @@ let violation_json v =
         (hops_json o.o_path) (applies_json o.o_applies) o.o_complete
   in
   Printf.sprintf
-    "{\"read_id\":%d,\"proc\":%d,\"loc\":\"%s\",\"label\":\"%s\",\"verdict\":\"%s\",\"value\":%d,\"fetched\":%b,\"source\":%s,\"path\":%s,\"overwritten_by\":%s}"
-    v.v_read_id v.v_proc (esc v.v_loc) (esc v.v_label) (esc v.v_verdict)
+    "{\"read_id\":%d,\"proc\":%d,\"loc\":%s,\"label\":%s,\"verdict\":%s,\"value\":%d,\"fetched\":%b,\"source\":%s,\"path\":%s,\"overwritten_by\":%s}"
+    v.v_read_id v.v_proc (Json.quote v.v_loc) (Json.quote v.v_label) (Json.quote v.v_verdict)
     v.v_value v.v_fetched
     (provenance_json v.v_source)
     (hops_json v.v_path) overwritten
@@ -707,7 +709,7 @@ let to_json (r : report) =
     "{"
     ^ String.concat ","
         (List.map
-           (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v))
+           (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v)
            r.r_meta)
     ^ "}"
   in
@@ -731,8 +733,8 @@ let to_json (r : report) =
     (String.concat ","
        (List.map
           (fun hk ->
-            Printf.sprintf "{\"loc\":\"%s\",\"reads\":%d,\"writes\":%d}"
-              (esc hk.hk_loc) hk.hk_reads hk.hk_writes)
+            Printf.sprintf "{\"loc\":%s,\"reads\":%d,\"writes\":%d}"
+              (Json.quote hk.hk_loc) hk.hk_reads hk.hk_writes)
           r.r_hot_keys))
     (msum_json r.r_staleness)
     (match r.r_placement with

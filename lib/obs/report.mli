@@ -7,7 +7,8 @@
     same (seeded) run are byte-identical. *)
 
 (** Minimal JSON reader for the formats this library itself writes
-    (Chrome traces, JSONL sinks, {!Metrics.Registry.to_json} dumps). *)
+    (Chrome traces, JSONL sinks, {!Metrics.Registry.to_json} dumps), and
+    the string quoter its writers share. *)
 module Json : sig
   type v =
     | Null
@@ -20,6 +21,11 @@ module Json : sig
   exception Parse_error of string
 
   val parse : string -> v
+
+  (** [quote s] is [s] as a JSON string literal: the quote, the
+      backslash and control characters are escaped and every other byte,
+      UTF-8 included, is kept as is, so [parse (quote s) = Str s]. *)
+  val quote : string -> string
 end
 
 (** [parse_trace s] re-reads a trace in either Chrome form

@@ -37,7 +37,7 @@ THROUGHPUT = {
     "EXP-DELIVERY": (
         "drain",
         ("p", "depth"),
-        ("fast_updates_per_s", "ref_updates_per_s"),
+        ("fast_updates_per_s",),
     ),
 }
 

@@ -1,5 +1,5 @@
-(* Test-only oracles for the offline checking path, built the plain way
-   so they share no loop with the code under test:
+(* Test-only oracles, built the plain way so they share no loop with the
+   code under test:
 
    - [warshall]: transitive closure by Warshall's algorithm over packed
      bit rows of its own, read from and written back to a [Relation]
@@ -9,7 +9,10 @@
      each reader, and checked by the read rule scanning every operation
      of the history. The checker's SCC closure, its closures shared
      across readers and its per-location read scan must all agree with
-     it. *)
+     it;
+   - [Delivery]: a replica's causal delivery as a pending list per view,
+     rescanned in full after every receipt. The replica's per-writer
+     queues must apply the same updates in the same order. *)
 
 module Relation = Mc_util.Relation
 module History = Mc_history.History
@@ -196,4 +199,182 @@ module Lattice = struct
           | Read_rule.Valid -> None
           | v -> Some (o.Op.id, v))
       (Array.to_list (History.ops t.h))
+end
+
+module Delivery = struct
+  module Protocol = Mc_dsm.Protocol
+
+  type view = (Op.location, int * int) Hashtbl.t
+
+  let read (view : view) loc = Option.value (Hashtbl.find_opt view loc) ~default:(0, 0)
+
+  let install (view : view) loc ~numeric ~tag ~is_dec =
+    let old_numeric, old_tag = read view loc in
+    Hashtbl.replace view loc
+      (if is_dec then (old_numeric - numeric, old_tag) else (numeric, tag))
+
+  (* One view's pending list, in arrival order, after a receipt: each
+     pass walks it applying whatever is deliverable at its scan
+     position, until a pass applies nothing. Returns what stays. *)
+  let rec rescan deliverable apply pending =
+    let progress = ref false in
+    let rec scan = function
+      | [] -> []
+      | u :: rest ->
+        if deliverable u then begin
+          apply u;
+          progress := true;
+          scan rest
+        end
+        else u :: scan rest
+    in
+    let rest = scan pending in
+    if !progress then rescan deliverable apply rest else rest
+
+  type group = {
+    members : int list;
+    g_view : view;
+    g_applied : int array;
+    mutable g_pending : Protocol.update list;
+  }
+
+  type shard = {
+    s_applied : (int, int) Hashtbl.t;
+    s_view : view;
+    mutable s_pending : Protocol.shard_update list;
+  }
+
+  type t = {
+    applied : int array;
+    received : int array;
+    causal : view;
+    pram : view;
+    mutable pending : Protocol.update list;
+    groups : group list;
+    invalid : (Op.location, int array) Hashtbl.t;
+    shards : (int, shard) Hashtbl.t;
+  }
+
+  let create ~n ?(groups = []) () =
+    let group members =
+      {
+        members = List.sort_uniq compare members;
+        g_view = Hashtbl.create 8;
+        g_applied = Array.make n 0;
+        g_pending = [];
+      }
+    in
+    {
+      applied = Array.make n 0;
+      received = Array.make n 0;
+      causal = Hashtbl.create 8;
+      pram = Hashtbl.create 8;
+      pending = [];
+      groups = List.map group groups;
+      invalid = Hashtbl.create 8;
+      shards = Hashtbl.create 8;
+    }
+
+  let covers counts dep =
+    let ok = ref true in
+    Array.iteri (fun j d -> if counts.(j) < d then ok := false) dep;
+    !ok
+
+  (* an update applies to a view once it is its writer's next one and
+     every other dependency is met: [met k d] *)
+  let deliverable counts met (u : Protocol.update) =
+    counts.(u.writer) = u.useq - 1
+    && (let ok = ref true in
+        Array.iteri (fun k d -> if k <> u.writer && not (met k d) then ok := false) u.dep;
+        !ok)
+
+  let receive t (u : Protocol.update) =
+    t.received.(u.writer) <- t.received.(u.writer) + 1;
+    install t.pram u.loc ~numeric:u.numeric ~tag:u.tag ~is_dec:u.is_dec;
+    let apply view counts (u : Protocol.update) =
+      install view u.loc ~numeric:u.numeric ~tag:u.tag ~is_dec:u.is_dec;
+      counts.(u.writer) <- counts.(u.writer) + 1
+    in
+    t.pending <-
+      rescan
+        (deliverable t.applied (fun k d -> t.applied.(k) >= d))
+        (apply t.causal t.applied) (t.pending @ [ u ]);
+    List.iter
+      (fun g ->
+        (* member dependencies gate on this view, the rest on receipt *)
+        let met k d =
+          if List.mem k g.members then g.g_applied.(k) >= d else t.received.(k) >= d
+        in
+        g.g_pending <-
+          rescan (deliverable g.g_applied met) (apply g.g_view g.g_applied)
+            (g.g_pending @ [ u ]))
+      t.groups
+
+  let mark_invalid t loc dep =
+    if not (covers t.applied dep) then
+      Hashtbl.replace t.invalid loc
+        (match Hashtbl.find_opt t.invalid loc with
+        | Some prev -> Array.map2 max prev dep
+        | None -> dep)
+
+  let location_blocked t loc =
+    match Hashtbl.find_opt t.invalid loc with
+    | Some dep -> not (covers t.applied dep)
+    | None -> false
+
+  let applied t = Array.copy t.applied
+  let received t = Array.copy t.received
+  let causal_read t loc = read t.causal loc
+  let pram_read t loc = read t.pram loc
+
+  let group_read t ~group loc =
+    let members = List.sort_uniq compare group in
+    read (List.find (fun g -> g.members = members) t.groups).g_view loc
+
+  let pending_count t =
+    Hashtbl.fold (fun _ s acc -> acc + List.length s.s_pending) t.shards
+      (List.length t.pending)
+
+  (* sharded mode: one pending list per subscribed shard, gated by the
+     sparse shard-scoped clock *)
+  let count tbl w = Option.value (Hashtbl.find_opt tbl w) ~default:0
+
+  let subscribe_shard t ?(clock = []) ?(values = []) ~shard () =
+    let s = { s_applied = Hashtbl.create 8; s_view = Hashtbl.create 8; s_pending = [] } in
+    List.iter (fun (w, c) -> Hashtbl.replace s.s_applied w c) clock;
+    List.iter
+      (fun (loc, numeric, tag) ->
+        install s.s_view loc ~numeric ~tag ~is_dec:false;
+        install t.pram loc ~numeric ~tag ~is_dec:false)
+      values;
+    Hashtbl.replace t.shards shard s
+
+  let shard_receive t (su : Protocol.shard_update) =
+    match Hashtbl.find_opt t.shards su.su_shard with
+    | None -> ()
+    | Some s when su.su_sseq <= count s.s_applied su.su_writer -> ()
+    | Some s ->
+      t.received.(su.su_writer) <- t.received.(su.su_writer) + 1;
+      install t.pram su.su_loc ~numeric:su.su_numeric ~tag:su.su_tag
+        ~is_dec:su.su_is_dec;
+      let deliverable (su : Protocol.shard_update) =
+        count s.s_applied su.su_writer = su.su_sseq - 1
+        && List.for_all (fun (j, d) -> count s.s_applied j >= d) su.su_sdep
+      in
+      let apply (su : Protocol.shard_update) =
+        install s.s_view su.su_loc ~numeric:su.su_numeric ~tag:su.su_tag
+          ~is_dec:su.su_is_dec;
+        Hashtbl.replace s.s_applied su.su_writer su.su_sseq
+      in
+      s.s_pending <- rescan deliverable apply (s.s_pending @ [ su ])
+
+  let shard_read t ~shard loc = read (Hashtbl.find t.shards shard).s_view loc
+
+  let shard_clock t ~shard =
+    List.sort compare
+      (Hashtbl.fold (fun w c acc -> (w, c) :: acc) (Hashtbl.find t.shards shard).s_applied [])
+
+  let shard_queue_depths t =
+    List.sort compare
+      (Hashtbl.fold (fun shard s acc -> (shard, List.length s.s_pending) :: acc) t.shards [])
 end

@@ -594,6 +594,27 @@ let test_report_live_file_parity () =
   check_int "chrome form event count" (List.length events)
     (List.length chrome_events)
 
+(* the CLI's --json --out echo: a path with non-ASCII bytes, a quote, a
+   backslash and a control character parses back to itself *)
+let test_json_quote_roundtrip () =
+  List.iter
+    (fun path ->
+      match Report.Json.parse (Report.Json.quote path) with
+      | Report.Json.Str s -> Alcotest.(check string) ("round trip " ^ path) path s
+      | _ -> Alcotest.failf "%s: not parsed as a string" path)
+    [
+      "trace.json";
+      "\xc3\xa9.json";
+      "r\xc3\xa9sum\xc3\xa9s/\xe6\x97\xa5\xe6\x9c\xac.json";
+      "a\"b\\c\td.json";
+    ];
+  (* on printable ASCII it agrees with OCaml's %S *)
+  List.iter
+    (fun path ->
+      Alcotest.(check string) ("as %S: " ^ path) (Printf.sprintf "%S" path)
+        (Report.Json.quote path))
+    [ "out/m.json"; "a\"b\\c d.json"; "~!@#$%^&*()_+{}|:<>?`-=[];',./" ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -629,5 +650,6 @@ let () =
             test_report_json_deterministic;
           Alcotest.test_case "live/file mode parity" `Quick
             test_report_live_file_parity;
+          Alcotest.test_case "json quote round trip" `Quick test_json_quote_roundtrip;
         ] );
     ]
