@@ -19,6 +19,8 @@ module Sparse = Mc_apps.Sparse_spd
 module Cholesky = Mc_apps.Cholesky
 module Placement = Mc_placement.Placement
 module T = Mc_util.Tablefmt
+module Json = Mc_util.Json
+module Lattice = Mc_consistency.Lattice
 module Summary = Mc_util.Stats.Summary
 
 let quick = ref false
@@ -67,13 +69,10 @@ let write_bench_core () =
        %s\n\
        }\n"
       bench_seed !quick
-      (String.concat ", "
-         (List.map
-            (fun a -> Printf.sprintf "%S" a)
-            (List.tl (Array.to_list Sys.argv))))
+      (String.concat ", " (List.map Json.quote (List.tl (Array.to_list Sys.argv))))
       (String.concat ",\n"
          (List.rev_map
-            (fun (name, body) -> Printf.sprintf "  %S: %s" name body)
+            (fun (name, body) -> Printf.sprintf "  %s: %s" (Json.quote name) body)
             !bench_core_sections));
     close_out oc;
     print_endline "raw numbers: BENCH_CORE.json"

@@ -112,8 +112,7 @@ let exp_f3pram () =
     ignore (Runtime.run rt);
     ignore (Option.get !res);
     let h = Runtime.history rt in
-    ( Mc_history.History.is_well_formed h,
-      Mc_consistency.Mixed.is_mixed_consistent h )
+    (Mc_history.History.is_well_formed h, Lattice.is_consistent h Lattice.Mixed)
   in
   let wf_c, mc_c = check_tiny Solver.Handshake_causal in
   let wf_p, mc_p = check_tiny Solver.Handshake_pram in
@@ -453,7 +452,7 @@ let exp_theory () =
   let rows = ref [] in
   let report name h class_holds =
     let wf = Mc_history.History.is_well_formed h in
-    let mixed = Mc_consistency.Mixed.is_mixed_consistent h in
+    let mixed = Lattice.is_consistent h Lattice.Mixed in
     let sc =
       match
         Mc_consistency.Sequential.is_sequentially_consistent ~max_states:300_000 h
@@ -740,7 +739,7 @@ let exp_online () =
       let offline =
         if n <= offline_cap then begin
           let t0 = Sys.time () in
-          let fs = Mc_consistency.Mixed.failures h in
+          let fs = Lattice.failures h Lattice.Mixed in
           Some (List.length fs, Sys.time () -. t0)
         end
         else None
@@ -920,7 +919,7 @@ let bechamel_suite () =
                   [ Mc_history.Dsl.rp "y" 2; Mc_history.Dsl.rp "x" 0 ];
                 ]
             in
-            ignore (Mc_consistency.Mixed.is_mixed_consistent h));
+            ignore (Lattice.is_consistent h Lattice.Mixed));
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
@@ -1429,6 +1428,14 @@ module Static = Mc_static.Static
 module Cz = Mc_static.Concretize
 module Models = Mc_apps.Static_models
 
+let verdict_json v =
+  Json.quote
+    (match v with
+    | Mc_static.Classify.Corollary2 -> "corollary2"
+    | Mc_static.Classify.Corollary1 -> "corollary1"
+    | Mc_static.Classify.Theorem1 -> "theorem1"
+    | Mc_static.Classify.Unproved _ -> "unproved")
+
 (* The symbolic analyzer never unrolls loops: its verdict for the
    barrier solver holds at every iteration count [T], so its cost is
    flat while the dynamic pipeline (concretize, then lint the recorded
@@ -1474,13 +1481,9 @@ let exp_static () =
       json :=
         Printf.sprintf
           "      {\"iters\": %d, \"ops\": %d, \"static_s\": %.6f, \"lint_s\": \
-           %.6f, \"static_races\": %d, \"dynamic_races\": %d, \"verdict\": %S}"
+           %.6f, \"static_races\": %d, \"dynamic_races\": %d, \"verdict\": %s}"
           t_iters n t_static t_dyn static_races dyn_races
-          (match srep.Static.verdict with
-          | Mc_static.Classify.Corollary2 -> "corollary2"
-          | Mc_static.Classify.Corollary1 -> "corollary1"
-          | Mc_static.Classify.Theorem1 -> "theorem1"
-          | Mc_static.Classify.Unproved _ -> "unproved")
+          (verdict_json srep.Static.verdict)
         :: !json)
     iters;
   T.print
@@ -1499,15 +1502,9 @@ let exp_static () =
         let r = Static.analyze p in
         let dt = Sys.time () -. t0 in
         Printf.sprintf
-          "      {\"program\": %S, \"verdict\": %S, \"analyze_s\": %.6f, \
+          "      {\"program\": %s, \"verdict\": %s, \"analyze_s\": %.6f, \
            \"errors\": %d}"
-          r.Static.program
-          (match r.Static.verdict with
-          | Mc_static.Classify.Corollary2 -> "corollary2"
-          | Mc_static.Classify.Corollary1 -> "corollary1"
-          | Mc_static.Classify.Theorem1 -> "theorem1"
-          | Mc_static.Classify.Unproved _ -> "unproved")
-          dt
+          (Json.quote r.Static.program) (verdict_json r.Static.verdict) dt
           (Static.count Mc_analysis.Diag.Error r))
       (Models.all ())
   in
@@ -1531,8 +1528,6 @@ let exp_static () =
 (* ------------------------------------------------------------------ *)
 (* EXP-LATTICE: one workload checked across the model ladder (ISSUE 7) *)
 (* ------------------------------------------------------------------ *)
-
-module Lattice = Mc_consistency.Lattice
 
 (* one phase-disciplined execution, checked at every point of the
    lattice ladder. Verdict monotonicity shows directly: failure sets
@@ -1598,10 +1593,10 @@ let exp_lattice () =
         :: !rows;
       json :=
         Printf.sprintf
-          "      {\"model\": %S, \"failures\": %d, \"consistent\": %b, \
+          "      {\"model\": %s, \"failures\": %d, \"consistent\": %b, \
            \"cold_s\": %.6f, \"warm_s\": %.6f, \"streamable\": %b, \
            \"online_s\": %s}"
-          name nf (fs = []) cold !warm streamable
+          (Json.quote name) nf (fs = []) cold !warm streamable
           (match online_s with
           | Some t -> Printf.sprintf "%.6f" t
           | None -> "null")
@@ -1799,11 +1794,11 @@ let exp_shard () =
         json :=
           Printf.sprintf
             "      {\"procs\": %d, \"objects\": %d, \"writes\": %d, \
-             \"rounds\": %d, \"mode\": %S, \"exact\": %b, \"sim_time\": %.3f, \
+             \"rounds\": %d, \"mode\": %s, \"exact\": %b, \"sim_time\": %.3f, \
              \"messages\": %d, \"update_messages\": %d, \"bytes\": %d, \
              \"msgs_per_update\": %.3f, \"resident_max\": %d, \
              \"resident_mean\": %.2f, \"fetches\": %d}"
-            procs objects writes rounds mode ok s.time s.messages upd s.bytes
+            procs objects writes rounds (Json.quote mode) ok s.time s.messages upd s.bytes
             (float_of_int upd /. float_of_int updates)
             rmax rmean fetches
           :: !json

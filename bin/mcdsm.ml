@@ -19,7 +19,7 @@ module Solver = Mc_apps.Linear_solver
 module Em = Mc_apps.Em_field
 module Sparse = Mc_apps.Sparse_spd
 module Cholesky = Mc_apps.Cholesky
-module Json = Mc_obs.Report.Json
+module Json = Mc_util.Json
 
 type memory = Mixed | Central | Invalidate
 
@@ -47,7 +47,6 @@ let propagation_conv =
   Cmdliner.Arg.conv (parse, Config.pp_propagation)
 
 module Online = Mc_consistency.Online
-module Mixed_chk = Mc_consistency.Mixed
 module Read_rule = Mc_consistency.Read_rule
 module Lattice = Mc_consistency.Lattice
 
@@ -72,8 +71,10 @@ let online_model ~check_online model =
    verdicts, runtime stability sweeps); on the baselines it replays the
    recorded history through the same engine afterwards. With [model]
    (and [check_online]) the online checker validates every memory read
-   under that single lattice point instead of its declared label. *)
-let run_on ~memory ~procs ~propagation ~record ~check_online ?model ?placement f =
+   under that single lattice point instead of its declared label.
+   [batch_max] is the mixed runtime's update batching. *)
+let run_on ~memory ~procs ~propagation ~record ~check_online ?model ?placement
+    ?(batch_max = 1) f =
   let model = online_model ~check_online model in
   if placement <> None && memory <> Mixed then
     invalid_arg "sharded placement requires the mixed memory system";
@@ -82,7 +83,7 @@ let run_on ~memory ~procs ~propagation ~record ~check_online ?model ?placement f
     let engine = Engine.create () in
     let cfg =
       { (Config.default ~procs) with
-        propagation; record; check_online; check_model = model; placement }
+        propagation; record; check_online; check_model = model; placement; batch_max }
     in
     let rt = Runtime.create engine cfg in
     let out = f (Api.spawn rt) in
@@ -130,17 +131,12 @@ let verdict_fields = function
   | Read_rule.No_matching_write -> ("no_matching_write", None)
   | Read_rule.Overwritten o -> ("overwritten", Some o)
 
-let failure_json (f : Mixed_chk.failure) =
-  let verdict, over = verdict_fields f.Mixed_chk.verdict in
-  Printf.sprintf "{\"read_id\":%d,\"label\":%s,\"verdict\":%s%s}"
-    f.Mixed_chk.read_id
-    (Json.quote (label_string f.Mixed_chk.label))
-    (Json.quote verdict)
-    (match over with Some o -> Printf.sprintf ",\"overwritten_by\":%d" o | None -> "")
-
-let lattice_failure_json (f : Lattice.failure) =
+(* [labelled]: also name the read's declared label, as the per-label
+   (offline and online) sections do; the one-model sections omit it *)
+let failure_json ~labelled (f : Lattice.failure) =
   let verdict, over = verdict_fields f.Lattice.verdict in
-  Printf.sprintf "{\"read_id\":%d,\"verdict\":%s%s}" f.Lattice.read_id
+  Printf.sprintf "{\"read_id\":%d%s,\"verdict\":%s%s}" f.Lattice.read_id
+    (if labelled then ",\"label\":" ^ Json.quote (label_string f.Lattice.label) else "")
     (Json.quote verdict)
     (match over with Some o -> Printf.sprintf ",\"overwritten_by\":%d" o | None -> "")
 
@@ -170,17 +166,17 @@ let check_json ?model ~extra ~history ~checker () =
     add
       "\"model\":{\"name\":%s,\"consistent\":%b,\"streamable\":%b,\"failures\":[%s]}"
       (Json.quote (Lattice.to_string m)) (failures = []) (Online.supports m)
-      (String.concat "," (List.map lattice_failure_json failures))
+      (String.concat "," (List.map (failure_json ~labelled:false) failures))
   | _ -> ());
   (match history with
   | Some h ->
-    let failures = Mixed_chk.failures h in
+    let failures = Lattice.failures h Lattice.Mixed in
     let pram, causal, group = read_counts h in
     add "\"offline\":{\"ops\":%d,\"well_formed\":%b,\"mixed_consistent\":%b,\"reads\":{\"pram\":%d,\"causal\":%d,\"group\":%d},\"failures\":[%s]}"
       (Mc_history.History.length h)
       (Mc_history.History.is_well_formed h)
       (failures = []) pram causal group
-      (String.concat "," (List.map failure_json failures))
+      (String.concat "," (List.map (failure_json ~labelled:true) failures))
   | None -> ());
   (match checker with
   | Some c ->
@@ -188,7 +184,7 @@ let check_json ?model ~extra ~history ~checker () =
     add "\"online\":{\"ops_checked\":%d,\"mixed_consistent\":%b,\"reads\":{\"pram\":%d,\"causal\":%d,\"group\":%d},\"fetched_reads\":%d,\"failures\":[%s],\"chains\":%d,\"max_resident\":%d,\"live_summaries\":%d}"
       s.Online.ops_checked (Online.is_consistent c) s.Online.pram_reads
       s.Online.causal_reads s.Online.group_reads s.Online.fetched_reads
-      (String.concat "," (List.map failure_json (Online.failures c)))
+      (String.concat "," (List.map (failure_json ~labelled:true) (Online.failures c)))
       s.Online.chains s.Online.max_resident s.Online.live_summaries
   | None -> ());
   Printf.sprintf "{%s}" (String.concat "," (List.rev !parts))
@@ -207,7 +203,7 @@ let print_offline_report ~trace h =
   Printf.printf "history: %d ops, well-formed=%b, mixed-consistent=%b\n"
     (Mc_history.History.length h)
     (Mc_history.History.is_well_formed h)
-    (Mixed_chk.is_mixed_consistent h);
+    (Lattice.is_consistent h Lattice.Mixed);
   (if Mc_history.History.length h <= 60 then
      match Mc_consistency.Sequential.is_sequentially_consistent h with
      | Mc_consistency.Sequential.Consistent ->
@@ -227,9 +223,7 @@ let print_online_report c =
   Printf.printf
     "online memory: chains=%d in-flight high-water=%d live summaries=%d\n"
     s.Online.chains s.Online.max_resident s.Online.live_summaries;
-  List.iter
-    (fun f -> Format.printf "  %a@." Mixed_chk.pp_failure f)
-    (Online.failures c)
+  List.iter (fun f -> Format.printf "  %a@." Lattice.pp_failure f) (Online.failures c)
 
 (* Print the requested reports; returns false when any requested check
    found an inconsistency, so every subcommand exits with the same
@@ -244,7 +238,10 @@ let print_model_report m h =
   Printf.printf "model %s: consistent=%b failures=%d%s\n" (Lattice.to_string m)
     (failures = []) (List.length failures)
     (if Online.supports m then "" else " (offline: not streamable)");
-  List.iter (fun f -> Format.printf "  %a@." Lattice.pp_failure f) failures
+  List.iter
+    (fun (f : Lattice.failure) ->
+      Format.printf "  read %d: %a@." f.read_id Read_rule.pp_verdict f.verdict)
+    failures
 
 let check_report ?(json = false) ?(trace = false) ?(strict = false) ?model
     ?(extra = []) ~history ~checker () =
@@ -256,7 +253,7 @@ let check_report ?(json = false) ?(trace = false) ?(strict = false) ?model
     | _ -> ());
     Option.iter print_online_report checker
   end;
-  Option.fold ~none:true ~some:Mixed_chk.is_mixed_consistent history
+  Option.fold ~none:true ~some:(fun h -> Lattice.is_consistent h Lattice.Mixed) history
   && Option.fold ~none:true ~some:Online.is_consistent checker
   && (match (model, history) with
      | Some m, Some h -> Lattice.is_consistent h m
@@ -373,6 +370,18 @@ let placement_arg =
           "With --shards: the location-to-shard policy, range (contiguous \
            object-id slices, the default) or hash.")
 
+(* the solver's sharded placement: a range policy slices the [n]
+   unknowns, and each process subscribes the shards it writes *)
+let solver_placement ~shards ~policy ~procs ~n =
+  let policy =
+    match policy with
+    | Placement.Range _ -> Placement.Range { objects = n }
+    | Placement.Hash -> Placement.Hash
+  in
+  let pl = Placement.create ~shards ~policy () in
+  Solver.subscribe_shards pl ~procs ~n;
+  pl
+
 (* ---------------- solver ---------------- *)
 
 let solver_cmd =
@@ -398,14 +407,7 @@ let solver_cmd =
              handshake locations from every process)";
           exit 2
         end;
-        let policy =
-          match policy with
-          | Placement.Range _ -> Placement.Range { objects = n }
-          | Placement.Hash -> Placement.Hash
-        in
-        let pl = Placement.create ~shards ~policy () in
-        Solver.subscribe_shards pl ~procs ~n;
-        Some pl
+        Some (solver_placement ~shards ~policy ~procs ~n)
       end
     in
     let problem = Solver.Problem.generate ~seed ~n in
@@ -589,11 +591,10 @@ let litmus_catalog () =
 (* the EXP-DELIVERY bench workload shape: phase-disciplined writes with
    post-barrier PRAM reads, a lock-protected accumulator and an
    await-signalled finish (mixed runtime only: batching is a
-   mixed-memory feature). Shared by `lint --app delivery` and the
-   metrics/trace subcommands. *)
-let spawn_delivery_workload rt =
+   mixed-memory feature). *)
+let spawn_delivery_workload spawn =
   for i = 0 to 3 do
-    Api.spawn rt i (fun api ->
+    spawn i (fun api ->
         for round = 1 to 3 do
           for k = 0 to 5 do
             api.Api.write
@@ -615,50 +616,49 @@ let spawn_delivery_workload rt =
         if i = 0 then api.Api.write "go" 1 else api.Api.await "go" 1)
   done
 
+(* The small workloads behind lint, check, metrics, trace and report,
+   as (name, procs, batch_max, launch): the barrier solver with
+   [small_n] unknowns on 3 processes, an 8x4 EM field for 2 steps on 2,
+   lock-based Cholesky of an 8x8 matrix at density 0.2 on 4, and the
+   delivery workload on 4 with batches of up to 8 updates. Inputs are
+   generated at launch, so looking up a name or size costs nothing. *)
+let small_n = 8
+
+let small_app ~seed = function
+  | `Solver ->
+    ( "solver", 3, 1,
+      fun spawn ->
+        Solver.Problem.generate ~seed ~n:small_n
+        |> Solver.launch ~spawn ~procs:3 ~variant:Solver.Barrier_pram
+        |> ignore )
+  | `Em ->
+    ( "em", 2, 1,
+      fun spawn ->
+        ignore (Em.launch ~spawn ~procs:2 { Em.rows = 8; cols = 4; steps = 2; seed }) )
+  | `Cholesky ->
+    ( "cholesky", 4, 1,
+      fun spawn ->
+        Sparse.generate ~seed ~n:8 ~density:0.2
+        |> Cholesky.launch ~spawn ~procs:4 ~variant:Cholesky.Lock_based
+        |> ignore )
+  | `Delivery -> ("delivery", 4, 8, spawn_delivery_workload)
+
 (* record one small history per requested app — shared by `lint` (full
-   analysis pipeline) and `check` (lattice-model conformance) *)
+   analysis pipeline) and `check` (lattice-model conformance); delivery
+   runs on the mixed runtime whatever [memory] says *)
 let app_histories app memory propagation seed =
-    let solver () =
-      let problem = Solver.Problem.generate ~seed ~n:8 in
-      let _, _, _, h, _ =
-        run_on ~memory ~procs:3 ~propagation ~record:true ~check_online:false (fun spawn ->
-            Solver.launch ~spawn ~procs:3 ~variant:Solver.Barrier_pram problem)
-      in
-      ("solver", Option.get h)
+  let record app =
+    let name, procs, batch_max, launch = small_app ~seed app in
+    let memory = if app = `Delivery then Mixed else memory in
+    let _, _, _, h, _ =
+      run_on ~memory ~procs ~propagation ~record:true ~check_online:false ~batch_max launch
     in
-    let em () =
-      let params = { Em.rows = 8; cols = 4; steps = 2; seed } in
-      let _, _, _, h, _ =
-        run_on ~memory ~procs:2 ~propagation ~record:true ~check_online:false (fun spawn ->
-            Em.launch ~spawn ~procs:2 params)
-      in
-      ("em", Option.get h)
-    in
-    let cholesky () =
-      let m = Sparse.generate ~seed ~n:8 ~density:0.2 in
-      let _, _, _, h, _ =
-        run_on ~memory ~procs:4 ~propagation ~record:true ~check_online:false (fun spawn ->
-            Cholesky.launch ~spawn ~procs:4 ~variant:Cholesky.Lock_based m)
-      in
-      ("cholesky", Option.get h)
-    in
-    let delivery () =
-      let engine = Engine.create () in
-      let cfg =
-        { (Config.default ~procs:4) with record = true; batch_max = 8; propagation }
-      in
-      let rt = Runtime.create engine cfg in
-      spawn_delivery_workload rt;
-      ignore (Runtime.run rt);
-      ("delivery", Runtime.history rt)
-    in
-    match app with
-    | `Litmus -> litmus_catalog ()
-    | `Solver -> [ solver () ]
-    | `Em -> [ em () ]
-    | `Cholesky -> [ cholesky () ]
-    | `Delivery -> [ delivery () ]
-    | `All -> litmus_catalog () @ [ solver (); em (); cholesky (); delivery () ]
+    (name, Option.get h)
+  in
+  match app with
+  | `Litmus -> litmus_catalog ()
+  | (`Solver | `Em | `Cholesky | `Delivery) as app -> [ record app ]
+  | `All -> litmus_catalog () @ List.map record [ `Solver; `Em; `Cholesky; `Delivery ]
 
 let lint_app_arg =
   Arg.(
@@ -748,19 +748,11 @@ let check_cmd =
         prerr_endline "mcdsm check: --shards requires --memory mixed";
         exit 2
       end;
-      let n = 8 and procs = 3 in
-      let policy =
-        match policy with
-        | Placement.Range _ -> Placement.Range { objects = n }
-        | Placement.Hash -> Placement.Hash
-      in
-      let pl = Placement.create ~shards ~policy () in
-      Solver.subscribe_shards pl ~procs ~n;
-      let problem = Solver.Problem.generate ~seed ~n in
+      let _, procs, _, launch = small_app ~seed `Solver in
+      let placement = solver_placement ~shards ~policy ~procs ~n:small_n in
       let _, _, _, h, checker =
-        run_on ~memory ~procs ~propagation ~record:true
-          ~check_online:streamable ~model ~placement:pl (fun spawn ->
-            Solver.launch ~spawn ~procs ~variant:Solver.Barrier_pram problem)
+        run_on ~memory ~procs ~propagation ~record:true ~check_online:streamable ~model
+          ~placement launch
       in
       let h = Option.get h in
       let fetched =
@@ -774,12 +766,7 @@ let check_cmd =
       in
       let online_agrees =
         match checker with
-        | Some c when online ->
-          Some
-            (List.map
-               (fun (f : Mixed_chk.failure) -> f.Mixed_chk.read_id)
-               (Online.failures c)
-            = List.map (fun (f : Lattice.failure) -> f.Lattice.read_id) failures)
+        | Some c when online -> Some (Online.failures c = failures)
         | _ -> None
       in
       [ ("solver", h, failures, Mc_history.History.is_well_formed h, online_agrees) ]
@@ -793,12 +780,7 @@ let check_cmd =
             let well_formed = Mc_history.History.is_well_formed h in
             let online_agrees =
               if online && streamable then
-                let c = Online.check ~model h in
-                Some
-                  (List.map (fun (f : Mixed_chk.failure) -> f.Mixed_chk.read_id)
-                     (Online.failures c)
-                  = List.map (fun (f : Lattice.failure) -> f.Lattice.read_id)
-                      failures)
+                Some (Online.failures (Online.check ~model h) = failures)
               else None
             in
             (name, h, failures, well_formed, online_agrees))
@@ -819,7 +801,7 @@ let check_cmd =
             (match online_agrees with
             | Some b -> Printf.sprintf ",\"online_agrees\":%b" b
             | None -> "")
-            (String.concat "," (List.map lattice_failure_json failures)))
+            (String.concat "," (List.map (failure_json ~labelled:false) failures)))
         results;
       print_endline "]"
     end
@@ -888,29 +870,7 @@ module Obs_trace = Mc_obs.Trace
 let observed_run ?placement ?(check_online = false) ~app ~propagation ~seed
     ~record ~tracer () =
   let engine = Engine.create () in
-  let procs, batch_max, launch =
-    match app with
-    | `Solver ->
-      let problem = Solver.Problem.generate ~seed ~n:8 in
-      ( 3,
-        1,
-        fun rt ->
-          ignore
-            (Solver.launch ~spawn:(Api.spawn rt) ~procs:3
-               ~variant:Solver.Barrier_pram problem) )
-    | `Em ->
-      let params = { Em.rows = 8; cols = 4; steps = 2; seed } in
-      (2, 1, fun rt -> ignore (Em.launch ~spawn:(Api.spawn rt) ~procs:2 params))
-    | `Cholesky ->
-      let m = Sparse.generate ~seed ~n:8 ~density:0.2 in
-      ( 4,
-        1,
-        fun rt ->
-          ignore
-            (Cholesky.launch ~spawn:(Api.spawn rt) ~procs:4
-               ~variant:Cholesky.Lock_based m) )
-    | `Delivery -> (4, 8, spawn_delivery_workload)
-  in
+  let _, procs, batch_max, launch = small_app ~seed app in
   let cfg =
     {
       (Config.default ~procs) with
@@ -924,7 +884,7 @@ let observed_run ?placement ?(check_online = false) ~app ~propagation ~seed
     }
   in
   let rt = Runtime.create engine cfg in
-  launch rt;
+  launch (Api.spawn rt);
   let time = Runtime.run rt in
   (rt, time)
 
@@ -994,6 +954,7 @@ let trace_cmd =
     let rt, time =
       observed_run ~app ~propagation ~seed ~record:true ~tracer:(Some tracer) ()
     in
+    let name, _, _, _ = small_app ~seed app in
     let ops = Mc_history.History.length (Runtime.history rt) in
     let spans = Obs_trace.span_count tracer in
     let events = Obs_trace.event_count tracer in
@@ -1016,12 +977,7 @@ let trace_cmd =
     if json then
       Printf.printf
         "{\"app\":%s,\"out\":%s,\"spans\":%d,\"events\":%d,\"dropped\":%d,\"ops\":%d,\"sim_time_us\":%.1f,\"spans_match_ops\":%b}\n"
-        (Json.quote
-           (match app with
-           | `Solver -> "solver"
-           | `Em -> "em"
-           | `Cholesky -> "cholesky"
-           | `Delivery -> "delivery"))
+        (Json.quote name)
         (Json.quote path) spans events dropped ops time (spans = ops);
     if spans <> ops then begin
       info ~json "error: span count %d does not match recorded op count %d\n"
@@ -1086,14 +1042,14 @@ let assemble_violations rt checker =
           fi.Runtime.fi_complete ))
   in
   List.map
-    (fun (f : Mixed_chk.failure) ->
-      let op = Mc_history.History.op h f.Mixed_chk.read_id in
+    (fun (f : Lattice.failure) ->
+      let op = Mc_history.History.op h f.Lattice.read_id in
       let loc, value =
         match op.Op.kind with
         | Op.Read { loc; value; _ } -> (loc, value)
         | _ -> ("?", 0)
       in
-      let verdict, over = verdict_fields f.Mixed_chk.verdict in
+      let verdict, over = verdict_fields f.Lattice.verdict in
       let v_source, v_path, _, _ = prov_and_path loc value in
       let v_overwritten_by =
         Option.map
@@ -1118,13 +1074,13 @@ let assemble_violations rt checker =
           over
       in
       {
-        Report.v_read_id = f.Mixed_chk.read_id;
+        Report.v_read_id = f.Lattice.read_id;
         v_proc = op.Op.proc;
         v_loc = loc;
-        v_label = label_string f.Mixed_chk.label;
+        v_label = label_string f.Lattice.label;
         v_verdict = verdict;
         v_value = value;
-        v_fetched = List.mem f.Mixed_chk.read_id fetched;
+        v_fetched = List.mem f.Lattice.read_id fetched;
         v_source;
         v_path;
         v_overwritten_by;
@@ -1216,13 +1172,7 @@ let report_cmd =
             let rt, time = violation_run ~tracer in
             (rt, time, "violation", 3)
           | (`Solver | `Em | `Cholesky | `Delivery) as app ->
-            let name =
-              match app with
-              | `Solver -> "solver"
-              | `Em -> "em"
-              | `Cholesky -> "cholesky"
-              | `Delivery -> "delivery"
-            in
+            let name, procs, _, _ = small_app ~seed app in
             let placement =
               if shards <= 0 then None
               else begin
@@ -1231,14 +1181,7 @@ let report_cmd =
                     "mcdsm report: --shards supports --app solver only";
                   exit 2
                 end;
-                let policy =
-                  match policy with
-                  | Placement.Range _ -> Placement.Range { objects = 8 }
-                  | Placement.Hash -> Placement.Hash
-                in
-                let pl = Placement.create ~shards ~policy () in
-                Solver.subscribe_shards pl ~procs:3 ~n:8;
-                Some pl
+                Some (solver_placement ~shards ~policy ~procs ~n:small_n)
               end
             in
             let rt, time =
@@ -1448,9 +1391,9 @@ let litmus_cmd =
         | Unknown -> "SC?"
       in
       Printf.printf "%-28s PRAM:%-3b causal:%-3b mixed:%-3b %s\n" name
-        (Mc_consistency.Pram.is_pram_history h)
-        (Mc_consistency.Causal.is_causal_history h)
-        (Mc_consistency.Mixed.is_mixed_consistent h)
+        (Lattice.is_consistent h Lattice.PRAM)
+        (Lattice.is_consistent h Lattice.Causal)
+        (Lattice.is_consistent h Lattice.Mixed)
         sc
     in
     show "dekker"

@@ -7,9 +7,7 @@
 
 module Dsl = Mc_history.Dsl
 module History = Mc_history.History
-module Causal = Mc_consistency.Causal
-module Pram = Mc_consistency.Pram
-module Mixed = Mc_consistency.Mixed
+module Lattice = Mc_consistency.Lattice
 module Sequential = Mc_consistency.Sequential
 module Commute = Mc_consistency.Commute
 
@@ -21,9 +19,9 @@ let verdict h =
     | Sequential.Unknown -> "SC?"
   in
   Printf.sprintf "PRAM:%-3s causal:%-3s mixed:%-3s %s"
-    (if Pram.is_pram_history h then "yes" else "no")
-    (if Causal.is_causal_history h then "yes" else "no")
-    (if Mixed.is_mixed_consistent h then "yes" else "no")
+    (if Lattice.is_consistent h Lattice.PRAM then "yes" else "no")
+    (if Lattice.is_consistent h Lattice.Causal then "yes" else "no")
+    (if Lattice.is_consistent h Lattice.Mixed then "yes" else "no")
     sc
 
 let show name description h =

@@ -53,7 +53,7 @@ let () =
     (Mc_history.History.length h)
     (Mc_history.History.is_well_formed h);
   Printf.printf "mixed consistent (Definition 4): %b\n"
-    (Mc_consistency.Mixed.is_mixed_consistent h);
+    (Mc_consistency.Lattice.is_consistent h Mc_consistency.Lattice.Mixed);
   match Mc_consistency.Sequential.is_sequentially_consistent h with
   | Mc_consistency.Sequential.Consistent ->
     print_endline "sequentially consistent: yes (a witness serialization exists)"

@@ -1,9 +1,6 @@
 module History = Mc_history.History
 module Op = Mc_history.Op
 module Pc = Mc_consistency.Program_class
-module Pram = Mc_consistency.Pram
-module Causal = Mc_consistency.Causal
-module Group = Mc_consistency.Group
 module Read_rule = Mc_consistency.Read_rule
 module Lattice = Mc_consistency.Lattice
 
@@ -23,13 +20,10 @@ let label_to_string = function
 
 let strength = function Op.PRAM -> 0 | Op.Group _ -> 1 | Op.Causal -> 2
 
-let valid_under h ~read_id = function
-  | Op.PRAM -> Pram.verdict h ~read_id = Read_rule.Valid
-  | Op.Causal -> Causal.verdict h ~read_id = Read_rule.Valid
-  | Op.Group g -> (
-    (* a malformed group (reader not a member) validates nothing *)
-    try Group.verdict h ~read_id ~group:g = Read_rule.Valid
-    with Invalid_argument _ -> false)
+(* a malformed group (reader not a member) validates nothing *)
+let valid_under h ~read_id label =
+  try Lattice.verdict_at h label ~read_id = Read_rule.Valid
+  with Invalid_argument _ -> false
 
 let advise ?shared h =
   let shared =

@@ -1,3 +1,5 @@
+module Json = Mc_util.Json
+
 type severity = Error | Warning | Info
 
 type t = {
@@ -44,37 +46,18 @@ let pp fmt d =
   (match d.site with Some s -> Format.fprintf fmt " @%s" s | None -> ());
   Format.fprintf fmt ": %s" d.message
 
-(* Minimal JSON string escaping: the quote, the backslash and control
-   characters — locations and messages are plain ASCII in practice. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
   let fields =
-    [ Some (Printf.sprintf "\"rule\":\"%s\"" (json_escape d.rule));
+    [ Some ("\"rule\":" ^ Json.quote d.rule);
       Some
         (Printf.sprintf "\"severity\":\"%s\""
            (severity_to_string d.severity));
       Option.map (Printf.sprintf "\"op\":%d") d.op_id;
       Option.map (Printf.sprintf "\"related_op\":%d") d.related_op;
       Option.map (Printf.sprintf "\"proc\":%d") d.proc;
-      Option.map (fun l -> Printf.sprintf "\"loc\":\"%s\"" (json_escape l)) d.loc;
-      Option.map
-        (fun s -> Printf.sprintf "\"site\":\"%s\"" (json_escape s))
-        d.site;
-      Some (Printf.sprintf "\"message\":\"%s\"" (json_escape d.message));
+      Option.map (fun l -> "\"loc\":" ^ Json.quote l) d.loc;
+      Option.map (fun s -> "\"site\":" ^ Json.quote s) d.site;
+      Some ("\"message\":" ^ Json.quote d.message);
     ]
   in
   "{" ^ String.concat "," (List.filter_map Fun.id fields) ^ "}"

@@ -68,7 +68,7 @@ let commute (a : Op.t) (b : Op.t) =
 
 type report = {
   non_commuting_pairs : (int * int) list;
-  non_causal_reads : Causal.failure list;
+  non_causal_reads : Lattice.failure list;
 }
 
 (* Pairs are kept order-canonical (smaller id first) and duplicate-free so
@@ -93,7 +93,7 @@ let theorem1_report h =
   done;
   {
     non_commuting_pairs = canonical_pairs !pairs;
-    non_causal_reads = Causal.failures h;
+    non_causal_reads = Lattice.failures h Lattice.Causal;
   }
 
 let theorem1_holds h =
@@ -106,7 +106,5 @@ let pp_report fmt r =
   List.iter (fun (i, j) -> Format.fprintf fmt "@   (%d, %d)" i j) pairs;
   Format.fprintf fmt "@ non-causal reads: %d" (List.length r.non_causal_reads);
   let reads = List.sort_uniq compare r.non_causal_reads in
-  List.iter
-    (fun (f : Causal.failure) -> Format.fprintf fmt "@   %a" Causal.pp_failure f)
-    reads;
+  List.iter (fun f -> Format.fprintf fmt "@   %a" Lattice.pp_failure f) reads;
   Format.fprintf fmt "@]"

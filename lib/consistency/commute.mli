@@ -30,7 +30,7 @@ type report = {
   non_commuting_pairs : (int * int) list;
       (** causally-unrelated pairs that do not commute; order-canonical
           (smaller id first), sorted, duplicate-free *)
-  non_causal_reads : Causal.failure list;
+  non_causal_reads : Lattice.failure list;
 }
 
 (** [theorem1_report h] evaluates both premises of Theorem 1. *)

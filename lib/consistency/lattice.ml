@@ -443,7 +443,7 @@ let relation h ax ~reader =
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type failure = { read_id : int; verdict : Read_rule.verdict }
+type failure = { read_id : int; label : Op.label; verdict : Read_rule.verdict }
 
 let augment_group ~reader g = norm_group (reader :: g)
 
@@ -469,14 +469,21 @@ let failures h model =
   let acc = ref [] in
   Array.iter
     (fun (o : Op.t) ->
-      if Op.is_memory_read o then
+      match o.Op.kind with
+      | Op.Read { label; _ } -> (
         match verdict h model ~read_id:o.Op.id with
         | Read_rule.Valid -> ()
-        | v -> acc := { read_id = o.Op.id; verdict = v } :: !acc)
+        | v -> acc := { read_id = o.Op.id; label; verdict = v } :: !acc)
+      | _ -> ())
     (History.ops h);
   List.rev !acc
 
 let is_consistent h model = failures h model = []
 
-let pp_failure fmt { read_id; verdict } =
-  Format.fprintf fmt "read %d: %a" read_id Read_rule.pp_verdict verdict
+let pp_failure fmt { read_id; label; verdict } =
+  Format.fprintf fmt "%s read %d: %a"
+    (match label with
+    | Op.PRAM -> "PRAM"
+    | Op.Causal -> "causal"
+    | Op.Group _ -> "group")
+    read_id Read_rule.pp_verdict verdict

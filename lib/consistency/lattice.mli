@@ -121,15 +121,30 @@ val relation : Mc_history.History.t -> axioms -> reader:int -> Mc_util.Relation.
 val verdict : Mc_history.History.t -> t -> read_id:int -> Read_rule.verdict
 
 (** [verdict_at h label ~read_id] checks one read at one declared
-    label's axiom point (the seed per-label checkers). *)
+    label's axiom point: [PRAM] is Definition 3, [Causal] Definition 2,
+    and [Group g] the Section-3.2 group read, with [g] kept verbatim
+    (the reader must be a member). *)
 val verdict_at :
   Mc_history.History.t -> Mc_history.Op.label -> read_id:int -> Read_rule.verdict
 
-type failure = { read_id : int; verdict : Read_rule.verdict }
+(** One invalid read: its id, its declared label (whatever model it was
+    checked under) and the verdict. *)
+type failure = {
+  read_id : int;
+  label : Mc_history.Op.label;
+  verdict : Read_rule.verdict;
+}
 
 (** [failures h m] checks every memory read of [h] under [m], in
-    ascending id order. *)
+    ascending id order. [failures h Mixed] is Definition 4: each read
+    at its own declared label. *)
 val failures : Mc_history.History.t -> t -> failure list
 
+(** [is_consistent h m] is [failures h m = []]: a causal history at
+    [Causal], a PRAM history at [PRAM], a mixed-consistent one at
+    [Mixed]. *)
 val is_consistent : Mc_history.History.t -> t -> bool
+
+(** Prints ["<label> read <id>: <verdict>"], e.g. ["PRAM read 4:
+    overwritten by op 0"]. *)
 val pp_failure : Format.formatter -> failure -> unit

@@ -3,8 +3,8 @@
    Consumes the finalization stream of [Mc_history.Stream] and validates
    every memory read at response time against the read rule of its label
    (Def. 2 causal, Def. 3 PRAM, §3.2 group, composed per Def. 4),
-   reproducing [Mixed.failures] verdict-for-verdict without materializing
-   the history or any relation matrix.
+   reproducing [Lattice.failures h Mixed] verdict-for-verdict without
+   materializing the history or any relation matrix.
 
    Per finalized operation the checker folds one chain clock per family —
    causal, PRAM(i) for every process i, and one per registered reader
@@ -124,7 +124,7 @@ type t = {
   clocks : (int, resident) Hashtbl.t;
   sums : (Op.location * Op.value, summary list ref) Hashtbl.t;
   locs : (Op.location, lstate) Hashtbl.t;
-  mutable failures : Mixed.failure list; (* reverse finalization order *)
+  mutable failures : Lattice.failure list; (* reverse finalization order *)
   mutable ops_checked : int;
   mutable reads_checked : int;
   mutable pram_reads : int;
@@ -586,7 +586,7 @@ let finalize t (info : Stream.info) =
     | Read_rule.Valid -> ()
     | v ->
       t.failures <-
-        { Mixed.read_id = op.id; label; verdict = v } :: t.failures)
+        { Lattice.read_id = op.id; label; verdict = v } :: t.failures)
   | _ -> ());
   session_register t op;
   (* interposer registration *)
@@ -694,7 +694,7 @@ let engine t =
   | None -> invalid_arg "Online.engine: checker has no engine"
 
 let sink t = Stream.sink (engine t)
-let failures t = List.sort (fun a b -> compare a.Mixed.read_id b.Mixed.read_id) t.failures
+let failures t = List.sort (fun a b -> compare a.Lattice.read_id b.Lattice.read_id) t.failures
 let is_consistent t = t.failures = []
 
 let note_fetch t ~proc ~loc ~admissible ~zero_ok =

@@ -4,9 +4,10 @@
     of its label (Def. 2 causal, Def. 3 PRAM, §3.2 group reads, composed
     per Def. 4 mixed consistency) by folding per-family chain clocks
     over the finalization stream of {!Mc_history.Stream}. Produces the
-    same failures, verdict-for-verdict, as the offline {!Mixed.check} —
-    see the differential test suite — while keeping only the in-flight
-    operation window plus live writer summaries in memory.
+    same failures, verdict-for-verdict, as the offline
+    [Lattice.failures h Mixed] — see the differential test suite — while
+    keeping only the in-flight operation window plus live writer
+    summaries in memory.
 
     Per finalized operation the cost is O(families × chains) integer
     work, with families = 1 (causal) + procs (PRAM) + registered reader
@@ -66,11 +67,10 @@ val engine : t -> Mc_history.Stream.t
     from the history's read labels. *)
 val check : ?groups:int list list -> ?model:Lattice.t -> Mc_history.History.t -> t
 
-(** Invalid reads seen so far, in ascending id order — equal to
-    [Mixed.failures h] after a full replay (or, under a uniform
-    [~model], to [Lattice.failures h model]; the [label] field then
-    still records each read's declared label). *)
-val failures : t -> Mixed.failure list
+(** Invalid reads seen so far, in ascending id order — after a full
+    replay, equal to [Lattice.failures h Mixed], or under a uniform
+    [~model] to [Lattice.failures h model]. *)
+val failures : t -> Lattice.failure list
 
 val is_consistent : t -> bool
 val stats : t -> stats

@@ -1,3 +1,4 @@
+module Json = Mc_util.Json
 module Summary = Mc_util.Stats.Summary
 
 type labels = (string * string) list
@@ -193,33 +194,18 @@ module Registry = struct
 
   (* ---------------- exporters ---------------- *)
 
-  let esc s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let json_float x =
     if Float.is_finite x then Printf.sprintf "%.9g" x else "null"
 
   let labels_json labels =
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)) labels)
+        (List.map (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v) labels)
     ^ "}"
 
   let point_json p =
     let base =
-      Printf.sprintf "\"name\":\"%s\",\"labels\":%s" (esc p.name) (labels_json p.labels)
+      Printf.sprintf "\"name\":%s,\"labels\":%s" (Json.quote p.name) (labels_json p.labels)
     in
     match p.sample with
     | Counter_sample v -> Printf.sprintf "{%s,\"type\":\"counter\",\"value\":%d}" base v

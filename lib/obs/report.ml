@@ -5,192 +5,20 @@
    rendered with fixed precision, so the JSON form is byte-deterministic
    for a deterministic run. *)
 
-(* ---------------- minimal JSON ---------------- *)
-
-module Json = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of v list
-    | Obj of (string * v) list
-
-  exception Parse_error of string
-
-  let parse (s : string) : v =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal lit value =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then begin
-        pos := !pos + l;
-        value
-      end
-      else fail (Printf.sprintf "expected %s" lit)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' ->
-          (if !pos >= n then fail "unterminated escape";
-           let e = s.[!pos] in
-           advance ();
-           match e with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'n' -> Buffer.add_char b '\n'
-           | 'r' -> Buffer.add_char b '\r'
-           | 't' -> Buffer.add_char b '\t'
-           | 'u' ->
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             let code =
-               try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-             in
-             (* the exporters only escape control characters; anything
-                above the ASCII range degrades to '?' *)
-             if code < 0x80 then Buffer.add_char b (Char.chr code)
-             else Buffer.add_char b '?'
-           | _ -> fail "bad escape");
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while !pos < n && numchar s.[!pos] do
-        advance ()
-      done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-      | None -> fail "unexpected end of input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let mem key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-
-  let to_str = function Some (Str s) -> Some s | _ -> None
-
-  let to_num = function
-    | Some (Num f) -> Some f
-    | Some Null -> Some Float.nan
-    | _ -> None
-
-  let to_int v = Option.map int_of_float (to_num v)
-
-  let quote s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-end
+module Json = Mc_util.Json
 
 (* ---------------- trace / metrics ingestion ---------------- *)
+
+let mem key = function Json.Obj kvs -> List.assoc_opt key kvs | _ -> None
+let to_str = function Some (Json.Str s) -> Some s | _ -> None
+
+(* the metrics exporter writes [null] for a non-finite float *)
+let to_num = function
+  | Some (Json.Num f) -> Some f
+  | Some Json.Null -> Some Float.nan
+  | _ -> None
+
+let to_int v = Option.map int_of_float (to_num v)
 
 let args_of_json v =
   match v with
@@ -206,14 +34,14 @@ let args_of_json v =
    write them adjacently). Metadata records and unmatched halves yield
    [None]. *)
 let event_of_chrome pending obj =
-  let str k = Json.to_str (Json.mem k obj) in
-  let num k = Json.to_num (Json.mem k obj) in
-  let int_of k = match Json.to_int (Json.mem k obj) with Some i -> i | None -> 0 in
+  let str k = to_str (mem k obj) in
+  let num k = to_num (mem k obj) in
+  let int_of k = match to_int (mem k obj) with Some i -> i | None -> 0 in
   let name = match str "name" with Some s -> s | None -> "" in
   let cat = match str "cat" with Some s -> s | None -> "" in
   let ts = match num "ts" with Some f -> f | None -> 0. in
   let tid = int_of "tid" in
-  let args = args_of_json (Json.mem "args" obj) in
+  let args = args_of_json (mem "args" obj) in
   match str "ph" with
   | Some "X" ->
     let dur = match num "dur" with Some f -> f | None -> 0. in
@@ -221,7 +49,7 @@ let event_of_chrome pending obj =
   | Some "i" -> Some (Trace.Instant { name; cat; tid; ts; args })
   | Some "C" ->
     let value =
-      match Json.to_num (Option.bind (Json.mem "args" obj) (Json.mem "value")) with
+      match to_num (Option.bind (mem "args" obj) (mem "value")) with
       | Some f -> f
       | None -> 0.
     in
@@ -255,7 +83,7 @@ let parse_trace s =
   in
   match whole with
   | Some o -> (
-    match Json.mem "traceEvents" o with
+    match mem "traceEvents" o with
     | Some (Json.List l) -> List.filter_map (event_of_chrome pending) l
     | Some _ -> []
     | None -> List.filter_map (event_of_chrome pending) [ o ])
@@ -269,18 +97,18 @@ let parse_trace s =
    is not round-tripped (the exporter omits it). *)
 let parse_metrics s =
   let point_of obj =
-    let name = match Json.to_str (Json.mem "name" obj) with Some s -> s | None -> "" in
+    let name = match to_str (mem "name" obj) with Some s -> s | None -> "" in
     let labels =
-      match Json.mem "labels" obj with
+      match mem "labels" obj with
       | Some (Json.Obj kvs) ->
         List.filter_map
           (fun (k, v) -> match v with Json.Str s -> Some (k, s) | _ -> None)
           kvs
       | _ -> []
     in
-    let num k = match Json.to_num (Json.mem k obj) with Some f -> f | None -> 0. in
+    let num k = match to_num (mem k obj) with Some f -> f | None -> 0. in
     let sample =
-      match Json.to_str (Json.mem "type" obj) with
+      match to_str (mem "type" obj) with
       | Some "counter" ->
         Some (Metrics.Counter_sample (int_of_float (num "value")))
       | Some "gauge" ->
@@ -289,18 +117,18 @@ let parse_metrics s =
              { value = num "value"; high_water = num "high_water" })
       | Some "histogram" ->
         let buckets =
-          match Json.mem "buckets" obj with
+          match mem "buckets" obj with
           | Some (Json.List bs) ->
             List.map
               (fun b ->
                 let le =
-                  match Json.mem "le" b with
+                  match mem "le" b with
                   | Some (Json.Num f) -> f
                   | Some (Json.Str "+Inf") -> infinity
                   | _ -> infinity
                 in
                 let count =
-                  match Json.to_int (Json.mem "count" b) with
+                  match to_int (mem "count" b) with
                   | Some c -> c
                   | None -> 0
                 in
@@ -327,7 +155,7 @@ let parse_metrics s =
   in
   match Json.parse s with
   | Json.Obj _ as o -> (
-    match Json.mem "metrics" o with
+    match mem "metrics" o with
     | Some (Json.List points) -> List.filter_map point_of points
     | _ -> [])
   | _ -> []

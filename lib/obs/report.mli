@@ -6,27 +6,8 @@
     and floats are printed with fixed precision, so two reports of the
     same (seeded) run are byte-identical. *)
 
-(** Minimal JSON reader for the formats this library itself writes
-    (Chrome traces, JSONL sinks, {!Metrics.Registry.to_json} dumps), and
-    the string quoter its writers share. *)
-module Json : sig
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of v list
-    | Obj of (string * v) list
-
-  exception Parse_error of string
-
-  val parse : string -> v
-
-  (** [quote s] is [s] as a JSON string literal: the quote, the
-      backslash and control characters are escaped and every other byte,
-      UTF-8 included, is kept as is, so [parse (quote s) = Str s]. *)
-  val quote : string -> string
-end
+(** The frozen [perfbench/test_perfbench.ml] reads JSON under this name. *)
+module Json = Mc_util.Json
 
 (** [parse_trace s] re-reads a trace in either Chrome form
     ([{"traceEvents": [...]}]) or JSONL form (one event object per

@@ -1,3 +1,5 @@
+module Json = Mc_util.Json
+
 type event =
   | Complete of {
       name : string;
@@ -80,56 +82,40 @@ let close t =
 
 (* ---------------- Chrome trace_event export ---------------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let num x = if Float.is_finite x then Printf.sprintf "%.9g" x else "0"
 
 let args_json args =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)) args)
+      (List.map (fun (k, v) -> Json.quote k ^ ":" ^ Json.quote v) args)
   ^ "}"
 
 let event_to_chrome_json ev =
   match ev with
   | Complete { name; cat; tid; ts; dur; args } ->
     Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}"
-      (esc name) (esc cat) tid (num ts) (num dur) (args_json args)
+      "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}"
+      (Json.quote name) (Json.quote cat) tid (num ts) (num dur) (args_json args)
   | Instant { name; cat; tid; ts; args } ->
     Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-      (esc name) (esc cat) tid (num ts) (args_json args)
+      "{\"name\":%s,\"cat\":%s,\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
+      (Json.quote name) (Json.quote cat) tid (num ts) (args_json args)
   | Flow { id; name; cat; src; dst; ts_send; ts_recv; args } ->
     let start =
       Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"s\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-        (esc name) (esc cat) id src (num ts_send) (args_json args)
+        "{\"name\":%s,\"cat\":%s,\"ph\":\"s\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
+        (Json.quote name) (Json.quote cat) id src (num ts_send) (args_json args)
     in
     let finish =
       Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-        (esc name) (esc cat) id dst (num ts_recv) (args_json args)
+        "{\"name\":%s,\"cat\":%s,\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
+        (Json.quote name) (Json.quote cat) id dst (num ts_recv) (args_json args)
     in
     start ^ "\n" ^ finish
   | Counter { name; tid; ts; value } ->
     Printf.sprintf
-      "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":{\"value\":%s}}"
-      (esc name) tid (num ts) (num value)
+      "{\"name\":%s,\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":{\"value\":%s}}"
+      (Json.quote name) tid (num ts) (num value)
 
 let event_tids = function
   | Complete { tid; _ } | Instant { tid; _ } | Counter { tid; _ } -> [ tid ]

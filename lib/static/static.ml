@@ -5,6 +5,7 @@
    every judgement holds at every parameter valuation. *)
 
 module Diag = Mc_analysis.Diag
+module Json = Mc_util.Json
 
 type report = {
   program : string;
@@ -163,30 +164,15 @@ let pp ?(proof = false) ?(lattice = false) fmt r =
   Format.fprintf fmt "%s: %d error(s), %d warning(s), %d info@." r.program
     (count Diag.Error r) (count Diag.Warning r) (count Diag.Info r)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let reads =
     List.map
       (fun (rr : Classify.read_report) ->
-        Printf.sprintf
-          "{\"site\":\"%s\",\"declared\":\"%s\",\"inferred\":\"%s\",\"proof\":\"%s\"}"
-          (json_escape rr.Classify.racc.Summary.site)
-          (json_escape (Pir.label_to_string rr.Classify.declared))
-          (json_escape (Pir.label_to_string rr.Classify.inferred))
-          (json_escape rr.Classify.rproof))
+        Printf.sprintf "{\"site\":%s,\"declared\":%s,\"inferred\":%s,\"proof\":%s}"
+          (Json.quote rr.Classify.racc.Summary.site)
+          (Json.quote (Pir.label_to_string rr.Classify.declared))
+          (Json.quote (Pir.label_to_string rr.Classify.inferred))
+          (Json.quote rr.Classify.rproof))
       r.reads
   in
   let verdict =
@@ -201,36 +187,33 @@ let to_json r =
     let rms =
       List.map
         (fun (rm : Classify.read_model) ->
-          Printf.sprintf "{\"site\":\"%s\",\"model\":\"%s\",\"proof\":\"%s\"}"
-            (json_escape rm.Classify.rm_acc.Summary.site)
-            (json_escape (Classify.lmodel_to_string rm.Classify.rm_model))
-            (json_escape rm.Classify.rm_proof))
+          Printf.sprintf "{\"site\":%s,\"model\":%s,\"proof\":%s}"
+            (Json.quote rm.Classify.rm_acc.Summary.site)
+            (Json.quote (Classify.lmodel_to_string rm.Classify.rm_model))
+            (Json.quote rm.Classify.rm_proof))
         l.Classify.read_models
     in
     let axioms =
       List.map
         (fun (a : Classify.axiom_req) ->
           Printf.sprintf
-            "{\"axiom\":\"%s\",\"level\":\"%s\",\"needed\":%b,\"reason\":\"%s\",\"sites\":[%s]}"
-            (json_escape a.Classify.axiom)
-            (json_escape a.Classify.level)
+            "{\"axiom\":%s,\"level\":%s,\"needed\":%b,\"reason\":%s,\"sites\":[%s]}"
+            (Json.quote a.Classify.axiom)
+            (Json.quote a.Classify.level)
             a.Classify.needed
-            (json_escape a.Classify.reason)
-            (String.concat ","
-               (List.map
-                  (fun s -> Printf.sprintf "\"%s\"" (json_escape s))
-                  a.Classify.sites)))
+            (Json.quote a.Classify.reason)
+            (String.concat "," (List.map Json.quote a.Classify.sites)))
         l.Classify.axioms
     in
     Printf.sprintf
-      "{\"weakest\":\"%s\",\"reads\":[%s],\"axioms\":[%s]}"
-      (json_escape (Classify.lmodel_to_string l.Classify.weakest))
+      "{\"weakest\":%s,\"reads\":[%s],\"axioms\":[%s]}"
+      (Json.quote (Classify.lmodel_to_string l.Classify.weakest))
       (String.concat "," rms)
       (String.concat "," axioms)
   in
   Printf.sprintf
-    "{\"program\":\"%s\",\"verdict\":\"%s\",\"proof\":\"%s\",\"races\":%d,\"reads\":[%s],\"lattice\":%s,\"diagnostics\":[%s]}"
-    (json_escape r.program) verdict (json_escape r.verdict_proof)
+    "{\"program\":%s,\"verdict\":\"%s\",\"proof\":%s,\"races\":%d,\"reads\":[%s],\"lattice\":%s,\"diagnostics\":[%s]}"
+    (Json.quote r.program) verdict (Json.quote r.verdict_proof)
     (List.length r.srace.Srace.races)
     (String.concat "," reads)
     lattice

@@ -48,6 +48,13 @@ expect 2 report --trace "$work/truncated.jsonl"
 expect 2 report --trace "$work/trace.jsonl" --metrics "$work/truncated.jsonl"
 expect 2 metrics --out "$work/no/such/dir/x.json"
 
+# input that is not RFC 8259 JSON: a number with a leading '+'
+printf '{"traceEvents":[{"name":"x","ph":"X","ts":+1,"dur":1,"pid":0,"tid":0}]}\n' \
+  >"$work/plus.json"
+expect 2 report --trace "$work/plus.json"
+grep -q '^mcdsm: malformed JSON input: ' "$work/err" \
+  || fail "mcdsm report --trace $work/plus.json: not reported as malformed JSON"
+
 # flag values the run rejects
 expect 2 solver -w 0
 expect 2 em --procs 0

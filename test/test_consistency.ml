@@ -6,9 +6,7 @@ module Op = Mc_history.Op
 module History = Mc_history.History
 module Dsl = Mc_history.Dsl
 module Read_rule = Mc_consistency.Read_rule
-module Causal = Mc_consistency.Causal
-module Pram = Mc_consistency.Pram
-module Mixed = Mc_consistency.Mixed
+module Lattice = Mc_consistency.Lattice
 module Sequential = Mc_consistency.Sequential
 module Commute = Mc_consistency.Commute
 module Program_class = Mc_consistency.Program_class
@@ -23,23 +21,27 @@ let check_int = Alcotest.(check int)
 let test_read_rule_verdicts () =
   (* p1 reads a value nobody wrote *)
   let h = Dsl.make ~procs:2 [ [ Dsl.w "x" 1 ]; [ Dsl.rc "x" 9 ] ] in
-  check "no matching write" true (Causal.verdict h ~read_id:1 = Read_rule.No_matching_write);
+  check "no matching write" true
+    (Lattice.verdict_at h Op.Causal ~read_id:1 = Read_rule.No_matching_write);
   (* p0 writes twice; its own read of the first value is overwritten *)
   let h = Dsl.make ~procs:1 [ [ Dsl.w "x" 1; Dsl.w "x" 2; Dsl.rc "x" 1 ] ] in
-  (match Causal.verdict h ~read_id:2 with
+  (match Lattice.verdict_at h Op.Causal ~read_id:2 with
   | Read_rule.Overwritten 1 -> ()
   | v -> Alcotest.failf "expected Overwritten 1, got %a" Read_rule.pp_verdict v);
   (* reading the initial value before any visible write is fine *)
   let h = Dsl.make ~procs:2 [ [ Dsl.w "x" 1 ]; [ Dsl.rc "x" 0 ] ] in
   check "initial read valid when write is concurrent" true
-    (Causal.verdict h ~read_id:1 = Read_rule.Valid)
+    (Lattice.verdict_at h Op.Causal ~read_id:1 = Read_rule.Valid)
 
 let test_own_write_visible () =
   let h = Dsl.make ~procs:1 [ [ Dsl.w "x" 7; Dsl.rc "x" 7; Dsl.rp "x" 7 ] ] in
-  check "causal read of own write" true (Causal.is_causal_read h ~read_id:1);
-  check "pram read of own write" true (Pram.is_pram_read h ~read_id:2);
+  check "causal read of own write" true
+    (Lattice.verdict_at h Op.Causal ~read_id:1 = Read_rule.Valid);
+  check "pram read of own write" true
+    (Lattice.verdict_at h Op.PRAM ~read_id:2 = Read_rule.Valid);
   let stale = Dsl.make ~procs:1 [ [ Dsl.w "x" 7; Dsl.rc "x" 0 ] ] in
-  check "own write cannot be unseen" false (Causal.is_causal_read stale ~read_id:1)
+  check "own write cannot be unseen" false
+    (Lattice.verdict_at stale Op.Causal ~read_id:1 = Read_rule.Valid)
 
 (* ------------------------------------------------------------------ *)
 (* Separating examples                                                 *)
@@ -51,8 +53,8 @@ let dekker =
     [ [ Dsl.w "x" 1; Dsl.rc "y" 0 ]; [ Dsl.w "y" 1; Dsl.rc "x" 0 ] ]
 
 let test_dekker_causal_not_sc () =
-  check "causal" true (Causal.is_causal_history dekker);
-  check "pram" true (Pram.is_pram_history dekker);
+  check "causal" true (Lattice.is_consistent dekker Lattice.Causal);
+  check "pram" true (Lattice.is_consistent dekker Lattice.PRAM);
   check "not sequentially consistent" true
     (Sequential.is_sequentially_consistent dekker = Sequential.Inconsistent)
 
@@ -66,14 +68,14 @@ let pram_not_causal =
     ]
 
 let test_pram_not_causal () =
-  check "pram holds" true (Pram.is_pram_history pram_not_causal);
-  check "causal fails" false (Causal.is_causal_history pram_not_causal);
+  check "pram holds" true (Lattice.is_consistent pram_not_causal Lattice.PRAM);
+  check "causal fails" false (Lattice.is_consistent pram_not_causal Lattice.Causal);
   (* the failing read is p2's stale read of x *)
-  match Causal.failures pram_not_causal with
-  | [ { read_id = 4; verdict = Read_rule.Overwritten 0 } ] -> ()
+  match Lattice.failures pram_not_causal Lattice.Causal with
+  | [ { read_id = 4; label = Op.PRAM; verdict = Read_rule.Overwritten 0 } ] -> ()
   | fs ->
     Alcotest.failf "unexpected failures: %s"
-      (String.concat "; " (List.map (Format.asprintf "%a" Causal.pp_failure) fs))
+      (String.concat "; " (List.map (Format.asprintf "%a" Lattice.pp_failure) fs))
 
 let test_mixed_labels () =
   (* same execution, labels chosen per Definition 4 *)
@@ -86,7 +88,7 @@ let test_mixed_labels () =
       ]
   in
   check "mixed consistent with PRAM label on the stale read" true
-    (Mixed.is_mixed_consistent consistent);
+    (Lattice.is_consistent consistent Lattice.Mixed);
   let violating =
     Dsl.make ~procs:3
       [
@@ -96,8 +98,8 @@ let test_mixed_labels () =
       ]
   in
   check "causal label on the stale read fails" false
-    (Mixed.is_mixed_consistent violating);
-  match Mixed.failures violating with
+    (Lattice.is_consistent violating Lattice.Mixed);
+  match Lattice.failures violating Lattice.Mixed with
   | [ { read_id = 4; label = Op.Causal; _ } ] -> ()
   | _ -> Alcotest.fail "expected exactly the causal read to fail"
 
@@ -115,7 +117,7 @@ let test_mixed_group_labels () =
       ]
   in
   check "singleton group read behaves as PRAM" true
-    (Mixed.is_mixed_consistent singleton);
+    (Lattice.is_consistent singleton Lattice.Mixed);
   (* Group = all processes: behaves as Causal, so the stale read fails *)
   let full =
     Dsl.make ~procs:3
@@ -125,8 +127,9 @@ let test_mixed_group_labels () =
         [ Dsl.rp "y" 2; Dsl.rg [ 0; 1; 2 ] "x" 0 ];
       ]
   in
-  check "full group read behaves as causal" false (Mixed.is_mixed_consistent full);
-  (match Mixed.failures full with
+  check "full group read behaves as causal" false
+    (Lattice.is_consistent full Lattice.Mixed);
+  (match Lattice.failures full Lattice.Mixed with
   | [ { read_id = 4; label = Op.Group [ 0; 1; 2 ]; _ } ] -> ()
   | _ -> Alcotest.fail "expected exactly the group-labelled read to fail");
   (* the intermediate group {1,2} already sees p1's forwarding of x, so
@@ -140,7 +143,7 @@ let test_mixed_group_labels () =
       ]
   in
   check "group {1,2} maintains causality through p1" false
-    (Mixed.is_mixed_consistent intermediate)
+    (Lattice.is_consistent intermediate Lattice.Mixed)
 
 (* FIFO violation: not even PRAM *)
 let test_not_pram () =
@@ -148,8 +151,8 @@ let test_not_pram () =
     Dsl.make ~procs:2
       [ [ Dsl.w "x" 1; Dsl.w "x" 2 ]; [ Dsl.rp "x" 2; Dsl.rp "x" 1 ] ]
   in
-  check "second read violates writer order" false (Pram.is_pram_history h);
-  check "and is not causal either" false (Causal.is_causal_history h)
+  check "second read violates writer order" false (Lattice.is_consistent h Lattice.PRAM);
+  check "and is not causal either" false (Lattice.is_consistent h Lattice.Causal)
 
 (* Two concurrent writes may be observed in different orders by
    different processes under PRAM/causal memory - but not under SC *)
@@ -163,7 +166,7 @@ let test_write_order_disagreement () =
         [ Dsl.rc "x" 2; Dsl.rc "x" 1 ];
       ]
   in
-  check "causal allows disagreement" true (Causal.is_causal_history h);
+  check "causal allows disagreement" true (Lattice.is_consistent h Lattice.Causal);
   check "SC forbids disagreement" true
     (Sequential.is_sequentially_consistent h = Sequential.Inconsistent)
 
@@ -174,12 +177,13 @@ let test_await_strengthens_pram () =
     Dsl.make ~procs:2
       [ [ Dsl.w "y" 5; Dsl.w "x" 1 ]; [ Dsl.await "x" 1; Dsl.rp "y" 0 ] ]
   in
-  check "stale read after await is not PRAM" false (Pram.is_pram_history stale);
+  check "stale read after await is not PRAM" false
+    (Lattice.is_consistent stale Lattice.PRAM);
   let fresh =
     Dsl.make ~procs:2
       [ [ Dsl.w "y" 5; Dsl.w "x" 1 ]; [ Dsl.await "x" 1; Dsl.rp "y" 5 ] ]
   in
-  check "fresh read after await is PRAM" true (Pram.is_pram_history fresh)
+  check "fresh read after await is PRAM" true (Lattice.is_consistent fresh Lattice.PRAM)
 
 (* Lock hand-off: PRAM reads see only the immediately preceding holder
    (Section 6), causal reads see all prior holders *)
@@ -194,13 +198,13 @@ let lock_chain ~last_read =
 let test_lock_handoff_pram_vs_causal () =
   let stale_x = lock_chain ~last_read:(Dsl.rp "x" 0) in
   check "PRAM read may miss the holder-before-last" true
-    (Pram.is_pram_history stale_x);
+    (Lattice.is_consistent stale_x Lattice.PRAM);
   let stale_x_causal = lock_chain ~last_read:(Dsl.rc "x" 0) in
   check "causal read must see the holder-before-last" false
-    (Causal.is_causal_history stale_x_causal);
+    (Lattice.is_consistent stale_x_causal Lattice.Causal);
   let fresh_y = lock_chain ~last_read:(Dsl.rp "y" 0) in
   check "PRAM read must see the immediately preceding holder" false
-    (Pram.is_pram_history fresh_y)
+    (Lattice.is_consistent fresh_y Lattice.PRAM)
 
 (* ------------------------------------------------------------------ *)
 (* Sequential consistency and replay                                   *)

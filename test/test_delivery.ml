@@ -32,7 +32,7 @@ module Network = Mc_net.Network
 module Latency = Mc_net.Latency
 module Op = Mc_history.Op
 module History = Mc_history.History
-module Mixed = Mc_consistency.Mixed
+module Lattice = Mc_consistency.Lattice
 module Rng = Mc_util.Rng
 module Solver = Mc_apps.Linear_solver
 module Em = Mc_apps.Em_field
@@ -658,9 +658,9 @@ let test_batching_preserves_semantics () =
     done
   done;
   check "unbatched run mixed consistent" true
-    (Mixed.is_mixed_consistent (Runtime.history rt1));
+    (Lattice.is_consistent (Runtime.history rt1) Lattice.Mixed);
   check "batched run mixed consistent" true
-    (Mixed.is_mixed_consistent (Runtime.history rt8));
+    (Lattice.is_consistent (Runtime.history rt8) Lattice.Mixed);
   let msgs rt = Network.messages_sent (Runtime.network rt) in
   let bytes rt = Network.bytes_sent (Runtime.network rt) in
   check "batching sends fewer messages" true (msgs rt8 < msgs rt1);

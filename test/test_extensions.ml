@@ -10,10 +10,8 @@ module Network = Mc_net.Network
 module Op = Mc_history.Op
 module History = Mc_history.History
 module Dsl = Mc_history.Dsl
-module Group = Mc_consistency.Group
-module Pram = Mc_consistency.Pram
-module Causal = Mc_consistency.Causal
-module Mixed = Mc_consistency.Mixed
+module Lattice = Mc_consistency.Lattice
+module Read_rule = Mc_consistency.Read_rule
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -35,24 +33,25 @@ let chain_with last_read =
 let test_group_endpoints () =
   (* the stale read of x by p2 (op id 4) *)
   let h = chain_with (Dsl.rp "x" 0) in
-  check "valid as PRAM" true (Pram.is_pram_read h ~read_id:4);
-  check "invalid as causal" false (Causal.is_causal_read h ~read_id:4);
+  check "valid as PRAM" true (Lattice.verdict_at h Op.PRAM ~read_id:4 = Read_rule.Valid);
+  check "invalid as causal" false
+    (Lattice.verdict_at h Op.Causal ~read_id:4 = Read_rule.Valid);
   (* singleton group = PRAM *)
   check "group {2} behaves like PRAM" true
-    (Group.is_group_read h ~read_id:4 ~group:[ 2 ]);
+    (Lattice.verdict_at h (Op.Group [ 2 ]) ~read_id:4 = Read_rule.Valid);
   (* full group = causal *)
   check "group {0,1,2} behaves like causal" false
-    (Group.is_group_read h ~read_id:4 ~group:[ 0; 1; 2 ]);
+    (Lattice.verdict_at h (Op.Group [ 0; 1; 2 ]) ~read_id:4 = Read_rule.Valid);
   (* the interesting middle point: grouping the reader with the relay
      process p1 pulls in p1's reads-from edge on x, exposing the
      staleness even without p0 in the group *)
   check "group {1,2} sees through the relay" false
-    (Group.is_group_read h ~read_id:4 ~group:[ 1; 2 ]);
+    (Lattice.verdict_at h (Op.Group [ 1; 2 ]) ~read_id:4 = Read_rule.Valid);
   (* grouping with the original writer also catches it: the reads-from
      edge out of p0's write touches the member p0, and program order of
      the relay completes the chain *)
   check "group {0,2} also sees the chain" false
-    (Group.is_group_read h ~read_id:4 ~group:[ 0; 2 ])
+    (Lattice.verdict_at h (Op.Group [ 0; 2 ]) ~read_id:4 = Read_rule.Valid)
 
 (* build the history with explicit Group labels through a recorder *)
 let test_group_label_checked_by_mixed () =
@@ -65,7 +64,7 @@ let test_group_label_checked_by_mixed () =
   w (Op.Read { loc = "x"; label = Op.Group [ 2 ]; value = 0 }) 2;
   let h = Mc_history.Recorder.history r in
   check "mixed accepts the {2}-group stale read" true
-    (Mixed.is_mixed_consistent h);
+    (Lattice.is_consistent h Lattice.Mixed);
   let r2 = Mc_history.Recorder.create ~procs:3 () in
   let w2 kind p = ignore (Mc_history.Recorder.record r2 ~proc:p kind) in
   w2 (Op.Write { loc = "x"; value = 1 }) 0;
@@ -75,7 +74,7 @@ let test_group_label_checked_by_mixed () =
   w2 (Op.Read { loc = "x"; label = Op.Group [ 1; 2 ]; value = 0 }) 2;
   let h2 = Mc_history.Recorder.history r2 in
   check "mixed rejects the {1,2}-group stale read" false
-    (Mixed.is_mixed_consistent h2)
+    (Lattice.is_consistent h2 Lattice.Mixed)
 
 let test_group_relation_validations () =
   let h = chain_with (Dsl.rp "x" 0) in
@@ -148,7 +147,7 @@ let test_group_runtime_history_checks () =
   ignore (Runtime.run rt);
   let h = Runtime.history rt in
   check "well-formed" true (History.is_well_formed h);
-  check "mixed consistent with group labels" true (Mixed.is_mixed_consistent h)
+  check "mixed consistent with group labels" true (Lattice.is_consistent h Lattice.Mixed)
 
 (* ------------------------------------------------------------------ *)
 (* Subset barriers                                                     *)
@@ -174,7 +173,7 @@ let test_subset_barrier_runtime () =
   check "outsider unaffected" true (!outsider_done < 5.);
   let h = Runtime.history rt in
   check "well-formed" true (History.is_well_formed h);
-  check "mixed consistent" true (Mixed.is_mixed_consistent h)
+  check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed)
 
 let test_subset_barrier_order_in_model () =
   (* model-level: the subset barrier orders only members *)
@@ -187,8 +186,9 @@ let test_subset_barrier_order_in_model () =
       ]
   in
   check "member's post-barrier read must be fresh" true
-    (Pram.is_pram_read h ~read_id:3);
-  check "outsider's stale read is fine" true (Pram.is_pram_read h ~read_id:4);
+    (Lattice.verdict_at h Op.PRAM ~read_id:3 = Read_rule.Valid);
+  check "outsider's stale read is fine" true
+    (Lattice.verdict_at h Op.PRAM ~read_id:4 = Read_rule.Valid);
   let bo = History.barrier_order h in
   (* ids: p0: w=0 bar=1; p1: bar=2 r=3; p2: r=4 *)
   check "w ordered before member barrier" true (Mc_util.Relation.mem bo 0 2);
@@ -290,7 +290,7 @@ let test_threads_share_replica () =
   check_int "thread sees sibling's write" 1 !seen;
   let h = Runtime.history rt in
   check "well-formed with overlapping threads" true (History.is_well_formed h);
-  check "mixed consistent" true (Mixed.is_mixed_consistent h)
+  check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed)
 
 let test_threads_partial_program_order () =
   let engine = Engine.create () in
@@ -397,7 +397,7 @@ let test_mixed_consistency_under_link_pauses () =
     check
       (Printf.sprintf "mixed consistent under faults (seed %d)" seed)
       true
-      (Mixed.is_mixed_consistent h)
+      (Lattice.is_consistent h Lattice.Mixed)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -430,7 +430,7 @@ let test_entry_mode_transfers_values () =
     (Option.value ~default:0 (List.assoc_opt "update" kinds));
   let h = Runtime.history rt in
   check "well-formed" true (History.is_well_formed h);
-  check "mixed consistent" true (Mixed.is_mixed_consistent h);
+  check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed);
   check "entry-consistent program (Cor. 1)" true
     (Mc_consistency.Program_class.is_entry_consistent h)
 

@@ -10,8 +10,7 @@ module Config = Mc_dsm.Config
 module Latency = Mc_net.Latency
 module Op = Mc_history.Op
 module History = Mc_history.History
-module Mixed = Mc_consistency.Mixed
-module Causal = Mc_consistency.Causal
+module Lattice = Mc_consistency.Lattice
 module Sequential = Mc_consistency.Sequential
 module Commute = Mc_consistency.Commute
 module Program_class = Mc_consistency.Program_class
@@ -65,12 +64,12 @@ let test_random_runs_mixed_consistent () =
     check
       (Printf.sprintf "well-formed (seed %d)" seed)
       true (History.is_well_formed h);
-    (match Mixed.failures h with
+    (match Lattice.failures h Lattice.Mixed with
     | [] -> ()
     | fs ->
       Alcotest.failf "seed %d: %d mixed-consistency failures, first: %s" seed
         (List.length fs)
-        (Format.asprintf "%a" Mixed.pp_failure (List.hd fs)));
+        (Format.asprintf "%a" Lattice.pp_failure (List.hd fs)));
     (* every run of this runtime is also fully causal on the causal view:
        check causal reads only (PRAM-labelled reads may legitimately be
        non-causal) *)
@@ -114,7 +113,7 @@ let test_random_runs_with_barriers () =
     ignore (Runtime.run rt);
     let h = Runtime.history rt in
     check "well-formed" true (History.is_well_formed h);
-    check "mixed consistent" true (Mixed.is_mixed_consistent h)
+    check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -154,7 +153,7 @@ let test_corollary1_on_executions () =
     ignore (Runtime.run rt);
     let h = Runtime.history rt in
     check "entry-consistent" true (Program_class.is_entry_consistent h);
-    check "causal reads" true (Causal.is_causal_history h);
+    check "causal reads" true (Lattice.is_consistent h Lattice.Causal);
     (match Sequential.is_sequentially_consistent h with
     | Sequential.Consistent -> ()
     | Sequential.Unknown -> () (* search budget exhausted: inconclusive *)
@@ -186,7 +185,7 @@ let test_corollary2_on_executions () =
     ignore (Runtime.run rt);
     let h = Runtime.history rt in
     check "PRAM-consistent program" true (Program_class.is_pram_consistent h);
-    check "all PRAM reads valid" true (Mc_consistency.Pram.is_pram_history h);
+    check "all PRAM reads valid" true (Lattice.is_consistent h Lattice.PRAM);
     match Sequential.is_sequentially_consistent ~max_states:400_000 h with
     | Sequential.Consistent | Sequential.Unknown -> ()
     | Sequential.Inconsistent ->
@@ -291,7 +290,7 @@ let test_full_solver_history_checks () =
   let h = Runtime.history rt in
   check "full run has substance" true (History.length h > 150);
   check "well-formed" true (History.is_well_formed h);
-  check "mixed consistent" true (Mixed.is_mixed_consistent h);
+  check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed);
   check "PRAM-consistent program (Cor. 2)" true
     (Program_class.is_pram_consistent h)
 
@@ -309,7 +308,7 @@ let test_full_cholesky_history_checks () =
   ignore (Option.get !res);
   let h = Runtime.history rt in
   check "well-formed" true (History.is_well_formed h);
-  check "mixed consistent" true (Mixed.is_mixed_consistent h)
+  check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed)
 
 (* determinism: the same seed gives the same history *)
 let test_determinism () =

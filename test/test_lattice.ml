@@ -8,8 +8,9 @@
      strictly stronger model before a weaker one;
    - differential: on random histories with locks, barriers and all
      three read labels, [Lattice.verdict_at] equals [Read_rule.check]
-     over the seed [History] relations for every memory read, and the
-     [Mixed] model point reproduces [Mixed.failures] exactly;
+     over the seed [History] relations for every memory read, and
+     [Lattice.failures] at the [Mixed] point is exactly the reads those
+     relations reject at their own labels, labels included;
    - oracle: at every pool point [Lattice.failures] equals the
      independent path of test/oracle.ml (Warshall, a restricted copy
      per reader, the read rule scanning every operation), read ids and
@@ -32,7 +33,6 @@ module Dsl = Mc_history.Dsl
 module Lattice = Mc_consistency.Lattice
 module Read_rule = Mc_consistency.Read_rule
 module Online = Mc_consistency.Online
-module Mixed = Mc_consistency.Mixed
 
 let check = Alcotest.(check bool)
 
@@ -301,14 +301,18 @@ let differential_ok h =
     (History.ops h)
 
 let mixed_point_matches_seed h =
-  let seed = Mixed.failures h in
-  let lat = Lattice.failures h Lattice.Mixed in
-  List.length seed = List.length lat
-  && List.for_all2
-       (fun (a : Mixed.failure) (b : Lattice.failure) ->
-         a.Mixed.read_id = b.Lattice.read_id
-         && a.Mixed.verdict = b.Lattice.verdict)
-       seed lat
+  let seed =
+    List.filter_map
+      (fun (o : Op.t) ->
+        match o.Op.kind with
+        | Op.Read { label; _ } -> (
+          match seed_verdict h o label with
+          | Read_rule.Valid -> None
+          | verdict -> Some { Lattice.read_id = o.Op.id; label; verdict })
+        | _ -> None)
+      (Array.to_list (History.ops h))
+  in
+  Lattice.failures h Lattice.Mixed = seed
 
 let lattice_diff_random =
   QCheck.Test.make ~name:"verdict_at = seed relations on random histories"
@@ -378,21 +382,7 @@ let online_uniform_ok h =
   let groups = Online.groups_of_history h in
   List.for_all
     (fun m ->
-      let online =
-        List.filter_map
-          (fun (f : Mixed.failure) ->
-            if f.Mixed.verdict = Read_rule.Valid then None
-            else Some (f.Mixed.read_id, f.Mixed.verdict))
-          (Online.failures (Online.check ~groups ~model:m h))
-      in
-      let offline =
-        List.filter_map
-          (fun (f : Lattice.failure) ->
-            if f.Lattice.verdict = Read_rule.Valid then None
-            else Some (f.Lattice.read_id, f.Lattice.verdict))
-          (Lattice.failures h m)
-      in
-      online = offline
+      Online.failures (Online.check ~groups ~model:m h) = Lattice.failures h m
       || begin
            Format.eprintf "online disagrees under %a:@.%a@." Lattice.pp m
              History.pp h;

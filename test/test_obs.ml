@@ -7,6 +7,7 @@
 
 module Metrics = Mc_obs.Metrics
 module Trace = Mc_obs.Trace
+module Json = Mc_util.Json
 module Engine = Mc_sim.Engine
 module Runtime = Mc_dsm.Runtime
 module Config = Mc_dsm.Config
@@ -117,137 +118,33 @@ let test_gauge_high_water () =
   check "high water survives decrease" true (Metrics.Gauge.high_water g = 10.0)
 
 (* ------------------------------------------------------------------ *)
-(* A minimal JSON syntax validator (no json library in the test deps)  *)
+(* JSON validity: the strict (RFC 8259) parser every reader uses       *)
 (* ------------------------------------------------------------------ *)
 
-let json_valid (s : string) : bool =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let fail () = raise Exit in
-  let expect c = if peek () = Some c then advance () else fail () in
-  let literal word =
-    String.iter (fun c -> expect c) word
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else begin
-      members ();
-      skip_ws ();
-      expect '}'
-    end
-  and members () =
-    skip_ws ();
-    string_lit ();
-    skip_ws ();
-    expect ':';
-    value ();
-    skip_ws ();
-    if peek () = Some ',' then begin
-      advance ();
-      members ()
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else begin
-      value ();
-      skip_ws ();
-      while peek () = Some ',' do
-        advance ();
-        value ();
-        skip_ws ()
-      done;
-      expect ']'
-    end
-  and string_lit () =
-    expect '"';
-    let rec body () =
-      match peek () with
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-          advance ();
-          body ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail ()
-          done;
-          body ()
-        | _ -> fail ())
-      | Some _ ->
-        advance ();
-        body ()
-      | None -> fail ()
-    in
-    body ()
-  and number () =
-    let digits () =
-      let seen = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-          seen := true;
-          advance ();
-          go ()
-        | _ -> ()
-      in
-      go ();
-      if not !seen then fail ()
-    in
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ())
-  in
-  match
-    value ();
-    skip_ws ();
-    !pos = n
-  with
-  | complete -> complete
-  | exception Exit -> false
+let json_valid s =
+  match Json.parse s with _ -> true | exception Json.Parse_error _ -> false
 
 let test_json_validator_sanity () =
   check "accepts object" true (json_valid {|{"a": [1, 2.5, -3e2], "b": null}|});
   check "rejects trailing comma" false (json_valid {|{"a": 1,}|});
   check "rejects bare word" false (json_valid "hello");
-  check "rejects unterminated string" false (json_valid {|{"a": "x}|})
+  check "rejects unterminated string" false (json_valid {|{"a": "x}|});
+  List.iter
+    (fun s -> check ("accepts " ^ String.escaped s) true (json_valid s))
+    [ "0"; "-0"; "0.5"; "-1.25e-3"; "1E+9"; " [] "; "{}"; {|"\u00e9\t\/"|};
+      "\"\xc3\xa9\x7f\"" ];
+  (* numbers take no leading '+', no leading zeros and digits on both
+     sides of '.'; strings take no raw byte below 0x20 and only
+     four-hex-digit \u escapes *)
+  List.iter
+    (fun s -> check ("rejects " ^ String.escaped s) false (json_valid s))
+    [ "+1"; "01"; "-01"; "1."; ".5"; "-"; "1e"; "1e+"; "[1,]"; "[1 2]";
+      {|"\u00g0"|}; {|"\u_1_2"|}; {|"\x"|}; "\"a\001b\""; "\"tab\there\"";
+      {|{"traceEvents":[{"name":"x","ph":"X","ts":+1,"dur":1.,"pid":0,"tid":01}]}|} ]
+
+let json_quote_parses =
+  QCheck.Test.make ~name:"parse (quote s) = Str s on any bytes" ~count:1000
+    QCheck.string (fun s -> Json.parse (Json.quote s) = Json.Str s)
 
 let test_registry_json () =
   let reg = Metrics.Registry.create () in
@@ -599,8 +496,8 @@ let test_report_live_file_parity () =
 let test_json_quote_roundtrip () =
   List.iter
     (fun path ->
-      match Report.Json.parse (Report.Json.quote path) with
-      | Report.Json.Str s -> Alcotest.(check string) ("round trip " ^ path) path s
+      match Json.parse (Json.quote path) with
+      | Json.Str s -> Alcotest.(check string) ("round trip " ^ path) path s
       | _ -> Alcotest.failf "%s: not parsed as a string" path)
     [
       "trace.json";
@@ -612,7 +509,7 @@ let test_json_quote_roundtrip () =
   List.iter
     (fun path ->
       Alcotest.(check string) ("as %S: " ^ path) (Printf.sprintf "%S" path)
-        (Report.Json.quote path))
+        (Json.quote path))
     [ "out/m.json"; "a\"b\\c d.json"; "~!@#$%^&*()_+{}|:<>?`-=[];',./" ]
 
 let () =
@@ -651,5 +548,6 @@ let () =
           Alcotest.test_case "live/file mode parity" `Quick
             test_report_live_file_parity;
           Alcotest.test_case "json quote round trip" `Quick test_json_quote_roundtrip;
+          QCheck_alcotest.to_alcotest json_quote_parses;
         ] );
     ]

@@ -2,7 +2,7 @@
    record-then-check stack:
 
    - the online mixed-consistency checker must reproduce
-     [Mixed.failures] verdict-for-verdict (including [Overwritten]
+     [Lattice.failures h Mixed] verdict-for-verdict (including [Overwritten]
      diagnostics) on random histories with locks, barriers, subset
      barriers, awaits and all three read labels;
    - [Hb.Online] must answer every happens-before query like [Hb];
@@ -16,7 +16,7 @@ module History = Mc_history.History
 module Recorder = Mc_history.Recorder
 module Stream = Mc_history.Stream
 module Dsl = Mc_history.Dsl
-module Mixed = Mc_consistency.Mixed
+module Lattice = Mc_consistency.Lattice
 module Online = Mc_consistency.Online
 module Read_rule = Mc_consistency.Read_rule
 module Hb = Mc_analysis.Hb
@@ -158,23 +158,17 @@ let sync_history_arb ~procs ~segments ~max_ops =
 
 let acyclic h = QCheck.assume (History.causality_is_acyclic h)
 
-(* failure lists must agree exactly: ids, labels and diagnostics *)
-let same_failures (offline : Mixed.failure list) (online : Mixed.failure list) =
-  List.length offline = List.length online
-  && List.for_all2
-       (fun (a : Mixed.failure) (b : Mixed.failure) ->
-         a.read_id = b.read_id && a.label = b.label && a.verdict = b.verdict)
-       offline online
-
 let online_matches_offline h =
   acyclic h;
-  let offline = Mixed.failures h in
+  let offline = Lattice.failures h Lattice.Mixed in
   let chk = Online.check h in
-  if not (same_failures offline (Online.failures chk)) then begin
+  (* failure lists must agree exactly: ids, labels and diagnostics *)
+  if offline <> Online.failures chk then begin
     Format.eprintf "history:@.%a@.offline:@." History.pp h;
-    List.iter (fun f -> Format.eprintf "  %a@." Mixed.pp_failure f) offline;
+    List.iter (fun f -> Format.eprintf "  %a@." Lattice.pp_failure f) offline;
     Format.eprintf "online:@.";
-    List.iter (fun f -> Format.eprintf "  %a@." Mixed.pp_failure f) (Online.failures chk);
+    List.iter (fun f -> Format.eprintf "  %a@." Lattice.pp_failure f)
+      (Online.failures chk);
     false
   end
   else true
@@ -285,10 +279,10 @@ let run_checked ?(procs = 3) ?(groups = []) f =
 (* the online verdicts produced during the run must equal the offline
    verdicts on the history recorded alongside *)
 let runtime_differential h chk =
-  let offline = Mixed.failures h in
+  let offline = Lattice.failures h Lattice.Mixed in
   let online = Online.failures chk in
   let stats = Online.stats chk in
-  stats.Online.ops_checked = History.length h && same_failures offline online
+  stats.Online.ops_checked = History.length h && offline = online
 
 (* a small interpreted workload language for random runtime programs *)
 type rt_step =

@@ -11,9 +11,8 @@
 module Op = Mc_history.Op
 module History = Mc_history.History
 module Recorder = Mc_history.Recorder
-module Causal = Mc_consistency.Causal
-module Pram = Mc_consistency.Pram
-module Group = Mc_consistency.Group
+module Lattice = Mc_consistency.Lattice
+module Read_rule = Mc_consistency.Read_rule
 module Sequential = Mc_consistency.Sequential
 module Commute = Mc_consistency.Commute
 
@@ -92,6 +91,8 @@ let history_arb ~procs ~max_ops =
    model - discard those *)
 let acyclic h = QCheck.assume (History.causality_is_acyclic h)
 
+let valid h label ~read_id = Lattice.verdict_at h label ~read_id = Read_rule.Valid
+
 let all_read_ids h =
   Array.to_list (History.ops h)
   |> List.filter_map (fun (o : Op.t) -> if Op.is_memory_read o then Some o.id else None)
@@ -104,7 +105,7 @@ let causal_implies_pram =
       acyclic h;
       List.for_all
         (fun read_id ->
-          (not (Causal.is_causal_read h ~read_id)) || Pram.is_pram_read h ~read_id)
+          (not (valid h Op.Causal ~read_id)) || valid h Op.PRAM ~read_id)
         (all_read_ids h))
 
 let group_spectrum_endpoints =
@@ -117,10 +118,8 @@ let group_spectrum_endpoints =
       List.for_all
         (fun read_id ->
           let reader = (History.op h read_id).Op.proc in
-          Group.is_group_read h ~read_id ~group:[ reader ]
-          = Pram.is_pram_read h ~read_id
-          && Group.is_group_read h ~read_id ~group:[ 0; 1; 2 ]
-             = Causal.is_causal_read h ~read_id)
+          valid h (Op.Group [ reader ]) ~read_id = valid h Op.PRAM ~read_id
+          && valid h (Op.Group [ 0; 1; 2 ]) ~read_id = valid h Op.Causal ~read_id)
         (all_read_ids h))
 
 let group_monotone =
@@ -134,9 +133,9 @@ let group_monotone =
           let reader = (History.op h read_id).Op.proc in
           let other = (reader + 1) mod 3 in
           let mid = List.sort compare [ reader; other ] in
-          let small = Group.is_group_read h ~read_id ~group:[ reader ] in
-          let medium = Group.is_group_read h ~read_id ~group:mid in
-          let full = Group.is_group_read h ~read_id ~group:[ 0; 1; 2 ] in
+          let small = valid h (Op.Group [ reader ]) ~read_id in
+          let medium = valid h (Op.Group mid) ~read_id in
+          let full = valid h (Op.Group [ 0; 1; 2 ]) ~read_id in
           ((not medium) || small) && ((not full) || medium))
         (all_read_ids h))
 
@@ -147,7 +146,7 @@ let sc_implies_causal =
       let h = history_of_choices ~procs:2 choices in
       acyclic h;
       match Sequential.is_sequentially_consistent ~max_states:50_000 h with
-      | Sequential.Consistent -> Causal.is_causal_history h
+      | Sequential.Consistent -> Lattice.is_consistent h Lattice.Causal
       | Sequential.Inconsistent | Sequential.Unknown -> true)
 
 let theorem1_implies_sc =
@@ -183,7 +182,8 @@ let well_formedness_of_generated =
 
 (* mixed consistency with per-read labels is implied by the per-level
    checks: a history whose causal-labelled reads are causal-valid and
-   PRAM-labelled reads are PRAM-valid is mixed consistent by definition *)
+   PRAM-labelled reads are PRAM-valid (under the seed [History]
+   relations of Definitions 2 and 3) is mixed consistent by definition *)
 let mixed_is_composition =
   QCheck.Test.make ~name:"Definition 4 composes the per-label rules" ~count:300
     (history_arb ~procs:3 ~max_ops:5)
@@ -193,13 +193,16 @@ let mixed_is_composition =
       let expected =
         Array.for_all
           (fun (o : Op.t) ->
+            let valid_in rel =
+              Read_rule.check h (rel h o.proc) ~read_id:o.id = Read_rule.Valid
+            in
             match o.kind with
-            | Op.Read { label = Op.Causal; _ } -> Causal.is_causal_read h ~read_id:o.id
-            | Op.Read { label = Op.PRAM; _ } -> Pram.is_pram_read h ~read_id:o.id
+            | Op.Read { label = Op.Causal; _ } -> valid_in History.causal_relation
+            | Op.Read { label = Op.PRAM; _ } -> valid_in History.pram_relation
             | _ -> true)
           (History.ops h)
       in
-      Mc_consistency.Mixed.is_mixed_consistent h = expected)
+      Lattice.is_consistent h Lattice.Mixed = expected)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -8,6 +8,7 @@ module Config = Mc_dsm.Config
 module Network = Mc_net.Network
 module Op = Mc_history.Op
 module History = Mc_history.History
+module Lattice = Mc_consistency.Lattice
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -220,7 +221,7 @@ let test_recorded_history_well_formed_and_mixed () =
   ignore (run rt);
   let h = Runtime.history rt in
   check "well-formed" true (History.is_well_formed h);
-  check "mixed consistent" true (Mc_consistency.Mixed.is_mixed_consistent h);
+  check "mixed consistent" true (Lattice.is_consistent h Lattice.Mixed);
   check "acyclic causality" true (History.causality_is_acyclic h)
 
 let test_stats_exposed () =

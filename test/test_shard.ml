@@ -25,7 +25,7 @@ module Network = Mc_net.Network
 module Latency = Mc_net.Latency
 module P = Mc_placement.Placement
 module Op = Mc_history.Op
-module Mixed = Mc_consistency.Mixed
+module Lattice = Mc_consistency.Lattice
 module Online = Mc_consistency.Online
 module Rng = Mc_util.Rng
 module Solver = Mc_apps.Linear_solver
@@ -288,8 +288,8 @@ let test_partial_view_checker_identity () =
   let online = Online.failures chk in
   let offline =
     List.filter
-      (fun (f : Mixed.failure) -> not (List.mem f.Mixed.read_id fetched))
-      (Mixed.failures (Runtime.history rt))
+      (fun (f : Lattice.failure) -> not (List.mem f.Lattice.read_id fetched))
+      (Lattice.failures (Runtime.history rt) Lattice.Mixed)
   in
   check "a violation was engineered" true (online <> []);
   check "online = offline on non-fetched reads (verdicts + diagnostics)" true
@@ -329,7 +329,7 @@ let test_solver_sharded_differential () =
   check_int "same iterations" full.Solver.iterations sharded.Solver.iterations;
   check "same convergence" true (full.Solver.converged = sharded.Solver.converged);
   check "full run mixed consistent" true
-    (Mixed.is_mixed_consistent (Runtime.history rt_full));
+    (Lattice.is_consistent (Runtime.history rt_full) Lattice.Mixed);
   let chk = Option.get (Runtime.online_checker rt_sh) in
   check "sharded run passes the online checker" true (Online.is_consistent chk);
   check "fetches actually happened" true ((Online.stats chk).Online.fetched_reads > 0);
@@ -338,8 +338,8 @@ let test_solver_sharded_differential () =
   let fetched = Online.fetched_ids chk in
   let offline =
     List.filter
-      (fun (f : Mixed.failure) -> not (List.mem f.Mixed.read_id fetched))
-      (Mixed.failures (Runtime.history rt_sh))
+      (fun (f : Lattice.failure) -> not (List.mem f.Lattice.read_id fetched))
+      (Lattice.failures (Runtime.history rt_sh) Lattice.Mixed)
   in
   check "offline clean on non-fetched reads" true (offline = []);
   (* partial replication really holds less state than full replication *)
