@@ -25,7 +25,6 @@ module Summary = Mc_util.Stats.Summary
 
 let quick = ref false
 let selected : string list ref = ref []
-let with_bechamel = ref false
 
 let wants name = !selected = [] || List.mem name !selected
 

@@ -1,14 +1,12 @@
 (* Benchmark harness: regenerates every experiment of DESIGN.md /
    EXPERIMENTS.md. Each experiment prints a paper-style table of
-   simulated-time / message-count comparisons; `--bechamel` additionally
-   runs wall-clock micro-benchmarks (one Bechamel test per experiment
-   family) over the same workloads.
+   simulated-time / message-count comparisons. Wall-clock benchmarks of
+   the end-to-end workloads live in perfbench/.
 
    Usage:
      bench/main.exe                 run every experiment table
      bench/main.exe --exp f2f3      run one experiment
-     bench/main.exe --quick         smaller sweeps
-     bench/main.exe --bechamel      also run the bechamel suite *)
+     bench/main.exe --quick         smaller sweeps *)
 
 
 open Harness
@@ -830,113 +828,6 @@ let exp_online () =
      at response time from incremental chain clocks and retires operations once\n\
      their causal past is covered, so its window stays bounded while throughput\n\
      scales."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let problem = Solver.Problem.generate ~seed:42 ~n:8 in
-  let em_params = { Em.rows = 8; cols = 4; steps = 3; seed = 5 } in
-  let matrix = Sparse.generate ~seed:11 ~n:12 ~density:0.25 in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"experiments"
-      [
-        stage "exp_f2f3/solver-barrier" (fun () ->
-            let res, _ =
-              run_mixed ~procs:3 ~timestamped:false (fun _rt spawn ->
-                  Solver.launch ~spawn ~procs:3 ~variant:Solver.Barrier_pram problem)
-            in
-            ignore (Option.get !res));
-        stage "exp_f2f3/solver-handshake" (fun () ->
-            let res, _ =
-              run_mixed ~procs:3 (fun _rt spawn ->
-                  Solver.launch ~spawn ~procs:3 ~variant:Solver.Handshake_causal
-                    problem)
-            in
-            ignore (Option.get !res));
-        stage "exp_f4/em-field" (fun () ->
-            let res, _ =
-              run_mixed ~procs:2 ~timestamped:false (fun _rt spawn ->
-                  Em.launch ~spawn ~procs:2 em_params)
-            in
-            ignore (Option.get !res));
-        stage "exp_f5/cholesky-locks" (fun () ->
-            let res, _ =
-              run_mixed ~procs:3 (fun _rt spawn ->
-                  Cholesky.launch ~spawn ~procs:3 ~variant:Cholesky.Lock_based matrix)
-            in
-            ignore (Option.get !res));
-        stage "exp_f5/cholesky-counters" (fun () ->
-            let res, _ =
-              run_mixed ~procs:3 (fun _rt spawn ->
-                  Cholesky.launch ~spawn ~procs:3 ~variant:Cholesky.Counter_based
-                    matrix)
-            in
-            ignore (Option.get !res));
-        stage "exp_spectrum/mixed-pram" (fun () ->
-            let _, s =
-              run_mixed ~procs:3 (fun rt _ ->
-                  for i = 0 to 2 do
-                    Api.spawn rt i (spectrum_workload ~label:Op.PRAM)
-                  done)
-            in
-            ignore s);
-        stage "exp_prop/lazy" (fun () ->
-            let _, s =
-              run_mixed ~procs:3 ~propagation:Config.Lazy (fun rt _ ->
-                  for i = 0 to 2 do
-                    Api.spawn rt i
-                      (prop_workload ~lock:(lock_homed_at ~procs:3 ~home:0)
-                         ~writes:4 ~reads:2)
-                  done)
-            in
-            ignore s);
-        stage "exp_barrier/episodes" (fun () ->
-            let _, s =
-              run_mixed ~procs:4 ~timestamped:false (fun rt _ ->
-                  for i = 0 to 3 do
-                    Api.spawn rt i (fun api ->
-                        for _ = 1 to 4 do
-                          api.Api.write ("b:" ^ string_of_int api.Api.proc_id) 1;
-                          api.Api.barrier ()
-                        done)
-                  done)
-            in
-            ignore s);
-        stage "exp_delivery/drain-fast"
-          (let updates = drain_workload ~p:4 ~depth:100 in
-           fun () -> ignore (run_drain ~p:4 updates));
-        stage "exp_theory/checkers" (fun () ->
-            let h =
-              Mc_history.Dsl.make ~procs:3
-                [
-                  [ Mc_history.Dsl.w "x" 1 ];
-                  [ Mc_history.Dsl.rp "x" 1; Mc_history.Dsl.w "y" 2 ];
-                  [ Mc_history.Dsl.rp "y" 2; Mc_history.Dsl.rp "x" 0 ];
-                ]
-            in
-            ignore (Lattice.is_consistent h Lattice.Mixed));
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw_results = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  print_endline "\n== Bechamel micro-benchmarks (wall-clock per experiment run) ==";
-  let window = { Bechamel_notty.w = 100; h = 1 } in
-  Bechamel_notty.Multiple.image_of_ols_results ~rect:window ~predictor:Measure.run
-    results
-  |> Notty_unix.output_image;
-  print_newline ()
-
 
 (* ------------------------------------------------------------------ *)
 (* EXP-GROUP: the Section-3.2 consistency spectrum on the solver       *)
@@ -1966,7 +1857,7 @@ let experiments =
 
 let () =
   let usage problem =
-    Printf.eprintf "%s\nusage: main.exe [--quick] [--bechamel] [--exp <%s>]...\n"
+    Printf.eprintf "%s\nusage: main.exe [--quick] [--exp <%s>]...\n"
       problem
       (String.concat "|" (List.map fst experiments));
     exit 2
@@ -1975,9 +1866,6 @@ let () =
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--bechamel" :: rest ->
-      with_bechamel := true;
       parse rest
     | "--exp" :: name :: rest ->
       if not (List.mem_assoc name experiments) then
@@ -1989,5 +1877,4 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   List.iter (fun (name, f) -> if wants name then f ()) experiments;
   write_bench_core ();
-  if !with_bechamel then bechamel_suite ();
   exit_on_failed_self_checks ()

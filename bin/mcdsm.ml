@@ -1382,7 +1382,6 @@ let analyze_cmd =
 
 let litmus_cmd =
   let run () =
-    let module Dsl = Mc_history.Dsl in
     let show name h =
       let sc =
         match Mc_consistency.Sequential.is_sequentially_consistent h with
@@ -1396,19 +1395,10 @@ let litmus_cmd =
         (Lattice.is_consistent h Lattice.Mixed)
         sc
     in
-    show "dekker"
-      (Dsl.make ~procs:2
-         [ [ Dsl.w "x" 1; Dsl.rc "y" 0 ]; [ Dsl.w "y" 1; Dsl.rc "x" 0 ] ]);
-    show "message-passing"
-      (Dsl.make ~procs:2
-         [ [ Dsl.w "x" 42; Dsl.w "f" 1 ]; [ Dsl.rc "f" 1; Dsl.rc "x" 42 ] ]);
-    show "transitive-chain-pram"
-      (Dsl.make ~procs:3
-         [
-           [ Dsl.w "x" 1 ];
-           [ Dsl.rp "x" 1; Dsl.w "y" 2 ];
-           [ Dsl.rp "y" 2; Dsl.rp "x" 0 ];
-         ])
+    let catalog = litmus_catalog () in
+    List.iter
+      (fun name -> show name (List.assoc name catalog))
+      [ "dekker"; "message-passing"; "transitive-chain-pram" ]
   in
   Cmd.v
     (Cmd.info "litmus" ~doc:"Check classic litmus histories against the definitions")

@@ -252,109 +252,3 @@ let hb t i j = i <> j && t.clocks.(j).(t.chain_of.(i)) >= t.rank_of.(i)
 let related t i j = hb t i j || hb t j i
 let concurrent t i j = i <> j && not (related t i j)
 let chains t = t.chains
-
-(* ------------------------------------------------------------------ *)
-(* Online construction                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The incremental engine already finalizes operations in an order
-   topological for the covering graph and reports each one's chain
-   position and covering in-edges, so the clock fold degenerates to a
-   single join per operation. Chain ids may differ from [of_history]
-   (the engine numbers chains in completion order across processes, the
-   offline pass per process), but the relation queries are identical. *)
-
-module Stream = Mc_history.Stream
-
-module Online = struct
-  type builder = {
-    mutable engine : Stream.t option;
-    tbl : (int, int * int * int array) Hashtbl.t; (* id -> chain, rank1, clock *)
-    mutable ch : int; (* chain count high-water *)
-    mutable n : int; (* ops finalized *)
-    mutable done_ : bool;
-  }
-
-  let clk_get a c = if c < Array.length a then a.(c) else 0
-
-  let the_engine b =
-    match b.engine with
-    | Some e -> e
-    | None -> assert false
-
-  let create ~procs =
-    let b =
-      {
-        engine = None;
-        tbl = Hashtbl.create 256;
-        ch = 0;
-        n = 0;
-        done_ = false;
-      }
-    in
-    let finalize (info : Stream.info) =
-      let op = info.Stream.op in
-      if info.Stream.chain + 1 > b.ch then b.ch <- info.Stream.chain + 1;
-      let clk = Array.make b.ch 0 in
-      List.iter
-        (fun e ->
-          let src =
-            match e with Stream.U s | Stream.S s | Stream.RF s -> s
-          in
-          match Hashtbl.find_opt b.tbl src with
-          | Some (_, _, sc) ->
-            for c = 0 to min (Array.length clk) (Array.length sc) - 1 do
-              if sc.(c) > clk.(c) then clk.(c) <- sc.(c)
-            done
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Hb.Online: source op %d not retained" src))
-        info.Stream.in_edges;
-      let r1 = info.Stream.rank + 1 in
-      if r1 > clk.(info.Stream.chain) then clk.(info.Stream.chain) <- r1;
-      Hashtbl.replace b.tbl op.Op.id (info.Stream.chain, r1, clk);
-      b.n <- b.n + 1
-    in
-    let cb =
-      {
-        Stream.on_finalize = finalize;
-        (* clocks must outlive engine residence: hb answers arbitrary
-           pairs after the run, so retirement is ignored here *)
-        on_retire = (fun _ -> ());
-        on_dead_value = (fun ~loc:_ ~value:_ -> ());
-        on_end = (fun () -> b.done_ <- true);
-      }
-    in
-    b.engine <- Some (Stream.create ~procs cb);
-    b
-
-  let sink b = Stream.sink (the_engine b)
-  let engine b = the_engine b
-
-  let force b =
-    if not b.done_ then
-      invalid_arg "Hb.Online.force: stream not closed yet";
-    let n = b.n in
-    let chains = max 1 b.ch in
-    let chain_of = Array.make n (-1) in
-    let rank_of = Array.make n 0 in
-    let clocks = Array.init n (fun _ -> [||]) in
-    Hashtbl.iter
-      (fun id (c, r1, clk) ->
-        if id < 0 || id >= n then
-          invalid_arg "Hb.Online.force: non-contiguous op ids";
-        chain_of.(id) <- c;
-        rank_of.(id) <- r1;
-        let full =
-          if Array.length clk = chains then clk
-          else Array.init chains (clk_get clk)
-        in
-        clocks.(id) <- full)
-      b.tbl;
-    { chains; chain_of; rank_of; clocks }
-
-  let of_history h =
-    let b = create ~procs:(Mc_history.History.procs h) in
-    Stream.replay (the_engine b) h;
-    force b
-end

@@ -42,32 +42,3 @@ val concurrent : t -> int -> int -> bool
 (** Number of program-order chains (diagnostic; equals the process count
     when every process is sequential). *)
 val chains : t -> int
-
-(** {2 Online construction}
-
-    Builds the same clock structure incrementally from recorder events
-    through {!Mc_history.Stream}, so happens-before is available without
-    materializing the history or constructing the covering offline. The
-    builder retains every operation's clock (hb answers arbitrary pairs
-    after the run), so memory is O(n · chains) like [of_history]; what
-    it saves is the materialized operation array and the offline
-    covering passes. *)
-module Online : sig
-  type builder
-
-  val create : procs:int -> builder
-
-  (** Adapt the builder for [Recorder.subscribe]. *)
-  val sink : builder -> Mc_history.Sink.t
-
-  (** The underlying engine (for statistics). *)
-  val engine : builder -> Mc_history.Stream.t
-
-  (** [force b] extracts the finished clocks. Raises [Invalid_argument]
-      before the stream is closed or when op ids are not contiguous. *)
-  val force : builder -> t
-
-  (** [of_history h] replays [h] through a fresh builder; agrees with
-      {!of_history} on every query (differential tested). *)
-  val of_history : Mc_history.History.t -> t
-end

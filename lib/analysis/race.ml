@@ -10,8 +10,8 @@ type report = {
   hb_chains : int;
 }
 
-let detect ?shared ?hb h =
-  let hb = match hb with Some hb -> hb | None -> Hb.of_history h in
+let detect ?shared h =
+  let hb = Hb.of_history h in
   let locksets = Lockset.analyze ?shared h in
   let ops = History.ops h in
   let procs = History.procs h in

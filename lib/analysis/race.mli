@@ -33,17 +33,12 @@ type report = {
   hb_chains : int;  (** program-order chains used by the clocks *)
 }
 
-(** [detect ?shared ?hb h] runs the analysis. [shared] is passed to the
+(** [detect ?shared h] runs the analysis. [shared] is passed to the
     lockset screen; the default treats locations accessed by two or more
-    processes as shared. [hb] supplies precomputed happens-before clocks
-    — e.g. an {!Hb.Online} builder fed during the run — instead of the
-    offline {!Hb.of_history} pass. Raises [Invalid_argument] if
-    causality is cyclic. *)
+    processes as shared. Raises [Invalid_argument] if causality is
+    cyclic. *)
 val detect :
-  ?shared:(Mc_history.Op.location -> bool) ->
-  ?hb:Hb.t ->
-  Mc_history.History.t ->
-  report
+  ?shared:(Mc_history.Op.location -> bool) -> Mc_history.History.t -> report
 
 (** The race pairs as (smaller, larger) id pairs, sorted — directly
     comparable with [Commute.theorem1_report]. *)

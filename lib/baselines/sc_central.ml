@@ -1,9 +1,4 @@
-module Engine = Mc_sim.Engine
-module Network = Mc_net.Network
-module Latency = Mc_net.Latency
 module Op = Mc_history.Op
-module Recorder = Mc_history.Recorder
-module Summary = Mc_util.Stats.Summary
 
 type msg =
   | Read_req of { proc : int; loc : Op.location }
@@ -12,12 +7,6 @@ type msg =
   | Write_ack
   | Dec_req of { proc : int; loc : Op.location; amount : int }
   | Dec_reply of { observed : int }
-  | Lock_req of { proc : int; lock : Op.lock_name; write : bool }
-  | Lock_grant of { seq : int }
-  | Unlock_req of { proc : int; lock : Op.lock_name; write : bool }
-  | Unlock_ack of { seq : int }
-  | Bar_arrive of { proc : int; episode : int }
-  | Bar_release
   | Await_req of { proc : int; loc : Op.location; value : int }
   | Await_fire of { numeric : int; tag : int }
 
@@ -28,361 +17,89 @@ let kind = function
   | Write_ack -> "write_ack"
   | Dec_req _ -> "dec_req"
   | Dec_reply _ -> "dec_reply"
-  | Lock_req _ -> "lock_req"
-  | Lock_grant _ -> "lock_grant"
-  | Unlock_req _ -> "unlock_req"
-  | Unlock_ack _ -> "unlock_ack"
-  | Bar_arrive _ -> "bar_arrive"
-  | Bar_release -> "bar_release"
   | Await_req _ -> "await_req"
   | Await_fire _ -> "await_fire"
 
-type lock_state = {
-  mutable writer : int option;
-  mutable readers : int list;
-  mutable queue : (int * bool) list; (* proc, write *)
-  mutable seq : int;
-}
-
-type server = {
+type t = {
+  core : msg Sc_core.t;
   memory : (Op.location, int * int) Hashtbl.t; (* numeric, tag *)
-  locks : (Op.lock_name, lock_state) Hashtbl.t;
-  mutable bar_count : int;
-  mutable bar_episode : int;
   mutable awaiters : (int * Op.location * int) list; (* proc, loc, value *)
 }
 
-type t = {
-  engine : Engine.t;
-  procs : int;
-  op_cost : float;
-  net : msg Network.t;
-  server : server;
-  recorder : Recorder.t option;
-  replies : (msg -> unit) option array; (* per-client pending resolver *)
-  mutable tag_counter : int;
-  waits : (string, Summary.t) Hashtbl.t;
-}
+let server_node t = Sc_core.procs t.core
 
-let server_node t = t.procs
+let mem_get t loc = Option.value ~default:(0, 0) (Hashtbl.find_opt t.memory loc)
 
-let mem_get t loc = Option.value ~default:(0, 0) (Hashtbl.find_opt t.server.memory loc)
-
-let reply t ~dst msg = Network.send t.net ~src:(server_node t) ~dst ~kind:(kind msg) msg
+let reply t ~dst m = Sc_core.send t.core ~src:(server_node t) ~dst m
 
 (* fire awaits that became true after a memory change *)
 let fire_awaits t loc =
   let numeric, tag = mem_get t loc in
   let fired, rest =
-    List.partition
-      (fun (_, l, v) -> l = loc && v = numeric)
-      t.server.awaiters
+    List.partition (fun (_, l, v) -> l = loc && v = numeric) t.awaiters
   in
-  t.server.awaiters <- rest;
+  t.awaiters <- rest;
   List.iter (fun (proc, _, _) -> reply t ~dst:proc (Await_fire { numeric; tag })) fired
 
-let lock_state t lock =
-  match Hashtbl.find_opt t.server.locks lock with
-  | Some s -> s
-  | None ->
-    let s = { writer = None; readers = []; queue = []; seq = 0 } in
-    Hashtbl.add t.server.locks lock s;
-    s
-
-let next_seq s =
-  let seq = s.seq in
-  s.seq <- seq + 1;
-  seq
-
-let rec try_grant t lock s =
-  match s.queue with
-  | [] -> ()
-  | (proc, true) :: rest ->
-    if s.writer = None && s.readers = [] then begin
-      s.queue <- rest;
-      s.writer <- Some proc;
-      reply t ~dst:proc (Lock_grant { seq = next_seq s })
-    end
-  | (proc, false) :: rest ->
-    if s.writer = None then begin
-      s.queue <- rest;
-      s.readers <- proc :: s.readers;
-      reply t ~dst:proc (Lock_grant { seq = next_seq s });
-      try_grant t lock s
-    end
-
-let handle_server t ~src msg =
-  ignore src;
-  match msg with
+let handle_server t = function
   | Read_req { proc; loc } ->
     let numeric, tag = mem_get t loc in
     reply t ~dst:proc (Read_reply { numeric; tag })
   | Write_req { proc; loc; numeric; tag } ->
-    Hashtbl.replace t.server.memory loc (numeric, tag);
+    Hashtbl.replace t.memory loc (numeric, tag);
     fire_awaits t loc;
     reply t ~dst:proc Write_ack
   | Dec_req { proc; loc; amount } ->
     let numeric, tag = mem_get t loc in
-    Hashtbl.replace t.server.memory loc (numeric - amount, tag);
+    Hashtbl.replace t.memory loc (numeric - amount, tag);
     fire_awaits t loc;
     reply t ~dst:proc (Dec_reply { observed = numeric })
-  | Lock_req { proc; lock; write } ->
-    let s = lock_state t lock in
-    s.queue <- s.queue @ [ (proc, write) ];
-    try_grant t lock s
-  | Unlock_req { proc; lock; write } ->
-    let s = lock_state t lock in
-    (if write then s.writer <- None
-     else
-       let rec remove_one = function
-         | [] -> []
-         | p :: rest -> if p = proc then rest else p :: remove_one rest
-       in
-       s.readers <- remove_one s.readers);
-    reply t ~dst:proc (Unlock_ack { seq = next_seq s });
-    try_grant t lock s
-  | Bar_arrive { proc = _; episode } ->
-    if episode <> t.server.bar_episode then
-      invalid_arg "Sc_central: barrier episode mismatch";
-    t.server.bar_count <- t.server.bar_count + 1;
-    if t.server.bar_count = t.procs then begin
-      t.server.bar_count <- 0;
-      t.server.bar_episode <- episode + 1;
-      for dst = 0 to t.procs - 1 do
-        reply t ~dst Bar_release
-      done
-    end
   | Await_req { proc; loc; value } ->
     let numeric, tag = mem_get t loc in
     if numeric = value then reply t ~dst:proc (Await_fire { numeric; tag })
-    else t.server.awaiters <- (proc, loc, value) :: t.server.awaiters
-  | Read_reply _ | Write_ack | Dec_reply _ | Lock_grant _ | Unlock_ack _
-  | Bar_release | Await_fire _ ->
+    else t.awaiters <- (proc, loc, value) :: t.awaiters
+  | Read_reply _ | Write_ack | Dec_reply _ | Await_fire _ ->
     invalid_arg "Sc_central: reply delivered to server"
 
-let handle_client t client ~src msg =
-  ignore src;
-  match t.replies.(client) with
-  | Some resume ->
-    t.replies.(client) <- None;
-    resume msg
-  | None -> invalid_arg "Sc_central: reply with no pending request"
-
-let create engine ?latency ?(record = false) ?(op_cost = 0.1) ?(send_cost = 2.0)
-    ?(byte_cost = 0.02) ~procs () =
-  let latency =
-    match latency with
-    | Some l -> l
-    | None -> Latency.uniform (Mc_util.Rng.make 0xC0FFEE) ~lo:30. ~hi:70.
+let create engine ?(record = false) ~procs () =
+  let core =
+    Sc_core.create engine ~name:"Sc_central" ~record ~procs ~server:true ~kind
   in
-  let net =
-    Network.create engine ~nodes:(procs + 1) ~latency ~send_cost ~byte_cost ()
-  in
-  let t =
-    {
-      engine;
-      procs;
-      op_cost;
-      net;
-      server =
-        {
-          memory = Hashtbl.create 64;
-          locks = Hashtbl.create 8;
-          bar_count = 0;
-          bar_episode = 0;
-          awaiters = [];
-        };
-      recorder = (if record then Some (Recorder.create ~procs ()) else None);
-      replies = Array.make procs None;
-      tag_counter = 0;
-      waits = Hashtbl.create 8;
-    }
-  in
-  Network.set_handler net (server_node t) (fun ~src msg -> handle_server t ~src msg);
-  for client = 0 to procs - 1 do
-    Network.set_handler net client (fun ~src msg -> handle_client t client ~src msg)
-  done;
+  let t = { core; memory = Hashtbl.create 64; awaiters = [] } in
+  Sc_core.serve core (fun node m ->
+      if node = server_node t then handle_server t m else Sc_core.resume core node m);
   t
 
-let note_wait t name dt =
-  let s =
-    match Hashtbl.find_opt t.waits name with
-    | Some s -> s
-    | None ->
-      let s = Summary.create () in
-      Hashtbl.add t.waits name s;
-      s
-  in
-  Summary.add s dt
-
-(* blocking round trip: send request, suspend until the reply arrives *)
-let rpc t client msg =
-  Network.send t.net ~src:client ~dst:(server_node t) ~kind:(kind msg) msg;
-  Engine.suspend t.engine (fun resume ->
-      if t.replies.(client) <> None then
-        invalid_arg "Sc_central: overlapping requests from one client";
-      t.replies.(client) <- Some resume)
-
-let timed t name f =
-  let t0 = Engine.now t.engine in
-  let r = f () in
-  note_wait t name (Engine.now t.engine -. t0);
-  r
-
-let recorded_value ~numeric ~tag = if tag <> 0 then tag else numeric
-
-let fresh_tag t client =
-  t.tag_counter <- t.tag_counter + 1;
-  ((client + 1) lsl 40) lor t.tag_counter
-
-let record_span t client ~sync_seq kind_of =
-  (* records an op whose invocation event is taken now and whose response
-     event is taken when the returned closure is applied to the result,
-     preserving the blocking span of the operation *)
-  match t.recorder with
-  | Some r ->
-    let tok = Recorder.start r ~proc:client in
-    fun result ->
-      ignore (Recorder.finish r tok ?sync_seq:(sync_seq result) (kind_of result))
-  | None -> fun _ -> ()
-
-let api t client : Mc_dsm.Api.t =
-  let charge () = Engine.delay t.engine t.op_cost in
-  let read ?(label = Op.Causal) loc =
-    charge ();
-    timed t "read" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun (numeric, tag) -> Op.Read { loc; label; value = recorded_value ~numeric ~tag })
-        in
-        match rpc t client (Read_req { proc = client; loc }) with
-        | Read_reply { numeric; tag } ->
-          finish (numeric, tag);
-          numeric
-        | _ -> assert false)
-  in
-  let write loc v =
-    charge ();
-    timed t "write" (fun () ->
-        let tag = fresh_tag t client in
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun () -> Op.Write { loc; value = tag })
-        in
-        match rpc t client (Write_req { proc = client; loc; numeric = v; tag }) with
-        | Write_ack -> finish ()
-        | _ -> assert false)
-  in
-  let init_counter loc v =
-    charge ();
-    timed t "write" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun () -> Op.Write { loc; value = v })
-        in
-        match rpc t client (Write_req { proc = client; loc; numeric = v; tag = 0 }) with
-        | Write_ack -> finish ()
-        | _ -> assert false)
-  in
-  let decrement loc ~amount =
-    charge ();
-    timed t "decrement" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun observed -> Op.Decrement { loc; amount; observed })
-        in
-        match rpc t client (Dec_req { proc = client; loc; amount }) with
-        | Dec_reply { observed } -> finish observed
-        | _ -> assert false)
-  in
-  let lock_op ~write ~acquire lock =
-    charge ();
-    let name =
-      match write, acquire with
-      | true, true -> "write_lock"
-      | true, false -> "write_unlock"
-      | false, true -> "read_lock"
-      | false, false -> "read_unlock"
-    in
-    timed t name (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun seq -> Some seq)
-            (fun _seq ->
-              match write, acquire with
-              | true, true -> Op.Write_lock lock
-              | true, false -> Op.Write_unlock lock
-              | false, true -> Op.Read_lock lock
-              | false, false -> Op.Read_unlock lock)
-        in
-        let msg =
-          if acquire then Lock_req { proc = client; lock; write }
-          else Unlock_req { proc = client; lock; write }
-        in
-        match rpc t client msg with
-        | Lock_grant { seq } | Unlock_ack { seq } -> finish seq
-        | _ -> assert false)
-  in
-  let episode = ref 0 in
-  let barrier () =
-    charge ();
-    timed t "barrier" (fun () ->
-        let k = !episode in
-        incr episode;
-        let finish =
-          record_span t client ~sync_seq:(fun _ -> None) (fun () -> Op.Barrier k)
-        in
-        match rpc t client (Bar_arrive { proc = client; episode = k }) with
-        | Bar_release -> finish ()
-        | _ -> assert false)
-  in
-  let await loc v =
-    charge ();
-    timed t "await" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun (numeric, tag) -> Op.Await { loc; value = recorded_value ~numeric ~tag })
-        in
-        match rpc t client (Await_req { proc = client; loc; value = v }) with
-        | Await_fire { numeric; tag } -> finish (numeric, tag)
-        | _ -> assert false)
-  in
+(* every access is one round trip to the server *)
+let memory t client : Sc_core.memory =
+  let call msg = Sc_core.call t.core client ~dst:(server_node t) msg in
   {
-    Mc_dsm.Api.proc_id = client;
-    n_procs = t.procs;
-    read;
-    write;
-    init_counter;
-    decrement;
-    read_lock = lock_op ~write:false ~acquire:true;
-    read_unlock = lock_op ~write:false ~acquire:false;
-    write_lock = lock_op ~write:true ~acquire:true;
-    write_unlock = lock_op ~write:true ~acquire:false;
-    barrier;
-    await;
-    compute = (fun cost -> Engine.delay t.engine cost);
+    load =
+      (fun loc ->
+        match call (Read_req { proc = client; loc }) with
+        | Read_reply { numeric; tag } -> (numeric, tag)
+        | _ -> assert false);
+    store =
+      (fun loc ~numeric ~tag ->
+        match call (Write_req { proc = client; loc; numeric; tag }) with
+        | Write_ack -> ()
+        | _ -> assert false);
+    decrement =
+      (fun loc ~amount ->
+        match call (Dec_req { proc = client; loc; amount }) with
+        | Dec_reply { observed } -> observed
+        | _ -> assert false);
+    await =
+      (fun loc value ->
+        match call (Await_req { proc = client; loc; value }) with
+        | Await_fire { numeric; tag } -> (numeric, tag)
+        | _ -> assert false);
   }
 
-let spawn t i f =
-  Engine.spawn t.engine ~name:(Printf.sprintf "sc-client-%d" i) (fun () ->
-      f (api t i))
-
-let run t = Engine.run t.engine
-
-let history t =
-  match t.recorder with
-  | Some r -> Recorder.history r
-  | None -> invalid_arg "Sc_central.history: recording is disabled"
-
+let spawn t i f = Sc_core.spawn t.core ~fiber:"sc" i (memory t i) f
+let run t = Sc_core.run t.core
+let history t = Sc_core.history t.core
 let peek t loc = fst (mem_get t loc)
-let messages_sent t = Network.messages_sent t.net
-let bytes_sent t = Network.bytes_sent t.net
-
-let wait_summaries t =
-  Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.waits []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let messages_sent t = Sc_core.messages_sent t.core
+let bytes_sent t = Sc_core.bytes_sent t.core
+let wait_summaries t = Sc_core.wait_summaries t.core

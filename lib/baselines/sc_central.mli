@@ -1,42 +1,18 @@
 (** Sequentially consistent baseline: a central memory server.
 
-    All memory and synchronization state lives on a dedicated server node
-    (node id [procs]); every operation is a blocking request/reply round
-    trip. Each client has at most one outstanding operation and every
-    location is serialized at the server, so the memory is linearizable
-    and therefore sequentially consistent — at the cost of the access
-    latency the paper's introduction attributes to strong consistency.
+    All memory state lives on a dedicated server node (node id [procs]),
+    which also runs the lock and barrier manager; every operation is a
+    blocking request/reply round trip. Each client has at most one
+    outstanding operation and every location is serialized at the server,
+    so the memory is linearizable and therefore sequentially consistent —
+    at the cost of the access latency the paper's introduction attributes
+    to strong consistency. Awaits wait at the server and fire when a
+    write or decrement makes them true.
 
     Exposes the same {!Mc_dsm.Api.t} operations as the mixed runtime so
     applications run unchanged. *)
 
-type t
-
-val create :
-  Mc_sim.Engine.t ->
-  ?latency:Mc_net.Latency.t ->
-  ?record:bool ->
-  ?op_cost:float ->
-  ?send_cost:float ->
-  ?byte_cost:float ->
-  procs:int ->
-  unit ->
-  t
-
-(** [spawn t i f] spawns client process [i]. *)
-val spawn : t -> int -> (Mc_dsm.Api.t -> unit) -> unit
-
-(** [run t] runs the simulation to completion. *)
-val run : t -> float
-
-(** [history t] is the recorded history (requires [record:true]). *)
-val history : t -> Mc_history.History.t
+include Sc_core.MEMORY
 
 (** [peek t loc] reads the server's memory directly (after [run]). *)
 val peek : t -> Mc_history.Op.location -> int
-
-val messages_sent : t -> int
-val bytes_sent : t -> int
-
-(** [wait_summaries t] gives blocking time per operation kind. *)
-val wait_summaries : t -> (string * Mc_util.Stats.Summary.t) list

@@ -1,12 +1,7 @@
 module Engine = Mc_sim.Engine
-module Network = Mc_net.Network
-module Latency = Mc_net.Latency
 module Op = Mc_history.Op
-module Recorder = Mc_history.Recorder
-module Summary = Mc_util.Stats.Summary
 
 type msg =
-  (* coherence *)
   | Read_req of { proc : int; loc : Op.location }
   | Read_data of { loc : Op.location; numeric : int; tag : int }
   | Write_req of { proc : int; loc : Op.location }
@@ -15,13 +10,6 @@ type msg =
   | Inv_ack of { proc : int; loc : Op.location }
   | Fetch_req of { loc : Op.location; downgrade : bool }
   | Fetch_reply of { proc : int; loc : Op.location; numeric : int; tag : int }
-  (* synchronization, centralized at node 0 *)
-  | Lock_req of { proc : int; lock : Op.lock_name; write : bool }
-  | Lock_grant of { seq : int }
-  | Unlock_req of { proc : int; lock : Op.lock_name; write : bool }
-  | Unlock_ack of { seq : int }
-  | Bar_arrive of { proc : int; episode : int }
-  | Bar_release
 
 let kind = function
   | Read_req _ -> "read_req"
@@ -32,12 +20,6 @@ let kind = function
   | Inv_ack _ -> "inv_ack"
   | Fetch_req _ -> "fetch_req"
   | Fetch_reply _ -> "fetch_reply"
-  | Lock_req _ -> "lock_req"
-  | Lock_grant _ -> "lock_grant"
-  | Unlock_req _ -> "unlock_req"
-  | Unlock_ack _ -> "unlock_ack"
-  | Bar_arrive _ -> "bar_arrive"
-  | Bar_release -> "bar_release"
 
 type cache_state = Modified | Shared
 
@@ -61,31 +43,17 @@ type dir_entry = {
   mutable queue : txn list;
 }
 
-type lock_state = {
-  mutable writer : int option;
-  mutable readers : int list;
-  mutable lqueue : (int * bool) list;
-  mutable seq : int;
-}
-
 type t = {
-  engine : Engine.t;
+  core : msg Sc_core.t;
   procs : int;
-  op_cost : float;
-  poll_interval : float;
-  net : msg Network.t;
   directories : (Op.location, dir_entry) Hashtbl.t array; (* per home node *)
   caches : (Op.location, cache_line) Hashtbl.t array; (* per client *)
-  locks : (Op.lock_name, lock_state) Hashtbl.t; (* at node 0 *)
-  mutable bar_count : int;
-  mutable bar_episode : int;
-  replies : (msg -> unit) option array;
-  recorder : Recorder.t option;
-  mutable tag_counter : int;
-  waits : (string, Summary.t) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
+
+(* how long an await waits between two polls of its cached line *)
+let poll_interval = 10.
 
 let home t loc = Hashtbl.hash loc mod t.procs
 
@@ -106,22 +74,7 @@ let dir_entry t node loc =
     Hashtbl.add t.directories.(node) loc e;
     e
 
-let debug = ref false
-
-let msg_to_string = function
-  | Read_req { proc; loc } -> Printf.sprintf "Read_req p%d %s" proc loc
-  | Read_data { loc; _ } -> Printf.sprintf "Read_data %s" loc
-  | Write_req { proc; loc } -> Printf.sprintf "Write_req p%d %s" proc loc
-  | Write_grant { loc; _ } -> Printf.sprintf "Write_grant %s" loc
-  | Inv_req { loc } -> Printf.sprintf "Inv_req %s" loc
-  | Inv_ack { proc; loc } -> Printf.sprintf "Inv_ack p%d %s" proc loc
-  | Fetch_req { loc; downgrade } -> Printf.sprintf "Fetch_req %s dg=%b" loc downgrade
-  | Fetch_reply { proc; loc; _ } -> Printf.sprintf "Fetch_reply p%d %s" proc loc
-  | _ -> "sync"
-
-let send t ~src ~dst msg =
-  if !debug then Printf.printf "  [%8.1f] %d -> %d : %s\n" (Engine.now t.engine) src dst (msg_to_string msg);
-  Network.send t.net ~src ~dst ~kind:(kind msg) msg
+let send t ~src ~dst msg = Sc_core.send t.core ~src ~dst msg
 
 (* ------------------------------------------------------------------ *)
 (* Directory engine (runs at each location's home node)                *)
@@ -212,82 +165,10 @@ let handle_inv_ack t node ~loc ~proc =
     invalid_arg "Sc_invalidate: invalidation ack with no write transaction"
 
 (* ------------------------------------------------------------------ *)
-(* Lock / barrier manager (node 0)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let lock_state t lock =
-  match Hashtbl.find_opt t.locks lock with
-  | Some s -> s
-  | None ->
-    let s = { writer = None; readers = []; lqueue = []; seq = 0 } in
-    Hashtbl.add t.locks lock s;
-    s
-
-let next_seq s =
-  let seq = s.seq in
-  s.seq <- seq + 1;
-  seq
-
-let rec try_grant t s =
-  match s.lqueue with
-  | [] -> ()
-  | (proc, true) :: rest ->
-    if s.writer = None && s.readers = [] then begin
-      s.lqueue <- rest;
-      s.writer <- Some proc;
-      send t ~src:0 ~dst:proc (Lock_grant { seq = next_seq s })
-    end
-  | (proc, false) :: rest ->
-    if s.writer = None then begin
-      s.lqueue <- rest;
-      s.readers <- proc :: s.readers;
-      send t ~src:0 ~dst:proc (Lock_grant { seq = next_seq s });
-      try_grant t s
-    end
-
-let handle_sync t msg =
-  match msg with
-  | Lock_req { proc; lock; write } ->
-    let s = lock_state t lock in
-    s.lqueue <- s.lqueue @ [ (proc, write) ];
-    try_grant t s
-  | Unlock_req { proc; lock; write } ->
-    let s = lock_state t lock in
-    (if write then s.writer <- None
-     else
-       let rec remove_one = function
-         | [] -> []
-         | p :: rest -> if p = proc then rest else p :: remove_one rest
-       in
-       s.readers <- remove_one s.readers);
-    send t ~src:0 ~dst:proc (Unlock_ack { seq = next_seq s });
-    try_grant t s
-  | Bar_arrive { proc = _; episode } ->
-    if episode <> t.bar_episode then
-      invalid_arg "Sc_invalidate: barrier episode mismatch";
-    t.bar_count <- t.bar_count + 1;
-    if t.bar_count = t.procs then begin
-      t.bar_count <- 0;
-      t.bar_episode <- episode + 1;
-      for dst = 0 to t.procs - 1 do
-        send t ~src:0 ~dst Bar_release
-      done
-    end
-  | _ -> invalid_arg "Sc_invalidate: unexpected sync message"
-
-(* ------------------------------------------------------------------ *)
 (* Node message handler                                                *)
 (* ------------------------------------------------------------------ *)
 
-let resume_client t node msg =
-  match t.replies.(node) with
-  | Some resume ->
-    t.replies.(node) <- None;
-    resume msg
-  | None -> invalid_arg "Sc_invalidate: reply with no pending request"
-
-let handle_message t node ~src msg =
-  ignore src;
+let handle_message t node msg =
   match msg with
   | Read_req { proc; loc } -> submit_txn t node loc (Read_txn { requester = proc })
   | Write_req { proc; loc } ->
@@ -313,93 +194,27 @@ let handle_message t node ~src msg =
        fiber: a Fetch_req or Inv_req delivered at the same instant must
        already see it (the home serializes them after this grant) *)
     Hashtbl.replace t.caches.(node) loc { state = Shared; numeric; tag };
-    resume_client t node msg
+    Sc_core.resume t.core node msg
   | Write_grant { loc; numeric; tag } ->
     Hashtbl.replace t.caches.(node) loc { state = Modified; numeric; tag };
-    resume_client t node msg
-  | Lock_grant _ | Unlock_ack _ | Bar_release -> resume_client t node msg
-  | Lock_req _ | Unlock_req _ | Bar_arrive _ -> handle_sync t msg
+    Sc_core.resume t.core node msg
 
-(* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let create engine ?latency ?(record = false) ?(op_cost = 0.1) ?(poll_interval = 10.)
-    ?(send_cost = 2.0) ?(byte_cost = 0.02) ~procs () =
-  let latency =
-    match latency with
-    | Some l -> l
-    | None -> Latency.uniform (Mc_util.Rng.make 0xC0FFEE) ~lo:30. ~hi:70.
-  in
-  let net =
-    Network.create engine ~nodes:procs ~latency ~send_cost ~byte_cost ()
+let create engine ?(record = false) ~procs () =
+  let core =
+    Sc_core.create engine ~name:"Sc_invalidate" ~record ~procs ~server:false ~kind
   in
   let t =
     {
-      engine;
+      core;
       procs;
-      op_cost;
-      poll_interval;
-      net;
       directories = Array.init procs (fun _ -> Hashtbl.create 32);
       caches = Array.init procs (fun _ -> Hashtbl.create 32);
-      locks = Hashtbl.create 8;
-      bar_count = 0;
-      bar_episode = 0;
-      replies = Array.make procs None;
-      recorder = (if record then Some (Recorder.create ~procs ()) else None);
-      tag_counter = 0;
-      waits = Hashtbl.create 8;
       hits = 0;
       misses = 0;
     }
   in
-  for node = 0 to procs - 1 do
-    Network.set_handler net node (fun ~src msg -> handle_message t node ~src msg)
-  done;
+  Sc_core.serve core (handle_message t);
   t
-
-let note_wait t name dt =
-  let s =
-    match Hashtbl.find_opt t.waits name with
-    | Some s -> s
-    | None ->
-      let s = Summary.create () in
-      Hashtbl.add t.waits name s;
-      s
-  in
-  Summary.add s dt
-
-let timed t name f =
-  let t0 = Engine.now t.engine in
-  let r = f () in
-  note_wait t name (Engine.now t.engine -. t0);
-  r
-
-let rpc t client msg =
-  send t ~src:client ~dst:(match msg with
-      | Read_req { loc; _ } | Write_req { loc; _ } -> home t loc
-      | Lock_req _ | Unlock_req _ | Bar_arrive _ -> 0
-      | _ -> invalid_arg "Sc_invalidate.rpc: not a request")
-    msg;
-  Engine.suspend t.engine (fun resume ->
-      if t.replies.(client) <> None then
-        invalid_arg "Sc_invalidate: overlapping requests from one client";
-      t.replies.(client) <- Some resume)
-
-let recorded_value ~numeric ~tag = if tag <> 0 then tag else numeric
-
-let fresh_tag t client =
-  t.tag_counter <- t.tag_counter + 1;
-  ((client + 1) lsl 40) lor t.tag_counter
-
-let record_span t client ~sync_seq kind_of =
-  match t.recorder with
-  | Some r ->
-    let tok = Recorder.start r ~proc:client in
-    fun result ->
-      ignore (Recorder.finish r tok ?sync_seq:(sync_seq result) (kind_of result))
-  | None -> fun _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Client operations                                                   *)
@@ -415,7 +230,7 @@ let read_line t client loc =
     (* the delivery handler installed the line; the returned values are
        the linearized ones even if the line was invalidated again before
        this fiber resumed *)
-    match rpc t client (Read_req { proc = client; loc }) with
+    match Sc_core.call t.core client ~dst:(home t loc) (Read_req { proc = client; loc }) with
     | Read_data { numeric; tag; _ } -> (numeric, tag)
     | _ -> assert false)
 
@@ -427,146 +242,44 @@ let rec exclusive_line t client loc =
   match Hashtbl.find_opt t.caches.(client) loc with
   | Some ({ state = Modified; _ } as line) -> line
   | Some _ | None -> (
-    match rpc t client (Write_req { proc = client; loc }) with
+    match
+      Sc_core.call t.core client ~dst:(home t loc) (Write_req { proc = client; loc })
+    with
     | Write_grant _ -> exclusive_line t client loc
     | _ -> assert false)
 
-let api t client : Mc_dsm.Api.t =
-  let charge () = Engine.delay t.engine t.op_cost in
-  let read ?(label = Op.Causal) loc =
-    charge ();
-    timed t "read" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun (numeric, tag) ->
-              Op.Read { loc; label; value = recorded_value ~numeric ~tag })
-        in
-        let numeric, tag = read_line t client loc in
-        finish (numeric, tag);
-        numeric)
-  in
-  let write_tagged loc v tag =
-    timed t "write" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun () -> Op.Write { loc; value = recorded_value ~numeric:v ~tag })
-        in
+let memory t client : Sc_core.memory =
+  {
+    load = read_line t client;
+    store =
+      (fun loc ~numeric ~tag ->
         let line = exclusive_line t client loc in
-        line.numeric <- v;
-        line.tag <- tag;
-        finish ())
-  in
-  let write loc v =
-    charge ();
-    write_tagged loc v (fresh_tag t client)
-  in
-  let init_counter loc v =
-    charge ();
-    write_tagged loc v 0
-  in
-  let decrement loc ~amount =
-    charge ();
-    timed t "decrement" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun observed -> Op.Decrement { loc; amount; observed })
-        in
+        line.numeric <- numeric;
+        line.tag <- tag);
+    decrement =
+      (fun loc ~amount ->
         let line = exclusive_line t client loc in
         let observed = line.numeric in
         line.numeric <- observed - amount;
-        finish observed)
-  in
-  let lock_op ~write:w ~acquire lock =
-    charge ();
-    let name =
-      match w, acquire with
-      | true, true -> "write_lock"
-      | true, false -> "write_unlock"
-      | false, true -> "read_lock"
-      | false, false -> "read_unlock"
-    in
-    timed t name (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun seq -> Some seq)
-            (fun _seq ->
-              match w, acquire with
-              | true, true -> Op.Write_lock lock
-              | true, false -> Op.Write_unlock lock
-              | false, true -> Op.Read_lock lock
-              | false, false -> Op.Read_unlock lock)
-        in
-        let msg =
-          if acquire then Lock_req { proc = client; lock; write = w }
-          else Unlock_req { proc = client; lock; write = w }
-        in
-        match rpc t client msg with
-        | Lock_grant { seq } | Unlock_ack { seq } -> finish seq
-        | _ -> assert false)
-  in
-  let episode = ref 0 in
-  let barrier () =
-    charge ();
-    timed t "barrier" (fun () ->
-        let k = !episode in
-        incr episode;
-        let finish =
-          record_span t client ~sync_seq:(fun _ -> None) (fun () -> Op.Barrier k)
-        in
-        match rpc t client (Bar_arrive { proc = client; episode = k }) with
-        | Bar_release -> finish ()
-        | _ -> assert false)
-  in
-  let await loc v =
-    charge ();
-    timed t "await" (fun () ->
-        let finish =
-          record_span t client
-            ~sync_seq:(fun _ -> None)
-            (fun (numeric, tag) ->
-              Op.Await { loc; value = recorded_value ~numeric ~tag })
-        in
+        observed);
+    await =
+      (fun loc v ->
         (* poll through the cache: hits are local; an invalidation makes
            the next poll fetch fresh data *)
         let rec poll () =
           let numeric, tag = read_line t client loc in
-          if numeric = v then finish (numeric, tag)
+          if numeric = v then (numeric, tag)
           else begin
-            Engine.delay t.engine t.poll_interval;
+            Engine.delay (Sc_core.engine t.core) poll_interval;
             poll ()
           end
         in
-        poll ())
-  in
-  {
-    Mc_dsm.Api.proc_id = client;
-    n_procs = t.procs;
-    read;
-    write;
-    init_counter;
-    decrement;
-    read_lock = lock_op ~write:false ~acquire:true;
-    read_unlock = lock_op ~write:false ~acquire:false;
-    write_lock = lock_op ~write:true ~acquire:true;
-    write_unlock = lock_op ~write:true ~acquire:false;
-    barrier;
-    await;
-    compute = (fun cost -> Engine.delay t.engine cost);
+        poll ());
   }
 
-let spawn t i f =
-  Engine.spawn t.engine ~name:(Printf.sprintf "inv-client-%d" i) (fun () ->
-      f (api t i))
-
-let run t = Engine.run t.engine
-
-let history t =
-  match t.recorder with
-  | Some r -> Recorder.history r
-  | None -> invalid_arg "Sc_invalidate.history: recording is disabled"
+let spawn t i f = Sc_core.spawn t.core ~fiber:"inv" i (memory t i) f
+let run t = Sc_core.run t.core
+let history t = Sc_core.history t.core
 
 let peek t loc =
   let e = dir_entry t (home t loc) loc in
@@ -577,12 +290,8 @@ let peek t loc =
     | None -> e.mem_numeric)
   | None -> e.mem_numeric
 
-let messages_sent t = Network.messages_sent t.net
-let bytes_sent t = Network.bytes_sent t.net
-
-let wait_summaries t =
-  Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.waits []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
+let messages_sent t = Sc_core.messages_sent t.core
+let bytes_sent t = Sc_core.bytes_sent t.core
+let wait_summaries t = Sc_core.wait_summaries t.core
 let cache_hits t = t.hits
 let cache_misses t = t.misses

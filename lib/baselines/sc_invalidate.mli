@@ -15,42 +15,17 @@
     mixed runtime shows what weak consistency buys on write-heavy
     sharing.
 
-    Synchronization (locks, barriers, awaits) uses a central manager at
-    node 0; awaits poll their location through the cache (invalidations
-    make the next poll fetch fresh data). *)
+    Locks and barriers use the central manager of {!Sc_core} at node 0;
+    awaits poll their location through the cache every 10 µs
+    (invalidations make the next poll fetch fresh data). *)
 
-type t
-
-val create :
-  Mc_sim.Engine.t ->
-  ?latency:Mc_net.Latency.t ->
-  ?record:bool ->
-  ?op_cost:float ->
-  ?poll_interval:float ->
-  ?send_cost:float ->
-  ?byte_cost:float ->
-  procs:int ->
-  unit ->
-  t
-
-val spawn : t -> int -> (Mc_dsm.Api.t -> unit) -> unit
-val run : t -> float
-val history : t -> Mc_history.History.t
+include Sc_core.MEMORY
 
 (** [peek t loc] reads the coherent value of [loc] (after [run]): the
     owner's copy if one exists, the home memory otherwise. *)
 val peek : t -> Mc_history.Op.location -> int
 
-val messages_sent : t -> int
-val bytes_sent : t -> int
-val wait_summaries : t -> (string * Mc_util.Stats.Summary.t) list
-
 (** [cache_hits t], [cache_misses t]: read path statistics. *)
 val cache_hits : t -> int
 
 val cache_misses : t -> int
-
-(**/**)
-
-val debug : bool ref
-(** internal protocol tracing, for debugging *)

@@ -99,12 +99,3 @@ let theorem1_report h =
 let theorem1_holds h =
   let r = theorem1_report h in
   r.non_commuting_pairs = [] && r.non_causal_reads = []
-
-let pp_report fmt r =
-  let pairs = canonical_pairs r.non_commuting_pairs in
-  Format.fprintf fmt "@[<v>non-commuting unrelated pairs: %d" (List.length pairs);
-  List.iter (fun (i, j) -> Format.fprintf fmt "@   (%d, %d)" i j) pairs;
-  Format.fprintf fmt "@ non-causal reads: %d" (List.length r.non_causal_reads);
-  let reads = List.sort_uniq compare r.non_causal_reads in
-  List.iter (fun f -> Format.fprintf fmt "@   %a" Lattice.pp_failure f) reads;
-  Format.fprintf fmt "@]"

@@ -40,4 +40,3 @@ val theorem1_report : Mc_history.History.t -> report
     history is sequentially consistent. *)
 val theorem1_holds : Mc_history.History.t -> bool
 
-val pp_report : Format.formatter -> report -> unit

@@ -7,11 +7,6 @@ type t = {
   check_online : bool;
   check_model : Mc_consistency.Lattice.t option;
   await_label : Mc_history.Op.label;
-  op_cost : float;
-  update_bytes : int;
-  control_bytes : int;
-  send_cost : float;
-  byte_cost : float;
   timestamped_updates : bool;
   groups : int list list;
   multicast : (Mc_history.Op.location -> int list option) option;
@@ -30,11 +25,6 @@ let default ~procs =
     check_online = false;
     check_model = None;
     await_label = Mc_history.Op.Causal;
-    op_cost = 0.1;
-    update_bytes = 64;
-    control_bytes = 32;
-    send_cost = 2.0;
-    byte_cost = 0.02;
     timestamped_updates = true;
     groups = [];
     multicast = None;

@@ -43,15 +43,6 @@ type t = {
       (** which view an await polls: [Causal] (default; satisfies the
           await only once the witnessed write is causally applied) or
           [PRAM] (the paper's busy-wait of PRAM reads) *)
-  op_cost : float;
-      (** virtual-time cost charged locally to every memory or
-          synchronization operation *)
-  update_bytes : int;  (** modelled wire size of one update message *)
-  control_bytes : int;  (** modelled wire size of one control message *)
-  send_cost : float;
-      (** per-message sender occupancy (LogP "o"); makes broadcasts cost
-          proportionally to fan-out *)
-  byte_cost : float;  (** per-byte transmission time (inverse bandwidth) *)
   timestamped_updates : bool;
       (** when true, updates carry a vector timestamp
           ([8 * procs] extra bytes). Section 6 notes the timestamp can be

@@ -1,11 +1,6 @@
-type request = { proc : int; write : bool }
-
-type lock_state = {
-  mutable writer : int option;
-  mutable readers : int list; (* multiset of reader process ids *)
-  mutable queue : request list; (* FIFO, head first *)
-  mutable seq : int; (* next grant-order number *)
-  mutable dep : int array; (* accumulated release clock *)
+(* what the manager forwards with each grant, per lock *)
+type payload = {
+  dep : int array; (* accumulated release clock *)
   invalid : (Mc_history.Op.location, int array) Hashtbl.t;
       (* demand mode: write-set entries not yet known globally applied *)
   guarded : (Mc_history.Op.location, int * int) Hashtbl.t;
@@ -14,38 +9,10 @@ type lock_state = {
 }
 
 type t = {
-  n : int;
   demand : bool;
   send : dst:int -> Protocol.msg -> unit;
-  locks : (Mc_history.Op.lock_name, lock_state) Hashtbl.t;
-  mutable grants : int;
+  arbiter : payload Lock_arbiter.t;
 }
-
-let create ~n ~demand ~send =
-  { n; demand; send; locks = Hashtbl.create 8; grants = 0 }
-
-let state t lock =
-  match Hashtbl.find_opt t.locks lock with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        writer = None;
-        readers = [];
-        queue = [];
-        seq = 0;
-        dep = Array.make t.n 0;
-        invalid = Hashtbl.create 4;
-        guarded = Hashtbl.create 4;
-      }
-    in
-    Hashtbl.add t.locks lock s;
-    s
-
-let next_seq s =
-  let seq = s.seq in
-  s.seq <- seq + 1;
-  seq
 
 let invalid_list s =
   Hashtbl.fold (fun loc dep acc -> (loc, Array.copy dep) :: acc) s.invalid []
@@ -53,40 +20,17 @@ let invalid_list s =
 let guarded_list s =
   Hashtbl.fold (fun loc (numeric, tag) acc -> (loc, numeric, tag) :: acc) s.guarded []
 
-let grant t lock s (r : request) =
-  t.grants <- t.grants + 1;
-  if r.write then s.writer <- Some r.proc else s.readers <- r.proc :: s.readers;
-  let invalid = if t.demand then invalid_list s else [] in
-  t.send ~dst:r.proc
-    (Protocol.Lock_grant
-       {
-         lock;
-         write = r.write;
-         seq = next_seq s;
-         dep = Array.copy s.dep;
-         invalid;
-         values = guarded_list s;
-       })
-
-(* Grant from the front of the queue while possible: a write request needs
-   the lock completely free; read requests are granted as long as no
-   writer holds it (strict FIFO, so a queued write request blocks later
-   read requests — no writer starvation). *)
-let rec try_grant t lock s =
-  match s.queue with
-  | [] -> ()
-  | r :: rest ->
-    if r.write then begin
-      if s.writer = None && s.readers = [] then begin
-        s.queue <- rest;
-        grant t lock s r
-      end
-    end
-    else if s.writer = None then begin
-      s.queue <- rest;
-      grant t lock s r;
-      try_grant t lock s
-    end
+let create ~n ~demand ~send =
+  let init () =
+    { dep = Array.make n 0; invalid = Hashtbl.create 4; guarded = Hashtbl.create 4 }
+  in
+  let grant lock s ~proc ~write ~seq =
+    let invalid = if demand then invalid_list s else [] in
+    send ~dst:proc
+      (Protocol.Lock_grant
+         { lock; write; seq; dep = Array.copy s.dep; invalid; values = guarded_list s })
+  in
+  { demand; send; arbiter = Lock_arbiter.create ~init ~grant }
 
 let merge_dep dst src =
   Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
@@ -95,40 +39,21 @@ let handle t ~src msg =
   match msg with
   | Protocol.Lock_request { proc; lock; write } ->
     if proc <> src then invalid_arg "Lock_manager: forged request origin";
-    let s = state t lock in
-    s.queue <- s.queue @ [ { proc; write } ];
-    try_grant t lock s
+    Lock_arbiter.request t.arbiter lock ~proc ~write
   | Protocol.Unlock_msg { proc; lock; write; vc; write_set; values } ->
-    let s = state t lock in
-    (if write then
-       match s.writer with
-       | Some p when p = proc -> s.writer <- None
-       | Some _ | None ->
-         invalid_arg
-           (Printf.sprintf "Lock_manager: write unlock of %s by non-holder %d"
-              lock proc)
-     else begin
-       if not (List.mem proc s.readers) then
-         invalid_arg
-           (Printf.sprintf "Lock_manager: read unlock of %s by non-reader %d" lock
-              proc);
-       let rec remove_one = function
-         | [] -> []
-         | p :: rest -> if p = proc then rest else p :: remove_one rest
-       in
-       s.readers <- remove_one s.readers
-     end);
-    merge_dep s.dep vc;
-    if t.demand && write then
-      List.iter
-        (fun loc ->
-          match Hashtbl.find_opt s.invalid loc with
-          | Some prev -> merge_dep prev vc
-          | None -> Hashtbl.add s.invalid loc (Array.copy vc))
-        write_set;
-    List.iter (fun (loc, numeric, tag) -> Hashtbl.replace s.guarded loc (numeric, tag)) values;
-    t.send ~dst:proc (Protocol.Unlock_ack { lock; seq = next_seq s });
-    try_grant t lock s
+    Lock_arbiter.release t.arbiter lock ~proc ~write (fun s ~seq ->
+        merge_dep s.dep vc;
+        if t.demand && write then
+          List.iter
+            (fun loc ->
+              match Hashtbl.find_opt s.invalid loc with
+              | Some prev -> merge_dep prev vc
+              | None -> Hashtbl.add s.invalid loc (Array.copy vc))
+            write_set;
+        List.iter
+          (fun (loc, numeric, tag) -> Hashtbl.replace s.guarded loc (numeric, tag))
+          values;
+        t.send ~dst:proc (Protocol.Unlock_ack { lock; seq }))
   | _ -> invalid_arg "Lock_manager.handle: unexpected message"
 
-let grants_issued t = t.grants
+let grants_issued t = Lock_arbiter.grants_issued t.arbiter

@@ -3,10 +3,10 @@
     manager which accepts the requests for locking and unlocking").
 
     One manager instance runs at each node and manages the locks homed
-    there. Requests are queued FIFO; read requests at the front of the
-    queue are granted together. Each grant and unlock is stamped with a
-    per-lock grant-order number — the [sync_seq] used to derive the
-    [⤇lock] relation of the recorded history.
+    there. Grants follow {!Lock_arbiter}: FIFO, read requests at the
+    front of the queue granted together, every grant and unlock stamped
+    with a per-lock grant-order number — the [sync_seq] used to derive
+    the [⤇lock] relation of the recorded history.
 
     The manager accumulates each releaser's applied-update counts into
     the lock's dependency clock and forwards it with every grant, which
@@ -21,7 +21,8 @@ type t
 val create : n:int -> demand:bool -> send:(dst:int -> Protocol.msg -> unit) -> t
 
 (** [handle t ~src msg] processes a [Lock_request] or [Unlock_msg].
-    Other messages raise [Invalid_argument]. *)
+    Other messages, a request whose origin is not [src], and an unlock
+    by a process that does not hold the lock raise [Invalid_argument]. *)
 val handle : t -> src:int -> Protocol.msg -> unit
 
 (** [grants_issued t] counts lock grants issued (for tests). *)

@@ -1,6 +1,5 @@
 module Engine = Mc_sim.Engine
 module Network = Mc_net.Network
-module Latency = Mc_net.Latency
 module Op = Mc_history.Op
 module Recorder = Mc_history.Recorder
 module Metrics = Mc_obs.Metrics
@@ -148,14 +147,14 @@ let lock_home t lock = Hashtbl.hash lock mod t.cfg.Config.procs
 let vc_bytes cfg = 8 * cfg.Config.procs
 
 let update_wire_bytes cfg =
-  cfg.Config.update_bytes
+  Cost.update_bytes
   + (if cfg.Config.timestamped_updates then vc_bytes cfg else 0)
 
 (* a batch carries every item's payload but only one full vector
    timestamp; the remaining clocks are delta-encoded at 8 bytes per
    transmitted entry *)
 let batch_wire_bytes cfg b =
-  (cfg.Config.update_bytes * Protocol.batch_length b)
+  (Cost.update_bytes * Protocol.batch_length b)
   + (if cfg.Config.timestamped_updates then
        vc_bytes cfg + (8 * Protocol.batch_delta_entries b)
      else 0)
@@ -163,11 +162,11 @@ let batch_wire_bytes cfg b =
 (* a shard update carries its shard id, stream sequence number and the
    sparse shard-scoped delta clock instead of the full vector timestamp
    — the wire-size advantage of the sharded mode *)
-let shard_update_wire_bytes cfg (su : Protocol.shard_update) =
-  cfg.Config.update_bytes + 8 + (8 * List.length su.su_sdep)
+let shard_update_wire_bytes (su : Protocol.shard_update) =
+  Cost.update_bytes + 8 + (8 * List.length su.su_sdep)
 
 let control_wire_bytes cfg msg =
-  cfg.Config.control_bytes
+  Cost.control_bytes
   + (match msg with
     | Protocol.Lock_grant _ | Protocol.Unlock_msg _ | Protocol.Barrier_arrive _
     | Protocol.Barrier_release _ ->
@@ -234,7 +233,7 @@ let handle_message t node_id ~src msg =
       in
       if kids <> [] then
         Network.multicast t.net ~src:node_id ~dsts:kids
-          ~bytes:(shard_update_wire_bytes t.cfg su) ~kind:(Protocol.kind msg)
+          ~bytes:(shard_update_wire_bytes su) ~kind:(Protocol.kind msg)
           msg
     | None -> ());
     Replica.shard_receive node.replica su
@@ -332,15 +331,7 @@ let create engine ?latency cfg =
   let full_replication =
     cfg.Config.multicast = None && cfg.Config.placement = None
   in
-  let latency =
-    match latency with
-    | Some l -> l
-    | None -> Latency.uniform (Mc_util.Rng.make 0xC0FFEE) ~lo:30. ~hi:70.
-  in
-  let net =
-    Network.create engine ~nodes:n ~latency ~send_cost:cfg.Config.send_cost
-      ~byte_cost:cfg.Config.byte_cost ()
-  in
+  let net = Cost.network engine ~nodes:n ?latency () in
   let metrics = Metrics.Registry.create () in
   let op_counter op =
     Metrics.Registry.counter metrics ~help:"operations issued"
@@ -668,7 +659,7 @@ let timed p h f =
   Metrics.Histogram.observe h (Engine.now p.rt.engine -. t0);
   r
 
-let charge p = Engine.delay p.rt.engine p.rt.cfg.Config.op_cost
+let charge p = Engine.delay p.rt.engine Cost.op_cost
 
 (* One Complete span per recorded operation: emitted at exactly the
    call sites that feed the recorder, so a trace's span count equals the
@@ -986,7 +977,7 @@ let shard_route p pl (su : Protocol.shard_update) =
   in
   if kids <> [] then
     Network.multicast p.rt.net ~src:p.id ~dsts:kids
-      ~bytes:(shard_update_wire_bytes p.rt.cfg su)
+      ~bytes:(shard_update_wire_bytes su)
       ~kind:(Protocol.kind (Protocol.Shard_update su))
       (Protocol.Shard_update su)
 
@@ -1188,7 +1179,7 @@ let release p lock ~write =
       (* eager propagation: flush all our updates everywhere first *)
       (if p.rt.cfg.Config.propagation = Config.Eager && p.rt.cfg.Config.procs > 1
        then begin
-         Network.broadcast p.rt.net ~src:p.id ~bytes:p.rt.cfg.Config.control_bytes
+         Network.broadcast p.rt.net ~src:p.id ~bytes:Cost.control_bytes
            ~kind:"flush_request"
            (Protocol.Flush_request { proc = p.id });
          Engine.suspend p.rt.engine (fun resume ->
@@ -1423,16 +1414,6 @@ let shard_flight t ~writer ~shard ~sseq =
       (flight_info (writer, shard, sseq))
       (Hashtbl.find_opt so.so_inflight (writer, shard, sseq))
   | None -> None
-
-let shard_flights t =
-  match t.shard_obs with
-  | Some so ->
-    Hashtbl.fold (fun key fl acc -> flight_info key fl :: acc) so.so_inflight []
-    |> List.sort (fun a b ->
-           compare
-             (a.fi_writer, a.fi_shard, a.fi_sseq)
-             (b.fi_writer, b.fi_shard, b.fi_sseq))
-  | None -> []
 
 (* provenance of a recorded (non-counter) value: values carry unique
    tags, so at most one stream entry matches *)

@@ -29,6 +29,8 @@ type t
 (** A handle on one application process (one per DSM node). *)
 type proc
 
+(** [create engine ?latency config] builds the runtime on a {!Cost}
+    network; [latency] defaults to {!Cost.latency} [()]. *)
 val create : Mc_sim.Engine.t -> ?latency:Mc_net.Latency.t -> Config.t -> t
 
 val engine : t -> Mc_sim.Engine.t
@@ -196,11 +198,6 @@ type flight_info = {
     if tracked ([None] when observe is off, placement is absent, or the
     flight completed with the checker off and was dropped). *)
 val shard_flight : t -> writer:int -> shard:int -> sseq:int -> flight_info option
-
-(** All tracked flights, sorted by (writer, shard, sseq). Incomplete
-    flights ([fi_complete = false]) are updates still in flight — e.g.
-    held on a paused link — at the time of the call. *)
-val shard_flights : t -> flight_info list
 
 (** [shard_write_source t ~loc ~value] resolves a recorded (tagged)
     value to the (writer, shard, sseq) stream coordinates of the write

@@ -96,8 +96,6 @@ let close t =
     emit t (fun s -> s.Sink.on_close ())
   end
 
-let op_count t = t.count
-
 let history t =
   match t.store with
   | Some store ->

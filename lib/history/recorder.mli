@@ -54,9 +54,6 @@ val notify_dead : t -> loc:Op.location -> value:Op.value -> unit
     further recording raises. Idempotent. *)
 val close : t -> unit
 
-(** [op_count t] is the number of operations recorded so far. *)
-val op_count : t -> int
-
 (** [history t] snapshots the recorded operations into a history. Raises
     [Invalid_argument] for a recorder created with [~materialize:false]. *)
 val history : t -> History.t

@@ -139,8 +139,3 @@ let to_chrome t =
   in
   Printf.sprintf "{\"traceEvents\":[%s]}" (String.concat "," (meta @ bodies))
 
-let jsonl_sink oc =
-  {
-    on_event = (fun ev -> output_string oc (event_to_chrome_json ev ^ "\n"));
-    on_close = (fun () -> flush oc);
-  }

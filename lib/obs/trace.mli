@@ -94,8 +94,3 @@ val event_to_chrome_json : event -> string
     metadata records for every tid seen. Suitable for about://tracing /
     Perfetto. *)
 val to_chrome : t -> string
-
-(** A sink that appends one Chrome-format JSON object per line to
-    [out_channel] ([Flow] events produce two lines). [on_close] flushes
-    but does not close the channel. *)
-val jsonl_sink : out_channel -> sink

@@ -54,7 +54,6 @@ let attach_metrics t reg =
       }
 
 let now t = t.now
-let live_fibers t = t.live
 let events_processed t = t.events
 
 let schedule t ~delay f =

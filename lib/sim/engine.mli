@@ -60,10 +60,6 @@ val run : t -> float
     abandoned without a deadlock check (used by fault-injection tests). *)
 val run_until : t -> limit:float -> float
 
-(** [live_fibers t] is the number of fibers spawned but not yet
-    finished. *)
-val live_fibers : t -> int
-
 (** [events_processed t] counts events executed so far. *)
 val events_processed : t -> int
 

@@ -260,6 +260,55 @@ let test_random_programs_are_sc () =
     check_one "invalidate" (Inval.history m)
   done
 
+(* misuse: every memory — both baselines and the mixed runtime — rejects
+   an unlock by a process that does not hold the lock, instead of freeing
+   the holder's lock for the next requester *)
+let memories =
+  [
+    ( "central",
+      fun program ->
+        let m = Central.create (Engine.create ()) ~procs:3 () in
+        program (Central.spawn m);
+        fun () -> Central.run m );
+    ( "invalidate",
+      fun program ->
+        let m = Inval.create (Engine.create ()) ~procs:3 () in
+        program (Inval.spawn m);
+        fun () -> Inval.run m );
+    ( "runtime",
+      fun program ->
+        let rt =
+          Mc_dsm.Runtime.create (Engine.create ()) (Mc_dsm.Config.default ~procs:3)
+        in
+        program (Mc_dsm.Api.spawn rt);
+        fun () -> Mc_dsm.Runtime.run rt );
+  ]
+
+(* process 0 holds [m] through a long compute, process 1 unlocks it
+   without holding it, process 2 then requests it *)
+let non_holder_program ~write spawn =
+  spawn 0 (fun (api : Mc_dsm.Api.t) ->
+      if write then api.write_lock "m" else api.read_lock "m";
+      api.compute 5000.;
+      if write then api.write_unlock "m" else api.read_unlock "m");
+  spawn 1 (fun (api : Mc_dsm.Api.t) ->
+      api.compute 500.;
+      if write then api.write_unlock "m" else api.read_unlock "m");
+  spawn 2 (fun (api : Mc_dsm.Api.t) ->
+      api.compute 1000.;
+      api.write_lock "m";
+      api.write "x" 1;
+      api.write_unlock "m")
+
+let test_non_holder_unlock ~write () =
+  List.iter
+    (fun (name, start) ->
+      let run = start (non_holder_program ~write) in
+      match run () with
+      | _ -> Alcotest.failf "%s: unlock by a non-holder accepted" name
+      | exception Invalid_argument _ -> ())
+    memories
+
 let () =
   Alcotest.run "mc_baselines"
     [
@@ -282,6 +331,13 @@ let () =
           Alcotest.test_case "atomic decrements" `Quick test_invalidate_decrement_atomic;
           Alcotest.test_case "caching beats central reads" `Quick
             test_central_vs_invalidate_read_cost;
+        ] );
+      ( "misuse",
+        [
+          Alcotest.test_case "write unlock by a non-holder" `Quick
+            (test_non_holder_unlock ~write:true);
+          Alcotest.test_case "read unlock by a non-reader" `Quick
+            (test_non_holder_unlock ~write:false);
         ] );
       ( "linearizability",
         [

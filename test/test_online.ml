@@ -5,7 +5,7 @@
      [Lattice.failures h Mixed] verdict-for-verdict (including [Overwritten]
      diagnostics) on random histories with locks, barriers, subset
      barriers, awaits and all three read labels;
-   - [Hb.Online] must answer every happens-before query like [Hb];
+   - [Hb] must answer every happens-before query like [History.causality];
    - the engine must retire operations (bounded in-flight window) on
      workloads with synchronization;
    - recorder edge cases: overlapping fiber tokens, grant sequences,
@@ -190,26 +190,28 @@ let online_diff_more_procs =
     (fun progs -> online_matches_offline (history_of_programs ~procs:4 progs))
 
 (* ------------------------------------------------------------------ *)
-(* Hb.Online differential                                              *)
+(* Hb differential                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let hb_online_matches h =
+(* these histories have read locks and awaits, which the analysis
+   suite's generator never produces *)
+let hb_matches_causality h =
   acyclic h;
-  let a = Hb.of_history h in
-  let b = Hb.Online.of_history h in
+  let hb = Hb.of_history h in
+  let causality = History.causality h in
   let n = History.length h in
   let ok = ref true in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if Hb.hb a i j <> Hb.hb b i j then ok := false
+      if i <> j && Hb.hb hb i j <> Mc_util.Relation.mem causality i j then ok := false
     done
   done;
   !ok
 
-let hb_online_diff =
-  QCheck.Test.make ~name:"Hb.Online = Hb on all pairs" ~count:300
+let hb_diff =
+  QCheck.Test.make ~name:"Hb = causality on sync histories" ~count:300
     (sync_history_arb ~procs:3 ~segments:2 ~max_ops:4)
-    (fun progs -> hb_online_matches (history_of_programs ~procs:3 progs))
+    (fun progs -> hb_matches_causality (history_of_programs ~procs:3 progs))
 
 (* ------------------------------------------------------------------ *)
 (* Engine window                                                       *)
@@ -496,7 +498,7 @@ let () =
           qt online_diff_memory_only;
           qt online_diff_sync;
           qt online_diff_more_procs;
-          qt hb_online_diff;
+          qt hb_diff;
         ] );
       ( "engine",
         [
