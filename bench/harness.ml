@@ -89,7 +89,7 @@ type stats = {
 }
 
 let run_mixed ?(procs = 4) ?(propagation = Config.Lazy) ?(timestamped = true)
-    ?(await_label = Op.Causal) ?(groups = []) ?multicast ?placement ?latency
+    ?(await_label = Op.Causal) ?(groups = []) ?placement ?latency
     ?(observe = false) ?tracer f =
   let engine = Engine.create () in
   let cfg =
@@ -99,7 +99,6 @@ let run_mixed ?(procs = 4) ?(propagation = Config.Lazy) ?(timestamped = true)
       timestamped_updates = timestamped;
       await_label;
       groups;
-      multicast;
       placement;
       observe;
       tracer;

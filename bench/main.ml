@@ -928,11 +928,10 @@ let exp_multicast () =
         { Em.rows = 4 * procs; cols = 8; steps = (if !quick then 4 else 8); seed = 5 }
       in
       let expected = Em.reference ~procs params in
-      let run multicast =
+      let run routed =
         let res, s =
           run_mixed ~procs ~timestamped:false
-            ?multicast:
-              (if multicast then Some (Em.subscriptions ~procs) else None)
+            ?placement:(if routed then Some (Em.placement ~procs) else None)
             (fun _rt spawn -> Em.launch ~spawn ~procs params)
         in
         ((Option.get !res : Em.result), s)
@@ -1531,9 +1530,9 @@ let exp_lattice () =
    ranges — its subscribed neighbour i+1 (a local read under placement)
    and process i+2 (a non-subscribed shard, i.e. a read-miss fetch) —
    and crosses a second barrier. The full-replication side runs the
-   identical program with broadcast update routing (multicast mode with
-   an all-[None] subscriber map), so both sides use the count-vector
-   barrier scheme and the comparison isolates placement. *)
+   identical program without a placement: every update is broadcast, and
+   its vector-timestamp barrier waits for exactly the updates a count
+   vector would count, so the comparison isolates placement. *)
 
 (* The EXP-SHARD grid-point workload, shared with EXP-OBS-SHARD: every
    process writes its own object slice, barriers, then reads the slices
@@ -1625,9 +1624,7 @@ let exp_shard () =
         let checksum = ref 0 in
         let rt_ref = ref None in
         let (), s =
-          run_mixed ~procs ~timestamped:false
-            ?multicast:(if sharded then None else Some (fun _loc -> None))
-            ?placement:pl
+          run_mixed ~procs ~timestamped:false ?placement:pl
             (fun rt spawn ->
               rt_ref := Some rt;
               workload checksum spawn)

@@ -376,7 +376,7 @@ let solver_placement ~shards ~policy ~procs ~n =
   let policy =
     match policy with
     | Placement.Range _ -> Placement.Range { objects = n }
-    | Placement.Hash -> Placement.Hash
+    | policy -> policy
   in
   let pl = Placement.create ~shards ~policy () in
   Solver.subscribe_shards pl ~procs ~n;
@@ -1405,8 +1405,9 @@ let litmus_cmd =
     Term.(const run $ const ())
 
 (* Every failure ends the same way: one line, "mcdsm: <message>", on
-   stderr, and exit status 2 for a bad flag value or an unreadable or
-   malformed file, 1 for a run that deadlocked. *)
+   stderr, and exit status 2 for a bad flag value (whether the run or the
+   command-line parser rejects it), an unknown subcommand or an
+   unreadable or malformed file, 1 for a run that deadlocked. *)
 let () =
   let info =
     Cmd.info "mcdsm" ~version:"1.0.0"
@@ -1431,8 +1432,34 @@ let () =
     prerr_endline ("mcdsm: " ^ msg);
     status
   in
+  (* Cmdliner reports a flag value it rejects itself as "mcdsm: <message>",
+     a usage line and a hint; keep the message, joined onto one line *)
+  let parse_error text =
+    let rec message = function
+      | l :: rest when not (String.starts_with ~prefix:"Usage:" l) -> l :: message rest
+      | _ -> []
+    in
+    let msg =
+      String.split_on_char '\n' text
+      |> List.map String.trim
+      |> List.filter (( <> ) "")
+      |> message |> String.concat " "
+    in
+    let prefix = "mcdsm: " in
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+    else msg
+  in
+  let err = Buffer.create 256 in
+  let err_fmt = Format.formatter_of_buffer err in
   exit
-    (try Cmd.eval ~catch:false cmd with
+    (try
+       match Cmd.eval_value ~catch:false ~err:err_fmt cmd with
+       | Ok (`Ok () | `Help | `Version) -> 0
+       | Error (`Parse | `Term | `Exn) ->
+         Format.pp_print_flush err_fmt ();
+         fail 2 (parse_error (Buffer.contents err))
+     with
     | Invalid_argument msg | Sys_error msg -> fail 2 msg
     | Json.Parse_error msg -> fail 2 ("malformed JSON input: " ^ msg)
     | Engine.Deadlock msg -> fail 1 ("run deadlocked: " ^ msg))

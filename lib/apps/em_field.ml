@@ -130,11 +130,23 @@ let reference ~procs params =
   done;
   { checksum = !chk; energy = !nrg }
 
-let subscriptions ~procs loc =
-  (* "e:p:j" is read by process p-1; "h:p:j" by process p+1; the final
-     digests only by process 0 *)
-  match String.split_on_char ':' loc with
-  | [ "e"; p; _ ] -> Some [ max 0 (int_of_string p - 1) ]
-  | [ "h"; p; _ ] -> Some [ min (procs - 1) (int_of_string p + 1) ]
-  | [ "chk"; _ ] | [ "nrg"; _ ] -> Some [ 0 ]
-  | _ -> None
+(* strip p owns shard 3p for "e:p:j" (read by p-1), 3p+1 for "h:p:j"
+   (read by p+1) and 3p+2 for its digests (read by process 0) *)
+let placement ~procs =
+  let module P = Mc_placement.Placement in
+  let shard loc =
+    match String.split_on_char ':' loc with
+    | [ "e"; p; _ ] -> 3 * int_of_string p
+    | [ "h"; p; _ ] -> (3 * int_of_string p) + 1
+    | [ ("chk" | "nrg"); p ] -> (3 * int_of_string p) + 2
+    | _ -> invalid_arg ("Em_field.placement: not a shared location: " ^ loc)
+  in
+  let pl = P.create ~shards:(3 * procs) ~policy:(P.Explicit shard) () in
+  for p = 0 to procs - 1 do
+    List.iteri
+      (fun k reader ->
+        P.subscribe pl ~node:p ~shard:((3 * p) + k);
+        P.subscribe pl ~node:reader ~shard:((3 * p) + k))
+      [ max 0 (p - 1); min (procs - 1) (p + 1); 0 ]
+  done;
+  pl

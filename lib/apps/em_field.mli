@@ -40,8 +40,8 @@ val launch :
     schedule and arithmetic. *)
 val reference : procs:int -> params -> result
 
-(** [subscriptions ~procs loc] is the reader set of each shared location
-    — boundary rows are read only by the adjacent strip, digests only by
-    process 0 — for the Section-6 multicast routing optimization
-    ([Config.multicast]). *)
-val subscriptions : procs:int -> Mc_history.Op.location -> int list option
+(** [placement ~procs] is the program's access pattern as a placement
+    (Section 6): every strip gets three shards — its published E row, its
+    published H row, its two digests — each subscribed by its writer and
+    its one reader (the adjacent strip, or process 0 for the digests). *)
+val placement : procs:int -> Mc_placement.Placement.t

@@ -88,10 +88,12 @@ let rec start_txn t node loc e txn =
       e.busy <- Some txn;
       send t ~src:node ~dst:o (Fetch_req { loc; downgrade = true })
     | Some _ | None ->
-      (* serve directly from memory *)
+      (* serve directly from memory; the entry stays idle, so start
+         whatever queued behind this read *)
       if not (List.mem requester e.sharers) then e.sharers <- requester :: e.sharers;
       send t ~src:node ~dst:requester
-        (Read_data { loc; numeric = e.mem_numeric; tag = e.mem_tag }))
+        (Read_data { loc; numeric = e.mem_numeric; tag = e.mem_tag });
+      next_txn t node loc e)
   | Write_txn w ->
     e.busy <- Some txn;
     let invalidations = ref 0 in

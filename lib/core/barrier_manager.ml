@@ -6,9 +6,9 @@ type t = {
   n : int;
   send : dst:int -> Protocol.msg -> unit;
   episodes : (int list * int, episode_state) Hashtbl.t;
-  (* multicast mode: sent_matrix.(j).(i) is the cumulative number of
-     updates process j reports having sent to process i - the Section-6
-     count vectors *)
+  (* counts mode (placement routing): sent_matrix.(j).(i) is the
+     cumulative number of updates process j reports having routed to
+     process i - the Section-6 count vectors *)
   sent_matrix : int array array;
   mutable counts_mode : bool;
   mutable released : int;

@@ -9,7 +9,6 @@ type t = {
   await_label : Mc_history.Op.label;
   timestamped_updates : bool;
   groups : int list list;
-  multicast : (Mc_history.Op.location -> int list option) option;
   placement : Mc_placement.Placement.t option;
   batch_max : int;
   batch_window : float;
@@ -27,7 +26,6 @@ let default ~procs =
     await_label = Mc_history.Op.Causal;
     timestamped_updates = true;
     groups = [];
-    multicast = None;
     placement = None;
     batch_max = 1;
     batch_window = 1.0;

@@ -51,40 +51,25 @@ type t = {
   groups : int list list;
       (** process groups for which every replica maintains a group view,
           enabling [Group]-labelled reads (the Section-3.2 spectrum) *)
-  multicast : (Mc_history.Op.location -> int list option) option;
-      (** subscriber-based update routing — the Maya optimization of
-          Section 6 ("the overhead of broadcasting messages for each
-          update ... may be avoided by making optimizations based on the
-          patterns of accesses to shared variables"). When set, a write
-          to [loc] is sent only to [subscribers loc] (None means
-          broadcast). Only PRAM-consistent programs may use this mode:
-          causal delivery is disabled (reads must be PRAM-labelled,
-          awaits poll the PRAM view) and barriers switch to the paper's
-          update-count scheme — each arrival reports how many updates it
-          sent to each peer, and the release tells each process how many
-          to wait for. *)
   placement : Mc_placement.Placement.t option;
-      (** sharded, partially-replicated routing (mutually exclusive with
-          [multicast], which it generalizes). Locations are mapped to
-          shards and shards to subscriber sets ({!Mc_placement}); a write
-          travels a per-(writer, shard) dissemination tree to subscribers
-          only, replicas keep state and delivery queues only for
-          subscribed shards, and reads of unsubscribed locations fall
-          back to demand-driven fetch from the shard's home. Within a
-          subscribed shard both [PRAM] and [Causal] reads are available
-          (the causal view is per-shard, ordered by shard-scoped delta
-          clocks); cross-shard ordering comes only from barriers, which
-          use the Section-6 update-count scheme as under [multicast].
-          Locks and [Group] reads are not available in this mode. Writes
-          are restricted to subscribed shards. *)
+      (** subscriber routing, Section 6's alternative to a broadcast per
+          update; [None] (the default) is full replication. Locations map
+          to shards and shards to subscriber sets ({!Mc_placement}; an
+          [Explicit] map states a program's access pattern). A write
+          travels a per-(writer, shard) tree to subscribers only, replicas
+          keep state only for subscribed shards, and reads of other
+          locations fetch from the shard's home. A [Causal] read sees its
+          shard's causal view; cross-shard ordering comes only from
+          barriers, which switch to Section 6's update-count scheme, and
+          awaits poll the PRAM view. Locks and [Group] reads are not
+          available, and writes need a subscription. *)
   batch_max : int;
       (** maximum number of consecutive same-writer updates coalesced
           into one {!Protocol.Update_batch} wire message. [1] (the
           default) disables batching — every write broadcasts its own
           update message, the seed behavior. Batching only applies to
-          broadcast routing; under [multicast] updates are always sent
-          individually (different locations may have different subscriber
-          sets). *)
+          full replication; under [placement] updates are always sent
+          individually, each down its own shard's tree. *)
   batch_window : float;
       (** upper bound, in virtual time, on how long the first buffered
           update may wait before the outgoing batch is flushed (batches

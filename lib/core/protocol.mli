@@ -129,18 +129,19 @@ type msg =
       vc : int array;
       members : int list;  (** empty means all processes *)
       sent : int array;
-          (** multicast mode: cumulative update counts this process has
-              sent to each peer (Section 6's count vectors); empty when
-              vector timestamps are in use *)
+          (** counts mode (a placement is set): cumulative shard updates
+              this process has routed to each peer (Section 6's count
+              vectors); empty under full replication, whose barrier uses
+              vector timestamps *)
     }
   | Barrier_release of {
       episode : int;
       dep : int array;
       members : int list;
       expect : int array;
-          (** multicast mode: cumulative update counts the receiver must
-              have received from each peer before leaving the barrier;
-              empty when vector timestamps are in use *)
+          (** counts mode (a placement is set): cumulative update counts
+              the receiver must have received from each peer before
+              leaving the barrier; empty under full replication *)
     }
 
 (** [kind msg] is a short label for per-kind message statistics. *)

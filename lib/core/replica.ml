@@ -63,10 +63,9 @@ type t = {
   mutable dirty_clock : bool;
   group_views : (int list * group_view) list;
   causal_delivery : bool;
-      (* false under multicast and sharded routing: updates may arrive
-         with gaps in the writer sequence, so the global causal view is
-         not maintained (sharded mode keeps per-shard causal views in
-         [shards] instead) *)
+      (* false under placement routing: updates may arrive with gaps in
+         the writer sequence, so the global causal view is not
+         maintained (per-shard causal views live in [shards] instead) *)
   shards : (int, shard_state) Hashtbl.t; (* subscribed shards only *)
   mutable obs : obs option;
   (* fires after every remote shard update is applied to the shard view;

@@ -40,8 +40,9 @@ val create :
   unit ->
   t
 (** [causal_delivery:false] disables the causal view and group views —
-    used by the multicast routing mode, where updates arrive with gaps in
-    writer sequences and only the PRAM view is meaningful. *)
+    used under placement routing, where a node receives only its
+    subscribed shards' updates, so writer sequences arrive with gaps and
+    only the PRAM view and the per-shard views below are meaningful. *)
 
 val id : t -> int
 

@@ -19,7 +19,9 @@ type node = {
       (* (member set, episode) -> (dep, expect); [] means all processes *)
   mutable barrier_episode : int;
   subset_episodes : (int list, int ref) Hashtbl.t;
-  sent_updates : int array; (* cumulative updates sent to each peer *)
+  sent_updates : int array;
+      (* placement only: cumulative shard updates routed to each peer,
+         the barrier's Section-6 count vector *)
   mutable open_write_sets :
     (Op.lock_name * (Op.location, int * int * int) Hashtbl.t) list;
       (* loc -> (write_seq, numeric, tag) written under each
@@ -28,7 +30,7 @@ type node = {
          number orders the extracted write-set most-recent-first at
          release time *)
   mutable write_seq : int;
-  (* outgoing update batching (broadcast routing only): updates buffered
+  (* outgoing update batching (full replication only): updates buffered
      since the last flush, newest first *)
   mutable outbox : Protocol.update list;
   mutable outbox_len : int;
@@ -322,15 +324,6 @@ let on_shard_apply t node_id ~shard ~writer ~sseq =
 
 let create engine ?latency cfg =
   let n = cfg.Config.procs in
-  if cfg.Config.placement <> None && cfg.Config.multicast <> None then
-    invalid_arg
-      "Runtime.create: placement and multicast routing are mutually exclusive";
-  (* both routing modes disable the global causal machinery and run the
-     replicas gap-tolerant (PRAM view on receipt; sharded mode adds its
-     per-shard causal views on top) *)
-  let full_replication =
-    cfg.Config.multicast = None && cfg.Config.placement = None
-  in
   let net = Cost.network engine ~nodes:n ?latency () in
   let metrics = Metrics.Registry.create () in
   let op_counter op =
@@ -407,8 +400,10 @@ let create engine ?latency cfg =
            Array.init n (fun id ->
                {
                  replica =
+                   (* placement routing runs the replicas gap-tolerant:
+                      PRAM view on receipt, per-shard causal views on top *)
                    Replica.create engine ~id ~n ~groups:cfg.Config.groups
-                     ~causal_delivery:full_replication ();
+                     ~causal_delivery:(cfg.Config.placement = None) ();
                  grant_waiters = Hashtbl.create 4;
                  ack_waiters = Hashtbl.create 4;
                  flush_waiter = None;
@@ -598,7 +593,6 @@ let stability_sweep t =
   match t.recorder with
   | Some r
     when t.checker <> None
-         && t.cfg.Config.multicast = None
          && t.cfg.Config.placement = None
          && Hashtbl.length t.live_values > 0 ->
     let n = t.cfg.Config.procs in
@@ -830,18 +824,9 @@ let read p ?(label = Op.Causal) loc =
       | None ->
         let numeric, tag =
           match label with
-          | Op.Causal ->
-            if p.rt.cfg.Config.multicast <> None then
-              invalid_arg
-                "Runtime.read: causal reads are unavailable under multicast \
-                 routing";
-            Replica.causal_read node.replica loc
+          | Op.Causal -> Replica.causal_read node.replica loc
           | Op.PRAM -> Replica.pram_read node.replica loc
           | Op.Group group ->
-            if p.rt.cfg.Config.multicast <> None then
-              invalid_arg
-                "Runtime.read: group reads are unavailable under multicast \
-                 routing";
             if not (List.mem p.id group) then
               invalid_arg
                 "Runtime.read: process is not a member of the read group";
@@ -868,68 +853,38 @@ let flush_outbox t node_id =
     | None -> ());
     node.outbox <- [];
     node.outbox_len <- 0;
-    (match buffered with
-    | [ u ] ->
-      let bytes = update_wire_bytes t.cfg in
-      let kind = Protocol.kind (Protocol.Update u) in
-      for dst = 0 to t.cfg.Config.procs - 1 do
-        if dst <> node_id then begin
-          node.sent_updates.(dst) <- node.sent_updates.(dst) + 1;
-          Network.send t.net ~src:node_id ~dst ~bytes ~kind (Protocol.Update u)
-        end
-      done
-    | buffered ->
-      let b = Protocol.encode_batch (List.rev buffered) in
-      let k = Protocol.batch_length b in
-      let bytes = batch_wire_bytes t.cfg b in
-      for dst = 0 to t.cfg.Config.procs - 1 do
-        if dst <> node_id then
-          node.sent_updates.(dst) <- node.sent_updates.(dst) + k
-      done;
-      Network.broadcast t.net ~src:node_id ~bytes ~kind:"update_batch"
-        (Protocol.Update_batch b))
+    let msg, bytes =
+      match buffered with
+      | [ u ] -> (Protocol.Update u, update_wire_bytes t.cfg)
+      | buffered ->
+        let b = Protocol.encode_batch (List.rev buffered) in
+        (Protocol.Update_batch b, batch_wire_bytes t.cfg b)
+    in
+    Network.broadcast t.net ~src:node_id ~bytes ~kind:(Protocol.kind msg) msg
 
 let broadcast_update p (u : Protocol.update) =
   let node = p.rt.nodes.(p.id) in
-  let bytes = update_wire_bytes p.rt.cfg in
-  let kind = Protocol.kind (Protocol.Update u) in
-  let send_to dst =
-    if dst <> p.id then begin
-      node.sent_updates.(dst) <- node.sent_updates.(dst) + 1;
-      Network.send p.rt.net ~src:p.id ~dst ~bytes ~kind (Protocol.Update u)
+  if p.rt.cfg.Config.batch_max <= 1 then
+    Network.broadcast p.rt.net ~src:p.id ~bytes:(update_wire_bytes p.rt.cfg)
+      ~kind:(Protocol.kind (Protocol.Update u)) (Protocol.Update u)
+  else begin
+    (* coalesce: consecutive local updates have consecutive useqs, so
+       the outbox is always a valid batch. Flushed when full, when the
+       window timer fires, and before every synchronization operation
+       (so no dependency clock sent to a peer can ever reference a
+       buffered update) *)
+    node.outbox <- u :: node.outbox;
+    node.outbox_len <- node.outbox_len + 1;
+    if node.outbox_len >= p.rt.cfg.Config.batch_max then
+      flush_outbox p.rt p.id
+    else if not node.flush_scheduled then begin
+      node.flush_scheduled <- true;
+      let rt = p.rt and id = p.id in
+      Engine.schedule rt.engine ~delay:rt.cfg.Config.batch_window (fun () ->
+          rt.nodes.(id).flush_scheduled <- false;
+          flush_outbox rt id)
     end
-  in
-  match p.rt.cfg.Config.multicast with
-  | None ->
-    if p.rt.cfg.Config.batch_max <= 1 then
-      for dst = 0 to p.rt.cfg.Config.procs - 1 do
-        send_to dst
-      done
-    else begin
-      (* coalesce: consecutive local updates have consecutive useqs, so
-         the outbox is always a valid batch. Flushed when full, when the
-         window timer fires, and before every synchronization operation
-         (so no dependency clock sent to a peer can ever reference a
-         buffered update) *)
-      node.outbox <- u :: node.outbox;
-      node.outbox_len <- node.outbox_len + 1;
-      if node.outbox_len >= p.rt.cfg.Config.batch_max then
-        flush_outbox p.rt p.id
-      else if not node.flush_scheduled then begin
-        node.flush_scheduled <- true;
-        let rt = p.rt and id = p.id in
-        Engine.schedule rt.engine ~delay:rt.cfg.Config.batch_window (fun () ->
-            rt.nodes.(id).flush_scheduled <- false;
-            flush_outbox rt id)
-      end
-    end
-  | Some subscribers -> (
-    match subscribers u.loc with
-    | None ->
-      for dst = 0 to p.rt.cfg.Config.procs - 1 do
-        send_to dst
-      done
-    | Some subs -> List.iter send_to (List.sort_uniq compare subs))
+  end
 
 (* sharded mode: credit the barrier count vectors for every subscriber
    (they all eventually receive the update via the tree) and send it to
@@ -1100,10 +1055,6 @@ let decrement p loc ~amount =
 (* ------------------------------------------------------------------ *)
 
 let acquire p lock ~write =
-  if p.rt.cfg.Config.multicast <> None then
-    invalid_arg
-      "Runtime: locks are unavailable under multicast routing (use barriers; \
-       the mode is for PRAM-consistent programs)";
   if p.rt.cfg.Config.placement <> None then
     invalid_arg
       "Runtime: locks are unavailable under sharded placement (use barriers; \
@@ -1249,9 +1200,7 @@ let barrier_generic p ~members ~episode ~kind =
   let node = p.rt.nodes.(p.id) in
   let token = record_start p in
   let t0 = Engine.now p.rt.engine in
-  let counts_mode =
-    p.rt.cfg.Config.multicast <> None || p.rt.cfg.Config.placement <> None
-  in
+  let counts_mode = p.rt.cfg.Config.placement <> None in
   timed p p.rt.hot.h_barrier (fun () ->
       send p.rt ~src:p.id ~dst:0
         (Protocol.Barrier_arrive
@@ -1324,29 +1273,27 @@ let await p loc v =
   let node = p.rt.nodes.(p.id) in
   let token = record_start p in
   let t0 = Engine.now p.rt.engine in
-  (match p.rt.cfg.Config.placement with
-  | Some pl ->
-    (* awaits busy-wait the local PRAM view, which only ever receives
-       updates of subscribed shards *)
-    let shard = Mc_placement.Placement.shard_of_loc pl loc in
-    if not (Replica.shard_subscribed node.replica ~shard) then
-      invalid_arg
-        "Runtime.await: cannot await an unsubscribed location under sharded \
-         placement"
-  | None -> ());
-  let view () =
-    if p.rt.cfg.Config.multicast <> None || p.rt.cfg.Config.placement <> None
-    then Replica.pram_read node.replica loc
-    else
+  let view =
+    match p.rt.cfg.Config.placement with
+    | Some pl ->
+      (* awaits busy-wait the local PRAM view, which only ever receives
+         updates of subscribed shards *)
+      let shard = Mc_placement.Placement.shard_of_loc pl loc in
+      if not (Replica.shard_subscribed node.replica ~shard) then
+        invalid_arg
+          "Runtime.await: cannot await an unsubscribed location under sharded \
+           placement";
+      Replica.pram_read node.replica
+    | None -> (
       match p.rt.cfg.Config.await_label with
-      | Op.Causal -> Replica.causal_read node.replica loc
-      | Op.PRAM -> Replica.pram_read node.replica loc
-      | Op.Group group -> Replica.group_read node.replica ~group loc
+      | Op.Causal -> Replica.causal_read node.replica
+      | Op.PRAM -> Replica.pram_read node.replica
+      | Op.Group group -> Replica.group_read node.replica ~group)
   in
   timed p p.rt.hot.h_await (fun () ->
       Replica.wait_until node.replica ~hint:(Replica.Loc loc) (fun () ->
-          fst (view ()) = v);
-      let numeric, tag = view () in
+          fst (view loc) = v);
+      let numeric, tag = view loc in
       record_finish p token
         (Op.Await { loc; value = recorded_value ~numeric ~tag });
       trace_span p ~t0 ~args:[ ("loc", loc) ] "await")
@@ -1365,7 +1312,7 @@ let history t =
   | None -> invalid_arg "Runtime.history: recording is disabled"
 
 let peek t ~proc loc =
-  if t.cfg.Config.multicast <> None || t.cfg.Config.placement <> None then
+  if t.cfg.Config.placement <> None then
     fst (Replica.pram_read t.nodes.(proc).replica loc)
   else fst (Replica.causal_read t.nodes.(proc).replica loc)
 

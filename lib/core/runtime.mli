@@ -121,9 +121,8 @@ val compute : proc -> float -> unit
 val history : t -> Mc_history.History.t
 
 (** [peek t ~proc loc] reads the causal view of a replica from outside
-    any fiber (for result extraction after [run]); under multicast or
-    sharded routing, where the global causal view is off, the PRAM
-    view. *)
+    any fiber (for result extraction after [run]); under placement
+    routing, where the global causal view is off, the PRAM view. *)
 val peek : t -> proc:int -> Mc_history.Op.location -> int
 
 (** [resident_objects t ~proc] is the number of distinct locations

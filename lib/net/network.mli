@@ -48,7 +48,7 @@ val broadcast : 'msg t -> src:int -> ?bytes:int -> ?kind:string -> 'msg -> unit
 (** [multicast t ~src ~dsts ?bytes ?kind msg] sends one copy of [msg] to
     each destination in [dsts], skipping [src]; the payload is shared
     across the fan-out (one allocation, one per-destination send). Used
-    by the batched update fan-out. *)
+    by the shard dissemination trees. *)
 val multicast :
   'msg t -> src:int -> dsts:int list -> ?bytes:int -> ?kind:string -> 'msg -> unit
 

@@ -1,4 +1,7 @@
-type policy = Hash | Range of { objects : int }
+type policy =
+  | Hash
+  | Range of { objects : int }
+  | Explicit of (Mc_history.Op.location -> int)
 
 type obs = {
   c_churn : Mc_obs.Metrics.Counter.t;
@@ -23,6 +26,7 @@ type t = {
 let policy_to_string = function
   | Hash -> "hash"
   | Range _ -> "range"
+  | Explicit _ -> "explicit"
 
 let policy_of_string = function
   | "hash" -> Ok Hash
@@ -58,6 +62,10 @@ let numeric_suffix loc =
   let s = start len in
   if s = len then None else int_of_string_opt (String.sub loc s (len - s))
 
+let check_shard t shard =
+  if shard < 0 || shard >= t.n_shards then
+    invalid_arg (Printf.sprintf "Placement: shard %d out of range" shard)
+
 let compute_shard t loc =
   match t.t_policy with
   | Hash -> Hashtbl.hash loc mod t.n_shards
@@ -68,6 +76,10 @@ let compute_shard t loc =
       min (t.n_shards - 1) (id / per)
     | Some id -> id mod t.n_shards
     | None -> Hashtbl.hash loc mod t.n_shards)
+  | Explicit f ->
+    let s = f loc in
+    check_shard t s;
+    s
 
 let shard_of_loc t loc =
   match Hashtbl.find_opt t.loc_cache loc with
@@ -76,10 +88,6 @@ let shard_of_loc t loc =
     let s = compute_shard t loc in
     Hashtbl.add t.loc_cache loc s;
     s
-
-let check_shard t shard =
-  if shard < 0 || shard >= t.n_shards then
-    invalid_arg (Printf.sprintf "Placement: shard %d out of range" shard)
 
 let set tbl key =
   match Hashtbl.find_opt tbl key with

@@ -12,8 +12,9 @@
     Steinke/Nutt specialized to the paper's model: ordering guarantees
     (per-writer FIFO, per-shard causality) hold {e within} a shard, and
     cross-shard ordering is recovered through synchronization operations
-    (barrier count vectors), exactly as Section 6's update-count scheme
-    already provides for multicast routing. *)
+    (Section 6's barrier update-count vectors). An [Explicit] policy
+    expresses a program's access pattern, Section 6's alternative to a
+    broadcast per update: a shard per pattern, subscribed by its users. *)
 
 type t
 
@@ -21,14 +22,19 @@ type t
     by string hash. [Range ~objects] assigns locations with a numeric
     suffix ("x:17") to contiguous ranges of [objects / shards] ids —
     the layout that keeps one worker's rows on one shard; locations
-    without a numeric suffix fall back to hashing. *)
-type policy = Hash | Range of { objects : int }
+    without a numeric suffix fall back to hashing. [Explicit f] is a
+    program's own map, with [f loc] in [0 .. shards - 1]. *)
+type policy =
+  | Hash
+  | Range of { objects : int }
+  | Explicit of (Mc_history.Op.location -> int)
 
 val policy_to_string : policy -> string
 val policy_of_string : string -> (policy, string) result
 (** [policy_of_string] accepts ["hash"] and ["range"] (with
     [Range { objects = 0 }] meaning "size taken from [shards]"); the
-    caller patches [objects] when it knows the workload size. *)
+    caller patches [objects] when it knows the workload size. An
+    [Explicit] map has no textual form. *)
 
 (** [create ~shards ~policy ()] builds a placement with no subscribers.
     [fanout] (default 4) bounds each node's out-degree in the per-shard
@@ -39,7 +45,8 @@ val shards : t -> int
 val fanout : t -> int
 val policy : t -> policy
 
-(** [shard_of_loc t loc] is the shard owning [loc] (memoized). *)
+(** [shard_of_loc t loc] is the shard owning [loc] (memoized). Raises
+    [Invalid_argument] if an [Explicit] map sends [loc] out of range. *)
 val shard_of_loc : t -> Mc_history.Op.location -> int
 
 (** {1 Subscriptions}

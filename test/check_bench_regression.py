@@ -7,15 +7,15 @@ only rows present in both files are compared, so a quick-mode run is
 checked against whatever subset of the full grid it shares with the
 baseline.
 
-Two kinds of bands:
+Two kinds of checks:
 
 * throughput metrics (higher is better): fail when the fresh value
   drops more than ``--tolerance`` (default 25%) below the baseline;
   improvements always pass.
-* deterministic metrics (seeded sim results -- sim time, message and
-  fetch counts): fail when they drift more than the tolerance in either
-  direction. These should be bit-identical for an unchanged simulation,
-  so the band only absorbs intentional re-baselining noise.
+* deterministic metrics (seeded sim results -- sim time, message,
+  byte, resident-object and fetch counts): fail on any difference. A
+  seeded simulation repeats them exactly, so a change to one is a
+  re-baseline: regenerate the committed file and say why.
 
 Additionally, when the baseline carries an EXP-OBS-SHARD section, its
 observe=off acceptance gate (``gate_pass``) must hold: the committed
@@ -46,7 +46,14 @@ DETERMINISTIC = {
     "EXP-SHARD": (
         "runs",
         ("procs", "objects", "writes", "rounds", "mode"),
-        ("sim_time", "update_messages", "resident_max", "fetches"),
+        (
+            "sim_time",
+            "messages",
+            "update_messages",
+            "bytes",
+            "resident_max",
+            "fetches",
+        ),
     ),
 }
 
@@ -88,11 +95,9 @@ def check(baseline, fresh, tolerance):
             )
 
     def deterministic(section, key, metric, b, f):
-        limit = abs(b) * tolerance
-        if abs(f - b) > limit:
+        if f != b:
             failures.append(
-                f"{section}{list(key)}.{metric}: {f} drifted more than "
-                f"{tolerance:.0%} from baseline {b}"
+                f"{section}{list(key)}.{metric}: {f} differs from baseline {b}"
             )
 
     for section, spec in THROUGHPUT.items():
@@ -131,8 +136,8 @@ def main(argv):
             print(f"  {f}")
         return 1
     print(
-        f"bench regression guard: {compared} metric(s) within "
-        f"{tolerance:.0%} of baseline"
+        f"bench regression guard: {compared} metric(s) match the baseline "
+        f"(throughput within {tolerance:.0%})"
     )
     return 0
 

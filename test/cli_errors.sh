@@ -62,6 +62,20 @@ expect 2 cholesky --density 2
 expect 2 trace --buffer 0
 expect 2 solver --memory central --shards 2
 
+# values the command-line parser rejects: a converter error, a number
+# that does not parse, an unknown model (a message Cmdliner wraps) and
+# an unknown subcommand
+expect 2 solver --memory bogus
+expect 2 solver -w abc
+expect 2 check --model nosuch
+expect 2 bogus-subcommand
+
+# help and version are not errors
+for args in "--help=plain" "solver --help=plain" "--version"; do
+  # shellcheck disable=SC2086
+  "$mcdsm" $args >/dev/null 2>&1 || fail "mcdsm $args: non-zero exit"
+done
+
 # the lock-based Cholesky reads guarded locations outside the lock,
 # which entry consistency does not propagate: the run deadlocks
 expect 1 cholesky --propagation entry

@@ -12,9 +12,10 @@
      the main view, a group view and a shard queue;
    - runtime level: random phase-structured workloads (writes, PRAM and
      causal reads, decrements, lock-protected sections, barriers) under
-     every propagation mode, multicast routing, every Section-5
-     application and batched and unbatched writes each match a frozen
-     digest of their recorded history and final memory. The digests
+     every propagation mode, subscriber routing (a placement per access
+     pattern), every Section-5 application and batched and unbatched
+     writes each match a frozen digest of their recorded history and
+     final memory. The digests
      were recorded with the rescan engine running beside this one, both
      producing the same executions;
    - update batching: encode/decode roundtrips, batched runs preserve
@@ -29,6 +30,7 @@ module Api = Mc_dsm.Api
 module Replica = Mc_dsm.Replica
 module Protocol = Mc_dsm.Protocol
 module Network = Mc_net.Network
+module Placement = Mc_placement.Placement
 module Latency = Mc_net.Latency
 module Op = Mc_history.Op
 module History = Mc_history.History
@@ -417,20 +419,25 @@ let plan_runs =
               run_plan ~seed ~propagation ~procs (gen_plan rng ~procs ~rounds:3) )))
     [ Config.Eager; Config.Lazy; Config.Demand; Config.Entry ]
 
+(* "mi" is written by i and read by i+1: one shard per location,
+   subscribed by exactly that pair *)
 let multicast_run () =
   let procs = 3 in
-  let subs = function
-    | "m0" -> Some [ 1 ]
-    | "m1" -> Some [ 2 ]
-    | "m2" -> Some [ 0 ]
-    | _ -> None
+  let pl =
+    Placement.create ~shards:procs
+      ~policy:(Placement.Explicit (fun loc -> int_of_string (String.sub loc 1 1)))
+      ()
   in
+  for i = 0 to procs - 1 do
+    Placement.subscribe pl ~node:i ~shard:i;
+    Placement.subscribe pl ~node:((i + 1) mod procs) ~shard:i
+  done;
   let engine = Engine.create () in
   let cfg =
     {
       (Config.default ~procs) with
       record = true;
-      multicast = Some subs;
+      placement = Some pl;
       timestamped_updates = false;
     }
   in
@@ -449,7 +456,7 @@ let multicast_run () =
   ignore (Runtime.run rt);
   rt
 
-let app name ?(procs = 4) ?propagation ?multicast f =
+let app name ?(procs = 4) ?propagation ?placement f =
   ( name,
     fun () ->
       let engine = Engine.create () in
@@ -458,8 +465,8 @@ let app name ?(procs = 4) ?propagation ?multicast f =
         match propagation with Some p -> { base with propagation = p } | None -> base
       in
       let cfg =
-        match multicast with
-        | Some m -> { base with multicast = Some m; timestamped_updates = false }
+        match placement with
+        | Some pl -> { base with placement = Some pl; timestamped_updates = false }
         | None -> base
       in
       let latency = Latency.uniform (Rng.make 11) ~lo:5. ~hi:120. in
@@ -480,8 +487,7 @@ let app_runs =
     app "solver handshake_causal" ~procs:3 (fun spawn ->
         Solver.launch ~spawn ~procs:3 ~variant:Solver.Handshake_causal problem);
     app "em broadcast" ~procs:3 (fun spawn -> Em.launch ~spawn ~procs:3 em_params);
-    app "em multicast" ~procs:3
-      ~multicast:(Em.subscriptions ~procs:3)
+    app "em multicast" ~procs:3 ~placement:(Em.placement ~procs:3)
       (fun spawn -> Em.launch ~spawn ~procs:3 em_params);
     app "cholesky locks (lazy)" ~procs:3 (fun spawn ->
         Cholesky.launch ~spawn ~procs:3 ~variant:Cholesky.Lock_based m);

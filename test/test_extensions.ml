@@ -474,19 +474,18 @@ let test_entry_mode_counters () =
   check_int "decrement under entry lock" 7 !final
 
 (* ------------------------------------------------------------------ *)
-(* Multicast routing (Section 6, Maya optimization)                    *)
+(* Subscriber routing as a placement (Section 6, Maya optimization)    *)
 (* ------------------------------------------------------------------ *)
 
 let em_params = { Mc_apps.Em_field.rows = 12; cols = 6; steps = 5; seed = 5 }
 
-let run_em ~procs ~multicast =
+let run_em ~procs ~routed =
   let engine = Engine.create () in
   let cfg =
     {
       (Config.default ~procs) with
       timestamped_updates = false;
-      multicast =
-        (if multicast then Some (Mc_apps.Em_field.subscriptions ~procs) else None);
+      placement = (if routed then Some (Mc_apps.Em_field.placement ~procs) else None);
     }
   in
   let rt = Runtime.create engine cfg in
@@ -497,8 +496,8 @@ let run_em ~procs ~multicast =
 let test_multicast_exact_and_leaner () =
   let procs = 4 in
   let expected = Mc_apps.Em_field.reference ~procs em_params in
-  let r_b, msgs_b = run_em ~procs ~multicast:false in
-  let r_m, msgs_m = run_em ~procs ~multicast:true in
+  let r_b, msgs_b = run_em ~procs ~routed:false in
+  let r_m, msgs_m = run_em ~procs ~routed:true in
   check_int "broadcast exact" expected.Mc_apps.Em_field.checksum
     r_b.Mc_apps.Em_field.checksum;
   check_int "multicast exact" expected.Mc_apps.Em_field.checksum
@@ -510,13 +509,12 @@ let test_multicast_count_barrier_gating () =
      arrive, even on a slow link *)
   let procs = 2 in
   let lat = [| [| 0.; 500. |]; [| 10.; 0. |] |] in
+  let pl = Mc_placement.Placement.(create ~shards:1 ~policy:Hash ()) in
+  Mc_placement.Placement.subscribe pl ~node:0 ~shard:0;
+  Mc_placement.Placement.subscribe pl ~node:1 ~shard:0;
   let engine = Engine.create () in
   let cfg =
-    {
-      (Config.default ~procs) with
-      timestamped_updates = false;
-      multicast = Some (fun loc -> if loc = "mx" then Some [ 1 ] else None);
-    }
+    { (Config.default ~procs) with timestamped_updates = false; placement = Some pl }
   in
   let rt = Runtime.create engine ~latency:(Mc_net.Latency.matrix lat) cfg in
   let seen = ref (-1) in
@@ -528,23 +526,6 @@ let test_multicast_count_barrier_gating () =
       seen := Runtime.read p ~label:Op.PRAM "mx");
   ignore (Runtime.run rt);
   check_int "post-barrier read is fresh despite the slow link" 77 !seen
-
-let test_multicast_restrictions () =
-  let engine = Engine.create () in
-  let cfg =
-    { (Config.default ~procs:2) with multicast = Some (fun _ -> None) }
-  in
-  let rt = Runtime.create engine cfg in
-  Runtime.spawn_process rt 0 (fun p -> ignore (Runtime.read p ~label:Op.Causal "x"));
-  (match Runtime.run rt with
-  | (_ : float) -> Alcotest.fail "expected causal-read rejection"
-  | exception Engine.Fiber_failure (Invalid_argument _, _) -> ());
-  let engine = Engine.create () in
-  let rt = Runtime.create engine cfg in
-  Runtime.spawn_process rt 0 (fun p -> Runtime.write_lock p "m");
-  match Runtime.run rt with
-  | (_ : float) -> Alcotest.fail "expected lock rejection"
-  | exception Engine.Fiber_failure (Invalid_argument _, _) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -648,7 +629,6 @@ let () =
           Alcotest.test_case "exact and leaner" `Quick test_multicast_exact_and_leaner;
           Alcotest.test_case "count-vector barrier gating" `Quick
             test_multicast_count_barrier_gating;
-          Alcotest.test_case "mode restrictions" `Quick test_multicast_restrictions;
         ] );
       ( "render",
         [

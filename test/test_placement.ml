@@ -1,9 +1,11 @@
 (* Unit and property tests for Mc_placement.Placement: the loc -> shard
-   policies, the subscription registry, the home function and the
-   per-(shard, root) dissemination trees. *)
+   policies, the subscription registry, the home function, the
+   per-(shard, root) dissemination trees, and the access-pattern
+   placement of the Section-5.2 field computation. *)
 
 module P = Mc_placement.Placement
 module Rng = Mc_util.Rng
+module Em = Mc_apps.Em_field
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -35,16 +37,32 @@ let test_hash_policy () =
       check_int (loc ^ " deterministic") s (P.shard_of_loc pl loc))
     [ "x:0"; "x:1"; "y"; "done"; "cnt:42" ]
 
+let test_explicit_policy () =
+  let pl = P.create ~shards:3 ~policy:(P.Explicit (fun loc -> String.length loc - 1)) () in
+  check_int "map followed" 0 (P.shard_of_loc pl "a");
+  check_int "map followed, last shard" 2 (P.shard_of_loc pl "abc");
+  let raises loc =
+    match P.shard_of_loc pl loc with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "shard past the end raises" true (raises "abcd");
+  check "negative shard raises" true (raises "")
+
 let test_policy_strings () =
   (* the textual form names the constructor; a range's object count is
-     supplied separately (on the CLI, by --objects) *)
-  let ctor = function P.Hash -> "hash" | P.Range _ -> "range" in
+     supplied separately (on the CLI, by --objects); an explicit map has
+     no textual form *)
   List.iter
     (fun p ->
       match P.policy_of_string (P.policy_to_string p) with
-      | Ok p' -> Alcotest.(check string) "roundtrip" (ctor p) (ctor p')
+      | Ok p' ->
+        Alcotest.(check string) "roundtrip" (P.policy_to_string p) (P.policy_to_string p')
       | Error e -> Alcotest.failf "roundtrip failed: %s" e)
     [ P.Hash; P.Range { objects = 64 } ];
+  Alcotest.(check string) "explicit named" "explicit"
+    (P.policy_to_string (P.Explicit (fun _ -> 0)));
+  check "explicit not parsed" true (Result.is_error (P.policy_of_string "explicit"));
   check "garbage rejected" true
     (match P.policy_of_string "nonsense" with Error _ -> true | Ok _ -> false)
 
@@ -125,6 +143,52 @@ let test_tree_follows_churn () =
   P.subscribe pl ~node:7 ~shard:0;
   check_ints "after resubscribe" [ 0; 1; 2; 4; 7 ] (reachable pl ~shard:0 ~root:2)
 
+(* ------------------------------------------------------------------ *)
+(* Access-pattern routing                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Run the field computation under its own placement, then read the
+   access pattern off the recorded history: every location's shard must
+   be subscribed by exactly the processes that wrote or read it — its
+   writer and its one reader. *)
+let test_em_field_placement () =
+  let module Config = Mc_dsm.Config in
+  let module Runtime = Mc_dsm.Runtime in
+  let procs = 4 in
+  let params = { Em.rows = 8; cols = 3; steps = 2; seed = 1 } in
+  let pl = Em.placement ~procs in
+  check_int "three shards per strip" (3 * procs) (P.shards pl);
+  let rt =
+    Runtime.create (Mc_sim.Engine.create ())
+      {
+        (Config.default ~procs) with
+        record = true;
+        timestamped_updates = false;
+        placement = Some pl;
+      }
+  in
+  let res = Em.launch ~spawn:(Mc_dsm.Api.spawn rt) ~procs params in
+  ignore (Runtime.run rt);
+  check_int "exact" (Em.reference ~procs params).Em.checksum
+    (Option.get !res).Em.checksum;
+  check_int "no fetches" 0 (Runtime.fetch_count rt);
+  let users = Hashtbl.create 64 in
+  Array.iter
+    (fun (o : Mc_history.Op.t) ->
+      List.iter
+        (Option.iter (fun (loc, _) ->
+             let seen = Option.value ~default:[] (Hashtbl.find_opt users loc) in
+             Hashtbl.replace users loc (o.proc :: seen)))
+        [ Mc_history.Op.writes_value o; Mc_history.Op.reads_value o ])
+    (Mc_history.History.ops (Runtime.history rt));
+  check "every strip publishes" true (Hashtbl.length users >= 2 * procs);
+  Hashtbl.iter
+    (fun loc procs ->
+      check_ints (loc ^ ": subscribers are its writer and reader")
+        (List.sort_uniq compare procs)
+        (P.subscribers pl ~shard:(P.shard_of_loc pl loc)))
+    users
+
 let () =
   Alcotest.run "placement"
     [
@@ -132,6 +196,7 @@ let () =
         [
           Alcotest.test_case "range" `Quick test_range_policy;
           Alcotest.test_case "hash" `Quick test_hash_policy;
+          Alcotest.test_case "explicit" `Quick test_explicit_policy;
           Alcotest.test_case "strings" `Quick test_policy_strings;
         ] );
       ( "subscriptions",
@@ -143,4 +208,6 @@ let () =
           Alcotest.test_case "churn invalidates memos" `Quick
             test_tree_follows_churn;
         ] );
+      ( "access-pattern routing",
+        [ Alcotest.test_case "em field placement" `Quick test_em_field_placement ] );
     ]

@@ -5,8 +5,7 @@
      snapshot) and cross-writer reorder converge to the reference state
      on every subscribed shard — including dropping in-flight updates
      already covered by a snapshot;
-   - the write-subscription discipline and the placement/multicast
-     exclusivity raise;
+   - the write-subscription discipline raises;
    - partial-view online checking: on a run with a genuine PRAM
      violation on a subscribed read, the streaming checker's failure
      list (verdicts and [Overwritten] diagnostics) is identical to the
@@ -198,7 +197,7 @@ let churn_prop =
       && Replica.pending_count obs = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Write discipline and configuration exclusivity                      *)
+(* Write discipline                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_write_discipline () =
@@ -225,15 +224,7 @@ let test_write_discipline () =
   check "write to own shard + read-your-write" true !own_ok;
   check "write to unsubscribed shard raises" true !unsubscribed_write;
   check "group read raises" true !group_read;
-  check "locks raise" true !lock;
-  check "placement and multicast are exclusive" true
-    (raises (fun () ->
-         Runtime.create (Engine.create ())
-           {
-             (Config.default ~procs:2) with
-             placement = Some pl;
-             multicast = Some (fun _ -> None);
-           }))
+  check "locks raise" true !lock
 
 (* ------------------------------------------------------------------ *)
 (* Partial-view checking: online = offline on non-fetched reads        *)
