@@ -6,19 +6,47 @@
    reproducing [Lattice.failures h Mixed] verdict-for-verdict without
    materializing the history or any relation matrix.
 
-   Per finalized operation the checker folds one chain clock per family —
-   causal, PRAM(i) for every process i, and one per registered reader
-   group — joining the clocks of its covering in-edge sources, with sync
-   and reads-from edges filtered by the family's touches predicate (a
-   per-family cost of O(chains) ints, O(procs · chains) overall).
+   Families. A consistency family is causal, PRAM(i) for a process i, or
+   a registered reader group; its relation is the closure of program
+   order plus the sync and reads-from edges with an endpoint among its
+   members (every edge, for causal). An operation's own families are
+   causal, PRAM of its process and the groups containing its process;
+   every other family is foreign to it. A foreign family f admits an
+   edge into a non-member's program order only from a member, so for an
+   operation o outside f
 
-   A read's verdict needs three kinds of relation queries, all answered
-   in O(1) from clocks: [rel w r] (candidate writer in the read's past),
-   [rel o r] (interposer in the read's past) and [rel w o] (interposer
-   after the writer). The first two use the read's own clocks; the last
-   is precomputed when [o] finalizes, as a per-family bitmask attached to
-   the writer's summary, because either operation may be retired by the
-   time the read arrives.
+     f-clock(o) = B(o) ⊔ ⨆ own-f-clock(s),  s ∈ f, s →sync/rf o' ≤po o
+
+   where B is the program-order-only clock. (Proof: on a path into o,
+   the last edge that is not program order ends in o's program-order
+   past, outside f, so it starts at a member s; everything before it is
+   in s's own f-clock.) The checker therefore keeps one dense chain
+   clock per own family and represents the foreign ones by B plus a
+   family → joined member clock map ([n_far]) that is shared along
+   program order and grows only at sync and reads-from edges from
+   another process. The dense arrays are shared with the chain
+   predecessor too, until an in-edge brings something they do not
+   cover. Per finalized operation the dense work is O(own families ×
+   chains), independent of how many families exist, and a read costs
+   the summaries of its value plus the indexed touchers below.
+
+   A read's verdict needs three kinds of relation queries: [rel w r]
+   (candidate writer in the read's past), [rel o r] (interposer in the
+   read's past) and [rel w o] (interposer after the writer), all in the
+   read's family, which is always one of the reader's own. The first two
+   are lookups in the read's dense clock; the last is answered on demand
+   from the interposer's retained clocks ([reaches]), because either
+   operation may have left the window by the time the read arrives.
+
+   Interposer index. An interposer o(x)u needs u to differ from the
+   read's own value, which is the candidate writer's value (or 0 for the
+   virtual initial write), so a writer summary records only the touchers
+   carrying another value, and a location's initial write only those
+   carrying a non-zero value. Memory reads are kept per reading process, since a
+   read of another process never interposes (Defs. 2 and 3); writes,
+   decrements and awaits share one list. Lists are newest-first and
+   scans keep the smallest eligible id, reproducing the offline
+   ascending scan.
 
    State is reclaimed through runtime stability notifications: when a
    value is dead (superseded at every replica, so no future operation can
@@ -29,36 +57,49 @@
 module Stream = Mc_history.Stream
 module History = Mc_history.History
 module Op = Mc_history.Op
+module IMap = Map.Make (Int)
 
-(* An operation that touched a location: potential interposer. Kept in
-   ascending id order so the first match reproduces the offline scan. *)
-type toucher = {
-  f_id : int;
-  f_chain : int;
-  f_rank : int;
-  f_proc : int;
-  f_read : bool; (* memory read: excluded for foreign readers *)
-  f_vals : Op.value list; (* values it wrote/observed there *)
-  f_mask : int; (* per-family [rel w o] bits, 0 for the virtual write *)
+(* Retained clocks of a finalized operation. [n_own.(k)] is the dense
+   clock of the k-th own family of [n_proc] (see [t.own]) except at the
+   operation's own chain, whose inclusive entry is always [n_rank + 1]
+   (the chain predecessor is a program-order predecessor, which every
+   family contains). So an operation that learns nothing new shares its
+   chain predecessor's arrays. [n_po] is the rest of the
+   program-order-only clock, as (chain, rank + 1) pairs ascending by
+   chain: its own chain's entry is implied by [n_rank] too, so it is []
+   for a one-chain process. [n_far] maps a foreign family to
+   the join of the member clocks that reached the operation's
+   program-order past through sync and reads-from edges. All of it is
+   immutable once the operation is finalized, so it is shared freely. *)
+type node = {
+  n_id : int;
+  n_proc : int;
+  n_chain : int;
+  n_rank : int;
+  n_own : int array array;
+  n_po : (int * int) list;
+  n_far : far IMap.t;
 }
+
+(* the clock [fa] ⊔ {fc ↦ fr}, [fc] = -1 for none *)
+and far = { fa : int array; fc : int; fr : int }
+
+(* A potential interposer of a location's virtual initial write: only
+   its position, compared against the read's own clock. *)
+type stamp = { t_id : int; t_chain : int; t_rank : int }
+
+(* Touchers that can interpose, newest first: write-like operations and
+   awaits for every reader, memory reads per reading process. *)
+type 'a index = { mutable x_shared : 'a list; mutable x_reads : 'a list ref IMap.t }
 
 (* Retained essence of a finalized writer. *)
-type summary = {
-  s_id : int;
-  s_proc : int;
-  s_chain : int;
-  s_rank : int;
-  s_clk : int array array; (* inclusive clocks, per family *)
-  mutable s_followers : toucher list; (* ascending id *)
-}
+type summary = { s_node : node; s_followers : node index }
 
 type lstate = {
   mutable li_dead : bool; (* initial value is dead *)
-  mutable li_touchers : toucher list; (* ascending id *)
+  li_touchers : stamp index;
   mutable li_values : Op.value list; (* values with live summaries *)
 }
-
-type resident = { r_proc : int; r_clk : int array array }
 
 (* Which lattice point every read is validated against. [Per_label] is
    the seed behavior (the [Mixed] point of Definition 4); [Uniform m]
@@ -114,14 +155,13 @@ type stats = {
 
 type t = {
   t_procs : int;
-  t_fams : int;
   t_mode : mode;
   sess_ryw : bool;
   sess_mr : bool;
   sess : sess_state array;
   group_idx : (int list, int) Hashtbl.t;
-  group_mem : bool array array;
-  clocks : (int, resident) Hashtbl.t;
+  own : int array array; (* per process: causal, its PRAM, its groups ascending *)
+  clocks : (int, node) Hashtbl.t;
   sums : (Op.location * Op.value, summary list ref) Hashtbl.t;
   locs : (Op.location, lstate) Hashtbl.t;
   mutable failures : Lattice.failure list; (* reverse finalization order *)
@@ -143,11 +183,13 @@ let clk_get a c = if c < Array.length a then a.(c) else 0
 
 let fam_causal = 0
 
+let new_index () = { x_shared = []; x_reads = IMap.empty }
+
 let lstate t loc =
   match Hashtbl.find_opt t.locs loc with
   | Some ls -> ls
   | None ->
-    let ls = { li_dead = false; li_touchers = []; li_values = [] } in
+    let ls = { li_dead = false; li_touchers = new_index (); li_values = [] } in
     Hashtbl.add t.locs loc ls;
     ls
 
@@ -223,9 +265,6 @@ let make ~procs ?(groups = []) ?model () =
       canonical
   in
   let sessions = match mode with Uniform (Lattice.Session _) -> true | _ -> false in
-  let n_fams = 1 + procs + List.length real in
-  if n_fams > 62 then
-    invalid_arg "Online.make: too many consistency families (max 62)";
   let sess_ryw, sess_mr =
     match mode with
     | Uniform (Lattice.Session gs) ->
@@ -234,19 +273,15 @@ let make ~procs ?(groups = []) ?model () =
     | _ -> (false, false)
   in
   let group_idx = Hashtbl.create 8 in
-  let group_mem =
-    Array.of_list
-      (List.mapi
-         (fun k g ->
-           Hashtbl.add group_idx g (1 + procs + k);
-           let a = Array.make procs false in
-           List.iter (fun m -> a.(m) <- true) g;
-           a)
-         real)
-  in
+  let member_of = Array.make procs [] in
+  List.iteri
+    (fun k g ->
+      let f = 1 + procs + k in
+      Hashtbl.add group_idx g f;
+      List.iter (fun m -> member_of.(m) <- f :: member_of.(m)) g)
+    real;
   {
     t_procs = procs;
-    t_fams = n_fams;
     t_mode = mode;
     sess_ryw;
     sess_mr;
@@ -256,7 +291,9 @@ let make ~procs ?(groups = []) ?model () =
              { se_reads = Hashtbl.create 8; se_writes = Hashtbl.create 8 })
        else [||]);
     group_idx;
-    group_mem;
+    own =
+      Array.init procs (fun p ->
+          Array.of_list (fam_causal :: (1 + p) :: List.rev member_of.(p)));
     clocks = Hashtbl.create 256;
     sums = Hashtbl.create 64;
     locs = Hashtbl.create 16;
@@ -273,18 +310,23 @@ let make ~procs ?(groups = []) ?model () =
     t_engine = None;
   }
 
-(* Does family [f] include a sync / reads-from edge with these endpoint
-   processes? Program-order edges are included in every family. *)
-let edge_in_fam t f ~sp ~np =
-  if f = fam_causal then true
-  else if f <= t.t_procs then
-    let i = f - 1 in
-    sp = i || np = i
+(* [slot t p f]: the index of family [f] among [p]'s own families, or -1
+   when [f] is foreign to [p]. Groups follow causal and PRAM(p) in
+   ascending order, so they are found by bisection. *)
+let slot t p f =
+  if f = fam_causal then 0
+  else if f = 1 + p then 1
+  else if f <= t.t_procs then -1
   else
-    let g = t.group_mem.(f - 1 - t.t_procs) in
-    g.(sp) || g.(np)
-
-let sync_edge_in_fam = edge_in_fam
+    let fs = t.own.(p) in
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let x = fs.(mid) in
+        if x = f then mid else if x < f then go (mid + 1) hi else go lo mid
+    in
+    go 2 (Array.length fs)
 
 let join_into dst src =
   let n = min (Array.length dst) (Array.length src) in
@@ -292,82 +334,166 @@ let join_into dst src =
     if src.(c) > dst.(c) then dst.(c) <- src.(c)
   done
 
+(* entry [i] of the clock [a] ⊔ {c ↦ r} *)
+let pt a c r i =
+  let v = clk_get a i in
+  if i = c && r > v then r else v
+
+(* does [a] ⊔ {c ↦ r} dominate [b] ⊔ {bc ↦ br}? *)
+let covers a c r b bc br =
+  let rec go i = i >= Array.length b || (b.(i) <= pt a c r i && go (i + 1)) in
+  (bc < 0 || br <= pt a c r bc) && go 0
+
+let far_join x y =
+  if covers x.fa x.fc x.fr y.fa y.fc y.fr then x
+  else if covers y.fa y.fc y.fr x.fa x.fc x.fr then y
+  else begin
+    let len = max (max (Array.length x.fa) (Array.length y.fa)) (1 + max x.fc y.fc) in
+    let a = Array.make len 0 in
+    let add e =
+      join_into a e.fa;
+      if e.fc >= 0 && e.fr > a.(e.fc) then a.(e.fc) <- e.fr
+    in
+    add x;
+    add y;
+    { fa = a; fc = -1; fr = 0 }
+  end
+
+(* [far] ⊔ {f ↦ b ⊔ {bc ↦ br}} *)
+let far_add far f b bc br =
+  match IMap.find f far with
+  | e when covers e.fa e.fc e.fr b bc br -> far
+  | e -> IMap.add f (far_join e { fa = b; fc = bc; fr = br }) far
+  | exception Not_found -> IMap.add f { fa = b; fc = bc; fr = br } far
+
+(* pointwise max of two (chain, rank) lists ascending by chain *)
+let rec po_join a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((ca, ra) as x) :: a', ((cb, rb) as y) :: b' ->
+    if ca < cb then x :: po_join a' b
+    else if cb < ca then y :: po_join a b'
+    else if ra >= rb then x :: po_join a' b'
+    else y :: po_join a' b'
+
+let po_get po c = match List.assoc_opt c po with Some r -> r | None -> 0
+
+(* the inclusive entry at chain [c] of [n]'s k-th own family *)
+let own_get n k c = pt n.n_own.(k) n.n_chain (n.n_rank + 1) c
+
+(* [reaches t o ~fam w]: is [w] strictly before [o] in family [fam]?
+   Inclusive clocks of [o] answer it for [w <> o]. *)
+let reaches t (o : node) ~fam (w : node) =
+  let k = slot t o.n_proc fam in
+  if k >= 0 then own_get o k w.n_chain > w.n_rank
+  else
+    (w.n_chain = o.n_chain && w.n_rank <= o.n_rank)
+    || po_get o.n_po w.n_chain > w.n_rank
+    ||
+    match IMap.find fam o.n_far with
+    | e -> pt e.fa e.fc e.fr w.n_chain > w.n_rank
+    | exception Not_found -> false
+
 let resident t id =
-  match Hashtbl.find_opt t.clocks id with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Online: source op %d not resident" id)
+  match Hashtbl.find t.clocks id with
+  | n -> n
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Online: source op %d not resident" id)
 
 let rf_summary t ~loc ~value id =
+  let rec find = function
+    | s :: rest -> if s.s_node.n_id = id then s else find rest
+    | [] -> invalid_arg (Printf.sprintf "Online: no summary for writer %d" id)
+  in
   match Hashtbl.find_opt t.sums (loc, value) with
-  | Some l -> (
-    match List.find_opt (fun s -> s.s_id = id) !l with
-    | Some s -> s
-    | None ->
-      invalid_arg (Printf.sprintf "Online: no summary for writer %d" id))
+  | Some l -> find !l
   | None -> invalid_arg (Printf.sprintf "Online: no summaries for writer %d" id)
 
-let values_at (o : Op.t) loc =
-  let add acc = function
-    | Some (l, v) when l = loc -> v :: acc
-    | Some _ | None -> acc
-  in
-  add (add [] (Op.writes_value o)) (Op.reads_value o)
+let rec carries_other vals v =
+  match vals with [] -> false | u :: rest -> u <> v || carries_other rest v
 
-let rec insert_toucher fo = function
-  | [] -> [ fo ]
-  | x :: rest as l ->
-    if fo.f_id < x.f_id then fo :: l else x :: insert_toucher fo rest
+(* newest first: ids arrive ascending, so this is almost always a cons *)
+let rec insert_desc id x = function
+  | y :: rest when id y > id x -> y :: insert_desc id x rest
+  | l -> x :: l
+
+(* [reader] is the reading process of a memory read, -1 otherwise *)
+let index_add idx id ~reader x =
+  if reader < 0 then idx.x_shared <- insert_desc id x idx.x_shared
+  else
+    match IMap.find reader idx.x_reads with
+    | l -> l := insert_desc id x !l
+    | exception Not_found -> idx.x_reads <- IMap.add reader (ref [ x ]) idx.x_reads
+
+(* the own reads of [reader] in [idx] *)
+let index_reads idx ~reader =
+  match IMap.find reader idx.x_reads with l -> !l | exception Not_found -> []
 
 let rec insert_summary s = function
   | [] -> [ s ]
   | x :: rest as l ->
-    if s.s_id < x.s_id then s :: l else x :: insert_summary s rest
+    if s.s_node.n_id < x.s_node.n_id then s :: l else x :: insert_summary s rest
 
 (* --- the read rule, replicating Read_rule.check query-for-query ----- *)
 
-let verdict t (op : Op.t) strict ~loc ~value ~fam =
-  let sr = strict.(fam) in
-  let rel_to_r chain rank = clk_get sr chain > rank in
-  let keep fo = not (fo.f_read && fo.f_proc <> op.proc) in
-  let bad fo = List.exists (fun u -> u <> value) fo.f_vals in
-  let eligible fo =
-    fo.f_id <> op.id && rel_to_r fo.f_chain fo.f_rank && keep fo && bad fo
-  in
-  let interposed w =
-    List.find_opt
-      (fun fo -> fo.f_mask land (1 lsl fam) <> 0 && eligible fo)
-      w.s_followers
+(* A read's strict clock in its family is [sr] with its own chain
+   [chain] at [rank]. Every indexed toucher carries a value other than
+   the one it is checked against (see the header), so eligibility is
+   only its position between writer and read. Lists are newest first, so
+   the last eligible element is the smallest id; [best] is the smallest
+   so far, or -1. *)
+let rec smallest_follower t ~sr ~chain ~rank ~fam w best = function
+  | [] -> best
+  | (o : node) :: rest ->
+    let best =
+      if pt sr chain rank o.n_chain > o.n_rank && reaches t o ~fam w then o.n_id
+      else best
+    in
+    smallest_follower t ~sr ~chain ~rank ~fam w best rest
+
+let rec smallest_stamp ~sr ~chain ~rank best = function
+  | [] -> best
+  | s :: rest ->
+    smallest_stamp ~sr ~chain ~rank
+      (if pt sr chain rank s.t_chain > s.t_rank then s.t_id else best)
+      rest
+
+let min_id a b = if a < 0 then b else if b < 0 then a else min a b
+
+(* [own] holds the read's strict clocks; [fam] is one of the reader's own
+   families *)
+let verdict t (op : Op.t) own ~chain ~rank ~loc ~value ~fam =
+  let sr = own.(slot t op.proc fam) in
+  let interposer w =
+    let x = w.s_followers in
+    min_id
+      (smallest_follower t ~sr ~chain ~rank ~fam w.s_node (-1) x.x_shared)
+      (smallest_follower t ~sr ~chain ~rank ~fam w.s_node (-1)
+         (index_reads x ~reader:op.proc))
   in
   let cands =
     match Hashtbl.find_opt t.sums (loc, value) with
-    | Some l -> List.filter (fun w -> rel_to_r w.s_chain w.s_rank) !l
+    | Some l ->
+      List.filter (fun w -> pt sr chain rank w.s_node.n_chain > w.s_node.n_rank) !l
     | None -> []
   in
-  let rec first_valid = function
-    | [] -> None
-    | w :: rest ->
-      if interposed w = None then Some w else first_valid rest
-  in
-  match first_valid cands with
-  | Some _ -> Read_rule.Valid
-  | None -> (
-    if value = 0 then
-      (* virtual initial write: every toucher of the location counts *)
-      let touchers =
-        match Hashtbl.find_opt t.locs loc with
-        | Some ls -> ls.li_touchers
-        | None -> []
-      in
-      match List.find_opt eligible touchers with
-      | None -> Read_rule.Valid
-      | Some fo -> Read_rule.Overwritten fo.f_id
-    else
-      match cands with
-      | [] -> Read_rule.No_matching_write
-      | w :: _ -> (
-        match interposed w with
-        | Some fo -> Read_rule.Overwritten fo.f_id
-        | None -> assert false))
+  if List.exists (fun w -> interposer w < 0) cands then Read_rule.Valid
+  else if value = 0 then
+    (* virtual initial write: it precedes every operation *)
+    let id =
+      match Hashtbl.find_opt t.locs loc with
+      | Some ls ->
+        let x = ls.li_touchers in
+        min_id
+          (smallest_stamp ~sr ~chain ~rank (-1) x.x_shared)
+          (smallest_stamp ~sr ~chain ~rank (-1) (index_reads x ~reader:op.proc))
+      | None -> -1
+    in
+    if id < 0 then Read_rule.Valid else Read_rule.Overwritten id
+  else
+    match cands with
+    | [] -> Read_rule.No_matching_write
+    | w :: _ -> Read_rule.Overwritten (interposer w)
 
 (* --- the read rule on a fetch snapshot (partial view) ---------------- *)
 
@@ -387,7 +513,7 @@ let fetched_verdict t ~loc ~value fn =
           if v = value then []
           else
             match Hashtbl.find_opt t.sums (loc, v) with
-            | Some l -> List.map (fun s -> s.s_id) !l
+            | Some l -> List.map (fun s -> s.s_node.n_id) !l
             | None -> [])
         fn.fn_admissible
     in
@@ -426,7 +552,7 @@ let session_verdict t (op : Op.t) ~loc ~value =
   let reads = recs st.se_reads and writes = recs st.se_writes in
   let cands =
     match Hashtbl.find_opt t.sums (loc, value) with
-    | Some l -> List.map (fun s -> (s.s_id, s.s_proc)) !l (* id ascending *)
+    | Some l -> List.map (fun s -> (s.s_node.n_id, s.s_node.n_proc)) !l (* id ascending *)
     | None -> []
   in
   let min_id = function
@@ -503,7 +629,7 @@ let session_register t (op : Op.t) =
     | true, Some (loc, v) ->
       let sr_writers =
         match Hashtbl.find_opt t.sums (loc, v) with
-        | Some l -> List.map (fun s -> s.s_id) !l
+        | Some l -> List.map (fun s -> s.s_node.n_id) !l
         | None -> []
       in
       push st.se_reads loc { sr_id = op.id; sr_value = v; sr_writers }
@@ -516,32 +642,185 @@ let session_register t (op : Op.t) =
 
 (* --- finalization ---------------------------------------------------- *)
 
+(* An operation's clocks under construction. [b_own] starts as its chain
+   predecessor's arrays ([b_shared], empty without one) and an entry is
+   copied only on the first contribution it does not already cover. *)
+type build = {
+  b_chain : int;
+  b_rank : int;
+  b_own : int array array;
+  b_shared : int array array;
+  mutable b_po : (int * int) list;
+  mutable b_far : far IMap.t;
+}
+
+(* raise own-family slot [k] to cover [a] ⊔ {c ↦ r}; the strict entry at
+   the operation's own chain is its rank *)
+let raise_to t b k a c r =
+  let cur = b.b_own.(k) in
+  if not (covers cur b.b_chain b.b_rank a c r) then begin
+    let d =
+      if Array.length cur > 0
+         && (Array.length b.b_shared = 0 || cur != b.b_shared.(k))
+      then cur
+      else begin
+        let d = Array.make t.ch 0 in
+        join_into d cur;
+        b.b_own.(k) <- d;
+        d
+      end
+    in
+    join_into d a;
+    if c >= 0 && r > d.(c) then d.(c) <- r
+  end
+
+let rec raise_po t b k = function
+  | [] -> ()
+  | (c, r) :: rest ->
+    raise_to t b k [||] c r;
+    raise_po t b k rest
+
+(* a sync or reads-from edge from [s] into an operation of process [p]:
+   it is in every family of [p] (it has an endpoint there) and carries
+   [s]'s own families that [p] lacks into the foreign map *)
+let from_edge t b ~p (s : node) =
+  let fams = t.own.(p) in
+  for k = 0 to Array.length fams - 1 do
+    let f = fams.(k) in
+    let ks = slot t s.n_proc f in
+    if ks >= 0 then raise_to t b k s.n_own.(ks) s.n_chain (s.n_rank + 1)
+    else begin
+      raise_to t b k [||] s.n_chain (s.n_rank + 1);
+      raise_po t b k s.n_po;
+      match IMap.find f s.n_far with
+      | e -> raise_to t b k e.fa e.fc e.fr
+      | exception Not_found -> ()
+    end
+  done;
+  if s.n_proc <> p then begin
+    let sf = t.own.(s.n_proc) in
+    for ks = 1 to Array.length sf - 1 do
+      if slot t p sf.(ks) < 0 then
+        b.b_far <- far_add b.b_far sf.(ks) s.n_own.(ks) s.n_chain (s.n_rank + 1)
+    done
+  end
+
+(* a program-order edge from [n] on another chain of the same process:
+   in every family, so everything joins *)
+let from_chain t b (n : node) =
+  for k = 0 to Array.length b.b_own - 1 do
+    raise_to t b k n.n_own.(k) n.n_chain (n.n_rank + 1)
+  done;
+  b.b_po <- po_join b.b_po (po_join n.n_po [ (n.n_chain, n.n_rank + 1) ]);
+  b.b_far <- IMap.union (fun _ x y -> Some (far_join x y)) b.b_far n.n_far
+
+let rec chain_pred t chain = function
+  | [] -> None
+  | Stream.U u :: rest ->
+    let n = resident t u in
+    if n.n_chain = chain then Some n else chain_pred t chain rest
+  | (Stream.S _ | Stream.RF _) :: rest -> chain_pred t chain rest
+
+(* [op]'s strict own-family clocks plus its program-order clock and
+   foreign-family map, folded from its covering in-edges *)
+let fold_in_edges t (info : Stream.info) =
+  let op = info.Stream.op in
+  let chain = info.Stream.chain in
+  let pred = chain_pred t chain info.Stream.in_edges in
+  let b =
+    match pred with
+    | Some n ->
+      {
+        b_chain = chain;
+        b_rank = info.Stream.rank;
+        b_own = Array.copy n.n_own;
+        b_shared = n.n_own;
+        b_po = n.n_po;
+        b_far = n.n_far;
+      }
+    | None ->
+      {
+        b_chain = chain;
+        b_rank = info.Stream.rank;
+        b_own = Array.make (Array.length t.own.(op.proc)) [||];
+        b_shared = [||];
+        b_po = [];
+        b_far = IMap.empty;
+      }
+  in
+  let rec edges = function
+    | [] -> ()
+    | e :: rest ->
+      (match e with
+      | Stream.U u ->
+        let n = resident t u in
+        if n.n_chain <> chain then from_chain t b n
+      | Stream.S s -> from_edge t b ~p:op.proc (resident t s)
+      | Stream.RF s -> (
+        match Op.reads_value op with
+        | Some (loc, value) ->
+          from_edge t b ~p:op.proc (rf_summary t ~loc ~value s).s_node
+        | None -> ()));
+      edges rest
+  in
+  edges info.Stream.in_edges;
+  b
+
+(* the finalized operation's node; it shares its chain predecessor's
+   arrays when it learned nothing new *)
+let node_of (op : Op.t) b =
+  let own =
+    if Array.length b.b_shared > 0 && Array.for_all2 ( == ) b.b_own b.b_shared
+    then b.b_shared
+    else b.b_own
+  in
+  {
+    n_id = op.id;
+    n_proc = op.proc;
+    n_chain = b.b_chain;
+    n_rank = b.b_rank;
+    n_own = own;
+    n_po = b.b_po;
+    n_far = b.b_far;
+  }
+
+(* index [o] as a potential interposer at the location it touches *)
+let register t (op : Op.t) (o : node) =
+  let at loc vals ~reader =
+    let ls = lstate t loc in
+    if (not ls.li_dead) && carries_other vals 0 then
+      index_add ls.li_touchers (fun s -> s.t_id) ~reader
+        { t_id = o.n_id; t_chain = o.n_chain; t_rank = o.n_rank };
+    let rec follow = function
+      | [] -> ()
+      | w :: rest ->
+        let wn = w.s_node in
+        if wn.n_id <> o.n_id && own_get o 0 wn.n_chain > wn.n_rank then
+          index_add w.s_followers (fun n -> n.n_id) ~reader o;
+        follow rest
+    in
+    List.iter
+      (fun v' ->
+        if carries_other vals v' then
+          match Hashtbl.find_opt t.sums (loc, v') with
+          | Some l -> follow !l
+          | None -> ())
+      ls.li_values
+  in
+  match op.kind with
+  | Op.Write { loc; value } | Op.Await { loc; value } -> at loc [ value ] ~reader:(-1)
+  | Op.Read { loc; value; _ } -> at loc [ value ] ~reader:op.proc
+  | Op.Decrement { loc; amount; observed } ->
+    at loc [ observed - amount; observed ] ~reader:(-1)
+  | Op.Read_lock _ | Op.Read_unlock _ | Op.Write_lock _ | Op.Write_unlock _
+  | Op.Barrier _ | Op.Barrier_group _ ->
+    ()
+
 let finalize t (info : Stream.info) =
   let op = info.Stream.op in
   t.ops_checked <- t.ops_checked + 1;
   if info.Stream.chain + 1 > t.ch then t.ch <- info.Stream.chain + 1;
-  let strict = Array.init t.t_fams (fun _ -> Array.make t.ch 0) in
-  let join_filtered ~filter clk ~sp =
-    for f = 0 to t.t_fams - 1 do
-      if filter t f ~sp ~np:op.proc then join_into strict.(f) clk.(f)
-    done
-  in
-  List.iter
-    (fun e ->
-      match e with
-      | Stream.U s ->
-        let r = resident t s in
-        Array.iteri (fun f d -> join_into d r.r_clk.(f)) strict
-      | Stream.S s ->
-        let r = resident t s in
-        join_filtered ~filter:sync_edge_in_fam r.r_clk ~sp:r.r_proc
-      | Stream.RF s -> (
-        match Op.reads_value op with
-        | Some (loc, value) ->
-          let sm = rf_summary t ~loc ~value s in
-          join_filtered ~filter:edge_in_fam sm.s_clk ~sp:sm.s_proc
-        | None -> ()))
-    info.Stream.in_edges;
+  let b = fold_in_edges t info in
   (* read validation, before this op registers as its own interposer *)
   (match op.kind with
   | Op.Read { loc; label; value } ->
@@ -580,7 +859,7 @@ let finalize t (info : Stream.info) =
               (Op.Group (List.sort_uniq compare (op.proc :: g)))
           | Uniform _ -> assert false (* rejected by [make] *)
         in
-        verdict t op strict ~loc ~value ~fam
+        verdict t op b.b_own ~chain:b.b_chain ~rank:b.b_rank ~loc ~value ~fam
     in
     (match v with
     | Read_rule.Valid -> ()
@@ -589,75 +868,19 @@ let finalize t (info : Stream.info) =
         { Lattice.read_id = op.id; label; verdict = v } :: t.failures)
   | _ -> ());
   session_register t op;
-  (* interposer registration *)
-  (match
-     match (Op.writes_value op, Op.reads_value op) with
-     | Some (l, _), _ | None, Some (l, _) -> Some l
-     | None, None -> None
-   with
-  | Some loc ->
-    let vals = values_at op loc in
-    if vals <> [] then begin
-      let base mask =
-        {
-          f_id = op.id;
-          f_chain = info.Stream.chain;
-          f_rank = info.Stream.rank;
-          f_proc = op.proc;
-          f_read = Op.is_memory_read op;
-          f_vals = vals;
-          f_mask = mask;
-        }
-      in
-      let ls = lstate t loc in
-      if not ls.li_dead then
-        ls.li_touchers <- insert_toucher (base 0) ls.li_touchers;
-      List.iter
-        (fun v' ->
-          match Hashtbl.find_opt t.sums (loc, v') with
-          | Some l ->
-            List.iter
-              (fun w ->
-                if w.s_id <> op.id then begin
-                  let mask = ref 0 in
-                  for f = 0 to t.t_fams - 1 do
-                    if clk_get strict.(f) w.s_chain > w.s_rank then
-                      mask := !mask lor (1 lsl f)
-                  done;
-                  if !mask <> 0 then
-                    w.s_followers <- insert_toucher (base !mask) w.s_followers
-                end)
-              !l
-          | None -> ())
-        ls.li_values
-    end
-  | None -> ());
-  (* bump own chain: [strict] becomes the inclusive clock set *)
-  Array.iter
-    (fun a ->
-      let r = info.Stream.rank + 1 in
-      if r > a.(info.Stream.chain) then a.(info.Stream.chain) <- r)
-    strict;
+  let node = node_of op b in
+  register t op node;
   (* writer summary *)
   (match Op.writes_value op with
   | Some (loc, v) ->
-    let s =
-      {
-        s_id = op.id;
-        s_proc = op.proc;
-        s_chain = info.Stream.chain;
-        s_rank = info.Stream.rank;
-        s_clk = strict;
-        s_followers = [];
-      }
-    in
+    let s = { s_node = node; s_followers = new_index () } in
     (match Hashtbl.find_opt t.sums (loc, v) with
     | Some l -> l := insert_summary s !l
     | None -> Hashtbl.add t.sums (loc, v) (ref [ s ]));
     let ls = lstate t loc in
     if not (List.mem v ls.li_values) then ls.li_values <- v :: ls.li_values
   | None -> ());
-  Hashtbl.replace t.clocks op.id { r_proc = op.proc; r_clk = strict }
+  Hashtbl.replace t.clocks op.id node
 
 let retire t id = Hashtbl.remove t.clocks id
 
@@ -668,7 +891,8 @@ let dead t loc value =
     ls.li_values <- List.filter (fun v -> v <> value) ls.li_values;
     if value = 0 then begin
       ls.li_dead <- true;
-      ls.li_touchers <- []
+      ls.li_touchers.x_shared <- [];
+      ls.li_touchers.x_reads <- IMap.empty
     end
   | None -> if value = 0 then (lstate t loc).li_dead <- true
 

@@ -9,15 +9,18 @@
     keeping only the in-flight operation window plus live writer
     summaries in memory.
 
-    Per finalized operation the cost is O(families × chains) integer
-    work, with families = 1 (causal) + procs (PRAM) + registered reader
-    groups, i.e. O(procs · chains) per read as required.
+    Per finalized operation the dense work covers the operation's own
+    families only — causal, its process's PRAM family and the registered
+    groups containing its process — at O(chains) integer work each; every
+    other family is answered from the operation's program-order clock and
+    the member clocks its sync and reads-from edges brought in. A read
+    additionally scans the writer summaries of its value plus the
+    write-like followers and its own process's reads that carry another
+    value. No bound on the number of processes or families applies.
 
     Reader groups must be registered up front (via [~groups] or
     {!groups_of_history}); a group equal to all processes aliases to
-    causal and a singleton group to the reader's PRAM family, so only
-    the remaining proper groups consume a family slot (max 62 families
-    in total). *)
+    causal and a singleton group to the reader's PRAM family. *)
 
 type t
 
@@ -50,9 +53,9 @@ val supports : Lattice.t -> bool
     Without [model] every read is checked at its declared label (the
     seed [Mixed] behavior); with [model] every memory read is checked
     under that single lattice point instead ([Group g] is implicitly
-    reader-augmented per read). Raises [Invalid_argument] for
-    out-of-range members, empty groups, more than 62 consistency
-    families, or a model [supports] rejects. *)
+    reader-augmented per read). Raises [Invalid_argument] for a
+    non-positive [procs], out-of-range members, empty groups, or a model
+    [supports] rejects. *)
 val create : procs:int -> ?groups:int list list -> ?model:Lattice.t -> unit -> t
 
 (** [sink t] adapts the checker for [Recorder.subscribe]: operations are

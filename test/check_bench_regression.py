@@ -13,9 +13,11 @@ Two kinds of checks:
   drops more than ``--tolerance`` (default 25%) below the baseline;
   improvements always pass.
 * deterministic metrics (seeded sim results -- sim time, message,
-  byte, resident-object and fetch counts): fail on any difference. A
-  seeded simulation repeats them exactly, so a change to one is a
-  re-baseline: regenerate the committed file and say why.
+  byte, resident-object and fetch counts, and the streaming checker's
+  op count, window high-water, live summaries and offline agreement):
+  fail on any difference. A seeded simulation repeats them exactly, so
+  a change to one is a re-baseline: regenerate the committed file and
+  say why.
 
 Additionally, when the baseline carries an EXP-OBS-SHARD section, its
 observe=off acceptance gate (``gate_pass``) must hold: the committed
@@ -53,6 +55,16 @@ DETERMINISTIC = {
             "bytes",
             "resident_max",
             "fetches",
+        ),
+    ),
+    "EXP-ONLINE": (
+        "runs",
+        ("rounds",),
+        (
+            "ops",
+            "online_window_high_water",
+            "online_live_summaries",
+            "failures_agree",
         ),
     ),
 }

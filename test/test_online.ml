@@ -4,7 +4,10 @@
    - the online mixed-consistency checker must reproduce
      [Lattice.failures h Mixed] verdict-for-verdict (including [Overwritten]
      diagnostics) on random histories with locks, barriers, subset
-     barriers, awaits and all three read labels;
+     barriers, awaits and all three read labels, on 64-70 processes,
+     with overlapping operations of one process, and on one location
+     with more than a thousand touchers — per label and under uniform
+     causal and uniform PRAM;
    - [Hb] must answer every happens-before query like [History.causality];
    - the engine must retire operations (bounded in-flight window) on
      workloads with synchronization;
@@ -188,6 +191,187 @@ let online_diff_more_procs =
   QCheck.Test.make ~name:"online = offline on 4 processes" ~count:200
     (sync_history_arb ~procs:4 ~segments:2 ~max_ops:4)
     (fun progs -> online_matches_offline (history_of_programs ~procs:4 progs))
+
+(* online = offline per label ([Mixed]) and under uniform causal and
+   uniform PRAM, failure lists compared whole *)
+let online_matches_at_points h =
+  let groups = Online.groups_of_history h in
+  online_matches_offline h
+  && List.for_all
+       (fun m ->
+         let offline = Lattice.failures h m in
+         let online = Online.failures (Online.check ~groups ~model:m h) in
+         offline = online
+         || begin
+              Format.eprintf "online disagrees under %a:@.%a@." Lattice.pp m
+                History.pp h;
+              false
+            end)
+       [ Lattice.Causal; Lattice.PRAM ]
+
+(* 64-70 processes with pairwise group labels: 1 causal + one PRAM per
+   process + the pair groups, more families than bits in an [int] *)
+let online_diff_many_procs =
+  let gen =
+    QCheck.Gen.(
+      int_range 64 70 >>= fun procs ->
+      int_range 1 2 >>= fun segments ->
+      map (fun progs -> (procs, progs)) (programs_gen ~procs ~segments ~max_ops:1))
+  in
+  QCheck.Test.make ~name:"online = offline on 64-70 processes" ~count:100
+    (QCheck.make
+       ~print:(fun (procs, progs) ->
+         Format.asprintf "%a" History.pp (history_of_programs ~procs progs))
+       gen)
+    (fun (procs, progs) ->
+      online_matches_at_points (history_of_programs ~procs progs))
+
+(* Overlapping operations of one process make program order partial, so
+   a process runs on several chains and its clocks join across them. A
+   step starts an operation or finishes an open one, as a write of a
+   fresh value or a read (PRAM, causal or pair-group) of a guessed one. *)
+let overlapping_history ~procs steps =
+  let r = Recorder.create ~procs () in
+  let pending = Array.make procs [] in
+  let next = ref 0 in
+  let finish proc i (loc, guess, label) =
+    let tok = List.nth pending.(proc) i in
+    pending.(proc) <- List.filteri (fun j _ -> j <> i) pending.(proc);
+    let loc = "v" ^ string_of_int loc in
+    let kind =
+      if guess < 3 then begin
+        incr next;
+        Op.Write { loc; value = !next }
+      end
+      else
+        let label =
+          match label with
+          | 0 -> Op.PRAM
+          | 1 -> Op.Causal
+          | _ -> Op.Group [ proc; (proc + 1) mod procs ]
+        in
+        Op.Read { loc; label; value = guess - 3 }
+    in
+    ignore (Recorder.finish r tok kind)
+  in
+  List.iter
+    (fun (proc, start, pick, op) ->
+      if start || pending.(proc) = [] then
+        pending.(proc) <- pending.(proc) @ [ Recorder.start r ~proc ]
+      else finish proc (pick mod List.length pending.(proc)) op)
+    steps;
+  Array.iteri
+    (fun proc l -> List.iter (fun _ -> finish proc 0 (0, 3, 0)) l)
+    pending;
+  Recorder.history r
+
+let online_diff_overlapping =
+  let procs = 3 in
+  let step =
+    QCheck.Gen.(
+      tup4 (int_bound (procs - 1)) bool (int_bound 3)
+        (tup3 (int_bound 1) (int_bound 9) (int_bound 2)))
+  in
+  QCheck.Test.make ~name:"online = offline with overlapping operations" ~count:300
+    (QCheck.make
+       ~print:(fun steps ->
+         Format.asprintf "%a" History.pp (overlapping_history ~procs steps))
+       QCheck.Gen.(list_size (int_range 4 30) step))
+    (fun steps -> online_matches_at_points (overlapping_history ~procs steps))
+
+(* ------------------------------------------------------------------ *)
+(* One hot location                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* More than a thousand touchers of [x]. Two writers (p0 writes 1..n, p1
+   writes 1001..1000+n) read back every value they write and, every
+   tenth write, re-read their own value from three writes back; two
+   readers (p2, p3) follow both writers' values and every seventh read
+   returns a value two writes stale. Labels cycle PRAM, causal and the
+   reader's pair group; p3 awaits one of p1's values and later reads the
+   initial 0. A barrier splits every program in half and no read returns
+   a value from a later half, so causality is acyclic. Each stale read
+   has several eligible interposers (later writes of the writer, the
+   reader's own reads), and the diagnostic must name the smallest.
+
+   The tail engineers a foreign-family query: p1 reads p0's last value
+   9000 causally, writes 9001 and then y; p2 reads y and then x = 9000
+   with a PRAM label. The write of 9001 follows 9000 only through p0 →
+   p1 reads-from, an edge PRAM(p2) does not contain, so the read is valid
+   per label and under uniform PRAM, and overwritten under causal. *)
+let hot_history ~n =
+  let half = n / 2 in
+  let read p k v =
+    match k mod 3 with
+    | 0 -> Dsl.rp "x" v
+    | 1 -> Dsl.rc "x" v
+    | _ -> Dsl.rg [ p; (p + 1) mod 4 ] "x" v
+  in
+  let writer p base =
+    List.concat
+      (List.init n (fun i ->
+           let k = i + 1 in
+           [ Dsl.w "x" (base + k); read p k (base + k) ]
+           @ (if k mod 10 = 0 then [ read p (k + 1) (base + k - 3) ] else [])
+           @ if k = half then [ Dsl.bar 0 ] else []))
+  in
+  let reader p =
+    let last = [| 0; 0 |] and step = ref 0 in
+    let reads ~limit ~count =
+      List.init count (fun j ->
+          incr step;
+          let wr = j mod 2 in
+          let base = 1000 * wr in
+          if !step mod 7 = 0 && last.(wr) > 2 then read p !step (base + last.(wr) - 2)
+          else begin
+            last.(wr) <- min limit (last.(wr) + 1 + (!step mod 2));
+            read p !step (base + last.(wr))
+          end)
+    in
+    let first = reads ~limit:half ~count:(n / 2) in
+    let second = reads ~limit:n ~count:(n / 2) in
+    if p = 3 then
+      first @ [ Dsl.await "x" (1000 + half); Dsl.bar 0; Dsl.rp "x" 0 ] @ second
+    else first @ (Dsl.bar 0 :: second)
+  in
+  Dsl.make ~procs:4
+    [
+      writer 0 0 @ [ Dsl.w "x" 9000 ];
+      writer 1 1000 @ [ Dsl.rc "x" 9000; Dsl.w "x" 9001; Dsl.w "y" 5 ];
+      reader 2 @ [ Dsl.rp "y" 5; Dsl.rp "x" 9000 ];
+      reader 3;
+    ]
+
+let test_hot_location () =
+  let h = hot_history ~n:200 in
+  check "acyclic" true (History.causality_is_acyclic h);
+  check "more than 1000 touchers of x" true (List.length (History.ops_at h "x") > 1000);
+  check "online = offline per label, causal and PRAM" true (online_matches_at_points h);
+  let ops = History.ops h in
+  let find p kind =
+    let r = ref (-1) in
+    Array.iter (fun (o : Op.t) -> if o.proc = p && o.kind = kind && !r < 0 then r := o.id) ops;
+    !r
+  in
+  let failures = Online.failures (Online.check h) in
+  let verdict id =
+    List.find_map
+      (fun (f : Lattice.failure) -> if f.Lattice.read_id = id then Some f.Lattice.verdict else None)
+      failures
+  in
+  (* p0's first stale read returns 7 after writing 8, 9 and 10 and reading
+     each back: six eligible interposers, the smallest is the write of 8 *)
+  let stale =
+    find 0 (Op.Read { loc = "x"; label = Op.Group [ 0; 1 ]; value = 7 })
+  in
+  check "stale read names the smallest interposer" true
+    (verdict stale = Some (Read_rule.Overwritten (find 0 (Op.Write { loc = "x"; value = 8 }))));
+  let tail = find 2 (Op.Read { loc = "x"; label = Op.PRAM; value = 9000 }) in
+  check "foreign-family interposer does not count per label" true (verdict tail = None);
+  check "it does under causal" true
+    (List.exists
+       (fun (f : Lattice.failure) -> f.Lattice.read_id = tail)
+       (Online.failures (Online.check ~model:Lattice.Causal h)))
 
 (* ------------------------------------------------------------------ *)
 (* Hb differential                                                     *)
@@ -498,6 +682,9 @@ let () =
           qt online_diff_memory_only;
           qt online_diff_sync;
           qt online_diff_more_procs;
+          qt online_diff_many_procs;
+          qt online_diff_overlapping;
+          Alcotest.test_case "one hot location" `Quick test_hot_location;
           qt hb_diff;
         ] );
       ( "engine",

@@ -10,7 +10,9 @@
      violation on a subscribed read, the streaming checker's failure
      list (verdicts and [Overwritten] diagnostics) is identical to the
      offline checker's, restricted to non-fetched reads, while the
-     fetched read validates against its snapshot;
+     fetched read validates against its snapshot, and a 200-process
+     run in the shard-1000 pattern checked online agrees with the
+     offline checker on its subscribed reads;
    - solver differential: the Fig. 2 solver under sharded placement
      computes the same result as under full replication, with a clean
      online verdict despite every foreign-row read being a fetch. *)
@@ -343,6 +345,55 @@ let test_solver_sharded_differential () =
   in
   check "resident state shrank" true (max_resident rt_sh < max_resident rt_full)
 
+(* ------------------------------------------------------------------ *)
+(* Many processes: the shard-1000 pattern at 200 processes              *)
+(* ------------------------------------------------------------------ *)
+
+(* Range placement, every process subscribed to its own shard and the
+   next one; each process writes its own slice, crosses a barrier, reads
+   its neighbour's slice (subscribed: the PRAM read rule) and the one
+   after (not subscribed: a fetch), and crosses a second barrier. 201
+   consistency families, checked online during the run. *)
+let test_many_procs_online () =
+  let procs = 200 and per = 10 in
+  let pl = P.create ~shards:procs ~policy:(P.Range { objects = procs * per }) () in
+  for i = 0 to procs - 1 do
+    P.subscribe pl ~node:i ~shard:i;
+    P.subscribe pl ~node:i ~shard:((i + 1) mod procs)
+  done;
+  let engine = Engine.create () in
+  let cfg =
+    {
+      (Config.default ~procs) with
+      record = true;
+      check_online = true;
+      placement = Some pl;
+    }
+  in
+  let rt = Runtime.create engine cfg in
+  let loc i = Printf.sprintf "s:%d" (i * per) in
+  let sum = ref 0 in
+  for i = 0 to procs - 1 do
+    Runtime.spawn_process rt i (fun p ->
+        Runtime.write p (loc i) (i + 1);
+        Runtime.barrier p;
+        let near = Runtime.read p ~label:Op.PRAM (loc ((i + 1) mod procs)) in
+        let far = Runtime.read p ~label:Op.PRAM (loc ((i + 2) mod procs)) in
+        sum := !sum + near + far;
+        Runtime.barrier p)
+  done;
+  ignore (Runtime.run rt);
+  check_int "exact" (procs * (procs + 1)) !sum;
+  let chk = Option.get (Runtime.online_checker rt) in
+  check "fetches happened" true ((Online.stats chk).Online.fetched_reads > 0);
+  let fetched = Online.fetched_ids chk in
+  let offline =
+    List.filter
+      (fun (f : Lattice.failure) -> not (List.mem f.Lattice.read_id fetched))
+      (Lattice.failures (Runtime.history rt) Lattice.Mixed)
+  in
+  check "online = offline on non-fetched reads" true (Online.failures chk = offline)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
@@ -359,6 +410,7 @@ let () =
         [
           Alcotest.test_case "online = offline off the fetch path" `Quick
             test_partial_view_checker_identity;
+          Alcotest.test_case "200 processes online" `Quick test_many_procs_online;
         ] );
       ( "solver",
         [
