@@ -107,14 +107,7 @@ let lint h =
   in
   Array.iter
     (fun (o : Op.t) ->
-      let key =
-        match o.kind with
-        | Op.Barrier k -> Some ([], k)
-        | Op.Barrier_group { episode; members } ->
-          Some (List.sort_uniq compare members, episode)
-        | _ -> None
-      in
-      match key with
+      match Op.barrier_episode o with
       | Some key ->
         Hashtbl.replace episodes key
           ((o.proc, o.id)

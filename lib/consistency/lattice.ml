@@ -16,7 +16,7 @@
            touch the reader, a process group, or kept whole;
    - sync: the reduced synchronization covering, filtered the same way
            (its transitive closure equals the full sync order, so the
-           causal point matches [History.causal_relation] exactly);
+           causal point matches Definition 2's relation exactly);
    - wo:   a total per-location (or global) write order taken from the
            recording order — ids are assigned in simulation-time response
            order, so this is the sim-time serialization witness;
@@ -112,7 +112,7 @@ let axioms_of = function
 
 (* the axiom point of one declared read label: the seed per-label
    checkers (Defs. 2/3, §3.2). The group is kept verbatim — the reader
-   must be a member, mirroring [History.group_relation]. *)
+   must be a member, as in Section 3.2's group relation. *)
 let axioms_of_label = function
   | Op.PRAM -> axioms_of PRAM
   | Op.Causal -> axioms_of Causal

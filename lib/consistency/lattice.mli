@@ -26,13 +26,15 @@ type t =
   | SC  (** causal plus a sim-time total write order *)
   | Processor  (** PRAM and cache: the join of the two *)
   | Cache  (** per-location SC (same-location program order + write order) *)
-  | Causal  (** Definition 2, [History.causal_relation] *)
+  | Causal  (** Definition 2: [⇝] restricted to what may affect the reader *)
   | Mixed  (** each read checked at its own declared label (Definition 4) *)
   | Group of int list
       (** Section 3.2 visibility groups; the reader is implicitly a
           member, so [Group []] coincides with [PRAM] and
           [Group all_procs] with [Causal] *)
-  | PRAM  (** Definition 3, [History.pram_relation] *)
+  | PRAM
+      (** Definition 3: program order plus the reduced sync and reads-from
+          edges touching the reader *)
   | Slow  (** per-location PRAM: the meet of PRAM and cache *)
   | Session of guarantee list
       (** only the selected session guarantees; [Session []] is the
@@ -67,8 +69,8 @@ type axioms = {
 val axioms_of : t -> axioms
 
 (** The axiom point of one declared read label. Groups are kept
-    verbatim: the reader must be a member, as in
-    {!Mc_history.History.group_relation}. *)
+    verbatim: the reader must be a member, as in Section 3.2's group
+    relation. *)
 val axioms_of_label : Mc_history.Op.label -> axioms
 
 (** {1 Lattice structure} *)

@@ -193,8 +193,6 @@ let lstate t loc =
     Hashtbl.add t.locs loc ls;
     ls
 
-let all_procs t = List.init t.t_procs Fun.id
-
 let fam_of_label t ~reader = function
   | Op.PRAM -> 1 + reader
   | Op.Causal -> fam_causal
@@ -207,7 +205,8 @@ let fam_of_label t ~reader = function
           invalid_arg "Online: group member out of range")
       g;
     let sg = List.sort_uniq compare g in
-    if sg = all_procs t then fam_causal
+    (* deduplicated and range-checked: full length means every process *)
+    if List.length sg = t.t_procs then fam_causal
     else (
       match sg with
       | [ i ] -> 1 + i (* i = reader, by the membership check *)

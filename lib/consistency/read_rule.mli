@@ -21,9 +21,9 @@ type verdict =
           write and the read *)
 
 (** [check history relation ~read_id] applies the rule. [relation] must
-    be a relation over the history's op ids (typically
-    {!Mc_history.History.causal_relation} or [pram_relation]). Only the
-    operations that touch the read's location are scanned
+    be a relation over the history's op ids (typically the closure
+    {!Lattice} builds for a reader). Only the operations that touch the
+    read's location are scanned
     ({!Mc_history.History.ops_at}), in ascending id order, so
     [Overwritten o] names the lowest-id interposer. Raises
     [Invalid_argument] if [read_id] is not a memory read. *)

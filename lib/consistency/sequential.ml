@@ -159,10 +159,7 @@ let search ?(check_observed = true) ?(max_states = 200_000) h =
   let n = History.length h in
   if not (History.causality_is_acyclic h) then (None, Inconsistent)
   else begin
-    let base =
-      Relation.union (History.program_order h)
-        (Relation.union (History.reads_from h) (History.sync_order h))
-    in
+    let base = History.causality_base h in
     let preds = Array.init n (fun i -> Relation.predecessors base i) in
     let indeg = Array.make n 0 in
     Array.iteri (fun i ps -> indeg.(i) <- List.length ps) preds;

@@ -7,13 +7,9 @@ type t = {
   (* memoized derived relations *)
   mutable program_order_memo : Relation.t option;
   mutable reads_from_memo : Relation.t option;
-  mutable lock_order_memo : Relation.t option;
-  mutable barrier_order_memo : Relation.t option;
   mutable await_order_memo : Relation.t option;
   mutable sync_reduced_memo : Relation.t option;
   mutable causality_memo : Relation.t option;
-  causal_rel_memo : Relation.t option array;
-  pram_rel_memo : Relation.t option array;
   (* string-keyed memo for relations derived by other layers (the
      lattice engine caches one closure per axiom set here) *)
   rel_cache : (string, Relation.t) Hashtbl.t;
@@ -50,13 +46,9 @@ let create ~procs ops =
     writers;
     program_order_memo = None;
     reads_from_memo = None;
-    lock_order_memo = None;
-    barrier_order_memo = None;
     await_order_memo = None;
     sync_reduced_memo = None;
     causality_memo = None;
-    causal_rel_memo = Array.make procs None;
-    pram_rel_memo = Array.make procs None;
     rel_cache = Hashtbl.create 8;
     loc_index = None;
   }
@@ -167,8 +159,12 @@ let reads_from t =
     t compute_reads_from
 
 (* ------------------------------------------------------------------ *)
-(* Lock order                                                          *)
+(* Synchronization covering                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* The lock, barrier and await orders of Section 3 are built here only as
+   coverings: sparse relations with the same transitive closure, defined
+   edge-for-edge so that [Stream] reproduces them online. *)
 
 type epoch = Write_epoch of int list | Read_epoch of int list
 
@@ -205,120 +201,6 @@ let epochs_of_lock ops_sorted =
 
 let epoch_ops = function Write_epoch l -> l | Read_epoch l -> l
 
-let compute_lock_order t =
-  let n = length t in
-  let r = Relation.create n in
-  (* bucket lock operations per lock object *)
-  let by_lock = Hashtbl.create 8 in
-  Array.iter
-    (fun (o : Op.t) ->
-      match Op.lock_of o with
-      | Some l ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_lock l) in
-        Hashtbl.replace by_lock l (o :: prev)
-      | None -> ())
-    t.ops;
-  Hashtbl.iter
-    (fun _lock ops_of_l ->
-      let sorted =
-        List.sort
-          (fun (a : Op.t) (b : Op.t) -> compare a.sync_seq b.sync_seq)
-          ops_of_l
-      in
-      let epochs = Array.of_list (epochs_of_lock sorted) in
-      (* all operations of an earlier epoch precede all of a later epoch *)
-      for e1 = 0 to Array.length epochs - 1 do
-        for e2 = e1 + 1 to Array.length epochs - 1 do
-          List.iter
-            (fun a ->
-              List.iter (fun b -> Relation.add r a b) (epoch_ops epochs.(e2)))
-            (epoch_ops epochs.(e1))
-        done
-      done;
-      (* within a write epoch, lock precedes unlock *)
-      Array.iter
-        (function
-          | Write_epoch [ a; b ] -> Relation.add r a b
-          | Write_epoch _ -> ()
-          | Read_epoch ops ->
-            (* read lock precedes its matching unlock: same process, the
-               unlock that follows it in the epoch *)
-            let open_locks = Hashtbl.create 4 in
-            List.iter
-              (fun id ->
-                let o = t.ops.(id) in
-                match o.kind with
-                | Op.Read_lock _ -> Hashtbl.replace open_locks o.proc id
-                | Op.Read_unlock _ -> (
-                  match Hashtbl.find_opt open_locks o.proc with
-                  | Some lid ->
-                    Relation.add r lid id;
-                    Hashtbl.remove open_locks o.proc
-                  | None -> ())
-                | _ -> ())
-              ops)
-        epochs)
-    by_lock;
-  r
-
-let lock_order t =
-  with_memo
-    (fun t -> t.lock_order_memo)
-    (fun t v -> t.lock_order_memo <- v)
-    t compute_lock_order
-
-(* ------------------------------------------------------------------ *)
-(* Barrier order                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let compute_barrier_order t =
-  let n = length t in
-  let r = Relation.create n in
-  let po = program_order t in
-  (* (member set, episode) -> barrier op ids; a plain barrier spans all
-     processes *)
-  let episodes = Hashtbl.create 8 in
-  let add key id =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt episodes key) in
-    Hashtbl.replace episodes key (id :: prev)
-  in
-  Array.iter
-    (fun (o : Op.t) ->
-      match o.kind with
-      | Op.Barrier k -> add ([], k) o.id
-      | Op.Barrier_group { episode; members } ->
-        add (List.sort_uniq compare members, episode) o.id
-      | _ -> ())
-    t.ops;
-  Hashtbl.iter
-    (fun _k barrier_ids ->
-      List.iter
-        (fun bid ->
-          let b = t.ops.(bid) in
-          Array.iter
-            (fun (o : Op.t) ->
-              if o.proc = b.proc && o.id <> b.id then begin
-                if Relation.mem po o.id b.id then
-                  (* o ->j bkj, hence o => bki for every i *)
-                  List.iter (fun bid' -> if bid' <> o.id then Relation.add r o.id bid') barrier_ids
-                else if Relation.mem po b.id o.id then
-                  List.iter (fun bid' -> if bid' <> o.id then Relation.add r bid' o.id) barrier_ids
-              end)
-            t.ops)
-        barrier_ids)
-    episodes;
-  r
-
-let barrier_order t =
-  with_memo
-    (fun t -> t.barrier_order_memo)
-    (fun t v -> t.barrier_order_memo <- v)
-    t compute_barrier_order
-
-(* ------------------------------------------------------------------ *)
-(* Await order                                                         *)
-(* ------------------------------------------------------------------ *)
-
 let compute_await_order t =
   let n = length t in
   let r = Relation.create n in
@@ -340,9 +222,6 @@ let await_order t =
     (fun t -> t.await_order_memo)
     (fun t v -> t.await_order_memo <- v)
     t compute_await_order
-
-let sync_order t =
-  Relation.union (lock_order t) (Relation.union (barrier_order t) (await_order t))
 
 (* Structural covering of the lock order: the intra-epoch edges plus the
    surface edges between adjacent epochs (from the operations of an epoch
@@ -420,27 +299,20 @@ let compute_lock_covering t =
    preceding [o] on [j]. Chaining through the per-process episode
    sequence reproduces the full barrier order under transitive closure
    while emitting O(members) edges per operation. *)
-let barrier_episode_key (o : Op.t) =
-  match o.kind with
-  | Op.Barrier k -> Some ([], k)
-  | Op.Barrier_group { episode; members } ->
-    Some (List.sort_uniq compare members, episode)
-  | _ -> None
-
 let compute_barrier_covering t =
   let n = length t in
   let r = Relation.create n in
   let episodes = Hashtbl.create 8 in
   Array.iter
     (fun (o : Op.t) ->
-      match barrier_episode_key o with
+      match Op.barrier_episode o with
       | Some key ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt episodes key) in
         Hashtbl.replace episodes key (o.id :: prev)
       | None -> ())
     t.ops;
   let members bid =
-    match barrier_episode_key t.ops.(bid) with
+    match Op.barrier_episode t.ops.(bid) with
     | Some key -> Option.value ~default:[] (Hashtbl.find_opt episodes key)
     | None -> []
   in
@@ -474,7 +346,7 @@ let compute_barrier_covering t =
             Hashtbl.replace chain_of id c)
         sorted;
       let barriers =
-        List.filter (fun id -> barrier_episode_key t.ops.(id) <> None) sorted
+        List.filter (fun id -> Op.barrier_episode t.ops.(id) <> None) sorted
       in
       (* first-following: for each barrier b, an edge from the maximal op
          of every chain in b's window (responses strictly between the
@@ -565,7 +437,8 @@ let sync_order_reduced t =
 (* ------------------------------------------------------------------ *)
 
 let causality_base t =
-  Relation.union (program_order t) (Relation.union (reads_from t) (sync_order t))
+  Relation.union (program_order t)
+    (Relation.union (reads_from t) (sync_order_reduced t))
 
 let compute_causality t =
   let closure = Relation.transitive_closure (causality_base t) in
@@ -587,84 +460,6 @@ let causality_is_acyclic t =
   match causality t with
   | (_ : Relation.t) -> true
   | exception Invalid_argument _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Process-relative relations                                          *)
-(* ------------------------------------------------------------------ *)
-
-let causal_relation t i =
-  match t.causal_rel_memo.(i) with
-  | Some r -> r
-  | None ->
-    let keep id =
-      let o = t.ops.(id) in
-      o.proc = i || Op.is_write_like o || Op.is_sync o
-    in
-    let r = Relation.restrict (causality t) keep in
-    t.causal_rel_memo.(i) <- Some r;
-    r
-
-let pram_relation t i =
-  match t.pram_rel_memo.(i) with
-  | Some r -> r
-  | None ->
-    let touches_i rel =
-      let n = length t in
-      let out = Relation.create n in
-      let add acc a b =
-        ignore acc;
-        if t.ops.(a).proc = i || t.ops.(b).proc = i then Relation.add out a b
-      in
-      Relation.fold rel add ();
-      out
-    in
-    let base =
-      Relation.union (program_order t)
-        (Relation.union
-           (touches_i (sync_order_reduced t))
-           (touches_i (reads_from t)))
-    in
-    let closure = Relation.transitive_closure base in
-    let keep id =
-      let o = t.ops.(id) in
-      not (Op.is_memory_read o && o.proc <> i)
-    in
-    let r = Relation.restrict closure keep in
-    t.pram_rel_memo.(i) <- Some r;
-    r
-
-let group_relation t ~reader ~group =
-  if not (List.mem reader group) then
-    invalid_arg "History.group_relation: reader must be a group member";
-  List.iter
-    (fun m ->
-      if m < 0 || m >= t.procs then
-        invalid_arg "History.group_relation: member out of range")
-    group;
-  let in_group = Array.make t.procs false in
-  List.iter (fun m -> in_group.(m) <- true) group;
-  let touches_group rel =
-    let n = length t in
-    let out = Relation.create n in
-    Relation.fold rel
-      (fun () a b ->
-        if in_group.(t.ops.(a).proc) || in_group.(t.ops.(b).proc) then
-          Relation.add out a b)
-      ();
-    out
-  in
-  let base =
-    Relation.union (program_order t)
-      (Relation.union
-         (touches_group (sync_order_reduced t))
-         (touches_group (reads_from t)))
-  in
-  let closure = Relation.transitive_closure base in
-  let keep id =
-    let o = t.ops.(id) in
-    not (Op.is_memory_read o && o.proc <> reader)
-  in
-  Relation.restrict closure keep
 
 (* ------------------------------------------------------------------ *)
 (* Well-formedness                                                     *)

@@ -6,6 +6,13 @@
     synchronization order [⤇] (itself the union of the lock, barrier and
     await orders).
 
+    This module is the offline builder of that structure; {!Stream} is
+    the online one. Both build the synchronization order only as a
+    covering ({!sync_order_reduced}) with the same transitive closure.
+    The definitional lock and barrier orders and the per-reader
+    relations of Definitions 2 and 3 live in the test oracle
+    ([test/oracle.ml]), which checks this covering against them.
+
     All relations returned by this module are {!Mc_util.Relation.t} values
     over operation ids. *)
 
@@ -57,69 +64,44 @@ val program_order : t -> Mc_util.Relation.t
     the initial value have no incoming edge. *)
 val reads_from : t -> Mc_util.Relation.t
 
-(** [lock_order h] is [⤇lock]: built per lock object from the
-    manager-assigned grant order ([sync_seq]). Operations are grouped into
-    epochs — one write epoch per critical section, maximal groups of
-    overlapping read locks — with every operation of an earlier epoch
-    ordered before every operation of a later epoch. *)
-val lock_order : t -> Mc_util.Relation.t
-
-(** [barrier_order h] is [⤇bar]: for every operation [o] of process [j]
-    with [o →j bkj], an edge [o ⤇ bki] for every process [i], and
-    symmetrically from [bki] to every operation after [bkj] in [→j]. *)
-val barrier_order : t -> Mc_util.Relation.t
-
 (** [await_order h] is [⤇await]: an edge from the unique write [w(x)v] to
     every [await(x = v)]. *)
 val await_order : t -> Mc_util.Relation.t
 
-(** [sync_order h] is [⤇]: the union of the three synchronization
-    orders. *)
-val sync_order : t -> Mc_util.Relation.t
-
 (** [sync_order_reduced h] is [⤇p]: the union of structural coverings of
     the three synchronization orders, as used by the PRAM order
     (Definition 3, step 1). Each covering has the same transitive closure
-    as the order it covers while staying sparse: for locks it is exactly
-    the canonical transitive reduction (intra-epoch edges plus the surface
-    edges between adjacent epochs); for barriers each operation connects
-    to the members of the episode(s) immediately following and preceding
-    it on its own process; the await order is already reduced. The
-    coverings are defined edge-for-edge so the streaming online checker
-    reproduces them incrementally. *)
+    as the order it covers while staying sparse:
+    - the lock order [⤇lock] is built per lock object from the
+      manager-assigned grant order ([sync_seq]), grouped into epochs (one
+      write epoch per critical section, maximal runs of read locks);
+      its covering is exactly the canonical transitive reduction
+      (intra-epoch edges plus the surface edges between adjacent epochs);
+    - the barrier order [⤇bar] orders every operation before episode
+      [k] on its process before every member of the episode, and every
+      member before every operation after it; in the covering each
+      operation connects to the members of the episode(s) immediately
+      following and preceding it on its own process;
+    - the await order is already reduced ({!await_order}).
+
+    The coverings are defined edge-for-edge so the streaming engine
+    ({!Stream}) reproduces them incrementally. *)
 val sync_order_reduced : t -> Mc_util.Relation.t
 
-(** [causality h] is [⇝]: the transitive closure of
-    [→ ∪ ↦ ∪ ⤇]. Raises [Invalid_argument] if the result is cyclic (the
-    paper restricts attention to histories with acyclic causality). *)
+(** [causality_base h] is [→ ∪ ↦ ∪ ⤇p]: program order, reads-from and
+    the synchronization covering. Its transitive closure is {!causality},
+    so a total order extends [⇝] iff it extends this relation. *)
+val causality_base : t -> Mc_util.Relation.t
+
+(** [causality h] is [⇝]: the transitive closure of [→ ∪ ↦ ∪ ⤇], built
+    as the closure of {!causality_base} (the covering [⤇p] has the same
+    closure as [⤇]). Raises [Invalid_argument] if the result is cyclic
+    (the paper restricts attention to histories with acyclic
+    causality). *)
 val causality : t -> Mc_util.Relation.t
 
 (** [causality_is_acyclic h] checks acyclicity without raising. *)
 val causality_is_acyclic : t -> bool
-
-(** {1 Process-relative relations (Definitions 2 and 3)} *)
-
-(** [causal_relation h i] is [⇝i,C]: the causality relation restricted to
-    the operations that may affect process [i] — the operations of [i]
-    plus all write-like and synchronization operations of other
-    processes. *)
-val causal_relation : t -> int -> Mc_util.Relation.t
-
-(** [pram_relation h i] is [⇝i,P]: the transitive closure of
-    [→ ∪ ⤇p,i ∪ ↦i] (reduced sync edges and reads-from edges incident to
-    process [i]) projected on all operations excluding reads not of
-    process [i]. *)
-val pram_relation : t -> int -> Mc_util.Relation.t
-
-(** [group_relation h ~reader ~group] is [⇝i,G], the Section-3.2
-    interpolation between the two: the transitive closure of program
-    order together with the reduced synchronization edges and reads-from
-    edges incident to {e any} member of [group], projected on all
-    operations excluding memory reads not of [reader]. [group = [reader]]
-    coincides with {!pram_relation}; a group of all processes yields the
-    same read verdicts as {!causal_relation}. [reader] must be a
-    member. *)
-val group_relation : t -> reader:int -> group:int list -> Mc_util.Relation.t
 
 (** {1 Writes} *)
 

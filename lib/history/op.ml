@@ -58,6 +58,14 @@ let lock_of op =
   | Read_lock l | Read_unlock l | Write_lock l | Write_unlock l -> Some l
   | Read _ | Write _ | Decrement _ | Barrier _ | Barrier_group _ | Await _ -> None
 
+let barrier_episode op =
+  match op.kind with
+  | Barrier k -> Some ([], k)
+  | Barrier_group { episode; members } -> Some (List.sort_uniq compare members, episode)
+  | Read _ | Write _ | Decrement _ | Read_lock _ | Read_unlock _ | Write_lock _
+  | Write_unlock _ | Await _ ->
+    None
+
 let pp_kind fmt = function
   | Read { loc; label; value } ->
     Format.fprintf fmt "r%s(%s)%d"

@@ -71,6 +71,11 @@ val is_sync : t -> bool
 val lock_of : t -> lock_name option
 (** The lock object touched, for lock/unlock operations. *)
 
+val barrier_episode : t -> (int list * int) option
+(** The episode a barrier operation takes part in: [([], k)] for plain
+    barrier [k], [(members, k)] for a group barrier, with its member set
+    sorted and deduplicated. *)
+
 val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -45,12 +45,7 @@ let space_time h =
      causality relation so the vertical axis respects causality *)
   let order =
     match History.causality_is_acyclic h with
-    | true ->
-      let base =
-        Relation.union (History.program_order h)
-          (Relation.union (History.reads_from h) (History.sync_order h))
-      in
-      Relation.topological_order base
+    | true -> Relation.topological_order (History.causality_base h)
     | false ->
       List.init (History.length h) Fun.id
   in
@@ -65,14 +60,20 @@ let space_time h =
     order;
   Buffer.contents buf
 
-let edge_kind h a b =
-  let mem rel = Relation.mem rel a b in
-  if mem (History.program_order h) then "po"
-  else if mem (History.reads_from h) then "rf"
-  else if mem (History.lock_order h) then "lock"
-  else if mem (History.barrier_order h) then "bar"
-  else if mem (History.await_order h) then "await"
-  else "causal"
+(* A drawn edge comes from the covering: program order, reads-from, or a
+   synchronization covering edge, named by its endpoints — every barrier
+   covering edge has a barrier endpoint and the rest join lock
+   operations; an await's covering edge is also a reads-from edge. *)
+let edge_style h a b =
+  let is_barrier id =
+    match (History.op h id).Op.kind with
+    | Op.Barrier _ | Op.Barrier_group _ -> true
+    | _ -> false
+  in
+  if Relation.mem (History.program_order h) a b then "color=black"
+  else if Relation.mem (History.reads_from h) a b then "color=blue, label=\"rf\""
+  else if is_barrier a || is_barrier b then "color=darkgreen, label=\"bar\""
+  else "color=red, label=\"lock\""
 
 let dot h =
   let buf = Buffer.create 2048 in
@@ -89,26 +90,14 @@ let dot h =
     Buffer.add_string buf "  }\n"
   done;
   (* draw the transitive reduction so the picture stays readable *)
-  let base =
-    Relation.union (History.program_order h)
-      (Relation.union (History.reads_from h) (History.sync_order h))
-  in
+  let base = History.causality_base h in
   let edges =
     if Relation.is_acyclic base then Relation.transitive_reduction base else base
   in
   Relation.fold edges
     (fun () a b ->
-      let kind = edge_kind h a b in
-      let style =
-        match kind with
-        | "po" -> "color=black"
-        | "rf" -> "color=blue, label=\"rf\""
-        | "lock" -> "color=red, label=\"lock\""
-        | "bar" -> "color=darkgreen, label=\"bar\""
-        | "await" -> "color=purple, label=\"await\""
-        | _ -> "style=dashed"
-      in
-      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d [%s];\n" a b style))
+      Buffer.add_string buf
+        (Printf.sprintf "  n%d -> n%d [%s];\n" a b (edge_style h a b)))
     ();
   Buffer.add_string buf "}\n";
   Buffer.contents buf
@@ -144,7 +133,5 @@ let summary h =
   Buffer.add_string buf
     (Printf.sprintf "  causality edges: %d (base %d)\n"
        (Relation.cardinal (History.causality h))
-       (Relation.cardinal
-          (Relation.union (History.program_order h)
-             (Relation.union (History.reads_from h) (History.sync_order h)))));
+       (Relation.cardinal (History.causality_base h)));
   Buffer.contents buf

@@ -16,9 +16,11 @@ val space_time : History.t -> string
 (** [dot h] is a Graphviz digraph of the causality relation's transitive
     reduction: nodes are operations (clustered per process), edges are
     labelled by their source relation (program order, reads-from, or
-    synchronization). *)
+    the lock or barrier covering; an await's edge is its reads-from
+    edge). *)
 val dot : History.t -> string
 
 (** [summary h] is a short textual profile: op counts by kind, per
-    process, plus relation sizes. *)
+    process, plus the sizes of the causality relation and of its base
+    ({!History.causality_base}, the covering it is closed over). *)
 val summary : History.t -> string

@@ -6,8 +6,8 @@
 
    - [U] edges: the program-order chain covering (edges from the last
      completed operation of every chain of the process, captured at
-     invocation time) — the same greedy first-fit decomposition the
-     offline [Hb] index uses, so chains and ranks agree.
+     invocation time), over a greedy first-fit decomposition: an
+     invocation takes the first chain of its process that is not busy.
    - [S] edges: the structural sync covering — lock epoch surfaces and
      intra-epoch pairs (identical to [History.sync_order_reduced]'s lock
      part), plus barrier first-following / last-preceding episode edges
@@ -271,14 +271,6 @@ let release_slot t id =
 (* ------------------------------------------------------------------ *)
 (* Barrier episodes                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let episode_key (op : Op.t) =
-  match op.kind with
-  | Op.Barrier k -> Some (([], k), None)
-  | Op.Barrier_group { episode; members } ->
-    let m = List.sort_uniq compare members in
-    Some ((m, episode), Some (List.length m))
-  | _ -> None
 
 let find_episode t key expected =
   match Hashtbl.find_opt t.episodes key with
@@ -552,9 +544,12 @@ let handle_op t (op : Op.t) =
   chain.c_busy <- false;
   (* barrier membership *)
   let close_after = ref None in
-  (match episode_key op with
-  | Some (key, expected) ->
-    let e = find_episode t key (Option.value ~default:t.n_procs expected) in
+  (match Op.barrier_episode op with
+  | Some ((members, _) as key) ->
+    let expected =
+      match op.kind with Op.Barrier_group _ -> List.length members | _ -> t.n_procs
+    in
+    let e = find_episode t key expected in
     if not e.e_closed then begin
       e.e_members <- op.id :: e.e_members;
       incref t op.id;

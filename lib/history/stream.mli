@@ -7,7 +7,8 @@
     together with its chain position and covering in-edges:
 
     - {!U} edges form the program-order chain covering (greedy first-fit
-      chain decomposition, identical to the offline [Hb] index);
+      chain decomposition: an operation joins the first chain of its
+      process whose last response precedes its invocation);
     - {!S} edges form the structural sync covering (lock epoch surfaces
       and pairs, barrier first-following / last-preceding episode edges),
       edge-for-edge identical to [History.sync_order_reduced];
@@ -16,7 +17,11 @@
 
     Every per-reader consistency relation of the paper is the transitive
     closure of a subgraph of this covering, so a checker can fold
-    per-family chain clocks in a single pass over [on_finalize].
+    per-family chain clocks in a single pass over [on_finalize]; the
+    online checker ([Mc_consistency.Online]) does. The race detector
+    ([Mc_analysis.Race]) takes its chains and [U]/[S] edges from here
+    and its reads-from from [History], which also links a read to a
+    writer of its value that completes after it.
 
     Memory is bounded by the in-flight window: once a finalized
     operation's last internal reference is dropped it is retired

@@ -4,6 +4,15 @@
    - [warshall]: transitive closure by Warshall's algorithm over packed
      bit rows of its own, read from and written back to a [Relation]
      with [Relation.mem]/[Relation.add] only;
+   - Section 3's definitional synchronization orders — the lock order
+     over epochs grouped here, the all-pairs barrier order and the await
+     order — and [causality], the Warshall closure of program order,
+     reads-from and those orders. [History] and [Stream] build only a
+     covering of these orders; its closure must equal [causality];
+   - the per-reader relations of Definitions 2 and 3 and Section 3.2
+     ([causal_relation], [pram_relation], [group_relation]), memoized on
+     the history. [Lattice]'s causal, PRAM and group points must give
+     the same verdicts;
    - [Lattice]: a model's relation rebuilt pair by pair from the
      history's derived relations, closed by Warshall, restricted for
      each reader, and checked by the read rule scanning every operation
@@ -52,6 +61,189 @@ let warshall_matrix m =
   Array.map (fun r -> Array.init n (fun j -> r.(j / 62) land (1 lsl (j mod 62)) <> 0)) rows
 
 let warshall r = of_matrix (warshall_matrix (to_matrix r))
+
+(* ------------------------------------------------------------------ *)
+(* Section 3's orders, from their definitions                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [⤇lock]: per lock, in grant order, each operation gets an epoch: a
+   write lock opens one and its unlock joins it when granted right after
+   it; a run of read lock operations shares one. A write unlock not
+   granted right after its process's write lock belongs to no epoch.
+   Every operation of an earlier epoch precedes every operation of a
+   later one; inside an epoch a lock precedes its unlock. *)
+let lock_order h =
+  let ops = History.ops h in
+  let r = Relation.create (History.length h) in
+  let locks = List.sort_uniq compare (List.filter_map Op.lock_of (Array.to_list ops)) in
+  List.iter
+    (fun l ->
+      let granted =
+        Array.of_list
+          (List.sort
+             (fun (a : Op.t) (b : Op.t) -> compare a.sync_seq b.sync_seq)
+             (List.filter (fun o -> Op.lock_of o = Some l) (Array.to_list ops)))
+      in
+      let k = Array.length granted in
+      let is_read (o : Op.t) =
+        match o.kind with Op.Read_lock _ | Op.Read_unlock _ -> true | _ -> false
+      in
+      let epoch = Array.make k (-1) in
+      let next = ref 0 in
+      let last = ref (-1) (* position of the last operation with an epoch *) in
+      for i = 0 to k - 1 do
+        let o = granted.(i) in
+        match o.kind with
+        | Op.Write_lock _ ->
+          epoch.(i) <- !next;
+          incr next;
+          last := i
+        | Op.Write_unlock _ ->
+          if i > 0
+             && granted.(i - 1).proc = o.proc
+             && (match granted.(i - 1).kind with Op.Write_lock _ -> true | _ -> false)
+          then begin
+            epoch.(i) <- epoch.(i - 1);
+            last := i
+          end
+        | _ ->
+          if !last >= 0 && is_read granted.(!last) then epoch.(i) <- epoch.(!last)
+          else begin
+            epoch.(i) <- !next;
+            incr next
+          end;
+          last := i
+      done;
+      for i = 0 to k - 1 do
+        for j = 0 to k - 1 do
+          let a = granted.(i) and b = granted.(j) in
+          if epoch.(i) >= 0 && epoch.(j) > epoch.(i) then Relation.add r a.id b.id
+          else if epoch.(i) >= 0 && epoch.(i) = epoch.(j) && i < j && a.proc = b.proc then
+            (* the unlock matches the process's latest lock before it *)
+            match (a.kind, b.kind) with
+            | Op.Write_lock _, Op.Write_unlock _ -> Relation.add r a.id b.id
+            | Op.Read_lock _, Op.Read_unlock _ ->
+              let between = ref false in
+              for m = i + 1 to j - 1 do
+                if granted.(m).proc = a.proc && is_read granted.(m) then between := true
+              done;
+              if not !between then Relation.add r a.id b.id
+            | _ -> ()
+        done
+      done)
+    locks;
+  r
+
+(* [⤇bar]: an operation before a barrier of episode k on its process
+   precedes every barrier of the episode, and every barrier of the
+   episode precedes an operation after it. An episode is a plain
+   barrier index, or a group barrier's member set and index. *)
+let barrier_order h =
+  let ops = History.ops h in
+  let po = History.program_order h in
+  let r = Relation.create (History.length h) in
+  let episode (o : Op.t) =
+    match o.kind with
+    | Op.Barrier k -> Some ([], k)
+    | Op.Barrier_group { episode; members } -> Some (List.sort_uniq compare members, episode)
+    | _ -> None
+  in
+  Array.iter
+    (fun (b : Op.t) ->
+      match episode b with
+      | None -> ()
+      | Some e ->
+        Array.iter
+          (fun (b' : Op.t) ->
+            if episode b' = Some e then
+              Array.iter
+                (fun (o : Op.t) ->
+                  if o.id <> b'.id then begin
+                    if Relation.mem po o.id b.id then Relation.add r o.id b'.id;
+                    if Relation.mem po b.id o.id then Relation.add r b'.id o.id
+                  end)
+                ops)
+          ops)
+    ops;
+  r
+
+(* [⤇await]: the write of the awaited value precedes the await *)
+let await_order h =
+  let ops = History.ops h in
+  let r = Relation.create (History.length h) in
+  Array.iter
+    (fun (a : Op.t) ->
+      match a.kind with
+      | Op.Await { loc; value } ->
+        Array.iter
+          (fun (w : Op.t) ->
+            if w.id <> a.id && Op.writes_value w = Some (loc, value) then
+              Relation.add r w.id a.id)
+          ops
+      | _ -> ())
+    ops;
+  r
+
+(* [⇝]: the closure of program order, reads-from and [⤇] *)
+let causality h =
+  History.cached_relation h "oracle.causality" (fun () ->
+      warshall
+        (List.fold_left Relation.union (History.program_order h)
+           [ History.reads_from h; lock_order h; barrier_order h; await_order h ]))
+
+(* ------------------------------------------------------------------ *)
+(* Per-reader relations (Definitions 2 and 3, Section 3.2)             *)
+(* ------------------------------------------------------------------ *)
+
+(* [⇝i,C]: causality restricted to the operations of [i] plus every
+   write-like and synchronization operation *)
+let causal_relation h i =
+  History.cached_relation h (Printf.sprintf "oracle.causal.%d" i) (fun () ->
+      Relation.restrict (causality h) (fun id ->
+          let o = History.op h id in
+          o.proc = i || Op.is_write_like o || Op.is_sync o))
+
+(* the closure of program order plus the reduced sync and reads-from
+   edges touching [in_group], without other processes' memory reads *)
+let scoped_relation h ~reader ~in_group =
+  let touching rel =
+    let out = Relation.create (History.length h) in
+    Relation.fold rel
+      (fun () a b ->
+        if in_group (History.op h a).proc || in_group (History.op h b).proc then
+          Relation.add out a b)
+      ();
+    out
+  in
+  let closure =
+    warshall
+      (List.fold_left Relation.union (History.program_order h)
+         [ touching (History.sync_order_reduced h); touching (History.reads_from h) ])
+  in
+  Relation.restrict closure (fun id ->
+      let o = History.op h id in
+      not (Op.is_memory_read o && o.proc <> reader))
+
+(* [⇝i,P] *)
+let pram_relation h i =
+  History.cached_relation h (Printf.sprintf "oracle.pram.%d" i) (fun () ->
+      scoped_relation h ~reader:i ~in_group:(fun p -> p = i))
+
+(* [⇝i,G]: a singleton group coincides with [pram_relation], the group
+   of all processes gives [causal_relation]'s read verdicts *)
+let group_relation h ~reader ~group =
+  if not (List.mem reader group) then
+    invalid_arg "Oracle.group_relation: reader must be a group member";
+  List.iter
+    (fun m ->
+      if m < 0 || m >= History.procs h then
+        invalid_arg "Oracle.group_relation: member out of range")
+    group;
+  let group = List.sort_uniq compare group in
+  History.cached_relation h
+    (Printf.sprintf "oracle.group.%d.%s" reader
+       (String.concat "," (List.map string_of_int group)))
+    (fun () -> scoped_relation h ~reader ~in_group:(fun p -> List.mem p group))
 
 module Lattice = struct
   module L = Mc_consistency.Lattice

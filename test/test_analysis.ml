@@ -4,8 +4,8 @@
      [Commute.theorem1_report] on every history in a catalog replicating
      the existing test-suite histories, on recorded histories with
      overlapping fibers, and on random histories (QCheck);
-   - the chain-decomposed happens-before clocks are exact w.r.t.
-     [History.causality];
+   - the happens-before chain clocks folded over [Stream] are exact
+     w.r.t. the definitional causality closure of test/oracle.ml;
    - each lint rule L001-L006 fires on a minimal trigger and stays quiet
      on clean histories;
    - the label advisor recommends along the PRAM < Group < Causal
@@ -18,7 +18,6 @@ module Recorder = Mc_history.Recorder
 module Relation = Mc_util.Relation
 module Commute = Mc_consistency.Commute
 module Diag = Mc_analysis.Diag
-module Hb = Mc_analysis.Hb
 module Lockset = Mc_analysis.Lockset
 module Race = Mc_analysis.Race
 module Lint = Mc_analysis.Lint
@@ -55,6 +54,35 @@ let overlapping_fibers () =
     (Recorder.record r ~proc:1 (Op.Read { loc = "y"; label = Op.PRAM; value = 0 }));
   ignore (Recorder.record r ~proc:1 (Op.Write { loc = "x"; value = 3 }));
   Recorder.history r
+
+(* p0 holds l across two overlapping writes of x (two chains), p1
+   writes x under l, p2 stays idle: three chains for three processes,
+   yet the lockset screen must not run, since p0's writes are
+   concurrent *)
+let idle_process_fibers () =
+  let r = Recorder.create ~procs:3 () in
+  let lock proc kind =
+    ignore (Recorder.record r ~proc ~sync_seq:(Recorder.grant_seq r "l") kind)
+  in
+  lock 0 (Op.Write_lock "l");
+  let t1 = Recorder.start r ~proc:0 in
+  let t2 = Recorder.start r ~proc:0 in
+  ignore (Recorder.finish r t1 (Op.Write { loc = "x"; value = 1 }));
+  ignore (Recorder.finish r t2 (Op.Write { loc = "x"; value = 2 }));
+  lock 0 (Op.Write_unlock "l");
+  lock 1 (Op.Write_lock "l");
+  ignore (Recorder.record r ~proc:1 (Op.Write { loc = "x"; value = 3 }));
+  lock 1 (Op.Write_unlock "l");
+  Recorder.history r
+
+(* reads whose writer completes after them: the initial value written
+   back, and a value written twice. Reads-from joins a read with every
+   writer of its value, so both writes of x precede the read *)
+let written_initial_value () =
+  Dsl.make ~procs:2 [ [ Dsl.rp "x" 0 ]; [ Dsl.w "x" 0 ] ]
+
+let repeated_value () =
+  Dsl.make ~procs:3 [ [ Dsl.w "x" 1 ]; [ Dsl.rp "x" 1 ]; [ Dsl.w "x" 1 ] ]
 
 let catalog () =
   [
@@ -152,6 +180,9 @@ let catalog () =
       Dsl.make ~procs:2
         [ [ Dsl.w "x" 1; Dsl.rc "x" 1 ]; [ Dsl.w "y" 2; Dsl.rc "y" 2 ] ] );
     ("overlapping-fibers", overlapping_fibers ());
+    ("idle-process-fibers", idle_process_fibers ());
+    ("written-initial-value", written_initial_value ());
+    ("repeated-value", repeated_value ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -175,50 +206,68 @@ let test_differential_catalog () =
 let test_hb_exact () =
   List.iter
     (fun (name, h) ->
-      let hb = Hb.of_history h in
-      let causality = History.causality h in
+      let hb = Race.happens_before h in
+      let causality = Oracle.causality h in
       let n = History.length h in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if i <> j && Hb.hb hb i j <> Relation.mem causality i j then
+          if i <> j && hb i j <> Relation.mem causality i j then
             Alcotest.failf "%s: hb(%d,%d)=%b but causality says %b" name i j
-              (Hb.hb hb i j)
+              (hb i j)
               (Relation.mem causality i j)
         done
       done)
     (catalog ())
 
+let test_late_writers () =
+  let h = written_initial_value () in
+  check "w(x)0 before the earlier r(x)0" true (Race.happens_before h 1 0);
+  Alcotest.(check (list (pair int int)))
+    "written-initial-value pairs" [] (Race.race_pairs (Race.detect h));
+  let h = repeated_value () in
+  let hb = Race.happens_before h in
+  check "first w(x)1 before r(x)1" true (hb 0 1);
+  check "second w(x)1 before the earlier r(x)1" true (hb 2 1);
+  Alcotest.(check (list (pair int int)))
+    "repeated-value pairs" [ (0, 2) ] (Race.race_pairs (Race.detect h))
+
 let test_overlapping_fibers_need_extra_chains () =
   let h = overlapping_fibers () in
-  let hb = Hb.of_history h in
-  check "more chains than processes" true (Hb.chains hb > History.procs h)
+  check "more chains than processes" true
+    ((Race.detect h).Race.hb_chains > History.procs h)
 
 (* random histories: reads/writes plus locked writes and barriers, so the
    differential also exercises the lock-epoch and barrier-episode paths *)
 type op_choice = { shape : int; loc : int; guess : int; causal_label : bool }
 
-let history_of_choices ~procs (choices : op_choice list list) =
+(* [~repeat:true] draws written values from {0, 1, 2}, so values repeat
+   and the initial value is written back *)
+let history_of_choices ?(repeat = false) ~procs (choices : op_choice list list) =
   let r = Recorder.create ~procs () in
   let next_value = ref 0 in
   let all_values = ref [ 0 ] in
+  let written c =
+    if repeat then c.guess mod 3
+    else begin
+      incr next_value;
+      all_values := !next_value :: !all_values;
+      !next_value
+    end
+  in
   let programs =
     List.map
       (List.map (fun c ->
            let loc = "v" ^ string_of_int c.loc in
            match c.shape with
-           | 0 | 1 ->
-             incr next_value;
-             all_values := !next_value :: !all_values;
-             `Write (loc, !next_value)
+           | 0 | 1 -> `Write (loc, written c)
            | 2 | 3 -> `Read (loc, c.guess, c.causal_label)
-           | 4 ->
-             incr next_value;
-             all_values := !next_value :: !all_values;
-             `Locked_write (loc, !next_value)
+           | 4 -> `Locked_write (loc, written c)
            | _ -> `Barrier))
       choices
   in
-  let values = Array.of_list (List.rev !all_values) in
+  let values =
+    if repeat then [| 0; 1; 2 |] else Array.of_list (List.rev !all_values)
+  in
   List.iteri
     (fun proc prog ->
       let bars = ref 0 in
@@ -279,16 +328,37 @@ let random_hb_exact =
     (fun choices ->
       let h = history_of_choices ~procs:3 choices in
       QCheck.assume (History.causality_is_acyclic h);
-      let hb = Hb.of_history h in
-      let causality = History.causality h in
+      let hb = Race.happens_before h in
+      let causality = Oracle.causality h in
       let n = History.length h in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if i <> j && Hb.hb hb i j <> Relation.mem causality i j then ok := false
+          if i <> j && hb i j <> Relation.mem causality i j then ok := false
         done
       done;
       !ok)
+
+let repeated_values_exact =
+  QCheck.Test.make
+    ~name:"detector and hb clocks exact with repeated written values"
+    ~count:400
+    (history_arb ~procs:3 ~max_ops:5)
+    (fun choices ->
+      let h = history_of_choices ~repeat:true ~procs:3 choices in
+      QCheck.assume (History.causality_is_acyclic h);
+      let hb = Race.happens_before h in
+      let causality = Oracle.causality h in
+      let n = History.length h in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if i <> j && hb i j <> Relation.mem causality i j then ok := false
+        done
+      done;
+      !ok
+      && Race.race_pairs (Race.detect h)
+         = (Commute.theorem1_report h).Commute.non_commuting_pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Lockset                                                             *)
@@ -509,10 +579,13 @@ let () =
           Alcotest.test_case "catalog matches theorem1_report" `Quick
             test_differential_catalog;
           Alcotest.test_case "hb clocks exact on catalog" `Quick test_hb_exact;
+          Alcotest.test_case "late writers order the read" `Quick
+            test_late_writers;
           Alcotest.test_case "overlapping fibers use extra chains" `Quick
             test_overlapping_fibers_need_extra_chains;
           QCheck_alcotest.to_alcotest random_differential;
           QCheck_alcotest.to_alcotest random_hb_exact;
+          QCheck_alcotest.to_alcotest repeated_values_exact;
         ] );
       ( "lockset",
         [

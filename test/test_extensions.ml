@@ -79,8 +79,13 @@ let test_group_label_checked_by_mixed () =
 let test_group_relation_validations () =
   let h = chain_with (Dsl.rp "x" 0) in
   Alcotest.check_raises "reader must be a member"
-    (Invalid_argument "History.group_relation: reader must be a group member")
-    (fun () -> ignore (History.group_relation h ~reader:2 ~group:[ 0; 1 ]))
+    (Invalid_argument "Oracle.group_relation: reader must be a group member")
+    (fun () -> ignore (Oracle.group_relation h ~reader:2 ~group:[ 0; 1 ]));
+  Alcotest.check_raises "Lattice: reader must be a member"
+    (Invalid_argument "Lattice.relation: reader must be a group member")
+    (fun () ->
+      ignore
+        (Lattice.relation h (Lattice.axioms_of_label (Op.Group [ 0; 1 ])) ~reader:2))
 
 (* ------------------------------------------------------------------ *)
 (* Group consistency: the runtime                                      *)
@@ -189,7 +194,7 @@ let test_subset_barrier_order_in_model () =
     (Lattice.verdict_at h Op.PRAM ~read_id:3 = Read_rule.Valid);
   check "outsider's stale read is fine" true
     (Lattice.verdict_at h Op.PRAM ~read_id:4 = Read_rule.Valid);
-  let bo = History.barrier_order h in
+  let bo = Oracle.barrier_order h in
   (* ids: p0: w=0 bar=1; p1: bar=2 r=3; p2: r=4 *)
   check "w ordered before member barrier" true (Mc_util.Relation.mem bo 0 2);
   check "no ordering towards the outsider" false

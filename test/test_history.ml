@@ -6,6 +6,7 @@ module History = Mc_history.History
 module Recorder = Mc_history.Recorder
 module Dsl = Mc_history.Dsl
 module Relation = Mc_util.Relation
+module Lattice = Mc_consistency.Lattice
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -96,15 +97,18 @@ let test_barrier_order () =
     Dsl.make ~procs:2
       [ [ Dsl.w "x" 1; Dsl.bar 0; Dsl.rp "y" 2 ]; [ Dsl.w "y" 2; Dsl.bar 0 ] ]
   in
-  let bo = History.barrier_order h in
+  let bo = Oracle.barrier_order h in
   (* op ids: p0: w x=1 (0), bar (1), r y (2); p1: w y=2 (3), bar (4) *)
   check "pre-barrier write ordered before remote barrier" true (Relation.mem bo 0 4);
   check "remote barrier ordered before post-barrier read" true (Relation.mem bo 4 2);
   check "same-episode barriers unordered" false
     (Relation.mem bo 1 4 || Relation.mem bo 4 1);
-  (* hence the remote write is causally before the read *)
+  (* hence the remote write is causally before the read, through the
+     covering's episode edges *)
   let causality = History.causality h in
-  check "w y -> r y via barrier" true (Relation.mem causality 3 2)
+  check "w y -> r y via barrier" true (Relation.mem causality 3 2);
+  check "covering closes to the barrier order" true
+    (Relation.mem causality 0 4 && Relation.mem causality 4 2)
 
 let test_lock_order_epochs () =
   (* two write critical sections and one read epoch, ordered by grant seq *)
@@ -116,7 +120,7 @@ let test_lock_order_epochs () =
         [ Dsl.rl ~seq:2 "m"; Dsl.rc "x" 1; Dsl.ru ~seq:3 "m" ];
       ]
   in
-  let lo = History.lock_order h in
+  let lo = Oracle.lock_order h in
   (* ids: p0: wl 0, w 1, wu 2; p1: wl 3, r 4, wu 5; p2: rl 6, r 7, ru 8 *)
   check "epoch 1 before read epoch" true (Relation.mem lo 2 6);
   check "read epoch before epoch 2" true (Relation.mem lo 8 3);
@@ -125,7 +129,8 @@ let test_lock_order_epochs () =
   (* reduced order drops the transitive epoch edge *)
   let red = History.sync_order_reduced h in
   check "reduction keeps adjacent" true (Relation.mem red 2 6);
-  check "reduction drops distant" false (Relation.mem red 0 3)
+  check "reduction drops distant" false (Relation.mem red 0 3);
+  check "causality restores distant" true (Relation.mem (History.causality h) 0 3)
 
 let test_concurrent_read_locks_unordered () =
   let h =
@@ -135,10 +140,14 @@ let test_concurrent_read_locks_unordered () =
         [ Dsl.rl ~seq:1 "m"; Dsl.ru ~seq:3 "m" ];
       ]
   in
-  let lo = History.lock_order h in
+  let lo = Oracle.lock_order h in
   check "read locks of one epoch unordered" false
     (Relation.mem lo 0 2 || Relation.mem lo 2 0);
-  check "own unlock ordered" true (Relation.mem lo 0 1)
+  check "own unlock ordered" true (Relation.mem lo 0 1);
+  let causality = History.causality h in
+  check "covering leaves them unordered" false
+    (Relation.mem causality 0 2 || Relation.mem causality 2 0);
+  check "covering orders own unlock" true (Relation.mem causality 0 1)
 
 let test_causality_acyclic_check () =
   let h = Dsl.make ~procs:1 [ [ Dsl.w "x" 1; Dsl.rc "x" 1 ] ] in
@@ -150,9 +159,12 @@ let test_causal_relation_excludes_remote_reads () =
       [ [ Dsl.w "x" 1 ]; [ Dsl.rc "x" 1 ]; [ Dsl.rc "x" 1 ] ]
   in
   (* for process 2, process 1's read is invisible *)
-  let rel = History.causal_relation h 2 in
+  let rel = Oracle.causal_relation h 2 in
   check "w -> own read kept" true (Relation.mem rel 0 2);
-  check "remote read dropped" false (Relation.mem rel 0 1)
+  check "remote read dropped" false (Relation.mem rel 0 1);
+  let rel = Lattice.relation h (Lattice.axioms_of_label Op.Causal) ~reader:2 in
+  check "Lattice: w -> own read kept" true (Relation.mem rel 0 2);
+  check "Lattice: remote read dropped" false (Relation.mem rel 0 1)
 
 let test_pram_relation_drops_transitive_sync () =
   (* p0 writes x then unlocks; p1 holds the lock next and writes y; p2
@@ -168,11 +180,16 @@ let test_pram_relation_drops_transitive_sync () =
       ]
   in
   (* ids: p0: 0 1 2; p1: 3 4 5; p2: 6 7 8 *)
-  let causal2 = History.causal_relation h 2 in
+  let causal2 = Oracle.causal_relation h 2 in
   check "causally, p0's write reaches p2's read" true (Relation.mem causal2 1 7);
-  let pram2 = History.pram_relation h 2 in
+  let pram2 = Oracle.pram_relation h 2 in
   check "in PRAM order, p0's cs does not reach p2" false (Relation.mem pram2 1 7);
-  check "previous holder reaches p2" true (Relation.mem pram2 4 7)
+  check "previous holder reaches p2" true (Relation.mem pram2 4 7);
+  let rel label = Lattice.relation h (Lattice.axioms_of_label label) ~reader:2 in
+  check "Lattice: causally reaches" true (Relation.mem (rel Op.Causal) 1 7);
+  let pram2 = rel Op.PRAM in
+  check "Lattice: PRAM does not reach" false (Relation.mem pram2 1 7);
+  check "Lattice: previous holder reaches" true (Relation.mem pram2 4 7)
 
 (* ------------------------------------------------------------------ *)
 (* Well-formedness                                                     *)

@@ -8,7 +8,8 @@
      strictly stronger model before a weaker one;
    - differential: on random histories with locks, barriers and all
      three read labels, [Lattice.verdict_at] equals [Read_rule.check]
-     over the seed [History] relations for every memory read, and
+     over the seed per-reader relations (Definitions 2 and 3, kept in
+     test/oracle.ml) for every memory read, and
      [Lattice.failures] at the [Mixed] point is exactly the reads those
      relations reject at their own labels, labels included;
    - oracle: at every pool point [Lattice.failures] equals the
@@ -276,9 +277,9 @@ let test_ladder_is_linear_extension () =
 let seed_verdict h (o : Op.t) label =
   let rel =
     match label with
-    | Op.PRAM -> History.pram_relation h o.Op.proc
-    | Op.Causal -> History.causal_relation h o.Op.proc
-    | Op.Group g -> History.group_relation h ~reader:o.Op.proc ~group:g
+    | Op.PRAM -> Oracle.pram_relation h o.Op.proc
+    | Op.Causal -> Oracle.causal_relation h o.Op.proc
+    | Op.Group g -> Oracle.group_relation h ~reader:o.Op.proc ~group:g
   in
   Read_rule.check h rel ~read_id:o.Op.id
 

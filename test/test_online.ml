@@ -8,7 +8,11 @@
      with overlapping operations of one process, and on one location
      with more than a thousand touchers — per label and under uniform
      causal and uniform PRAM;
-   - [Hb] must answer every happens-before query like [History.causality];
+   - [History.causality], the closure of the covering, must equal the
+     Warshall closure of the definitional orders (test/oracle.ml), and
+     [Race.happens_before], folded over [Stream], must answer every
+     pair like it, on histories with overlapping fibers, group barriers
+     and incomplete episodes;
    - the engine must retire operations (bounded in-flight window) on
      workloads with synchronization;
    - recorder edge cases: overlapping fiber tokens, grant sequences,
@@ -22,7 +26,8 @@ module Dsl = Mc_history.Dsl
 module Lattice = Mc_consistency.Lattice
 module Online = Mc_consistency.Online
 module Read_rule = Mc_consistency.Read_rule
-module Hb = Mc_analysis.Hb
+module Race = Mc_analysis.Race
+module Relation = Mc_util.Relation
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -36,7 +41,12 @@ let check_int = Alcotest.(check int)
    values; reads and awaits guess among the written values or 0.
    Critical sections take whole-section grant numbers in (segment,
    process) order so the grant order usually agrees with the barrier
-   order (cyclic outcomes are discarded like everywhere else). *)
+   order (cyclic outcomes are discarded like everywhere else).
+
+   The richer variant also overlaps two operations of one process
+   ([Fibers]) and draws each segment boundary as a plain or a group
+   barrier, possibly with one member absent (an episode that never
+   completes). *)
 
 type simple = {
   s_is_write : bool;
@@ -49,8 +59,13 @@ type choice =
   | Simple of simple
   | Section of bool * int * simple list (* write?, lock, body *)
   | Await_of of int * int (* loc, guess *)
+  | Fibers of simple * simple (* two overlapping operations *)
 
 type program = choice list list (* segments, separated by barriers *)
+
+(* a segment boundary: a plain barrier ([members = None]) or a group
+   barrier; [absent] never reaches it *)
+type boundary = { members : int list option; absent : int option }
 
 let simple_gen =
   QCheck.Gen.(
@@ -71,15 +86,33 @@ let choice_gen =
         (1, map2 (fun loc g -> Await_of (loc, g)) (int_bound 2) (int_bound 11));
       ])
 
-let program_gen ~segments ~max_ops =
-  QCheck.Gen.(list_size (return segments) (list_size (int_bound max_ops) choice_gen))
+let rich_choice_gen =
+  QCheck.Gen.(
+    frequency [ (5, choice_gen); (1, map2 (fun a b -> Fibers (a, b)) simple_gen simple_gen) ])
 
-let programs_gen ~procs ~segments ~max_ops =
-  QCheck.Gen.(list_size (return procs) (program_gen ~segments ~max_ops))
+let boundary_gen ~procs =
+  QCheck.Gen.(
+    map2
+      (fun mask absent ->
+        {
+          members =
+            (if mask = 0 then None
+             else Some (List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init procs Fun.id)));
+          absent = (if absent < procs then Some absent else None);
+        })
+      (int_bound ((1 lsl procs) - 1))
+      (int_bound (3 * procs)))
+
+let program_gen ?(choice = choice_gen) ~segments ~max_ops () =
+  QCheck.Gen.(list_size (return segments) (list_size (int_bound max_ops) choice))
+
+let programs_gen ?choice ~procs ~segments ~max_ops () =
+  QCheck.Gen.(list_size (return procs) (program_gen ?choice ~segments ~max_ops ()))
 
 (* materialize: pre-assign write values left-to-right so guesses can
-   refer to any of them, then emit Dsl specs with grant numbers *)
-let history_of_programs ~procs (progs : program list) =
+   refer to any of them, then record each process's program with grant
+   numbers. Without [boundaries] every boundary is a plain barrier. *)
+let history_of_programs ?boundaries ~procs (progs : program list) =
   let next_value = ref 0 in
   let values = ref [ 0 ] in
   let collect_simple s =
@@ -93,7 +126,10 @@ let history_of_programs ~procs (progs : program list) =
        (List.iter (function
          | Simple s -> collect_simple s
          | Section (_, _, body) -> List.iter collect_simple body
-         | Await_of _ -> ())))
+         | Await_of _ -> ()
+         | Fibers (a, b) ->
+           collect_simple a;
+           collect_simple b)))
     progs;
   let values = Array.of_list (List.rev !values) in
   let next_value = ref 0 in
@@ -105,59 +141,90 @@ let history_of_programs ~procs (progs : program list) =
     | 2 -> Op.Group (List.sort_uniq compare [ proc; (proc + 1) mod procs ])
     | _ -> Op.Group (List.init procs Fun.id)
   in
-  let spec_of_simple proc s =
+  let kind_of_simple proc s =
+    let loc = "v" ^ string_of_int s.s_loc in
     if s.s_is_write then begin
       incr next_value;
-      Dsl.w ("v" ^ string_of_int s.s_loc) !next_value
+      Op.Write { loc; value = !next_value }
     end
     else
-      let v = values.(s.s_guess mod Array.length values) in
-      match label_of proc s.s_label with
-      | Op.PRAM -> Dsl.rp ("v" ^ string_of_int s.s_loc) v
-      | Op.Causal -> Dsl.rc ("v" ^ string_of_int s.s_loc) v
-      | Op.Group g -> Dsl.rg g ("v" ^ string_of_int s.s_loc) v
+      let value = values.(s.s_guess mod Array.length values) in
+      Op.Read { loc; label = label_of proc s.s_label; value }
   in
   let segments = List.length (List.hd progs) in
-  (* per proc, per segment, the emitted spec list *)
+  (* per proc, per segment: operations, each [`Op (grant, kind)] or an
+     overlapping [`Pair] *)
   let out = Array.make_matrix procs segments [] in
   for seg = 0 to segments - 1 do
     List.iteri
       (fun proc prog ->
-        let choices = List.nth prog seg in
-        let specs =
+        let op kind = `Op (-1, kind) in
+        out.(proc).(seg) <-
           List.concat_map
             (function
-              | Simple s -> [ spec_of_simple proc s ]
+              | Simple s -> [ op (kind_of_simple proc s) ]
               | Section (w, lock, body) ->
                 let l = "m" ^ string_of_int lock in
                 let s0 = lock_seq.(lock) in
                 lock_seq.(lock) <- s0 + 2;
-                let body = List.map (spec_of_simple proc) body in
+                let body = List.map (fun s -> op (kind_of_simple proc s)) body in
                 if w then
-                  (Dsl.wl ~seq:s0 l :: body) @ [ Dsl.wu ~seq:(s0 + 1) l ]
-                else (Dsl.rl ~seq:s0 l :: body) @ [ Dsl.ru ~seq:(s0 + 1) l ]
+                  (`Op (s0, Op.Write_lock l) :: body) @ [ `Op (s0 + 1, Op.Write_unlock l) ]
+                else (`Op (s0, Op.Read_lock l) :: body) @ [ `Op (s0 + 1, Op.Read_unlock l) ]
               | Await_of (loc, g) ->
-                let v = values.(g mod Array.length values) in
-                [ Dsl.await ("v" ^ string_of_int loc) v ])
-            choices
-        in
-        out.(proc).(seg) <- specs)
+                let value = values.(g mod Array.length values) in
+                [ op (Op.Await { loc = "v" ^ string_of_int loc; value }) ]
+              | Fibers (a, b) ->
+                let a = kind_of_simple proc a in
+                [ `Pair (a, kind_of_simple proc b) ])
+            (List.nth prog seg))
       progs
   done;
-  let per_proc =
-    List.init procs (fun proc ->
-        List.concat
-          (List.init segments (fun seg ->
-               out.(proc).(seg)
-               @ if seg < segments - 1 then [ Dsl.bar seg ] else [])))
+  let barrier proc seg =
+    match boundaries with
+    | None -> [ `Op (-1, Op.Barrier seg) ]
+    | Some bs -> (
+      let b = List.nth bs seg in
+      if b.absent = Some proc then []
+      else
+        match b.members with
+        | None -> [ `Op (-1, Op.Barrier seg) ]
+        | Some members when List.mem proc members ->
+          [ `Op (-1, Op.Barrier_group { episode = seg; members }) ]
+        | Some _ -> [])
   in
-  Dsl.make ~procs per_proc
+  let r = Recorder.create ~procs () in
+  for proc = 0 to procs - 1 do
+    for seg = 0 to segments - 1 do
+      List.iter
+        (function
+          | `Op (sync_seq, kind) -> ignore (Recorder.record r ~proc ~sync_seq kind)
+          | `Pair (a, b) ->
+            let ta = Recorder.start r ~proc in
+            let tb = Recorder.start r ~proc in
+            ignore (Recorder.finish r ta a);
+            ignore (Recorder.finish r tb b))
+        (out.(proc).(seg) @ if seg < segments - 1 then barrier proc seg else [])
+    done
+  done;
+  Recorder.history r
 
 let sync_history_arb ~procs ~segments ~max_ops =
   QCheck.make
     ~print:(fun progs ->
       Format.asprintf "%a" History.pp (history_of_programs ~procs progs))
-    (programs_gen ~procs ~segments ~max_ops)
+    (programs_gen ~procs ~segments ~max_ops ())
+
+(* [sync_history_arb] with overlapping fibers, group barriers and
+   incomplete episodes *)
+let rich_history_arb ~procs ~segments ~max_ops =
+  QCheck.make
+    ~print:(fun (progs, boundaries) ->
+      Format.asprintf "%a" History.pp (history_of_programs ~boundaries ~procs progs))
+    QCheck.Gen.(
+      pair
+        (programs_gen ~choice:rich_choice_gen ~procs ~segments ~max_ops ())
+        (list_size (return (segments - 1)) (boundary_gen ~procs)))
 
 let acyclic h = QCheck.assume (History.causality_is_acyclic h)
 
@@ -216,7 +283,7 @@ let online_diff_many_procs =
     QCheck.Gen.(
       int_range 64 70 >>= fun procs ->
       int_range 1 2 >>= fun segments ->
-      map (fun progs -> (procs, progs)) (programs_gen ~procs ~segments ~max_ops:1))
+      map (fun progs -> (procs, progs)) (programs_gen ~procs ~segments ~max_ops:1 ()))
   in
   QCheck.Test.make ~name:"online = offline on 64-70 processes" ~count:100
     (QCheck.make
@@ -374,28 +441,38 @@ let test_hot_location () =
        (Online.failures (Online.check ~model:Lattice.Causal h)))
 
 (* ------------------------------------------------------------------ *)
-(* Hb differential                                                     *)
+(* Happens-before and the covering against the definitions            *)
 (* ------------------------------------------------------------------ *)
 
-(* these histories have read locks and awaits, which the analysis
-   suite's generator never produces *)
-let hb_matches_causality h =
-  acyclic h;
-  let hb = Hb.of_history h in
-  let causality = History.causality h in
+let hb_matches h causality =
+  let hb = Race.happens_before h in
   let n = History.length h in
   let ok = ref true in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j && Hb.hb hb i j <> Mc_util.Relation.mem causality i j then ok := false
+      if i <> j && hb i j <> Relation.mem causality i j then ok := false
     done
   done;
   !ok
 
+(* these histories have read locks and awaits, which the analysis
+   suite's generator never produces *)
 let hb_diff =
   QCheck.Test.make ~name:"Hb = causality on sync histories" ~count:300
     (sync_history_arb ~procs:3 ~segments:2 ~max_ops:4)
-    (fun progs -> hb_matches_causality (history_of_programs ~procs:3 progs))
+    (fun progs ->
+      let h = history_of_programs ~procs:3 progs in
+      acyclic h;
+      hb_matches h (Oracle.causality h))
+
+let covering_diff =
+  QCheck.Test.make ~name:"covering closes to the definitional orders" ~count:300
+    (rich_history_arb ~procs:3 ~segments:3 ~max_ops:3)
+    (fun (progs, boundaries) ->
+      let h = history_of_programs ~boundaries ~procs:3 progs in
+      acyclic h;
+      let causality = Oracle.causality h in
+      Relation.equal (History.causality h) causality && hb_matches h causality)
 
 (* ------------------------------------------------------------------ *)
 (* Engine window                                                       *)
@@ -686,6 +763,7 @@ let () =
           qt online_diff_overlapping;
           Alcotest.test_case "one hot location" `Quick test_hot_location;
           qt hb_diff;
+          qt covering_diff;
         ] );
       ( "engine",
         [

@@ -182,8 +182,9 @@ let well_formedness_of_generated =
 
 (* mixed consistency with per-read labels is implied by the per-level
    checks: a history whose causal-labelled reads are causal-valid and
-   PRAM-labelled reads are PRAM-valid (under the seed [History]
-   relations of Definitions 2 and 3) is mixed consistent by definition *)
+   PRAM-labelled reads are PRAM-valid (under the per-reader relations
+   of Definitions 2 and 3 in test/oracle.ml) is mixed consistent by
+   definition *)
 let mixed_is_composition =
   QCheck.Test.make ~name:"Definition 4 composes the per-label rules" ~count:300
     (history_arb ~procs:3 ~max_ops:5)
@@ -197,8 +198,8 @@ let mixed_is_composition =
               Read_rule.check h (rel h o.proc) ~read_id:o.id = Read_rule.Valid
             in
             match o.kind with
-            | Op.Read { label = Op.Causal; _ } -> valid_in History.causal_relation
-            | Op.Read { label = Op.PRAM; _ } -> valid_in History.pram_relation
+            | Op.Read { label = Op.Causal; _ } -> valid_in Oracle.causal_relation
+            | Op.Read { label = Op.PRAM; _ } -> valid_in Oracle.pram_relation
             | _ -> true)
           (History.ops h)
       in
