@@ -1,8 +1,7 @@
-(* Shared experiment plumbing for bench/main.ml: CLI mode flags, the
-   BENCH_CORE.json section writer, and the three memory runners every
+(* Shared experiment plumbing: the three memory runners every
    experiment goes through. Opened wholesale by the experiments
-   ([open Harness]), so the module aliases below are part of the
-   surface. *)
+   ([open Harness]), so the module aliases below and the experiment
+   shape ([Exp], included) are part of the surface. *)
 
 module Engine = Mc_sim.Engine
 module Runtime = Mc_dsm.Runtime
@@ -18,64 +17,18 @@ module Em = Mc_apps.Em_field
 module Sparse = Mc_apps.Sparse_spd
 module Cholesky = Mc_apps.Cholesky
 module Placement = Mc_placement.Placement
-module T = Mc_util.Tablefmt
-module Json = Mc_util.Json
 module Lattice = Mc_consistency.Lattice
 module Summary = Mc_util.Stats.Summary
+module History = Mc_history.History
+module Online = Mc_consistency.Online
+module Replica = Mc_dsm.Replica
+module Metrics = Mc_obs.Metrics
+module Obs_trace = Mc_obs.Trace
 
-let quick = ref false
-let selected : string list ref = ref []
+include Exp
 
-let wants name = !selected = [] || List.mem name !selected
-
-(* Cross-checks between two implementations (offline vs online
-   failures, pairwise vs detector races) record a disagreement here
-   instead of stopping the run; the process exits 1 after every
-   selected experiment has run and BENCH_CORE.json is written. *)
-let failed_self_checks : string list ref = ref []
-let self_check_failed msg = failed_self_checks := msg :: !failed_self_checks
-
-let exit_on_failed_self_checks () =
-  if !failed_self_checks <> [] then begin
-    List.iter (Printf.eprintf "self-check failed: %s\n") (List.rev !failed_self_checks);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_CORE.json writer                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Experiments append named sections here; the file is written once at
-   exit so several experiments can share it. Every workload below is
-   seeded with [bench_seed]. *)
-let bench_core_sections : (string * string) list ref = ref []
+(* the seed BENCH_CORE.json records; the seeded workloads use 42 *)
 let bench_seed = 42
-
-let bench_core_add name ~params body =
-  bench_core_sections :=
-    (name, Printf.sprintf "{\n    \"params\": %s,\n%s\n  }" params body)
-    :: !bench_core_sections
-
-let write_bench_core () =
-  if !bench_core_sections <> [] then begin
-    let oc = open_out "BENCH_CORE.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"schema_version\": 2,\n\
-      \  \"seed\": %d,\n\
-      \  \"quick\": %b,\n\
-      \  \"argv\": [%s],\n\
-       %s\n\
-       }\n"
-      bench_seed !quick
-      (String.concat ", " (List.map Json.quote (List.tl (Array.to_list Sys.argv))))
-      (String.concat ",\n"
-         (List.rev_map
-            (fun (name, body) -> Printf.sprintf "  %s: %s" (Json.quote name) body)
-            !bench_core_sections));
-    close_out oc;
-    print_endline "raw numbers: BENCH_CORE.json"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Runners                                                             *)

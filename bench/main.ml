@@ -1,1892 +1,61 @@
-(* Benchmark harness: regenerates every experiment of DESIGN.md /
-   EXPERIMENTS.md. Each experiment prints a paper-style table of
-   simulated-time / message-count comparisons. Wall-clock benchmarks of
-   the end-to-end workloads live in perfbench/.
+(* The bench driver: runs the selected experiments of EXPERIMENTS.md,
+   prints their tables, writes the BENCH_CORE.json sections of those
+   that have one, and exits 1 with one stderr line per failed claim.
+   Wall-clock benchmarks of the end-to-end workloads live in perfbench/.
 
    Usage:
-     bench/main.exe                 run every experiment table
-     bench/main.exe --exp f2f3      run one experiment
+     bench/main.exe                 run every experiment
+     bench/main.exe --exp f2f3      run one experiment (repeatable)
      bench/main.exe --quick         smaller sweeps *)
 
+open Mc_bench
 
-open Harness
-
-(* ------------------------------------------------------------------ *)
-(* EXP-F2F3: linear solver, barriers (Fig. 2) vs handshaking (Fig. 3)  *)
-(* ------------------------------------------------------------------ *)
-
-let exp_f2f3 () =
-  let sweeps =
-    if !quick then [ (3, 16); (5, 16) ] else [ (3, 16); (5, 16); (9, 32); (9, 64) ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (procs, n) ->
-      let problem = Solver.Problem.generate ~seed:42 ~n in
-      let run variant timestamped =
-        let res, stats =
-          run_mixed ~procs ~timestamped (fun _rt spawn ->
-              Solver.launch ~spawn ~procs ~variant problem)
-        in
-        (Option.get !res, stats)
-      in
-      (* Fig. 2 is PRAM-consistent: updates need no vector timestamps *)
-      let rb, sb = run Solver.Barrier_pram false in
-      let rh, sh = run Solver.Handshake_causal true in
-      let expected_b = Solver.reference ~variant:Solver.Barrier_pram problem in
-      let expected_h = Solver.reference ~variant:Solver.Handshake_causal problem in
-      let row variant (r : Solver.result) expected stats =
-        [
-          string_of_int (procs - 1);
-          string_of_int n;
-          variant;
-          string_of_int r.Solver.iterations;
-          (if r.Solver.x = expected.Solver.x then "yes" else "NO");
-          T.fmt_float stats.time;
-          string_of_int stats.messages;
-          string_of_int stats.bytes;
-        ]
-      in
-      rows := row "barrier+PRAM" rb expected_b sb :: !rows;
-      rows := row "handshake+causal" rh expected_h sh :: !rows;
-      rows :=
-        [ ""; ""; "-> barrier speedup"; ""; ""; T.fmt_ratio (sh.time /. sb.time);
-          T.fmt_ratio (float_of_int sh.messages /. float_of_int sb.messages) ]
-        :: !rows)
-    sweeps;
-  T.print ~title:"EXP-F2F3: iterative solver, Fig. 2 (barriers) vs Fig. 3 (handshaking)"
-    ~headers:[ "workers"; "n"; "variant"; "iters"; "exact"; "sim time"; "msgs"; "bytes" ]
-    (List.rev !rows);
-  print_endline
-    "paper claim (Sec. 7): the barrier version outperforms the handshaking version."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-F3-PRAM: weakened Fig. 3 reads inconsistent values              *)
-(* ------------------------------------------------------------------ *)
-
-let adverse_latency nodes =
-  (* coordinator close to everyone; workers far from each other *)
-  let lat = Array.make_matrix nodes nodes 2000. in
-  for i = 0 to nodes - 1 do
-    lat.(i).(i) <- 0.;
-    lat.(i).(0) <- 5.;
-    lat.(0).(i) <- 5.
-  done;
-  Latency.matrix lat
-
-let exp_f3pram () =
-  let procs = 4 in
-  let problem = Solver.Problem.generate ~seed:42 ~n:8 in
-  (* compare mid-iteration trajectories (before convergence smooths the
-     difference away): cap the iteration count below convergence *)
-  let max_iters = 4 in
-  let expected =
-    Solver.reference ~variant:Solver.Handshake_causal ~max_iters problem
-  in
-  let run ?await_label variant =
-    let res, _ =
-      run_mixed ~procs ?await_label ~latency:(adverse_latency procs)
-        (fun _rt spawn -> Solver.launch ~spawn ~procs ~variant ~max_iters problem)
-    in
-    Option.get !res
-  in
-  let causal = run Solver.Handshake_causal in
-  (* the weakened variant uses the paper's PRAM await (busy-wait of PRAM
-     reads); a causal-gated await would mask the staleness *)
-  let pram = run ~await_label:Op.PRAM Solver.Handshake_pram in
-  (* consistency checks on a tiny recorded instance *)
-  let tiny = Solver.Problem.generate ~seed:7 ~n:3 in
-  let check_tiny variant =
-    let engine = Engine.create () in
-    let cfg = { (Config.default ~procs:3) with record = true } in
-    let cfg =
-      if variant = Solver.Handshake_pram then { cfg with await_label = Op.PRAM }
-      else cfg
-    in
-    let rt = Runtime.create engine ~latency:(adverse_latency 3) cfg in
-    let res =
-      Solver.launch ~spawn:(Api.spawn rt) ~procs:3 ~variant ~max_iters:2 tiny
-    in
-    ignore (Runtime.run rt);
-    ignore (Option.get !res);
-    let h = Runtime.history rt in
-    (Mc_history.History.is_well_formed h, Lattice.is_consistent h Lattice.Mixed)
-  in
-  let wf_c, mc_c = check_tiny Solver.Handshake_causal in
-  let wf_p, mc_p = check_tiny Solver.Handshake_pram in
-  T.print ~title:"EXP-F3-PRAM: Fig. 3 with reads weakened to PRAM (Sec. 5.1 warning)"
-    ~headers:[ "variant"; "matches reference"; "well-formed"; "mixed consistent" ]
-    [
-      [
-        "handshake+causal";
-        (if causal.Solver.x = expected.Solver.x then "yes" else "NO");
-        string_of_bool wf_c;
-        string_of_bool mc_c;
-      ];
-      [
-        "handshake+PRAM";
-        (if pram.Solver.x = expected.Solver.x then "yes (unexpected)"
-         else "no (stale reads)");
-        string_of_bool wf_p;
-        string_of_bool mc_p;
-      ];
-    ];
-  print_endline
-    "paper claim (Sec. 5.1): with PRAM reads, inconsistent values of the matrix are\n\
-     read; the execution is still mixed consistent - the model permits it - but no\n\
-     longer equivalent to a sequentially consistent run."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-F4: electromagnetic field computation (Fig. 4)                  *)
-(* ------------------------------------------------------------------ *)
-
-let exp_f4 () =
-  let sweeps = if !quick then [ 2; 4 ] else [ 2; 4; 8 ] in
-  let rows = ref [] in
-  List.iter
-    (fun procs ->
-      let params =
-        { Em.rows = 4 * procs; cols = 8; steps = (if !quick then 4 else 8); seed = 5 }
-      in
-      let expected = Em.reference ~procs params in
-      let correct (r : Em.result) =
-        if r.Em.checksum = expected.Em.checksum then "yes" else "NO"
-      in
-      let res_m, s_m =
-        run_mixed ~procs ~timestamped:false (fun _rt spawn ->
-            Em.launch ~spawn ~procs params)
-      in
-      let res_i, s_i = run_inval ~procs (fun spawn -> Em.launch ~spawn ~procs params) in
-      let res_c, s_c = run_central ~procs (fun spawn -> Em.launch ~spawn ~procs params) in
-      let row system res stats =
-        [
-          string_of_int procs;
-          Printf.sprintf "%dx%d" params.Em.rows params.Em.cols;
-          system;
-          correct (Option.get !res);
-          T.fmt_float stats.time;
-          string_of_int stats.messages;
-          string_of_int stats.bytes;
-        ]
-      in
-      rows := row "mixed (PRAM+barriers)" res_m s_m :: !rows;
-      rows := row "SC write-invalidate" res_i s_i :: !rows;
-      rows := row "SC central server" res_c s_c :: !rows;
-      rows :=
-        [ ""; ""; "-> mixed speedup vs invalidate"; "";
-          T.fmt_ratio (s_i.time /. s_m.time) ]
-        :: !rows)
-    sweeps;
-  T.print ~title:"EXP-F4: EM field computation (Fig. 4), mixed vs SC baselines"
-    ~headers:[ "procs"; "grid"; "system"; "exact"; "sim time"; "msgs"; "bytes" ]
-    (List.rev !rows);
-  print_endline
-    "paper claim (Secs. 1, 5.2): PRAM reads + barriers give the ghost-copy pattern\n\
-     without per-access coherence traffic, so the weak memory outperforms SC."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-F5: sparse Cholesky (Fig. 5), locks vs counter objects          *)
-(* ------------------------------------------------------------------ *)
-
-let exp_f5 () =
-  let matrices =
-    if !quick then
-      [ ("random n=24 d=0.15", Sparse.generate ~seed:11 ~n:24 ~density:0.15) ]
-    else
-      [
-        ("random n=24 d=0.15", Sparse.generate ~seed:11 ~n:24 ~density:0.15);
-        ("random n=32 d=0.25", Sparse.generate ~seed:12 ~n:32 ~density:0.25);
-        ("arrow n=32 bw=3", Sparse.arrow ~seed:13 ~n:32 ~bandwidth:3);
-      ]
-  in
-  let procs = 4 in
-  let rows = ref [] in
-  List.iter
-    (fun (name, m) ->
-      let lref = Sparse.factor_reference m in
-      let run variant =
-        let res, stats =
-          run_mixed ~procs (fun _rt spawn -> Cholesky.launch ~spawn ~procs ~variant m)
-        in
-        (Option.get !res, stats)
-      in
-      let r_lock, s_lock = run Cholesky.Lock_based in
-      let r_ctr, s_ctr = run Cholesky.Counter_based in
-      let row variant (r : Cholesky.result) stats =
-        [
-          name;
-          string_of_int (Sparse.nnz m);
-          variant;
-          (if r.Cholesky.l = lref then "yes" else "NO");
-          T.fmt_float stats.time;
-          string_of_int stats.messages;
-          T.fmt_float (mean_wait stats "write_lock");
-        ]
-      in
-      rows := row "locks (Fig. 5)" r_lock s_lock :: !rows;
-      rows := row "counter objects" r_ctr s_ctr :: !rows;
-      rows :=
-        [ ""; ""; "-> counter speedup"; "";
-          T.fmt_ratio (s_lock.time /. s_ctr.time);
-          T.fmt_ratio (float_of_int s_lock.messages /. float_of_int s_ctr.messages) ]
-        :: !rows)
-    matrices;
-  T.print ~title:"EXP-F5: sparse Cholesky (Fig. 5), lock-based vs counter objects"
-    ~headers:[ "matrix"; "nnz(L)"; "variant"; "exact"; "sim time"; "msgs"; "lock wait" ]
-    (List.rev !rows);
-  print_endline
-    "paper claim (Sec. 7): the counter-object algorithm outperforms the lock-based\n\
-     algorithm significantly."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-SPECTRUM: access latency across the consistency spectrum        *)
-(* ------------------------------------------------------------------ *)
-
-let spectrum_workload ~label (api : Api.t) =
-  let rng = Mc_util.Rng.make (1000 + api.Api.proc_id) in
-  let locs = Array.init 8 (fun i -> "s:" ^ string_of_int i) in
-  let value = ref (api.Api.proc_id * 10_000) in
-  for _ = 1 to 60 do
-    let loc = Mc_util.Rng.pick rng locs in
-    if Mc_util.Rng.int rng 100 < 25 then begin
-      incr value;
-      api.Api.write loc !value
-    end
-    else ignore (api.Api.read ~label loc)
-  done;
-  api.Api.barrier ()
-
-let exp_spectrum () =
-  let procs = 4 in
-  let rows = ref [] in
-  let add name stats =
-    rows :=
-      [
-        name;
-        T.fmt_float (mean_wait stats "read");
-        T.fmt_float (mean_wait stats "write");
-        T.fmt_float stats.time;
-        string_of_int stats.messages;
-        string_of_int stats.bytes;
-      ]
-      :: !rows
-  in
-  let _, s =
-    run_mixed ~procs (fun rt _spawn ->
-        for i = 0 to procs - 1 do
-          Api.spawn rt i (spectrum_workload ~label:Op.PRAM)
-        done)
-  in
-  add "mixed: PRAM reads" s;
-  let _, s =
-    run_mixed ~procs (fun rt _spawn ->
-        for i = 0 to procs - 1 do
-          Api.spawn rt i (spectrum_workload ~label:Op.Causal)
-        done)
-  in
-  add "mixed: causal reads" s;
-  let _, s =
-    run_inval ~procs (fun spawn ->
-        for i = 0 to procs - 1 do
-          spawn i (spectrum_workload ~label:Op.Causal)
-        done)
-  in
-  add "SC write-invalidate" s;
-  let _, s =
-    run_central ~procs (fun spawn ->
-        for i = 0 to procs - 1 do
-          spawn i (spectrum_workload ~label:Op.Causal)
-        done)
-  in
-  add "SC central server" s;
-  T.print ~title:"EXP-SPECTRUM: mean access latency across consistency levels"
-    ~headers:[ "memory"; "read wait"; "write wait"; "total time"; "msgs"; "bytes" ]
-    (List.rev !rows);
-  print_endline
-    "paper claim (Secs. 1, 3.2): weaker consistency means lower access latency;\n\
-     PRAM and causal reads are local, SC reads pay coherence/round-trip costs."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-PROP: eager vs lazy vs demand-driven lock propagation (Sec. 6)  *)
-(* ------------------------------------------------------------------ *)
-
-(* a lock name homed at node 0 (lock home = hash mod procs) *)
-let lock_homed_at ~procs ~home =
-  let rec search i =
-    let name = Printf.sprintf "cs%d" i in
-    if Hashtbl.hash name mod procs = home then name else search (i + 1)
-  in
-  search 0
-
-let prop_workload ~lock ~writes ~reads (api : Api.t) =
-  (* processes take turns in a critical section; each writes [writes]
-     variables, the next holder reads [reads] of them *)
-  for round = 1 to 4 do
-    api.Api.write_lock lock;
-    for k = 0 to reads - 1 do
-      ignore (api.Api.read ("d:" ^ string_of_int k))
-    done;
-    for k = 0 to writes - 1 do
-      api.Api.write
-        ("d:" ^ string_of_int k)
-        ((round * 100_000) + (api.Api.proc_id * 1000) + k)
-    done;
-    api.Api.write_unlock lock;
-    api.Api.compute 20.
-  done;
-  api.Api.barrier ()
-
-let exp_prop () =
-  let procs = 4 in
-  (* the lock manager and its links are fast; peer-to-peer data links are
-     slow, so update propagation - not the lock hand-off - is the
-     bottleneck, which is where the three modes differ *)
-  let lock = lock_homed_at ~procs ~home:0 in
-  let lat = Array.make_matrix procs procs 400. in
-  for i = 0 to procs - 1 do
-    lat.(i).(i) <- 0.;
-    lat.(i).(0) <- 10.;
-    lat.(0).(i) <- 10.
-  done;
-  let latency = Latency.matrix lat in
-  let cases = [ ("W=12 R=0", 12, 0); ("W=12 R=2", 12, 2); ("W=12 R=12", 12, 12) ] in
-  let rows = ref [] in
-  List.iter
-    (fun (case, writes, reads) ->
-      List.iter
-        (fun propagation ->
-          let _, s =
-            run_mixed ~procs ~propagation ~latency (fun rt _spawn ->
-                for i = 0 to procs - 1 do
-                  Api.spawn rt i (prop_workload ~lock ~writes ~reads)
-                done)
-          in
-          rows :=
-            [
-              case;
-              Config.propagation_to_string propagation;
-              T.fmt_float s.time;
-              string_of_int s.messages;
-              T.fmt_float (mean_wait s "write_lock");
-              T.fmt_float (mean_wait s "write_unlock");
-              T.fmt_float (mean_wait s "read");
-            ]
-            :: !rows)
-        [ Config.Eager; Config.Lazy; Config.Demand; Config.Entry ])
-    cases;
-  T.print ~title:"EXP-PROP: critical-section update propagation (Sec. 6)"
-    ~headers:
-      [ "write/read set"; "mode"; "sim time"; "msgs"; "lock wait"; "unlock wait";
-        "read wait" ]
-    (List.rev !rows);
-  print_endline
-    "paper discussion (Sec. 6): eager pays at release (flush broadcast + acks), lazy\n\
-     shifts the wait to the next acquirer, demand-driven blocks only the reads that\n\
-     actually touch the written locations. Entry consistency (Sec. 2, Midway) ships\n\
-     the guarded values with the lock itself - no broadcasts at all."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-BARRIER: barrier cost vs process count (Sec. 6)                 *)
-(* ------------------------------------------------------------------ *)
-
-let exp_barrier () =
-  let sweeps = if !quick then [ 2; 4; 8 ] else [ 2; 4; 8; 16 ] in
-  let episodes = 6 in
-  let rows = ref [] in
-  List.iter
-    (fun procs ->
-      let workload (api : Api.t) =
-        for round = 1 to episodes do
-          api.Api.write
-            ("b:" ^ string_of_int api.Api.proc_id)
-            ((round * 100) + api.Api.proc_id);
-          api.Api.barrier ()
-        done
-      in
-      let _, s_mixed =
-        run_mixed ~procs ~timestamped:false (fun rt _ ->
-            for i = 0 to procs - 1 do
-              Api.spawn rt i workload
-            done)
-      in
-      let _, s_central =
-        run_central ~procs (fun spawn ->
-            for i = 0 to procs - 1 do
-              spawn i workload
-            done)
-      in
-      rows :=
-        [
-          string_of_int procs;
-          T.fmt_float (s_mixed.time /. float_of_int episodes);
-          T.fmt_float (mean_wait s_mixed "barrier");
-          string_of_int (s_mixed.messages / episodes);
-          T.fmt_float (s_central.time /. float_of_int episodes);
-          string_of_int (s_central.messages / episodes);
-        ]
-        :: !rows)
-    sweeps;
-  T.print
-    ~title:"EXP-BARRIER: count-vector barrier (Sec. 6) vs SC-central equivalent"
-    ~headers:
-      [
-        "procs";
-        "mixed time/episode";
-        "mixed barrier wait";
-        "mixed msgs/episode";
-        "SC time/episode";
-        "SC msgs/episode";
-      ]
-    (List.rev !rows);
-  print_endline
-    "the update-count barrier lets post-barrier reads proceed as soon as the counted\n\
-     updates arrive; an SC memory serializes every access at the server instead."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-THEORY: Theorem 1 / corollaries on recorded executions          *)
-(* ------------------------------------------------------------------ *)
-
-let exp_theory () =
-  let rows = ref [] in
-  let report name h class_holds =
-    let wf = Mc_history.History.is_well_formed h in
-    let mixed = Lattice.is_consistent h Lattice.Mixed in
-    let sc =
-      match
-        Mc_consistency.Sequential.is_sequentially_consistent ~max_states:300_000 h
-      with
-      | Mc_consistency.Sequential.Consistent -> "yes"
-      | Mc_consistency.Sequential.Inconsistent -> "no"
-      | Mc_consistency.Sequential.Unknown -> "search bound"
-    in
-    rows :=
-      [
-        name;
-        string_of_int (Mc_history.History.length h);
-        string_of_bool wf;
-        string_of_bool mixed;
-        sc;
-        string_of_bool class_holds;
-      ]
-      :: !rows
-  in
-  (* 1. entry-consistent random program (Corollary 1) *)
-  let engine = Engine.create () in
-  let cfg = { (Config.default ~procs:2) with record = true } in
-  let rt = Runtime.create engine cfg in
-  for i = 0 to 1 do
-    Runtime.spawn_process rt i (fun p ->
-        for round = 1 to 2 do
-          Runtime.write_lock p "g";
-          Runtime.write p "x" ((i * 100) + round);
-          ignore (Runtime.read p "x");
-          Runtime.write_unlock p "g"
-        done)
-  done;
-  ignore (Runtime.run rt);
-  let h = Runtime.history rt in
-  report "entry-consistent + causal reads (Cor. 1)" h
-    (Mc_consistency.Program_class.is_entry_consistent h);
-  (* 2. PRAM-consistent phase program (Corollary 2) *)
-  let engine = Engine.create () in
-  let rt = Runtime.create engine { (Config.default ~procs:3) with record = true } in
-  for i = 0 to 2 do
-    Runtime.spawn_process rt i (fun p ->
-        for round = 1 to 2 do
-          Runtime.write p (Printf.sprintf "v:%d" i) ((round * 10) + i);
-          Runtime.barrier p;
-          for j = 0 to 2 do
-            ignore (Runtime.read p ~label:Op.PRAM (Printf.sprintf "v:%d" j))
-          done;
-          Runtime.barrier p
-        done)
-  done;
-  ignore (Runtime.run rt);
-  let h = Runtime.history rt in
-  report "PRAM-consistent phases (Cor. 2)" h
-    (Mc_consistency.Program_class.is_pram_consistent h);
-  (* 3. tiny Fig. 3 handshake (Theorem 1 premises) *)
-  let tiny = Solver.Problem.generate ~seed:7 ~n:2 in
-  let engine = Engine.create () in
-  let rt = Runtime.create engine { (Config.default ~procs:2) with record = true } in
-  let res =
-    Solver.launch ~spawn:(Api.spawn rt) ~procs:2 ~variant:Solver.Handshake_causal
-      ~max_iters:2 tiny
-  in
-  ignore (Runtime.run rt);
-  ignore (Option.get !res);
-  let h = Runtime.history rt in
-  report "Fig. 3 handshake round (Thm. 1)" h
-    (Mc_consistency.Commute.theorem1_holds h);
-  T.print ~title:"EXP-THEORY: consistency checking of recorded executions"
-    ~headers:[ "program"; "ops"; "well-formed"; "mixed"; "SC"; "class/premise" ]
-    (List.rev !rows);
-  print_endline
-    "Theorem 1 and Corollaries 1-2: executions of the disciplined program classes\n\
-     are sequentially consistent; the checkers verify this on recorded runs."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-DELIVERY: causal delivery drain and update batching             *)
-(* ------------------------------------------------------------------ *)
-
-module Replica = Mc_dsm.Replica
-module Protocol = Mc_dsm.Protocol
-
-(* Worst case for a rescanned pending list: each writer's stream is fed
-   newest-first (round-robin across writers), so nothing is deliverable
-   until the writer's first update arrives — by then the buffer holds the
-   writer's whole stream and each rescan pass would free exactly one
-   update. The per-writer queues buffer each arrival in O(1) and drain
-   the cascade in O(updates x procs). *)
-let drain_workload ~p ~depth =
-  let updates = ref [] in
-  for useq = depth downto 1 do
-    for w = 1 to p - 1 do
-      let dep = Array.make p 0 in
-      dep.(w) <- useq - 1;
-      updates :=
-        {
-          Protocol.writer = w;
-          useq;
-          dep;
-          loc = "x:" ^ string_of_int w;
-          numeric = useq;
-          tag = w;
-          is_dec = false;
-        }
-        :: !updates
-    done
-  done;
-  List.rev !updates
-
-let run_drain ~p updates =
-  let engine = Engine.create () in
-  let r = Replica.create engine ~id:0 ~n:p () in
-  let t0 = Sys.time () in
-  List.iter (Replica.receive r) updates;
-  let dt = Sys.time () -. t0 in
-  assert (Replica.pending_count r = 0);
-  dt
-
-let batch_workload ~procs ~writes (api : Api.t) =
-  let me = api.Api.proc_id in
-  for k = 1 to writes do
-    api.Api.write (Printf.sprintf "bw:%d:%d" me (k mod 8)) ((me * 1_000_000) + k)
-  done;
-  api.Api.barrier ();
-  for j = 0 to procs - 1 do
-    ignore (api.Api.read (Printf.sprintf "bw:%d:%d" j (writes mod 8)))
-  done
-
-let run_batching ~procs ~batch_max ~writes =
-  let engine = Engine.create () in
-  let cfg = { (Config.default ~procs) with batch_max } in
-  let rt = Runtime.create engine cfg in
-  for i = 0 to procs - 1 do
-    Api.spawn rt i (batch_workload ~procs ~writes)
-  done;
-  let time = Runtime.run rt in
-  let net = Runtime.network rt in
-  (time, Network.messages_sent net, Network.bytes_sent net)
-
-let exp_delivery () =
-  let drain_targets = if !quick then [ 200; 1_000 ] else [ 1_000; 10_000 ] in
-  let ps = [ 2; 4; 8 ] in
-  let drain_rows = ref [] and drain_json = ref [] in
-  List.iter
-    (fun buffered_target ->
-      List.iter
-        (fun p ->
-          let depth = max 1 (buffered_target / (p - 1)) in
-          let buffered = depth * (p - 1) in
-          let updates = drain_workload ~p ~depth in
-          (* best of 5: one sub-millisecond drain is mostly heap-growth noise *)
-          let t_fast =
-            List.fold_left
-              (fun best _ -> Float.min best (run_drain ~p updates))
-              infinity [ 1; 2; 3; 4; 5 ]
-          in
-          let rate = float_of_int buffered /. Float.max t_fast 1e-9 in
-          drain_rows :=
-            [
-              string_of_int p;
-              string_of_int buffered;
-              Printf.sprintf "%.4f" t_fast;
-              Printf.sprintf "%.3e" rate;
-            ]
-            :: !drain_rows;
-          drain_json :=
-            Printf.sprintf
-              "    {\"p\": %d, \"depth\": %d, \"buffered\": %d, \"fast_s\": %.6f, \
-               \"fast_updates_per_s\": %.1f}"
-              p depth buffered t_fast rate
-            :: !drain_json)
-        ps)
-    drain_targets;
-  T.print
-    ~title:"EXP-DELIVERY/drain: buffered-update drain through the per-writer queues"
-    ~headers:[ "p"; "buffered"; "fast (s)"; "fast upd/s" ]
-    (List.rev !drain_rows);
-  let procs = 4 in
-  let writes = if !quick then 50 else 200 in
-  let batch_rows = ref [] and batch_json = ref [] in
-  List.iter
-    (fun batch_max ->
-      let time, messages, bytes = run_batching ~procs ~batch_max ~writes in
-      batch_rows :=
-        [
-          string_of_int batch_max;
-          T.fmt_float time;
-          string_of_int messages;
-          string_of_int bytes;
-        ]
-        :: !batch_rows;
-      batch_json :=
-        Printf.sprintf
-          "    {\"batch_max\": %d, \"sim_time\": %.3f, \"messages\": %d, \"bytes\": \
-           %d}"
-          batch_max time messages bytes
-        :: !batch_json)
-    [ 1; 8; 32 ];
-  T.print
-    ~title:
-      (Printf.sprintf
-         "EXP-DELIVERY/batching: %d procs x %d writes, delta-encoded update batches"
-         procs writes)
-    ~headers:[ "batch_max"; "sim time"; "msgs"; "bytes" ]
-    (List.rev !batch_rows);
-  bench_core_add "EXP-DELIVERY"
-    ~params:
-      (Printf.sprintf
-         "{\"drain_targets\": [%s], \"ps\": [%s], \"batch_procs\": %d, \
-          \"batch_writes\": %d}"
-         (String.concat ", " (List.map string_of_int drain_targets))
-         (String.concat ", " (List.map string_of_int ps))
-         procs writes)
-    (Printf.sprintf "    \"drain\": [\n%s\n    ],\n    \"batching\": [\n%s\n    ]"
-       (String.concat ",\n" (List.rev !drain_json))
-       (String.concat ",\n" (List.rev !batch_json)));
-  print_endline
-    "per-writer FIFO queues make deliverability a single head check (channels are\n\
-     FIFO, so only the head can apply). Batching coalesces consecutive same-writer\n\
-     updates between sync points, delta-encoding the dependency clocks. Raw\n\
-     numbers: BENCH_CORE.json."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-ONLINE: record-then-check vs the streaming online checker       *)
-(* ------------------------------------------------------------------ *)
-
-module Online = Mc_consistency.Online
-
-(* a phase-disciplined workload: per-round writes, a barrier, PRAM reads
-   of the neighbours' fresh values, one lock-protected accumulator
-   increment and a closing barrier; every write value is unique so the
-   recorded reads-from relation is exact *)
-let online_workload ~procs ~rounds (api : Api.t) =
-  let me = api.Api.proc_id in
-  for round = 1 to rounds do
-    for k = 0 to 3 do
-      api.Api.write
-        (Printf.sprintf "o:%d:%d" me k)
-        ((me * 10_000_000) + (round * 10) + k)
-    done;
-    api.Api.barrier ();
-    for j = 0 to procs - 1 do
-      ignore (api.Api.read ~label:Op.PRAM (Printf.sprintf "o:%d:%d" j (round mod 4)))
-    done;
-    api.Api.write_lock "acc";
-    let v = api.Api.read "sum" in
-    api.Api.write "sum" (v + 1);
-    api.Api.write_unlock "acc";
-    api.Api.barrier ()
-  done
-
-let exp_online () =
-  let procs = 4 in
-  (* ops per round: per proc 4 writes + [procs] reads + lock/read/write/
-     unlock + 2 barriers *)
-  let per_round = procs * (4 + procs + 4 + 2) in
-  (* the quick 2,000 size is the full grid's 35-round row, which the CI
-     regression guard compares exactly *)
-  let sizes =
-    if !quick then [ 2_000; 4_000 ] else [ 2_000; 5_000; 10_500; 21_000 ]
-  in
-  (* the offline checker retains the whole history and one n x n bit
-     matrix per closure (five under Mixed with four procs); cap the sizes
-     it runs at to bound that memory *)
-  let offline_cap = if !quick then 4_000 else 11_000 in
-  let rows = ref [] and json = ref [] in
-  List.iter
-    (fun total ->
-      let rounds = max 1 (total / per_round) in
-      let execute ~record ~check_online =
-        let engine = Engine.create () in
-        let cfg = { (Config.default ~procs) with record; check_online } in
-        let rt = Runtime.create engine cfg in
-        for i = 0 to procs - 1 do
-          Api.spawn rt i (online_workload ~procs ~rounds)
-        done;
-        let t0 = Sys.time () in
-        ignore (Runtime.run rt);
-        (rt, Sys.time () -. t0)
-      in
-      (* minor words allocated by [execute]: exact for a given binary *)
-      let words f =
-        let w0 = Gc.minor_words () in
-        let r = f () in
-        (r, Gc.minor_words () -. w0)
-      in
-      (* plain execution: the simulation cost with no checking at all *)
-      let (_, t_plain), w_plain =
-        words (fun () -> execute ~record:false ~check_online:false)
-      in
-      (* offline path: record, then materialize and check post-hoc *)
-      let rt_rec, _ = execute ~record:true ~check_online:false in
-      let h = Runtime.history rt_rec in
-      let n = Mc_history.History.length h in
-      let offline =
-        if n <= offline_cap then begin
-          let t0 = Sys.time () in
-          let fs = Lattice.failures h Lattice.Mixed in
-          Some (List.length fs, Sys.time () -. t0)
-        end
-        else None
-      in
-      (* online path: streaming-only checker riding the execution; its
-         cost is the increment over the plain run, its memory the engine
-         window plus the live writer summaries (stability sweeps reclaim
-         superseded values during the run) *)
-      let (rt_on, t_checked), w_checked =
-        words (fun () -> execute ~record:false ~check_online:true)
-      in
-      let c = Option.get (Runtime.online_checker rt_on) in
-      let live = Online.stats c in
-      let t_on = Float.max (t_checked -. t_plain) 1e-4 in
-      let words_per_op = (w_checked -. w_plain) /. float_of_int n in
-      let on_fail = live.Online.failure_count in
-      let rate t = float_of_int n /. Float.max t 1e-9 in
-      let agree =
-        match offline with
-        | Some (off_fail, _) -> if off_fail = on_fail then "yes" else "NO"
-        | None -> "-"
-      in
-      if agree = "NO" then
-        self_check_failed
-          (Printf.sprintf "EXP-ONLINE at %d ops: offline %d failures, online %d" n
-             (Option.get offline |> fst) on_fail);
-      rows :=
-        [
-          string_of_int n;
-          (match offline with
-          | Some (_, t) -> Printf.sprintf "%.3f" t
-          | None -> "(skipped)");
-          Printf.sprintf "%.3f" t_on;
-          (match offline with
-          | Some (_, t) -> Printf.sprintf "%.3e" (rate t)
-          | None -> "-");
-          Printf.sprintf "%.3e" (rate t_on);
-          (match offline with
-          | Some (_, t) -> T.fmt_ratio (t /. t_on)
-          | None -> "-");
-          string_of_int n;
-          string_of_int live.Online.max_resident;
-          string_of_int live.Online.live_summaries;
-          Printf.sprintf "%.1f" words_per_op;
-          agree;
-        ]
-        :: !rows;
-      json :=
-        Printf.sprintf
-          "      {\"ops\": %d, \"rounds\": %d, \"offline_s\": %s, \"online_s\": \
-           %.6f, \"offline_ops_per_s\": %s, \"online_ops_per_s\": %.1f, \
-           \"speedup\": %s, \"offline_resident_ops\": %d, \
-           \"online_window_high_water\": %d, \"online_live_summaries\": %d, \
-           \"online_minor_words_per_op\": %.1f, \"failures_agree\": %b}"
-          n rounds
-          (match offline with
-          | Some (_, t) -> Printf.sprintf "%.6f" t
-          | None -> "null")
-          t_on
-          (match offline with
-          | Some (_, t) -> Printf.sprintf "%.1f" (rate t)
-          | None -> "null")
-          (rate t_on)
-          (match offline with
-          | Some (_, t) -> Printf.sprintf "%.2f" (t /. t_on)
-          | None -> "null")
-          n live.Online.max_resident live.Online.live_summaries words_per_op
-          (agree <> "NO")
-        :: !json)
-    sizes;
-  T.print
-    ~title:
-      "EXP-ONLINE: offline record-then-check vs streaming checker (4 procs)"
-    ~headers:
-      [
-        "ops"; "offline (s)"; "online (s)"; "off ops/s"; "on ops/s"; "speedup";
-        "off resident"; "window hw"; "live summaries"; "words/op"; "agree";
-      ]
-    (List.rev !rows);
-  bench_core_add "EXP-ONLINE"
-    ~params:
-      (Printf.sprintf
-         "{\"procs\": %d, \"sizes\": [%s], \"offline_cap\": %d, \"seed\": %d}"
-         procs
-         (String.concat ", " (List.map string_of_int sizes))
-         offline_cap bench_seed)
-    (Printf.sprintf "    \"runs\": [\n%s\n    ]"
-       (String.concat ",\n" (List.rev !json)));
-  print_endline
-    "the offline path closes each model relation once (SCC condensation) and keeps\n\
-     all n recorded operations resident; the streaming checker validates each read\n\
-     at response time from incremental chain clocks and retires operations once\n\
-     their causal past is covered, so its window stays bounded while throughput\n\
-     scales. words/op: minor words the checked run allocates beyond the plain run,\n\
-     per operation (exact for a given binary)."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-GROUP: the Section-3.2 consistency spectrum on the solver       *)
-(* ------------------------------------------------------------------ *)
-
-let exp_group () =
-  let procs = 4 in
-  let problem = Solver.Problem.generate ~seed:42 ~n:8 in
-  let max_iters = 4 in
-  let expected =
-    Solver.reference ~variant:Solver.Handshake_causal ~max_iters problem
-  in
-  let rows = ref [] in
-  let run name variant ?await_label ?(groups = []) () =
-    let res, stats =
-      run_mixed ~procs ?await_label ~groups ~latency:(adverse_latency procs)
-        (fun _rt spawn -> Solver.launch ~spawn ~procs ~variant ~max_iters problem)
-    in
-    let r = Option.get !res in
-    rows :=
-      [
-        name;
-        (if r.Solver.x = expected.Solver.x then "yes" else "no (stale reads)");
-        T.fmt_float stats.time;
-        string_of_int stats.messages;
-      ]
-      :: !rows
-  in
-  run "PRAM reads" Solver.Handshake_pram ~await_label:Op.PRAM ();
-  run "group {coordinator, self} reads" Solver.Handshake_group
-    ~groups:(Solver.solver_groups ~procs) ();
-  run "causal reads" Solver.Handshake_causal ();
-  T.print
-    ~title:
-      "EXP-GROUP: handshaking solver across the Sec. 3.2 spectrum (adverse latency)"
-    ~headers:[ "read label"; "exact result"; "sim time"; "msgs" ]
-    (List.rev !rows);
-  print_endline
-    "paper (Sec. 3.2): \"the definition can be easily generalized to maintain\n\
-     causality across an arbitrary group of processes\"; the smallest useful group -\n\
-     each worker with the coordinator - already restores correctness, because all\n\
-     handshake causality flows through the coordinator."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-PRODCON: awaits vs locks for producer/consumer (Sec. 1)         *)
-(* ------------------------------------------------------------------ *)
-
-let exp_prodcon () =
-  let cases =
-    if !quick then [ (3, 40, 4) ] else [ (2, 60, 4); (4, 60, 4); (4, 60, 1) ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (procs, items, slots) ->
-      let params = { Mc_apps.Pipeline.items; slots; work = 5.0 } in
-      let expected = Mc_apps.Pipeline.reference ~procs params in
-      List.iter
-        (fun impl ->
-          let res, s =
-            run_mixed ~procs (fun _rt spawn ->
-                Mc_apps.Pipeline.launch ~spawn ~procs ~impl params)
-          in
-          let r = Option.get !res in
-          rows :=
-            [
-              Printf.sprintf "%d stages, %d items, window %d" procs items slots;
-              Mc_apps.Pipeline.impl_to_string impl;
-              (if r.Mc_apps.Pipeline.checksum = expected.Mc_apps.Pipeline.checksum
-               then "yes"
-               else "NO");
-              T.fmt_float s.time;
-              string_of_int s.messages;
-              T.fmt_float
-                (float_of_int items /. s.time *. 1000.);
-            ]
-            :: !rows)
-        [ Mc_apps.Pipeline.Await_based; Mc_apps.Pipeline.Lock_based ])
-    cases;
-  T.print
-    ~title:"EXP-PRODCON: pipeline streams, awaits vs locks+polling (Sec. 1)"
-    ~headers:[ "pipeline"; "implementation"; "exact"; "sim time"; "msgs"; "items/ms" ]
-    (List.rev !rows);
-  print_endline
-    "paper claim (Sec. 1): \"await operations are useful for producer/consumer type\n\
-     of interactions\" - without them the bounded buffer degenerates to lock-guarded\n\
-     polling, paying a lock-manager round trip per emptiness check."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-MULTICAST: subscriber routing + count-vector barriers (Sec. 6)  *)
-(* ------------------------------------------------------------------ *)
-
-let exp_multicast () =
-  let sweeps = if !quick then [ 4 ] else [ 2; 4; 8 ] in
-  let rows = ref [] in
-  List.iter
-    (fun procs ->
-      let params =
-        { Em.rows = 4 * procs; cols = 8; steps = (if !quick then 4 else 8); seed = 5 }
-      in
-      let expected = Em.reference ~procs params in
-      let run routed =
-        let res, s =
-          run_mixed ~procs ~timestamped:false
-            ?placement:(if routed then Some (Em.placement ~procs) else None)
-            (fun _rt spawn -> Em.launch ~spawn ~procs params)
-        in
-        ((Option.get !res : Em.result), s)
-      in
-      let r_b, s_b = run false in
-      let r_m, s_m = run true in
-      let row name (r : Em.result) s =
-        [
-          string_of_int procs;
-          name;
-          (if r.Em.checksum = expected.Em.checksum then "yes" else "NO");
-          T.fmt_float s.time;
-          string_of_int s.messages;
-          string_of_int s.bytes;
-        ]
-      in
-      rows := row "broadcast updates" r_b s_b :: !rows;
-      rows := row "subscriber multicast" r_m s_m :: !rows;
-      rows :=
-        [ ""; "-> message reduction"; "";
-          T.fmt_ratio (s_b.time /. s_m.time);
-          T.fmt_ratio (float_of_int s_b.messages /. float_of_int s_m.messages) ]
-        :: !rows)
-    sweeps;
-  T.print
-    ~title:
-      "EXP-MULTICAST: subscriber update routing + count-vector barriers (Sec. 6)"
-    ~headers:[ "procs"; "routing"; "exact"; "sim time"; "msgs"; "bytes" ]
-    (List.rev !rows);
-  print_endline
-    "paper (Sec. 6): \"the overhead of broadcasting messages for each update ... may\n\
-     be avoided by making optimizations based on the patterns of accesses to shared\n\
-     variables\"; with subscriber routing the barrier switches to the paper's\n\
-     update-count vectors, since vector timestamps no longer apply."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-ASYNC: asynchronous relaxation under PRAM (Sec. 7)              *)
-(* ------------------------------------------------------------------ *)
-
-let exp_async () =
-  let procs = 4 in
-  let sizes = if !quick then [ 12 ] else [ 12; 24 ] in
-  let rows = ref [] in
-  List.iter
-    (fun n ->
-      let problem = Solver.Problem.generate ~seed:42 ~n in
-      let truth = Mc_apps.Async_solver.solution problem in
-      (* synchronous Fig. 2 baseline *)
-      let res, s_sync =
-        run_mixed ~procs ~timestamped:false (fun _rt spawn ->
-            Solver.launch ~spawn ~procs ~variant:Solver.Barrier_pram problem)
-      in
-      let sync = Option.get !res in
-      rows :=
-        [
-          string_of_int n;
-          "synchronous (Fig. 2, barriers)";
-          string_of_int sync.Solver.iterations;
-          T.fmt_float
-            (Mc_apps.Fixed.to_float (Solver.residual problem sync.Solver.x));
-          T.fmt_float s_sync.time;
-          string_of_int s_sync.messages;
-        ]
-        :: !rows;
-      (* asynchronous chaotic relaxation, PRAM reads, no sync ops at all *)
-      let res, s_async =
-        run_mixed ~procs ~timestamped:false (fun _rt spawn ->
-            Mc_apps.Async_solver.launch ~spawn ~procs problem)
-      in
-      let a = Option.get !res in
-      let maxdiff =
-        Array.fold_left max 0
-          (Array.mapi (fun i v -> abs (v - truth.(i))) a.Mc_apps.Async_solver.x)
-      in
-      rows :=
-        [
-          string_of_int n;
-          "async (chaotic, PRAM, no sync)";
-          Printf.sprintf "%d sweeps"
-            (Array.fold_left max 0 a.Mc_apps.Async_solver.sweeps);
-          T.fmt_float (Mc_apps.Fixed.to_float a.Mc_apps.Async_solver.residual);
-          T.fmt_float s_async.time;
-          string_of_int s_async.messages;
-        ]
-        :: !rows;
-      rows :=
-        [ ""; Printf.sprintf "-> async converged: %b, max diff to solution %.4f"
-            a.Mc_apps.Async_solver.converged (Mc_apps.Fixed.to_float maxdiff) ]
-        :: !rows)
-    sizes;
-  T.print
-    ~title:"EXP-ASYNC: asynchronous relaxation converges even with PRAM (Sec. 7)"
-    ~headers:[ "n"; "algorithm"; "iterations"; "residual"; "sim time"; "msgs" ]
-    (List.rev !rows);
-  print_endline
-    "paper claim (Sec. 7): equivalence to SC is not always necessary - asynchronous\n\
-     relaxation converges on plain PRAM with no synchronization operations at all."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-LINT: race-detector throughput vs the pairwise Theorem-1 scan   *)
-(* ------------------------------------------------------------------ *)
-
-(* a disciplined application-shaped workload: lock-protected shared
-   counters, private per-process data, barrier phases, plus one
-   deliberate unprotected conflict so both analyses report a race *)
-let lint_workload ~procs ~ops_per_proc =
-  let r = Mc_history.Recorder.create ~procs () in
-  let next = ref 0 in
-  let fresh () =
-    incr next;
-    !next
-  in
-  for k = 0 to ops_per_proc - 1 do
-    for p = 0 to procs - 1 do
-      match k mod 8 with
-      | 0 ->
-        let lock = "m:" ^ string_of_int (k mod 4)
-        and loc = "s:" ^ string_of_int (k mod 4) in
-        ignore
-          (Mc_history.Recorder.record r ~proc:p
-             ~sync_seq:(Mc_history.Recorder.grant_seq r lock)
-             (Op.Write_lock lock));
-        ignore (Mc_history.Recorder.record r ~proc:p (Op.Write { loc; value = fresh () }));
-        ignore
-          (Mc_history.Recorder.record r ~proc:p
-             ~sync_seq:(Mc_history.Recorder.grant_seq r lock)
-             (Op.Write_unlock lock))
-      | 5 when k = 5 && p <= 1 ->
-        (* the only unprotected conflicting accesses in the history *)
-        ignore
-          (Mc_history.Recorder.record r ~proc:p
-             (Op.Write { loc = "racy"; value = fresh () }))
-      | 7 when k mod 16 = 15 ->
-        ignore (Mc_history.Recorder.record r ~proc:p (Op.Barrier (k / 16)))
-      | m when m < 4 ->
-        ignore
-          (Mc_history.Recorder.record r ~proc:p
-             (Op.Write
-                {
-                  loc = Printf.sprintf "p:%d:%d" p (k mod 7);
-                  value = fresh ();
-                }))
-      | _ ->
-        ignore
-          (Mc_history.Recorder.record r ~proc:p
-             (Op.Read
-                {
-                  loc = Printf.sprintf "p:%d:%d" p (k mod 7);
-                  label = Op.PRAM;
-                  value = 0;
-                }))
-    done
-  done;
-  Mc_history.Recorder.history r
-
-let exp_lint () =
-  let procs = 4 in
-  (* the pairwise scan needs the transitive closure of the causality
-     relation, an n x n bit matrix, plus an O(n^2) pair enumeration; cap
-     the sizes it runs at to bound that memory and time *)
-  let sizes, pairwise_cap =
-    if !quick then ([ 400; 1_000; 2_000; 10_000 ], 2_000)
-    else ([ 1_000; 2_500; 5_000; 10_000; 20_000; 40_000 ], 13_000)
-  in
-  let rows = ref [] in
-  List.iter
-    (fun total_ops ->
-      let h = lint_workload ~procs ~ops_per_proc:(total_ops / procs) in
-      let n = Mc_history.History.length h in
-      let time f =
-        let t0 = Sys.time () in
-        let x = f () in
-        (x, Sys.time () -. t0)
-      in
-      let detect, t_detect = time (fun () -> Mc_analysis.Race.detect h) in
-      let fast_pairs = Mc_analysis.Race.race_pairs detect in
-      let pairwise, t_pairwise =
-        if n <= pairwise_cap then
-          let report, t =
-            time (fun () -> Mc_consistency.Commute.theorem1_report h)
-          in
-          (Some report.Mc_consistency.Commute.non_commuting_pairs, t)
-        else (None, nan)
-      in
-      let agree =
-        match pairwise with
-        | Some pairs -> if pairs = fast_pairs then "yes" else "NO"
-        | None -> "-"
-      in
-      if agree = "NO" then
-        self_check_failed
-          (Printf.sprintf "EXP-LINT at %d ops: pairwise %d race pairs, detector %d" n
-             (List.length (Option.get pairwise))
-             (List.length fast_pairs));
-      rows :=
-        [
-          string_of_int n;
-          string_of_int (List.length fast_pairs);
-          (match pairwise with
-          | Some _ -> Printf.sprintf "%.3f" t_pairwise
-          | None -> "(skipped)");
-          Printf.sprintf "%.3f" t_detect;
-          (match pairwise with
-          | Some _ -> T.fmt_ratio (t_pairwise /. t_detect)
-          | None -> "-");
-          agree;
-        ]
-        :: !rows)
-    sizes;
-  T.print
-    ~title:
-      "EXP-LINT: race detection, pairwise Theorem-1 scan vs lockset+HB clocks"
-    ~headers:[ "ops"; "races"; "pairwise (s)"; "detector (s)"; "speedup"; "agree" ]
-    (List.rev !rows);
-  print_endline
-    "the pairwise scan closes the causality relation transitively (an n x n bit\n\
-     matrix) before checking every operation pair, quadratic in history length;\n\
-     the detector derives happens-before chain clocks from the covering relations\n\
-     and screens lock-protected locations with Eraser candidate locksets, so it\n\
-     keeps scaling past the sizes where the pairwise scan runs out of memory."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-OBS: overhead of the observability layer                        *)
-(* ------------------------------------------------------------------ *)
-
-module Metrics = Mc_obs.Metrics
-module Obs_trace = Mc_obs.Trace
-
-(* Wall-clock of the EXP-DELIVERY batching workload under three
-   instrumentation levels. [observe = false] is the acceptance gate: the
-   base op counters and wait histograms (the [wait_summaries] API) run
-   unconditionally, so the off column must stay within noise of the PR 4
-   runtime. Observation must not perturb virtual time, so the three sim
-   times are asserted equal. *)
-let run_observed ~procs ~writes ~observe ~tracer () =
-  let engine = Engine.create () in
-  let cfg = { (Config.default ~procs) with batch_max = 8; observe; tracer } in
-  let rt = Runtime.create engine cfg in
-  for i = 0 to procs - 1 do
-    Api.spawn rt i (batch_workload ~procs ~writes)
-  done;
-  let t0 = Sys.time () in
-  let time = Runtime.run rt in
-  let dt = Sys.time () -. t0 in
-  (rt, time, dt)
-
-let exp_obs () =
-  let procs = 4 in
-  let writes = if !quick then 50 else 200 in
-  let reps = if !quick then 3 else 5 in
-  (* min-of-reps: each rep builds a fresh runtime (and tracer, when
-     traced); keep the last runtime for metric/tracer inspection *)
-  let min_of f =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let rt, time, dt = f () in
-      if dt < !best then best := dt;
-      last := Some (rt, time)
-    done;
-    let rt, time = Option.get !last in
-    (rt, time, !best)
-  in
-  (* one untimed warmup so the off baseline doesn't absorb first-run
-     allocation/page-in cost *)
-  ignore (run_observed ~procs ~writes ~observe:false ~tracer:None ());
-  (* the PR 4 reference: the exact EXP-DELIVERY batching entry point
-     (Config.default, no observe/tracer fields touched) — the acceptance
-     gate is observe=off within 5% of this *)
-  let t_ref =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Sys.time () in
-      ignore (run_batching ~procs ~batch_max:8 ~writes);
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let _, sim_off, t_off =
-    min_of (run_observed ~procs ~writes ~observe:false ~tracer:None)
-  in
-  let rt_m, sim_m, t_m =
-    min_of (run_observed ~procs ~writes ~observe:true ~tracer:None)
-  in
-  let rt_t, sim_t, t_t =
-    min_of (fun () ->
-        run_observed ~procs ~writes ~observe:true
-          ~tracer:(Some (Obs_trace.create ~capacity:65536 ())) ())
-  in
-  assert (sim_off = sim_m && sim_m = sim_t);
-  let overhead t = (t /. t_off) -. 1.0 in
-  let pct t = Printf.sprintf "%+.1f%%" (100.0 *. overhead t) in
-  let spans, events =
-    match Runtime.tracer rt_t with
-    | Some tr -> (Obs_trace.span_count tr, Obs_trace.event_count tr)
-    | None -> (0, 0)
-  in
-  T.print
-    ~title:
-      (Printf.sprintf
-         "EXP-OBS: observability overhead, %d procs x %d writes (batch_max 8, \
-          min of %d)"
-         procs writes reps)
-    ~headers:[ "mode"; "wall (s)"; "sim time"; "overhead"; "series"; "spans" ]
-    [
-      [ "exp-delivery"; Printf.sprintf "%.4f" t_ref; T.fmt_float sim_off;
-        pct t_ref; "-"; "-" ];
-      [ "observe=off"; Printf.sprintf "%.4f" t_off; T.fmt_float sim_off;
-        "baseline"; "-"; "-" ];
-      [ "metrics"; Printf.sprintf "%.4f" t_m; T.fmt_float sim_m; pct t_m;
-        string_of_int (Metrics.Registry.series_count (Runtime.metrics rt_m));
-        "-" ];
-      [ "metrics+trace"; Printf.sprintf "%.4f" t_t; T.fmt_float sim_t; pct t_t;
-        string_of_int (Metrics.Registry.series_count (Runtime.metrics rt_t));
-        string_of_int spans ];
-    ];
-  (* drain microbench: the raw delivery hot path with and without an
-     attached registry — isolates the per-update cost of the delivery
-     histogram, arrival stamping and the queue-depth gauge *)
-  let p = 4 in
-  let depth = if !quick then 500 else 2_000 in
-  let updates = drain_workload ~p ~depth in
-  let drain_rep attach =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let engine = Engine.create () in
-      let r = Replica.create engine ~id:0 ~n:p () in
-      if attach then Replica.attach_metrics r (Metrics.Registry.create ());
-      let t0 = Sys.time () in
-      List.iter (Replica.receive r) updates;
-      let dt = Sys.time () -. t0 in
-      assert (Replica.pending_count r = 0);
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let d_bare = drain_rep false in
-  let d_obs = drain_rep true in
-  T.print
-    ~title:
-      (Printf.sprintf "EXP-OBS/drain: %d updates x %d writers, bare vs observed"
-         depth (p - 1))
-    ~headers:[ "mode"; "wall (s)"; "overhead" ]
-    [
-      [ "bare"; Printf.sprintf "%.4f" d_bare; "baseline" ];
-      [ "observed"; Printf.sprintf "%.4f" d_obs;
-        Printf.sprintf "%+.1f%%" (100.0 *. ((d_obs /. d_bare) -. 1.0)) ];
-    ];
-  bench_core_add "EXP-OBS"
-    ~params:
-      (Printf.sprintf
-         "{\"procs\": %d, \"writes\": %d, \"reps\": %d, \"drain_depth\": %d}"
-         procs writes reps depth)
-    (Printf.sprintf
-       "    \"runtime\": [\n\
-       \      {\"mode\": \"exp_delivery_ref\", \"wall_s\": %.6f, \
-        \"off_vs_ref\": %.4f},\n\
-       \      {\"mode\": \"off\", \"wall_s\": %.6f, \"sim_time\": %.3f},\n\
-       \      {\"mode\": \"metrics\", \"wall_s\": %.6f, \"sim_time\": %.3f, \
-        \"overhead\": %.4f},\n\
-       \      {\"mode\": \"metrics_trace\", \"wall_s\": %.6f, \"sim_time\": \
-        %.3f, \"overhead\": %.4f, \"spans\": %d, \"events\": %d}\n\
-       \    ],\n\
-       \    \"drain\": {\"bare_s\": %.6f, \"observed_s\": %.6f, \"overhead\": \
-        %.4f},\n\
-       \    \"observability\": %s"
-       t_ref
-       ((t_off /. t_ref) -. 1.0)
-       t_off sim_off t_m sim_m (overhead t_m) t_t sim_t (overhead t_t) spans
-       events d_bare d_obs
-       ((d_obs /. d_bare) -. 1.0)
-       (Metrics.Registry.to_json (Runtime.metrics rt_m)));
-  print_endline
-    "the base op counters and wait histograms replace the seed's cached Stats\n\
-     handles at identical cost, so observe=off tracks the PR 4 runtime; observe=on\n\
-     adds delivery/staleness/engine/network series and the tracer appends one ring\n\
-     slot per recorded op. Full metric dump: BENCH_CORE.json (observability key)."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-STATIC: symbolic analysis cost vs dynamic lint (ISSUE 6)        *)
-(* ------------------------------------------------------------------ *)
-
-module Static = Mc_static.Static
-module Cz = Mc_static.Concretize
-module Models = Mc_apps.Static_models
-
-let verdict_json v =
-  Json.quote
-    (match v with
-    | Mc_static.Classify.Corollary2 -> "corollary2"
-    | Mc_static.Classify.Corollary1 -> "corollary1"
-    | Mc_static.Classify.Theorem1 -> "theorem1"
-    | Mc_static.Classify.Unproved _ -> "unproved")
-
-(* The symbolic analyzer never unrolls loops: its verdict for the
-   barrier solver holds at every iteration count [T], so its cost is
-   flat while the dynamic pipeline (concretize, then lint the recorded
-   history) grows linearly with the execution it must observe. *)
-let exp_static () =
-  let iters = if !quick then [ 4; 16 ] else [ 4; 16; 64 ] in
-  let reps = if !quick then 10 else 25 in
-  let prog = Models.solver_barrier in
-  let time_static () =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let t0 = Sys.time () in
-      let r = Static.analyze prog in
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt;
-      last := Some r
-    done;
-    (Option.get !last, !best)
-  in
-  let rows = ref [] and json = ref [] in
-  List.iter
-    (fun t_iters ->
-      let srep, t_static = time_static () in
-      let static_races = List.length srep.Static.srace.Mc_static.Srace.races in
-      let run = Cz.run ~params:[ ("T", t_iters) ] prog in
-      let h = run.Cz.history in
-      let n = Mc_history.History.length h in
-      let t0 = Sys.time () in
-      let drep = Mc_analysis.Analysis.analyze h in
-      let t_dyn = Sys.time () -. t0 in
-      let dyn_races = List.length drep.Mc_analysis.Analysis.races.Mc_analysis.Race.races in
-      rows :=
-        [
-          string_of_int t_iters;
-          string_of_int n;
-          Printf.sprintf "%.5f" t_static;
-          Printf.sprintf "%.5f" t_dyn;
-          T.fmt_ratio (t_dyn /. Float.max t_static 1e-9);
-          Printf.sprintf "%d / %d" static_races dyn_races;
-          Mc_static.Classify.verdict_to_string srep.Static.verdict;
-        ]
-        :: !rows;
-      json :=
-        Printf.sprintf
-          "      {\"iters\": %d, \"ops\": %d, \"static_s\": %.6f, \"lint_s\": \
-           %.6f, \"static_races\": %d, \"dynamic_races\": %d, \"verdict\": %s}"
-          t_iters n t_static t_dyn static_races dyn_races
-          (verdict_json srep.Static.verdict)
-        :: !json)
-    iters;
-  T.print
-    ~title:
-      "EXP-STATIC: symbolic analyzer (flat in T) vs dynamic lint of the \
-       concretized run"
-    ~headers:
-      [ "T"; "dyn ops"; "static (s)"; "lint (s)"; "lint/static";
-        "races s/d"; "verdict" ]
-    (List.rev !rows);
-  (* verdicts and analysis cost for every app model at default params *)
-  let apps =
-    List.map
-      (fun p ->
-        let t0 = Sys.time () in
-        let r = Static.analyze p in
-        let dt = Sys.time () -. t0 in
-        Printf.sprintf
-          "      {\"program\": %s, \"verdict\": %s, \"analyze_s\": %.6f, \
-           \"errors\": %d}"
-          (Json.quote r.Static.program) (verdict_json r.Static.verdict) dt
-          (Static.count Mc_analysis.Diag.Error r))
-      (Models.all ())
-  in
-  bench_core_add "EXP-STATIC"
-    ~params:
-      (Printf.sprintf
-         "{\"program\": \"solver-barrier\", \"iters\": [%s], \"reps\": %d, \
-          \"seed\": %d}"
-         (String.concat ", " (List.map string_of_int iters))
-         reps bench_seed)
-    (Printf.sprintf
-       "    \"runs\": [\n%s\n    ],\n    \"apps\": [\n%s\n    ]"
-       (String.concat ",\n" (List.rev !json))
-       (String.concat ",\n" apps));
-  print_endline
-    "the symbolic analyzer reasons over loop binders, so one analysis covers every\n\
-     iteration count and process count at once: its cost stays flat in T while the\n\
-     dynamic pipeline must execute and lint a history that grows with T. Both\n\
-     agree on race counts at every concretization (the containment property)."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-LATTICE: one workload checked across the model ladder (ISSUE 7) *)
-(* ------------------------------------------------------------------ *)
-
-(* one phase-disciplined execution, checked at every point of the
-   lattice ladder. Verdict monotonicity shows directly: failure sets
-   grow with model strength. Cost splits into a cold pass (builds and
-   memoizes the point's closures on a freshly materialized history, so
-   no row reuses closures an earlier row built) and warm passes
-   (re-verdicts against the memoized closures); streamable points are
-   additionally replayed through the online engine. *)
-let exp_lattice () =
-  let procs = 4 in
-  let rounds = if !quick then 8 else 40 in
-  let reps = if !quick then 3 else 5 in
-  let engine = Engine.create () in
-  let cfg = { (Config.default ~procs) with record = true } in
-  let rt = Runtime.create engine cfg in
-  for i = 0 to procs - 1 do
-    Api.spawn rt i (online_workload ~procs ~rounds)
-  done;
-  ignore (Runtime.run rt);
-  let n = Mc_history.History.length (Runtime.history rt) in
-  let rows = ref [] and json = ref [] in
-  List.iter
-    (fun model ->
-      let h = Runtime.history rt in
-      let t0 = Sys.time () in
-      let fs = Lattice.failures h model in
-      let cold = Sys.time () -. t0 in
-      let warm = ref infinity in
-      for _ = 1 to reps do
-        let t0 = Sys.time () in
-        ignore (Lattice.failures h model);
-        let dt = Sys.time () -. t0 in
-        if dt < !warm then warm := dt
-      done;
-      let streamable = Online.supports model in
-      let online_s =
-        if streamable then begin
-          let best = ref infinity in
-          for _ = 1 to reps do
-            let t0 = Sys.time () in
-            ignore (Online.check ~model h);
-            let dt = Sys.time () -. t0 in
-            if dt < !best then best := dt
-          done;
-          Some !best
-        end
-        else None
-      in
-      let name = Lattice.to_string model in
-      let nf = List.length fs in
-      rows :=
-        [
-          name;
-          string_of_int nf;
-          (if fs = [] then "yes" else "no");
-          Printf.sprintf "%.4f" cold;
-          Printf.sprintf "%.4f" !warm;
-          Printf.sprintf "%.3e" (float_of_int n /. Float.max !warm 1e-9);
-          (match online_s with
-          | Some t -> Printf.sprintf "%.4f" t
-          | None -> "(offline only)");
-        ]
-        :: !rows;
-      json :=
-        Printf.sprintf
-          "      {\"model\": %s, \"failures\": %d, \"consistent\": %b, \
-           \"cold_s\": %.6f, \"warm_s\": %.6f, \"streamable\": %b, \
-           \"online_s\": %s}"
-          (Json.quote name) nf (fs = []) cold !warm streamable
-          (match online_s with
-          | Some t -> Printf.sprintf "%.6f" t
-          | None -> "null")
-        :: !json)
-    Lattice.ladder;
-  T.print
-    ~title:
-      (Printf.sprintf
-         "EXP-LATTICE: one %d-op execution checked across the model ladder"
-         n)
-    ~headers:
-      [
-        "model"; "failures"; "consistent"; "cold (s)"; "warm (s)";
-        "warm ops/s"; "online (s)";
-      ]
-    (List.rev !rows);
-  bench_core_add "EXP-LATTICE"
-    ~params:
-      (Printf.sprintf
-         "{\"procs\": %d, \"rounds\": %d, \"reps\": %d, \"ops\": %d, \
-          \"seed\": %d}"
-         procs rounds reps n bench_seed)
-    (Printf.sprintf "    \"runs\": [\n%s\n    ]"
-       (String.concat ",\n" (List.rev !json)));
-  print_endline
-    "models are values: one generic read-rule engine checks every ladder point.\n\
-     failure sets grow monotonically with model strength (session ... linearizable);\n\
-     the cold pass builds and memoizes each point's closures on a fresh history\n\
-     (one per axiom set, per reader only for reader-scoped axioms), warm passes\n\
-     re-verdict against the memo, and streamable points also replay through the\n\
-     online chain-clock engine."
-
-(* ------------------------------------------------------------------ *)
-(* EXP-SHARD: partial replication vs full replication                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Symmetric neighbour-exchange workload over [objects] locations in
-   [procs] range shards (shard i = process i's slice of the namespace).
-   Per round each process writes [writes] slots of its own range,
-   crosses a barrier, then reads the same slots from two foreign
-   ranges — its subscribed neighbour i+1 (a local read under placement)
-   and process i+2 (a non-subscribed shard, i.e. a read-miss fetch) —
-   and crosses a second barrier. The full-replication side runs the
-   identical program without a placement: every update is broadcast, and
-   its vector-timestamp barrier waits for exactly the updates a count
-   vector would count, so the comparison isolates placement. *)
-
-(* The EXP-SHARD grid-point workload, shared with EXP-OBS-SHARD: every
-   process writes its own object slice, barriers, then reads the slices
-   of its two clockwise neighbours — the nearer one subscribed, the
-   farther one served by demand fetches. *)
-
-let shard_loc id = "s:" ^ string_of_int id
-let shard_value ~procs ~proc ~slot = (slot * procs) + proc + 1
-let shard_slot ~per ~proc ~slot = (proc * per) + (slot mod per)
-
-let shard_expected ~procs ~writes ~rounds ~reads =
-  let sum = ref 0 in
-  for i = 0 to procs - 1 do
-    for r = 0 to rounds - 1 do
-      for k = 0 to reads - 1 do
-        let slot = (r * writes) + k in
-        sum := !sum + shard_value ~procs ~proc:((i + 1) mod procs) ~slot;
-        sum := !sum + shard_value ~procs ~proc:((i + 2) mod procs) ~slot
-      done
-    done
-  done;
-  !sum
-
-let shard_workload ~procs ~writes ~rounds ~reads ~per checksum spawn =
-  for i = 0 to procs - 1 do
-    spawn i (fun (api : Api.t) ->
-        for r = 0 to rounds - 1 do
-          for k = 0 to writes - 1 do
-            let slot = (r * writes) + k in
-            api.write
-              (shard_loc (shard_slot ~per ~proc:i ~slot))
-              (shard_value ~procs ~proc:i ~slot)
-          done;
-          api.barrier ();
-          for k = 0 to reads - 1 do
-            let slot = (r * writes) + k in
-            let near =
-              api.read ~label:Op.PRAM
-                (shard_loc (shard_slot ~per ~proc:((i + 1) mod procs) ~slot))
-            in
-            let far =
-              api.read ~label:Op.PRAM
-                (shard_loc (shard_slot ~per ~proc:((i + 2) mod procs) ~slot))
-            in
-            checksum := !checksum + near + far
-          done;
-          api.barrier ()
-        done)
-  done
-
-(* one shard per process; each node subscribes its own shard and its
-   clockwise neighbour's, so near reads are local and far reads fetch *)
-let shard_placement ~procs ~objects =
-  let pl =
-    Placement.create ~shards:procs ~policy:(Placement.Range { objects }) ()
-  in
-  for i = 0 to procs - 1 do
-    Placement.subscribe pl ~node:i ~shard:i;
-    Placement.subscribe pl ~node:i ~shard:((i + 1) mod procs)
-  done;
-  pl
-
-let exp_shard () =
-  (* (procs, objects, writes per proc per round, rounds) *)
-  let grid =
-    if !quick then [ (4, 400, 2, 2); (8, 800, 2, 2) ]
-    else
-      [
-        (8, 800, 2, 2);
-        (40, 4_000, 2, 2);
-        (200, 20_000, 2, 2);
-        (1_000, 100_000, 2, 1);
-      ]
-  in
-  let json = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun (procs, objects, writes, rounds) ->
-      let reads = writes in
-      let per = (objects + procs - 1) / procs in
-      let expected = shard_expected ~procs ~writes ~rounds ~reads in
-      let workload checksum spawn =
-        shard_workload ~procs ~writes ~rounds ~reads ~per checksum spawn
-      in
-      let run sharded =
-        let pl =
-          if not sharded then None else Some (shard_placement ~procs ~objects)
-        in
-        let checksum = ref 0 in
-        let rt_ref = ref None in
-        let (), s =
-          run_mixed ~procs ~timestamped:false ?placement:pl
-            (fun rt spawn ->
-              rt_ref := Some rt;
-              workload checksum spawn)
-        in
-        let rt = Option.get !rt_ref in
-        let upd_msgs =
-          List.fold_left
-            (fun acc (kind, n) ->
-              match kind with
-              | "update" | "shard_update" -> acc + n
-              | _ -> acc)
-            0
-            (Network.messages_by_kind (Runtime.network rt))
-        in
-        let res_max = ref 0 and res_sum = ref 0 in
-        for i = 0 to procs - 1 do
-          let r = Runtime.resident_objects rt ~proc:i in
-          res_max := max !res_max r;
-          res_sum := !res_sum + r
-        done;
-        ( s,
-          !checksum = expected,
-          upd_msgs,
-          !res_max,
-          float_of_int !res_sum /. float_of_int procs,
-          Runtime.fetch_count rt )
-      in
-      let updates = procs * writes * rounds in
-      let s_f, ok_f, upd_f, rmax_f, rmean_f, fet_f = run false in
-      let s_s, ok_s, upd_s, rmax_s, rmean_s, fet_s = run true in
-      let row mode (s : stats) ok upd rmax fetches =
-        [
-          string_of_int procs;
-          string_of_int objects;
-          mode;
-          (if ok then "yes" else "NO");
-          T.fmt_float s.time;
-          string_of_int s.messages;
-          T.fmt_ratio (float_of_int upd /. float_of_int updates);
-          string_of_int rmax;
-          string_of_int fetches;
-        ]
-      in
-      rows := row "full replication" s_f ok_f upd_f rmax_f fet_f :: !rows;
-      rows := row "sharded placement" s_s ok_s upd_s rmax_s fet_s :: !rows;
-      rows :=
-        [ ""; ""; "-> reduction"; "";
-          T.fmt_ratio (s_f.time /. s_s.time);
-          T.fmt_ratio (float_of_int s_f.messages /. float_of_int s_s.messages);
-          T.fmt_ratio (float_of_int upd_f /. float_of_int upd_s);
-          T.fmt_ratio (float_of_int rmax_f /. float_of_int rmax_s);
-          "" ]
-        :: !rows;
-      let add mode (s : stats) ok upd rmax rmean fetches =
-        json :=
-          Printf.sprintf
-            "      {\"procs\": %d, \"objects\": %d, \"writes\": %d, \
-             \"rounds\": %d, \"mode\": %s, \"exact\": %b, \"sim_time\": %.3f, \
-             \"messages\": %d, \"update_messages\": %d, \"bytes\": %d, \
-             \"msgs_per_update\": %.3f, \"resident_max\": %d, \
-             \"resident_mean\": %.2f, \"fetches\": %d}"
-            procs objects writes rounds (Json.quote mode) ok s.time s.messages upd s.bytes
-            (float_of_int upd /. float_of_int updates)
-            rmax rmean fetches
-          :: !json
-      in
-      add "full" s_f ok_f upd_f rmax_f rmean_f fet_f;
-      add "sharded" s_s ok_s upd_s rmax_s rmean_s fet_s)
-    grid;
-  T.print
-    ~title:
-      "EXP-SHARD: sharded partial replication vs full replication (Sec. 6)"
-    ~headers:
-      [ "procs"; "objects"; "mode"; "exact"; "sim time"; "msgs";
-        "upd msgs/update"; "resident max"; "fetches" ]
-    (List.rev !rows);
-  bench_core_add "EXP-SHARD"
-    ~params:
-      (Printf.sprintf "{\"points\": %d, \"reads_eq_writes\": true, \"seed\": %d}"
-         (List.length grid) bench_seed)
-    (Printf.sprintf "    \"runs\": [\n%s\n    ]"
-       (String.concat ",\n" (List.rev !json)));
-  print_endline
-    "paper (Sec. 6): broadcast-per-update \"may be avoided by making optimizations\n\
-     based on the patterns of accesses to shared variables\"; with range placement\n\
-     each update reaches only its shard's subscriber tree and each replica holds\n\
-     only its subscribed slice, so message volume per update and resident state\n\
-     per replica drop superlinearly as processes x objects grow, while read\n\
-     misses fall back to demand fetches from the shard home."
-
-(* EXP-OBS-SHARD: cost of the shard-aware flight recorder at the
-   EXP-SHARD top point. Four configurations of the same sharded run:
-   the plain EXP-SHARD entry point (nothing passed), observe=off
-   explicitly (the always-compiled option checks on the shard hot paths
-   must stay in the noise — gate: < 2%), metrics, and metrics+trace. *)
-let exp_obs_shard () =
-  let procs, objects, writes, rounds =
-    if !quick then (40, 4_000, 2, 2) else (1_000, 100_000, 2, 1)
-  in
-  let reps = if !quick then 2 else 3 in
-  let reads = writes in
-  let per = (objects + procs - 1) / procs in
-  let expected = shard_expected ~procs ~writes ~rounds ~reads in
-  let run ?observe ?tracer () =
-    let checksum = ref 0 in
-    let rt_ref = ref None in
-    let t0 = Sys.time () in
-    let (), s =
-      run_mixed ~procs ~timestamped:false
-        ~placement:(shard_placement ~procs ~objects)
-        ?observe ?tracer
-        (fun rt spawn ->
-          rt_ref := Some rt;
-          shard_workload ~procs ~writes ~rounds ~reads ~per checksum spawn)
-    in
-    let dt = Sys.time () -. t0 in
-    assert (!checksum = expected);
-    (Option.get !rt_ref, s.time, dt)
-  in
-  let min_of f =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let rt, time, dt = f () in
-      if dt < !best then best := dt;
-      last := Some (rt, time)
-    done;
-    let rt, time = Option.get !last in
-    (rt, time, !best)
-  in
-  ignore (run ());
-  (* warmup *)
-  let _, sim_ref, t_ref = min_of (fun () -> run ()) in
-  let _, sim_off, t_off = min_of (fun () -> run ~observe:false ()) in
-  let rt_m, sim_m, t_m = min_of (fun () -> run ~observe:true ()) in
-  let rt_t, sim_t, t_t =
-    min_of (fun () ->
-        run ~observe:true ~tracer:(Obs_trace.create ~capacity:(1 lsl 18) ()) ())
-  in
-  assert (sim_ref = sim_off && sim_off = sim_m && sim_m = sim_t);
-  let overhead t = (t /. t_off) -. 1.0 in
-  let off_overhead = (t_off /. t_ref) -. 1.0 in
-  let pct x = Printf.sprintf "%+.1f%%" (100.0 *. x) in
-  let series rt = Metrics.Registry.series_count (Runtime.metrics rt) in
-  let spans, events, dropped =
-    match Runtime.tracer rt_t with
-    | Some tr ->
-      (Obs_trace.span_count tr, Obs_trace.event_count tr, Obs_trace.dropped tr)
-    | None -> (0, 0, 0)
-  in
-  T.print
-    ~title:
-      (Printf.sprintf
-         "EXP-OBS-SHARD: flight-recorder overhead, sharded %d procs x %d \
-          objects (min of %d)"
-         procs objects reps)
-    ~headers:[ "mode"; "wall (s)"; "sim time"; "overhead"; "series"; "events" ]
-    [
-      [ "exp-shard ref"; Printf.sprintf "%.4f" t_ref; T.fmt_float sim_ref;
-        pct ((t_ref /. t_off) -. 1.0); "-"; "-" ];
-      [ "observe=off"; Printf.sprintf "%.4f" t_off; T.fmt_float sim_off;
-        "baseline"; "-"; "-" ];
-      [ "metrics"; Printf.sprintf "%.4f" t_m; T.fmt_float sim_m;
-        pct (overhead t_m); string_of_int (series rt_m); "-" ];
-      [ "metrics+trace"; Printf.sprintf "%.4f" t_t; T.fmt_float sim_t;
-        pct (overhead t_t); string_of_int (series rt_t);
-        string_of_int events ];
-    ];
-  Printf.printf
-    "acceptance gate: observe=off vs exp-shard entry point %s (< 2%% required)\n"
-    (pct off_overhead);
-  bench_core_add "EXP-OBS-SHARD"
-    ~params:
-      (Printf.sprintf
-         "{\"procs\": %d, \"objects\": %d, \"writes\": %d, \"rounds\": %d, \
-          \"reps\": %d}"
-         procs objects writes rounds reps)
-    (Printf.sprintf
-       "    \"runs\": [\n\
-       \      {\"mode\": \"exp_shard_ref\", \"wall_s\": %.6f, \"sim_time\": \
-        %.3f},\n\
-       \      {\"mode\": \"off\", \"wall_s\": %.6f, \"sim_time\": %.3f, \
-        \"off_overhead\": %.4f, \"gate_pass\": %b},\n\
-       \      {\"mode\": \"metrics\", \"wall_s\": %.6f, \"sim_time\": %.3f, \
-        \"overhead\": %.4f, \"series\": %d},\n\
-       \      {\"mode\": \"metrics_trace\", \"wall_s\": %.6f, \"sim_time\": \
-        %.3f, \"overhead\": %.4f, \"series\": %d, \"spans\": %d, \"events\": \
-        %d, \"dropped\": %d}\n\
-       \    ]"
-       t_ref sim_ref t_off sim_off off_overhead
-       (off_overhead < 0.02)
-       t_m sim_m (overhead t_m) (series rt_m) t_t sim_t (overhead t_t)
-       (series rt_t) spans events dropped);
-  print_endline
-    "the flight recorder hangs off the shard hot paths behind option checks that\n\
-     compile to a load-and-branch when nothing is attached, so observe=off stays\n\
-     at the EXP-SHARD entry-point cost; metrics mode adds per-shard labelled\n\
-     series (cardinality O(procs + shards), memoized handles) and tracing adds\n\
-     one ring append per hop, apply, fetch and op."
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let experiments =
+let experiments : Exp.t list =
   [
-    ("f2f3", exp_f2f3);
-    ("f3pram", exp_f3pram);
-    ("f4", exp_f4);
-    ("f5", exp_f5);
-    ("spectrum", exp_spectrum);
-    ("prop", exp_prop);
-    ("barrier", exp_barrier);
-    ("theory", exp_theory);
-    ("group", exp_group);
-    ("async", exp_async);
-    ("multicast", exp_multicast);
-    ("prodcon", exp_prodcon);
-    ("lint", exp_lint);
-    ("delivery", exp_delivery);
-    ("online", exp_online);
-    ("obs", exp_obs);
-    ("static", exp_static);
-    ("lattice", exp_lattice);
-    ("shard", exp_shard);
-    ("obs-shard", exp_obs_shard);
+    Exp_f2f3.t; Exp_f3pram.t; Exp_f4.t; Exp_f5.t; Exp_spectrum.t; Exp_prop.t; Exp_barrier.t;
+    Exp_theory.t; Exp_group.t; Exp_async.t; Exp_multicast.t; Exp_prodcon.t; Exp_lint.t;
+    Exp_delivery.t; Exp_online.t; Exp_obs.t; Exp_static.t; Exp_lattice.t; Exp_shard.t;
+    Exp_obs_shard.t;
   ]
 
 let () =
+  let ids = List.map (fun (e : Exp.t) -> e.id) experiments in
   let usage problem =
-    Printf.eprintf "%s\nusage: main.exe [--quick] [--exp <%s>]...\n"
-      problem
-      (String.concat "|" (List.map fst experiments));
+    Printf.eprintf "%s\nusage: main.exe [--quick] [--exp <%s>]...\n" problem
+      (String.concat "|" ids);
     exit 2
   in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--exp" :: name :: rest ->
-      if not (List.mem_assoc name experiments) then
-        usage (Printf.sprintf "unknown experiment %s" name);
-      selected := name :: !selected;
-      parse rest
+  let argv = List.tl (Array.to_list Sys.argv) in
+  let rec parse quick selected = function
+    | [] -> (quick, selected)
+    | "--quick" :: rest -> parse true selected rest
+    | "--exp" :: id :: rest ->
+      if not (List.mem id ids) then usage (Printf.sprintf "unknown experiment %s" id);
+      parse quick (id :: selected) rest
     | arg :: _ -> usage (Printf.sprintf "unknown argument %s" arg)
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  List.iter (fun (name, f) -> if wants name then f ()) experiments;
-  write_bench_core ();
-  exit_on_failed_self_checks ()
+  let quick, selected = parse false [] argv in
+  let results =
+    List.filter_map
+      (fun (e : Exp.t) ->
+        if selected <> [] && not (List.mem e.id selected) then None
+        else
+          let out = e.run ~quick in
+          Render.print out;
+          Some (e, out))
+      experiments
+  in
+  let sections =
+    List.filter_map
+      (fun ((e : Exp.t), (out : Exp.output)) ->
+        if out.json = [] then None else Some (e.name, out.json))
+      results
+  in
+  if sections <> [] then begin
+    Out_channel.with_open_text "BENCH_CORE.json" (fun oc ->
+        output_string oc (Render.bench_core ~seed:Harness.bench_seed ~quick ~argv sections));
+    print_endline "raw numbers: BENCH_CORE.json"
+  end;
+  let failed = List.concat_map (fun (e, out) -> Exp.failed_claims e out) results in
+  List.iter prerr_endline failed;
+  if failed <> [] then exit 1

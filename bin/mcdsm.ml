@@ -156,21 +156,19 @@ let read_counts h =
    with the app result fields, the verdict, per-rule read/failure counts
    and, in online mode, the engine's memory statistics. [extra] holds
    already-JSON-encoded (key, value) pairs from the app subcommand. *)
-let check_json ?model ~extra ~history ~checker () =
+let check_json ~modelled ~offline ~extra ~checker () =
   let parts = ref [] in
   let add fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
   List.iter (fun (k, v) -> add "%s:%s" (Json.quote k) v) extra;
-  (match (model, history) with
-  | Some m, Some h ->
-    let failures = Lattice.failures h m in
+  (match modelled with
+  | Some (m, failures) ->
     add
       "\"model\":{\"name\":%s,\"consistent\":%b,\"streamable\":%b,\"failures\":[%s]}"
       (Json.quote (Lattice.to_string m)) (failures = []) (Online.supports m)
       (String.concat "," (List.map (failure_json ~labelled:false) failures))
-  | _ -> ());
-  (match history with
-  | Some h ->
-    let failures = Lattice.failures h Lattice.Mixed in
+  | None -> ());
+  (match offline with
+  | Some (h, failures) ->
     let pram, causal, group = read_counts h in
     add "\"offline\":{\"ops\":%d,\"well_formed\":%b,\"mixed_consistent\":%b,\"reads\":{\"pram\":%d,\"causal\":%d,\"group\":%d},\"failures\":[%s]}"
       (Mc_history.History.length h)
@@ -189,7 +187,7 @@ let check_json ?model ~extra ~history ~checker () =
   | None -> ());
   Printf.sprintf "{%s}" (String.concat "," (List.rev !parts))
 
-let print_offline_report ~trace h =
+let print_offline_report ~trace (h, failures) =
   if trace then begin
     print_endline "\n--- space-time diagram ---";
     print_string (Mc_history.Render.space_time h);
@@ -203,7 +201,7 @@ let print_offline_report ~trace h =
   Printf.printf "history: %d ops, well-formed=%b, mixed-consistent=%b\n"
     (Mc_history.History.length h)
     (Mc_history.History.is_well_formed h)
-    (Lattice.is_consistent h Lattice.Mixed);
+    (failures = []);
   (if Mc_history.History.length h <= 60 then
      match Mc_consistency.Sequential.is_sequentially_consistent h with
      | Mc_consistency.Sequential.Consistent ->
@@ -233,8 +231,7 @@ let print_online_report c =
    plus whichever check sections ran — with all human-readable lines on
    stderr, so `mcdsm <app> --json` is machine-parseable with or without
    --check. *)
-let print_model_report m h =
-  let failures = Lattice.failures h m in
+let print_model_report (m, failures) =
   Printf.printf "model %s: consistent=%b failures=%d%s\n" (Lattice.to_string m)
     (failures = []) (List.length failures)
     (if Online.supports m then "" else " (offline: not streamable)");
@@ -245,19 +242,23 @@ let print_model_report m h =
 
 let check_report ?(json = false) ?(trace = false) ?(strict = false) ?model
     ?(extra = []) ~history ~checker () =
-  if json then print_endline (check_json ?model ~extra ~history ~checker ())
+  (* each failure list is computed once, for the report and the verdict *)
+  let offline = Option.map (fun h -> (h, Lattice.failures h Lattice.Mixed)) history in
+  let modelled =
+    match (model, history) with
+    | Some m, Some h -> Some (m, Lattice.failures h m)
+    | _ -> None
+  in
+  if json then print_endline (check_json ~modelled ~offline ~extra ~checker ())
   else begin
-    Option.iter (print_offline_report ~trace) history;
-    (match (model, history) with
-    | Some m, Some h -> print_model_report m h
-    | _ -> ());
+    Option.iter (print_offline_report ~trace) offline;
+    Option.iter print_model_report modelled;
     Option.iter print_online_report checker
   end;
-  Option.fold ~none:true ~some:(fun h -> Lattice.is_consistent h Lattice.Mixed) history
+  let clean o = Option.fold ~none:true ~some:(fun (_, fs) -> fs = []) o in
+  clean offline
   && Option.fold ~none:true ~some:Online.is_consistent checker
-  && (match (model, history) with
-     | Some m, Some h -> Lattice.is_consistent h m
-     | _ -> true)
+  && clean modelled
   && (not strict
      || Option.fold ~none:true ~some:Mc_history.History.is_well_formed history)
 
@@ -807,11 +808,11 @@ let check_cmd =
     end
     else
       List.iter
-        (fun (name, h, _failures, well_formed, online_agrees) ->
+        (fun (name, h, failures, well_formed, online_agrees) ->
           Printf.printf "== %s ==\n" name;
           Printf.printf "ops=%d well-formed=%b\n"
             (Mc_history.History.length h) well_formed;
-          print_model_report model h;
+          print_model_report (model, failures);
           Option.iter
             (fun b -> Printf.printf "online checker agrees: %b\n" b)
             online_agrees)

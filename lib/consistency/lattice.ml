@@ -426,13 +426,16 @@ let validate_scope h ~reader = function
       g
   | S_none | S_reader | S_all -> ()
 
-(* The memoized closure of the axiom-selected edges, unrestricted: other
+(* The closure of the axiom-selected edges, unrestricted: other
    processes' memory reads stay in it, and [Read_rule.check] skips them. *)
-let closure h ax ~reader =
+let closed h ax ~reader =
   validate_scope h ~reader ax.wi;
   validate_scope h ~reader ax.sync;
-  History.cached_relation h (axioms_key ax ~reader) (fun () ->
-      Relation.transitive_closure (build h ax ~reader))
+  Relation.transitive_closure (build h ax ~reader)
+
+(* [closed], memoized on the history *)
+let closure h ax ~reader =
+  History.cached_relation h (axioms_key ax ~reader) (fun () -> closed h ax ~reader)
 
 let relation h ax ~reader =
   Relation.restrict (closure h ax ~reader) (fun id ->
@@ -451,32 +454,57 @@ let verdict_at h label ~read_id =
   let reader = (History.op h read_id).Op.proc in
   Read_rule.check h (closure h (axioms_of_label label) ~reader) ~read_id
 
+(* the axiom point [model] checks read [o] at *)
+let read_axioms model (o : Op.t) =
+  match (model, o.Op.kind) with
+  | Mixed, Op.Read { label; _ } -> axioms_of_label label
+  | Mixed, _ -> invalid_arg "Read_rule.check: not a memory read"
+  | Group g, _ -> axioms_of (Group (augment_group ~reader:o.Op.proc g))
+  | m, _ -> axioms_of m
+
 let verdict h model ~read_id =
   let o = History.op h read_id in
-  let reader = o.Op.proc in
-  match model with
-  | Mixed -> (
-    match o.Op.kind with
-    | Op.Read { label; _ } -> verdict_at h label ~read_id
-    | _ -> invalid_arg "Read_rule.check: not a memory read")
-  | Group g ->
-    Read_rule.check h
-      (closure h (axioms_of (Group (augment_group ~reader g))) ~reader)
-      ~read_id
-  | m -> Read_rule.check h (closure h (axioms_of m) ~reader) ~read_id
+  Read_rule.check h (closure h (read_axioms model o) ~reader:o.Op.proc) ~read_id
 
+(* Shared closures are memoized as [verdict] does. A reader-scoped
+   closure serves only its reader's reads, so those reads are checked
+   one reader at a time against closures built for that reader alone
+   and dropped after its reads, instead of keeping one closure per
+   reader on the history. *)
 let failures h model =
-  let acc = ref [] in
+  let found = ref [] in
+  let check rel (o : Op.t) label =
+    match Read_rule.check h rel ~read_id:o.Op.id with
+    | Read_rule.Valid -> ()
+    | v -> found := { read_id = o.Op.id; label; verdict = v } :: !found
+  in
+  let scoped = Array.make (History.procs h) [] in
   Array.iter
     (fun (o : Op.t) ->
       match o.Op.kind with
-      | Op.Read { label; _ } -> (
-        match verdict h model ~read_id:o.Op.id with
-        | Read_rule.Valid -> ()
-        | v -> acc := { read_id = o.Op.id; label; verdict = v } :: !acc)
+      | Op.Read { label; _ } ->
+        let ax = read_axioms model o in
+        if reader_scoped ax then scoped.(o.Op.proc) <- (o, label, ax) :: scoped.(o.Op.proc)
+        else check (closure h ax ~reader:o.Op.proc) o label
       | _ -> ())
     (History.ops h);
-  List.rev !acc
+  Array.iteri
+    (fun reader reads ->
+      let built = Hashtbl.create 2 in
+      List.iter
+        (fun (o, label, ax) ->
+          let rel =
+            match Hashtbl.find_opt built ax with
+            | Some rel -> rel
+            | None ->
+              let rel = closed h ax ~reader in
+              Hashtbl.add built ax rel;
+              rel
+          in
+          check rel o label)
+        (List.rev reads))
+    scoped;
+  List.sort (fun a b -> compare a.read_id b.read_id) !found
 
 let is_consistent h model = failures h model = []
 

@@ -110,8 +110,10 @@ val ladder : t list
     the transitive closure of the selected edges restricted to exclude
     other processes' memory reads. The unrestricted closure is built
     once per axiom set (per reader only for reader-scoped axioms) and
-    cached on [h]; the restriction is a fresh copy on every call, and
-    the checking functions below never make it. Raises
+    cached on [h]; [verdict] and [verdict_at] share that cache, and
+    [failures] uses it for the closures shared by all readers only. The
+    restriction is a fresh copy on every call, and the checking
+    functions below never make it. Raises
     [Invalid_argument] if a group scope omits the reader or has a
     member out of range. *)
 val relation : Mc_history.History.t -> axioms -> reader:int -> Mc_util.Relation.t
@@ -139,7 +141,12 @@ type failure = {
 
 (** [failures h m] checks every memory read of [h] under [m], in
     ascending id order. [failures h Mixed] is Definition 4: each read
-    at its own declared label. *)
+    at its own declared label. Closures shared by all readers are
+    memoized on [h]; reads whose axioms are reader-scoped (PRAM,
+    processor, slow, session, and Mixed's PRAM-labelled reads) are
+    checked one reader at a time against closures built for that
+    reader, which are not memoized and are dropped after its reads, so
+    a second call rebuilds them. *)
 val failures : Mc_history.History.t -> t -> failure list
 
 (** [is_consistent h m] is [failures h m = []]: a causal history at
