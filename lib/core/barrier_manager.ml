@@ -1,75 +1,200 @@
-type episode_state = { arrived : bool array; mutable count : int; dep : int array }
+module Tree = Mc_placement.Placement.Tree
+
+(* (writer, shard, count) *)
+type entry = int * int * int
+
+(* one episode at one combiner: arrivals still expected (this node's own
+   if it is a member, plus one per child), the senders seen so far and
+   the merged clock *)
+type episode_state = {
+  mutable waiting : int;
+  seen : (int, unit) Hashtbl.t;
+  mutable merged : Protocol.barrier_clock option;
+}
 
 (* episodes are keyed by (member set, episode number); the empty member
    set denotes a barrier over all processes *)
 type t = {
-  n : int;
+  node : int;
+  tree : int list -> Tree.t;
+  receivers : int -> int list;
   send : dst:int -> Protocol.msg -> unit;
+  on_release : members:int list -> episode:int -> Protocol.barrier_clock -> unit;
   episodes : (int list * int, episode_state) Hashtbl.t;
-  (* counts mode (placement routing): sent_matrix.(j).(i) is the
-     cumulative number of updates process j reports having routed to
-     process i - the Section-6 count vectors *)
-  sent_matrix : int array array;
-  mutable counts_mode : bool;
+  (* counts mode: the stream entries a completed subtree still owes its
+     own members, kept until the release comes down *)
+  held : (int list * int, entry list) Hashtbl.t;
   mutable released : int;
 }
 
-let create ~n ~send =
+let create ~node ~tree ~receivers ~send ~on_release =
   {
-    n;
+    node;
+    tree;
+    receivers;
     send;
-    episodes = Hashtbl.create 8;
-    sent_matrix = Array.make_matrix n n 0;
-    counts_mode = false;
+    on_release;
+    episodes = Hashtbl.create 4;
+    held = Hashtbl.create 4;
     released = 0;
   }
 
-let state t key =
-  match Hashtbl.find_opt t.episodes key with
-  | Some s -> s
+let is_member tree members u = Tree.mem tree u && (members = [] || List.mem u members)
+
+(* the members that must hold stream (w, s) before leaving: the shard's
+   subscribers in the barrier, the writer itself excepted *)
+let needed t tree members (w, s, _) =
+  List.filter (fun u -> u <> w && is_member tree members u) (t.receivers s)
+
+(* [(inside, up)]: the entries a member in this node's subtree needs,
+   and those a member outside it needs. An entry can be in both: it goes
+   up and is also kept, since a parent never sends a subtree's own
+   streams back down into it *)
+let split_counts t tree members entries =
+  let covers u = Tree.covers tree ~node:t.node u in
+  List.fold_right
+    (fun e (inside, up) ->
+      let need = needed t tree members e in
+      ( (if List.exists covers need then e :: inside else inside),
+        if List.exists (fun u -> not (covers u)) need then e :: up else up ))
+    entries ([], [])
+
+let join t ~members ~episode clock =
+  let tree = t.tree members in
+  let first_hop =
+    match Tree.parent tree t.node with
+    | Some parent when Tree.children tree t.node = [] -> parent
+    | _ -> t.node (* the root and inner nodes combine their own arrival *)
+  in
+  let clock =
+    match clock with
+    | Protocol.Counts entries when first_hop <> t.node ->
+      Protocol.Counts (snd (split_counts t tree members entries))
+    | c -> c
+  in
+  t.send ~dst:first_hop
+    (Protocol.Barrier_arrive { proc = t.node; episode; members; clock })
+
+let merge merged clock =
+  match (merged, clock) with
+  | None, Protocol.Vector v -> Some (Protocol.Vector (Array.copy v))
+  | None, c -> Some c
+  | Some (Protocol.Vector acc), Protocol.Vector v ->
+    Array.iteri (fun i x -> if x > acc.(i) then acc.(i) <- x) v;
+    merged
+  | Some (Protocol.Counts acc), Protocol.Counts es ->
+    Some (Protocol.Counts (List.rev_append es acc))
+  | Some _, _ -> invalid_arg "Barrier_manager: vector and count arrivals mixed"
+
+(* a release leaves [t.node] for [own] (when it is a member) and for
+   each child; under counts each gets only the entries it or its subtree
+   still needs *)
+let release_down t tree ~members ~episode clock ~deliver_own =
+  let own_member = is_member tree members t.node in
+  let kids = Tree.children tree t.node in
+  let own, parts =
+    match clock with
+    | Protocol.Vector _ -> (clock, List.map (fun c -> (c, clock)) kids)
+    | Protocol.Counts entries ->
+      let own = ref [] and parts = Hashtbl.create 8 in
+      let add c e =
+        match Hashtbl.find_opt parts c with
+        | Some (e' :: _) when e' == e -> () (* another receiver in [c]'s subtree *)
+        | prev -> Hashtbl.replace parts c (e :: Option.value prev ~default:[])
+      in
+      List.iter
+        (fun ((w, _, _) as e) ->
+          List.iter
+            (fun u ->
+              if u = t.node then own := e :: !own
+              else
+                match Tree.child_toward tree ~node:t.node u with
+                | Some c when not (Tree.covers tree ~node:c w) -> add c e
+                | _ -> ())
+            (needed t tree members e))
+        entries;
+      let part c = Protocol.Counts (List.rev (Option.value (Hashtbl.find_opt parts c) ~default:[])) in
+      (Protocol.Counts (List.rev !own), List.map (fun c -> (c, part c)) kids)
+  in
+  if own_member then deliver_own own;
+  List.iter
+    (fun (c, clock) -> t.send ~dst:c (Protocol.Barrier_release { episode; members; clock }))
+    parts
+
+let complete t tree key st =
+  Hashtbl.remove t.episodes key;
+  let members, episode = key in
+  let clock = Option.get st.merged in
+  match Tree.parent tree t.node with
+  | Some parent ->
+    let clock =
+      match clock with
+      | Protocol.Vector _ -> clock
+      | Protocol.Counts entries ->
+        let inside, up = split_counts t tree members entries in
+        if inside <> [] then Hashtbl.replace t.held key inside;
+        Protocol.Counts up
+    in
+    t.send ~dst:parent (Protocol.Barrier_arrive { proc = t.node; episode; members; clock })
   | None ->
-    let s = { arrived = Array.make t.n false; count = 0; dep = Array.make t.n 0 } in
-    Hashtbl.add t.episodes key s;
-    s
+    (* the root: every member has arrived. Its own release is a loopback
+       message sent first, as the central manager's was *)
+    t.released <- t.released + 1;
+    release_down t tree ~members ~episode clock ~deliver_own:(fun own ->
+        t.send ~dst:t.node (Protocol.Barrier_release { episode; members; clock = own }))
 
 let handle t ~src msg =
   match msg with
-  | Protocol.Barrier_arrive { proc; episode; vc; members; sent } ->
+  | Protocol.Barrier_arrive { proc; episode; members; clock } ->
     if proc <> src then invalid_arg "Barrier_manager: forged arrival origin";
-    let members = List.sort_uniq compare members in
-    if members <> [] && not (List.mem proc members) then
-      invalid_arg "Barrier_manager: arrival from a non-member";
-    let expected = if members = [] then t.n else List.length members in
-    let s = state t (members, episode) in
-    if s.arrived.(proc) then
+    let tree = t.tree members in
+    if src = t.node then begin
+      if not (is_member tree members src) then
+        invalid_arg "Barrier_manager: arrival from a non-member"
+    end
+    else if not (Tree.mem tree src && Tree.parent tree src = Some t.node) then
       invalid_arg
-        (Printf.sprintf "Barrier_manager: process %d arrived twice at episode %d"
-           proc episode);
-    s.arrived.(proc) <- true;
-    s.count <- s.count + 1;
-    Array.iteri (fun i v -> if v > s.dep.(i) then s.dep.(i) <- v) vc;
-    if sent <> [||] then begin
-      t.counts_mode <- true;
-      Array.iteri (fun i v -> t.sent_matrix.(proc).(i) <- max t.sent_matrix.(proc).(i) v) sent
-    end;
-    if s.count = expected then begin
-      t.released <- t.released + 1;
-      Hashtbl.remove t.episodes (members, episode);
-      let recipients =
-        if members = [] then List.init t.n Fun.id else members
+        (Printf.sprintf "Barrier_manager: arrival from %d, which is not a child of %d" src
+           t.node);
+    let key = (members, episode) in
+    let st =
+      match Hashtbl.find_opt t.episodes key with
+      | Some st -> st
+      | None ->
+        let own = if is_member tree members t.node then 1 else 0 in
+        let st =
+          {
+            waiting = own + List.length (Tree.children tree t.node);
+            seen = Hashtbl.create 8;
+            merged = None;
+          }
+        in
+        Hashtbl.add t.episodes key st;
+        st
+    in
+    if Hashtbl.mem st.seen src then
+      invalid_arg
+        (Printf.sprintf "Barrier_manager: process %d arrived twice at episode %d" src episode);
+    Hashtbl.add st.seen src ();
+    st.merged <- merge st.merged clock;
+    st.waiting <- st.waiting - 1;
+    if st.waiting = 0 then complete t tree key st
+  | Protocol.Barrier_release { episode; members; clock } ->
+    let deliver_own own = t.on_release ~members ~episode own in
+    if src = t.node then
+      (* the root's loopback: its children were released already *)
+      deliver_own clock
+    else begin
+      let tree = t.tree members in
+      let key = (members, episode) in
+      let clock =
+        match (clock, Hashtbl.find_opt t.held key) with
+        | Protocol.Counts entries, Some inside ->
+          Hashtbl.remove t.held key;
+          Protocol.Counts (List.rev_append inside entries)
+        | _ -> clock
       in
-      List.iter
-        (fun dst ->
-          (* in counts mode, tell each process how many updates from each
-             peer it must have received before proceeding *)
-          let expect =
-            if t.counts_mode then Array.init t.n (fun j -> t.sent_matrix.(j).(dst))
-            else [||]
-          in
-          t.send ~dst
-            (Protocol.Barrier_release
-               { episode; dep = Array.copy s.dep; members; expect }))
-        recipients
+      release_down t tree ~members ~episode clock ~deliver_own
     end
   | _ -> invalid_arg "Barrier_manager.handle: unexpected message"
 

@@ -94,6 +94,11 @@ type shard_update = {
   su_is_dec : bool;
 }
 
+(* what a barrier message carries along the barrier tree: dense vector
+   timestamps under full replication, sparse (writer, shard, count)
+   stream entries under a placement *)
+type barrier_clock = Vector of int array | Counts of (int * int * int) list
+
 type msg =
   | Update of update
   | Update_batch of batch
@@ -131,23 +136,10 @@ type msg =
   | Barrier_arrive of {
       proc : int;
       episode : int;
-      vc : int array;
       members : int list;  (** empty means all processes *)
-      sent : int array;
-          (** counts mode (a placement is set): cumulative shard updates
-              this process has routed to each peer (Section 6's count
-              vectors); empty under full replication, whose barrier uses
-              vector timestamps *)
+      clock : barrier_clock;
     }
-  | Barrier_release of {
-      episode : int;
-      dep : int array;
-      members : int list;
-      expect : int array;
-          (** counts mode (a placement is set): cumulative update counts
-              the receiver must have received from each peer before
-              leaving the barrier; empty under full replication *)
-    }
+  | Barrier_release of { episode : int; members : int list; clock : barrier_clock }
 
 let kind = function
   | Update { is_dec = false; _ } -> "update"

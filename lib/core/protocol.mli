@@ -81,6 +81,23 @@ type shard_update = {
   su_is_dec : bool;
 }
 
+(** What a barrier message carries along the barrier tree (see
+    {!Barrier_manager}). *)
+type barrier_clock =
+  | Vector of int array
+      (** full replication, Section 6's vector-timestamp barrier: an
+          arrival's applied-update counts, or a release's pointwise
+          maximum over every member's — the updates the receiver applies
+          before it leaves. Charged [8 * procs] bytes. *)
+  | Counts of (int * int * int) list
+      (** under a placement, Section 6's count vectors, keyed by the
+          per-(writer, shard) sequence numbers already on the wire: only
+          nonzero [(writer, shard, count)] entries, each charged 8 bytes.
+          An arrival carries the streams written in the sender's subtree
+          that a member outside it subscribes to; a release carries the
+          streams written outside the receiver's subtree that a member
+          inside it subscribes to. *)
+
 type msg =
   | Update of update
   | Update_batch of batch
@@ -124,25 +141,17 @@ type msg =
   | Flush_request of { proc : int }
   | Flush_ack of { proc : int }
   | Barrier_arrive of {
-      proc : int;
+      proc : int;  (** the sender: the arriving process or a tree node *)
       episode : int;
-      vc : int array;
       members : int list;  (** empty means all processes *)
-      sent : int array;
-          (** counts mode (a placement is set): cumulative shard updates
-              this process has routed to each peer (Section 6's count
-              vectors); empty under full replication, whose barrier uses
-              vector timestamps *)
+      clock : barrier_clock;
     }
-  | Barrier_release of {
-      episode : int;
-      dep : int array;
-      members : int list;
-      expect : int array;
-          (** counts mode (a placement is set): cumulative update counts
-              the receiver must have received from each peer before
-              leaving the barrier; empty under full replication *)
-    }
+      (** a process's own arrival (to its parent in the barrier tree,
+          or to itself when it combines for children), or a subtree's
+          combined arrival, sent to the parent once the whole subtree
+          has arrived *)
+  | Barrier_release of { episode : int; members : int list; clock : barrier_clock }
+      (** sent down the barrier tree once every member has arrived *)
 
 (** [kind msg] is a short label for per-kind message statistics. *)
 val kind : msg -> string

@@ -65,7 +65,8 @@ type t = {
   causal_delivery : bool;
       (* false under placement routing: updates may arrive with gaps in
          the writer sequence, so the global causal view is not
-         maintained (per-shard causal views live in [shards] instead) *)
+         maintained (per-shard causal views live in [shards] instead),
+         and the per-writer arrays above are empty *)
   shards : (int, shard_state) Hashtbl.t; (* subscribed shards only *)
   mutable obs : obs option;
   (* fires after every remote shard update is applied to the shard view;
@@ -91,6 +92,7 @@ and group_view = {
    active in the shards it subscribes to. *)
 and shard_state = {
   sh_applied : (int, int) Hashtbl.t; (* writer -> applied sseq count *)
+  sh_received : (int, int) Hashtbl.t; (* writer -> last sseq received *)
   sh_view : (Mc_history.Op.location, cell) Hashtbl.t;
   sh_queue : Protocol.shard_update queue;
 }
@@ -514,6 +516,7 @@ let make_shard () =
   let sh_applied = Hashtbl.create 8 and sh_view = Hashtbl.create 32 in
   {
     sh_applied;
+    sh_received = Hashtbl.create 8;
     sh_view;
     sh_queue =
       new_queue
@@ -523,6 +526,9 @@ let make_shard () =
   }
 
 let create engine ~id ~n ?(groups = []) ?(causal_delivery = true) () =
+  (* per-writer state is dense only where every writer reaches this
+     node: under placement routing it lives, sparse, in the shards *)
+  let n = if causal_delivery then n else 0 in
   {
     engine;
     node_id = id;
@@ -543,7 +549,7 @@ let create engine ~id ~n ?(groups = []) ?(causal_delivery = true) () =
     next_wseq = 0;
     dirty_locs = Hashtbl.create 8;
     dirty_clock = false;
-    group_views = List.map (make_group ~n) groups;
+    group_views = (if causal_delivery then List.map (make_group ~n) groups else []);
     causal_delivery;
     shards = Hashtbl.create 8;
     obs = None;
@@ -557,11 +563,11 @@ let create engine ~id ~n ?(groups = []) ?(causal_delivery = true) () =
 let receive_one t (u : Protocol.update) =
   if u.writer = t.node_id then
     invalid_arg "Replica.receive: update from self (already applied locally)";
-  t.received_counts.(u.writer) <- t.received_counts.(u.writer) + 1;
   t.dirty_clock <- true;
   apply_to_view t.pram_view u;
   mark_dirty_loc t u.loc;
   if t.causal_delivery then begin
+    t.received_counts.(u.writer) <- t.received_counts.(u.writer) + 1;
     (match t.obs with
     | Some o -> Hashtbl.replace o.arrivals (u.writer, u.useq) (Engine.now t.engine)
     | None -> ());
@@ -598,6 +604,8 @@ let receive_many t us =
 (* ------------------------------------------------------------------ *)
 
 let make_update t ~loc ~numeric ~tag ~is_dec =
+  if not t.causal_delivery then
+    invalid_arg "Replica: a broadcast update needs causal delivery (use shard_write)";
   (* dependency clock: applied counts before this update; the writer's
      own entry equals own_seq, i.e. useq - 1 *)
   let dep = Array.copy t.applied_counts in
@@ -700,7 +708,6 @@ let shard_make t ~shard ~loc ~numeric ~tag ~is_dec =
   in
   apply_payload t.pram_view ~loc ~numeric ~tag ~is_dec;
   st.sh_queue.apply t su;
-  t.received_counts.(t.node_id) <- t.received_counts.(t.node_id) + 1;
   t.dirty_clock <- true;
   fire_dirty t;
   su
@@ -725,7 +732,8 @@ let shard_receive t (su : Protocol.shard_update) =
        values, so applying it again would go back in time *)
     ()
   | Some st ->
-    t.received_counts.(su.su_writer) <- t.received_counts.(su.su_writer) + 1;
+    (* per-stream FIFO: the last sequence number received is the count *)
+    Hashtbl.replace st.sh_received su.su_writer su.su_sseq;
     t.dirty_clock <- true;
     apply_payload t.pram_view ~loc:su.su_loc ~numeric:su.su_numeric ~tag:su.su_tag
       ~is_dec:su.su_is_dec;
@@ -744,6 +752,18 @@ let shard_receive t (su : Protocol.shard_update) =
     fire_dirty t
 
 let shard_read t ~shard loc = read_view (find_shard t shard).sh_view loc
+
+let stream_received t ~shard ~writer =
+  match Hashtbl.find_opt t.shards shard with
+  | None -> 0
+  | Some st -> max (sh_get st.sh_applied writer) (sh_get st.sh_received writer)
+
+let own_streams t =
+  Hashtbl.fold
+    (fun shard st acc ->
+      match sh_get st.sh_applied t.node_id with 0 -> acc | c -> (shard, c) :: acc)
+    t.shards []
+  |> List.sort compare
 
 let shard_clock t ~shard =
   Hashtbl.fold (fun w c acc -> (w, c) :: acc) (find_shard t shard).sh_applied []

@@ -42,7 +42,11 @@ val create :
 (** [causal_delivery:false] disables the causal view and group views —
     used under placement routing, where a node receives only its
     subscribed shards' updates, so writer sequences arrive with gaps and
-    only the PRAM view and the per-shard views below are meaningful. *)
+    only the PRAM view and the per-shard views below are meaningful.
+    Such a replica allocates nothing per writer: [n] and [groups] are
+    ignored, {!applied} and {!received} are empty, {!local_write} and
+    {!local_dec} raise [Invalid_argument], and per-writer counts live,
+    sparse, in the subscribed shards ({!stream_received}). *)
 
 val id : t -> int
 
@@ -50,8 +54,9 @@ val id : t -> int
     writer — the node's vector timestamp. Returns a copy. *)
 val applied : t -> int array
 
-(** [received t] is the per-writer received-update counts (equal to the
-    PRAM view's application counts). Returns a copy. *)
+(** [received t] is the per-writer received counts of broadcast
+    updates (equal to the PRAM view's application counts under full
+    replication). Returns a copy. *)
 val received : t -> int array
 
 (** {1 Local operations} *)
@@ -217,6 +222,17 @@ val shard_read : t -> shard:int -> Mc_history.Op.location -> int * int
 (** [shard_clock t ~shard] is the sorted [(writer, applied)] list of the
     shard's causal view — the snapshot clock sent with fetch replies. *)
 val shard_clock : t -> shard:int -> (int * int) list
+
+(** [stream_received t ~shard ~writer] is how much of the (writer,
+    shard) stream this node holds: the last sequence number received,
+    or the snapshot's count if larger; [0] when [shard] is not
+    subscribed. A placement barrier waits on it. *)
+val stream_received : t -> shard:int -> writer:int -> int
+
+(** [own_streams t] is the sorted [(shard, count)] list of this node's
+    own nonzero per-shard write counts — its part of a placement
+    barrier's arrival. *)
+val own_streams : t -> (int * int) list
 
 (** [resident_objects t] is the number of distinct locations materialized
     at this node — the resident-state measure of EXP-SHARD. *)

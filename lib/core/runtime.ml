@@ -15,13 +15,14 @@ type node = {
   ack_waiters : (Op.lock_name, (int -> unit) Queue.t) Hashtbl.t;
   mutable flush_waiter : (int ref * (unit -> unit)) option;
       (* remaining acks, resume *)
-  released : (int list * int, int array * int array) Hashtbl.t;
-      (* (member set, episode) -> (dep, expect); [] means all processes *)
+  released : (int list * int, Protocol.barrier_clock) Hashtbl.t;
+      (* (member set, episode) -> this node's part of the release; []
+         means all processes *)
   mutable barrier_episode : int;
   subset_episodes : (int list, int ref) Hashtbl.t;
-  sent_updates : int array;
-      (* placement only: cumulative shard updates routed to each peer,
-         the barrier's Section-6 count vector *)
+  mutable barrier_expect : (int * int * int) list;
+      (* placement only: the stream entries the latest barrier exit
+         waited for *)
   mutable open_write_sets :
     (Op.lock_name * (Op.location, int * int * int) Hashtbl.t) list;
       (* loc -> (write_seq, numeric, tag) written under each
@@ -114,7 +115,9 @@ type t = {
   net : Protocol.msg Network.t;
   nodes : node array;
   lock_managers : Lock_manager.t array;
-  barrier_manager : Barrier_manager.t;
+  barrier_managers : Barrier_manager.t array; (* one combiner per node *)
+  barrier_fanout : int;
+  barrier_trees : (int list, Mc_placement.Placement.Tree.t) Hashtbl.t;
   recorder : Recorder.t option;
   checker : Mc_consistency.Online.t option;
   (* stability collector state: per location, the recorded values whose
@@ -170,9 +173,14 @@ let shard_update_wire_bytes (su : Protocol.shard_update) =
 let control_wire_bytes cfg msg =
   Cost.control_bytes
   + (match msg with
-    | Protocol.Lock_grant _ | Protocol.Unlock_msg _ | Protocol.Barrier_arrive _
-    | Protocol.Barrier_release _ ->
+    | Protocol.Lock_grant _ | Protocol.Unlock_msg _
+    | Protocol.Barrier_arrive { clock = Protocol.Vector _; _ }
+    | Protocol.Barrier_release { clock = Protocol.Vector _; _ } ->
       vc_bytes cfg
+    | Protocol.Barrier_arrive { clock = Protocol.Counts es; _ }
+    | Protocol.Barrier_release { clock = Protocol.Counts es; _ } ->
+      (* only the nonzero (writer, shard, count) stream entries *)
+      8 * List.length es
     | _ -> 0)
   + (* entry mode: guarded values ride the lock messages and pay for it *)
   (match msg with
@@ -218,11 +226,8 @@ let handle_message t node_id ~src msg =
         resume ()
       end
     | None -> invalid_arg "Runtime: unexpected flush ack")
-  | Protocol.Barrier_arrive _ ->
-    Barrier_manager.handle t.barrier_manager ~src msg
-  | Protocol.Barrier_release { episode; dep; members; expect } ->
-    Hashtbl.replace node.released (members, episode) (dep, expect);
-    Replica.notify node.replica
+  | Protocol.Barrier_arrive _ | Protocol.Barrier_release _ ->
+    Barrier_manager.handle t.barrier_managers.(node_id) ~src msg
   | Protocol.Shard_update su ->
     (* relay down the per-(writer, shard) dissemination tree before
        ingesting: the tree is deterministic, so consecutive updates of
@@ -322,9 +327,42 @@ let on_shard_apply t node_id ~shard ~writer ~sseq =
     | _ -> ())
   | None -> ()
 
+(* The barrier tree's fanout. A tree level costs a round trip, the
+   arrival's hop up and the release's hop down, and saves its parent the
+   sends of the releases its children pass on. So a node releases as
+   many children as it can send to in one round trip of the latency
+   model, and never fewer than the placement's fanout: [procs] (every
+   process under node 0, Section 6's central manager) on a slow
+   network, the placement's own fanout when a hop costs less than a
+   send. Full replication has no placement and keeps the central
+   manager *)
+let barrier_fanout cfg ~latency =
+  let procs = cfg.Config.procs in
+  match cfg.Config.placement with
+  | None -> procs
+  | Some pl ->
+    let sends = 2. *. Mc_net.Latency.mean latency /. Cost.send_cost in
+    max (Mc_placement.Placement.fanout pl)
+      (if sends >= float_of_int procs then procs else int_of_float sends)
+
+(* the barrier tree of a member set ([] for all processes): the heap
+   layout rooted at node 0 *)
+let barrier_tree t members =
+  match Hashtbl.find_opt t.barrier_trees members with
+  | Some tree -> tree
+  | None ->
+    let order =
+      if members = [] then Array.init t.cfg.Config.procs Fun.id
+      else Array.of_list (0 :: List.filter (fun m -> m <> 0) members)
+    in
+    let tree = Mc_placement.Placement.Tree.create ~fanout:t.barrier_fanout order in
+    Hashtbl.add t.barrier_trees members tree;
+    tree
+
 let create engine ?latency cfg =
   let n = cfg.Config.procs in
-  let net = Cost.network engine ~nodes:n ?latency () in
+  let latency = match latency with Some l -> l | None -> Cost.latency () in
+  let net = Cost.network engine ~nodes:n ~latency () in
   let metrics = Metrics.Registry.create () in
   let op_counter op =
     Metrics.Registry.counter metrics ~help:"operations issued"
@@ -410,7 +448,7 @@ let create engine ?latency cfg =
                  released = Hashtbl.create 8;
                  barrier_episode = 0;
                  subset_episodes = Hashtbl.create 4;
-                 sent_updates = Array.make n 0;
+                 barrier_expect = [];
                  open_write_sets = [];
                  write_seq = 0;
                  outbox = [];
@@ -423,7 +461,21 @@ let create engine ?latency cfg =
                Lock_manager.create ~n
                  ~demand:(cfg.Config.propagation = Config.Demand)
                  ~send:(send_from home));
-         barrier_manager = Barrier_manager.create ~n ~send:(send_from 0);
+         barrier_managers =
+           Array.init n (fun node ->
+               Barrier_manager.create ~node
+                 ~tree:(fun members -> barrier_tree (Lazy.force t) members)
+                 ~receivers:
+                   (match cfg.Config.placement with
+                   | Some pl -> fun shard -> Mc_placement.Placement.subscribers pl ~shard
+                   | None -> fun _ -> [] (* vector clocks name no streams *))
+                 ~send:(send_from node)
+                 ~on_release:(fun ~members ~episode clock ->
+                   let nd = (Lazy.force t).nodes.(node) in
+                   Hashtbl.replace nd.released (members, episode) clock;
+                   Replica.notify nd.replica));
+         barrier_fanout = barrier_fanout cfg ~latency;
+         barrier_trees = Hashtbl.create 4;
          recorder =
            (if cfg.Config.record || cfg.Config.check_online then
               Some (Recorder.create ~materialize:cfg.Config.record ~procs:n ())
@@ -886,16 +938,10 @@ let broadcast_update p (u : Protocol.update) =
     end
   end
 
-(* sharded mode: credit the barrier count vectors for every subscriber
-   (they all eventually receive the update via the tree) and send it to
-   this writer's tree children only *)
+(* sharded mode: send the update to this writer's tree children only;
+   the barrier counts it through its stream sequence number *)
 let shard_route p pl (su : Protocol.shard_update) =
-  let node = p.rt.nodes.(p.id) in
   let subs = Mc_placement.Placement.subscribers pl ~shard:su.su_shard in
-  List.iter
-    (fun dst ->
-      if dst <> p.id then node.sent_updates.(dst) <- node.sent_updates.(dst) + 1)
-    subs;
   let expect = List.length (List.filter (fun d -> d <> p.id) subs) in
   (* flight registration must precede the multicast: hop transmissions
      report through the network observer synchronously below *)
@@ -1195,36 +1241,34 @@ let read_unlock p lock = release p lock ~write:false
 (* ------------------------------------------------------------------ *)
 
 let barrier_generic p ~members ~episode ~kind =
-  (* the arrival's clock and sent counts include buffered updates *)
+  (* the arrival's clock includes buffered updates *)
   flush_outbox p.rt p.id;
   let node = p.rt.nodes.(p.id) in
   let token = record_start p in
   let t0 = Engine.now p.rt.engine in
-  let counts_mode = p.rt.cfg.Config.placement <> None in
+  let clock =
+    match p.rt.cfg.Config.placement with
+    | None -> Protocol.Vector (Replica.applied node.replica)
+    | Some _ ->
+      Protocol.Counts
+        (List.map (fun (shard, c) -> (p.id, shard, c)) (Replica.own_streams node.replica))
+  in
   timed p p.rt.hot.h_barrier (fun () ->
-      send p.rt ~src:p.id ~dst:0
-        (Protocol.Barrier_arrive
-           {
-             proc = p.id;
-             episode;
-             vc = Replica.applied node.replica;
-             members;
-             sent = (if counts_mode then Array.copy node.sent_updates else [||]);
-           });
+      Barrier_manager.join p.rt.barrier_managers.(p.id) ~members ~episode clock;
       Replica.wait_until node.replica ~hint:Replica.Clock (fun () ->
           match Hashtbl.find_opt node.released (members, episode) with
-          | Some (dep, expect) ->
-            if expect = [||] then Replica.dep_satisfied node.replica dep
-            else begin
-              (* Section 6's count scheme: proceed once this node has
-                 received as many updates from each peer as the barrier
-                 manager counted *)
-              let received = Replica.received node.replica in
-              let ok = ref true in
-              Array.iteri (fun j c -> if received.(j) < c then ok := false) expect;
-              !ok
-            end
+          | Some (Protocol.Vector dep) -> Replica.dep_satisfied node.replica dep
+          | Some (Protocol.Counts entries) ->
+            (* Section 6's count scheme: proceed once this node holds
+               every counted update of the streams it subscribes to *)
+            List.for_all
+              (fun (writer, shard, c) ->
+                Replica.stream_received node.replica ~shard ~writer >= c)
+              entries
           | None -> false);
+      (match Hashtbl.find_opt node.released (members, episode) with
+      | Some (Protocol.Counts entries) -> node.barrier_expect <- entries
+      | _ -> ());
       Hashtbl.remove node.released (members, episode);
       record_finish p token kind;
       let args = [ ("episode", string_of_int episode) ] in
@@ -1250,6 +1294,13 @@ let barrier_subset p members =
   Metrics.Counter.incr p.rt.hot.c_barrier_subset;
   charge p;
   let members = List.sort_uniq compare members in
+  List.iter
+    (fun m ->
+      if m < 0 || m >= p.rt.cfg.Config.procs then
+        invalid_arg
+          (Printf.sprintf "Runtime.barrier_subset: member %d is not a process (0..%d)" m
+             (p.rt.cfg.Config.procs - 1)))
+    members;
   if not (List.mem p.id members) then
     invalid_arg "Runtime.barrier_subset: calling process must be a member";
   let node = p.rt.nodes.(p.id) in
@@ -1316,6 +1367,8 @@ let peek t ~proc loc =
     fst (Replica.pram_read t.nodes.(proc).replica loc)
   else fst (Replica.causal_read t.nodes.(proc).replica loc)
 
+let barrier_fanout t = t.barrier_fanout
+let barrier_expect t ~proc = List.sort compare t.nodes.(proc).barrier_expect
 let resident_objects t ~proc = Replica.resident_objects t.nodes.(proc).replica
 let fetch_count t = Metrics.Counter.get t.hot.c_fetch
 

@@ -100,13 +100,35 @@ val write_unlock : proc -> Mc_history.Op.lock_name -> unit
 
 (** [barrier p] joins the next barrier episode; returns when every
     process has arrived and all pre-barrier updates are applied
-    locally. *)
+    locally (under a placement: received, for the shards [p]
+    subscribes to). Arrivals and releases travel a combining tree
+    rooted at node 0 at {!barrier_fanout} (see {!Barrier_manager});
+    full replication uses the central manager at node 0. *)
 val barrier : proc -> unit
 
 (** [barrier_subset p members] joins the next barrier episode of the
     given process subset (Section 3.1.2). The calling process must be a
-    member; every member must eventually call it with the same set. *)
+    member; every member must eventually call it with the same set.
+    Raises [Invalid_argument], naming the id, when a member is not a
+    process [0 .. procs-1]. *)
 val barrier_subset : proc -> int list -> unit
+
+(** [barrier_fanout t] is the fanout of the barrier's combining tree.
+    Full replication: [procs], the central manager. Under a placement:
+    the number of releases a node can send in one round trip of the
+    latency model ([2 * mean latency / Cost.send_cost], 50 for
+    {!Cost.latency}, at most [procs]), but at least the placement's
+    fanout. So the central manager runs whenever that covers every
+    process, and a network whose hops cost less than a send gets the
+    placement's fanout. *)
+val barrier_fanout : t -> int
+
+(** [barrier_expect t ~proc] is what [proc]'s latest barrier exit waited
+    for under a placement: the sorted [(writer, shard, count)] stream
+    entries of its release — for each shard [proc] subscribes to, each
+    other member's write count at its arrival, where nonzero. [[]]
+    under full replication. *)
+val barrier_expect : t -> proc:int -> (int * int * int) list
 
 (** [await p loc v] blocks until [loc] holds [v] in the view selected by
     [config.await_label]. *)

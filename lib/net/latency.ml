@@ -22,3 +22,17 @@ let rec sample t ~src ~dst =
   | Matrix m -> m.(src).(dst)
   | Jitter (base, rng, spread) ->
     sample base ~src ~dst +. Mc_util.Rng.float rng spread
+
+let rec mean = function
+  | Constant d -> d
+  | Uniform (_, lo, hi) -> (lo +. hi) /. 2.
+  | Matrix m ->
+    (* over the links between distinct nodes *)
+    let n = Array.length m in
+    if n < 2 then 0.
+    else begin
+      let sum = ref 0. in
+      Array.iteri (fun i row -> Array.iteri (fun j d -> if i <> j then sum := !sum +. d) row) m;
+      !sum /. float_of_int (n * (n - 1))
+    end
+  | Jitter (base, _, spread) -> mean base +. (spread /. 2.)

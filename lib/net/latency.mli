@@ -18,3 +18,7 @@ val jitter : t -> Mc_util.Rng.t -> spread:float -> t
 
 (** [sample t ~src ~dst] draws the latency for one message. *)
 val sample : t -> src:int -> dst:int -> float
+
+(** [mean t] is the model's expected latency of one message between two
+    distinct nodes, without drawing from its generator. *)
+val mean : t -> float

@@ -6,6 +6,15 @@ type 'msg link = {
   mutable held : (int * string * 'msg) list; (* reversed: (bytes, kind, msg) *)
 }
 
+(* links keyed by [src * nodes + dst]: the keys are dense, so the low
+   bits are a good hash *)
+module Links = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type obs = {
   reg : Mc_obs.Metrics.Registry.t;
   c_msgs : Mc_obs.Metrics.Counter.t;
@@ -26,7 +35,7 @@ type 'msg t = {
   byte_cost : float;
   send_free : float array; (* next time each node's sender is free *)
   handlers : (src:int -> 'msg -> unit) option array;
-  links : 'msg link array array;
+  links : 'msg link Links.t; (* created on first use *)
   mutable messages : int;
   mutable bytes : int;
   kinds : Mc_util.Stats.Counters.t;
@@ -47,10 +56,7 @@ let create engine ~nodes ~latency ?(send_cost = 0.) ?(byte_cost = 0.) () =
     byte_cost;
     send_free = Array.make nodes 0.;
     handlers = Array.make nodes None;
-    links =
-      Array.init nodes (fun _ ->
-          Array.init nodes (fun _ ->
-              { last_delivery = 0.; paused = false; held = [] }));
+    links = Links.create 64;
     messages = 0;
     bytes = 0;
     kinds = Mc_util.Stats.Counters.create ();
@@ -87,14 +93,22 @@ let set_handler t node f =
   check_node t node;
   t.handlers.(node) <- Some f
 
+let link t ~src ~dst =
+  let key = (src * t.n) + dst in
+  match Links.find t.links key with
+  | l -> l
+  | exception Not_found ->
+    let l = { last_delivery = 0.; paused = false; held = [] } in
+    Links.add t.links key l;
+    l
+
 let deliver t ~src ~dst msg =
   match t.handlers.(dst) with
   | Some f -> f ~src msg
   | None ->
     invalid_arg (Printf.sprintf "Network: node %d has no handler installed" dst)
 
-let transmit t ~src ~dst ~bytes ~kind msg =
-  let link = t.links.(src).(dst) in
+let transmit t link ~src ~dst ~bytes ~kind msg =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
   Mc_util.Stats.Counters.incr t.kinds kind;
@@ -140,9 +154,9 @@ let send t ~src ~dst ?(bytes = 64) ?(kind = "msg") msg =
     (* Local loopback: delivered as an immediate event, no network cost. *)
     Engine.schedule t.engine ~delay:0. (fun () -> deliver t ~src ~dst msg)
   else begin
-    let link = t.links.(src).(dst) in
+    let link = link t ~src ~dst in
     if link.paused then link.held <- (bytes, kind, msg) :: link.held
-    else transmit t ~src ~dst ~bytes ~kind msg
+    else transmit t link ~src ~dst ~bytes ~kind msg
   end
 
 let broadcast t ~src ?bytes ?kind msg =
@@ -157,16 +171,16 @@ let multicast t ~src ~dsts ?bytes ?kind msg =
 let pause_link t ~src ~dst =
   check_node t src;
   check_node t dst;
-  t.links.(src).(dst).paused <- true
+  (link t ~src ~dst).paused <- true
 
 let resume_link t ~src ~dst =
   check_node t src;
   check_node t dst;
-  let link = t.links.(src).(dst) in
+  let link = link t ~src ~dst in
   link.paused <- false;
   let held = List.rev link.held in
   link.held <- [];
-  List.iter (fun (bytes, kind, msg) -> transmit t ~src ~dst ~bytes ~kind msg) held
+  List.iter (fun (bytes, kind, msg) -> transmit t link ~src ~dst ~bytes ~kind msg) held
 
 let messages_sent t = t.messages
 let bytes_sent t = t.bytes

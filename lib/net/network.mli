@@ -7,7 +7,11 @@
 
     Messages are delivered by invoking the destination node's registered
     handler as a plain event (handlers may resume blocked fibers but must
-    not themselves suspend). *)
+    not themselves suspend).
+
+    A link's state (its FIFO clamp and pause queue) is created the first
+    time the link is used, by a send or by {!pause_link}/{!resume_link},
+    so a network costs O(nodes + links used), never O(nodes^2). *)
 
 type 'msg t
 
@@ -54,7 +58,8 @@ val multicast :
 
 (** [pause_link t ~src ~dst] holds messages on one directed link; they
     queue up and are released, still in FIFO order, by
-    [resume_link]. Used by tests to force extreme reorderings between
+    [resume_link]. Either may be called on a link that has not carried
+    a message yet. Used by tests to force extreme reorderings between
     different channels. *)
 val pause_link : 'msg t -> src:int -> dst:int -> unit
 

@@ -155,25 +155,69 @@ let subscriptions t ~node = sorted_members t.node_subs node
 let home t ~shard =
   match subscribers t ~shard with [] -> None | least :: _ -> Some least
 
-(* k-ary heap layout over the subscriber list rotated so [root] leads:
-   the node at index i forwards to indices k*i+1 .. k*i+k. Rotation (not
-   re-sorting) keeps the layout deterministic per (shard, root). *)
+module Tree = struct
+  type t = {
+    order : int array; (* position -> node, root first *)
+    index : (int, int) Hashtbl.t; (* node -> position *)
+    k : int;
+  }
+
+  let create ~fanout order =
+    if fanout <= 0 then invalid_arg "Placement.Tree.create: fanout must be positive";
+    let len = Array.length order in
+    if len = 0 then invalid_arg "Placement.Tree.create: empty order";
+    let index = Hashtbl.create len in
+    Array.iteri
+      (fun i node ->
+        if Hashtbl.mem index node then
+          invalid_arg (Printf.sprintf "Placement.Tree.create: node %d repeated" node);
+        Hashtbl.add index node i)
+      order;
+    (* a fanout past the last position gives the same tree and keeps
+       [k * i] from overflowing *)
+    { order; index; k = min fanout (max 1 (len - 1)) }
+
+  let mem t node = Hashtbl.mem t.index node
+
+  let position t node =
+    match Hashtbl.find_opt t.index node with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Placement.Tree: node %d not in the tree" node)
+
+  let parent t node =
+    match position t node with 0 -> None | i -> Some t.order.((i - 1) / t.k)
+
+  let children t node =
+    let first = (t.k * position t node) + 1 in
+    let last = min (Array.length t.order) (first + t.k) in
+    List.init (max 0 (last - first)) (fun j -> t.order.(first + j))
+
+  let covers t ~node target =
+    let top = position t node in
+    let rec up i = i = top || (i > top && up ((i - 1) / t.k)) in
+    up (position t target)
+
+  let child_toward t ~node target =
+    let top = position t node in
+    let rec up i =
+      if i <= top then None
+      else
+        let p = (i - 1) / t.k in
+        if p = top then Some t.order.(i) else up p
+    in
+    up (position t target)
+end
+
+(* the dissemination tree of (shard, root): the heap layout over the
+   subscriber list rotated so [root] leads. Rotation (not re-sorting)
+   keeps the layout deterministic per (shard, root); the children lists
+   are built once, so a relay hop allocates nothing *)
 let build_tree t ~shard ~root =
   let subs = subscribers t ~shard in
-  let order = root :: List.filter (fun n -> n <> root) subs in
-  let arr = Array.of_list order in
-  let len = Array.length arr in
-  let k = t.t_fanout in
-  let tbl = Hashtbl.create (max 8 len) in
-  Array.iteri
-    (fun i node ->
-      let first = (k * i) + 1 in
-      let last = min len (first + k) in
-      let rec take j acc =
-        if j >= last then List.rev acc else take (j + 1) (arr.(j) :: acc)
-      in
-      Hashtbl.replace tbl node (take first []))
-    arr;
+  let order = Array.of_list (root :: List.filter (fun n -> n <> root) subs) in
+  let tree = Tree.create ~fanout:t.t_fanout order in
+  let tbl = Hashtbl.create (max 8 (Array.length order)) in
+  Array.iter (fun node -> Hashtbl.replace tbl node (Tree.children tree node)) order;
   tbl
 
 let children t ~shard ~root ~node =

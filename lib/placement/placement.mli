@@ -38,7 +38,8 @@ val policy_of_string : string -> (policy, string) result
 
 (** [create ~shards ~policy ()] builds a placement with no subscribers.
     [fanout] (default 4) bounds each node's out-degree in the per-shard
-    dissemination trees. *)
+    dissemination trees; the runtime's barrier tree uses at least this
+    fanout. *)
 val create : shards:int -> policy:policy -> ?fanout:int -> unit -> t
 
 val shards : t -> int
@@ -74,15 +75,51 @@ val subscriptions : t -> node:int -> int list
     location monotone in the home's per-shard apply order. *)
 val home : t -> shard:int -> int option
 
+(** {1 Trees} *)
+
+(** The k-ary heap layout every tree of a placement uses: over a node
+    order whose first node is the root, the node at position [i] has
+    the nodes at positions [k*i+1 .. k*i+k] as children. The
+    dissemination trees lay it over a shard's subscribers; the runtime's
+    barrier lays it over the processes, rooted at node 0. A fanout of at
+    least the order's length puts every other node directly under the
+    root. *)
+module Tree : sig
+  type t
+
+  (** [create ~fanout order] lays the heap over [order] (root first).
+      Raises [Invalid_argument] on an empty order, a repeated node or a
+      non-positive fanout. *)
+  val create : fanout:int -> int array -> t
+
+  val mem : t -> int -> bool
+
+  (** [parent t node] is [None] for the root. The functions taking a
+      node raise [Invalid_argument] when it is not in the tree. *)
+  val parent : t -> int -> int option
+
+  (** [children t node], in order of position. *)
+  val children : t -> int -> int list
+
+  (** [covers t ~node target]: [target] is [node] or one of its
+      descendants. *)
+  val covers : t -> node:int -> int -> bool
+
+  (** [child_toward t ~node target] is the child of [node] whose
+      subtree holds [target]; [None] when [target] is [node] or lies
+      outside its subtree. *)
+  val child_toward : t -> node:int -> int -> int option
+end
+
 (** {1 Dissemination trees} *)
 
 (** [children t ~shard ~root ~node] are the nodes [node] must forward a
-    shard-[shard] update originated by [root] to. The tree is the k-ary
-    heap layout over the sorted subscriber list rotated so [root] comes
-    first; it is deterministic per (shard, root), so consecutive updates
-    of one (writer, shard) stream traverse identical FIFO paths and
-    arrive in order at every subscriber. Results are memoized and the
-    cache is invalidated by subscription changes. *)
+    shard-[shard] update originated by [root] to. The tree is the
+    {!Tree} layout over the sorted subscriber list rotated so [root]
+    comes first; it is deterministic per (shard, root), so consecutive
+    updates of one (writer, shard) stream traverse identical FIFO paths
+    and arrive in order at every subscriber. Results are memoized and
+    the cache is invalidated by subscription changes. *)
 val children : t -> shard:int -> root:int -> node:int -> int list
 
 (** {1 Observability} *)

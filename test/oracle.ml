@@ -21,7 +21,11 @@
      it;
    - [Delivery]: a replica's causal delivery as a pending list per view,
      rescanned in full after every receipt. The replica's per-writer
-     queues must apply the same updates in the same order. *)
+     queues must apply the same updates in the same order;
+   - [Barrier_counts]: Section 6's barrier count vectors under a
+     placement as a dense matrix of per-(writer, shard) write counts,
+     one row recorded per arrival. The combining tree's sparse release
+     entries must equal it restricted to its nonzero entries. *)
 
 module Relation = Mc_util.Relation
 module History = Mc_history.History
@@ -569,4 +573,50 @@ module Delivery = struct
   let shard_queue_depths t =
     List.sort compare
       (Hashtbl.fold (fun shard s acc -> (shard, List.length s.s_pending) :: acc) t.shards [])
+end
+
+(* ------------------------------------------------------------------ *)
+(* The placement barrier's counts, dense                               *)
+(* ------------------------------------------------------------------ *)
+
+module Barrier_counts = struct
+  (* [written.(w).(s)]: writes process [w] has made to shard [s];
+     [arrivals] maps an episode to the matrix of every member's row as
+     it stood at that member's arrival *)
+  type t = {
+    written : int array array;
+    arrivals : (int, int array array) Hashtbl.t;
+  }
+
+  let create ~procs ~shards =
+    { written = Array.make_matrix procs shards 0; arrivals = Hashtbl.create 8 }
+
+  let write t ~proc ~shard = t.written.(proc).(shard) <- t.written.(proc).(shard) + 1
+
+  let arrive t ~proc ~episode =
+    let m =
+      match Hashtbl.find_opt t.arrivals episode with
+      | Some m -> m
+      | None ->
+        let m = Array.map (fun row -> Array.make (Array.length row) 0) t.written in
+        Hashtbl.add t.arrivals episode m;
+        m
+    in
+    m.(proc) <- Array.copy t.written.(proc)
+
+  (* what [proc] must wait for when it leaves [episode]: every other
+     process's count of every shard [proc] subscribes to, where nonzero,
+     as sorted (writer, shard, count) entries *)
+  let expected t ~episode ~subscribed ~proc =
+    let m = Hashtbl.find t.arrivals episode in
+    let entries = ref [] in
+    Array.iteri
+      (fun w row ->
+        Array.iteri
+          (fun s c ->
+            if w <> proc && c > 0 && subscribed ~node:proc ~shard:s then
+              entries := (w, s, c) :: !entries)
+          row)
+      m;
+    List.sort compare !entries
 end

@@ -227,6 +227,20 @@ let test_subset_barrier_membership_enforced () =
   | (_ : float) -> Alcotest.fail "expected membership failure"
   | exception Engine.Fiber_failure (Invalid_argument _, _) -> ()
 
+(* a member that is not a process is rejected at the call, naming it,
+   instead of leaving the real members blocked forever *)
+let test_subset_barrier_member_out_of_range () =
+  let engine = Engine.create () in
+  let rt = Runtime.create engine (Config.default ~procs:3) in
+  List.iter
+    (fun i -> Runtime.spawn_process rt i (fun p -> Runtime.barrier_subset p [ 0; 1; 7 ]))
+    [ 0; 1 ];
+  match Runtime.run rt with
+  | (_ : float) -> Alcotest.fail "expected an out-of-range member to be rejected"
+  | exception Engine.Fiber_failure (Invalid_argument msg, _) ->
+    Alcotest.(check string) "names the member"
+      "Runtime.barrier_subset: member 7 is not a process (0..2)" msg
+
 (* ------------------------------------------------------------------ *)
 (* Async relaxation                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -600,6 +614,8 @@ let () =
             test_subset_barrier_separate_episodes;
           Alcotest.test_case "membership enforced" `Quick
             test_subset_barrier_membership_enforced;
+          Alcotest.test_case "out-of-range member rejected" `Quick
+            test_subset_barrier_member_out_of_range;
         ] );
       ( "multi-threaded",
         [

@@ -163,22 +163,39 @@ let test_independent_locks () =
 (* Barrier manager                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let arrive ?(sent = [||]) proc episode vc members =
-  Protocol.Barrier_arrive { proc; episode; vc; members; sent }
+module Tree = Mc_placement.Placement.Tree
+
+(* the runtime's barrier trees: processes in id order for a full
+   barrier, node 0 then the members for a subset one *)
+let barrier_tree ~fanout ~n members =
+  Tree.create ~fanout
+    (if members = [] then Array.init n Fun.id
+     else Array.of_list (0 :: List.filter (fun m -> m <> 0) members))
+
+(* node 0's combiner at a fanout of at least [n]: the central manager
+   (vector clocks consult no receivers) *)
+let central ?(receivers = fun _ -> []) ~n send =
+  Barrier_manager.create ~node:0 ~tree:(barrier_tree ~fanout:n ~n) ~receivers ~send
+    ~on_release:(fun ~members:_ ~episode:_ _ -> Alcotest.fail "node 0 is released by loopback")
+
+let arrive ?(clock = Protocol.Vector [||]) proc episode vc members =
+  let clock = if vc = [||] then clock else Protocol.Vector vc in
+  Protocol.Barrier_arrive { proc; episode; members; clock }
 
 let test_barrier_release_on_full_arrival () =
   let log, send = collector () in
-  let m = Barrier_manager.create ~n:3 ~send in
+  let m = central ~n:3 send in
   Barrier_manager.handle m ~src:0 (arrive 0 0 [| 1; 0; 0 |] []);
   Barrier_manager.handle m ~src:1 (arrive 1 0 [| 0; 2; 0 |] []);
   check_int "not released yet" 0 (List.length (drain log));
   Barrier_manager.handle m ~src:2 (arrive 2 0 [| 0; 0; 3 |] []);
   let releases = drain log in
-  check_int "everyone released" 3 (List.length releases);
+  Alcotest.(check (list int)) "everyone released, node 0 first" [ 0; 1; 2 ]
+    (List.map fst releases);
   List.iter
     (fun (_, msg) ->
       match msg with
-      | Protocol.Barrier_release { dep; episode = 0; _ } ->
+      | Protocol.Barrier_release { clock = Protocol.Vector dep; episode = 0; _ } ->
         Alcotest.(check (array int)) "dep is the pointwise max" [| 1; 2; 3 |] dep
       | _ -> Alcotest.fail "expected a release")
     releases;
@@ -188,7 +205,7 @@ let test_barrier_interleaved_episodes () =
   (* a fast process may arrive at episode 1 before a slow one reaches
      episode 0 *)
   let log, send = collector () in
-  let m = Barrier_manager.create ~n:2 ~send in
+  let m = central ~n:2 send in
   Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0 |] []);
   Barrier_manager.handle m ~src:1 (arrive 1 0 [| 0; 0 |] []);
   check_int "episode 0 released" 2 (List.length (take log));
@@ -199,7 +216,7 @@ let test_barrier_interleaved_episodes () =
 
 let test_barrier_subset_release () =
   let log, send = collector () in
-  let m = Barrier_manager.create ~n:4 ~send in
+  let m = central ~n:4 send in
   Barrier_manager.handle m ~src:1 (arrive 1 0 [| 0; 1; 0; 0 |] [ 1; 3 ]);
   check_int "waits for the other member" 0 (List.length (drain log));
   Barrier_manager.handle m ~src:3 (arrive 3 0 [| 0; 0; 0; 4 |] [ 1; 3 ]);
@@ -209,40 +226,95 @@ let test_barrier_subset_release () =
 
 let test_barrier_errors () =
   let _, send = collector () in
-  let m = Barrier_manager.create ~n:2 ~send in
-  Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0 |] []);
-  (match Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0 |] []) with
+  let m = central ~n:3 send in
+  Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0; 0 |] []);
+  (match Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0; 0 |] []) with
   | () -> Alcotest.fail "expected double-arrival rejection"
   | exception Invalid_argument _ -> ());
-  (match Barrier_manager.handle m ~src:1 (arrive 0 1 [| 0; 0 |] []) with
+  (match Barrier_manager.handle m ~src:1 (arrive 0 1 [| 0; 0; 0 |] []) with
   | () -> Alcotest.fail "expected forged-origin rejection"
   | exception Invalid_argument _ -> ());
-  match Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0 |] [ 1 ]) with
+  (match Barrier_manager.handle m ~src:0 (arrive 0 0 [| 0; 0; 0 |] [ 1 ]) with
   | () -> Alcotest.fail "expected non-member rejection"
+  | exception Invalid_argument _ -> ());
+  (* at fanout 1 the tree is the chain 0 - 1 - 2: node 2 is not a child
+     of node 0 *)
+  let chain =
+    Barrier_manager.create ~node:0 ~tree:(barrier_tree ~fanout:1 ~n:3)
+      ~receivers:(fun _ -> []) ~send
+      ~on_release:(fun ~members:_ ~episode:_ _ -> ())
+  in
+  match Barrier_manager.handle chain ~src:2 (arrive 2 0 [| 0; 0; 0 |] []) with
+  | () -> Alcotest.fail "expected a grandchild's arrival to be rejected"
   | exception Invalid_argument _ -> ()
 
-(* count-vector mode: the release tells each process how many updates to
-   expect from each peer (Section 6) *)
+(* count mode: the release tells each process how many updates of each
+   (writer, shard) stream it subscribes to it must hold (Section 6) *)
 let test_barrier_count_vectors () =
   let log, send = collector () in
-  let m = Barrier_manager.create ~n:2 ~send in
-  Barrier_manager.handle m ~src:0
-    (arrive ~sent:[| 0; 3 |] 0 0 [| 0; 0 |] []);
+  (* node 1 subscribes to shard 0 (written by node 0), node 0 to shard 1
+     (written by node 1); shard 2 has node 1 as its only subscriber *)
+  let receivers = function 0 -> [ 0; 1 ] | 1 -> [ 0; 1 ] | _ -> [ 1 ] in
+  let m = central ~receivers ~n:2 send in
+  Barrier_manager.handle m ~src:0 (arrive ~clock:(Protocol.Counts [ (0, 0, 3) ]) 0 0 [||] []);
   Barrier_manager.handle m ~src:1
-    (arrive ~sent:[| 5; 0 |] 1 0 [| 0; 0 |] []);
+    (arrive ~clock:(Protocol.Counts [ (1, 1, 5); (1, 2, 4) ]) 1 0 [||] []);
   let expects =
     List.filter_map
       (function
-        | dst, Protocol.Barrier_release { expect; _ } -> Some (dst, expect)
+        | dst, Protocol.Barrier_release { clock = Protocol.Counts es; _ } -> Some (dst, es)
         | _ -> None)
       (drain log)
     |> List.sort compare
   in
   match expects with
   | [ (0, e0); (1, e1) ] ->
-    Alcotest.(check (array int)) "p0 expects 5 from p1" [| 0; 5 |] e0;
-    Alcotest.(check (array int)) "p1 expects 3 from p0" [| 3; 0 |] e1
-  | _ -> Alcotest.fail "expected two releases with count vectors"
+    Alcotest.(check (list (triple int int int))) "p0 expects 5 of (p1, shard 1)"
+      [ (1, 1, 5) ] e0;
+    Alcotest.(check (list (triple int int int))) "p1 expects 3 of (p0, shard 0)"
+      [ (0, 0, 3) ] e1
+  | _ -> Alcotest.fail "expected two releases with count entries"
+
+(* a 7-node tree at fanout 2: every node's arrival reaches the root
+   through its parent, one release per node comes back down, and each
+   node's own part is exactly the streams it subscribes to that others
+   wrote *)
+let test_barrier_combining_tree () =
+  let n = 7 in
+  (* shard s is written by node s and subscribed by nodes s and
+     (s + 3) mod n *)
+  let receivers s = List.sort compare [ s; (s + 3) mod n ] in
+  let queue = Queue.create () and sent = ref 0 in
+  let own = Array.make n None in
+  let combiners =
+    Array.init n (fun node ->
+        Barrier_manager.create ~node ~tree:(barrier_tree ~fanout:2 ~n) ~receivers
+          ~send:(fun ~dst msg ->
+            if dst <> node then incr sent;
+            Queue.push (node, dst, msg) queue)
+          ~on_release:(fun ~members:_ ~episode:_ clock ->
+            match clock with
+            | Protocol.Counts es -> own.(node) <- Some (List.sort compare es)
+            | Protocol.Vector _ -> Alcotest.fail "expected counts"))
+  in
+  Array.iteri
+    (fun node c ->
+      Barrier_manager.join c ~members:[] ~episode:0 (Protocol.Counts [ (node, node, node + 1) ]))
+    combiners;
+  while not (Queue.is_empty queue) do
+    let src, dst, msg = Queue.pop queue in
+    Barrier_manager.handle combiners.(dst) ~src msg
+  done;
+  check_int "one arrival and one release per non-root node" (2 * (n - 1)) !sent;
+  check_int "released once, at the root" 1 (Barrier_manager.episodes_released combiners.(0));
+  Array.iteri
+    (fun node got ->
+      let writer = (node + n - 3) mod n in
+      Alcotest.(check (option (list (triple int int int))))
+        (Printf.sprintf "node %d's own part" node)
+        (Some [ (writer, writer, writer + 1) ])
+        got)
+    own
 
 (* entry mode: guarded values accumulate at the manager and ride grants *)
 let test_entry_values_ride_grants () =
@@ -296,5 +368,7 @@ let () =
           Alcotest.test_case "count vectors (Sec. 6)" `Quick
             test_barrier_count_vectors;
           Alcotest.test_case "error handling" `Quick test_barrier_errors;
+          Alcotest.test_case "combining tree at fanout 2" `Quick
+            test_barrier_combining_tree;
         ] );
     ]

@@ -88,6 +88,30 @@ let test_pause_resume () =
   ignore (Engine.run e);
   Alcotest.(check (list int)) "released in order" [ 1; 2 ] (List.rev !got)
 
+(* link state is created on first use: pausing or resuming a link that
+   never carried a message must behave like any other link, and must
+   leave the opposite direction alone *)
+let test_pause_resume_fresh_link () =
+  let e, net = make ~nodes:4 () in
+  let got = ref [] in
+  Network.set_handler net 1 (fun ~src msg -> got := (src, msg) :: !got);
+  Network.set_handler net 2 (fun ~src msg -> got := (src, msg) :: !got);
+  Network.resume_link net ~src:3 ~dst:1;
+  Network.pause_link net ~src:0 ~dst:2;
+  Network.resume_link net ~src:0 ~dst:2;
+  check_int "resuming empty links sends nothing" 0 (Network.messages_sent net);
+  Network.pause_link net ~src:2 ~dst:1;
+  Network.send net ~src:2 ~dst:1 5;
+  Network.send net ~src:1 ~dst:2 6;
+  Network.send net ~src:0 ~dst:2 7;
+  ignore (Engine.run e);
+  Alcotest.(check (list (pair int int))) "only the paused direction holds"
+    [ (0, 7); (1, 6) ] (List.sort compare !got);
+  Network.resume_link net ~src:2 ~dst:1;
+  ignore (Engine.run e);
+  Alcotest.(check (pair int int)) "released on resume" (2, 5) (List.hd !got);
+  check_int "three messages" 3 (Network.messages_sent net)
+
 let test_stats () =
   let e, net = make () in
   Network.set_handler net 1 (fun ~src:_ _ -> ());
@@ -144,7 +168,12 @@ let test_latency_models () =
   done;
   let m = Latency.matrix [| [| 0.; 7. |]; [| 3.; 0. |] |] in
   Alcotest.(check (float 1e-9)) "matrix src-dst" 7. (Latency.sample m ~src:0 ~dst:1);
-  Alcotest.(check (float 1e-9)) "matrix dst-src" 3. (Latency.sample m ~src:1 ~dst:0)
+  Alcotest.(check (float 1e-9)) "matrix dst-src" 3. (Latency.sample m ~src:1 ~dst:0);
+  (* means need no draws *)
+  Alcotest.(check (float 1e-9)) "constant mean" 10. (Latency.mean (Latency.constant 10.));
+  Alcotest.(check (float 1e-9)) "uniform mean" 3. (Latency.mean u);
+  Alcotest.(check (float 1e-9)) "jitter mean" 10.5 (Latency.mean j);
+  Alcotest.(check (float 1e-9)) "matrix mean, off the diagonal" 5. (Latency.mean m)
 
 let test_no_handler_error () =
   let e, net = make () in
@@ -164,6 +193,8 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send_immediate;
           Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "pause/resume link" `Quick test_pause_resume;
+          Alcotest.test_case "pause/resume a fresh link" `Quick
+            test_pause_resume_fresh_link;
           Alcotest.test_case "statistics" `Quick test_stats;
           Alcotest.test_case "sender occupancy" `Quick test_send_cost_serializes;
           Alcotest.test_case "byte cost" `Quick test_byte_cost;

@@ -394,6 +394,254 @@ let test_many_procs_online () =
   in
   check "online = offline on non-fetched reads" true (Online.failures chk = offline)
 
+(* ------------------------------------------------------------------ *)
+(* The barrier's combining tree                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Random placements — random subscriber sets, shards with one
+   subscriber, nodes subscribed to nothing — run random shard writes and
+   full barriers at fanouts 1, 2, 4 and [procs] (the central manager).
+   Hops take 0.05-1.95 us, less than a send, so the barrier tree takes
+   the placement's fanout.
+   Each round writes, crosses a barrier, reads subscribed locations,
+   crosses a second barrier, reads unsubscribed ones (fetches, served
+   by homes that have left the first barrier), and crosses a third.
+   Every location has one writer ("shard/writer/slot"), so every read
+   is exact; every run must read, sum and end with the memory of the
+   fanout-[procs] run, and at every barrier exit each process's expected
+   entries must equal [Oracle.Barrier_counts]. *)
+let test_barrier_tree_differential () =
+  for seed = 1 to 24 do
+    let rng = Rng.make (7100 + seed) in
+    let procs = 3 + Rng.int rng 10 and shards = 1 + Rng.int rng 6 in
+    let idle = Rng.int rng procs (* subscribed to nothing *) in
+    let subs =
+      Array.init shards (fun _ ->
+          match Rng.int rng 3 with
+          | 0 -> [ Rng.int rng procs ]
+          | _ -> List.filter (fun _ -> Rng.int rng 3 = 0) (List.init procs Fun.id))
+      |> Array.map (List.filter (fun n -> n <> idle))
+    in
+    let subscribed ~node ~shard = List.mem node subs.(shard) in
+    let rounds = 1 + Rng.int rng 3 in
+    (* per process and round: the (shard, slot, value) writes, then the
+       locations read *)
+    let loc shard writer slot = Printf.sprintf "%d/%d/%d" shard writer slot in
+    let plan =
+      Array.init procs (fun i ->
+          let mine = List.filter (fun s -> subscribed ~node:i ~shard:s) (List.init shards Fun.id) in
+          Array.init rounds (fun _ ->
+              let writes =
+                if mine = [] then []
+                else
+                  List.init (Rng.int rng 4) (fun _ ->
+                      (List.nth mine (Rng.int rng (List.length mine)), Rng.int rng 3, 1 + Rng.int rng 999))
+              in
+              let reads =
+                List.init (1 + Rng.int rng 4) (fun _ ->
+                    loc (Rng.int rng shards) (Rng.int rng procs) (Rng.int rng 3))
+              in
+              (writes, reads)))
+    in
+    let all_locs =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun s -> List.concat_map (fun w -> List.init 3 (loc s w)) (List.init procs Fun.id))
+           (List.init shards Fun.id))
+    in
+    let shard_of l = int_of_string (List.hd (String.split_on_char '/' l)) in
+    let run fanout =
+      let pl = P.create ~shards ~policy:(P.Explicit shard_of) ~fanout () in
+      Array.iteri (fun shard nodes -> List.iter (fun node -> P.subscribe pl ~node ~shard) nodes) subs;
+      let engine = Engine.create () in
+      let cfg =
+        { (Config.default ~procs) with timestamped_updates = false; placement = Some pl }
+      in
+      let latency = Latency.uniform (Rng.make (seed * 31)) ~lo:0.05 ~hi:1.95 in
+      let rt = Runtime.create engine ~latency cfg in
+      check_int
+        (Printf.sprintf "seed %d fanout %d: barrier tree fanout" seed fanout)
+        fanout (Runtime.barrier_fanout rt);
+      let oracle = Oracle.Barrier_counts.create ~procs ~shards in
+      let reference = Hashtbl.create 64 in
+      let reads = Array.make procs [] and bad_expect = ref [] in
+      for i = 0 to procs - 1 do
+        Runtime.spawn_process rt i (fun p ->
+            let episode = ref 0 in
+            let barrier () =
+              Oracle.Barrier_counts.arrive oracle ~proc:i ~episode:!episode;
+              Runtime.barrier p;
+              let expected =
+                Oracle.Barrier_counts.expected oracle ~episode:!episode ~subscribed ~proc:i
+              in
+              if Runtime.barrier_expect rt ~proc:i <> expected then
+                bad_expect := (i, !episode) :: !bad_expect;
+              incr episode
+            in
+            let read l =
+              let v = Runtime.read p ~label:Op.PRAM l in
+              let want = Option.value (Hashtbl.find_opt reference l) ~default:0 in
+              reads.(i) <- (l, v, want) :: reads.(i)
+            in
+            Array.iter
+              (fun (writes, locs) ->
+                List.iter
+                  (fun (shard, slot, v) ->
+                    Runtime.write p (loc shard i slot) v;
+                    Hashtbl.replace reference (loc shard i slot) v;
+                    Oracle.Barrier_counts.write oracle ~proc:i ~shard)
+                  writes;
+                barrier ();
+                List.iter
+                  (fun l -> if subscribed ~node:i ~shard:(shard_of l) then read l)
+                  locs;
+                barrier ();
+                List.iter
+                  (fun l -> if not (subscribed ~node:i ~shard:(shard_of l)) then read l)
+                  locs;
+                barrier ())
+              plan.(i))
+      done;
+      ignore (Runtime.run rt);
+      let name what = Printf.sprintf "seed %d fanout %d: %s" seed fanout what in
+      Alcotest.(check (list (pair int int))) (name "expected entries = dense counts") []
+        !bad_expect;
+      Array.iter
+        (List.iter (fun (l, v, want) -> check_int (name ("exact read of " ^ l)) want v))
+        reads;
+      check_int (name "one arrival per process and episode")
+        (3 * rounds * (procs - 1))
+        (List.assoc "barrier_arrive" (Network.messages_by_kind (Runtime.network rt)));
+      let memory =
+        List.init procs (fun proc -> List.map (fun l -> Runtime.peek rt ~proc l) all_locs)
+      in
+      let sums = Array.map (List.fold_left (fun acc (_, v, _) -> acc + v) 0) reads in
+      (reads, sums, memory)
+    in
+    let central = run procs in
+    List.iter
+      (fun fanout ->
+        check (Printf.sprintf "seed %d: fanout %d = central manager" seed fanout) true
+          (run fanout = central))
+      [ 1; 2; 4 ]
+  done
+
+(* A subset barrier under a placement whose members sit on two levels
+   of the fanout-2 tree [0; 1; 2; 3; 5; 6] (node 0, a non-member, is the
+   root; hops of 0.5-4.5 us keep the placement's fanout), while
+   non-member 7 keeps writing member 3's shard. Members read each
+   other's locations exactly, and the online checker finds nothing. *)
+let test_subset_barrier_placement () =
+  let procs = 8 and members = [ 1; 2; 3; 5; 6 ] in
+  let pl = P.create ~shards:procs ~policy:(P.Range { objects = procs * 10 }) ~fanout:2 () in
+  let next m =
+    let rec from = function a :: (b :: _ as rest) -> if a = m then b else from rest | _ -> List.hd members in
+    from members
+  in
+  List.iter
+    (fun m ->
+      P.subscribe pl ~node:m ~shard:m;
+      P.subscribe pl ~node:m ~shard:(next m))
+    members;
+  P.subscribe pl ~node:7 ~shard:7;
+  P.subscribe pl ~node:7 ~shard:3;
+  let engine = Engine.create () in
+  let cfg =
+    {
+      (Config.default ~procs) with
+      record = true;
+      check_online = true;
+      placement = Some pl;
+      timestamped_updates = false;
+    }
+  in
+  let latency = Latency.uniform (Rng.make 19) ~lo:0.5 ~hi:4.5 in
+  let rt = Runtime.create engine ~latency cfg in
+  check_int "barrier tree fanout" 2 (Runtime.barrier_fanout rt);
+  let loc shard slot = Printf.sprintf "s:%d" ((shard * 10) + slot) in
+  let rounds = 4 and reads = ref [] in
+  List.iter
+    (fun m ->
+      Runtime.spawn_process rt m (fun p ->
+          for r = 1 to rounds do
+            Runtime.write p (loc m 0) ((100 * r) + m);
+            Runtime.barrier_subset p members;
+            reads := (Runtime.read p ~label:Op.PRAM (loc (next m) 0), (100 * r) + next m) :: !reads;
+            Runtime.barrier_subset p members
+          done))
+    members;
+  let outsider_writes = ref 0 in
+  Runtime.spawn_process rt 7 (fun p ->
+      for k = 1 to 40 do
+        Runtime.write p (loc 3 (1 + (k mod 5))) k;
+        incr outsider_writes;
+        Runtime.compute p 5.
+      done);
+  ignore (Runtime.run rt);
+  check_int "the non-member wrote throughout" 40 !outsider_writes;
+  check_int "every member read every round" (rounds * List.length members) (List.length !reads);
+  List.iter (fun (got, want) -> check_int "member read is exact" want got) !reads;
+  let tree = P.Tree.create ~fanout:2 [| 0; 1; 2; 3; 5; 6 |] in
+  check "members on two tree levels" true
+    (P.Tree.parent tree 1 = Some 0 && P.Tree.parent tree 5 = Some 1);
+  check_int "online checker: no failures" 0
+    (List.length (Online.failures (Option.get (Runtime.online_checker rt))))
+
+(* The barrier tree's fanout follows the latency model: under the
+   default one (hops of 50 us on average, sends of 2 us) a node releases
+   up to 50 children, so 8 and 40 processes keep Section 6's central
+   manager and 1,000 get a two-level tree; a placement fanout above that
+   wins; hops cheaper than a send leave the placement's fanout; full
+   replication always uses the central manager. *)
+let test_barrier_fanout_rule () =
+  let fanout ?latency ?(pl_fanout = 4) ?(placed = true) procs =
+    let placement =
+      if placed then Some (P.create ~shards:1 ~policy:(P.Range { objects = 1 }) ~fanout:pl_fanout ())
+      else None
+    in
+    let cfg = { (Config.default ~procs) with placement; timestamped_updates = false } in
+    Runtime.barrier_fanout (Runtime.create (Engine.create ()) ?latency cfg)
+  in
+  List.iter
+    (fun procs ->
+      check (Printf.sprintf "%d processes: central manager" procs) true (fanout procs >= procs - 1))
+    [ 3; 8; 40; 51 ];
+  check_int "1,000 processes: fanout 50" 50 (fanout 1000);
+  check_int "a larger placement fanout wins" 64 (fanout ~pl_fanout:64 1000);
+  check_int "hops cheaper than a send: the placement's fanout" 4
+    (fanout ~latency:(Latency.constant 1.5) 1000);
+  check_int "full replication: the central manager" 1000 (fanout ~placed:false 1000)
+
+(* Set-up under a placement is linear in the process count: from 250 to
+   1,000 processes, [Runtime.create] and [Network.create] allocate at
+   most about 4x the words (a dense procs x procs structure would make
+   it 16x). *)
+let test_setup_allocation_linear () =
+  (* [Gc.minor_words] counts the minor heap exactly; [Gc.counters]'
+     major and promoted words count direct major allocations *)
+  let words f =
+    let mi = Gc.minor_words () and _, pr, ma = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let mi' = Gc.minor_words () and _, pr', ma' = Gc.counters () in
+    mi' -. mi +. (ma' -. ma) -. (pr' -. pr)
+  in
+  let runtime procs =
+    let pl = P.create ~shards:procs ~policy:(P.Range { objects = procs * 100 }) () in
+    for i = 0 to procs - 1 do
+      P.subscribe pl ~node:i ~shard:i;
+      P.subscribe pl ~node:i ~shard:((i + 1) mod procs)
+    done;
+    let cfg = { (Config.default ~procs) with placement = Some pl; timestamped_updates = false } in
+    words (fun () -> Runtime.create (Engine.create ()) cfg)
+  in
+  let network nodes =
+    words (fun () -> Mc_dsm.Cost.network (Engine.create ()) ~nodes ())
+  in
+  let step f = f 1000 /. f 250 in
+  let r = step runtime and n = step network in
+  check (Printf.sprintf "Runtime.create: 4x processes, %.1fx words" r) true (r < 5.);
+  check (Printf.sprintf "Network.create: 4x nodes, %.1fx words" n) true (n < 5.)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
@@ -416,5 +664,15 @@ let () =
         [
           Alcotest.test_case "sharded = full replication" `Quick
             test_solver_sharded_differential;
+        ] );
+      ( "barrier tree",
+        [
+          Alcotest.test_case "any fanout = central manager" `Quick
+            test_barrier_tree_differential;
+          Alcotest.test_case "subset barrier under placement" `Quick
+            test_subset_barrier_placement;
+          Alcotest.test_case "fanout from the latency model" `Quick test_barrier_fanout_rule;
+          Alcotest.test_case "set-up linear in processes" `Quick
+            test_setup_allocation_linear;
         ] );
     ]
