@@ -3,6 +3,10 @@ module Pqueue = Mc_util.Pqueue
 
 type cell = { mutable numeric : int; mutable tag : int }
 
+(* a location's cells in the PRAM and the causal view; without causal
+   delivery there is no causal view, and one cell serves as both *)
+type cells = { pram : cell; causal : cell }
+
 (* ------------------------------------------------------------------ *)
 (* Watchers                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -40,15 +44,22 @@ type t = {
   mutable own_seq : int;
   applied_counts : int array;
   received_counts : int array;
-  causal_view : (Mc_history.Op.location, cell) Hashtbl.t;
-  pram_view : (Mc_history.Op.location, cell) Hashtbl.t;
-  main : Protocol.update queue; (* delivery into [causal_view] *)
+  views : (Mc_history.Op.location, cells) Hashtbl.t;
+      (* the PRAM and causal views: a location enters both together, so
+         the keys are the PRAM view's locations *)
+  mutable last_loc : Mc_history.Op.location;
+  mutable last_cells : cells;
+      (* the last location looked up, by identity: a receive's PRAM and
+         causal applies share one lookup *)
+  main : Protocol.update queue option;
+      (* delivery into the causal view; [None] when [causal_delivery] is off *)
   mutable arr_counter : int;
   (* drain worklist scratch (empty between events): heads ready to apply
      in the current pass / the next pass, keyed by arrival order *)
   mutable wl_cur : int Pqueue.t;
   mutable wl_next : int Pqueue.t;
-  invalid : (Mc_history.Op.location, int array) Hashtbl.t;
+  mutable invalid : (Mc_history.Op.location, int array) Hashtbl.t option;
+      (* demand mode's obligations, created by the first one *)
   (* demand-mode obligations parked on their first unsatisfied clock
      entry; an obligation is re-examined only when that writer's applied
      count advances *)
@@ -125,7 +136,7 @@ let attach_metrics t reg =
   M.Registry.gauge_fn reg ~help:"locations resident in the local view"
     ~labels:[ ("node", string_of_int t.node_id) ]
     "mc_resident_objects"
-    (fun () -> float_of_int (Hashtbl.length t.pram_view));
+    (fun () -> float_of_int (Hashtbl.length t.views));
   t.obs <-
     Some
       {
@@ -177,34 +188,67 @@ let applied t = Array.copy t.applied_counts
 let received t = Array.copy t.received_counts
 
 let pending_count t =
-  Hashtbl.fold (fun _ st acc -> acc + st.sh_queue.depth) t.shards t.main.depth
+  let main = match t.main with Some q -> q.depth | None -> 0 in
+  Hashtbl.fold (fun _ st acc -> acc + st.sh_queue.depth) t.shards main
 
 let view_cell view loc =
-  match Hashtbl.find_opt view loc with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find view loc with
+  | c -> c
+  | exception Not_found ->
     let c = { numeric = 0; tag = 0 } in
     Hashtbl.add view loc c;
     c
 
 let read_view view loc =
-  match Hashtbl.find_opt view loc with
-  | Some c -> (c.numeric, c.tag)
-  | None -> (0, 0)
+  match Hashtbl.find view loc with
+  | c -> (c.numeric, c.tag)
+  | exception Not_found -> (0, 0)
 
-let apply_payload view ~loc ~numeric ~tag ~is_dec =
-  let c = view_cell view loc in
+let apply_cell c ~numeric ~tag ~is_dec =
   if is_dec then c.numeric <- c.numeric - numeric
   else begin
     c.numeric <- numeric;
     c.tag <- tag
   end
 
-let apply_to_view view (u : Protocol.update) =
-  apply_payload view ~loc:u.loc ~numeric:u.numeric ~tag:u.tag ~is_dec:u.is_dec
+let apply_update c (u : Protocol.update) =
+  apply_cell c ~numeric:u.numeric ~tag:u.tag ~is_dec:u.is_dec
 
-let causal_read t loc = read_view t.causal_view loc
-let pram_read t loc = read_view t.pram_view loc
+let apply_payload view ~loc ~numeric ~tag ~is_dec =
+  apply_cell (view_cell view loc) ~numeric ~tag ~is_dec
+
+(* raises [Not_found] for a location neither view holds *)
+let find_cells t loc =
+  if loc == t.last_loc then t.last_cells
+  else begin
+    let c = Hashtbl.find t.views loc in
+    t.last_loc <- loc;
+    t.last_cells <- c;
+    c
+  end
+
+let cells t loc =
+  match find_cells t loc with
+  | c -> c
+  | exception Not_found ->
+    let pram = { numeric = 0; tag = 0 } in
+    let c =
+      { pram; causal = (if t.causal_delivery then { numeric = 0; tag = 0 } else pram) }
+    in
+    Hashtbl.add t.views loc c;
+    t.last_loc <- loc;
+    t.last_cells <- c;
+    c
+
+let causal_read t loc =
+  match find_cells t loc with
+  | c -> (c.causal.numeric, c.causal.tag)
+  | exception Not_found -> (0, 0)
+
+let pram_read t loc =
+  match find_cells t loc with
+  | c -> (c.pram.numeric, c.pram.tag)
+  | exception Not_found -> (0, 0)
 
 let find_group t group =
   let key = List.sort_uniq compare group in
@@ -218,29 +262,30 @@ let find_group t group =
 
 let group_read t ~group loc = read_view (find_group t group).g_view loc
 
-(* first clock entry not yet applied locally, skipping [except]; [None]
+(* first clock entry not yet applied locally, skipping [except]; [-1]
    means satisfied *)
 let blocking_index t ~except dep =
-  let k = ref (-1) in
-  (try
-     Array.iteri
-       (fun j d ->
-         if j <> except && t.applied_counts.(j) < d then begin
-           k := j;
-           raise Exit
-         end)
-       dep
-   with Exit -> ());
-  if !k < 0 then None else Some !k
+  let applied = t.applied_counts and n = Array.length dep in
+  let j = ref 0 in
+  while !j < n && (!j = except || applied.(!j) >= dep.(!j)) do
+    incr j
+  done;
+  if !j < n then !j else -1
 
-let dep_satisfied t dep = blocking_index t ~except:(-1) dep = None
+let dep_satisfied t dep = blocking_index t ~except:(-1) dep < 0
 
 (* ------------------------------------------------------------------ *)
 (* Watcher firing                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* only a location some watcher waits on can matter to [fire_dirty]; no
+   watcher is installed between a change and the sweep that ends it *)
 let mark_dirty_loc t loc =
-  if not (Hashtbl.mem t.dirty_locs loc) then Hashtbl.add t.dirty_locs loc ()
+  if
+    Hashtbl.length t.w_loc > 0
+    && Hashtbl.mem t.w_loc loc
+    && not (Hashtbl.mem t.dirty_locs loc)
+  then Hashtbl.add t.dirty_locs loc ()
 
 let put_back t w =
   match w.hint with
@@ -262,25 +307,28 @@ let fire_candidates t candidates =
     let sorted = List.sort (fun a b -> compare b.wseq a.wseq) candidates in
     List.iter (fun w -> if w.pred () then w.resume () else put_back t w) sorted
 
+(* a sweep with no watcher to re-evaluate allocates nothing *)
 let fire_dirty t =
-  let candidates = ref [] in
-  candidates := List.rev_append t.w_any !candidates;
-  t.w_any <- [];
-  if t.dirty_clock then begin
-    candidates := List.rev_append t.w_clock !candidates;
-    t.w_clock <- []
-  end;
-  Hashtbl.iter
-    (fun loc () ->
-      match Hashtbl.find_opt t.w_loc loc with
-      | Some r ->
-        candidates := List.rev_append !r !candidates;
-        Hashtbl.remove t.w_loc loc
-      | None -> ())
-    t.dirty_locs;
-  Hashtbl.reset t.dirty_locs;
+  let clock = t.dirty_clock && t.w_clock <> [] in
   t.dirty_clock <- false;
-  fire_candidates t !candidates
+  if t.w_any <> [] || clock || Hashtbl.length t.dirty_locs > 0 then begin
+    let candidates = ref (List.rev t.w_any) in
+    t.w_any <- [];
+    if clock then begin
+      candidates := List.rev_append t.w_clock !candidates;
+      t.w_clock <- []
+    end;
+    Hashtbl.iter
+      (fun loc () ->
+        match Hashtbl.find_opt t.w_loc loc with
+        | Some r ->
+          candidates := List.rev_append !r !candidates;
+          Hashtbl.remove t.w_loc loc
+        | None -> ())
+      t.dirty_locs;
+    Hashtbl.reset t.dirty_locs;
+    fire_candidates t !candidates
+  end
 
 (* everything counts as changed: every watcher is re-evaluated *)
 let notify t =
@@ -293,42 +341,54 @@ let notify t =
 (* ------------------------------------------------------------------ *)
 
 let mark_invalid t loc dep =
-  match blocking_index t ~except:(-1) dep with
-  | None -> ()
-  | Some k -> (
-    match Hashtbl.find_opt t.invalid loc with
+  let k = blocking_index t ~except:(-1) dep in
+  if k >= 0 then begin
+    let invalid =
+      match t.invalid with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 8 in
+        t.invalid <- Some h;
+        h
+    in
+    match Hashtbl.find_opt invalid loc with
     | Some prev ->
       (* keep the existing parking: the parked clock was unsatisfied and
          the merged clock only grows entrywise *)
-      Hashtbl.replace t.invalid loc
+      Hashtbl.replace invalid loc
         (Array.init (Array.length dep) (fun j -> max prev.(j) dep.(j)))
     | None ->
-      Hashtbl.replace t.invalid loc dep;
-      t.inv_wait.(k) <- loc :: t.inv_wait.(k))
+      Hashtbl.replace invalid loc dep;
+      t.inv_wait.(k) <- loc :: t.inv_wait.(k)
+  end
 
 let location_blocked t loc =
-  match Hashtbl.find_opt t.invalid loc with
-  | Some dep -> not (dep_satisfied t dep)
+  match t.invalid with
   | None -> false
+  | Some invalid -> (
+    match Hashtbl.find_opt invalid loc with
+    | Some dep -> not (dep_satisfied t dep)
+    | None -> false)
 
 (* re-examine the obligations parked on writer [w] after its applied
    count advanced: satisfied ones clear (waking readers of the
    location), the rest re-park on their next unsatisfied entry *)
 let recheck_invalid t w =
-  match t.inv_wait.(w) with
-  | [] -> ()
-  | locs ->
+  match (t.inv_wait.(w), t.invalid) with
+  | [], _ | _, None -> ()
+  | locs, Some invalid ->
     t.inv_wait.(w) <- [];
     List.iter
       (fun loc ->
-        match Hashtbl.find_opt t.invalid loc with
+        match Hashtbl.find_opt invalid loc with
         | None -> ()
-        | Some dep -> (
-          match blocking_index t ~except:(-1) dep with
-          | None ->
-            Hashtbl.remove t.invalid loc;
+        | Some dep ->
+          let k = blocking_index t ~except:(-1) dep in
+          if k < 0 then begin
+            Hashtbl.remove invalid loc;
             mark_dirty_loc t loc
-          | Some k -> t.inv_wait.(k) <- loc :: t.inv_wait.(k)))
+          end
+          else t.inv_wait.(k) <- loc :: t.inv_wait.(k))
       locs
 
 (* ------------------------------------------------------------------ *)
@@ -348,7 +408,13 @@ let recheck_invalid t w =
    pass, ordered by arrival) whose pops follow exactly that order. Once
    queued a head stays deliverable: the counts it gates on only grow.
    The rescan itself is kept in [test/oracle.ml] as the differential
-   oracle. *)
+   oracle.
+
+   Nearly every update arrives as the next one of its writer with
+   nothing buffered in its view and its clock already satisfied: the
+   drain would then apply it at once and find nothing else to do, since
+   nothing is buffered for it to enable. [offer] applies such an update
+   directly, without buffering it. *)
 
 let new_queue ~next ~gate ~apply =
   { next; gate; apply; buffer = Hashtbl.create 8; parked = Hashtbl.create 8; depth = 0 }
@@ -400,7 +466,7 @@ let enqueue t q ~writer ~seq u =
   q.depth <- q.depth + 1;
   if seq = q.next t writer then check_head t q ~from_arr:(-1) writer
 
-let drain t q =
+let rec drain t q =
   let rec go () =
     match pop_ready t with
     | None -> ()
@@ -416,6 +482,17 @@ let drain t q =
   in
   go ()
 
+(* receive [u], the [seq]-th update of [writer], into [q]'s view *)
+and offer t q ~writer ~seq u =
+  if q.depth = 0 && seq = q.next t writer && q.gate t u == Ready then begin
+    t.arr_counter <- t.arr_counter + 1;
+    q.apply t u
+  end
+  else begin
+    enqueue t q ~writer ~seq u;
+    drain t q
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Views                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -427,9 +504,8 @@ let drain t q =
 let main_next t w = t.applied_counts.(w) + 1
 
 let main_gate t (u : Protocol.update) =
-  match blocking_index t ~except:u.writer u.dep with
-  | Some k -> Applied k
-  | None -> Ready
+  let k = blocking_index t ~except:u.writer u.dep in
+  if k < 0 then Ready else Applied k
 
 let causal_apply t (u : Protocol.update) =
   (match t.obs with
@@ -441,7 +517,7 @@ let causal_apply t (u : Protocol.update) =
       Mc_obs.Metrics.Histogram.observe o.h_delay (Engine.now t.engine -. arrived)
     | None -> ())
   | None -> ());
-  apply_to_view t.causal_view u;
+  apply_update (cells t u.loc).causal u;
   mark_dirty_loc t u.loc;
   t.applied_counts.(u.writer) <- t.applied_counts.(u.writer) + 1;
   t.dirty_clock <- true;
@@ -450,27 +526,19 @@ let causal_apply t (u : Protocol.update) =
 (* group view: member entries gate on the view's own applies, non-member
    entries on receipt *)
 let group_gate members g_applied t (u : Protocol.update) =
-  let res = ref Ready in
-  (try
-     Array.iteri
-       (fun j d ->
-         if j <> u.writer then
-           if members.(j) then begin
-             if g_applied.(j) < d then begin
-               res := Applied j;
-               raise Exit
-             end
-           end
-           else if t.received_counts.(j) < d then begin
-             res := Received j;
-             raise Exit
-           end)
-       u.dep
-   with Exit -> ());
-  !res
+  let dep = u.dep and n = Array.length u.dep in
+  let j = ref 0 in
+  while
+    !j < n
+    && (!j = u.writer
+       || (if members.(!j) then g_applied.(!j) else t.received_counts.(!j)) >= dep.(!j))
+  do
+    incr j
+  done;
+  if !j = n then Ready else if members.(!j) then Applied !j else Received !j
 
 let group_apply g_view g_applied t (u : Protocol.update) =
-  apply_to_view g_view u;
+  apply_update (view_cell g_view u.loc) u;
   mark_dirty_loc t u.loc;
   g_applied.(u.writer) <- g_applied.(u.writer) + 1
 
@@ -529,19 +597,24 @@ let create engine ~id ~n ?(groups = []) ?(causal_delivery = true) () =
   (* per-writer state is dense only where every writer reaches this
      node: under placement routing it lives, sparse, in the shards *)
   let n = if causal_delivery then n else 0 in
+  let unused = { numeric = 0; tag = 0 } in
   {
     engine;
     node_id = id;
     own_seq = 0;
     applied_counts = Array.make n 0;
     received_counts = Array.make n 0;
-    causal_view = Hashtbl.create 64;
-    pram_view = Hashtbl.create 64;
-    main = new_queue ~next:main_next ~gate:main_gate ~apply:causal_apply;
+    views = Hashtbl.create 64;
+    last_loc = String.make 1 '\000' (* matches no caller's location *);
+    last_cells = { pram = unused; causal = unused };
+    main =
+      (if causal_delivery then
+         Some (new_queue ~next:main_next ~gate:main_gate ~apply:causal_apply)
+       else None);
     arr_counter = 0;
     wl_cur = Pqueue.create ();
     wl_next = Pqueue.create ();
-    invalid = Hashtbl.create 8;
+    invalid = None;
     inv_wait = Array.make n [];
     w_any = [];
     w_clock = [];
@@ -564,23 +637,28 @@ let receive_one t (u : Protocol.update) =
   if u.writer = t.node_id then
     invalid_arg "Replica.receive: update from self (already applied locally)";
   t.dirty_clock <- true;
-  apply_to_view t.pram_view u;
+  apply_update (cells t u.loc).pram u;
   mark_dirty_loc t u.loc;
   if t.causal_delivery then begin
     t.received_counts.(u.writer) <- t.received_counts.(u.writer) + 1;
     (match t.obs with
     | Some o -> Hashtbl.replace o.arrivals (u.writer, u.useq) (Engine.now t.engine)
     | None -> ());
-    enqueue t t.main ~writer:u.writer ~seq:u.useq u;
-    drain t t.main;
+    (match t.main with
+    | Some q -> offer t q ~writer:u.writer ~seq:u.useq u
+    | None -> ());
+    if t.group_views <> [] then
     List.iter
       (fun (_, g) ->
         let q = g.g_queue in
-        enqueue t q ~writer:u.writer ~seq:u.useq u;
-        (* the receipt can also unblock heads gated on this writer's
-           receipt count; they join pass 1 *)
-        wake t q ~from_arr:(-1) (Received u.writer);
-        drain t q)
+        if q.depth = 0 then offer t q ~writer:u.writer ~seq:u.useq u
+        else begin
+          enqueue t q ~writer:u.writer ~seq:u.useq u;
+          (* the receipt can also unblock heads gated on this writer's
+             receipt count; they join pass 1 *)
+          wake t q ~from_arr:(-1) (Received u.writer);
+          drain t q
+        end)
       t.group_views
   end;
   match t.obs with
@@ -613,8 +691,9 @@ let make_update t ~loc ~numeric ~tag ~is_dec =
   let u : Protocol.update =
     { writer = t.node_id; useq = t.own_seq; dep; loc; numeric; tag; is_dec }
   in
-  apply_to_view t.causal_view u;
-  apply_to_view t.pram_view u;
+  let c = cells t loc in
+  apply_update c.causal u;
+  apply_update c.pram u;
   mark_dirty_loc t loc;
   t.applied_counts.(t.node_id) <- t.applied_counts.(t.node_id) + 1;
   t.received_counts.(t.node_id) <- t.received_counts.(t.node_id) + 1;
@@ -623,7 +702,7 @@ let make_update t ~loc ~numeric ~tag ~is_dec =
      already issued when it was sent, and every view counts each of ours
      (applied and received) as it is made, so no head is ever gated on
      us and no view needs a drain here *)
-  List.iter (fun (_, g) -> g.g_queue.apply t u) t.group_views;
+  if t.group_views <> [] then List.iter (fun (_, g) -> g.g_queue.apply t u) t.group_views;
   fire_dirty t;
   u
 
@@ -639,10 +718,12 @@ let local_dec t ~loc ~amount =
    vector bookkeeping is untouched (the lock discipline provides the
    ordering) *)
 let install_direct t ~loc ~numeric ~tag =
-  let set view = apply_payload view ~loc ~numeric ~tag ~is_dec:false in
-  set t.causal_view;
-  set t.pram_view;
-  List.iter (fun (_, g) -> set g.g_view) t.group_views;
+  let c = cells t loc in
+  apply_cell c.causal ~numeric ~tag ~is_dec:false;
+  apply_cell c.pram ~numeric ~tag ~is_dec:false;
+  List.iter
+    (fun (_, g) -> apply_payload g.g_view ~loc ~numeric ~tag ~is_dec:false)
+    t.group_views;
   mark_dirty_loc t loc;
   fire_dirty t
 
@@ -674,7 +755,7 @@ let subscribe_shard t ?(clock = []) ?(values = []) ~shard () =
   List.iter
     (fun (loc, numeric, tag) ->
       apply_payload st.sh_view ~loc ~numeric ~tag ~is_dec:false;
-      apply_payload t.pram_view ~loc ~numeric ~tag ~is_dec:false;
+      apply_cell (cells t loc).pram ~numeric ~tag ~is_dec:false;
       mark_dirty_loc t loc)
     values;
   Hashtbl.replace t.shards shard st;
@@ -706,7 +787,7 @@ let shard_make t ~shard ~loc ~numeric ~tag ~is_dec =
       su_is_dec = is_dec;
     }
   in
-  apply_payload t.pram_view ~loc ~numeric ~tag ~is_dec;
+  apply_cell (cells t loc).pram ~numeric ~tag ~is_dec;
   st.sh_queue.apply t su;
   t.dirty_clock <- true;
   fire_dirty t;
@@ -735,13 +816,12 @@ let shard_receive t (su : Protocol.shard_update) =
     (* per-stream FIFO: the last sequence number received is the count *)
     Hashtbl.replace st.sh_received su.su_writer su.su_sseq;
     t.dirty_clock <- true;
-    apply_payload t.pram_view ~loc:su.su_loc ~numeric:su.su_numeric ~tag:su.su_tag
+    apply_cell (cells t su.su_loc).pram ~numeric:su.su_numeric ~tag:su.su_tag
       ~is_dec:su.su_is_dec;
     mark_dirty_loc t su.su_loc;
     let q = st.sh_queue in
     let before = q.depth in
-    enqueue t q ~writer:su.su_writer ~seq:su.su_sseq su;
-    drain t q;
+    offer t q ~writer:su.su_writer ~seq:su.su_sseq su;
     (match t.obs with
     | Some o ->
       (* nothing applied: it arrived ahead of a sequence gap *)
@@ -769,7 +849,7 @@ let shard_clock t ~shard =
   Hashtbl.fold (fun w c acc -> (w, c) :: acc) (find_shard t shard).sh_applied []
   |> List.sort compare
 
-let resident_objects t = Hashtbl.length t.pram_view
+let resident_objects t = Hashtbl.length t.views
 
 let shard_queue_depths t =
   Hashtbl.fold (fun shard st acc -> (shard, st.sh_queue.depth) :: acc) t.shards []

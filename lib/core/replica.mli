@@ -21,7 +21,10 @@
     first clock entry still gating it and re-examined exactly when that
     entry advances. Updates apply in the order of the seed's
     rescan-everything pending list — by (pass, arrival) — which
-    [test/oracle.ml] keeps as the differential oracle. *)
+    [test/oracle.ml] keeps as the differential oracle. An update that is
+    deliverable on arrival into a view with nothing buffered is applied
+    at once, as that drain would, without being buffered: the common
+    receive allocates nothing. *)
 
 type t
 
@@ -43,8 +46,9 @@ val create :
     used under placement routing, where a node receives only its
     subscribed shards' updates, so writer sequences arrive with gaps and
     only the PRAM view and the per-shard views below are meaningful.
-    Such a replica allocates nothing per writer: [n] and [groups] are
-    ignored, {!applied} and {!received} are empty, {!local_write} and
+    Such a replica allocates nothing per writer and no causal delivery
+    queue: [n] and [groups] are ignored, {!applied} and {!received} are
+    empty, {!causal_read} reads the PRAM view, {!local_write} and
     {!local_dec} raise [Invalid_argument], and per-writer counts live,
     sparse, in the subscribed shards ({!stream_received}). *)
 

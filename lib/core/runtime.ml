@@ -5,14 +5,18 @@ module Recorder = Mc_history.Recorder
 module Metrics = Mc_obs.Metrics
 module Trace = Mc_obs.Trace
 
+(* FIFO queues of resolvers: several fibers of one process (the model
+   allows multi-threaded processes, Section 3) may have requests in
+   flight on the same lock object *)
+type lock_waiters = {
+  grant_waiters : (Op.lock_name, (Protocol.msg -> unit) Queue.t) Hashtbl.t;
+  ack_waiters : (Op.lock_name, (int -> unit) Queue.t) Hashtbl.t;
+}
+
 (* Client-side state of one node, beyond the replica itself. *)
 type node = {
   replica : Replica.t;
-  (* FIFO queues of resolvers: several fibers of one process (the model
-     allows multi-threaded processes, Section 3) may have requests in
-     flight on the same lock object *)
-  grant_waiters : (Op.lock_name, (Protocol.msg -> unit) Queue.t) Hashtbl.t;
-  ack_waiters : (Op.lock_name, (int -> unit) Queue.t) Hashtbl.t;
+  mutable locks : lock_waiters option; (* created by the node's first lock *)
   mutable flush_waiter : (int ref * (unit -> unit)) option;
       (* remaining acks, resume *)
   released : (int list * int, Protocol.barrier_clock) Hashtbl.t;
@@ -27,9 +31,9 @@ type node = {
     (Op.lock_name * (Op.location, int * int * int) Hashtbl.t) list;
       (* loc -> (write_seq, numeric, tag) written under each
          currently-held write lock: locations feed demand-mode
-         invalidations, values feed entry-mode grants. The sequence
-         number orders the extracted write-set most-recent-first at
-         release time *)
+         invalidations, values feed entry-mode grants, so no other mode
+         keeps them. The sequence number orders the extracted write-set
+         most-recent-first at release time *)
   mutable write_seq : int;
   (* outgoing update batching (full replication only): updates buffered
      since the last flush, newest first *)
@@ -114,7 +118,7 @@ type t = {
   cfg : Config.t;
   net : Protocol.msg Network.t;
   nodes : node array;
-  lock_managers : Lock_manager.t array;
+  lock_managers : Lock_manager.t array; (* empty under placement: no locks *)
   barrier_managers : Barrier_manager.t array; (* one combiner per node *)
   barrier_fanout : int;
   barrier_trees : (int list, Mc_placement.Placement.Tree.t) Hashtbl.t;
@@ -197,6 +201,14 @@ let send t ~src ~dst ?(control = true) msg =
   in
   Network.send t.net ~src ~dst ~bytes ~kind:(Protocol.kind msg) msg
 
+let lock_waiters node =
+  match node.locks with
+  | Some w -> w
+  | None ->
+    let w = { grant_waiters = Hashtbl.create 4; ack_waiters = Hashtbl.create 4 } in
+    node.locks <- Some w;
+    w
+
 let handle_message t node_id ~src msg =
   let node = t.nodes.(node_id) in
   match msg with
@@ -204,13 +216,15 @@ let handle_message t node_id ~src msg =
   | Protocol.Update_batch b ->
     Replica.receive_many node.replica (Protocol.decode_batch b)
   | Protocol.Lock_request _ | Protocol.Unlock_msg _ ->
+    if Array.length t.lock_managers = 0 then
+      invalid_arg "Runtime: lock message under sharded placement";
     Lock_manager.handle t.lock_managers.(node_id) ~src msg
   | Protocol.Lock_grant { lock; _ } -> (
-    match Hashtbl.find_opt node.grant_waiters lock with
+    match Hashtbl.find_opt (lock_waiters node).grant_waiters lock with
     | Some q when not (Queue.is_empty q) -> (Queue.pop q) msg
     | Some _ | None -> invalid_arg "Runtime: unexpected lock grant")
   | Protocol.Unlock_ack { lock; seq } -> (
-    match Hashtbl.find_opt node.ack_waiters lock with
+    match Hashtbl.find_opt (lock_waiters node).ack_waiters lock with
     | Some q when not (Queue.is_empty q) -> (Queue.pop q) seq
     | Some _ | None -> invalid_arg "Runtime: unexpected unlock ack")
   | Protocol.Flush_request { proc } ->
@@ -442,8 +456,7 @@ let create engine ?latency cfg =
                       PRAM view on receipt, per-shard causal views on top *)
                    Replica.create engine ~id ~n ~groups:cfg.Config.groups
                      ~causal_delivery:(cfg.Config.placement = None) ();
-                 grant_waiters = Hashtbl.create 4;
-                 ack_waiters = Hashtbl.create 4;
+                 locks = None;
                  flush_waiter = None;
                  released = Hashtbl.create 8;
                  barrier_episode = 0;
@@ -457,10 +470,12 @@ let create engine ?latency cfg =
                  fetch_waiters = Hashtbl.create 4;
                });
          lock_managers =
-           Array.init n (fun home ->
-               Lock_manager.create ~n
-                 ~demand:(cfg.Config.propagation = Config.Demand)
-                 ~send:(send_from home));
+           (if cfg.Config.placement = None then
+              Array.init n (fun home ->
+                  Lock_manager.create ~n
+                    ~demand:(cfg.Config.propagation = Config.Demand)
+                    ~send:(send_from home))
+            else [||]);
          barrier_managers =
            Array.init n (fun node ->
                Barrier_manager.create ~node
@@ -707,6 +722,11 @@ let timed p h f =
 
 let charge p = Engine.delay p.rt.engine Cost.op_cost
 
+(* Trace arguments and [Op] kinds are built only under [tracing] and
+   [recording], so an unobserved operation allocates neither. *)
+let tracing p = p.rt.tracer <> None
+let recording p = p.rt.recorder <> None
+
 (* One Complete span per recorded operation: emitted at exactly the
    call sites that feed the recorder, so a trace's span count equals the
    recorded history's length. [compute] records nothing and traces
@@ -723,9 +743,15 @@ let trace_instant p ?(args = []) name =
     Trace.instant tr ~cat:"sync" ~tid:p.id ~ts:(Engine.now p.rt.engine) ~args name
   | None -> ()
 
-let record p kind = Option.map (fun r -> Recorder.record r ~proc:p.id kind) p.rt.recorder
+let record p kind =
+  match p.rt.recorder with
+  | Some r -> ignore (Recorder.record r ~proc:p.id kind)
+  | None -> ()
 
-let record_start p = Option.map (fun r -> Recorder.start r ~proc:p.id) p.rt.recorder
+let record_start p =
+  match p.rt.recorder with
+  | Some r -> Some (Recorder.start r ~proc:p.id)
+  | None -> None
 
 let record_finish p token ?sync_seq kind =
   match p.rt.recorder, token with
@@ -822,8 +848,7 @@ let fetch_read p pl ~label ~shard loc =
     Mc_consistency.Online.note_fetch c ~proc:p.id ~loc ~admissible
       ~zero_ok:(admissible = [])
   | None -> ());
-  ignore
-    (record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag }));
+  if recording p then record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag });
   numeric
 
 let read p ?(label = Op.Causal) loc =
@@ -836,59 +861,61 @@ let read p ?(label = Op.Causal) loc =
     Metrics.Histogram.observe e.h_staleness
       (float_of_int (Replica.pending_count node.replica))
   | None -> ());
-  timed p p.rt.hot.h_read (fun () ->
-      (* demand mode: reads of invalidated locations block until the
-         pending updates are applied *)
-      Replica.wait_until node.replica ~hint:(Replica.Loc loc) (fun () ->
-          not (Replica.location_blocked node.replica loc));
-      match p.rt.cfg.Config.placement with
-      | Some pl -> (
-        (match label with
-        | Op.Group _ ->
-          invalid_arg
-            "Runtime.read: group reads are unavailable under sharded placement"
-        | Op.Causal | Op.PRAM -> ());
-        let shard = Mc_placement.Placement.shard_of_loc pl loc in
-        if Replica.shard_subscribed node.replica ~shard then begin
-          (match p.rt.shard_obs with
-          | Some so ->
-            Metrics.Histogram.observe
-              (shard_hist p.rt so.so_staleness ~name:"mc_shard_staleness_updates"
-                 ~help:"shard updates parked on a gap at read time" shard)
-              (float_of_int (Replica.shard_pending_len node.replica ~shard))
-          | None -> ());
-          let numeric, tag =
-            match label with
-            | Op.Causal -> Replica.shard_read node.replica ~shard loc
-            | Op.PRAM | Op.Group _ -> Replica.pram_read node.replica loc
-          in
-          ignore
-            (record p
-               (Op.Read { loc; label; value = recorded_value ~numeric ~tag }));
-          trace_span p ~t0 ~args:[ ("loc", loc) ] "read";
-          numeric
-        end
-        else begin
-          let numeric = fetch_read p pl ~label ~shard loc in
-          trace_span p ~t0 ~args:[ ("loc", loc) ] "fetched_read";
-          numeric
-        end)
-      | None ->
+  (* demand mode: reads of invalidated locations block until the
+     pending updates are applied *)
+  if Replica.location_blocked node.replica loc then
+    Replica.wait_until node.replica ~hint:(Replica.Loc loc) (fun () ->
+        not (Replica.location_blocked node.replica loc));
+  let numeric =
+    match p.rt.cfg.Config.placement with
+    | Some pl -> (
+      (match label with
+      | Op.Group _ ->
+        invalid_arg
+          "Runtime.read: group reads are unavailable under sharded placement"
+      | Op.Causal | Op.PRAM -> ());
+      let shard = Mc_placement.Placement.shard_of_loc pl loc in
+      if Replica.shard_subscribed node.replica ~shard then begin
+        (match p.rt.shard_obs with
+        | Some so ->
+          Metrics.Histogram.observe
+            (shard_hist p.rt so.so_staleness ~name:"mc_shard_staleness_updates"
+               ~help:"shard updates parked on a gap at read time" shard)
+            (float_of_int (Replica.shard_pending_len node.replica ~shard))
+        | None -> ());
         let numeric, tag =
           match label with
-          | Op.Causal -> Replica.causal_read node.replica loc
-          | Op.PRAM -> Replica.pram_read node.replica loc
-          | Op.Group group ->
-            if not (List.mem p.id group) then
-              invalid_arg
-                "Runtime.read: process is not a member of the read group";
-            Replica.group_read node.replica ~group loc
+          | Op.Causal -> Replica.shard_read node.replica ~shard loc
+          | Op.PRAM | Op.Group _ -> Replica.pram_read node.replica loc
         in
-        ignore
-          (record p
-             (Op.Read { loc; label; value = recorded_value ~numeric ~tag }));
-        trace_span p ~t0 ~args:[ ("loc", loc) ] "read";
-        numeric)
+        if recording p then
+          record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag });
+        if tracing p then trace_span p ~t0 ~args:[ ("loc", loc) ] "read";
+        numeric
+      end
+      else begin
+        let numeric = fetch_read p pl ~label ~shard loc in
+        if tracing p then trace_span p ~t0 ~args:[ ("loc", loc) ] "fetched_read";
+        numeric
+      end)
+    | None ->
+      let numeric, tag =
+        match label with
+        | Op.Causal -> Replica.causal_read node.replica loc
+        | Op.PRAM -> Replica.pram_read node.replica loc
+        | Op.Group group ->
+          if not (List.mem p.id group) then
+            invalid_arg
+              "Runtime.read: process is not a member of the read group";
+          Replica.group_read node.replica ~group loc
+      in
+      if recording p then
+        record p (Op.Read { loc; label; value = recorded_value ~numeric ~tag });
+      if tracing p then trace_span p ~t0 ~args:[ ("loc", loc) ] "read";
+      numeric
+  in
+  Metrics.Histogram.observe p.rt.hot.h_read (Engine.now p.rt.engine -. t0);
+  numeric
 
 (* flush the buffered outbox: a single update goes out as a plain
    [Update] (same wire cost as the unbatched path), a longer run as one
@@ -1013,10 +1040,10 @@ let write p loc v =
   Metrics.Counter.incr p.rt.hot.c_write;
   charge p;
   let node = p.rt.nodes.(p.id) in
-  let t0 = Engine.now p.rt.engine in
   let tag = fresh_tag p in
-  ignore (record p (Op.Write { loc; value = tag }));
-  trace_span p ~t0 ~args:[ ("loc", loc) ] "write";
+  if recording p then record p (Op.Write { loc; value = tag });
+  if tracing p then
+    trace_span p ~t0:(Engine.now p.rt.engine) ~args:[ ("loc", loc) ] "write";
   match p.rt.cfg.Config.placement with
   | Some pl ->
     (* write discipline: only subscribers of a shard may write it
@@ -1046,10 +1073,10 @@ let init_counter p loc v =
   Metrics.Counter.incr p.rt.hot.c_init_counter;
   charge p;
   let node = p.rt.nodes.(p.id) in
-  let t0 = Engine.now p.rt.engine in
   mark_counter_loc p.rt loc;
-  ignore (record p (Op.Write { loc; value = v }));
-  trace_span p ~t0 ~args:[ ("loc", loc) ] "init_counter";
+  if recording p then record p (Op.Write { loc; value = v });
+  if tracing p then
+    trace_span p ~t0:(Engine.now p.rt.engine) ~args:[ ("loc", loc) ] "init_counter";
   (* tag 0 marks the location as numerically recorded *)
   match p.rt.cfg.Config.placement with
   | Some pl ->
@@ -1078,23 +1105,23 @@ let decrement p loc ~amount =
   | Some pl ->
     let shard = Mc_placement.Placement.shard_of_loc pl loc in
     let su, observed = Replica.shard_dec node.replica ~shard ~loc ~amount in
-    ignore (record p (Op.Decrement { loc; amount; observed }));
+    if recording p then record p (Op.Decrement { loc; amount; observed });
     shard_route p pl su
   | None ->
     if in_entry_section p then begin
       let observed, _ = Replica.causal_read node.replica loc in
-      ignore (record p (Op.Decrement { loc; amount; observed }));
+      if recording p then record p (Op.Decrement { loc; amount; observed });
       Replica.install_direct node.replica ~loc ~numeric:(observed - amount)
         ~tag:0;
       track_write_set p loc ~numeric:(observed - amount) ~tag:0
     end
     else begin
       let u, observed = Replica.local_dec node.replica ~loc ~amount in
-      ignore (record p (Op.Decrement { loc; amount; observed }));
+      if recording p then record p (Op.Decrement { loc; amount; observed });
       track_write_set p loc ~numeric:(observed - amount) ~tag:0;
       broadcast_update p u
     end);
-  trace_span p ~t0 ~args:[ ("loc", loc) ] "decrement"
+  if tracing p then trace_span p ~t0 ~args:[ ("loc", loc) ] "decrement"
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -1120,11 +1147,12 @@ let acquire p lock ~write =
       let grant =
         Engine.suspend p.rt.engine (fun resume ->
             let q =
-              match Hashtbl.find_opt node.grant_waiters lock with
+              let waiters = (lock_waiters node).grant_waiters in
+              match Hashtbl.find_opt waiters lock with
               | Some q -> q
               | None ->
                 let q = Queue.create () in
-                Hashtbl.add node.grant_waiters lock q;
+                Hashtbl.add waiters lock q;
                 q
             in
             Queue.push resume q)
@@ -1147,17 +1175,18 @@ let acquire p lock ~write =
             (fun (loc, numeric, tag) ->
               Replica.install_direct node.replica ~loc ~numeric ~tag)
             values);
-        if write then
-          node.open_write_sets <-
-            (lock, Hashtbl.create 8) :: node.open_write_sets;
-        record_finish p token ~sync_seq:seq
-          (if write then Op.Write_lock lock else Op.Read_lock lock);
-        trace_instant p
-          ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
-          "sync_epoch";
-        trace_span p ~t0
-          ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
-          (if write then "write_lock" else "read_lock")
+        (match p.rt.cfg.Config.propagation with
+        | (Config.Demand | Config.Entry) when write ->
+          node.open_write_sets <- (lock, Hashtbl.create 8) :: node.open_write_sets
+        | _ -> ());
+        if recording p then
+          record_finish p token ~sync_seq:seq
+            (if write then Op.Write_lock lock else Op.Read_lock lock);
+        if tracing p then begin
+          let args = [ ("lock", lock); ("seq", string_of_int seq) ] in
+          trace_instant p ~args "sync_epoch";
+          trace_span p ~t0 ~args (if write then "write_lock" else "read_lock")
+        end
       | _ -> assert false)
 
 let release p lock ~write =
@@ -1215,20 +1244,23 @@ let release p lock ~write =
       let seq =
         Engine.suspend p.rt.engine (fun resume ->
             let q =
-              match Hashtbl.find_opt node.ack_waiters lock with
+              let waiters = (lock_waiters node).ack_waiters in
+              match Hashtbl.find_opt waiters lock with
               | Some q -> q
               | None ->
                 let q = Queue.create () in
-                Hashtbl.add node.ack_waiters lock q;
+                Hashtbl.add waiters lock q;
                 q
             in
             Queue.push resume q)
       in
-      record_finish p token ~sync_seq:seq
-        (if write then Op.Write_unlock lock else Op.Read_unlock lock);
-      trace_span p ~t0
-        ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
-        (if write then "write_unlock" else "read_unlock"));
+      if recording p then
+        record_finish p token ~sync_seq:seq
+          (if write then Op.Write_unlock lock else Op.Read_unlock lock);
+      if tracing p then
+        trace_span p ~t0
+          ~args:[ ("lock", lock); ("seq", string_of_int seq) ]
+          (if write then "write_unlock" else "read_unlock"));
   stability_sweep p.rt
 
 let write_lock p lock = acquire p lock ~write:true
@@ -1240,7 +1272,7 @@ let read_unlock p lock = release p lock ~write:false
 (* Barrier and await                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let barrier_generic p ~members ~episode ~kind =
+let barrier_generic p ~members ~episode =
   (* the arrival's clock includes buffered updates *)
   flush_outbox p.rt p.id;
   let node = p.rt.nodes.(p.id) in
@@ -1270,16 +1302,21 @@ let barrier_generic p ~members ~episode ~kind =
       | Some (Protocol.Counts entries) -> node.barrier_expect <- entries
       | _ -> ());
       Hashtbl.remove node.released (members, episode);
-      record_finish p token kind;
-      let args = [ ("episode", string_of_int episode) ] in
-      let args =
-        if members = [] then args
-        else
-          ("members", String.concat "," (List.map string_of_int members)) :: args
-      in
-      trace_instant p ~args "sync_epoch";
-      trace_span p ~t0 ~args
-        (if members = [] then "barrier" else "barrier_subset"));
+      if recording p then
+        record_finish p token
+          (if members = [] then Op.Barrier episode
+           else Op.Barrier_group { episode; members });
+      if tracing p then begin
+        let args = [ ("episode", string_of_int episode) ] in
+        let args =
+          if members = [] then args
+          else
+            ("members", String.concat "," (List.map string_of_int members)) :: args
+        in
+        trace_instant p ~args "sync_epoch";
+        trace_span p ~t0 ~args
+          (if members = [] then "barrier" else "barrier_subset")
+      end);
   stability_sweep p.rt
 
 let barrier p =
@@ -1288,7 +1325,7 @@ let barrier p =
   let node = p.rt.nodes.(p.id) in
   let episode = node.barrier_episode in
   node.barrier_episode <- episode + 1;
-  barrier_generic p ~members:[] ~episode ~kind:(Op.Barrier episode)
+  barrier_generic p ~members:[] ~episode
 
 let barrier_subset p members =
   Metrics.Counter.incr p.rt.hot.c_barrier_subset;
@@ -1315,7 +1352,6 @@ let barrier_subset p members =
   let episode = !counter in
   incr counter;
   barrier_generic p ~members ~episode
-    ~kind:(Op.Barrier_group { episode; members })
 
 let await p loc v =
   Metrics.Counter.incr p.rt.hot.c_await;
@@ -1344,10 +1380,11 @@ let await p loc v =
   timed p p.rt.hot.h_await (fun () ->
       Replica.wait_until node.replica ~hint:(Replica.Loc loc) (fun () ->
           fst (view loc) = v);
-      let numeric, tag = view loc in
-      record_finish p token
-        (Op.Await { loc; value = recorded_value ~numeric ~tag });
-      trace_span p ~t0 ~args:[ ("loc", loc) ] "await")
+      if recording p then begin
+        let numeric, tag = view loc in
+        record_finish p token (Op.Await { loc; value = recorded_value ~numeric ~tag })
+      end;
+      if tracing p then trace_span p ~t0 ~args:[ ("loc", loc) ] "await")
 
 let compute p cost =
   Metrics.Counter.incr p.rt.hot.c_compute;

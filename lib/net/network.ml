@@ -1,7 +1,10 @@
 module Engine = Mc_sim.Engine
 
+(* an all-float record is stored flat: the clamp is updated unboxed *)
+type clamp = { mutable last_delivery : float (* clamp deliveries to preserve FIFO *) }
+
 type 'msg link = {
-  mutable last_delivery : float; (* clamp deliveries to preserve FIFO *)
+  clamp : clamp;
   mutable paused : bool;
   mutable held : (int * string * 'msg) list; (* reversed: (bytes, kind, msg) *)
 }
@@ -20,7 +23,13 @@ type obs = {
   c_msgs : Mc_obs.Metrics.Counter.t;
   c_bytes : Mc_obs.Metrics.Counter.t;
   h_latency : Mc_obs.Metrics.Histogram.t;
-  kind_counters : (string, Mc_obs.Metrics.Counter.t) Hashtbl.t;
+}
+
+(* a message kind's counters, resolved once per kind *)
+type kind = {
+  name : string;
+  count : int ref; (* the cell behind [name] in [kinds] *)
+  mutable metric : Mc_obs.Metrics.Counter.t option; (* once observed *)
 }
 
 type 'msg observer =
@@ -39,6 +48,7 @@ type 'msg t = {
   mutable messages : int;
   mutable bytes : int;
   kinds : Mc_util.Stats.Counters.t;
+  mutable kind_cache : kind list;
   mutable latencies : Mc_util.Stats.Summary.t;
   mutable obs : obs option;
   mutable observer : 'msg observer option;
@@ -60,6 +70,7 @@ let create engine ~nodes ~latency ?(send_cost = 0.) ?(byte_cost = 0.) () =
     messages = 0;
     bytes = 0;
     kinds = Mc_util.Stats.Counters.create ();
+    kind_cache = [];
     latencies = Mc_util.Stats.Summary.create ();
     obs = None;
     observer = None;
@@ -67,6 +78,7 @@ let create engine ~nodes ~latency ?(send_cost = 0.) ?(byte_cost = 0.) () =
 
 let attach_metrics t reg =
   let module M = Mc_obs.Metrics in
+  List.iter (fun k -> k.metric <- None) t.kind_cache;
   t.obs <-
     Some
       {
@@ -77,7 +89,6 @@ let attach_metrics t reg =
         h_latency =
           M.Registry.histogram reg ~help:"end-to-end message latency (us)"
             "mc_net_latency_us";
-        kind_counters = Hashtbl.create 8;
       }
 
 let set_observer t f = t.observer <- Some f
@@ -98,7 +109,7 @@ let link t ~src ~dst =
   match Links.find t.links key with
   | l -> l
   | exception Not_found ->
-    let l = { last_delivery = 0.; paused = false; held = [] } in
+    let l = { clamp = { last_delivery = 0. }; paused = false; held = [] } in
     Links.add t.links key l;
     l
 
@@ -108,21 +119,48 @@ let deliver t ~src ~dst msg =
   | None ->
     invalid_arg (Printf.sprintf "Network: node %d has no handler installed" dst)
 
+(* Kinds are nearly always string literals, so a physical-equality scan
+   of the few seen so far finds the kind without hashing it; a kind
+   built afresh for each message falls back to comparing contents. *)
+let rec same_kind name = function
+  | k :: rest -> if k.name == name then k else same_kind name rest
+  | [] -> raise Not_found
+
+let rec equal_kind name = function
+  | k :: rest -> if String.equal k.name name then k else equal_kind name rest
+  | [] -> raise Not_found
+
+let kind_of t name =
+  match same_kind name t.kind_cache with
+  | k -> k
+  | exception Not_found -> (
+    match equal_kind name t.kind_cache with
+    | k -> k
+    | exception Not_found ->
+      let k = { name; count = Mc_util.Stats.Counters.counter t.kinds name; metric = None } in
+      t.kind_cache <- k :: t.kind_cache;
+      k)
+
+(* the later of two times: [Float.max] without its NaN and signed-zero
+   cases, which sim times never take *)
+let[@inline] later (a : float) b = if b > a then b else a
+
 let transmit t link ~src ~dst ~bytes ~kind msg =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
-  Mc_util.Stats.Counters.incr t.kinds kind;
+  let k = kind_of t kind in
+  incr k.count;
   let now = Engine.now t.engine in
   (* sender occupancy: consecutive sends from one node serialize *)
-  let depart = Float.max now t.send_free.(src) +. t.send_cost in
+  let depart = later now t.send_free.(src) +. t.send_cost in
   t.send_free.(src) <- depart;
   let lat =
     Latency.sample t.latency ~src ~dst +. (float_of_int bytes *. t.byte_cost)
   in
   Mc_util.Stats.Summary.add t.latencies lat;
   (* FIFO per channel: never deliver before a previously-sent message. *)
-  let at = Float.max (depart +. lat) link.last_delivery in
-  link.last_delivery <- at;
+  let at = later (depart +. lat) link.clamp.last_delivery in
+  link.clamp.last_delivery <- at;
   (match t.obs with
   | Some o ->
     let module M = Mc_obs.Metrics in
@@ -130,14 +168,14 @@ let transmit t link ~src ~dst ~bytes ~kind msg =
     M.Counter.add o.c_bytes bytes;
     M.Histogram.observe o.h_latency (at -. depart);
     let kc =
-      match Hashtbl.find_opt o.kind_counters kind with
+      match k.metric with
       | Some c -> c
       | None ->
         let c =
           M.Registry.counter o.reg ~help:"messages transmitted by kind"
             ~labels:[ ("kind", kind) ] "mc_net_messages_total"
         in
-        Hashtbl.add o.kind_counters kind c;
+        k.metric <- Some c;
         c
     in
     M.Counter.incr kc

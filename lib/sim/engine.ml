@@ -8,31 +8,69 @@ type obs = {
   g_queue : Mc_obs.Metrics.Gauge.t;
 }
 
+(* what an event does when it fires *)
+type action =
+  | Idle (* an empty slot of [acts] or [due] *)
+  | Call of (unit -> unit)
+  | Resume : ('a, unit) Effect.Deep.continuation * 'a -> action
+  | Timer of (unit, unit) Effect.Deep.continuation
+      (* a fiber's delay ran out: it resumes at delay 0 *)
+
+(* One per spawned fiber. [pending] is the number of its suspension
+   still waiting for a resume, 0 while it runs or sleeps: the deadlock
+   message names the fibers with one, and a resume whose number is no
+   longer pending is a second resume. *)
+type fiber = { name : string; mutable suspensions : int; mutable pending : int }
+
+(* An all-float record is stored flat, so neither field is ever boxed.
+   [at] carries an event's time into [push]. *)
+type clock = { mutable now : float; mutable at : float }
+
+(* The event queue is a binary heap over (time, seq) kept in parallel
+   arrays; [seq] numbers events in scheduling order, so events at equal
+   times fire FIFO. An entry's action stays in its slot of [acts] while
+   the entry moves, so sifting moves only unboxed floats and ints.
+   Events due at the current time skip the heap (see [push]). *)
 type t = {
-  queue : (unit -> unit) Mc_util.Pqueue.t;
-  mutable now : float;
+  clock : clock;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable slots : int array;
+      (* a permutation of [acts]' slots: the first [size] are the
+         entries', in heap order; the rest are free *)
+  mutable acts : action array;
+  mutable size : int;
+  mutable next_seq : int;
+  mutable due : action array; (* a ring of events due now, oldest at [due_head] *)
+  mutable due_head : int;
+  mutable due_len : int;
   mutable live : int;
   mutable events : int;
   mutable failure : (exn * Printexc.raw_backtrace) option;
-  blocked : (int, string) Hashtbl.t; (* fiber id -> name, for diagnostics *)
-  mutable next_fiber_id : int;
+  mutable fibers : fiber list;
   mutable obs : obs option;
 }
 
-(* The currently-running fiber's id, used only for deadlock diagnostics. *)
-let current_fiber : int option ref = ref None
-
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t +=
+  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Sleep : unit Effect.t (* for [clock.at - now] *)
 
 let create () =
   {
-    queue = Mc_util.Pqueue.create ();
-    now = 0.;
+    clock = { now = 0.; at = 0. };
+    times = [||];
+    seqs = [||];
+    slots = [||];
+    acts = [||];
+    size = 0;
+    next_seq = 0;
+    due = [||];
+    due_head = 0;
+    due_len = 0;
     live = 0;
     events = 0;
     failure = None;
-    blocked = Hashtbl.create 16;
-    next_fiber_id = 0;
+    fibers = [];
     obs = None;
   }
 
@@ -53,15 +91,161 @@ let attach_metrics t reg =
             "mc_engine_queue_depth";
       }
 
-let now t = t.now
+let now t = t.clock.now
 let events_processed t = t.events
+
+(* ------------------------------------------------------------------ *)
+(* Event heap                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let grow t =
+  let size = t.size in
+  let cap = max 16 (2 * size) in
+  let times = Array.make cap 0. and seqs = Array.make cap 0 in
+  let slots = Array.init cap Fun.id and acts = Array.make cap Idle in
+  Array.blit t.times 0 times 0 size;
+  Array.blit t.seqs 0 seqs 0 size;
+  Array.blit t.slots 0 slots 0 size;
+  Array.blit t.acts 0 acts 0 size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.slots <- slots;
+  t.acts <- acts
+
+(* add [act] at time [t.clock.at]. Its seq is the largest yet, so it
+   rises past exactly the entries with a later time: parents move down
+   into the hole until its place is found. It takes the first free
+   slot *)
+let heap_push t act =
+  if t.size = Array.length t.acts then grow t;
+  let time = t.clock.at and times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(t.size) in
+  t.acts.(slot) <- act;
+  let i = ref t.size in
+  while !i > 0 && time < times.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    times.(!i) <- times.(parent);
+    seqs.(!i) <- seqs.(parent);
+    slots.(!i) <- slots.(parent);
+    i := parent
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- t.next_seq;
+  slots.(!i) <- slot;
+  t.next_seq <- t.next_seq + 1;
+  t.size <- t.size + 1
+
+(* remove the earliest event, advance the clock to its time and return
+   its action. The last entry refills the root's hole from above: the
+   earlier child moves up until the entry fits. The event's slot is
+   cleared, so the heap keeps no dead continuation or closure alive,
+   and freed *)
+let heap_pop t =
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(0) in
+  let act = t.acts.(slot) in
+  t.acts.(slot) <- Idle;
+  t.clock.now <- times.(0);
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let time = times.(n) and seq = seqs.(n) and last = slots.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        if times.(c) < time || (times.(c) = time && seqs.(c) < seq) then begin
+          times.(!i) <- times.(c);
+          seqs.(!i) <- seqs.(c);
+          slots.(!i) <- slots.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    slots.(!i) <- last
+  end;
+  slots.(n) <- slot;
+  act
+
+(* [due]'s capacity is a power of two *)
+let due_push t act =
+  let cap = Array.length t.due in
+  if t.due_len = cap then begin
+    let due = Array.make (max 16 (2 * cap)) Idle in
+    for k = 0 to cap - 1 do
+      due.(k) <- t.due.((t.due_head + k) land (cap - 1))
+    done;
+    t.due <- due;
+    t.due_head <- 0
+  end;
+  t.due.((t.due_head + t.due_len) land (Array.length t.due - 1)) <- act;
+  t.due_len <- t.due_len + 1
+
+let due_pop t =
+  let act = t.due.(t.due_head) in
+  t.due.(t.due_head) <- Idle;
+  t.due_head <- (t.due_head + 1) land (Array.length t.due - 1);
+  t.due_len <- t.due_len - 1;
+  act
+
+(* An event due at the current time (a resume, a zero delay) goes to
+   [due] in O(1). A heap entry due now was scheduled before the clock got
+   here, so before every event in [due], and an event scheduled later
+   due now goes to [due] too: (time, seq) order is the heap's entries due
+   now, then [due] in order, then the rest of the heap. [pop] takes
+   events in that order *)
+let push t act = if t.clock.at = t.clock.now then due_push t act else heap_push t act
+
+let pop t =
+  if t.due_len > 0 && not (t.size > 0 && t.times.(0) = t.clock.now) then due_pop t
+  else heap_pop t
+
+let pending t = t.size + t.due_len
 
 let schedule t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  Mc_util.Pqueue.add t.queue ~priority:(t.now +. delay) f
+  t.clock.at <- t.clock.now +. delay;
+  push t (Call f)
 
-let handler t fiber_id name =
+(* ------------------------------------------------------------------ *)
+(* Fibers                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let count_suspend t =
+  match t.obs with
+  | Some o -> Mc_obs.Metrics.Counter.incr o.c_suspends
+  | None -> ()
+
+let suspend_fiber t fiber k setup =
+  count_suspend t;
+  let n = fiber.suspensions + 1 in
+  fiber.suspensions <- n;
+  fiber.pending <- n;
+  setup (fun v ->
+      if fiber.pending <> n then invalid_arg "Engine: fiber resumed twice";
+      fiber.pending <- 0;
+      t.clock.at <- t.clock.now;
+      push t (Resume (k, v)))
+
+let handler t fiber =
   let open Effect.Deep in
+  (* allocated once per fiber: a delay allocates only its two events *)
+  let on_sleep =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        count_suspend t;
+        push t (Timer k))
+  in
   {
     retc = (fun () -> t.live <- t.live - 1);
     exnc =
@@ -70,51 +254,35 @@ let handler t fiber_id name =
         if t.failure = None then
           t.failure <- Some (exn, Printexc.get_raw_backtrace ()));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
-        | Suspend setup ->
-          Some
-            (fun (k : (a, _) continuation) ->
-              (match t.obs with
-              | Some o -> Mc_obs.Metrics.Counter.incr o.c_suspends
-              | None -> ());
-              Hashtbl.replace t.blocked fiber_id name;
-              let resumed = ref false in
-              let resume v =
-                if !resumed then
-                  invalid_arg "Engine: fiber resumed twice"
-                else begin
-                  resumed := true;
-                  Hashtbl.remove t.blocked fiber_id;
-                  schedule t ~delay:0. (fun () ->
-                      let saved = !current_fiber in
-                      current_fiber := Some fiber_id;
-                      continue k v;
-                      current_fiber := saved)
-                end
-              in
-              setup resume)
+        | Sleep -> on_sleep
+        | Suspend setup -> Some (fun k -> suspend_fiber t fiber k setup)
         | _ -> None);
   }
 
 let spawn t ?(name = "fiber") f =
-  let fiber_id = t.next_fiber_id in
-  t.next_fiber_id <- fiber_id + 1;
+  let fiber = { name; suspensions = 0; pending = 0 } in
+  t.fibers <- fiber :: t.fibers;
   t.live <- t.live + 1;
   (match t.obs with
   | Some o -> Mc_obs.Metrics.Counter.incr o.c_spawns
   | None -> ());
-  schedule t ~delay:0. (fun () ->
-      let saved = !current_fiber in
-      current_fiber := Some fiber_id;
-      Effect.Deep.match_with f () (handler t fiber_id name);
-      current_fiber := saved)
+  schedule t ~delay:0. (fun () -> Effect.Deep.match_with f () (handler t fiber))
 
 let suspend _t setup = Effect.perform (Suspend setup)
 
+(* Two events, as for any suspension: the timer, then the resume at
+   delay 0. Resuming straight from the timer would run the fiber ahead
+   of the events scheduled for the same time between the two. *)
 let delay t d =
   if d < 0. then invalid_arg "Engine.delay: negative delay";
-  suspend t (fun resume -> schedule t ~delay:d (fun () -> resume ()))
+  t.clock.at <- t.clock.now +. d;
+  Effect.perform Sleep
+
+(* ------------------------------------------------------------------ *)
+(* Running                                                             *)
+(* ------------------------------------------------------------------ *)
 
 let check_failure t =
   match t.failure with
@@ -124,59 +292,39 @@ let check_failure t =
   | None -> ()
 
 let step t =
-  let time, action = Mc_util.Pqueue.pop_min t.queue in
-  t.now <- time;
+  let act = pop t in
   t.events <- t.events + 1;
   (match t.obs with
   | Some o ->
     Mc_obs.Metrics.Counter.incr o.c_events;
-    Mc_obs.Metrics.Gauge.set o.g_queue (float_of_int (Mc_util.Pqueue.length t.queue))
+    Mc_obs.Metrics.Gauge.set o.g_queue (float_of_int (pending t))
   | None -> ());
-  action ();
+  (match act with
+  | Call f -> f ()
+  | Resume (k, v) -> Effect.Deep.continue k v
+  | Timer k ->
+    t.clock.at <- t.clock.now;
+    push t (Resume (k, ()))
+  | Idle -> ());
   check_failure t
 
 let run t =
-  while not (Mc_util.Pqueue.is_empty t.queue) do
+  while pending t > 0 do
     step t
   done;
   if t.live > 0 then begin
     let names =
-      Hashtbl.fold (fun _ name acc -> name :: acc) t.blocked []
+      List.filter_map (fun f -> if f.pending <> 0 then Some f.name else None) t.fibers
       |> List.sort String.compare |> String.concat ", "
     in
     raise
       (Deadlock
-         (Printf.sprintf "%d fiber(s) blocked at t=%.3f: [%s]" t.live t.now names))
+         (Printf.sprintf "%d fiber(s) blocked at t=%.3f: [%s]" t.live t.clock.now names))
   end;
-  t.now
+  t.clock.now
 
 let run_until t ~limit =
-  let continue_run = ref true in
-  while !continue_run && not (Mc_util.Pqueue.is_empty t.queue) do
-    match Mc_util.Pqueue.peek_min t.queue with
-    | Some (time, _) when time > limit -> continue_run := false
-    | _ -> step t
+  while pending t > 0 && not ((if t.due_len > 0 then t.clock.now else t.times.(0)) > limit) do
+    step t
   done;
-  t.now
-
-module Cond = struct
-  type nonrec t = { mutable queue : (unit -> unit) list (* resumers, FIFO *) }
-
-  let create () = { queue = [] }
-  let waiters c = List.length c.queue
-
-  let wait engine c =
-    suspend engine (fun resume -> c.queue <- c.queue @ [ (fun () -> resume ()) ])
-
-  let signal _engine c =
-    match c.queue with
-    | [] -> ()
-    | resume :: rest ->
-      c.queue <- rest;
-      resume ()
-
-  let broadcast _engine c =
-    let resumers = c.queue in
-    c.queue <- [];
-    List.iter (fun resume -> resume ()) resumers
-end
+  t.clock.now

@@ -8,6 +8,14 @@
     suspends into the engine whenever it blocks on a simulated resource
     (message arrival, lock grant, barrier release, ...).
 
+    Every event sits at a (time, seq) position, [seq] being the order in
+    which events were scheduled, and events fire in that order. The
+    queue is a binary heap over those pairs held in flat arrays (times
+    unboxed), plus a FIFO ring for the events due at the current time,
+    so scheduling and firing an event allocates only its action. A fiber
+    carries one record for its whole life, which names it in the
+    deadlock message and rejects a second resume of one suspension.
+
     Typical use:
     {[
       let engine = Engine.create () in
@@ -40,7 +48,10 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [delay t d] suspends the calling fiber for [d] units of virtual time.
-    Must be called from within a fiber. *)
+    Must be called from within a fiber of [t]. It takes two events, like
+    any suspension: a timer at [now + d], then the fiber's resume at
+    delay 0, which fires after the events already scheduled for that
+    time. *)
 val delay : t -> float -> unit
 
 (** [suspend t setup] suspends the calling fiber. [setup] is called
@@ -69,24 +80,3 @@ val events_processed : t -> int
     [reg] and starts updating them. Until attached the engine records
     nothing beyond its own [events_processed] count. *)
 val attach_metrics : t -> Mc_obs.Metrics.Registry.t -> unit
-
-(** Condition variables for fibers: a wait/wake primitive used by locks,
-    barriers and awaits. *)
-module Cond : sig
-  type engine := t
-  type t
-
-  val create : unit -> t
-
-  (** [wait engine c] blocks the calling fiber until signalled. *)
-  val wait : engine -> t -> unit
-
-  (** [signal engine c] wakes the longest-waiting fiber, if any. *)
-  val signal : engine -> t -> unit
-
-  (** [broadcast engine c] wakes every waiting fiber. *)
-  val broadcast : engine -> t -> unit
-
-  (** [waiters c] is the number of fibers currently blocked. *)
-  val waiters : t -> int
-end

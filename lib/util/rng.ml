@@ -1,26 +1,35 @@
 (* SplitMix64 (Steele, Lea, Flood 2014). State is a single 64-bit counter
-   advanced by the golden-gamma; output is a finalizing mix of the state. *)
+   advanced by the golden-gamma; output is a finalizing mix of the state.
+   The state lives in 8 bytes read and written as an unboxed int64, so
+   drawing a number allocates nothing. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let make seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let make seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
+let[@inline] bits64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (mix64 (bits64 t))
+
+let copy t = Bytes.copy t
 
 let int t bound =
   assert (bound > 0);
@@ -34,7 +43,7 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (raw /. 9007199254740992.0 (* 2^53 *))
 

@@ -1,6 +1,8 @@
 module Summary = struct
+  (* all fields float, so the record is stored flat and [add] boxes
+     nothing; [count] is exact below 2^53 *)
   type t = {
-    mutable count : int;
+    mutable count : float;
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -9,29 +11,27 @@ module Summary = struct
   }
 
   let create () =
-    { count = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; total = 0. }
+    { count = 0.; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; total = 0. }
 
   let add t x =
-    t.count <- t.count + 1;
+    t.count <- t.count +. 1.;
     t.total <- t.total +. x;
     let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
+    t.mean <- t.mean +. (delta /. t.count);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let count t = t.count
-  let mean t = if t.count = 0 then 0. else t.mean
+  let count t = int_of_float t.count
+  let mean t = if t.count = 0. then 0. else t.mean
 
-  let stddev t =
-    if t.count < 2 then 0. else sqrt (t.m2 /. float_of_int (t.count - 1))
-
-  let min t = if t.count = 0 then 0. else t.min
-  let max t = if t.count = 0 then 0. else t.max
+  let stddev t = if t.count < 2. then 0. else sqrt (t.m2 /. (t.count -. 1.))
+  let min t = if t.count = 0. then 0. else t.min
+  let max t = if t.count = 0. then 0. else t.max
   let total t = t.total
 
   let pp fmt t =
-    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.count (mean t)
+    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" (count t) (mean t)
       (stddev t) (min t) (max t)
 end
 

@@ -640,7 +640,12 @@ let test_setup_allocation_linear () =
   let step f = f 1000 /. f 250 in
   let r = step runtime and n = step network in
   check (Printf.sprintf "Runtime.create: 4x processes, %.1fx words" r) true (r < 5.);
-  check (Printf.sprintf "Network.create: 4x nodes, %.1fx words" n) true (n < 5.)
+  check (Printf.sprintf "Network.create: 4x nodes, %.1fx words" n) true (n < 5.);
+  (* a placement replica creates no causal view, main delivery queue or
+     invalid table, and a node no lock manager or lock-waiter tables *)
+  let w = runtime 1000 in
+  check (Printf.sprintf "Runtime.create at 1,000 processes: %.0f words" w) true
+    (w <= 750_000.)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

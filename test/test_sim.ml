@@ -68,6 +68,40 @@ let contains_substring hay needle =
   let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
   scan 0
 
+(* an event due now fires after the events already scheduled for the
+   same time, and before those scheduled later for it *)
+let test_due_now_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  Engine.schedule e ~delay:1. (fun () ->
+      note "a" ();
+      Engine.schedule e ~delay:0. (note "due");
+      Engine.schedule e ~delay:0.5 (note "later"));
+  Engine.schedule e ~delay:1. (note "b");
+  Engine.spawn e (fun () ->
+      Engine.delay e 1.;
+      note "fiber" ());
+  ignore (Engine.run e);
+  Alcotest.(check (list string)) "(time, seq) order"
+    [ "a"; "b"; "due"; "fiber"; "later" ]
+    (List.rev !log)
+
+let test_resumed_twice () =
+  let e = Engine.create () in
+  let resumer = ref None in
+  Engine.spawn e (fun () ->
+      Engine.suspend e (fun resume -> resumer := Some resume);
+      Engine.suspend e (fun _ -> ()));
+  Engine.schedule e ~delay:1. (fun () ->
+      let resume = Option.get !resumer in
+      resume ();
+      Alcotest.check_raises "second resume" (Invalid_argument "Engine: fiber resumed twice")
+        resume);
+  Alcotest.check_raises "still blocked"
+    (Engine.Deadlock "1 fiber(s) blocked at t=1.000: [fiber]") (fun () ->
+      ignore (Engine.run e))
+
 let test_deadlock_detection () =
   let e = Engine.create () in
   Engine.spawn e ~name:"stuck" (fun () ->
@@ -111,47 +145,6 @@ let test_negative_delay_rejected () =
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
       Engine.schedule e ~delay:(-1.) ignore)
 
-(* ------------------------------------------------------------------ *)
-(* Condition variables                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_cond_signal_fifo () =
-  let e = Engine.create () in
-  let c = Engine.Cond.create () in
-  let log = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn e (fun () ->
-        Engine.Cond.wait e c;
-        log := i :: !log)
-  done;
-  Engine.schedule e ~delay:1. (fun () -> Engine.Cond.signal e c);
-  Engine.schedule e ~delay:2. (fun () -> Engine.Cond.signal e c);
-  Engine.schedule e ~delay:3. (fun () -> Engine.Cond.signal e c);
-  ignore (Engine.run e);
-  Alcotest.(check (list int)) "fifo wakeups" [ 1; 2; 3 ] (List.rev !log)
-
-let test_cond_broadcast () =
-  let e = Engine.create () in
-  let c = Engine.Cond.create () in
-  let woken = ref 0 in
-  for _ = 1 to 5 do
-    Engine.spawn e (fun () ->
-        Engine.Cond.wait e c;
-        incr woken)
-  done;
-  Engine.schedule e ~delay:1. (fun () ->
-      Alcotest.(check int) "five waiters" 5 (Engine.Cond.waiters c);
-      Engine.Cond.broadcast e c);
-  ignore (Engine.run e);
-  check_int "all woken" 5 !woken
-
-let test_cond_signal_empty () =
-  let e = Engine.create () in
-  let c = Engine.Cond.create () in
-  Engine.Cond.signal e c;
-  Engine.Cond.broadcast e c;
-  check_int "no waiters" 0 (Engine.Cond.waiters c)
-
 let () =
   Alcotest.run "mc_sim"
     [
@@ -162,16 +155,12 @@ let () =
           Alcotest.test_case "fiber delay" `Quick test_fiber_delay;
           Alcotest.test_case "fibers interleave" `Quick test_many_fibers_interleave;
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
+          Alcotest.test_case "due-now order" `Quick test_due_now_order;
+          Alcotest.test_case "resumed twice" `Quick test_resumed_twice;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "fiber failure propagates" `Quick test_fiber_failure;
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "event counter" `Quick test_events_processed;
           Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
-        ] );
-      ( "cond",
-        [
-          Alcotest.test_case "signal wakes fifo" `Quick test_cond_signal_fifo;
-          Alcotest.test_case "broadcast wakes all" `Quick test_cond_broadcast;
-          Alcotest.test_case "signal with no waiters" `Quick test_cond_signal_empty;
         ] );
     ]
