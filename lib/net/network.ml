@@ -183,7 +183,10 @@ let transmit t link ~src ~dst ~bytes ~kind msg =
   (match t.observer with
   | Some f -> f ~src ~dst ~bytes ~kind ~seq:t.messages ~sent:depart ~recv:at msg
   | None -> ());
-  Engine.schedule t.engine ~delay:(at -. now) (fun () -> deliver t ~src ~dst msg)
+  (* at the clamped time itself: a delay would be added back to [now],
+     and that round trip can put a message one ulp before the one it was
+     clamped to *)
+  Engine.schedule_at t.engine ~at (fun () -> deliver t ~src ~dst msg)
 
 let send t ~src ~dst ?(bytes = 64) ?(kind = "msg") msg =
   check_node t src;

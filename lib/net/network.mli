@@ -3,7 +3,10 @@
     This is the transport assumed by Section 6 of the paper ("We assume a
     message passing system with FIFO communication channels"). Channels
     preserve per-(src, dst) order even under randomized latencies; across
-    different channels messages may arrive in any order.
+    different channels messages may arrive in any order. A message is
+    delivered at its clamped time exactly ({!Mc_sim.Engine.schedule_at}),
+    and messages of one channel that share a time are delivered in send
+    order.
 
     Messages are delivered by invoking the destination node's registered
     handler as a plain event (handlers may resume blocked fibers but must

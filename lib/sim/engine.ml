@@ -217,6 +217,11 @@ let schedule t ~delay f =
   t.clock.at <- t.clock.now +. delay;
   push t (Call f)
 
+let schedule_at t ~at f =
+  if at < t.clock.now then invalid_arg "Engine.schedule_at: time in the past";
+  t.clock.at <- at;
+  push t (Call f)
+
 (* ------------------------------------------------------------------ *)
 (* Fibers                                                              *)
 (* ------------------------------------------------------------------ *)

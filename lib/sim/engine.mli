@@ -47,6 +47,13 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     Callbacks must not suspend; they may resume suspended fibers. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** [schedule_at t ~at f] runs [f] at time [at], which must not be in the
+    past. Events given one time fire in the order they were scheduled,
+    so callers that keep their own order of delivery times (a FIFO link
+    clamps each message to its predecessor's time) get it exactly:
+    [now + (at - now)] can round to one ulp below [at]. *)
+val schedule_at : t -> at:float -> (unit -> unit) -> unit
+
 (** [delay t d] suspends the calling fiber for [d] units of virtual time.
     Must be called from within a fiber of [t]. It takes two events, like
     any suspension: a timer at [now + d], then the fiber's resume at

@@ -182,6 +182,74 @@ let test_no_handler_error () =
   | (_ : float) -> Alcotest.fail "expected missing-handler failure"
   | exception Invalid_argument _ -> ()
 
+(* Every link delivers in send order, whatever the send schedule and the
+   latency model. Sends fall in the first 100 us, where a delivery time
+   is far from the send time relative to the clock, and clamped equal
+   delivery times are common under spread latencies. *)
+let latency_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun d -> Latency.constant d) (float_range 1. 100.);
+        map2
+          (fun seed (lo, w) -> Latency.uniform (Mc_util.Rng.make seed) ~lo ~hi:(lo +. w))
+          small_nat
+          (pair (float_range 0. 60.) (float_range 0.5 80.));
+        map2
+          (fun seed (d, spread) ->
+            Latency.jitter (Latency.constant d) (Mc_util.Rng.make seed) ~spread)
+          small_nat
+          (pair (float_range 1. 50.) (float_range 0.5 60.));
+      ])
+
+type schedule = {
+  nodes : int;
+  send_cost : float;
+  sends : (float * int * int) list; (* send time, src, dst *)
+}
+
+(* the [k]-th of the nodes other than [src] *)
+let peer ~src k = if k >= src then k + 1 else k
+
+let schedule_gen =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun nodes ->
+    map2
+      (fun send_cost sends -> { nodes; send_cost; sends })
+      (oneof [ return 0.; float_range 0. 3. ])
+      (list_size (int_range 10 80)
+         (map3
+            (fun at src k -> (at, src, peer ~src k))
+            (float_range 0. 100.) (int_bound (nodes - 1)) (int_bound (nodes - 2)))))
+
+let links_keep_send_order =
+  QCheck.Test.make ~name:"every link delivers in send order" ~count:300
+    (QCheck.make
+       ~print:(fun (s, _) ->
+         Printf.sprintf "nodes=%d send_cost=%g sends=[%s]" s.nodes s.send_cost
+           (String.concat "; "
+              (List.map (fun (t, a, b) -> Printf.sprintf "%g:%d->%d" t a b) s.sends)))
+       QCheck.Gen.(pair schedule_gen latency_gen))
+    (fun (s, latency) ->
+      let e = Engine.create () in
+      let net = Network.create e ~nodes:s.nodes ~latency ~send_cost:s.send_cost () in
+      let sent = Array.make_matrix s.nodes s.nodes 0 in
+      let got = Array.make_matrix s.nodes s.nodes [] in
+      for dst = 0 to s.nodes - 1 do
+        Network.set_handler net dst (fun ~src k -> got.(src).(dst) <- k :: got.(src).(dst))
+      done;
+      List.iter
+        (fun (at, src, dst) ->
+          Engine.schedule e ~delay:at (fun () ->
+              let k = sent.(src).(dst) in
+              sent.(src).(dst) <- k + 1;
+              Network.send net ~src ~dst k))
+        s.sends;
+      ignore (Engine.run e);
+      Array.for_all2
+        (Array.for_all2 (fun n l -> List.rev l = List.init n Fun.id))
+        sent got)
+
 let () =
   Alcotest.run "mc_net"
     [
@@ -200,5 +268,6 @@ let () =
           Alcotest.test_case "byte cost" `Quick test_byte_cost;
           Alcotest.test_case "latency models" `Quick test_latency_models;
           Alcotest.test_case "missing handler" `Quick test_no_handler_error;
+          QCheck_alcotest.to_alcotest links_keep_send_order;
         ] );
     ]

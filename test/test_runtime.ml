@@ -292,6 +292,54 @@ let test_demand_blocks_only_written_locations () =
   check "unwritten location read instantly" true (!y_wait < 1.0);
   check_int "written location consistent" 1 !x_val
 
+(* Section 6 assumes FIFO channels, and the PRAM view applies each
+   update on receipt. Process 0 writes each of 20 locations twice, back
+   to back, from a seeded offset in the first 100 us, where a link's
+   deliveries are clamped to equal times most often; after a barrier
+   process 1 reads them all PRAM. A link that delivers the second write
+   first leaves the older value in the PRAM view: a stale read, which
+   the online checker must flag as well. *)
+let fifo_probe seed =
+  let engine = Engine.create () in
+  let rng = Mc_util.Rng.make seed in
+  let latency = Mc_net.Latency.uniform (Mc_util.Rng.split rng) ~lo:30. ~hi:70. in
+  let cfg = { (Config.default ~procs:2) with check_online = true } in
+  let rt = Runtime.create engine ~latency cfg in
+  let offset = Mc_util.Rng.float_in rng 0. 100. in
+  let locs = Array.init 20 (fun i -> "x" ^ string_of_int i) in
+  let stale = ref 0 in
+  Runtime.spawn_process rt 0 (fun p ->
+      Runtime.compute p offset;
+      Array.iteri
+        (fun i loc ->
+          Runtime.write p loc ((2 * i) + 1);
+          Runtime.write p loc ((2 * i) + 2))
+        locs;
+      Runtime.barrier p);
+  Runtime.spawn_process rt 1 (fun p ->
+      Runtime.barrier p;
+      Array.iteri
+        (fun i loc ->
+          if Runtime.read p ~label:Op.PRAM loc <> (2 * i) + 2 then incr stale)
+        locs);
+  ignore (run rt);
+  let failures =
+    match Runtime.online_checker rt with
+    | Some chk -> List.length (Mc_consistency.Online.failures chk)
+    | None -> Alcotest.fail "no online checker"
+  in
+  (!stale, failures)
+
+let test_fifo_probe () =
+  let stale = ref 0 and failures = ref 0 in
+  for seed = 1 to 1000 do
+    let s, f = fifo_probe seed in
+    stale := !stale + s;
+    failures := !failures + f
+  done;
+  check_int "stale PRAM reads over 1,000 latency seeds" 0 !stale;
+  check_int "online failures over 1,000 latency seeds" 0 !failures
+
 let () =
   Alcotest.run "mc_dsm.runtime"
     [
@@ -316,6 +364,8 @@ let () =
       ( "barriers",
         [
           Alcotest.test_case "phases separated" `Quick test_barrier_separates_phases;
+          Alcotest.test_case "FIFO links keep the PRAM view fresh" `Quick
+            test_fifo_probe;
           Alcotest.test_case "multiple episodes" `Quick test_barrier_multiple_episodes;
         ] );
       ( "awaits",
