@@ -42,10 +42,11 @@ let clocks h =
     rank.(id) <- r + 1;
     preds.(id) <-
       List.filter_map
-        (function Stream.U s | Stream.S s -> Some s | Stream.RF _ -> None)
+        (function Stream.U s | Stream.S s -> Some (Stream.state s) | Stream.RF _ -> None)
         in_edges;
     if proc_chain.(p) < 0 then proc_chain.(p) <- chain
-    else if proc_chain.(p) <> chain then multi_chain := true
+    else if proc_chain.(p) <> chain then multi_chain := true;
+    id
   in
   let s =
     Stream.feed_history h
