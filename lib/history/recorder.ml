@@ -36,7 +36,18 @@ let subscribe t sink =
   if t.closed then invalid_arg "Recorder.subscribe: recorder is closed";
   t.sinks <- t.sinks @ [ sink ]
 
-let emit t f = List.iter f t.sinks
+(* one direct walk per event kind: no closure per event *)
+let rec emit_inv ~proc ~seq = function
+  | [] -> ()
+  | s :: rest ->
+    s.Sink.on_inv ~proc ~seq;
+    emit_inv ~proc ~seq rest
+
+let rec emit_op op = function
+  | [] -> ()
+  | s :: rest ->
+    s.Sink.on_op op;
+    emit_op op rest
 
 let check_proc t proc =
   if proc < 0 || proc >= t.n_procs then
@@ -54,14 +65,14 @@ let add_op t ~proc ~inv_seq ~resp_seq ~sync_seq kind =
   let id = t.count in
   t.count <- id + 1;
   let op : Op.t = { id; proc; kind; inv_seq; resp_seq; sync_seq } in
-  emit t (fun s -> s.Sink.on_op op);
+  emit_op op t.sinks;
   id
 
 let record t ~proc ?(sync_seq = -1) kind =
   check_proc t proc;
   check_open t;
   let inv_seq = next_event t proc in
-  emit t (fun s -> s.Sink.on_inv ~proc ~seq:inv_seq);
+  emit_inv ~proc ~seq:inv_seq t.sinks;
   let resp_seq = next_event t proc in
   add_op t ~proc ~inv_seq ~resp_seq ~sync_seq kind
 
@@ -69,7 +80,7 @@ let start t ~proc =
   check_proc t proc;
   check_open t;
   let inv_seq = next_event t proc in
-  emit t (fun s -> s.Sink.on_inv ~proc ~seq:inv_seq);
+  emit_inv ~proc ~seq:inv_seq t.sinks;
   { proc; inv_seq }
 
 let finish t token ?(sync_seq = -1) kind =
@@ -88,12 +99,12 @@ let grant_seq t lock =
 
 let notify_dead t ~loc ~value =
   check_open t;
-  emit t (fun s -> s.Sink.on_dead ~loc ~value)
+  List.iter (fun s -> s.Sink.on_dead ~loc ~value) t.sinks
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    emit t (fun s -> s.Sink.on_close ())
+    List.iter (fun s -> s.Sink.on_close ()) t.sinks
   end
 
 let history t =
