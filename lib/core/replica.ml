@@ -185,6 +185,7 @@ let gap_counter o shard =
 
 let id t = t.node_id
 let applied t = Array.copy t.applied_counts
+let applied_from t w = t.applied_counts.(w)
 let received t = Array.copy t.received_counts
 
 let pending_count t =

@@ -58,6 +58,9 @@ val id : t -> int
     writer — the node's vector timestamp. Returns a copy. *)
 val applied : t -> int array
 
+(** [applied_from t w] is [(applied t).(w)], without the copy. *)
+val applied_from : t -> int -> int
+
 (** [received t] is the per-writer received counts of broadcast
     updates (equal to the PRAM view's application counts under full
     replication). Returns a copy. *)
