@@ -702,6 +702,35 @@ let test_stability_reclaims () =
   check "window bounded" true
     (stats.Online.max_resident < stats.Online.ops_checked / 4)
 
+(* The benchmark's solver-online run (mcdsm solver --variant handshake
+   --check-online -n 96 -w 8) synchronizes by awaits only, so only the
+   sweeps at await completions can reclaim checker state before the end
+   of the run. Sampled every 100 us from engine callbacks, the live
+   summaries must fall at some point during the run, and at 2,400 us,
+   just before its end, stay close to what the final sweep leaves. *)
+let test_await_sweeps_reclaim () =
+  let procs = 9 in
+  let problem = Solver.Problem.generate ~seed:42 ~n:96 in
+  let engine = Engine.create () in
+  let rt = Runtime.create engine { (Config.default ~procs) with check_online = true } in
+  ignore (Solver.launch ~spawn:(Api.spawn rt) ~procs ~variant:Solver.Handshake_causal problem);
+  let live () = (Online.stats (Option.get (Runtime.online_checker rt))).Online.live_summaries in
+  let samples = Array.make 25 0 in
+  Array.iteri
+    (fun k _ ->
+      Engine.schedule engine ~delay:(float_of_int ((k + 1) * 100)) (fun () ->
+          samples.(k) <- live ()))
+    samples;
+  ignore (Runtime.run rt);
+  let final = live () in
+  check_int "final live summaries" 113 final;
+  check "reclaimed during the run" true
+    (List.exists (fun k -> samples.(k) < samples.(k - 1)) (List.init 24 (fun k -> k + 1)));
+  check
+    (Printf.sprintf "live at 2,400 us (%d) near the final %d" samples.(23) final)
+    true
+    (2 * samples.(23) < 3 * final)
+
 (* ------------------------------------------------------------------ *)
 (* Recorder edge cases                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -784,6 +813,7 @@ let () =
             test_app_cholesky_counters;
           Alcotest.test_case "pipeline awaits" `Quick test_app_pipeline;
           Alcotest.test_case "stability reclaims" `Quick test_stability_reclaims;
+          Alcotest.test_case "await sweeps reclaim" `Quick test_await_sweeps_reclaim;
         ] );
       ( "recorder",
         [
