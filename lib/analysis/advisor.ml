@@ -1,7 +1,6 @@
 module History = Mc_history.History
 module Op = Mc_history.Op
 module Pc = Mc_consistency.Program_class
-module Read_rule = Mc_consistency.Read_rule
 module Lattice = Mc_consistency.Lattice
 
 type advice = {
@@ -20,24 +19,48 @@ let label_to_string = function
 
 let strength = function Op.PRAM -> 0 | Op.Group _ -> 1 | Op.Causal -> 2
 
-(* a malformed group (reader not a member) validates nothing *)
-let valid_under h ~read_id label =
-  try Lattice.verdict_at h label ~read_id = Read_rule.Valid
-  with Invalid_argument _ -> false
-
 let advise ?shared h =
   let shared =
     match shared with Some f -> f | None -> Pc.default_shared h
   in
   let entry = Pc.is_entry_consistent ~shared h in
   let pramc = Pc.is_pram_consistent ~shared h in
+  (* each lattice point's failing reads, fetched once per history on
+     first use: one [Lattice.failures] call per point, where per-read
+     verdicts would build a closure per (point, reader). A point that
+     raises (a group with a member out of range) validates nothing. *)
+  let failing = Hashtbl.create 8 in
+  let lvalid m ~read_id =
+    let f =
+      match Hashtbl.find_opt failing m with
+      | Some f -> f
+      | None ->
+        let f =
+          match Lattice.failures h m with
+          | fs ->
+            let f = Array.make (History.length h) false in
+            List.iter (fun (x : Lattice.failure) -> f.(x.Lattice.read_id) <- true) fs;
+            Some f
+          | exception Invalid_argument _ -> None
+        in
+        Hashtbl.add failing m f;
+        f
+    in
+    match f with Some f -> not f.(read_id) | None -> false
+  in
   let advices = ref [] in
   Array.iter
     (fun (o : Op.t) ->
       match o.kind with
       | Op.Read { loc; label; value = _ } ->
         let read_id = o.id in
-        let valid = valid_under h ~read_id in
+        (* a label's point; a group label must name the reader, so a
+           malformed group validates nothing *)
+        let valid = function
+          | Op.PRAM -> lvalid Lattice.PRAM ~read_id
+          | Op.Causal -> lvalid Lattice.Causal ~read_id
+          | Op.Group g -> List.mem o.proc g && lvalid (Lattice.Group g) ~read_id
+        in
         let declared_valid = valid label in
         let candidates =
           Op.PRAM
@@ -55,12 +78,9 @@ let advise ?shared h =
            schedule — the same search as [weakest], extended downward
            through the session points below PRAM. Purely advisory: the
            SC corollaries never require going below [recommended]. *)
-        let lvalid m =
-          try Lattice.verdict h m ~read_id = Read_rule.Valid
-          with Invalid_argument _ -> false
-        in
         let rec_model =
-          List.find_opt lvalid
+          List.find_opt
+            (fun m -> lvalid m ~read_id)
             (Lattice.
                [
                  Session [];

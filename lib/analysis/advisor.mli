@@ -15,6 +15,13 @@
       validates the value actually read, trying PRAM, then the declared
       group (if any), then Causal.
 
+    Each lattice point's failure set is fetched once per history, on
+    first use ({!Mc_consistency.Lattice.failures}: one [Online] replay
+    at a streamable point of a history within the stream's
+    restrictions), and every read is answered from those sets, with the
+    same advice as per-read {!Mc_consistency.Lattice.verdict_at} and
+    {!Mc_consistency.Lattice.verdict} calls would give.
+
     Comparing the recommendation with the declared label yields:
     [A001] over-labelled (wasted causal-delivery cost), [A002]
     under-labelled (SC at risk), [A003] no label validates the read,

@@ -50,9 +50,9 @@ module History = Mc_history.History
 module Op = Mc_history.Op
 module Relation = Mc_util.Relation
 
-type guarantee = Read_your_writes | Monotonic_reads
+type guarantee = Model.guarantee = Read_your_writes | Monotonic_reads
 
-type t =
+type t = Model.t =
   | Linearizable
   | SC
   | Processor
@@ -85,7 +85,7 @@ type axioms = {
   rt : bool;  (** sim-time real-time order over all operations *)
 }
 
-let norm_group g = List.sort_uniq compare g
+let norm_group = Model.norm_group
 
 let norm_session gs =
   let mem g = List.mem g gs in
@@ -230,25 +230,7 @@ let join a b =
 (* Names                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let guarantee_to_string = function
-  | Read_your_writes -> "ryw"
-  | Monotonic_reads -> "mr"
-
-let to_string = function
-  | Linearizable -> "linearizable"
-  | SC -> "sc"
-  | Processor -> "processor"
-  | Cache -> "cache"
-  | Causal -> "causal"
-  | Mixed -> "mixed"
-  | Group g ->
-    Printf.sprintf "group:%s" (String.concat "," (List.map string_of_int (norm_group g)))
-  | PRAM -> "pram"
-  | Slow -> "slow"
-  | Session gs -> (
-    match List.sort_uniq compare gs with
-    | [] -> "session:none"
-    | gs -> Printf.sprintf "session:%s" (String.concat "," (List.map guarantee_to_string gs)))
+let to_string = Model.to_string
 
 let of_string s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -433,8 +415,12 @@ let closed h ax ~reader =
   validate_scope h ~reader ax.sync;
   Relation.transitive_closure (build h ax ~reader)
 
-(* [closed], memoized on the history *)
+(* [closed], memoized on the history. The scopes are checked on every
+   call, so a group's closure cached for a member still rejects a reader
+   outside the group. *)
 let closure h ax ~reader =
+  validate_scope h ~reader ax.wi;
+  validate_scope h ~reader ax.sync;
   History.cached_relation h (axioms_key ax ~reader) (fun () -> closed h ax ~reader)
 
 let relation h ax ~reader =
@@ -446,7 +432,7 @@ let relation h ax ~reader =
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type failure = { read_id : int; label : Op.label; verdict : Read_rule.verdict }
+type failure = Model.failure = { read_id : int; label : Op.label; verdict : Read_rule.verdict }
 
 let augment_group ~reader g = norm_group (reader :: g)
 
@@ -466,12 +452,12 @@ let verdict h model ~read_id =
   let o = History.op h read_id in
   Read_rule.check h (closure h (read_axioms model o) ~reader:o.Op.proc) ~read_id
 
-(* Shared closures are memoized as [verdict] does. A reader-scoped
-   closure serves only its reader's reads, so those reads are checked
-   one reader at a time against closures built for that reader alone
-   and dropped after its reads, instead of keeping one closure per
-   reader on the history. *)
-let failures h model =
+(* The closure engine. Shared closures are memoized as [verdict] does.
+   A reader-scoped closure serves only its reader's reads, so those
+   reads are checked one reader at a time against closures built for
+   that reader alone and dropped after its reads, instead of keeping one
+   closure per reader on the history. *)
+let closure_failures h model =
   let found = ref [] in
   let check rel (o : Op.t) label =
     match Read_rule.check h rel ~read_id:o.Op.id with
@@ -505,6 +491,20 @@ let failures h model =
         (List.rev reads))
     scoped;
   List.sort (fun a b -> compare a.read_id b.read_id) !found
+
+(* At a streamable point a history within the stream's restrictions has
+   [History]'s covering, so one [Online] replay gives the closures'
+   failures. A replay that raises (a cyclic history, a group read by a
+   non-member, a malformed group) falls back to the closures, which
+   report such a history as they always have. Only [Mixed] reads need
+   the history's groups registered. *)
+let failures h model =
+  if Online.supports model && Mc_history.Stream.meets_restrictions h then
+    let groups = if model = Mixed then None else Some [] in
+    match Online.check ?groups ~model h with
+    | chk -> Online.failures chk
+    | exception Invalid_argument _ -> closure_failures h model
+  else closure_failures h model
 
 let is_consistent h model = failures h model = []
 

@@ -3,8 +3,9 @@
    Consumes the finalization stream of [Mc_history.Stream] and validates
    every memory read at response time against the read rule of its label
    (Def. 2 causal, Def. 3 PRAM, §3.2 group, composed per Def. 4),
-   reproducing [Lattice.failures h Mixed] verdict-for-verdict without
-   materializing the history or any relation matrix.
+   reproducing the verdicts of [Lattice]'s closures at Mixed without
+   materializing the history or any relation matrix. [Lattice.failures]
+   replays this checker at streamable points.
 
    Families. A consistency family is causal, PRAM(i) for a process i, or
    a registered reader group; its relation is the closure of program
@@ -117,7 +118,7 @@ type lstate = {
    the seed behavior (the [Mixed] point of Definition 4); [Uniform m]
    checks every memory read under model [m] regardless of its declared
    label. *)
-type mode = Per_label | Uniform of Lattice.t
+type mode = Per_label | Uniform of Model.t
 
 (* Session-point state. A session relation keeps only the reader's own
    selected program-order edges (write→read for read-your-writes,
@@ -191,7 +192,7 @@ type t = {
   empty : int array array array; (* per process: one [||] per own family *)
   b : build;
   locs : lstate Locs.t;
-  mutable failures : Lattice.failure list; (* reverse finalization order *)
+  mutable failures : Model.failure list; (* reverse finalization order *)
   mutable ops_checked : int;
   mutable reads_checked : int;
   mutable pram_reads : int;
@@ -252,14 +253,10 @@ let fam_of_label t ~reader = function
 (* Lattice points the streaming engine can express as chain-clock
    families. The witness-based points (SC, linearizable, processor,
    cache, slow) need sim-time write/real-time orders that are not
-   incremental here — check those offline with [Lattice.failures]. *)
+   incremental here; [Lattice] checks those with closures. *)
 let supports = function
-  | Lattice.Causal | Lattice.PRAM | Lattice.Mixed | Lattice.Group _
-  | Lattice.Session _ ->
-    true
-  | Lattice.SC | Lattice.Linearizable | Lattice.Processor | Lattice.Cache
-  | Lattice.Slow ->
-    false
+  | Model.Causal | Model.PRAM | Model.Mixed | Model.Group _ | Model.Session _ -> true
+  | Model.SC | Model.Linearizable | Model.Processor | Model.Cache | Model.Slow -> false
 
 let make ~procs ?(groups = []) ?model () =
   if procs <= 0 then invalid_arg "Online.make: need at least one process";
@@ -270,13 +267,13 @@ let make ~procs ?(groups = []) ?model () =
       (Printf.sprintf
          "Online.make: model %s is not streamable (sim-time witness \
           orders); use the offline Lattice checker"
-         (Lattice.to_string m))
+         (Model.to_string m))
   | _ -> ());
   let groups =
     (* a uniform group point checks every reader against its own
        reader-augmented group *)
     match mode with
-    | Uniform (Lattice.Group g) ->
+    | Uniform (Model.Group g) ->
       List.init procs (fun i -> List.sort_uniq compare (i :: g)) @ groups
     | _ -> groups
   in
@@ -295,12 +292,11 @@ let make ~procs ?(groups = []) ?model () =
         match g with [] -> invalid_arg "Online.make: empty group" | [ _ ] -> false | _ -> g <> all)
       canonical
   in
-  let sessions = match mode with Uniform (Lattice.Session _) -> true | _ -> false in
+  let sessions = match mode with Uniform (Model.Session _) -> true | _ -> false in
   let sess_ryw, sess_mr =
     match mode with
-    | Uniform (Lattice.Session gs) ->
-      ( List.mem Lattice.Read_your_writes gs,
-        List.mem Lattice.Monotonic_reads gs )
+    | Uniform (Model.Session gs) ->
+      (List.mem Model.Read_your_writes gs, List.mem Model.Monotonic_reads gs)
     | _ -> (false, false)
   in
   let group_idx = Hashtbl.create 8 in
@@ -809,14 +805,14 @@ let check_read t (op : Op.t) ls ~loc ~label ~value =
       t.fetched <- op.id :: t.fetched;
       t.n_fetched <- t.n_fetched + 1;
       fetched_verdict ls ~value fn
-    | None, Uniform (Lattice.Session _) -> session_verdict t op ls ~loc ~value
+    | None, Uniform (Model.Session _) -> session_verdict t op ls ~loc ~value
     | None, _ ->
       let fam =
         match t.t_mode with
-        | Per_label | Uniform Lattice.Mixed -> fam_of_label t ~reader:op.proc label
-        | Uniform Lattice.Causal -> fam_causal
-        | Uniform Lattice.PRAM -> 1 + op.proc
-        | Uniform (Lattice.Group g) ->
+        | Per_label | Uniform Model.Mixed -> fam_of_label t ~reader:op.proc label
+        | Uniform Model.Causal -> fam_causal
+        | Uniform Model.PRAM -> 1 + op.proc
+        | Uniform (Model.Group g) ->
           fam_of_label t ~reader:op.proc
             (Op.Group (List.sort_uniq compare (op.proc :: g)))
         | Uniform _ -> assert false (* rejected by [make] *)
@@ -825,7 +821,7 @@ let check_read t (op : Op.t) ls ~loc ~label ~value =
   in
   match v with
   | Read_rule.Valid -> ()
-  | v -> t.failures <- { Lattice.read_id = op.id; label; verdict = v } :: t.failures
+  | v -> t.failures <- { Model.read_id = op.id; label; verdict = v } :: t.failures
 
 (* a write-like operation installing [v] (a decrement observed [observed]) *)
 let write t (op : Op.t) b loc v ~observed =
@@ -899,7 +895,7 @@ let engine t =
   | None -> invalid_arg "Online.engine: checker has no engine"
 
 let sink t = Stream.sink (engine t)
-let failures t = List.sort (fun a b -> compare a.Lattice.read_id b.Lattice.read_id) t.failures
+let failures t = List.sort (fun a b -> compare a.Model.read_id b.Model.read_id) t.failures
 let is_consistent t = t.failures = []
 
 let note_fetch t ~proc ~loc ~admissible ~zero_ok =

@@ -3,11 +3,17 @@
     Validates every memory read at response time against the read rule
     of its label (Def. 2 causal, Def. 3 PRAM, §3.2 group reads, composed
     per Def. 4 mixed consistency) by folding per-family chain clocks
-    over the finalization stream of {!Mc_history.Stream}. Produces the
-    same failures, verdict-for-verdict, as the offline
-    [Lattice.failures h Mixed] — see the differential test suite — while
-    keeping only the in-flight operation window plus live writer
-    summaries in memory.
+    over the finalization stream of {!Mc_history.Stream}. On a history
+    within the stream's restrictions
+    ({!Mc_history.Stream.meets_restrictions}) it produces the same
+    failures, verdict-for-verdict, as the offline closures of {!Lattice}
+    at Mixed — see the differential test suites — while keeping only
+    the in-flight operation window plus live writer summaries in
+    memory. [Lattice.failures] is therefore one replay of this checker
+    at every streamable point of such a history.
+
+    Lattice points and failures are {!Model}'s types, which {!Lattice}
+    re-exports: a [Lattice.t] is a [Model.t].
 
     Per finalized operation the dense work covers the operation's own
     families only — causal, its process's PRAM family and the registered
@@ -51,9 +57,9 @@ type stats = {
     per-location read/write timeline, which every path of a session
     relation runs through). False for the sim-time witness points
     ([SC], [Linearizable], [Processor], [Cache], [Slow]), whose total
-    write / real-time orders are not incremental here — check those
-    offline with {!Lattice.failures}. *)
-val supports : Lattice.t -> bool
+    write / real-time orders are not incremental here; [Lattice.failures]
+    checks those with closures. *)
+val supports : Model.t -> bool
 
 (** [create ~procs ?groups ?model ()] makes a checker with its own
     {!Mc_history.Stream} engine. [groups] lists the reader groups that
@@ -64,7 +70,7 @@ val supports : Lattice.t -> bool
     reader-augmented per read). Raises [Invalid_argument] for a
     non-positive [procs], out-of-range members, empty groups, or a model
     [supports] rejects. *)
-val create : procs:int -> ?groups:int list list -> ?model:Lattice.t -> unit -> t
+val create : procs:int -> ?groups:int list list -> ?model:Model.t -> unit -> t
 
 (** [sink t] adapts the checker for [Recorder.subscribe]: operations are
     validated online as their causal covering past completes. *)
@@ -76,12 +82,13 @@ val engine : t -> clocks Mc_history.Stream.t
 (** [check ?groups ?model h] replays a materialized history through a
     fresh checker. When [groups] is omitted the groups are harvested
     from the history's read labels. *)
-val check : ?groups:int list list -> ?model:Lattice.t -> Mc_history.History.t -> t
+val check : ?groups:int list list -> ?model:Model.t -> Mc_history.History.t -> t
 
 (** Invalid reads seen so far, in ascending id order — after a full
-    replay, equal to [Lattice.failures h Mixed], or under a uniform
-    [~model] to [Lattice.failures h model]. *)
-val failures : t -> Lattice.failure list
+    replay of a history within the stream's restrictions, equal to the
+    closure engine's failures at Mixed, or under a uniform [~model] at
+    that point ({!Lattice.verdict} read by read). *)
+val failures : t -> Model.failure list
 
 val is_consistent : t -> bool
 val stats : t -> stats

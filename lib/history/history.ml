@@ -105,26 +105,40 @@ let ops_at t loc =
 (* Program order                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* An operation's successors are the operations of its process invoked
+   after its response: a suffix of the process's invocation order.
+   Walked by descending response, that suffix only grows, so each row is
+   the row before it plus the operations whose invocations the walk has
+   just passed: one row OR per operation, and no test per pair.
+   An invocation precedes its response, as the recorder makes it, so no
+   operation is its own successor. The recorder numbers a process's
+   operations in response order, and in invocation order too unless
+   they overlap, so the sorts are mostly checks. *)
+let sort_unless_sorted cmp a =
+  let rec sorted i = i >= Array.length a || (cmp a.(i - 1) a.(i) <= 0 && sorted (i + 1)) in
+  if not (sorted 1) then Array.sort cmp a
+
 let compute_program_order t =
-  let n = length t in
-  let r = Relation.create n in
-  (* Group operations by process, then add o1 -> o2 whenever the response
-     of o1 precedes the invocation of o2 (both events process-local). *)
+  let r = Relation.create (length t) in
   let by_proc = Array.make t.procs [] in
-  Array.iter
-    (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc))
-    t.ops;
+  Array.iter (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc)) t.ops;
   Array.iter
     (fun ops_of_p ->
-      let arr = Array.of_list ops_of_p in
-      let len = Array.length arr in
-      for a = 0 to len - 1 do
-        for b = 0 to len - 1 do
-          let (o1 : Op.t) = arr.(a) and (o2 : Op.t) = arr.(b) in
-          if o1.id <> o2.id && o1.resp_seq < o2.inv_seq then
-            Relation.add r o1.id o2.id
-        done
-      done)
+      (* [ops_of_p] is in descending id order *)
+      let by_resp = Array.of_list ops_of_p in
+      let n = Array.length by_resp in
+      let by_inv = Array.init n (fun k -> by_resp.(n - 1 - k)) in
+      sort_unless_sorted (fun (a : Op.t) (b : Op.t) -> Int.compare a.inv_seq b.inv_seq) by_inv;
+      sort_unless_sorted (fun (a : Op.t) (b : Op.t) -> Int.compare b.resp_seq a.resp_seq) by_resp;
+      let next = ref (Array.length by_inv) (* the suffix start in [by_inv] *) in
+      Array.iteri
+        (fun k (o : Op.t) ->
+          if k > 0 then Relation.union_row r ~src:by_resp.(k - 1).id ~dst:o.id;
+          while !next > 0 && by_inv.(!next - 1).inv_seq > o.resp_seq do
+            decr next;
+            Relation.add r o.id by_inv.(!next).id
+          done)
+        by_resp)
     by_proc;
   r
 

@@ -39,11 +39,12 @@
    and are superseded). A writer stays reachable from its value's
    registry until the value is dead.
 
-   Restrictions (see DESIGN.md): values are written at most once per
-   location, the initial value 0 is never written, barrier indices are
-   not reused across rounds, and per-process barriers do not overlap.
-   Histories violating these are still processed, but the streaming
-   verdicts may diverge from the offline checker. *)
+   Restrictions (see DESIGN.md and [meets_restrictions]): values are
+   written at most once per location, the initial value 0 is never
+   written, barrier indices are not reused across rounds, per-process
+   barriers do not overlap, and a lock's grant numbers are distinct and
+   non-negative. Histories violating these are still processed, but the
+   streaming verdicts may diverge from the offline checker. *)
 
 module Locs = Hashtbl.Make (String)
 
@@ -749,3 +750,38 @@ let feed_history ~callbacks h =
   let t = create ~procs:(History.procs h) callbacks in
   replay t h;
   t
+
+(* One pass over the history, checking the restrictions of the header
+   in id order. A process's barriers complete in id order, so they
+   overlap iff one is invoked before its predecessor's response. The
+   grant numbers of a lock must be distinct and non-negative, or the
+   lock reorder buffer would not replay the offline grant order. *)
+let meets_restrictions h =
+  let written = Locs.create 16 in
+  let episodes = Hashtbl.create 8 and grants = Hashtbl.create 8 in
+  let barrier_resp = Array.make (History.procs h) (-1) in
+  let fresh loc v =
+    let vals =
+      match Locs.find written loc with
+      | vals -> vals
+      | exception Not_found ->
+        let vals = Vals.create 4 in
+        Locs.add written loc vals;
+        vals
+    in
+    v <> 0 && (not (Vals.mem vals v)) && (Vals.add vals v (); true)
+  in
+  let once tbl key = (not (Hashtbl.mem tbl key)) && (Hashtbl.add tbl key (); true) in
+  let ok (o : Op.t) =
+    match o.kind with
+    | Op.Write { loc; value } -> fresh loc value
+    | Op.Decrement { loc; amount; observed } -> fresh loc (observed - amount)
+    | Op.Read _ | Op.Await _ -> true
+    | Op.Read_lock l | Op.Read_unlock l | Op.Write_lock l | Op.Write_unlock l ->
+      o.sync_seq >= 0 && once grants (l, o.sync_seq)
+    | Op.Barrier _ | Op.Barrier_group _ ->
+      o.inv_seq > barrier_resp.(o.proc)
+      && (barrier_resp.(o.proc) <- o.resp_seq;
+          once episodes (o.proc, Op.barrier_episode o))
+  in
+  Array.for_all ok (History.ops h)

@@ -34,9 +34,13 @@
     ([on_retire]) and the engine forgets it, except that a writer stays
     reachable as an [RF] source until its value is dead.
 
-    Restrictions for exact offline agreement (see DESIGN.md): unique
-    writes per location, no writes of the initial value 0, no reuse of
-    plain barrier indices, no overlapping barriers on one process. *)
+    Restrictions for exact offline agreement (see DESIGN.md), decided
+    by {!meets_restrictions}: unique writes per location, no writes of
+    the initial value 0, no process in one barrier episode twice (no
+    reuse of plain barrier indices), no overlapping barriers on one
+    process, and distinct non-negative grant numbers per lock. Within
+    them the covering equals [History]'s, so a replay decides every
+    streamable lattice point exactly as the offline closures do. *)
 
 (** A finalized operation, seen as the source of an in-edge. *)
 type 'a src
@@ -89,6 +93,10 @@ val replay : 'a t -> History.t -> unit
 
 (** [feed_history ~callbacks h] is {!replay} on a fresh engine. *)
 val feed_history : callbacks:'a callbacks -> History.t -> 'a t
+
+(** [meets_restrictions h]: does [h] meet every restriction above? One
+    pass over the operations, in time linear in the history. *)
+val meets_restrictions : History.t -> bool
 
 (** {2 Statistics} *)
 

@@ -44,6 +44,10 @@ let union a b =
   union_into r b;
   r
 
+let union_row t ~src ~dst =
+  check t src dst;
+  or_row t.rows.(dst) t.rows.(src) t.words
+
 (* Index of the lowest set bit of a nonzero word. *)
 let lowest_bit x =
   let x = ref (x land -x) and b = ref 0 in

@@ -28,6 +28,10 @@ val union : t -> t -> t
     time. The two relations must have the same size. *)
 val union_into : t -> t -> unit
 
+(** [union_row t ~src ~dst] adds every successor of [src] to the
+    successors of [dst], a word at a time. *)
+val union_row : t -> src:int -> dst:int -> unit
+
 (** [transitive_closure t] is a new relation: the transitive closure.
     [i] reaches itself only when it lies on a cycle (a self-loop
     included). Computed by SCC condensation: an iterative Tarjan pass

@@ -5,8 +5,9 @@
    binary: one scheduled event, one fiber delay (an operation's cost
    charge), one delivered network message, one deliverable update
    received by a replica, the words per engine event of a whole
-   lock-based Cholesky run, and the words per checked operation of the
-   online-checked handshake solver. Each is measured after a warm-up, averaged
+   lock-based Cholesky run, the words per checked operation of the
+   online-checked handshake solver, and the words of checking and
+   linting a recorded Cholesky history. Each is measured after a warm-up, averaged
    over a batch (the figure includes a few words per batch of the
    measurement itself), and must stay at or under its ceiling; a change
    that adds allocation to one of these paths fails here. The ceilings
@@ -24,6 +25,9 @@ module Sparse = Mc_apps.Sparse_spd
 module Cholesky = Mc_apps.Cholesky
 module Solver = Mc_apps.Linear_solver
 module Online = Mc_consistency.Online
+module Lattice = Mc_consistency.Lattice
+module History = Mc_history.History
+module Analysis = Mc_analysis.Analysis
 
 let batch = 1000
 
@@ -146,6 +150,32 @@ let test_solver_online () =
        stats.Online.ops_checked)
     ~ceiling:74.5 (words /. float_of_int stats.Online.ops_checked)
 
+(* mcdsm cholesky -n 20 --check: the benchmark's check-offline history
+   (1,592 operations), checked at Mixed and linted. Both are streamable
+   work: the Mixed check is one Online replay, and the advisor reads one
+   failure set per lattice point it needs (three here), so the words
+   grow with the history, not with readers times points. *)
+let test_check_offline () =
+  let m = Sparse.generate ~seed:42 ~n:20 ~density:0.2 in
+  let rt = Runtime.create (Engine.create ()) { (Config.default ~procs:4) with record = true } in
+  let result =
+    Cholesky.launch ~spawn:(Api.spawn rt) ~procs:4 ~variant:Cholesky.Lock_based m
+  in
+  ignore (Runtime.run rt);
+  let h = Runtime.history rt in
+  let w0 = Gc.minor_words () in
+  let failures = Lattice.failures h Lattice.Mixed in
+  let w1 = Gc.minor_words () in
+  let report = Analysis.analyze h in
+  let w2 = Gc.minor_words () in
+  Alcotest.(check int) "ops" 1592 (History.length h);
+  Alcotest.(check bool) "exact" true
+    ((Option.get !result).Cholesky.l = Sparse.factor_reference m);
+  Alcotest.(check int) "mixed failures" 0 (List.length failures);
+  Alcotest.(check int) "lint errors" 0 report.Analysis.errors;
+  check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:169_776. (w1 -. w0);
+  check_ceiling "minor words of Analysis.analyze h" ~ceiling:1_454_156. (w2 -. w1)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -157,5 +187,6 @@ let () =
           Alcotest.test_case "replica receive" `Quick test_receive;
           Alcotest.test_case "cholesky run" `Quick test_cholesky;
           Alcotest.test_case "online-checked solver run" `Quick test_solver_online;
+          Alcotest.test_case "checked and linted Cholesky history" `Quick test_check_offline;
         ] );
     ]

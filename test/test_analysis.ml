@@ -9,7 +9,9 @@
    - each lint rule L001-L006 fires on a minimal trigger and stays quiet
      on clean histories;
    - the label advisor recommends along the PRAM < Group < Causal
-     spectrum and honours the two corollary program classes. *)
+     spectrum and honours the two corollary program classes, and gives
+     the same advice as the per-read closure advisor of test/oracle.ml
+     on random histories and on the Section-5 apps. *)
 
 module Op = Mc_history.Op
 module History = Mc_history.History
@@ -238,11 +240,26 @@ let test_overlapping_fibers_need_extra_chains () =
 
 (* random histories: reads/writes plus locked writes and barriers, so the
    differential also exercises the lock-epoch and barrier-episode paths *)
-type op_choice = { shape : int; loc : int; guess : int; causal_label : bool }
+type op_choice = { shape : int; loc : int; guess : int; label : int }
 
 (* [~repeat:true] draws written values from {0, 1, 2}, so values repeat
-   and the initial value is written back *)
-let history_of_choices ?(repeat = false) ~procs (choices : op_choice list list) =
+   and the initial value is written back. Labels are PRAM or Causal;
+   [~groups:true] adds group labels: a pair holding the reader, a pair
+   without it (for three or more processes), the reader alone, and a
+   pair with a member out of range. *)
+let history_of_choices ?(repeat = false) ?(groups = false) ~procs
+    (choices : op_choice list list) =
+  let label_of proc l =
+    if not groups then if l land 1 = 1 then Op.Causal else Op.PRAM
+    else
+      match l with
+      | 0 -> Op.PRAM
+      | 1 -> Op.Causal
+      | 2 -> Op.Group [ proc; (proc + 1) mod procs ]
+      | 3 -> Op.Group [ (proc + 1) mod procs; (proc + 2) mod procs ]
+      | 4 -> Op.Group [ proc ]
+      | _ -> Op.Group [ proc; procs ]
+  in
   let r = Recorder.create ~procs () in
   let next_value = ref 0 in
   let all_values = ref [ 0 ] in
@@ -260,7 +277,7 @@ let history_of_choices ?(repeat = false) ~procs (choices : op_choice list list) 
            let loc = "v" ^ string_of_int c.loc in
            match c.shape with
            | 0 | 1 -> `Write (loc, written c)
-           | 2 | 3 -> `Read (loc, c.guess, c.causal_label)
+           | 2 | 3 -> `Read (loc, c.guess, c.label)
            | 4 -> `Locked_write (loc, written c)
            | _ -> `Barrier))
       choices
@@ -276,10 +293,9 @@ let history_of_choices ?(repeat = false) ~procs (choices : op_choice list list) 
           match op with
           | `Write (loc, v) ->
             ignore (Recorder.record r ~proc (Op.Write { loc; value = v }))
-          | `Read (loc, guess, causal_label) ->
+          | `Read (loc, guess, l) ->
             let value = values.(guess mod Array.length values) in
-            let label = if causal_label then Op.Causal else Op.PRAM in
-            ignore (Recorder.record r ~proc (Op.Read { loc; label; value }))
+            ignore (Recorder.record r ~proc (Op.Read { loc; label = label_of proc l; value }))
           | `Locked_write (loc, v) ->
             ignore
               (Recorder.record r ~proc
@@ -301,8 +317,8 @@ let history_of_choices ?(repeat = false) ~procs (choices : op_choice list list) 
 let op_choice_gen =
   QCheck.Gen.(
     map4
-      (fun shape loc guess causal_label -> { shape; loc; guess; causal_label })
-      (int_bound 5) (int_bound 2) (int_bound 11) bool)
+      (fun shape loc guess label -> { shape; loc; guess; label })
+      (int_bound 5) (int_bound 2) (int_bound 11) (int_bound 5))
 
 let history_arb ~procs ~max_ops =
   QCheck.make
@@ -538,6 +554,69 @@ let test_advisor_group_spectrum () =
   check "full group behaves as causal: invalid" false full.Advisor.declared_valid;
   check "PRAM would do" true (full.Advisor.recommended = Some Op.PRAM)
 
+(* [Advisor.advise] reads each lattice point's failure set once per
+   history; [Oracle.advise] decides every read on its own closures. All
+   five fields must agree, on random histories with member, non-member,
+   singleton and out-of-range group labels, with and without repeated
+   values (which take the closure engine), and on the Section-5 apps. *)
+let advice_matches name h =
+  let got = Advisor.advise h and want = Oracle.advise h in
+  got = want
+  || begin
+       Format.eprintf "%s: advice differs from the per-read oracle:@.%a@." name History.pp h;
+       false
+     end
+
+let advisor_differential =
+  QCheck.Test.make ~name:"advise = per-read oracle on random histories" ~count:300
+    (QCheck.pair QCheck.bool (history_arb ~procs:3 ~max_ops:5))
+    (fun (repeat, choices) ->
+      advice_matches "random" (history_of_choices ~repeat ~groups:true ~procs:3 choices))
+
+module Engine = Mc_sim.Engine
+module Runtime = Mc_dsm.Runtime
+module Config = Mc_dsm.Config
+module Api = Mc_dsm.Api
+module Solver = Mc_apps.Linear_solver
+module Sparse = Mc_apps.Sparse_spd
+module Cholesky = Mc_apps.Cholesky
+
+let record_app ?(groups = []) ~procs launch =
+  let rt =
+    Runtime.create (Engine.create ()) { (Config.default ~procs) with record = true; groups }
+  in
+  ignore (launch (Api.spawn rt));
+  ignore (Runtime.run rt);
+  Runtime.history rt
+
+let test_advisor_apps () =
+  let problem = Solver.Problem.generate ~seed:42 ~n:8 in
+  let m = Sparse.generate ~seed:11 ~n:10 ~density:0.3 in
+  let solver variant ?groups procs =
+    record_app ?groups ~procs (fun spawn -> Solver.launch ~spawn ~procs ~variant problem)
+  in
+  let cholesky variant =
+    record_app ~procs:3 (fun spawn -> Cholesky.launch ~spawn ~procs:3 ~variant m)
+  in
+  List.iter
+    (fun (name, h) -> check (name ^ ": advise = per-read oracle") true (advice_matches name h))
+    [
+      ("solver barrier", solver Solver.Barrier_pram 4);
+      ("solver handshake", solver Solver.Handshake_causal 3);
+      ( "solver group",
+        solver Solver.Handshake_group ~groups:(Solver.solver_groups ~procs:3) 3 );
+      ( "em field",
+        record_app ~procs:3 (fun spawn ->
+            Mc_apps.Em_field.launch ~spawn ~procs:3
+              { Mc_apps.Em_field.rows = 9; cols = 5; steps = 3; seed = 5 }) );
+      ("cholesky locks", cholesky Cholesky.Lock_based);
+      ("cholesky counters", cholesky Cholesky.Counter_based);
+      ( "pipeline awaits",
+        record_app ~procs:3 (fun spawn ->
+            Mc_apps.Pipeline.launch ~spawn ~procs:3 ~impl:Mc_apps.Pipeline.Await_based
+              { Mc_apps.Pipeline.items = 15; slots = 3; work = 2.0 }) );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -619,6 +698,9 @@ let () =
             test_advisor_corollary2_keeps_pram;
           Alcotest.test_case "group spectrum end points" `Quick
             test_advisor_group_spectrum;
+          QCheck_alcotest.to_alcotest advisor_differential;
+          Alcotest.test_case "Section-5 apps match the per-read oracle" `Quick
+            test_advisor_apps;
         ] );
       ( "driver",
         [
