@@ -759,15 +759,16 @@ let check_cmd =
       let fetched =
         match checker with Some c -> Online.fetched_ids c | None -> []
       in
-      let failures =
-        List.filter
-          (fun (f : Lattice.failure) ->
-            not (List.mem f.Lattice.read_id fetched))
-          (Lattice.failures h model)
+      let unfetched =
+        List.filter (fun (f : Lattice.failure) -> not (List.mem f.Lattice.read_id fetched))
       in
+      let failures = unfetched (Lattice.failures h model) in
+      (* against the closure engine: [Lattice.failures] may itself be
+         a replay of the same checker *)
       let online_agrees =
         match checker with
-        | Some c when online -> Some (Online.failures c = failures)
+        | Some c when online ->
+          Some (Online.failures c = unfetched (Lattice.closure_failures h model))
         | _ -> None
       in
       [ ("solver", h, failures, Mc_history.History.is_well_formed h, online_agrees) ]
@@ -781,7 +782,9 @@ let check_cmd =
             let well_formed = Mc_history.History.is_well_formed h in
             let online_agrees =
               if online && streamable then
-                Some (Online.failures (Online.check ~model h) = failures)
+                Some
+                  (Online.failures (Online.check ~model h)
+                  = Lattice.closure_failures h model)
               else None
             in
             (name, h, failures, well_formed, online_agrees))
@@ -832,8 +835,8 @@ let check_cmd =
       & info [ "online" ]
           ~doc:
             "Also replay each history through the streaming checker under \
-             the model (streamable models only) and report whether the two \
-             verdict sets agree.")
+             the model (streamable models only) and report whether its \
+             verdict set agrees with the closure engine's.")
   in
   let json_arg =
     Arg.(
