@@ -4,11 +4,11 @@ module Tree = Mc_placement.Placement.Tree
 type entry = int * int * int
 
 (* one episode at one combiner: arrivals still expected (this node's own
-   if it is a member, plus one per child), the senders seen so far and
-   the merged clock *)
+   if it is a member, plus one per child), the senders seen so far (by
+   child slot, this node's own arrival last) and the merged clock *)
 type episode_state = {
   mutable waiting : int;
-  seen : (int, unit) Hashtbl.t;
+  seen : bool array;
   mutable merged : Protocol.barrier_clock option;
 }
 
@@ -63,7 +63,7 @@ let join t ~members ~episode clock =
   let tree = t.tree members in
   let first_hop =
     match Tree.parent tree t.node with
-    | Some parent when Tree.children tree t.node = [] -> parent
+    | Some parent when Tree.child_count tree t.node = 0 -> parent
     | _ -> t.node (* the root and inner nodes combine their own arrival *)
   in
   let clock =
@@ -88,38 +88,34 @@ let merge merged clock =
 
 (* a release leaves [t.node] for [own] (when it is a member) and for
    each child; under counts each gets only the entries it or its subtree
-   still needs *)
+   still needs, collected by child slot *)
 let release_down t tree ~members ~episode clock ~deliver_own =
   let own_member = is_member tree members t.node in
   let kids = Tree.children tree t.node in
-  let own, parts =
-    match clock with
-    | Protocol.Vector _ -> (clock, List.map (fun c -> (c, clock)) kids)
-    | Protocol.Counts entries ->
-      let own = ref [] and parts = Hashtbl.create 8 in
-      let add c e =
-        match Hashtbl.find_opt parts c with
-        | Some (e' :: _) when e' == e -> () (* another receiver in [c]'s subtree *)
-        | prev -> Hashtbl.replace parts c (e :: Option.value prev ~default:[])
-      in
-      List.iter
-        (fun ((w, _, _) as e) ->
-          List.iter
-            (fun u ->
-              if u = t.node then own := e :: !own
-              else
-                match Tree.child_toward tree ~node:t.node u with
-                | Some c when not (Tree.covers tree ~node:c w) -> add c e
-                | _ -> ())
-            (needed t tree members e))
-        entries;
-      let part c = Protocol.Counts (List.rev (Option.value (Hashtbl.find_opt parts c) ~default:[])) in
-      (Protocol.Counts (List.rev !own), List.map (fun c -> (c, part c)) kids)
-  in
-  if own_member then deliver_own own;
-  List.iter
-    (fun (c, clock) -> t.send ~dst:c (Protocol.Barrier_release { episode; members; clock }))
-    parts
+  let release clock = Protocol.Barrier_release { episode; members; clock } in
+  match clock with
+  | Protocol.Vector _ ->
+    if own_member then deliver_own clock;
+    List.iter (fun c -> t.send ~dst:c (release clock)) kids
+  | Protocol.Counts entries ->
+    let own = ref [] and parts = Array.make (List.length kids) [] in
+    List.iter
+      (fun ((w, _, _) as e) ->
+        (* a child's subtree never gets its own streams back *)
+        let from = Tree.child_slot tree ~node:t.node w in
+        List.iter
+          (fun u ->
+            if u = t.node then own := e :: !own
+            else
+              let j = Tree.child_slot tree ~node:t.node u in
+              if j >= 0 && j <> from then
+                match parts.(j) with
+                | e' :: _ when e' == e -> () (* another receiver in the subtree *)
+                | part -> parts.(j) <- e :: part)
+          (needed t tree members e))
+      entries;
+    if own_member then deliver_own (Protocol.Counts (List.rev !own));
+    List.iteri (fun j c -> t.send ~dst:c (release (Protocol.Counts (List.rev parts.(j))))) kids
 
 let complete t tree key st =
   Hashtbl.remove t.episodes key;
@@ -161,21 +157,20 @@ let handle t ~src msg =
       match Hashtbl.find_opt t.episodes key with
       | Some st -> st
       | None ->
+        let kids = Tree.child_count tree t.node in
         let own = if is_member tree members t.node then 1 else 0 in
-        let st =
-          {
-            waiting = own + List.length (Tree.children tree t.node);
-            seen = Hashtbl.create 8;
-            merged = None;
-          }
-        in
+        let st = { waiting = own + kids; seen = Array.make (kids + 1) false; merged = None } in
         Hashtbl.add t.episodes key st;
         st
     in
-    if Hashtbl.mem st.seen src then
+    let slot =
+      if src = t.node then Array.length st.seen - 1
+      else Tree.child_slot tree ~node:t.node src
+    in
+    if st.seen.(slot) then
       invalid_arg
         (Printf.sprintf "Barrier_manager: process %d arrived twice at episode %d" src episode);
-    Hashtbl.add st.seen src ();
+    st.seen.(slot) <- true;
     st.merged <- merge st.merged clock;
     st.waiting <- st.waiting - 1;
     if st.waiting = 0 then complete t tree key st

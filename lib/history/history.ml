@@ -13,6 +13,8 @@ type t = {
   (* string-keyed memo for relations derived by other layers (the
      lattice engine caches one closure per axiom set here) *)
   rel_cache : (string, Relation.t) Hashtbl.t;
+  (* whether the history meets [Stream]'s restrictions, once asked *)
+  mutable restrictions_memo : bool option;
   (* location -> ids of the operations reading or writing it, built on
      first use *)
   mutable loc_index : (Op.location, int list) Hashtbl.t option;
@@ -50,6 +52,7 @@ let create ~procs ops =
     sync_reduced_memo = None;
     causality_memo = None;
     rel_cache = Hashtbl.create 8;
+    restrictions_memo = None;
     loc_index = None;
   }
 
@@ -85,6 +88,15 @@ let cached_relation t key compute =
     let r = compute () in
     Hashtbl.add t.rel_cache key r;
     r
+
+(* the memo holds one of two constants, so filling it allocates nothing *)
+let memo_restrictions t check =
+  match t.restrictions_memo with
+  | Some b -> b
+  | None ->
+    let b = check t in
+    t.restrictions_memo <- (if b then Some true else Some false);
+    b
 
 (* Memoization helper over the mutable record fields. *)
 let with_memo get set t compute =

@@ -121,4 +121,9 @@ val ops_at : t -> Op.location -> int list
     [Mc_consistency.Lattice]) can be cached here without recomputation. *)
 val cached_relation : t -> string -> (unit -> Mc_util.Relation.t) -> Mc_util.Relation.t
 
+(** [memo_restrictions h check] is [check h], computed on the first
+    call and memoized on [h]: [Stream.meets_restrictions] keeps its
+    verdict here, so the checks of one history run it once. *)
+val memo_restrictions : t -> (t -> bool) -> bool
+
 val pp : Format.formatter -> t -> unit

@@ -755,8 +755,9 @@ let feed_history ~callbacks h =
    in id order. A process's barriers complete in id order, so they
    overlap iff one is invoked before its predecessor's response. The
    grant numbers of a lock must be distinct and non-negative, or the
-   lock reorder buffer would not replay the offline grant order. *)
-let meets_restrictions h =
+   lock reorder buffer would not replay the offline grant order. The
+   answer is memoized on the history. *)
+let check_restrictions h =
   let written = Locs.create 16 in
   let episodes = Hashtbl.create 8 and grants = Hashtbl.create 8 in
   let barrier_resp = Array.make (History.procs h) (-1) in
@@ -785,3 +786,5 @@ let meets_restrictions h =
           once episodes (o.proc, Op.barrier_episode o))
   in
   Array.for_all ok (History.ops h)
+
+let meets_restrictions h = History.memo_restrictions h check_restrictions

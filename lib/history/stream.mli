@@ -95,7 +95,8 @@ val replay : 'a t -> History.t -> unit
 val feed_history : callbacks:'a callbacks -> History.t -> 'a t
 
 (** [meets_restrictions h]: does [h] meet every restriction above? One
-    pass over the operations, in time linear in the history. *)
+    pass over the operations, in time linear in the history, on the
+    first call; the answer is memoized on [h]. *)
 val meets_restrictions : History.t -> bool
 
 (** {2 Statistics} *)

@@ -156,9 +156,18 @@ let home t ~shard =
   match subscribers t ~shard with [] -> None | least :: _ -> Some least
 
 module Tree = struct
+  (* node ids are dense, so the low bits are a good hash, and a lookup
+     (every step of a barrier's routing) calls no generic hash *)
+  module Index = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash k = k land max_int
+  end)
+
   type t = {
     order : int array; (* position -> node, root first *)
-    index : (int, int) Hashtbl.t; (* node -> position *)
+    index : int Index.t; (* node -> position *)
     k : int;
   }
 
@@ -166,21 +175,21 @@ module Tree = struct
     if fanout <= 0 then invalid_arg "Placement.Tree.create: fanout must be positive";
     let len = Array.length order in
     if len = 0 then invalid_arg "Placement.Tree.create: empty order";
-    let index = Hashtbl.create len in
+    let index = Index.create len in
     Array.iteri
       (fun i node ->
-        if Hashtbl.mem index node then
+        if Index.mem index node then
           invalid_arg (Printf.sprintf "Placement.Tree.create: node %d repeated" node);
-        Hashtbl.add index node i)
+        Index.add index node i)
       order;
     (* a fanout past the last position gives the same tree and keeps
        [k * i] from overflowing *)
     { order; index; k = min fanout (max 1 (len - 1)) }
 
-  let mem t node = Hashtbl.mem t.index node
+  let mem t node = Index.mem t.index node
 
   let position t node =
-    match Hashtbl.find_opt t.index node with
+    match Index.find_opt t.index node with
     | Some i -> i
     | None -> invalid_arg (Printf.sprintf "Placement.Tree: node %d not in the tree" node)
 
@@ -197,13 +206,18 @@ module Tree = struct
     let rec up i = i = top || (i > top && up ((i - 1) / t.k)) in
     up (position t target)
 
-  let child_toward t ~node target =
+  let child_count t node =
+    let first = (t.k * position t node) + 1 in
+    max 0 (min (Array.length t.order) (first + t.k) - first)
+
+  (* the children of position [top] are [k * top + 1 ..], in order *)
+  let child_slot t ~node target =
     let top = position t node in
     let rec up i =
-      if i <= top then None
+      if i <= top then -1
       else
         let p = (i - 1) / t.k in
-        if p = top then Some t.order.(i) else up p
+        if p = top then i - (t.k * top) - 1 else up p
     in
     up (position t target)
 end

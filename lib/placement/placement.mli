@@ -105,10 +105,13 @@ module Tree : sig
       descendants. *)
   val covers : t -> node:int -> int -> bool
 
-  (** [child_toward t ~node target] is the child of [node] whose
-      subtree holds [target]; [None] when [target] is [node] or lies
-      outside its subtree. *)
-  val child_toward : t -> node:int -> int -> int option
+  (** [child_count t node] is the length of [children t node]. *)
+  val child_count : t -> int -> int
+
+  (** [child_slot t ~node target] is the index in [children t node] of
+      the child whose subtree holds [target]; [-1] when [target] is
+      [node] or lies outside its subtree. *)
+  val child_slot : t -> node:int -> int -> int
 end
 
 (** {1 Dissemination trees} *)

@@ -112,28 +112,37 @@ let grow t =
   t.slots <- slots;
   t.acts <- acts
 
-(* add [act] at time [t.clock.at]. Its seq is the largest yet, so it
-   rises past exactly the entries with a later time: parents move down
-   into the hole until its place is found. It takes the first free
-   slot *)
-let heap_push t act =
+(* add [act] at (time [t.clock.at], [seq]): parents later in that order
+   move down into the hole until its place is found. A fresh seq is the
+   largest yet, so only a reserved one can pass a parent of its own
+   time. It takes the first free slot *)
+let heap_insert t act seq =
   if t.size = Array.length t.acts then grow t;
   let time = t.clock.at and times = t.times and seqs = t.seqs and slots = t.slots in
   let slot = slots.(t.size) in
   t.acts.(slot) <- act;
-  let i = ref t.size in
-  while !i > 0 && time < times.((!i - 1) / 2) do
+  let i = ref t.size and rising = ref true in
+  while !rising && !i > 0 do
     let parent = (!i - 1) / 2 in
-    times.(!i) <- times.(parent);
-    seqs.(!i) <- seqs.(parent);
-    slots.(!i) <- slots.(parent);
-    i := parent
+    if time < times.(parent) || (time = times.(parent) && seq < seqs.(parent)) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      slots.(!i) <- slots.(parent);
+      i := parent
+    end
+    else rising := false
   done;
   times.(!i) <- time;
-  seqs.(!i) <- t.next_seq;
+  seqs.(!i) <- seq;
   slots.(!i) <- slot;
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1
+
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let heap_push t act = heap_insert t act (reserve t)
 
 (* remove the earliest event, advance the clock to its time and return
    its action. The last entry refills the root's hole from above: the
@@ -217,10 +226,14 @@ let schedule t ~delay f =
   t.clock.at <- t.clock.now +. delay;
   push t (Call f)
 
-let schedule_at t ~at f =
+(* straight into the heap, even when [at] is now: the seq was reserved
+   before the clock got here, so the event comes before every one in
+   [due] *)
+let schedule_at t ~at ~seq f =
   if at < t.clock.now then invalid_arg "Engine.schedule_at: time in the past";
+  if seq >= t.next_seq then invalid_arg "Engine.schedule_at: sequence number not reserved";
   t.clock.at <- at;
-  push t (Call f)
+  heap_insert t (Call f) seq
 
 (* ------------------------------------------------------------------ *)
 (* Fibers                                                              *)

@@ -12,9 +12,14 @@
     which events were scheduled, and events fire in that order. The
     queue is a binary heap over those pairs held in flat arrays (times
     unboxed), plus a FIFO ring for the events due at the current time,
-    so scheduling and firing an event allocates only its action. A fiber
-    carries one record for its whole life, which names it in the
-    deadlock message and rejects a second resume of one suspension.
+    so scheduling and firing an event allocates only its action. A
+    caller can hold events back and still keep their place: it reserves
+    each one's sequence number when it would have scheduled it
+    ({!reserve}) and schedules it later at that number
+    ({!schedule_at}), as a network link does for its messages in
+    flight. A fiber carries one record for its whole life, which names
+    it in the deadlock message and rejects a second resume of one
+    suspension.
 
     Typical use:
     {[
@@ -47,12 +52,22 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     Callbacks must not suspend; they may resume suspended fibers. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
-(** [schedule_at t ~at f] runs [f] at time [at], which must not be in the
-    past. Events given one time fire in the order they were scheduled,
-    so callers that keep their own order of delivery times (a FIFO link
-    clamps each message to its predecessor's time) get it exactly:
-    [now + (at - now)] can round to one ulp below [at]. *)
-val schedule_at : t -> at:float -> (unit -> unit) -> unit
+(** [reserve t] draws the next sequence number, as scheduling an event
+    would, for an event that {!schedule_at} puts in the queue later. *)
+val reserve : t -> int
+
+(** [schedule_at t ~at ~seq f] runs [f] at (time [at], sequence number
+    [seq]), as if it had been scheduled when [seq] was reserved: after
+    the events at [at] scheduled before the reservation and before
+    those scheduled after it. [seq] must come from {!reserve}, taken
+    before the clock reached [at] (earlier in virtual time), and be used
+    once; [at] must not be in the past. A caller that holds events back
+    keeps its own order of times and seqs: a network link keeps its
+    in-flight messages behind one pending event, their head's, and
+    schedules the next message when the head fires, at the time and seq
+    it drew when it was sent. The time is taken exactly: [now + (at -
+    now)] can round to one ulp below [at]. *)
+val schedule_at : t -> at:float -> seq:int -> (unit -> unit) -> unit
 
 (** [delay t d] suspends the calling fiber for [d] units of virtual time.
     Must be called from within a fiber of [t]. It takes two events, like
@@ -85,5 +100,7 @@ val events_processed : t -> int
     ([mc_engine_events_total], [mc_engine_fibers_spawned_total],
     [mc_engine_suspends_total]) and the [mc_engine_queue_depth] gauge in
     [reg] and starts updating them. Until attached the engine records
-    nothing beyond its own [events_processed] count. *)
+    nothing beyond its own [events_processed] count. The depth counts
+    pending events: a network link's messages in flight count once,
+    as its head's event. *)
 val attach_metrics : t -> Mc_obs.Metrics.Registry.t -> unit

@@ -78,7 +78,7 @@ let test_send () =
         done;
         ignore (Engine.run e))
   in
-  check_ceiling "one delivered Network.send" ~ceiling:19.01 words
+  check_ceiling "one delivered Network.send" ~ceiling:16.01 words
 
 (* writer 0's updates, each deliverable on arrival at node 1 *)
 let test_receive () =
@@ -124,7 +124,7 @@ let test_cholesky () =
     ((Option.get !result).Cholesky.l = Sparse.factor_reference m);
   check_ceiling
     (Printf.sprintf "words per event of a lock-based Cholesky run (%d events)" events)
-    ~ceiling:15.5 (words /. float_of_int events)
+    ~ceiling:14.2 (words /. float_of_int events)
 
 (* mcdsm solver --variant handshake --check-online -n 96 -w 8: the
    benchmark's solver-online program, every operation recorded into the
@@ -154,7 +154,10 @@ let test_solver_online () =
    (1,592 operations), checked at Mixed and linted. Both are streamable
    work: the Mixed check is one Online replay, and the advisor reads one
    failure set per lattice point it needs (three here), so the words
-   grow with the history, not with readers times points. *)
+   grow with the history, not with readers times points. Whether the
+   history meets the stream's restrictions is decided by the Mixed
+   check and memoized, so the advisor's three points do not decide it
+   again. *)
 let test_check_offline () =
   let m = Sparse.generate ~seed:42 ~n:20 ~density:0.2 in
   let rt = Runtime.create (Engine.create ()) { (Config.default ~procs:4) with record = true } in
@@ -174,7 +177,7 @@ let test_check_offline () =
   Alcotest.(check int) "mixed failures" 0 (List.length failures);
   Alcotest.(check int) "lint errors" 0 report.Analysis.errors;
   check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:169_776. (w1 -. w0);
-  check_ceiling "minor words of Analysis.analyze h" ~ceiling:1_454_156. (w2 -. w1)
+  check_ceiling "minor words of Analysis.analyze h" ~ceiling:1_427_666. (w2 -. w1)
 
 let () =
   Alcotest.run "alloc"

@@ -13,6 +13,8 @@
      non-fetched reads, while the fetched read validates against its
      snapshot, and a 200-process run in the shard-1000 pattern checked
      online agrees with the closure engine on its subscribed reads;
+   - shard-1000's own program at 1,000 processes, its sim time, messages
+     and bytes pinned;
    - solver differential: the Fig. 2 solver under sharded placement
      computes the same result as under full replication, with a clean
      online verdict despite every foreign-row read being a fetch. *)
@@ -394,6 +396,62 @@ let test_many_procs_online () =
   in
   check "online = offline on non-fetched reads" true (Online.failures chk = offline)
 
+(* The benchmark's shard-1000 program at seed 42: 1,000 processes over
+   100,000 objects in range placement, each subscribed to its own shard
+   and the next; per round each writes 4 slots of its own range,
+   crosses a barrier, reads the same slots of its two clockwise
+   neighbours (a subscribed read and a fetch) and crosses a second
+   barrier, for two rounds. The seed draws the written values and the
+   30-70 us latencies. Its sim time, messages and bytes are pinned, so a
+   change to the network, the barrier tree or the fetch path that moves
+   the simulated run at this scale fails here. *)
+let test_shard_1000_pinned () =
+  let procs = 1000 and objects = 100_000 and writes = 4 and rounds = 2 and seed = 42 in
+  let per = (objects + procs - 1) / procs in
+  let slot_loc proc slot = Printf.sprintf "s:%d" ((proc * per) + (slot mod per)) in
+  let rng = Rng.make seed in
+  let values =
+    Array.init procs (fun _ -> Array.init (writes * rounds) (fun _ -> 1 + Rng.int rng 1_000_000))
+  in
+  let pl = P.create ~shards:procs ~policy:(P.Range { objects }) () in
+  for i = 0 to procs - 1 do
+    P.subscribe pl ~node:i ~shard:i;
+    P.subscribe pl ~node:i ~shard:((i + 1) mod procs)
+  done;
+  let latency = Latency.uniform (Rng.make seed) ~lo:30. ~hi:70. in
+  let rt =
+    Runtime.create (Engine.create ()) ~latency
+      { (Config.default ~procs) with timestamped_updates = false; placement = Some pl }
+  in
+  let sums = Array.make procs 0 in
+  for i = 0 to procs - 1 do
+    Api.spawn rt i (fun (api : Api.t) ->
+        for r = 0 to rounds - 1 do
+          for k = 0 to writes - 1 do
+            let slot = (r * writes) + k in
+            api.write (slot_loc i slot) values.(i).(slot)
+          done;
+          api.barrier ();
+          for k = 0 to writes - 1 do
+            let slot = (r * writes) + k in
+            let near = api.read ~label:Op.PRAM (slot_loc ((i + 1) mod procs) slot) in
+            let far = api.read ~label:Op.PRAM (slot_loc ((i + 2) mod procs) slot) in
+            sums.(i) <- sums.(i) + near + far
+          done;
+          api.barrier ()
+        done)
+  done;
+  let sim_time = Runtime.run rt in
+  let net = Runtime.network rt in
+  let sum a = Array.fold_left ( + ) 0 a in
+  for i = 0 to procs - 1 do
+    check_int "exact sum" (sum values.((i + 1) mod procs) + sum values.((i + 2) mod procs))
+      sums.(i)
+  done;
+  Alcotest.(check string) "sim time" "2567.9736361826708" (Printf.sprintf "%.17g" sim_time);
+  check_int "messages" 31_992 (Network.messages_sent net);
+  check_int "bytes" 1_600_896 (Network.bytes_sent net)
+
 (* ------------------------------------------------------------------ *)
 (* The barrier's combining tree                                        *)
 (* ------------------------------------------------------------------ *)
@@ -664,6 +722,7 @@ let () =
           Alcotest.test_case "online = offline off the fetch path" `Quick
             test_partial_view_checker_identity;
           Alcotest.test_case "200 processes online" `Quick test_many_procs_online;
+          Alcotest.test_case "1,000 processes pinned" `Quick test_shard_1000_pinned;
         ] );
       ( "solver",
         [

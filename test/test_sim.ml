@@ -87,6 +87,33 @@ let test_due_now_order () =
     [ "a"; "b"; "due"; "fiber"; "later" ]
     (List.rev !log)
 
+(* An event scheduled late at a reserved seq fires where an event
+   scheduled at the reservation would: after the events at its time
+   scheduled before the reservation, before those scheduled after it,
+   and, at the current time, before the events already due now. *)
+let test_reserved_seq () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note x () = log := x :: !log in
+  Engine.schedule e ~delay:5. (note "before");
+  let early = Engine.reserve e and late = Engine.reserve e in
+  Engine.schedule e ~delay:5. (note "after");
+  Engine.schedule e ~delay:1. (fun () ->
+      Engine.schedule_at e ~at:5. ~seq:early (fun () ->
+          note "early" ();
+          Engine.schedule e ~delay:0. (note "due");
+          Engine.schedule_at e ~at:5. ~seq:late (note "late")));
+  ignore (Engine.run e);
+  Alcotest.(check (list string)) "(time, seq) order"
+    [ "before"; "early"; "late"; "after"; "due" ]
+    (List.rev !log);
+  Alcotest.check_raises "unreserved seq"
+    (Invalid_argument "Engine.schedule_at: sequence number not reserved") (fun () ->
+      Engine.schedule_at e ~at:6. ~seq:(Engine.reserve e + 1) ignore);
+  Alcotest.check_raises "past time"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      Engine.schedule_at e ~at:4. ~seq:(Engine.reserve e) ignore)
+
 let test_resumed_twice () =
   let e = Engine.create () in
   let resumer = ref None in
@@ -156,6 +183,7 @@ let () =
           Alcotest.test_case "fibers interleave" `Quick test_many_fibers_interleave;
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
           Alcotest.test_case "due-now order" `Quick test_due_now_order;
+          Alcotest.test_case "reserved seq keeps its place" `Quick test_reserved_seq;
           Alcotest.test_case "resumed twice" `Quick test_resumed_twice;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
           Alcotest.test_case "fiber failure propagates" `Quick test_fiber_failure;
