@@ -19,13 +19,13 @@ let run ~quick =
     let truth = Async.solution problem in
     (* synchronous Fig. 2 baseline *)
     let res, s_sync =
-      run_mixed ~procs ~timestamped:false (fun _rt spawn ->
+      run_mixed ~procs ~timestamped:false (fun spawn ->
           Solver.launch ~spawn ~procs ~variant:Solver.Barrier_pram problem)
     in
     let sync = Option.get !res in
     (* asynchronous chaotic relaxation, PRAM reads, no sync ops at all *)
     let res, s_async =
-      run_mixed ~procs ~timestamped:false (fun _rt spawn -> Async.launch ~spawn ~procs problem)
+      run_mixed ~procs ~timestamped:false (fun spawn -> Async.launch ~spawn ~procs problem)
     in
     let a = Option.get !res in
     let maxdiff =

@@ -23,8 +23,8 @@ let run ~quick =
         spawn i workload
       done
     in
-    let _, m = run_mixed ~procs ~timestamped:false (fun rt _ -> spawn_all (Api.spawn rt)) in
-    let _, c = run_central ~procs spawn_all in
+    let _, m = run_mixed ~procs ~timestamped:false spawn_all in
+    let _, c = Memory.(run Central (Config.default ~procs) spawn_all) in
     let per x = Float (x /. float_of_int episodes) in
     row
       [ procs_c, Int procs; mixed_time, per m.time; mixed_wait, Float (mean_wait m "barrier");

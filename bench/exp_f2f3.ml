@@ -19,7 +19,7 @@ let run ~quick =
     let problem = Solver.Problem.generate ~seed:42 ~n in
     let run name v timestamped =
       let res, s =
-        run_mixed ~procs ~timestamped (fun _rt spawn ->
+        run_mixed ~procs ~timestamped (fun spawn ->
             Solver.launch ~spawn ~procs ~variant:v problem)
       in
       let r = Option.get !res in

@@ -26,7 +26,7 @@ let run ~quick:_ =
   let expected = Solver.reference ~variant:Solver.Handshake_causal ~max_iters problem in
   let run ?await_label v =
     let res, _ =
-      run_mixed ~procs ?await_label ~latency:(adverse_latency procs) (fun _rt spawn ->
+      run_mixed ~procs ?await_label ~latency:(adverse_latency procs) (fun spawn ->
           Solver.launch ~spawn ~procs ~variant:v ~max_iters problem)
     in
     (Option.get !res).Solver.x = expected.Solver.x

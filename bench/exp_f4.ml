@@ -14,16 +14,17 @@ let run ~quick =
   let point procs =
     let params = { Em.rows = 4 * procs; cols = 8; steps = (if quick then 4 else 8); seed = 5 } in
     let expected = Em.reference ~procs params in
-    let row name (res, s) =
+    let row name (res, (s : Memory.result)) =
       row
         [ procs_c, Int procs; grid, Text (Printf.sprintf "%dx%d" params.Em.rows params.Em.cols);
           system, Text name; exact, Flag ((Option.get !res).Em.checksum = expected.Em.checksum);
           sim, Float s.time; msgs, Int s.messages; bytes, Int s.bytes ]
     in
     let launch spawn = Em.launch ~spawn ~procs params in
-    let m = run_mixed ~procs ~timestamped:false (fun _rt spawn -> launch spawn) in
-    let i = run_inval ~procs launch in
-    let c = run_central ~procs launch in
+    let m = run_mixed ~procs ~timestamped:false launch in
+    let sc memory = Memory.run memory (Config.default ~procs) launch in
+    let i = sc Memory.Invalidate in
+    let c = sc Memory.Central in
     [ row "mixed (PRAM+barriers)" m; row "SC write-invalidate" i; row "SC central server" c;
       derived
         [ system, Text "-> mixed speedup vs invalidate";

@@ -25,7 +25,7 @@ let run ~quick =
   let point (name, m) =
     let lref = Sparse.factor_reference m in
     let run label v =
-      let res, s = run_mixed ~procs (fun _rt spawn -> Cholesky.launch ~spawn ~procs ~variant:v m) in
+      let res, s = run_mixed ~procs (fun spawn -> Cholesky.launch ~spawn ~procs ~variant:v m) in
       ( s,
         row
           [ matrix, Text name; nnz, Int (Sparse.nnz m); variant, Text label;

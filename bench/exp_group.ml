@@ -15,7 +15,7 @@ let run ~quick:_ =
   let run name variant ?await_label ?(groups = []) () =
     let res, s =
       run_mixed ~procs ?await_label ~groups ~latency:(Exp_f3pram.adverse_latency procs)
-        (fun _rt spawn -> Solver.launch ~spawn ~procs ~variant ~max_iters problem)
+        (fun spawn -> Solver.launch ~spawn ~procs ~variant ~max_iters problem)
     in
     row
       [ label, Text name;

@@ -17,7 +17,7 @@ let run ~quick =
       let res, s =
         run_mixed ~procs ~timestamped:false
           ?placement:(if routed then Some (Em.placement ~procs) else None)
-          (fun _rt spawn -> Em.launch ~spawn ~procs params)
+          (fun spawn -> Em.launch ~spawn ~procs params)
       in
       ( s,
         row

@@ -15,7 +15,7 @@ let run ~quick =
   let point (procs, items, slots) impl =
     let params = { Pipeline.items; slots; work = 5.0 } in
     let expected = Pipeline.reference ~procs params in
-    let res, s = run_mixed ~procs (fun _rt spawn -> Pipeline.launch ~spawn ~procs ~impl params) in
+    let res, s = run_mixed ~procs (fun spawn -> Pipeline.launch ~spawn ~procs ~impl params) in
     row
       [ pipeline, Text (Printf.sprintf "%d stages, %d items, window %d" procs items slots);
         impl_c, Text (Pipeline.impl_to_string impl);

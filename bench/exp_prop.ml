@@ -49,9 +49,9 @@ let run ~quick:_ =
   let latency = Latency.matrix lat in
   let point (case, writes, reads) propagation =
     let _, s =
-      run_mixed ~procs ~propagation ~latency (fun rt _spawn ->
+      run_mixed ~procs ~propagation ~latency (fun spawn ->
           for i = 0 to procs - 1 do
-            Api.spawn rt i (workload ~lock ~writes ~reads)
+            spawn i (workload ~lock ~writes ~reads)
           done)
     in
     row

@@ -68,15 +68,13 @@ let run_point ?observe ?tracer ~sharded (procs, objects, writes, rounds) =
   let reads = writes in
   let per = (objects + procs - 1) / procs in
   let checksum = ref 0 in
-  let rt, s =
+  let (), s =
     run_mixed ~procs ~timestamped:false
       ?placement:(if sharded then Some (placement ~procs ~objects) else None)
       ?observe ?tracer
-      (fun rt spawn ->
-        workload ~procs ~writes ~rounds ~reads ~per checksum spawn;
-        rt)
+      (workload ~procs ~writes ~rounds ~reads ~per checksum)
   in
-  (rt, s, !checksum = expected ~procs ~writes ~rounds ~reads)
+  (Option.get s.runtime, s, !checksum = expected ~procs ~writes ~rounds ~reads)
 
 let procs_c = col "procs" ~key:"procs"
 let objects_c = col "objects" ~key:"objects"

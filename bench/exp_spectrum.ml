@@ -25,7 +25,7 @@ let bytes = col "bytes"
 
 let run ~quick:_ =
   let procs = 4 in
-  let row name (_, s) =
+  let row name (_, (s : Memory.result)) =
     row
       [ memory, Text name; read_wait, Float (mean_wait s "read");
         write_wait, Float (mean_wait s "write"); total, Float s.time; msgs, Int s.messages;
@@ -36,10 +36,11 @@ let run ~quick:_ =
       spawn i (workload ~label)
     done
   in
-  let pram = run_mixed ~procs (fun rt _ -> spawn_all (Api.spawn rt) Op.PRAM) in
-  let causal = run_mixed ~procs (fun rt _ -> spawn_all (Api.spawn rt) Op.Causal) in
-  let inval = run_inval ~procs (fun spawn -> spawn_all spawn Op.Causal) in
-  let central = run_central ~procs (fun spawn -> spawn_all spawn Op.Causal) in
+  let pram = run_mixed ~procs (fun spawn -> spawn_all spawn Op.PRAM) in
+  let causal = run_mixed ~procs (fun spawn -> spawn_all spawn Op.Causal) in
+  let sc memory = Memory.run memory (Config.default ~procs) (fun spawn -> spawn_all spawn Op.Causal) in
+  let inval = sc Memory.Invalidate in
+  let central = sc Memory.Central in
   {
     tables =
       [ table ~title:"EXP-SPECTRUM: mean access latency across consistency levels"

@@ -1,5 +1,4 @@
-(* Shared experiment plumbing: the three memory runners every
-   experiment goes through. Opened wholesale by the experiments
+(* Shared experiment plumbing. Opened wholesale by the experiments
    ([open Harness]), so the module aliases below and the experiment
    shape ([Exp], included) are part of the surface. *)
 
@@ -10,8 +9,7 @@ module Api = Mc_dsm.Api
 module Network = Mc_net.Network
 module Latency = Mc_net.Latency
 module Op = Mc_history.Op
-module Central = Mc_baselines.Sc_central
-module Inval = Mc_baselines.Sc_invalidate
+module Memory = Mc_baselines.Memory
 module Solver = Mc_apps.Linear_solver
 module Em = Mc_apps.Em_field
 module Sparse = Mc_apps.Sparse_spd
@@ -30,22 +28,12 @@ include Exp
 (* the seed BENCH_CORE.json records; the seeded workloads use 42 *)
 let bench_seed = 42
 
-(* ------------------------------------------------------------------ *)
-(* Runners                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  time : float;
-  messages : int;
-  bytes : int;
-  waits : (string * Summary.t) list;
-}
-
+(* the mixed runtime's configuration the experiments share; every run,
+   on any memory, goes through [Memory.run] *)
 let run_mixed ?(procs = 4) ?(propagation = Config.Lazy) ?(timestamped = true)
     ?(await_label = Op.Causal) ?(groups = []) ?placement ?latency
     ?(observe = false) ?tracer f =
-  let engine = Engine.create () in
-  let cfg =
+  Memory.run ?latency Memory.Mixed
     {
       (Config.default ~procs) with
       propagation;
@@ -56,46 +44,9 @@ let run_mixed ?(procs = 4) ?(propagation = Config.Lazy) ?(timestamped = true)
       observe;
       tracer;
     }
-  in
-  let rt = Runtime.create engine ?latency cfg in
-  let out = f rt (Api.spawn rt) in
-  let time = Runtime.run rt in
-  let net = Runtime.network rt in
-  ( out,
-    {
-      time;
-      messages = Network.messages_sent net;
-      bytes = Network.bytes_sent net;
-      waits = Runtime.wait_summaries rt;
-    } )
+    f
 
-let run_central ?(procs = 4) f =
-  let engine = Engine.create () in
-  let m = Central.create engine ~procs () in
-  let out = f (Central.spawn m) in
-  let time = Central.run m in
-  ( out,
-    {
-      time;
-      messages = Central.messages_sent m;
-      bytes = Central.bytes_sent m;
-      waits = Central.wait_summaries m;
-    } )
-
-let run_inval ?(procs = 4) f =
-  let engine = Engine.create () in
-  let m = Inval.create engine ~procs () in
-  let out = f (Inval.spawn m) in
-  let time = Inval.run m in
-  ( out,
-    {
-      time;
-      messages = Inval.messages_sent m;
-      bytes = Inval.bytes_sent m;
-      waits = Inval.wait_summaries m;
-    } )
-
-let mean_wait stats name =
-  match List.assoc_opt name stats.waits with
+let mean_wait (s : Memory.result) name =
+  match List.assoc_opt name s.waits with
   | Some s -> Summary.mean s
   | None -> 0.

@@ -13,6 +13,7 @@ module Engine = Mc_sim.Engine
 module Runtime = Mc_dsm.Runtime
 module Config = Mc_dsm.Config
 module Api = Mc_dsm.Api
+module Memory = Mc_baselines.Memory
 module Op = Mc_history.Op
 module Placement = Mc_placement.Placement
 module Solver = Mc_apps.Linear_solver
@@ -21,19 +22,16 @@ module Sparse = Mc_apps.Sparse_spd
 module Cholesky = Mc_apps.Cholesky
 module Json = Mc_util.Json
 
-type memory = Mixed | Central | Invalidate
-
 let memory_conv =
-  let parse = function
-    | "mixed" -> Ok Mixed
-    | "central" -> Ok Central
-    | "invalidate" -> Ok Invalidate
-    | s -> Error (`Msg (Printf.sprintf "unknown memory system %S" s))
+  let names =
+    [ ("mixed", Memory.Mixed); ("central", Memory.Central); ("invalidate", Memory.Invalidate) ]
   in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with Mixed -> "mixed" | Central -> "central" | Invalidate -> "invalidate")
+  let parse s =
+    match List.assoc_opt s names with
+    | Some m -> Ok m
+    | None -> Error (`Msg (Printf.sprintf "unknown memory system %S" s))
   in
+  let print fmt m = Format.pp_print_string fmt (fst (List.find (fun (_, m') -> m' = m) names)) in
   Cmdliner.Arg.conv (parse, print)
 
 let propagation_conv =
@@ -50,74 +48,18 @@ module Online = Mc_consistency.Online
 module Read_rule = Mc_consistency.Read_rule
 module Lattice = Mc_consistency.Lattice
 
-(* the uniform lattice point the *online* checker can be asked to
-   validate: witness-based models fall back to the offline check with a
-   note on stderr (never stdout — it must stay JSON-pure) *)
-let online_model ~check_online model =
-  match model with
-  | Some m when Online.supports m -> Some m
-  | Some m ->
-    if check_online then
-      Printf.eprintf
-        "note: model %s is not streamable (sim-time witness orders); the \
-         online checker runs per-label and %s is checked offline\n"
-        (Lattice.to_string m) (Lattice.to_string m);
-    None
-  | None -> None
-
-(* run [f] on the chosen memory system; returns (result, sim time,
-   messages, history if recorded, online checker if requested). On the
-   mixed runtime the online checker runs during execution (streaming
-   verdicts, runtime stability sweeps); on the baselines it replays the
-   recorded history through the same engine afterwards. With [model]
-   (and [check_online]) the online checker validates every memory read
-   under that single lattice point instead of its declared label.
-   [batch_max] is the mixed runtime's update batching. *)
-let run_on ~memory ~procs ~propagation ~record ~check_online ?model ?placement
-    ?(batch_max = 1) f =
-  let model = online_model ~check_online model in
-  if placement <> None && memory <> Mixed then
-    invalid_arg "sharded placement requires the mixed memory system";
-  match memory with
-  | Mixed ->
-    let engine = Engine.create () in
-    let cfg =
-      { (Config.default ~procs) with
-        propagation; record; check_online; check_model = model; placement; batch_max }
-    in
-    let rt = Runtime.create engine cfg in
-    let out = f (Api.spawn rt) in
-    let time = Runtime.run rt in
-    let history = if record then Some (Runtime.history rt) else None in
-    ( out,
-      time,
-      Mc_net.Network.messages_sent (Runtime.network rt),
-      history,
-      Runtime.online_checker rt )
-  | Central ->
-    let engine = Engine.create () in
-    let record' = record || check_online in
-    let m = Mc_baselines.Sc_central.create engine ~record:record' ~procs () in
-    let out = f (Mc_baselines.Sc_central.spawn m) in
-    let time = Mc_baselines.Sc_central.run m in
-    let h = if record' then Some (Mc_baselines.Sc_central.history m) else None in
-    let checker =
-      if check_online then Option.map (Online.check ?model) h else None
-    in
-    let history = if record then h else None in
-    (out, time, Mc_baselines.Sc_central.messages_sent m, history, checker)
-  | Invalidate ->
-    let engine = Engine.create () in
-    let record' = record || check_online in
-    let m = Mc_baselines.Sc_invalidate.create engine ~record:record' ~procs () in
-    let out = f (Mc_baselines.Sc_invalidate.spawn m) in
-    let time = Mc_baselines.Sc_invalidate.run m in
-    let h = if record' then Some (Mc_baselines.Sc_invalidate.history m) else None in
-    let checker =
-      if check_online then Option.map (Online.check ?model) h else None
-    in
-    let history = if record then h else None in
-    (out, time, Mc_baselines.Sc_invalidate.messages_sent m, history, checker)
+(* the flags the app subcommands (solver, em, cholesky) share *)
+type common = {
+  memory : Memory.t;
+  propagation : Config.propagation;
+  record : bool;
+  check_online : bool;
+  model : Lattice.t option;
+  json : bool;
+  strict : bool;
+  trace : bool;
+  seed : int;
+}
 
 (* --------- check reports (shared by every app subcommand) ----------- *)
 
@@ -223,14 +165,6 @@ let print_online_report c =
     s.Online.chains s.Online.max_resident s.Online.live_summaries;
   List.iter (fun f -> Format.printf "  %a@." Lattice.pp_failure f) (Online.failures c)
 
-(* Print the requested reports; returns false when any requested check
-   found an inconsistency, so every subcommand exits with the same
-   status (1) on a consistency failure. Under [strict] a recorded
-   history that is not well-formed also fails. Under [json] stdout
-   carries exactly one JSON object — the app result fields ([extra])
-   plus whichever check sections ran — with all human-readable lines on
-   stderr, so `mcdsm <app> --json` is machine-parseable with or without
-   --check. *)
 let print_model_report (m, failures) =
   Printf.printf "model %s: consistent=%b failures=%d%s\n" (Lattice.to_string m)
     (failures = []) (List.length failures)
@@ -240,34 +174,43 @@ let print_model_report (m, failures) =
       Format.printf "  read %d: %a@." f.read_id Read_rule.pp_verdict f.verdict)
     failures
 
-let check_report ?(json = false) ?(trace = false) ?(strict = false) ?model
-    ?(extra = []) ~history ~checker () =
+(* Print the requested reports of an app run, and exit with status 1
+   when any requested check found an inconsistency, as every subcommand
+   does; under --strict a recorded history that is not well-formed also
+   fails. Under --json stdout carries exactly one JSON object — the app
+   result fields ([extra]) plus whichever check sections ran — with all
+   human-readable lines on stderr, so `mcdsm <app> --json` is
+   machine-parseable with or without --check. *)
+let check_report c ~extra { Memory.history; checker; _ } =
   (* each failure list is computed once, for the report and the verdict *)
   let offline = Option.map (fun h -> (h, Lattice.failures h Lattice.Mixed)) history in
   let modelled =
-    match (model, history) with
+    match (c.model, history) with
     | Some m, Some h -> Some (m, Lattice.failures h m)
     | _ -> None
   in
-  if json then print_endline (check_json ~modelled ~offline ~extra ~checker ())
+  if c.json then print_endline (check_json ~modelled ~offline ~extra ~checker ())
   else begin
-    Option.iter (print_offline_report ~trace) offline;
+    Option.iter (print_offline_report ~trace:c.trace) offline;
     Option.iter print_model_report modelled;
     Option.iter print_online_report checker
   end;
   let clean o = Option.fold ~none:true ~some:(fun (_, fs) -> fs = []) o in
-  clean offline
-  && Option.fold ~none:true ~some:Online.is_consistent checker
-  && clean modelled
-  && (not strict
-     || Option.fold ~none:true ~some:Mc_history.History.is_well_formed history)
-
-let exit_if_inconsistent ok = if not ok then exit 1
+  if
+    not
+      (clean offline
+      && Option.fold ~none:true ~some:Online.is_consistent checker
+      && clean modelled
+      && (not c.strict
+         || Option.fold ~none:true ~some:Mc_history.History.is_well_formed history))
+  then exit 1
 
 (* app result lines go to stderr under --json so stdout is exactly the
    machine-readable report *)
 let info ~json fmt =
   Printf.ksprintf (fun s -> if json then prerr_string s else print_string s) fmt
+
+let print_json_array f items = print_endline ("[" ^ String.concat "," (List.map f items) ^ "]")
 
 open Cmdliner
 
@@ -280,7 +223,7 @@ let procs_arg default =
 let memory_arg =
   Arg.(
     value
-    & opt memory_conv Mixed
+    & opt memory_conv Memory.Mixed
     & info [ "memory" ] ~docv:"MEM" ~doc:"Memory system: mixed, central or invalidate.")
 
 let propagation_arg =
@@ -371,19 +314,101 @@ let placement_arg =
           "With --shards: the location-to-shard policy, range (contiguous \
            object-id slices, the default) or hash.")
 
-(* the solver's sharded placement: a range policy slices the [n]
-   unknowns, and each process subscribes the shards it writes *)
-let solver_placement ~shards ~policy ~procs ~n =
-  let policy =
-    match policy with
-    | Placement.Range _ -> Placement.Range { objects = n }
-    | policy -> policy
-  in
-  let pl = Placement.create ~shards ~policy () in
-  Solver.subscribe_shards pl ~procs ~n;
-  pl
+(* The one placement builder, for the barrier solver, whose rows are
+   each written by one process: a range policy slices the [n] unknowns,
+   and each process subscribes the shards it writes. Every other
+   --shards combination is rejected here; an SC memory given a placement
+   is rejected by [Memory.run]. *)
+let solver_placement ~app ~variant ~shards ~policy ~procs ~n =
+  if shards <= 0 then None
+  else begin
+    if app <> `Solver then invalid_arg "--shards supports --app solver only";
+    if variant <> Solver.Barrier_pram then
+      invalid_arg
+        "--shards requires --variant barrier (write ownership is per-row; the \
+         handshake variants write shared handshake locations from every \
+         process)";
+    let policy =
+      match policy with
+      | Placement.Range _ -> Placement.Range { objects = n }
+      | policy -> policy
+    in
+    let pl = Placement.create ~shards ~policy () in
+    Solver.subscribe_shards pl ~procs ~n;
+    Some pl
+  end
 
-(* ---------------- solver ---------------- *)
+(* ---------------- solver, em, cholesky ---------------- *)
+
+let common_args =
+  let common memory propagation record check_online model json strict trace seed =
+    { memory; propagation; record; check_online; model; json; strict; trace; seed }
+  in
+  Term.(
+    const common $ memory_arg $ propagation_arg $ record_arg $ check_online_arg
+    $ model_arg $ check_json_arg $ check_strict_arg $ trace_arg $ seed_arg)
+
+(* what an app makes of its result: its summary line, whether the result
+   is exact, a suffix for the sim-time line and its own JSON fields *)
+type outcome = {
+  summary : string;
+  exact : bool;
+  suffix : string;
+  fields : (string * string) list;
+}
+
+(* The body of solver, em and cholesky: run [launch] on the chosen
+   memory (--model implies --check), print the app's summary and the
+   sim-time line, then the check report, whose JSON carries the app's
+   fields, the common ones and the placement's. *)
+let run_app c ~app ~procs ?placement launch outcome =
+  (* the online checker validates one lattice point only where it
+     streams: a witness-based model is checked offline, with a note on
+     stderr (never stdout — it must stay JSON-pure) *)
+  let check_model =
+    match c.model with
+    | Some m when not (Online.supports m) ->
+      if c.check_online then
+        Printf.eprintf
+          "note: model %s is not streamable (sim-time witness orders); the \
+           online checker runs per-label and %s is checked offline\n"
+          (Lattice.to_string m) (Lattice.to_string m);
+      None
+    | model -> model
+  in
+  let res, r =
+    Memory.run c.memory
+      {
+        (Config.default ~procs) with
+        propagation = c.propagation;
+        record = c.record || c.model <> None;
+        check_online = c.check_online;
+        check_model;
+        placement;
+      }
+      launch
+  in
+  let o = outcome res in
+  info ~json:c.json "%s\n" o.summary;
+  info ~json:c.json "sim time=%.1fus messages=%d exact=%b%s\n" r.time r.messages
+    o.exact o.suffix;
+  let extra =
+    (("app", Json.quote app) :: o.fields)
+    @ [
+        ("sim_time_us", Printf.sprintf "%.1f" r.time);
+        ("messages", string_of_int r.messages);
+        ("exact", string_of_bool o.exact);
+      ]
+    @
+    match placement with
+    | None -> []
+    | Some pl ->
+      [
+        ("shards", string_of_int (Placement.shards pl));
+        ("placement", Json.quote (Placement.policy_to_string (Placement.policy pl)));
+      ]
+  in
+  check_report c ~extra r
 
 let solver_cmd =
   let variant_conv =
@@ -395,55 +420,29 @@ let solver_cmd =
     in
     Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Solver.variant_to_string v))
   in
-  let run n workers variant memory propagation record check_online model json strict trace seed shards policy =
+  let run n workers variant shards policy c =
     let procs = workers + 1 in
-    let record = record || model <> None in
-    let placement =
-      if shards <= 0 then None
-      else begin
-        if variant <> Solver.Barrier_pram then begin
-          prerr_endline
-            "mcdsm solver: --shards requires --variant barrier (write \
-             ownership is per-row; the handshake variants write shared \
-             handshake locations from every process)";
-          exit 2
-        end;
-        Some (solver_placement ~shards ~policy ~procs ~n)
-      end
-    in
-    let problem = Solver.Problem.generate ~seed ~n in
+    let placement = solver_placement ~app:`Solver ~variant ~shards ~policy ~procs ~n in
+    let problem = Solver.Problem.generate ~seed:c.seed ~n in
     let expected = Solver.reference ~variant problem in
-    let res, time, msgs, history, checker =
-      run_on ~memory ~procs ~propagation ~record ~check_online ?model ?placement
-        (fun spawn -> Solver.launch ~spawn ~procs ~variant problem)
-    in
-    let r = Option.get !res in
-    info ~json "%s: n=%d workers=%d iters=%d converged=%b\n"
-      (Solver.variant_to_string variant)
-      n workers r.Solver.iterations r.Solver.converged;
-    let exact = r.Solver.x = expected.Solver.x in
-    info ~json "sim time=%.1fus messages=%d exact=%b\n" time msgs exact;
-    let extra =
-      [
-        ("app", Json.quote "solver");
-        ("variant", Json.quote (Solver.variant_to_string variant));
-        ("iterations", string_of_int r.Solver.iterations);
-        ("converged", string_of_bool r.Solver.converged);
-        ("sim_time_us", Printf.sprintf "%.1f" time);
-        ("messages", string_of_int msgs);
-        ("exact", string_of_bool exact);
-      ]
-      @
-      match placement with
-      | None -> []
-      | Some pl ->
-        [
-          ("shards", string_of_int shards);
-          ("placement", Json.quote (Placement.policy_to_string (Placement.policy pl)));
-        ]
-    in
-    exit_if_inconsistent
-      (check_report ~json ~strict ~trace ?model ~extra ~history ~checker ())
+    run_app c ~app:"solver" ~procs ?placement
+      (fun spawn -> Solver.launch ~spawn ~procs ~variant problem)
+      (fun res ->
+        let r = Option.get !res in
+        let variant = Solver.variant_to_string variant in
+        {
+          summary =
+            Printf.sprintf "%s: n=%d workers=%d iters=%d converged=%b" variant n
+              workers r.Solver.iterations r.Solver.converged;
+          exact = r.Solver.x = expected.Solver.x;
+          suffix = "";
+          fields =
+            [
+              ("variant", Json.quote variant);
+              ("iterations", string_of_int r.Solver.iterations);
+              ("converged", string_of_bool r.Solver.converged);
+            ];
+        })
   in
   let n_arg = Arg.(value & opt int 16 & info [ "n" ] ~docv:"N" ~doc:"System size.") in
   let workers_arg =
@@ -458,49 +457,32 @@ let solver_cmd =
   Cmd.v
     (Cmd.info "solver" ~doc:"Iterative linear-equation solver (Sec. 5.1, Figs. 2-3)")
     Term.(
-      const run $ n_arg $ workers_arg $ variant_arg $ memory_arg $ propagation_arg
-      $ record_arg $ check_online_arg $ model_arg $ check_json_arg $ check_strict_arg $ trace_arg $ seed_arg
-      $ shards_arg $ placement_arg)
-
-(* ---------------- em ---------------- *)
+      const run $ n_arg $ workers_arg $ variant_arg $ shards_arg $ placement_arg
+      $ common_args)
 
 let em_cmd =
-  let run procs steps cols memory propagation record check_online model json strict trace seed =
-    let record = record || model <> None in
-    let params = { Em.rows = 4 * procs; cols; steps; seed } in
+  let run procs steps cols c =
+    let params = { Em.rows = 4 * procs; cols; steps; seed = c.seed } in
     let expected = Em.reference ~procs params in
-    let res, time, msgs, history, checker =
-      run_on ~memory ~procs ~propagation ~record ~check_online ?model (fun spawn ->
-          Em.launch ~spawn ~procs params)
-    in
-    let r = Option.get !res in
-    info ~json "EM field %dx%d, %d steps on %d procs\n" params.Em.rows cols steps
-      procs;
-    let exact = r.Em.checksum = expected.Em.checksum in
-    info ~json "sim time=%.1fus messages=%d exact=%b energy=%d\n" time msgs exact
-      r.Em.energy;
-    let extra =
-      [
-        ("app", Json.quote "em");
-        ("steps", string_of_int steps);
-        ("energy", string_of_int r.Em.energy);
-        ("sim_time_us", Printf.sprintf "%.1f" time);
-        ("messages", string_of_int msgs);
-        ("exact", string_of_bool exact);
-      ]
-    in
-    exit_if_inconsistent
-      (check_report ~json ~strict ~trace ?model ~extra ~history ~checker ())
+    run_app c ~app:"em" ~procs
+      (fun spawn -> Em.launch ~spawn ~procs params)
+      (fun res ->
+        let r = Option.get !res in
+        {
+          summary =
+            Printf.sprintf "EM field %dx%d, %d steps on %d procs" params.Em.rows cols
+              steps procs;
+          exact = r.Em.checksum = expected.Em.checksum;
+          suffix = Printf.sprintf " energy=%d" r.Em.energy;
+          fields =
+            [ ("steps", string_of_int steps); ("energy", string_of_int r.Em.energy) ];
+        })
   in
   let steps_arg = Arg.(value & opt int 8 & info [ "steps" ] ~doc:"Update rounds.") in
   let cols_arg = Arg.(value & opt int 8 & info [ "cols" ] ~doc:"Grid width.") in
   Cmd.v
     (Cmd.info "em" ~doc:"Electromagnetic field computation (Sec. 5.2, Fig. 4)")
-    Term.(
-      const run $ procs_arg 4 $ steps_arg $ cols_arg $ memory_arg $ propagation_arg
-      $ record_arg $ check_online_arg $ model_arg $ check_json_arg $ check_strict_arg $ trace_arg $ seed_arg)
-
-(* ---------------- cholesky ---------------- *)
+    Term.(const run $ procs_arg 4 $ steps_arg $ cols_arg $ common_args)
 
 let cholesky_cmd =
   let variant_conv =
@@ -512,33 +494,24 @@ let cholesky_cmd =
     Arg.conv
       (parse, fun fmt v -> Format.pp_print_string fmt (Cholesky.variant_to_string v))
   in
-  let run n density variant memory propagation record check_online model json strict trace seed =
-    let record = record || model <> None in
-    let m = Sparse.generate ~seed ~n ~density in
+  let run n density variant c =
+    let m = Sparse.generate ~seed:c.seed ~n ~density in
     let lref = Sparse.factor_reference m in
-    let res, time, msgs, history, checker =
-      run_on ~memory ~procs:4 ~propagation ~record ~check_online ?model (fun spawn ->
-          Cholesky.launch ~spawn ~procs:4 ~variant m)
-    in
-    let r = Option.get !res in
-    info ~json "%s: n=%d nnz(L)=%d\n"
-      (Cholesky.variant_to_string variant)
-      n (Sparse.nnz m);
-    let exact = r.Cholesky.l = lref in
-    info ~json "sim time=%.1fus messages=%d exact=%b max_error=%d\n" time msgs
-      exact r.Cholesky.max_error;
-    let extra =
-      [
-        ("app", Json.quote "cholesky");
-        ("variant", Json.quote (Cholesky.variant_to_string variant));
-        ("max_error", string_of_int r.Cholesky.max_error);
-        ("sim_time_us", Printf.sprintf "%.1f" time);
-        ("messages", string_of_int msgs);
-        ("exact", string_of_bool exact);
-      ]
-    in
-    exit_if_inconsistent
-      (check_report ~json ~strict ~trace ?model ~extra ~history ~checker ())
+    run_app c ~app:"cholesky" ~procs:4
+      (fun spawn -> Cholesky.launch ~spawn ~procs:4 ~variant m)
+      (fun res ->
+        let r = Option.get !res in
+        let variant = Cholesky.variant_to_string variant in
+        {
+          summary = Printf.sprintf "%s: n=%d nnz(L)=%d" variant n (Sparse.nnz m);
+          exact = r.Cholesky.l = lref;
+          suffix = Printf.sprintf " max_error=%d" r.Cholesky.max_error;
+          fields =
+            [
+              ("variant", Json.quote variant);
+              ("max_error", string_of_int r.Cholesky.max_error);
+            ];
+        })
   in
   let n_arg = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Matrix dimension.") in
   let density_arg =
@@ -552,9 +525,7 @@ let cholesky_cmd =
   in
   Cmd.v
     (Cmd.info "cholesky" ~doc:"Sparse Cholesky factorization (Sec. 5.3, Fig. 5)")
-    Term.(
-      const run $ n_arg $ density_arg $ variant_arg $ memory_arg $ propagation_arg
-      $ record_arg $ check_online_arg $ model_arg $ check_json_arg $ check_strict_arg $ trace_arg $ seed_arg)
+    Term.(const run $ n_arg $ density_arg $ variant_arg $ common_args)
 
 (* ---------------- lint ---------------- *)
 
@@ -644,17 +615,37 @@ let small_app ~seed = function
         |> ignore )
   | `Delivery -> ("delivery", 4, 8, spawn_delivery_workload)
 
+(* run one small app: on [memory] for the histories of lint and check
+   (delivery on the mixed runtime whatever [memory] says: batching is a
+   mixed-memory feature), on the observed mixed runtime for metrics,
+   trace and report *)
+let run_small ?(memory = Memory.Mixed) ?placement ?(check_online = false) ?check_model
+    ?(observe = false) ?tracer ~record ~propagation ~seed app =
+  let name, procs, batch_max, launch = small_app ~seed app in
+  let memory = if app = `Delivery then Memory.Mixed else memory in
+  let (), r =
+    Memory.run memory
+      {
+        (Config.default ~procs) with
+        propagation;
+        record;
+        batch_max;
+        placement;
+        check_online;
+        check_model;
+        observe;
+        tracer;
+      }
+      launch
+  in
+  (name, r)
+
 (* record one small history per requested app — shared by `lint` (full
-   analysis pipeline) and `check` (lattice-model conformance); delivery
-   runs on the mixed runtime whatever [memory] says *)
+   analysis pipeline) and `check` (lattice-model conformance) *)
 let app_histories app memory propagation seed =
   let record app =
-    let name, procs, batch_max, launch = small_app ~seed app in
-    let memory = if app = `Delivery then Mixed else memory in
-    let _, _, _, h, _ =
-      run_on ~memory ~procs ~propagation ~record:true ~check_online:false ~batch_max launch
-    in
-    (name, Option.get h)
+    let name, r = run_small ~memory ~record:true ~propagation ~seed app in
+    (name, Option.get r.history)
   in
   match app with
   | `Litmus -> litmus_catalog ()
@@ -685,16 +676,12 @@ let lint_cmd =
         (fun (name, h) -> (name, Mc_analysis.Analysis.analyze h))
         (app_histories app memory propagation seed)
     in
-    if json then begin
-      print_string "[";
-      List.iteri
-        (fun i (name, r) ->
-          if i > 0 then print_string ",";
-          Printf.printf "{\"name\":%s,\"report\":%s}" (Json.quote name)
+    if json then
+      print_json_array
+        (fun (name, r) ->
+          Printf.sprintf "{\"name\":%s,\"report\":%s}" (Json.quote name)
             (Mc_analysis.Analysis.to_json r))
-        reports;
-      print_endline "]"
-    end
+        reports
     else
       List.iter
         (fun (name, r) ->
@@ -733,36 +720,19 @@ let check_cmd =
   let run app model online json strict memory propagation seed shards policy =
     let model = Option.value model ~default:Lattice.Mixed in
     let streamable = Online.supports model in
-    (* Sharded runs must stream the checker during execution: only the
-       runtime knows which reads were demand fetches and what snapshot
-       each fetch saw, so an after-the-fact [Online.check] replay (no
-       fetch notes) would hold them to the full-replication rule. The
-       offline verdict set is accordingly restricted to non-fetched
-       reads — on those, sharded delivery must agree with the offline
-       checker verdict-for-verdict. *)
-    let sharded_solver () =
-      if app <> `Solver then begin
-        prerr_endline "mcdsm check: --shards supports --app solver only";
-        exit 2
-      end;
-      if memory <> Mixed then begin
-        prerr_endline "mcdsm check: --shards requires --memory mixed";
-        exit 2
-      end;
-      let _, procs, _, launch = small_app ~seed `Solver in
-      let placement = solver_placement ~shards ~policy ~procs ~n:small_n in
-      let _, _, _, h, checker =
-        run_on ~memory ~procs ~propagation ~record:true ~check_online:streamable ~model
-          ~placement launch
-      in
-      let h = Option.get h in
-      let fetched =
-        match checker with Some c -> Online.fetched_ids c | None -> []
-      in
+    (* One history's conformance; [checker] is the streaming checker
+       that ran under the model, or its replay of the history. Sharded
+       runs must stream the checker during execution: only the runtime
+       knows which reads were demand fetches and what snapshot each
+       fetch saw, so a replay (no fetch notes) would hold them to the
+       full-replication rule. The verdict set is accordingly restricted
+       to non-fetched reads — on those, sharded delivery must agree with
+       the offline checker verdict-for-verdict. *)
+    let result (name, h, checker) =
+      let fetched = match checker with Some c -> Online.fetched_ids c | None -> [] in
       let unfetched =
         List.filter (fun (f : Lattice.failure) -> not (List.mem f.Lattice.read_id fetched))
       in
-      let failures = unfetched (Lattice.failures h model) in
       (* against the closure engine: [Lattice.failures] may itself be
          a replay of the same checker *)
       let online_agrees =
@@ -771,31 +741,35 @@ let check_cmd =
           Some (Online.failures c = unfetched (Lattice.closure_failures h model))
         | _ -> None
       in
-      [ ("solver", h, failures, Mc_history.History.is_well_formed h, online_agrees) ]
+      ( name,
+        h,
+        unfetched (Lattice.failures h model),
+        Mc_history.History.is_well_formed h,
+        online_agrees )
     in
     let results =
-      if shards > 0 then sharded_solver ()
-      else
+      let _, procs, _, _ = small_app ~seed `Solver in
+      match
+        solver_placement ~app ~variant:Solver.Barrier_pram ~shards ~policy ~procs
+          ~n:small_n
+      with
+      | Some placement ->
+        let name, r =
+          run_small ~memory ~placement ~check_online:streamable ~check_model:model
+            ~record:true ~propagation ~seed `Solver
+        in
+        [ result (name, Option.get r.history, r.checker) ]
+      | None ->
         List.map
           (fun (name, h) ->
-            let failures = Lattice.failures h model in
-            let well_formed = Mc_history.History.is_well_formed h in
-            let online_agrees =
-              if online && streamable then
-                Some
-                  (Online.failures (Online.check ~model h)
-                  = Lattice.closure_failures h model)
-              else None
-            in
-            (name, h, failures, well_formed, online_agrees))
+            result
+              (name, h, if online && streamable then Some (Online.check ~model h) else None))
           (app_histories app memory propagation seed)
     in
-    if json then begin
-      print_string "[";
-      List.iteri
-        (fun i (name, h, failures, well_formed, online_agrees) ->
-          if i > 0 then print_string ",";
-          Printf.printf
+    if json then
+      print_json_array
+        (fun (name, h, failures, well_formed, online_agrees) ->
+          Printf.sprintf
             "{\"name\":%s,\"model\":%s,\"shards\":%d,\"ops\":%d,\"well_formed\":%b,\"consistent\":%b,\"streamable\":%b%s,\"failures\":[%s]}"
             (Json.quote name)
             (Json.quote (Lattice.to_string model))
@@ -806,9 +780,7 @@ let check_cmd =
             | Some b -> Printf.sprintf ",\"online_agrees\":%b" b
             | None -> "")
             (String.concat "," (List.map (failure_json ~labelled:false) failures)))
-        results;
-      print_endline "]"
-    end
+        results
     else
       List.iter
         (fun (name, h, failures, well_formed, online_agrees) ->
@@ -868,30 +840,6 @@ let check_cmd =
 module Metrics = Mc_obs.Metrics
 module Obs_trace = Mc_obs.Trace
 
-(* run one Section-5 app on the mixed runtime with the full Mc_obs
-   instrumentation attached; returns the runtime and the final sim
-   time *)
-let observed_run ?placement ?(check_online = false) ~app ~propagation ~seed
-    ~record ~tracer () =
-  let engine = Engine.create () in
-  let _, procs, batch_max, launch = small_app ~seed app in
-  let cfg =
-    {
-      (Config.default ~procs) with
-      propagation;
-      record;
-      batch_max;
-      observe = true;
-      tracer;
-      placement;
-      check_online;
-    }
-  in
-  let rt = Runtime.create engine cfg in
-  launch (Api.spawn rt);
-  let time = Runtime.run rt in
-  (rt, time)
-
 let obs_app_arg =
   Cmdliner.Arg.(
     value
@@ -914,33 +862,44 @@ let out_arg =
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the dump to FILE.")
 
 let write_file path payload =
-  let oc = open_out path in
-  output_string oc payload;
-  output_char oc '\n';
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc payload;
+      output_char oc '\n')
+
+(* a dump to stdout, or to --out with a one-line note on stdout; [note]
+   holds the --json note's fields after "out" *)
+let dump ~json ~out ~what ~note payload =
+  match out with
+  | Some path ->
+    write_file path payload;
+    if json then Printf.printf "{\"out\":%s,%s}\n" (Json.quote path) note
+    else Printf.printf "%s written to %s\n" what path
+  | None -> print_string (payload ^ if json then "\n" else "")
+
+let buffer_arg =
+  Cmdliner.Arg.(
+    value & opt int 65536
+    & info [ "buffer" ] ~docv:"N" ~doc:"Tracer ring-buffer capacity (events).")
+
+let warn_dropped ~json tracer =
+  let dropped = Obs_trace.dropped tracer in
+  if dropped > 0 then
+    info ~json "warning: ring buffer overflowed, %d event(s) dropped (raise --buffer)\n"
+      dropped
 
 let metrics_cmd =
   let run app propagation seed json out =
-    let rt, time =
-      observed_run ~app ~propagation ~seed ~record:false ~tracer:None ()
-    in
-    let reg = Runtime.metrics rt in
+    let _, r = run_small ~observe:true ~record:false ~propagation ~seed app in
+    let reg = Runtime.metrics (Option.get r.runtime) in
     let payload =
       if json then Metrics.Registry.to_json reg
       else Format.asprintf "%a" Metrics.Registry.pp reg
     in
-    info ~json "sim time=%.1fus series=%d\n" time
-      (Metrics.Registry.series_count reg);
-    match out with
-    | Some path ->
-      write_file path payload;
-      if json then
-        Printf.printf "{\"out\":%s,\"series\":%d,\"sim_time_us\":%.1f}\n"
-          (Json.quote path)
-          (Metrics.Registry.series_count reg)
-          time
-      else Printf.printf "metrics written to %s\n" path
-    | None -> print_string (payload ^ if json then "\n" else "")
+    let series = Metrics.Registry.series_count reg in
+    info ~json "sim time=%.1fus series=%d\n" r.time series;
+    dump ~json ~out ~what:"metrics"
+      ~note:(Printf.sprintf "\"series\":%d,\"sim_time_us\":%.1f" series r.time)
+      payload
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -955,14 +914,12 @@ let metrics_cmd =
 let trace_cmd =
   let run app propagation seed json out format buffer =
     let tracer = Obs_trace.create ~capacity:buffer () in
-    let rt, time =
-      observed_run ~app ~propagation ~seed ~record:true ~tracer:(Some tracer) ()
+    let name, r =
+      run_small ~observe:true ~tracer ~record:true ~propagation ~seed app
     in
-    let name, _, _, _ = small_app ~seed app in
-    let ops = Mc_history.History.length (Runtime.history rt) in
+    let ops = Mc_history.History.length (Option.get r.history) in
     let spans = Obs_trace.span_count tracer in
     let events = Obs_trace.event_count tracer in
-    let dropped = Obs_trace.dropped tracer in
     let payload =
       match format with
       | `Chrome -> Obs_trace.to_chrome tracer
@@ -972,17 +929,15 @@ let trace_cmd =
     in
     let path = Option.value out ~default:"trace.json" in
     write_file path payload;
-    if dropped > 0 then
-      info ~json
-        "warning: ring buffer overflowed, %d event(s) dropped (raise --buffer)\n"
-        dropped;
-    info ~json "sim time=%.1fus spans=%d events=%d ops=%d -> %s\n" time spans
+    warn_dropped ~json tracer;
+    info ~json "sim time=%.1fus spans=%d events=%d ops=%d -> %s\n" r.time spans
       events ops path;
     if json then
       Printf.printf
         "{\"app\":%s,\"out\":%s,\"spans\":%d,\"events\":%d,\"dropped\":%d,\"ops\":%d,\"sim_time_us\":%.1f,\"spans_match_ops\":%b}\n"
         (Json.quote name)
-        (Json.quote path) spans events dropped ops time (spans = ops);
+        (Json.quote path) spans events (Obs_trace.dropped tracer) ops r.time
+        (spans = ops);
     if spans <> ops then begin
       info ~json "error: span count %d does not match recorded op count %d\n"
         spans ops;
@@ -997,11 +952,6 @@ let trace_cmd =
           ~doc:
             "chrome: one trace_event JSON object for about://tracing; jsonl: \
              one event object per line.")
-  in
-  let buffer_arg =
-    Arg.(
-      value & opt int 65536
-      & info [ "buffer" ] ~docv:"N" ~doc:"Tracer ring-buffer capacity (events).")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1019,31 +969,18 @@ let trace_cmd =
 
 module Report = Mc_obs.Report
 
-(* Join every online-checker verdict to its causal path: the checker
-   names the read and (for overwritten verdicts) the interposing write;
-   the runtime's shard log resolves each recorded value to its (writer,
-   shard, sseq) stream coordinates, and the flight recorder yields the
-   tree hops and apply times of that update. An incomplete flight is a
-   value still in transit — the usual shape of an engineered staleness
-   violation (e.g. a paused link). *)
+(* The online checker's verdicts as the audit receives them: the read
+   and, for an overwritten verdict, the interposing write, each value
+   with the (writer, shard, sseq) stream coordinates of its write from
+   the runtime's shard log. The report joins those to the update's hops
+   and applies in the trace. *)
 let assemble_violations rt checker =
   let h = Runtime.history rt in
   let fetched = Online.fetched_ids checker in
-  let prov_and_path loc value =
-    match Runtime.shard_write_source rt ~loc ~value with
-    | None -> (None, [], [], true)
-    | Some (w, s, q) -> (
-      let prov = Some { Report.p_writer = w; p_shard = s; p_sseq = q } in
-      match Runtime.shard_flight rt ~writer:w ~shard:s ~sseq:q with
-      | None -> (prov, [], [], true)
-      | Some fi ->
-        ( prov,
-          List.map
-            (fun (src, dst, sent, recv) ->
-              { Report.h_src = src; h_dst = dst; h_sent = sent; h_recv = recv })
-            fi.Runtime.fi_hops,
-          fi.Runtime.fi_applies,
-          fi.Runtime.fi_complete ))
+  let source loc value =
+    Option.map
+      (fun (w, s, q) -> { Report.p_writer = w; p_shard = s; p_sseq = q })
+      (Runtime.shard_write_source rt ~loc ~value)
   in
   List.map
     (fun (f : Lattice.failure) ->
@@ -1054,27 +991,15 @@ let assemble_violations rt checker =
         | _ -> ("?", 0)
       in
       let verdict, over = verdict_fields f.Lattice.verdict in
-      let v_source, v_path, _, _ = prov_and_path loc value in
       let v_overwritten_by =
         Option.map
           (fun w_id ->
-            let wop = Mc_history.History.op h w_id in
-            let wvalue =
-              match Op.writes_value wop with
+            let o_value =
+              match Op.writes_value (Mc_history.History.op h w_id) with
               | Some (wloc, wv) when wloc = loc -> wv
               | _ -> 0
             in
-            let o_source, o_path, o_applies, o_complete =
-              prov_and_path loc wvalue
-            in
-            {
-              Report.o_write_id = w_id;
-              o_value = wvalue;
-              o_source;
-              o_path;
-              o_applies;
-              o_complete;
-            })
+            { Report.o_write_id = w_id; o_value; o_source = source loc o_value })
           over
       in
       {
@@ -1085,8 +1010,7 @@ let assemble_violations rt checker =
         v_verdict = verdict;
         v_value = value;
         v_fetched = List.mem f.Lattice.read_id fetched;
-        v_source;
-        v_path;
+        v_source = source loc value;
         v_overwritten_by;
       })
     (Online.failures checker)
@@ -1130,17 +1054,9 @@ let violation_run ~tracer =
   (rt, time)
 
 let report_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let read_file path = In_channel.with_open_bin path In_channel.input_all in
   let run app propagation seed shards policy json top out trace_file
       metrics_file buffer =
-    let propagation_str =
-      Format.asprintf "%a" Config.pp_propagation propagation
-    in
     let input =
       match trace_file with
       | Some tpath ->
@@ -1176,32 +1092,21 @@ let report_cmd =
             let rt, time = violation_run ~tracer in
             (rt, time, "violation", 3)
           | (`Solver | `Em | `Cholesky | `Delivery) as app ->
-            let name, procs, _, _ = small_app ~seed app in
+            let _, procs, _, _ = small_app ~seed app in
             let placement =
-              if shards <= 0 then None
-              else begin
-                if app <> `Solver then begin
-                  prerr_endline
-                    "mcdsm report: --shards supports --app solver only";
-                  exit 2
-                end;
-                Some (solver_placement ~shards ~policy ~procs ~n:small_n)
-              end
+              solver_placement ~app ~variant:Solver.Barrier_pram ~shards ~policy
+                ~procs ~n:small_n
             in
-            let rt, time =
-              observed_run ?placement ~check_online:true ~app ~propagation
-                ~seed ~record:true ~tracer:(Some tracer) ()
+            let name, r =
+              run_small ?placement ~check_online:true ~observe:true ~tracer
+                ~record:true ~propagation ~seed app
             in
-            (rt, time, name, shards)
+            (Option.get r.runtime, r.time, name, shards)
         in
         let violations =
           Option.map (assemble_violations rt) (Runtime.online_checker rt)
         in
-        if Obs_trace.dropped tracer > 0 then
-          info ~json
-            "warning: ring buffer overflowed, %d event(s) dropped (raise \
-             --buffer)\n"
-            (Obs_trace.dropped tracer);
+        warn_dropped ~json tracer;
         info ~json "sim time=%.1fus events=%d series=%d\n" time
           (Obs_trace.event_count tracer)
           (Metrics.Registry.series_count (Runtime.metrics rt));
@@ -1213,7 +1118,7 @@ let report_cmd =
             [
               ("mode", "live");
               ("app", app_name);
-              ("propagation", propagation_str);
+              ("propagation", Config.propagation_to_string propagation);
               ("seed", string_of_int seed);
               ("shards", string_of_int shards);
               ("sim_time_us", Printf.sprintf "%.1f" time);
@@ -1224,14 +1129,9 @@ let report_cmd =
     let payload =
       if json then Report.to_json report else Report.to_text report
     in
-    match out with
-    | Some path ->
-      write_file path payload;
-      if json then
-        Printf.printf "{\"out\":%s,\"events\":%d}\n" (Json.quote path)
-          report.Report.r_events
-      else Printf.printf "report written to %s\n" path
-    | None -> print_string (payload ^ if json then "\n" else "")
+    dump ~json ~out ~what:"report"
+      ~note:(Printf.sprintf "\"events\":%d" report.Report.r_events)
+      payload
   in
   let app_arg =
     Arg.(
@@ -1274,11 +1174,6 @@ let report_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:"With --trace: a `mcdsm metrics --json` dump to include.")
-  in
-  let buffer_arg =
-    Arg.(
-      value & opt int 65536
-      & info [ "buffer" ] ~docv:"N" ~doc:"Tracer ring-buffer capacity (events).")
   in
   Cmd.v
     (Cmd.info "report"

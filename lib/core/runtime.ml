@@ -84,25 +84,19 @@ type extras = {
 }
 
 (* One shard update in flight down its dissemination tree: registered at
-   the root when it is routed, updated by every hop transmission and by
-   every subscriber-side apply. Visibility latency is apply time minus
-   route time; the flight is complete once every remote subscriber
-   counted at registration has applied it. *)
+   the root when it is routed, counted by every subscriber-side apply.
+   Visibility latency is apply time minus route time; the flight is
+   complete, and dropped, once every remote subscriber counted at
+   registration has applied it. *)
 type flight = {
   fl_t0 : float;
-  fl_loc : Op.location;
   fl_expect : int; (* remote subscribers at registration time *)
   mutable fl_applied : int;
-  mutable fl_hops : (int * int * float * float) list; (* src,dst,sent,recv; newest first *)
-  mutable fl_applies : (int * float) list; (* node, apply time; newest first *)
-  mutable fl_done : bool;
 }
 
 (* sharded-mode series and flight table, maintained only when
    [Config.observe] is set and a placement is configured. All series are
-   labelled by shard — cardinality O(shards), never per-op. Completed
-   flights are retained only when the online checker runs ([so_keep]),
-   so the violation audit can attach causal paths to verdicts. *)
+   labelled by shard — cardinality O(shards), never per-op. *)
 type shard_obs = {
   so_fetch_hist : (int, Metrics.Histogram.t) Hashtbl.t;
   so_fetch_count : (int, Metrics.Counter.t) Hashtbl.t;
@@ -110,7 +104,6 @@ type shard_obs = {
   so_vis_full : (int, Metrics.Histogram.t) Hashtbl.t;
   so_staleness : (int, Metrics.Histogram.t) Hashtbl.t;
   so_inflight : (int * int * int, flight) Hashtbl.t; (* (writer, shard, sseq) *)
-  so_keep : bool;
 }
 
 type t = {
@@ -304,8 +297,8 @@ let shard_counter t tbl ~name ~help shard =
     shard
 
 (* subscriber-side apply of a remote shard update: advance the update's
-   flight record and the per-shard visibility series, and mark the apply
-   point in the trace *)
+   flight and the per-shard visibility series, and mark the apply point
+   in the trace *)
 let on_shard_apply t node_id ~shard ~writer ~sseq =
   let now = Engine.now t.engine in
   (match t.tracer with
@@ -322,9 +315,8 @@ let on_shard_apply t node_id ~shard ~writer ~sseq =
   match t.shard_obs with
   | Some so -> (
     match Hashtbl.find_opt so.so_inflight (writer, shard, sseq) with
-    | Some fl when not fl.fl_done ->
+    | Some fl ->
       fl.fl_applied <- fl.fl_applied + 1;
-      fl.fl_applies <- (node_id, now) :: fl.fl_applies;
       let dt = now -. fl.fl_t0 in
       Metrics.Histogram.observe
         (shard_hist t so.so_vis ~name:"mc_shard_visibility_us"
@@ -335,10 +327,9 @@ let on_shard_apply t node_id ~shard ~writer ~sseq =
           (shard_hist t so.so_vis_full ~name:"mc_shard_visibility_full_us"
              ~help:"write routed to applied at every subscriber (us)" shard)
           dt;
-        fl.fl_done <- true;
-        if not so.so_keep then Hashtbl.remove so.so_inflight (writer, shard, sseq)
+        Hashtbl.remove so.so_inflight (writer, shard, sseq)
       end
-    | _ -> ())
+    | None -> ())
   | None -> ()
 
 (* The barrier tree's fanout. A tree level costs a round trip, the
@@ -435,7 +426,6 @@ let create engine ?latency cfg =
           so_vis_full = Hashtbl.create 8;
           so_staleness = Hashtbl.create 8;
           so_inflight = Hashtbl.create 256;
-          so_keep = cfg.Config.check_online;
         }
     else None
   in
@@ -549,7 +539,8 @@ let create engine ?latency cfg =
         Replica.set_shard_apply_observer node.replica (fun ~shard ~writer ~sseq ->
             on_shard_apply t node_id ~shard ~writer ~sseq))
       t.nodes;
-  if t.tracer <> None || t.shard_obs <> None then begin
+  (match t.tracer with
+  | Some tr ->
     (* fetch round trips are paired by a per-(requester, location) FIFO of
        fresh rtt ids: requests and replies of one pair travel opposite
        directions of FIFO channels through a home that answers in arrival
@@ -579,24 +570,12 @@ let create engine ?latency cfg =
     Network.set_observer net
       (fun ~src ~dst ~bytes ~kind ~seq ~sent ~recv msg ->
         let emit ?(cat = "msg") args =
-          match t.tracer with
-          | Some tr ->
-            Trace.flow tr ~cat ~id:seq ~src ~dst ~ts_send:sent ~ts_recv:recv
-              ~args:(("bytes", string_of_int bytes) :: args)
-              kind
-          | None -> ()
+          Trace.flow tr ~cat ~id:seq ~src ~dst ~ts_send:sent ~ts_recv:recv
+            ~args:(("bytes", string_of_int bytes) :: args)
+            kind
         in
         match msg with
         | Protocol.Shard_update su ->
-          (match t.shard_obs with
-          | Some so -> (
-            match
-              Hashtbl.find_opt so.so_inflight
-                (su.su_writer, su.su_shard, su.su_sseq)
-            with
-            | Some fl -> fl.fl_hops <- (src, dst, sent, recv) :: fl.fl_hops
-            | None -> ())
-          | None -> ());
           emit ~cat:"shard"
             [
               ("shard", string_of_int su.su_shard);
@@ -611,7 +590,7 @@ let create engine ?latency cfg =
           emit ~cat:"fetch"
             [ ("loc", loc); ("rtt", string_of_int (rtt_pop (dst, loc))) ]
         | _ -> emit [])
-  end;
+  | None -> ());
   t
 
 (* ------------------------------------------------------------------ *)
@@ -973,22 +952,12 @@ let broadcast_update p (u : Protocol.update) =
 let shard_route p pl (su : Protocol.shard_update) =
   let subs = Mc_placement.Placement.subscribers pl ~shard:su.su_shard in
   let expect = List.length (List.filter (fun d -> d <> p.id) subs) in
-  (* flight registration must precede the multicast: hop transmissions
-     report through the network observer synchronously below *)
   (match p.rt.shard_obs with
   | Some so ->
     if expect > 0 then
       Hashtbl.replace so.so_inflight
         (su.su_writer, su.su_shard, su.su_sseq)
-        {
-          fl_t0 = Engine.now p.rt.engine;
-          fl_loc = su.su_loc;
-          fl_expect = expect;
-          fl_applied = 0;
-          fl_hops = [];
-          fl_applies = [];
-          fl_done = false;
-        }
+        { fl_t0 = Engine.now p.rt.engine; fl_expect = expect; fl_applied = 0 }
   | None -> ());
   (match p.rt.tracer with
   | Some tr ->
@@ -1415,46 +1384,6 @@ let fetch_count t = Metrics.Counter.get t.hot.c_fetch
 
 let metrics t = t.metrics
 let tracer t = t.tracer
-
-(* ------------------------------------------------------------------ *)
-(* Flight recorder introspection (violation audit)                     *)
-(* ------------------------------------------------------------------ *)
-
-type flight_info = {
-  fi_writer : int;
-  fi_shard : int;
-  fi_sseq : int;
-  fi_t0 : float;
-  fi_loc : Op.location;
-  fi_expect : int;
-  fi_applied : int;
-  fi_hops : (int * int * float * float) list; (* (src, dst, sent, recv), by send time *)
-  fi_applies : (int * float) list; (* (node, applied at), by time *)
-  fi_complete : bool;
-}
-
-let flight_info (writer, shard, sseq) fl =
-  {
-    fi_writer = writer;
-    fi_shard = shard;
-    fi_sseq = sseq;
-    fi_t0 = fl.fl_t0;
-    fi_loc = fl.fl_loc;
-    fi_expect = fl.fl_expect;
-    fi_applied = fl.fl_applied;
-    fi_hops =
-      List.sort (fun (_, _, a, _) (_, _, b, _) -> compare a b) fl.fl_hops;
-    fi_applies = List.sort (fun (_, a) (_, b) -> compare a b) fl.fl_applies;
-    fi_complete = fl.fl_done;
-  }
-
-let shard_flight t ~writer ~shard ~sseq =
-  match t.shard_obs with
-  | Some so ->
-    Option.map
-      (flight_info (writer, shard, sseq))
-      (Hashtbl.find_opt so.so_inflight (writer, shard, sseq))
-  | None -> None
 
 (* provenance of a recorded (non-counter) value: values carry unique
    tags, so at most one stream entry matches *)

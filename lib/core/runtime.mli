@@ -192,33 +192,16 @@ val metrics : t -> Mc_obs.Metrics.Registry.t
     a shared [rtt] arg, plus [fetch_serve] instants at the home). *)
 val tracer : t -> Mc_obs.Trace.t option
 
-(** {1 Flight recorder (sharded placement + [config.observe])}
+(** {1 Flight recorder (sharded placement)}
 
-    Every routed shard update is tracked root → leaves: registration at
-    routing time, one hop record per tree-edge transmission, one apply
-    record per remote subscriber. Flights feed the per-shard visibility
-    histograms; with the online checker on, completed flights are
-    retained so checker verdicts can be joined to the causal path that
-    delivered (or failed to deliver) a value. *)
-
-type flight_info = {
-  fi_writer : int;
-  fi_shard : int;
-  fi_sseq : int;
-  fi_t0 : float;  (** sim time the root routed the update *)
-  fi_loc : Mc_history.Op.location;
-  fi_expect : int;  (** remote subscribers at routing time *)
-  fi_applied : int;
-  fi_hops : (int * int * float * float) list;
-      (** (src, dst, sent, recv) tree-edge transmissions, by send time *)
-  fi_applies : (int * float) list;  (** (node, applied-at), by time *)
-  fi_complete : bool;
-}
-
-(** [shard_flight t ~writer ~shard ~sseq] is the flight of one update,
-    if tracked ([None] when observe is off, placement is absent, or the
-    flight completed with the checker off and was dropped). *)
-val shard_flight : t -> writer:int -> shard:int -> sseq:int -> flight_info option
+    Every routed shard update is tracked root → leaves. With
+    [config.observe], a flight counts the update's remote subscriber
+    applies for the per-shard visibility histograms and is dropped once
+    every subscriber counted at routing has applied it. With a tracer,
+    the trace carries the same update's [shard_send] instant, hop arcs
+    and [shard_apply] instants (see {!tracer}): [Mc_obs.Report] joins
+    them by (writer, shard, sseq), for the visibility rows and for the
+    causal paths of the violation audit alike. *)
 
 (** [shard_write_source t ~loc ~value] resolves a recorded (tagged)
     value to the (writer, shard, sseq) stream coordinates of the write

@@ -209,14 +209,16 @@ type hop = { h_src : int; h_dst : int; h_sent : float; h_recv : float }
 
 type provenance = { p_writer : int; p_shard : int; p_sseq : int }
 
-type overwrite = {
-  o_write_id : int;
-  o_value : int;
-  o_source : provenance option;
-  o_path : hop list;
-  o_applies : (int * float) list;
-  o_complete : bool;
+type flight = {
+  f_hops : hop list;
+  f_applies : (int * float) list;
+  f_complete : bool;
 }
+
+(* the initial value, or an update no remote subscriber awaited *)
+let no_flight = { f_hops = []; f_applies = []; f_complete = true }
+
+type overwrite = { o_write_id : int; o_value : int; o_source : provenance option }
 
 type violation = {
   v_read_id : int;
@@ -227,7 +229,6 @@ type violation = {
   v_value : int;
   v_fetched : bool;
   v_source : provenance option;
-  v_path : hop list;
   v_overwritten_by : overwrite option;
 }
 
@@ -250,6 +251,7 @@ type report = {
   r_staleness : msum option; (* global mc_read_staleness_updates *)
   r_placement : (int * int) option; (* churn, tree builds *)
   r_violations : violation list option;
+  r_flights : (provenance * flight) list;
 }
 
 (* ---------------- analysis ---------------- *)
@@ -287,8 +289,10 @@ let analyze ?(top_k = 5) (input : input) : report =
   let module H = Hashtbl in
   (* (writer, shard, sseq) -> routing time, expected applies *)
   let sends : (int * int * int, float * int) H.t = H.create 256 in
-  (* (writer, shard, sseq) -> apply latencies (vs routing time) *)
-  let applies : (int * int * int, float list ref) H.t = H.create 256 in
+  (* (writer, shard, sseq) -> (node, applied at) and tree hops, newest
+     first *)
+  let applies : (int * int * int, (int * float) list ref) H.t = H.create 256 in
+  let hops : (int * int * int, hop list ref) H.t = H.create 256 in
   let hops_per_shard : (int, int) H.t = H.create 16 in
   let fetch_samples : (int, float list ref) H.t = H.create 16 in
   let fetch_counts : (int, int) H.t = H.create 16 in
@@ -337,19 +341,20 @@ let analyze ?(top_k = 5) (input : input) : report =
           push fetch_samples shard dur
         | None -> ())
       | Trace.Complete _ -> ()
-      | Trace.Instant { cat = "shard"; name = "shard_apply"; ts; args; _ } -> (
+      | Trace.Instant { cat = "shard"; name = "shard_apply"; tid; ts; args; _ } -> (
         incr instants;
         match skey args with
-        | Some key -> (
-          match H.find_opt sends key with
-          | Some (t0, _) -> push applies key (ts -. t0)
-          | None -> () (* send evicted from the ring *))
-        | None -> ())
+        | Some key when H.mem sends key -> push applies key (tid, ts)
+        | _ -> () (* send evicted from the ring *))
       | Trace.Instant _ -> incr instants
-      | Trace.Flow { cat = "shard"; args; _ } -> (
+      | Trace.Flow { cat = "shard"; src; dst; ts_send; ts_recv; args; _ } -> (
         incr flows;
-        match arg_int args "shard" with
+        (match arg_int args "shard" with
         | Some shard -> bump hops_per_shard shard 1
+        | None -> ());
+        match skey args with
+        | Some key ->
+          push hops key { h_src = src; h_dst = dst; h_sent = ts_send; h_recv = ts_recv }
         | None -> ())
       | Trace.Flow _ -> incr flows
       | Trace.Counter _ -> ())
@@ -360,12 +365,11 @@ let analyze ?(top_k = 5) (input : input) : report =
   let inflight_per_shard : (int, int) H.t = H.create 16 in
   let vis_per_shard : (int, float list ref) H.t = H.create 16 in
   let vis_full_per_shard : (int, float list ref) H.t = H.create 16 in
+  let listed tbl key = match H.find_opt tbl key with Some l -> !l | None -> [] in
   H.iter
-    (fun ((_, shard, _) as key) (_, expect) ->
+    (fun ((_, shard, _) as key) (t0, expect) ->
       bump upd_per_shard shard 1;
-      let lats =
-        match H.find_opt applies key with Some l -> !l | None -> []
-      in
+      let lats = List.map (fun (_, ts) -> ts -. t0) (listed applies key) in
       List.iter (fun dt -> push vis_per_shard shard dt) lats;
       bump applies_per_shard shard (List.length lats);
       if expect > 0 && List.length lats >= expect then
@@ -457,6 +461,27 @@ let analyze ?(top_k = 5) (input : input) : report =
       | Some c, Some t -> Some (c, t)
       | _ -> None);
     r_violations = input.violations;
+    r_flights =
+      (let flight p =
+         (* an update with no remote subscriber has no flight *)
+         let key = (p.p_writer, p.p_shard, p.p_sseq) in
+         match H.find_opt sends key with
+         | Some (_, expect) when expect > 0 ->
+           let applied = listed applies key in
+           {
+             f_hops = List.sort (fun a b -> compare a.h_sent b.h_sent) (listed hops key);
+             f_applies = List.sort (fun (_, a) (_, b) -> compare a b) applied;
+             f_complete = List.length applied >= expect;
+           }
+         | _ -> no_flight
+       in
+       List.concat_map
+         (fun v ->
+           Option.to_list v.v_source
+           @ Option.to_list (Option.bind v.v_overwritten_by (fun o -> o.o_source)))
+         (Option.value ~default:[] input.violations)
+       |> List.sort_uniq compare
+       |> List.map (fun p -> (p, flight p)));
   }
 
 (* ---------------- rendering ---------------- *)
@@ -504,23 +529,29 @@ let applies_json applies =
          applies)
   ^ "]"
 
-let violation_json v =
+let flight_of r = function
+  | Some p -> Option.value ~default:no_flight (List.assoc_opt p r.r_flights)
+  | None -> no_flight
+
+let violation_json r v =
   let overwritten =
     match v.v_overwritten_by with
     | None -> "null"
     | Some o ->
+      let f = flight_of r o.o_source in
       Printf.sprintf
         "{\"write_id\":%d,\"value\":%d,\"source\":%s,\"path\":%s,\"applies\":%s,\"complete\":%b}"
         o.o_write_id o.o_value
         (provenance_json o.o_source)
-        (hops_json o.o_path) (applies_json o.o_applies) o.o_complete
+        (hops_json f.f_hops) (applies_json f.f_applies) f.f_complete
   in
   Printf.sprintf
     "{\"read_id\":%d,\"proc\":%d,\"loc\":%s,\"label\":%s,\"verdict\":%s,\"value\":%d,\"fetched\":%b,\"source\":%s,\"path\":%s,\"overwritten_by\":%s}"
     v.v_read_id v.v_proc (Json.quote v.v_loc) (Json.quote v.v_label) (Json.quote v.v_verdict)
     v.v_value v.v_fetched
     (provenance_json v.v_source)
-    (hops_json v.v_path) overwritten
+    (hops_json (flight_of r v.v_source).f_hops)
+    overwritten
 
 let shard_json r =
   Printf.sprintf
@@ -547,7 +578,7 @@ let to_json (r : report) =
     | Some vs ->
       Printf.sprintf "{\"available\":true,\"count\":%d,\"items\":[%s]}"
         (List.length vs)
-        (String.concat "," (List.map violation_json vs))
+        (String.concat "," (List.map (violation_json r) vs))
   in
   Printf.sprintf
     "{\"meta\":%s,\"totals\":{\"events\":%d,\"op_spans\":%d,\"flows\":%d,\"instants\":%d},\"shards\":[%s],\"slowest_shards\":[%s],\"hot_keys\":[%s],\"read_staleness\":%s,\"placement\":%s,\"violations\":%s}"
@@ -645,9 +676,10 @@ let to_text (r : report) =
           (fun { h_src; h_dst; h_sent; h_recv } ->
             line "    hop %d -> %d: sent %s, delivered %s" h_src h_dst
               (us h_sent) (us h_recv))
-          v.v_path;
+          (flight_of r v.v_source).f_hops;
         match v.v_overwritten_by with
         | Some o ->
+          let f = flight_of r o.o_source in
           line "    overwritten by write #%d (value %d)%s" o.o_write_id
             o.o_value
             (match o.o_source with
@@ -659,11 +691,11 @@ let to_text (r : report) =
             (fun { h_src; h_dst; h_sent; h_recv } ->
               line "      hop %d -> %d: sent %s, delivered %s" h_src h_dst
                 (us h_sent) (us h_recv))
-            o.o_path;
+            f.f_hops;
           List.iter
             (fun (node, at) -> line "      applied at node %d: %s" node (us at))
-            o.o_applies;
-          if not o.o_complete then
+            f.f_applies;
+          if not f.f_complete then
             line "      still in flight: never applied at every subscriber"
         | None -> ())
       vs);

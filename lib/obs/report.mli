@@ -53,21 +53,26 @@ type hop = { h_src : int; h_dst : int; h_sent : float; h_recv : float }
 (** Stream coordinates of the write that produced a value. *)
 type provenance = { p_writer : int; p_shard : int; p_sseq : int }
 
-(** The later write that makes a stale read a violation, with its own
-    causal path and apply record. [o_complete = false] means the write
-    was still in flight — never applied at every subscriber. *)
+(** One update's flight as the trace shows it: its tree hops by send
+    time, its subscriber applies as (node, applied at) by time, and
+    whether every remote subscriber counted at routing applied it
+    ([false]: still in flight). Ties keep the newest event first. *)
+type flight = {
+  f_hops : hop list;
+  f_applies : (int * float) list;
+  f_complete : bool;
+}
+
+(** The later write that makes a stale read a violation. *)
 type overwrite = {
   o_write_id : int;
   o_value : int;
   o_source : provenance option;
-  o_path : hop list;
-  o_applies : (int * float) list;
-  o_complete : bool;
 }
 
-(** An online-checker verdict joined to the trace: the read, the
-    provenance and causal path of the value it returned, and (for
-    [Overwritten] verdicts) the interposing write's path. *)
+(** An online-checker verdict: the read, the provenance of the value it
+    returned and, for [Overwritten] verdicts, the interposing write. The
+    report joins each provenance to its flight in the trace. *)
 type violation = {
   v_read_id : int;
   v_proc : int;
@@ -77,7 +82,6 @@ type violation = {
   v_value : int;
   v_fetched : bool;
   v_source : provenance option;
-  v_path : hop list;
   v_overwritten_by : overwrite option;
 }
 
@@ -102,12 +106,15 @@ type report = {
   r_staleness : msum option;  (** global [mc_read_staleness_updates] *)
   r_placement : (int * int) option;  (** (churn, tree builds) *)
   r_violations : violation list option;
+  r_flights : (provenance * flight) list;
+      (** the flight of every provenance the violations name *)
 }
 
 (** [analyze ?top_k input] aggregates events and metrics into a report.
-    Shard rows join [shard_send] instants to [shard_apply] instants by
-    (writer, shard, sseq); [top_k] (default 5) bounds the slowest-shard
-    and hottest-key rankings. *)
+    One join of the [shard] events by (writer, shard, sseq) — the
+    [shard_send] instant, the hop arcs and the [shard_apply] instants —
+    feeds both the shard rows and the violations' flights; [top_k]
+    (default 5) bounds the slowest-shard and hottest-key rankings. *)
 val analyze : ?top_k:int -> input -> report
 
 (** Deterministic single-line JSON rendering (all floats [%.1f] µs). *)

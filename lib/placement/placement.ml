@@ -16,7 +16,6 @@ type t = {
   subs : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   (* node -> subscribed shard set *)
   node_subs : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  loc_cache : (Mc_history.Op.location, int) Hashtbl.t;
   (* (shard, root) -> node -> children, rebuilt after subscription churn *)
   tree_cache : (int * int, (int, int list) Hashtbl.t) Hashtbl.t;
   sorted_cache : (int, int list) Hashtbl.t;
@@ -42,7 +41,6 @@ let create ~shards ~policy ?(fanout = 4) () =
     t_fanout = fanout;
     subs = Hashtbl.create 64;
     node_subs = Hashtbl.create 64;
-    loc_cache = Hashtbl.create 256;
     tree_cache = Hashtbl.create 64;
     sorted_cache = Hashtbl.create 64;
     p_obs = None;
@@ -66,7 +64,7 @@ let check_shard t shard =
   if shard < 0 || shard >= t.n_shards then
     invalid_arg (Printf.sprintf "Placement: shard %d out of range" shard)
 
-let compute_shard t loc =
+let shard_of_loc t loc =
   match t.t_policy with
   | Hash -> Hashtbl.hash loc mod t.n_shards
   | Range { objects } -> (
@@ -79,14 +77,6 @@ let compute_shard t loc =
   | Explicit f ->
     let s = f loc in
     check_shard t s;
-    s
-
-let shard_of_loc t loc =
-  match Hashtbl.find_opt t.loc_cache loc with
-  | Some s -> s
-  | None ->
-    let s = compute_shard t loc in
-    Hashtbl.add t.loc_cache loc s;
     s
 
 let set tbl key =

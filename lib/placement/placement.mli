@@ -46,7 +46,7 @@ val shards : t -> int
 val fanout : t -> int
 val policy : t -> policy
 
-(** [shard_of_loc t loc] is the shard owning [loc] (memoized). Raises
+(** [shard_of_loc t loc] is the shard owning [loc]. Raises
     [Invalid_argument] if an [Explicit] map sends [loc] out of range. *)
 val shard_of_loc : t -> Mc_history.Op.location -> int
 

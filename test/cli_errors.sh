@@ -62,6 +62,13 @@ expect 2 cholesky --density 2
 expect 2 trace --buffer 0
 expect 2 solver --memory central --shards 2
 
+# --shards misuse: every rejection comes from the one placement builder
+# (or, for an SC memory, from the memory runner)
+expect 2 solver --variant handshake --shards 2
+expect 2 check --app em --shards 2
+expect 2 report --app em --shards 2
+expect 2 check --app solver --memory central --shards 2
+
 # values the command-line parser rejects: a converter error, a number
 # that does not parse, an unknown model (a message Cmdliner wraps) and
 # an unknown subcommand

@@ -491,6 +491,83 @@ let test_report_live_file_parity () =
   check_int "chrome form event count" (List.length events)
     (List.length chrome_events)
 
+(* The audit's causal path of a partially delivered write, joined from
+   the trace. Writer 2 writes s:5 (shard 0, routed 2 -> 0 -> 1, with the
+   link 0 -> 1 paused) and then s:15 (shard 1, routed 2 -> 1); process 1
+   awaits s:15 and PRAM-reads s:5 stale. The overwriting shard-0 update
+   made one hop and one apply, at node 0, and never reached node 1. *)
+let test_report_partial_flight () =
+  let module Lattice = Mc_consistency.Lattice in
+  let tracer = Trace.create () in
+  let pl =
+    Placement.create ~shards:3 ~policy:(Placement.Range { objects = 30 }) ~fanout:1 ()
+  in
+  List.iter (fun node -> Placement.subscribe pl ~node ~shard:0) [ 0; 1; 2 ];
+  List.iter (fun node -> Placement.subscribe pl ~node ~shard:1) [ 1; 2 ];
+  check "shard 0 routes 2 -> 0 -> 1" true
+    (Placement.children pl ~shard:0 ~root:2 ~node:2 = [ 0 ]
+    && Placement.children pl ~shard:0 ~root:2 ~node:0 = [ 1 ]);
+  let cfg =
+    {
+      (Config.default ~procs:3) with
+      record = true;
+      check_online = true;
+      observe = true;
+      placement = Some pl;
+      await_label = Op.PRAM;
+      tracer = Some tracer;
+    }
+  in
+  let rt = Runtime.create (Engine.create ()) cfg in
+  Mc_net.Network.pause_link (Runtime.network rt) ~src:0 ~dst:1;
+  Runtime.spawn_process rt 2 (fun p ->
+      Runtime.write p "s:5" 11;
+      Runtime.write p "s:15" 22);
+  Runtime.spawn_process rt 1 (fun p ->
+      Runtime.await p "s:15" 22;
+      ignore (Runtime.read p ~label:Op.PRAM "s:5"));
+  ignore (Runtime.run rt);
+  let failure =
+    match Mc_consistency.Online.failures (Option.get (Runtime.online_checker rt)) with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "expected one stale read, got %d failures" (List.length fs)
+  in
+  let write_id =
+    match failure.Lattice.verdict with
+    | Mc_consistency.Read_rule.Overwritten w -> w
+    | _ -> Alcotest.fail "the stale read is not an overwritten verdict"
+  in
+  let loc, value = Option.get (Op.writes_value (History.op (Runtime.history rt) write_id)) in
+  let source =
+    match Runtime.shard_write_source rt ~loc ~value with
+    | Some (w, s, q) -> { Report.p_writer = w; p_shard = s; p_sseq = q }
+    | None -> Alcotest.fail "no provenance for the overwriting write"
+  in
+  check "writer 2, shard 0, sseq 1" true
+    (source = { Report.p_writer = 2; p_shard = 0; p_sseq = 1 });
+  let violation =
+    {
+      Report.v_read_id = failure.Lattice.read_id;
+      v_proc = 1;
+      v_loc = loc;
+      v_label = "pram";
+      v_verdict = "overwritten";
+      v_value = 0;
+      v_fetched = false;
+      v_source = None;
+      v_overwritten_by = Some { Report.o_write_id = write_id; o_value = value; o_source = Some source };
+    }
+  in
+  let r = Report.analyze { (live_input (rt, tracer)) with Report.violations = Some [ violation ] } in
+  let flight = List.assoc source r.Report.r_flights in
+  (* the parent's in-runtime flight record read the same path *)
+  check "one hop, 2 -> 0, sent 2.1, delivered at 63.48" true
+    (flight.Report.f_hops
+    = [ { Report.h_src = 2; h_dst = 0; h_sent = 2.1; h_recv = 63.481787859217356 } ]);
+  check "one apply, at node 0" true
+    (flight.Report.f_applies = [ (0, 63.481787859217356) ]);
+  check "still in flight" false flight.Report.f_complete
+
 (* the CLI's --json --out echo: a path with non-ASCII bytes, a quote, a
    backslash and a control character parses back to itself *)
 let test_json_quote_roundtrip () =
@@ -547,6 +624,8 @@ let () =
             test_report_json_deterministic;
           Alcotest.test_case "live/file mode parity" `Quick
             test_report_live_file_parity;
+          Alcotest.test_case "partial flight from the trace" `Quick
+            test_report_partial_flight;
           Alcotest.test_case "json quote round trip" `Quick test_json_quote_roundtrip;
           QCheck_alcotest.to_alcotest json_quote_parses;
         ] );
