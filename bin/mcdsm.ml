@@ -1089,6 +1089,23 @@ let report_cmd =
         let rt, time, app_name, shards =
           match app with
           | `Violation ->
+            (* one fixed workload: a flag it would ignore, given any
+               value but its default, is rejected rather than echoed in
+               the report's meta *)
+            let default_policy =
+              match policy with Placement.Range { objects = 0 } -> true | _ -> false
+            in
+            List.iter
+              (fun (flag, given) ->
+                if given then
+                  invalid_arg
+                    (flag ^ " does not apply to report --app violation (its workload is fixed)"))
+              [
+                ("--shards", shards <> 0);
+                ("--placement", not default_policy);
+                ("--propagation", propagation <> Config.Lazy);
+                ("--seed", seed <> 42);
+              ];
             let rt, time = violation_run ~tracer in
             (rt, time, "violation", 3)
           | (`Solver | `Em | `Cholesky | `Delivery) as app ->

@@ -19,12 +19,10 @@ let label_to_string = function
 
 let strength = function Op.PRAM -> 0 | Op.Group _ -> 1 | Op.Causal -> 2
 
-let advise ?shared h =
-  let shared =
-    match shared with Some f -> f | None -> Pc.default_shared h
-  in
-  let entry = Pc.is_entry_consistent ~shared h in
-  let pramc = Pc.is_pram_consistent ~shared h in
+let advise h =
+  let shared = Pc.shared h in
+  let entry = Pc.is_entry_consistent h in
+  let pramc = Pc.is_pram_consistent h in
   (* each lattice point's failing reads, fetched once per history on
      first use: one [Lattice.failures] call per point, where per-read
      verdicts would build a closure per (point, reader). A point that

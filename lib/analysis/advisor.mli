@@ -46,11 +46,8 @@ val label_to_string : Mc_history.Op.label -> string
 (** Strength on the spectrum: PRAM = 0, Group = 1, Causal = 2. *)
 val strength : Mc_history.Op.label -> int
 
-(** [advise ?shared h] computes one advice per memory read. *)
-val advise :
-  ?shared:(Mc_history.Op.location -> bool) ->
-  Mc_history.History.t ->
-  advice list
+(** [advise h] computes one advice per memory read. *)
+val advise : Mc_history.History.t -> advice list
 
 (** Diagnostics: [A001]/[A002]/[A003] for reads whose declared label
     disagrees with the recommendation; a correctly-labelled read whose

@@ -7,9 +7,9 @@ type report = {
   infos : int;
 }
 
-let analyze ?shared h =
-  let races = Race.detect ?shared h in
-  let advice = Advisor.advise ?shared h in
+let analyze h =
+  let races = Race.detect h in
+  let advice = Advisor.advise h in
   let diags =
     List.sort Diag.compare
       (Race.diagnostics h races @ Lint.lint h @ Advisor.diagnostics h advice)

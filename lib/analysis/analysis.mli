@@ -14,10 +14,7 @@ type report = {
   infos : int;
 }
 
-val analyze :
-  ?shared:(Mc_history.Op.location -> bool) ->
-  Mc_history.History.t ->
-  report
+val analyze : Mc_history.History.t -> report
 
 val has_errors : report -> bool
 

@@ -1,6 +1,8 @@
 (** Structural lock- and synchronization-discipline lint rules.
 
-    Each rule walks the per-process program order (invocation order) and
+    The lock rules (L001, L002, L003, L006) read each operation's held
+    locks off the history's one walk ({!Mc_history.History.walk}: each
+    process in invocation order); the others scan the operations. Each
     reports violations as diagnostics with stable rule codes:
 
     - [L001] unlock without a matching lock held by the process (or an

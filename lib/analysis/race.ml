@@ -2,12 +2,13 @@ module History = Mc_history.History
 module Op = Mc_history.Op
 module Stream = Mc_history.Stream
 module Commute = Mc_consistency.Commute
+module Program_class = Mc_consistency.Program_class
 
 type race = { first : int; second : int; subject : string }
 
 type report = {
   races : race list;
-  locksets : Lockset.info list;
+  locksets : History.lockset list;
   hb_chains : int;
 }
 
@@ -111,19 +112,20 @@ let precedes c i j =
 
 let happens_before h = precedes (clocks h)
 
-let detect ?shared h =
+let detect h =
   let c = clocks h in
-  let locksets = Lockset.analyze ?shared h in
+  let locksets = Program_class.locksets h in
   let ops = History.ops h in
   (* The lockset screen argues "every conflicting pair on a protected
-     location is lock-ordered"; that argument needs each process's
+     location is lock-ordered": every access held a common lock and no
+     await bypasses the discipline. That argument needs each process's
      operations to be totally ordered (one chain per process). If any
      process has overlapping fibers, fall back to checking every pair. *)
   let protected_loc =
     let tbl = Hashtbl.create 16 in
     List.iter
-      (fun (i : Lockset.info) ->
-        if Lockset.is_protected i then Hashtbl.replace tbl i.Lockset.loc ())
+      (fun (l : History.lockset) ->
+        if l.candidates <> [] && not l.awaited then Hashtbl.replace tbl l.loc ())
       locksets;
     fun loc -> (not c.multi_chain) && Hashtbl.mem tbl loc
   in
@@ -202,4 +204,19 @@ let diagnostics h r =
              Op.pp ops.(first) Op.pp ops.(second)))
       r.races
   in
-  race_diags @ Lockset.diagnostics r.locksets
+  let lockset_diags =
+    List.filter_map
+      (fun (l : History.lockset) ->
+        if l.state = History.Shared_modified && l.candidates = [] then
+          Some
+            (Diag.make ~rule:"R002" ~severity:Diag.Warning ?op_id:l.first_unprotected
+               ~loc:l.loc
+               (Printf.sprintf
+                  "location %s is written by processes {%s} with an empty candidate \
+                   lockset (Eraser discipline)"
+                  l.loc
+                  (String.concat "," (List.map string_of_int l.accessors))))
+        else None)
+      r.locksets
+  in
+  race_diags @ lockset_diags

@@ -22,12 +22,14 @@
     + buckets operations into conflict groups — by memory location, and
       by lock object for lock acquires — since [Commute.commute] only
       returns [false] inside such a group;
-    + screens out every location whose Eraser candidate lockset is
-      non-empty ({!Lockset}): its conflicting accesses are ordered by the
-      lock order, so no pair needs checking. The screen applies only when
-      no process has more than one chain, since the lockset argument
-      needs each process's operations totally ordered; otherwise every
-      pair is checked;
+    + screens out every shared location whose Eraser candidate lockset
+      is non-empty and that no await observes
+      ({!Mc_consistency.Program_class.locksets}, read off the history's
+      one walk): its conflicting accesses are ordered by the lock order,
+      so no pair needs checking. The screen applies only when no process
+      has more than one chain, since the lockset argument needs each
+      process's operations totally ordered; otherwise every pair is
+      checked;
     + enumerates the remaining conflicting pairs and keeps those the
       clocks prove concurrent.
 
@@ -48,17 +50,15 @@ type race = {
 
 type report = {
   races : race list;  (** sorted by (first, second); duplicate-free *)
-  locksets : Lockset.info list;
+  locksets : Mc_history.History.lockset list;
+      (** the shared locations' locksets, sorted by location *)
   hb_chains : int;  (** program-order chains used by the clocks *)
 }
 
-(** [detect ?shared h] runs the analysis. [shared] is passed to the
-    lockset screen; the default treats locations accessed by two or more
-    processes as shared. Raises [Invalid_argument] if causality is
-    cyclic or the history's event sequencing is inconsistent (see
-    {!Mc_history.Stream.replay}). *)
-val detect :
-  ?shared:(Mc_history.Op.location -> bool) -> Mc_history.History.t -> report
+(** [detect h] runs the analysis. Raises [Invalid_argument] if
+    causality is cyclic or the history's event sequencing is
+    inconsistent (see {!Mc_history.Stream.replay}). *)
+val detect : Mc_history.History.t -> report
 
 (** [happens_before h] folds the clocks once; the returned [hb i j] is
     true when operation [i] strictly precedes [j] in the causality
@@ -69,5 +69,8 @@ val happens_before : Mc_history.History.t -> int -> int -> bool
     comparable with [Commute.theorem1_report]. *)
 val race_pairs : report -> (int * int) list
 
-(** Diagnostics: rule [R001] per race, plus the lockset [R002]s. *)
+(** Diagnostics: rule [R001] per race, and rule [R002] per
+    shared-modified location with an empty candidate lockset: the Eraser
+    discipline is broken whether or not this schedule ordered every
+    access. *)
 val diagnostics : Mc_history.History.t -> report -> Diag.t list

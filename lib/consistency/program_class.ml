@@ -1,148 +1,20 @@
 module History = Mc_history.History
 module Op = Mc_history.Op
 
-type lock_mode = Mode_read | Mode_write
+let is_shared (l : History.lockset) = match l.accessors with _ :: _ :: _ -> true | _ -> false
 
-type entry_violation = { op_id : int; loc : Op.location; reason : string }
+let shared h =
+  let locations = (History.walk h).History.locations in
+  fun loc -> match Hashtbl.find_opt locations loc with Some l -> is_shared l | None -> false
 
-type entry_result = {
-  assignment : (Op.location * Op.lock_name) list;
-  entry_violations : entry_violation list;
-}
+let locksets h =
+  Hashtbl.fold (fun _ l acc -> if is_shared l then l :: acc else acc) (History.walk h).locations []
+  |> List.sort (fun (a : History.lockset) b -> compare a.loc b.loc)
 
-let loc_of_memory_op (o : Op.t) =
-  match o.kind with
-  | Op.Read { loc; _ } | Op.Write { loc; _ } | Op.Decrement { loc; _ } -> Some loc
-  | Op.Await _ | Op.Read_lock _ | Op.Read_unlock _ | Op.Write_lock _
-  | Op.Write_unlock _ | Op.Barrier _ | Op.Barrier_group _ ->
-    None
-
-let default_shared h =
-  let accessors = Hashtbl.create 32 in
-  Array.iter
-    (fun (o : Op.t) ->
-      match loc_of_memory_op o with
-      | Some loc ->
-        let procs =
-          Option.value ~default:[] (Hashtbl.find_opt accessors loc)
-        in
-        if not (List.mem o.proc procs) then
-          Hashtbl.replace accessors loc (o.proc :: procs)
-      | None -> ())
-    (History.ops h);
-  fun loc ->
-    match Hashtbl.find_opt accessors loc with
-    | Some (_ :: _ :: _) -> true
-    | Some _ | None -> false
-
-(* Per-process scan, in invocation order, tracking which locks are held in
-   which mode when each memory access is issued. *)
-let accesses_with_held_locks h =
-  let by_proc = Array.make (History.procs h) [] in
-  Array.iter
-    (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc))
-    (History.ops h);
-  let results = ref [] in
-  Array.iter
-    (fun ops_of_p ->
-      let sorted =
-        List.sort
-          (fun (a : Op.t) (b : Op.t) -> compare a.inv_seq b.inv_seq)
-          ops_of_p
-      in
-      let held = Hashtbl.create 4 in
-      (* lock -> mode list (a stack; nesting not expected but harmless) *)
-      let push l mode =
-        Hashtbl.replace held l
-          (mode :: Option.value ~default:[] (Hashtbl.find_opt held l))
-      in
-      let pop l =
-        match Hashtbl.find_opt held l with
-        | Some (_ :: rest) ->
-          if rest = [] then Hashtbl.remove held l else Hashtbl.replace held l rest
-        | Some [] | None -> ()
-      in
-      List.iter
-        (fun (o : Op.t) ->
-          match o.kind with
-          | Op.Read_lock l -> push l Mode_read
-          | Op.Write_lock l -> push l Mode_write
-          | Op.Read_unlock l | Op.Write_unlock l -> pop l
-          | _ -> (
-            match loc_of_memory_op o with
-            | Some loc ->
-              let held_now =
-                Hashtbl.fold (fun l modes acc -> (l, List.hd modes) :: acc) held []
-              in
-              results := (o, loc, held_now) :: !results
-            | None -> ()))
-        sorted)
-    by_proc;
-  List.rev !results
-
-let check_entry_consistent ?shared h =
-  let shared = match shared with Some f -> f | None -> default_shared h in
-  let accesses = accesses_with_held_locks h in
-  (* candidate locks per variable: intersection over accesses of the locks
-     held with a sufficient mode *)
-  let candidates : (Op.location, Op.lock_name list option ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let uncovered = ref [] in
-  List.iter
-    (fun ((o : Op.t), loc, held) ->
-      if shared loc then begin
-        let needs_write = Op.is_write_like o in
-        let sufficient =
-          List.filter_map
-            (fun (l, mode) ->
-              match mode, needs_write with
-              | Mode_write, _ -> Some l
-              | Mode_read, false -> Some l
-              | Mode_read, true -> None)
-            held
-        in
-        if sufficient = [] then
-          uncovered :=
-            {
-              op_id = o.id;
-              loc;
-              reason =
-                (if needs_write then "write access without a write lock"
-                 else "read access without a lock");
-            }
-            :: !uncovered;
-        let cell =
-          match Hashtbl.find_opt candidates loc with
-          | Some c -> c
-          | None ->
-            let c = ref None in
-            Hashtbl.add candidates loc c;
-            c
-        in
-        match !cell with
-        | None -> cell := Some sufficient
-        | Some prev -> cell := Some (List.filter (fun l -> List.mem l sufficient) prev)
-      end)
-    accesses;
-  let assignment = ref [] in
-  let violations = ref (List.rev !uncovered) in
-  Hashtbl.iter
-    (fun loc cell ->
-      match !cell with
-      | Some (l :: _) -> assignment := (loc, l) :: !assignment
-      | Some [] | None ->
-        violations :=
-          { op_id = -1; loc; reason = "no single lock covers every access" }
-          :: !violations)
-    candidates;
-  {
-    assignment = List.sort compare !assignment;
-    entry_violations = !violations;
-  }
-
-let is_entry_consistent ?shared h =
-  (check_entry_consistent ?shared h).entry_violations = []
+let is_entry_consistent h =
+  Hashtbl.fold
+    (fun _ (l : History.lockset) ok -> ok && ((not (is_shared l)) || l.candidates <> []))
+    (History.walk h).locations true
 
 type phase_violation = {
   op_id : int;
@@ -151,43 +23,20 @@ type phase_violation = {
   reason : string;
 }
 
-let check_pram_consistent ?shared h =
-  let shared = match shared with Some f -> f | None -> default_shared h in
-  let by_proc = Array.make (History.procs h) [] in
-  Array.iter
-    (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc))
-    (History.ops h);
-  (* phase of each op: number of barriers before it in its process *)
-  let phase_of = Hashtbl.create 64 in
-  Array.iter
-    (fun ops_of_p ->
-      let sorted =
-        List.sort
-          (fun (a : Op.t) (b : Op.t) -> compare a.inv_seq b.inv_seq)
-          ops_of_p
-      in
-      let phase = ref 0 in
-      List.iter
-        (fun (o : Op.t) ->
-          Hashtbl.replace phase_of o.id !phase;
-          match o.kind with
-          | Op.Barrier _ | Op.Barrier_group _ -> incr phase
-          | _ -> ())
-        sorted)
-    by_proc;
+let check_pram_consistent h =
+  let phase_of = (History.walk h).History.phase and shared = shared h in
   let violations = ref [] in
   let report op_id loc phase reason = violations := { op_id; loc; phase; reason } :: !violations in
   (* group shared-variable accesses by (loc, phase) *)
   let groups : (Op.location * int, Op.t list) Hashtbl.t = Hashtbl.create 64 in
   Array.iter
     (fun (o : Op.t) ->
-      match loc_of_memory_op o with
-      | Some loc when shared loc ->
-        let phase = Hashtbl.find phase_of o.id in
-        let key = (loc, phase) in
+      match o.kind with
+      | (Op.Read { loc; _ } | Op.Write { loc; _ } | Op.Decrement { loc; _ }) when shared loc ->
+        let key = (loc, phase_of.(o.id)) in
         let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
         Hashtbl.replace groups key (o :: prev)
-      | Some _ | None -> ())
+      | _ -> ())
     (History.ops h);
   Hashtbl.iter
     (fun (loc, phase) ops ->
@@ -211,4 +60,4 @@ let check_pram_consistent ?shared h =
     groups;
   List.sort compare !violations
 
-let is_pram_consistent ?shared h = check_pram_consistent ?shared h = []
+let is_pram_consistent h = check_pram_consistent h = []

@@ -14,49 +14,22 @@
 
     Both checkers operate on recorded histories: they verify that the
     recorded execution obeys the discipline, which is how a compiler-style
-    analysis would validate a run of the program. *)
+    analysis would validate a run of the program. Both read the locks
+    held at each access and the barrier phases off the history's one
+    walk ({!Mc_history.History.walk}). A variable is shared when at least
+    two processes read, write or decrement it. *)
 
-type lock_mode = Mode_read | Mode_write
+val shared : Mc_history.History.t -> Mc_history.Op.location -> bool
 
-(** [loc_of_memory_op o] is the location a plain memory operation (read,
-    write, decrement) accesses; [None] for awaits and synchronization
-    operations. *)
-val loc_of_memory_op : Mc_history.Op.t -> Mc_history.Op.location option
+(** [locksets h] is the walk's lockset of every shared variable, sorted
+    by location. *)
+val locksets : Mc_history.History.t -> Mc_history.History.lockset list
 
-(** [accesses_with_held_locks h] scans each process in invocation order
-    and pairs every memory access with the locks (and modes) the process
-    holds when it is issued. The building block shared by the
-    entry-consistency checker and the [Mc_analysis] lockset race
-    detector. *)
-val accesses_with_held_locks :
-  Mc_history.History.t ->
-  (Mc_history.Op.t * Mc_history.Op.location * (Mc_history.Op.lock_name * lock_mode) list)
-  list
-
-type entry_violation = {
-  op_id : int;
-  loc : Mc_history.Op.location;
-  reason : string;
-}
-
-type entry_result = {
-  assignment : (Mc_history.Op.location * Mc_history.Op.lock_name) list;
-      (** an inferred variable-to-lock assignment covering every access *)
-  entry_violations : entry_violation list;
-}
-
-(** [check_entry_consistent ?shared h] infers a lock assignment for each
-    shared variable from the locks held at each access and reports
-    accesses that no single lock covers. [shared] selects the variables
-    subject to the discipline; the default treats a variable as shared
-    when more than one process accesses it. *)
-val check_entry_consistent :
-  ?shared:(Mc_history.Op.location -> bool) ->
-  Mc_history.History.t ->
-  entry_result
-
-val is_entry_consistent :
-  ?shared:(Mc_history.Op.location -> bool) -> Mc_history.History.t -> bool
+(** [is_entry_consistent h]: every shared variable keeps a non-empty
+    candidate lockset, so one lock, held in a sufficient mode at every
+    access, covers it. An access under no sufficient lock empties its
+    variable's candidates. *)
+val is_entry_consistent : Mc_history.History.t -> bool
 
 type phase_violation = {
   op_id : int;
@@ -65,20 +38,11 @@ type phase_violation = {
   reason : string;
 }
 
-(** [check_pram_consistent ?shared h] assigns each operation the phase
-    equal to the number of barrier operations preceding it in its
-    process's program order, then checks that within each phase every
-    shared variable is written at most once, is never read by another
-    process in the phase it is written, and is never read before its
-    same-phase write by the writing process. *)
-val check_pram_consistent :
-  ?shared:(Mc_history.Op.location -> bool) ->
-  Mc_history.History.t ->
-  phase_violation list
+(** [check_pram_consistent h] checks that within each barrier phase (the
+    number of barriers before an operation on its process) every shared
+    variable is written at most once, is never read by another process
+    in the phase it is written, and is never read before its same-phase
+    write by the writing process. *)
+val check_pram_consistent : Mc_history.History.t -> phase_violation list
 
-val is_pram_consistent :
-  ?shared:(Mc_history.Op.location -> bool) -> Mc_history.History.t -> bool
-
-(** [default_shared h] is the default shared-variable predicate: true for
-    locations accessed by at least two distinct processes. *)
-val default_shared : Mc_history.History.t -> Mc_history.Op.location -> bool
+val is_pram_consistent : Mc_history.History.t -> bool

@@ -50,7 +50,9 @@ type t = {
           to false for PRAM-consistent programs (Fig. 2, Fig. 4). *)
   groups : int list list;
       (** process groups for which every replica maintains a group view,
-          enabling [Group]-labelled reads (the Section-3.2 spectrum) *)
+          enabling [Group]-labelled reads (the Section-3.2 spectrum).
+          Full replication only: [Runtime.create] rejects groups with a
+          [placement]. *)
   placement : Mc_placement.Placement.t option;
       (** subscriber routing, Section 6's alternative to a broadcast per
           update; [None] (the default) is full replication. Locations map
@@ -62,14 +64,16 @@ type t = {
           shard's causal view; cross-shard ordering comes only from
           barriers, which switch to Section 6's update-count scheme, and
           awaits poll the PRAM view. Locks and [Group] reads are not
-          available, and writes need a subscription. *)
+          available, and writes need a subscription; [Runtime.create]
+          rejects [groups] and [batch_max > 1] with a placement. *)
   batch_max : int;
       (** maximum number of consecutive same-writer updates coalesced
           into one {!Protocol.Update_batch} wire message. [1] (the
           default) disables batching — every write broadcasts its own
           update message, the seed behavior. Batching only applies to
-          full replication; under [placement] updates are always sent
-          individually, each down its own shard's tree. *)
+          full replication: under [placement] each update goes down its
+          own shard's tree, and [Runtime.create] rejects
+          [batch_max > 1]. *)
   batch_window : float;
       (** upper bound, in virtual time, on how long the first buffered
           update may wait before the outgoing batch is flushed (batches

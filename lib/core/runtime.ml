@@ -365,6 +365,12 @@ let barrier_tree t members =
     tree
 
 let create engine ?latency cfg =
+  if cfg.Config.placement <> None then begin
+    if cfg.Config.groups <> [] then
+      invalid_arg "Runtime.create: groups are unavailable under placement";
+    if cfg.Config.batch_max > 1 then
+      invalid_arg "Runtime.create: batch_max > 1 is unavailable under placement"
+  end;
   let n = cfg.Config.procs in
   let latency = match latency with Some l -> l | None -> Cost.latency () in
   let net = Cost.network engine ~nodes:n ~latency () in

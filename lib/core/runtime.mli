@@ -30,7 +30,9 @@ type t
 type proc
 
 (** [create engine ?latency config] builds the runtime on a {!Cost}
-    network; [latency] defaults to {!Cost.latency} [()]. *)
+    network; [latency] defaults to {!Cost.latency} [()]. Raises
+    [Invalid_argument], naming the field, when a [placement] comes with
+    [groups] or with [batch_max > 1]. *)
 val create : Mc_sim.Engine.t -> ?latency:Mc_net.Latency.t -> Config.t -> t
 
 val engine : t -> Mc_sim.Engine.t

@@ -1,5 +1,25 @@
 module Relation = Mc_util.Relation
 
+type lock_mode = Mode_read | Mode_write
+type acquisition = { lock : Op.lock_name; mode : lock_mode; acquired_by : int }
+type eraser = Exclusive | Shared | Shared_modified
+
+type lockset = {
+  loc : Op.location;
+  accessors : int list;
+  state : eraser;
+  candidates : Op.lock_name list;
+  first_unprotected : int option;
+  awaited : bool;
+}
+
+type walk = {
+  held : acquisition list array;
+  phase : int array;
+  held_at_end : acquisition list array;
+  locations : (Op.location, lockset) Hashtbl.t;
+}
+
 type t = {
   procs : int;
   ops : Op.t array;
@@ -18,6 +38,7 @@ type t = {
   (* location -> ids of the operations reading or writing it, built on
      first use *)
   mutable loc_index : (Op.location, int list) Hashtbl.t option;
+  mutable walk_memo : walk option;
 }
 
 let create ~procs ops =
@@ -54,6 +75,7 @@ let create ~procs ops =
     rel_cache = Hashtbl.create 8;
     restrictions_memo = None;
     loc_index = None;
+    walk_memo = None;
   }
 
 let procs t = t.procs
@@ -626,6 +648,109 @@ let well_formedness_violations t =
   List.rev !violations
 
 let is_well_formed t = well_formedness_violations t = []
+
+(* ------------------------------------------------------------------ *)
+(* Lock and barrier context                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Each process's operations in invocation order. Equal invocation
+   numbers put the larger id first, as a stable sort of the operations
+   in descending id order leaves them. *)
+let invocation_order t =
+  let by_proc = Array.make t.procs [] in
+  for id = length t - 1 downto 0 do
+    let o = t.ops.(id) in
+    by_proc.(o.proc) <- o :: by_proc.(o.proc)
+  done;
+  Array.map
+    (fun ops ->
+      let a = Array.of_list ops in
+      sort_unless_sorted
+        (fun (x : Op.t) (y : Op.t) ->
+          if x.inv_seq <> y.inv_seq then Int.compare x.inv_seq y.inv_seq
+          else Int.compare y.id x.id)
+        a;
+      a)
+    by_proc
+
+(* a location's lockset while the walk runs *)
+type cell = {
+  mutable accs : int list;
+  mutable st : eraser;
+  mutable cands : Op.lock_name list;
+  mutable first_empty : int option;
+}
+
+let compute_walk t =
+  let held = Array.make (length t) [] and phase = Array.make (length t) 0 in
+  let held_at_end = Array.make t.procs [] in
+  let cells = Hashtbl.create 64 and awaited = Hashtbl.create 8 in
+  (* one access's Eraser step and candidate refinement: a write needs
+     the lock in write mode, a read either mode *)
+  let access (o : Op.t) loc now =
+    let write = Op.is_write_like o in
+    let sufficient a = a.mode = Mode_write || not write in
+    match Hashtbl.find_opt cells loc with
+    | None ->
+      let cands = List.filter_map (fun a -> if sufficient a then Some a.lock else None) now in
+      let first_empty = if cands = [] then Some o.id else None in
+      Hashtbl.add cells loc { accs = [ o.proc ]; st = Exclusive; cands; first_empty }
+    | Some c ->
+      (c.st <-
+         (match c.st with
+         | Exclusive when List.mem o.proc c.accs -> Exclusive (* its first accessor *)
+         | Exclusive | Shared -> if write then Shared_modified else Shared
+         | Shared_modified -> Shared_modified));
+      if not (List.mem o.proc c.accs) then c.accs <- o.proc :: c.accs;
+      let covers l = List.exists (fun a -> a.lock = l && sufficient a) now in
+      if not (List.for_all covers c.cands) then begin
+        c.cands <- List.filter covers c.cands;
+        if c.cands = [] then c.first_empty <- Some o.id
+      end
+  in
+  Array.iteri
+    (fun p ops ->
+      (* lock -> its acquisitions, innermost first; [now] lists the
+         innermost ones in the table's order *)
+      let stacks = Hashtbl.create 4 and now = ref [] and bars = ref 0 in
+      let stack lock = Option.value ~default:[] (Hashtbl.find_opt stacks lock) in
+      let set lock s =
+        if s = [] then Hashtbl.remove stacks lock else Hashtbl.replace stacks lock s;
+        now := Hashtbl.fold (fun _ s acc -> List.hd s :: acc) stacks []
+      in
+      Array.iter
+        (fun (o : Op.t) ->
+          held.(o.id) <- !now;
+          phase.(o.id) <- !bars;
+          match o.kind with
+          | Op.Read_lock lock ->
+            set lock ({ lock; mode = Mode_read; acquired_by = o.id } :: stack lock)
+          | Op.Write_lock lock ->
+            set lock ({ lock; mode = Mode_write; acquired_by = o.id } :: stack lock)
+          | Op.Read_unlock lock | Op.Write_unlock lock -> (
+            match stack lock with [] -> () | _ :: rest -> set lock rest)
+          | Op.Barrier _ | Op.Barrier_group _ -> incr bars
+          | Op.Await { loc; _ } -> Hashtbl.replace awaited loc ()
+          | Op.Read { loc; _ } | Op.Write { loc; _ } | Op.Decrement { loc; _ } -> access o loc !now)
+        ops;
+      held_at_end.(p) <- Hashtbl.fold (fun _ s acc -> s @ acc) stacks [])
+    (invocation_order t);
+  let locations = Hashtbl.create (Hashtbl.length cells) in
+  Hashtbl.iter
+    (fun loc c ->
+      Hashtbl.add locations loc
+        {
+          loc;
+          accessors = List.sort Int.compare c.accs;
+          state = c.st;
+          candidates = List.sort compare c.cands;
+          first_unprotected = c.first_empty;
+          awaited = Hashtbl.mem awaited loc;
+        })
+    cells;
+  { held; phase; held_at_end; locations }
+
+let walk t = with_memo (fun t -> t.walk_memo) (fun t v -> t.walk_memo <- v) t compute_walk
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>history (%d processes, %d operations):@ " t.procs

@@ -52,6 +52,55 @@ val well_formedness_violations : t -> violation list
 
 val is_well_formed : t -> bool
 
+(** {1 Lock and barrier context}
+
+    One walk over each process's operations in invocation order (equal
+    invocation numbers take the larger id first), memoized on the
+    history. Per operation it records the locks held and the barrier
+    phase; per location, the Eraser state and candidate lockset (Savage
+    et al.) over the reads, writes and decrements that touch it. The
+    program classes of Section 4 ([Mc_consistency.Program_class]), the
+    lint rules and the race detector's lockset screen all read it. *)
+
+type lock_mode = Mode_read | Mode_write
+
+(** One acquisition of a lock: its mode and the acquiring operation. *)
+type acquisition = { lock : Op.lock_name; mode : lock_mode; acquired_by : int }
+
+(** A location is exclusive to the first process that accesses it until
+    another one does; it is then shared while only read, and
+    shared-modified once a write follows. *)
+type eraser = Exclusive | Shared | Shared_modified
+
+(** What the walk learns of one location from its accesses, in walk
+    order: process 0 first, each process in invocation order. *)
+type lockset = {
+  loc : Op.location;
+  accessors : int list;  (** the processes that access it, sorted *)
+  state : eraser;
+  candidates : Op.lock_name list;
+      (** the locks held in a sufficient mode at every access, sorted: a
+          write needs write mode, a read either mode *)
+  first_unprotected : int option;
+      (** the access that emptied [candidates], if one did *)
+  awaited : bool;  (** some await observes the location *)
+}
+
+type walk = {
+  held : acquisition list array;
+      (** by operation id: the innermost acquisition of each lock its
+          process holds when it is invoked *)
+  phase : int array;
+      (** by operation id: the barriers before it on its process *)
+  held_at_end : acquisition list array;
+      (** by process: every acquisition still held at its end *)
+  locations : (Op.location, lockset) Hashtbl.t;
+      (** every location a read, write or decrement accesses *)
+}
+
+(** [walk h] is the walk, run on the first call and memoized. *)
+val walk : t -> walk
+
 (** {1 Derived relations} *)
 
 (** [program_order h] is [→]: the union of the per-process partial orders.

@@ -69,6 +69,13 @@ expect 2 check --app em --shards 2
 expect 2 report --app em --shards 2
 expect 2 check --app solver --memory central --shards 2
 
+# report --app violation runs one fixed workload: the flags it would
+# ignore are rejected
+expect 2 report --app violation --shards 2
+expect 2 report --app violation --placement hash
+expect 2 report --app violation --propagation eager
+expect 2 report --app violation --seed 7
+
 # values the command-line parser rejects: a converter error, a number
 # that does not parse, an unknown model (a message Cmdliner wraps) and
 # an unknown subcommand

@@ -15,10 +15,15 @@
      ([causal_relation], [pram_relation], [group_relation]), memoized on
      the history. [Lattice]'s causal, PRAM and group points must give
      the same verdicts;
+   - [Discipline]: Section 4's program classes, the Eraser lockset and
+     the lint rules L001, L002, L003 and L006, each sorting every process
+     and scanning its held locks itself. [History.walk] does that once
+     for all of them, and its readers must agree;
    - [advise]: the label advisor read by read, from per-read verdicts
-     over [Lattice]'s closures. [Advisor.advise] reads whole failure
-     sets, which [Lattice.failures] replays [Online] for at streamable
-     points, so this keeps the advisor differential independent;
+     over [Lattice]'s closures and [Discipline]'s classifiers.
+     [Advisor.advise] reads whole failure sets, which [Lattice.failures]
+     replays [Online] for at streamable points, and the walk, so this
+     keeps the advisor differential independent;
    - [Lattice]: a model's relation rebuilt pair by pair from the
      history's derived relations, closed by Warshall, restricted for
      each reader, and checked by the read rule scanning every operation
@@ -417,17 +422,448 @@ module Lattice = struct
       (Array.to_list (History.ops t.h))
 end
 
+(* Section 4's program classes, the Eraser lockset and the lint rules
+   L001, L002, L003 and L006 as each was written with its own sort of
+   every process and its own held-lock scan, before [History.walk]
+   computed that context once for all of them. [Program_class], [Race]'s
+   locksets and [Lint] must give the same verdicts, violations, locksets
+   and diagnostics, and [advise] below decides with these classifiers. *)
+module Discipline = struct
+  module Diag = Mc_analysis.Diag
+
+  type lock_mode = Mode_read | Mode_write
+
+  type entry_violation = { op_id : int; loc : Op.location; reason : string }
+
+  type entry_result = {
+    assignment : (Op.location * Op.lock_name) list;
+    entry_violations : entry_violation list;
+  }
+
+  let loc_of_memory_op (o : Op.t) =
+    match o.kind with
+    | Op.Read { loc; _ } | Op.Write { loc; _ } | Op.Decrement { loc; _ } -> Some loc
+    | Op.Await _ | Op.Read_lock _ | Op.Read_unlock _ | Op.Write_lock _
+    | Op.Write_unlock _ | Op.Barrier _ | Op.Barrier_group _ ->
+      None
+
+  let default_shared h =
+    let accessors = Hashtbl.create 32 in
+    Array.iter
+      (fun (o : Op.t) ->
+        match loc_of_memory_op o with
+        | Some loc ->
+          let procs =
+            Option.value ~default:[] (Hashtbl.find_opt accessors loc)
+          in
+          if not (List.mem o.proc procs) then
+            Hashtbl.replace accessors loc (o.proc :: procs)
+        | None -> ())
+      (History.ops h);
+    fun loc ->
+      match Hashtbl.find_opt accessors loc with
+      | Some (_ :: _ :: _) -> true
+      | Some _ | None -> false
+
+  (* Per-process scan, in invocation order, tracking which locks are held in
+     which mode when each memory access is issued. *)
+  let accesses_with_held_locks h =
+    let by_proc = Array.make (History.procs h) [] in
+    Array.iter
+      (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc))
+      (History.ops h);
+    let results = ref [] in
+    Array.iter
+      (fun ops_of_p ->
+        let sorted =
+          List.sort
+            (fun (a : Op.t) (b : Op.t) -> compare a.inv_seq b.inv_seq)
+            ops_of_p
+        in
+        let held = Hashtbl.create 4 in
+        (* lock -> mode list (a stack; nesting not expected but harmless) *)
+        let push l mode =
+          Hashtbl.replace held l
+            (mode :: Option.value ~default:[] (Hashtbl.find_opt held l))
+        in
+        let pop l =
+          match Hashtbl.find_opt held l with
+          | Some (_ :: rest) ->
+            if rest = [] then Hashtbl.remove held l else Hashtbl.replace held l rest
+          | Some [] | None -> ()
+        in
+        List.iter
+          (fun (o : Op.t) ->
+            match o.kind with
+            | Op.Read_lock l -> push l Mode_read
+            | Op.Write_lock l -> push l Mode_write
+            | Op.Read_unlock l | Op.Write_unlock l -> pop l
+            | _ -> (
+              match loc_of_memory_op o with
+              | Some loc ->
+                let held_now =
+                  Hashtbl.fold (fun l modes acc -> (l, List.hd modes) :: acc) held []
+                in
+                results := (o, loc, held_now) :: !results
+              | None -> ()))
+          sorted)
+      by_proc;
+    List.rev !results
+
+  let check_entry_consistent ?shared h =
+    let shared = match shared with Some f -> f | None -> default_shared h in
+    let accesses = accesses_with_held_locks h in
+    (* candidate locks per variable: intersection over accesses of the locks
+       held with a sufficient mode *)
+    let candidates : (Op.location, Op.lock_name list option ref) Hashtbl.t =
+      Hashtbl.create 16
+    in
+    let uncovered = ref [] in
+    List.iter
+      (fun ((o : Op.t), loc, held) ->
+        if shared loc then begin
+          let needs_write = Op.is_write_like o in
+          let sufficient =
+            List.filter_map
+              (fun (l, mode) ->
+                match mode, needs_write with
+                | Mode_write, _ -> Some l
+                | Mode_read, false -> Some l
+                | Mode_read, true -> None)
+              held
+          in
+          if sufficient = [] then
+            uncovered :=
+              {
+                op_id = o.id;
+                loc;
+                reason =
+                  (if needs_write then "write access without a write lock"
+                   else "read access without a lock");
+              }
+              :: !uncovered;
+          let cell =
+            match Hashtbl.find_opt candidates loc with
+            | Some c -> c
+            | None ->
+              let c = ref None in
+              Hashtbl.add candidates loc c;
+              c
+          in
+          match !cell with
+          | None -> cell := Some sufficient
+          | Some prev -> cell := Some (List.filter (fun l -> List.mem l sufficient) prev)
+        end)
+      accesses;
+    let assignment = ref [] in
+    let violations = ref (List.rev !uncovered) in
+    Hashtbl.iter
+      (fun loc cell ->
+        match !cell with
+        | Some (l :: _) -> assignment := (loc, l) :: !assignment
+        | Some [] | None ->
+          violations :=
+            { op_id = -1; loc; reason = "no single lock covers every access" }
+            :: !violations)
+      candidates;
+    {
+      assignment = List.sort compare !assignment;
+      entry_violations = !violations;
+    }
+
+  let is_entry_consistent ?shared h =
+    (check_entry_consistent ?shared h).entry_violations = []
+
+  type phase_violation = Mc_consistency.Program_class.phase_violation = {
+    op_id : int;
+    loc : Op.location;
+    phase : int;
+    reason : string;
+  }
+
+  let check_pram_consistent ?shared h =
+    let shared = match shared with Some f -> f | None -> default_shared h in
+    let by_proc = Array.make (History.procs h) [] in
+    Array.iter
+      (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc))
+      (History.ops h);
+    (* phase of each op: number of barriers before it in its process *)
+    let phase_of = Hashtbl.create 64 in
+    Array.iter
+      (fun ops_of_p ->
+        let sorted =
+          List.sort
+            (fun (a : Op.t) (b : Op.t) -> compare a.inv_seq b.inv_seq)
+            ops_of_p
+        in
+        let phase = ref 0 in
+        List.iter
+          (fun (o : Op.t) ->
+            Hashtbl.replace phase_of o.id !phase;
+            match o.kind with
+            | Op.Barrier _ | Op.Barrier_group _ -> incr phase
+            | _ -> ())
+          sorted)
+      by_proc;
+    let violations = ref [] in
+    let report op_id loc phase reason = violations := { op_id; loc; phase; reason } :: !violations in
+    (* group shared-variable accesses by (loc, phase) *)
+    let groups : (Op.location * int, Op.t list) Hashtbl.t = Hashtbl.create 64 in
+    Array.iter
+      (fun (o : Op.t) ->
+        match loc_of_memory_op o with
+        | Some loc when shared loc ->
+          let phase = Hashtbl.find phase_of o.id in
+          let key = (loc, phase) in
+          let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+          Hashtbl.replace groups key (o :: prev)
+        | Some _ | None -> ())
+      (History.ops h);
+    Hashtbl.iter
+      (fun (loc, phase) ops ->
+        let writes = List.filter Op.is_write_like ops in
+        let reads = List.filter (fun o -> not (Op.is_write_like o)) ops in
+        (match writes with
+        | [] | [ _ ] -> ()
+        | w :: _ ->
+          report w.Op.id loc phase "variable updated more than once in a phase");
+        match writes with
+        | [ (w : Op.t) ] ->
+          List.iter
+            (fun (r : Op.t) ->
+              if r.proc <> w.proc then
+                report r.id loc phase
+                  "read by another process in the phase the variable is written"
+              else if r.inv_seq < w.resp_seq then
+                report r.id loc phase "read precedes the same-phase update")
+            reads
+        | _ -> ())
+      groups;
+    List.sort compare !violations
+
+  let is_pram_consistent ?shared h = check_pram_consistent ?shared h = []
+
+  (* Lockset.analyze *)
+
+  type state = Virgin | Exclusive | Shared | Shared_modified
+
+  type info = {
+    loc : Op.location;
+    state : state;
+    candidates : Op.lock_name list;
+    accessors : int list;
+    first_unprotected : int option;
+    awaited : bool;
+  }
+
+  let state_to_string = function
+    | Virgin -> "virgin"
+    | Exclusive -> "exclusive"
+    | Shared -> "shared"
+    | Shared_modified -> "shared-modified"
+
+  type cell = {
+    mutable st : state;
+    mutable owner : int;
+    mutable cands : Op.lock_name list option; (* None = universe *)
+    mutable accs : int list;
+    mutable first_empty : int option;
+    mutable has_await : bool;
+  }
+
+  let analyze ?shared h =
+    let shared =
+      match shared with Some f -> f | None -> default_shared h
+    in
+    let cells : (Op.location, cell) Hashtbl.t = Hashtbl.create 16 in
+    let cell loc =
+      match Hashtbl.find_opt cells loc with
+      | Some c -> c
+      | None ->
+        let c =
+          {
+            st = Virgin;
+            owner = -1;
+            cands = None;
+            accs = [];
+            first_empty = None;
+            has_await = false;
+          }
+        in
+        Hashtbl.add cells loc c;
+        c
+    in
+    (* accesses in per-process invocation order, with the held locksets *)
+    List.iter
+      (fun ((o : Op.t), loc, held) ->
+        if shared loc then begin
+          let c = cell loc in
+          let is_write = Op.is_write_like o in
+          (* Eraser state machine *)
+          (c.st <-
+             (match c.st with
+             | Virgin -> Exclusive
+             | Exclusive when o.proc = c.owner -> Exclusive
+             | Exclusive -> if is_write then Shared_modified else Shared
+             | Shared -> if is_write then Shared_modified else Shared
+             | Shared_modified -> Shared_modified));
+          if c.owner = -1 then c.owner <- o.proc;
+          if not (List.mem o.proc c.accs) then c.accs <- o.proc :: c.accs;
+          (* lockset refinement: write accesses only count write-mode locks *)
+          let sufficient =
+            List.filter_map
+              (fun (l, mode) ->
+                match mode, is_write with
+                | Mode_write, _ -> Some l
+                | Mode_read, false -> Some l
+                | Mode_read, true -> None)
+              held
+          in
+          let refined =
+            match c.cands with
+            | None -> sufficient
+            | Some prev -> List.filter (fun l -> List.mem l sufficient) prev
+          in
+          if refined = [] && c.first_empty = None then c.first_empty <- Some o.id;
+          c.cands <- Some refined
+        end)
+      (accesses_with_held_locks h);
+    (* awaits bypass the lock discipline entirely *)
+    Array.iter
+      (fun (o : Op.t) ->
+        match o.kind with
+        | Op.Await { loc; _ } when shared loc -> (cell loc).has_await <- true
+        | _ -> ())
+      (History.ops h);
+    Hashtbl.fold
+      (fun loc c acc ->
+        {
+          loc;
+          state = c.st;
+          candidates = List.sort compare (Option.value ~default:[] c.cands);
+          accessors = List.sort compare c.accs;
+          first_unprotected = c.first_empty;
+          awaited = c.has_await;
+        }
+        :: acc)
+      cells []
+    |> List.sort (fun a b -> compare a.loc b.loc)
+
+  (* Lint's lock scan *)
+  type mode = R | W
+
+  let lock_lint h =
+    let ops = History.ops h in
+    let procs = History.procs h in
+    let diags = ref [] in
+    let add d = diags := d :: !diags in
+    let by_proc = Array.make procs [] in
+    Array.iter (fun (o : Op.t) -> by_proc.(o.proc) <- o :: by_proc.(o.proc)) ops;
+    let by_proc =
+      Array.map
+        (fun l ->
+          List.sort (fun (a : Op.t) (b : Op.t) -> compare a.inv_seq b.inv_seq) l)
+        by_proc
+    in
+    (* ---- per-process lock-discipline scan: L001, L002, L003, L006 ---- *)
+    Array.iteri
+      (fun p ops_of_p ->
+        (* lock -> stack of (mode, acquiring op id) *)
+        let held : (Op.lock_name, (mode * int) list) Hashtbl.t =
+          Hashtbl.create 4
+        in
+        let stack l = Option.value ~default:[] (Hashtbl.find_opt held l) in
+        let acquire (o : Op.t) l m =
+          (if stack l <> [] then
+             add
+               (Diag.make ~rule:"L002" ~severity:Diag.Warning ~op_id:o.id ~proc:p
+                  ~loc:l
+                  (Printf.sprintf
+                     "process %d acquires lock %s while already holding it" p l)));
+          Hashtbl.replace held l ((m, o.id) :: stack l)
+        in
+        let release (o : Op.t) l m =
+          match stack l with
+          | [] ->
+            add
+              (Diag.make ~rule:"L001" ~severity:Diag.Error ~op_id:o.id ~proc:p
+                 ~loc:l
+                 (Printf.sprintf "process %d unlocks %s without holding it" p l))
+          | (m', _) :: rest ->
+            if m' <> m then
+              add
+                (Diag.make ~rule:"L001" ~severity:Diag.Error ~op_id:o.id ~proc:p
+                   ~loc:l
+                   (Printf.sprintf
+                      "process %d releases %s with a %s unlock but holds it in \
+                       %s mode"
+                      p l
+                      (if m = W then "write" else "read")
+                      (if m' = W then "write" else "read")));
+            if rest = [] then Hashtbl.remove held l
+            else Hashtbl.replace held l rest
+        in
+        List.iter
+          (fun (o : Op.t) ->
+            match o.kind with
+            | Op.Read_lock l -> acquire o l R
+            | Op.Write_lock l -> acquire o l W
+            | Op.Read_unlock l -> release o l R
+            | Op.Write_unlock l -> release o l W
+            | _ ->
+              if Op.is_write_like o then begin
+                let held_now =
+                  Hashtbl.fold (fun l s acc -> (l, List.hd s) :: acc) held []
+                in
+                let only_read =
+                  held_now <> []
+                  && List.for_all (fun (_, (m, _)) -> m = R) held_now
+                in
+                if only_read then
+                  let locks =
+                    String.concat "," (List.map fst held_now)
+                  in
+                  add
+                    (Diag.make ~rule:"L006" ~severity:Diag.Error ~op_id:o.id
+                       ~proc:p
+                       ?loc:
+                         (match Op.writes_value o with
+                         | Some (loc, _) -> Some loc
+                         | None -> None)
+                       (Printf.sprintf
+                          "write by process %d under read lock(s) %s only: a \
+                           read lock cannot protect a write"
+                          p locks))
+              end)
+          ops_of_p;
+        Hashtbl.iter
+          (fun l s ->
+            List.iter
+              (fun (_, acq_id) ->
+                add
+                  (Diag.make ~rule:"L003" ~severity:Diag.Warning ~op_id:acq_id
+                     ~proc:p ~loc:l
+                     (Printf.sprintf
+                        "lock %s acquired by process %d (op %d) is still held \
+                         when its history ends"
+                        l p acq_id)))
+              s)
+          held)
+      by_proc;
+    List.sort Diag.compare !diags
+end
+
 (* The label advisor read by read: each read's labels and lattice points
    decided by per-read verdicts over the closures [Lattice] memoizes per
-   (point, reader), with a malformed group validating nothing.
-   [Advisor.advise] must give the same advice. *)
-let advise ?shared h =
+   (point, reader), with a malformed group validating nothing, and the
+   corollaries decided by [Discipline]'s classifiers. [Advisor.advise]
+   must give the same advice. *)
+let advise h =
   let module L = Mc_consistency.Lattice in
-  let module Pc = Mc_consistency.Program_class in
   let module A = Mc_analysis.Advisor in
-  let shared = match shared with Some f -> f | None -> Pc.default_shared h in
-  let entry = Pc.is_entry_consistent ~shared h in
-  let pramc = Pc.is_pram_consistent ~shared h in
+  let shared = Discipline.default_shared h in
+  let entry = Discipline.is_entry_consistent ~shared h in
+  let pramc = Discipline.is_pram_consistent ~shared h in
   let ok f = try f () = Mc_consistency.Read_rule.Valid with Invalid_argument _ -> false in
   List.filter_map
     (fun (o : Op.t) ->

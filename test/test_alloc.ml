@@ -177,7 +177,7 @@ let test_check_offline () =
   Alcotest.(check int) "mixed failures" 0 (List.length failures);
   Alcotest.(check int) "lint errors" 0 report.Analysis.errors;
   check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:169_776. (w1 -. w0);
-  check_ceiling "minor words of Analysis.analyze h" ~ceiling:1_427_666. (w2 -. w1)
+  check_ceiling "minor words of Analysis.analyze h" ~ceiling:1_122_217. (w2 -. w1)
 
 let () =
   Alcotest.run "alloc"

@@ -19,8 +19,8 @@ module Dsl = Mc_history.Dsl
 module Recorder = Mc_history.Recorder
 module Relation = Mc_util.Relation
 module Commute = Mc_consistency.Commute
+module Program_class = Mc_consistency.Program_class
 module Diag = Mc_analysis.Diag
-module Lockset = Mc_analysis.Lockset
 module Race = Mc_analysis.Race
 module Lint = Mc_analysis.Lint
 module Advisor = Mc_analysis.Advisor
@@ -388,10 +388,11 @@ let test_lockset_protected () =
         [ Dsl.wl ~seq:2 "m"; Dsl.w "x" 2; Dsl.wu ~seq:3 "m" ];
       ]
   in
-  match Lockset.analyze h with
+  match Program_class.locksets h with
   | [ info ] ->
-    check "x protected by m" true (Lockset.is_protected info);
-    check "candidates" true (info.Lockset.candidates = [ "m" ])
+    check "x protected by m" true (not info.History.awaited);
+    check "candidates" true (info.History.candidates = [ "m" ]);
+    check "race screen skips x" true ((Race.detect h).Race.races = [])
   | infos -> Alcotest.failf "expected one shared location, got %d" (List.length infos)
 
 let test_lockset_unprotected () =
@@ -402,13 +403,13 @@ let test_lockset_unprotected () =
         [ Dsl.w "x" 2 ];
       ]
   in
-  match Lockset.analyze h with
+  match Program_class.locksets h with
   | [ info ] ->
-    check "candidate set emptied" false (Lockset.is_protected info);
+    check "candidate set emptied" true (info.History.candidates = []);
     check "R002 reported" true
       (List.exists
          (fun d -> d.Diag.rule = "R002")
-         (Lockset.diagnostics [ info ]))
+         (Race.diagnostics h (Race.detect h)))
   | _ -> Alcotest.fail "expected one shared location"
 
 (* ------------------------------------------------------------------ *)
@@ -470,6 +471,102 @@ let test_lint_clean_history () =
       ]
   in
   check_int "no diagnostics" 0 (List.length (Lint.lint h))
+
+(* ------------------------------------------------------------------ *)
+(* The walk's readers against the reference scans                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Oracle.Discipline] keeps the classifiers, the lockset and the lint
+   lock scan as they were before [History.walk]: each sorts every
+   process and keeps its own held-lock table. The walk's readers must
+   agree on the entry and PRAM verdicts, the PRAM violations, the
+   shared locations' locksets and the L001, L002, L003 and L006
+   diagnostics with their messages. *)
+let discipline_matches name h =
+  let module D = Oracle.Discipline in
+  let lockset (l : History.lockset) =
+    let state =
+      match l.state with
+      | History.Exclusive -> D.Exclusive
+      | History.Shared -> D.Shared
+      | History.Shared_modified -> D.Shared_modified
+    in
+    {
+      D.loc = l.loc;
+      state;
+      candidates = l.candidates;
+      accessors = l.accessors;
+      first_unprotected = l.first_unprotected;
+      awaited = l.awaited;
+    }
+  in
+  let lock_rule d = List.mem d.Diag.rule [ "L001"; "L002"; "L003"; "L006" ] in
+  let agree what ok =
+    ok
+    || begin
+         Format.eprintf "%s: %s differ from the reference:@.%a@." name what History.pp h;
+         false
+       end
+  in
+  agree "entry verdicts" (Program_class.is_entry_consistent h = D.is_entry_consistent h)
+  && agree "PRAM violations" (Program_class.check_pram_consistent h = D.check_pram_consistent h)
+  && agree "locksets" (List.map lockset (Program_class.locksets h) = D.analyze h)
+  && agree "lock diagnostics" (List.filter lock_rule (Lint.lint h) = D.lock_lint h)
+
+(* Random lock and barrier discipline, broken on purpose: nested read
+   and write locks on two lock objects, unlocks of locks not held or in
+   the wrong mode, locks held at the end, writes and decrements under
+   read locks, awaits, plain and subset barriers, and invocation numbers
+   drawn from a small range, so that a process has equal ones and its
+   ids do not follow its invocation order. Locked accesses (the
+   location's own lock, one access, its unlock) keep some shared
+   locations protected. *)
+let discipline_history ~procs choices =
+  let locs = [| "x"; "y"; "z" |] and locks = [| "a"; "b" |] in
+  let ops = ref [] in
+  List.iter
+    (fun (proc, shape, k, inv, span) ->
+      let proc = proc mod procs in
+      let loc = locs.(k mod 3) and lock = locks.(k mod 2) in
+      let own = locks.(k mod 3 mod 2) (* the lock of [loc] *) in
+      let label = if k land 1 = 0 then Op.PRAM else Op.Causal in
+      let read = Op.Read { loc; label; value = k mod 3 } in
+      let kinds =
+        match shape with
+        | 0 -> [ read ]
+        | 1 -> [ Op.Write { loc; value = k } ]
+        | 2 -> [ Op.Decrement { loc; amount = 1; observed = k } ]
+        | 3 -> [ Op.Read_lock lock ]
+        | 4 -> [ Op.Write_lock lock ]
+        | 5 -> [ Op.Read_unlock lock ]
+        | 6 -> [ Op.Write_unlock lock ]
+        | 7 -> [ Op.Await { loc; value = k mod 3 } ]
+        | 8 -> [ Op.Barrier (k mod 2) ]
+        | 9 -> [ Op.Barrier_group { episode = k mod 2; members = [ proc; (proc + 1) mod procs ] } ]
+        | 10 -> [ Op.Write_lock own; Op.Write { loc; value = k }; Op.Write_unlock own ]
+        | _ -> [ Op.Read_lock own; read; Op.Read_unlock own ]
+      in
+      List.iteri
+        (fun i kind ->
+          let id = List.length !ops and inv_seq = (3 * inv) + i in
+          ops := { Op.id; proc; kind; inv_seq; resp_seq = inv_seq + 1 + span; sync_seq = id } :: !ops)
+        kinds)
+    choices;
+  History.create ~procs (Array.of_list (List.rev !ops))
+
+let discipline_differential =
+  QCheck.Test.make ~name:"walk readers = reference scans on random disciplines" ~count:1000
+    QCheck.(
+      pair (int_range 2 4)
+        (list_of_size Gen.(int_bound 24)
+           (make
+              Gen.(
+                map
+                  (fun (proc, shape, k, (inv, span)) -> (proc, shape, k, inv, span))
+                  (quad (int_bound 3) (int_bound 11) (int_bound 5)
+                     (pair (int_bound 7) (int_bound 3)))))))
+    (fun (procs, choices) ->
+      discipline_matches "random" (discipline_history ~procs choices))
 
 (* ------------------------------------------------------------------ *)
 (* Label advisor                                                       *)
@@ -589,7 +686,7 @@ let record_app ?(groups = []) ~procs launch =
   ignore (Runtime.run rt);
   Runtime.history rt
 
-let test_advisor_apps () =
+let app_histories () =
   let problem = Solver.Problem.generate ~seed:42 ~n:8 in
   let m = Sparse.generate ~seed:11 ~n:10 ~density:0.3 in
   let solver variant ?groups procs =
@@ -598,24 +695,32 @@ let test_advisor_apps () =
   let cholesky variant =
     record_app ~procs:3 (fun spawn -> Cholesky.launch ~spawn ~procs:3 ~variant m)
   in
+  [
+    ("solver barrier", solver Solver.Barrier_pram 4);
+    ("solver handshake", solver Solver.Handshake_causal 3);
+    ( "solver group",
+      solver Solver.Handshake_group ~groups:(Solver.solver_groups ~procs:3) 3 );
+    ( "em field",
+      record_app ~procs:3 (fun spawn ->
+          Mc_apps.Em_field.launch ~spawn ~procs:3
+            { Mc_apps.Em_field.rows = 9; cols = 5; steps = 3; seed = 5 }) );
+    ("cholesky locks", cholesky Cholesky.Lock_based);
+    ("cholesky counters", cholesky Cholesky.Counter_based);
+    ( "pipeline awaits",
+      record_app ~procs:3 (fun spawn ->
+          Mc_apps.Pipeline.launch ~spawn ~procs:3 ~impl:Mc_apps.Pipeline.Await_based
+            { Mc_apps.Pipeline.items = 15; slots = 3; work = 2.0 }) );
+  ]
+
+let test_advisor_apps () =
   List.iter
     (fun (name, h) -> check (name ^ ": advise = per-read oracle") true (advice_matches name h))
-    [
-      ("solver barrier", solver Solver.Barrier_pram 4);
-      ("solver handshake", solver Solver.Handshake_causal 3);
-      ( "solver group",
-        solver Solver.Handshake_group ~groups:(Solver.solver_groups ~procs:3) 3 );
-      ( "em field",
-        record_app ~procs:3 (fun spawn ->
-            Mc_apps.Em_field.launch ~spawn ~procs:3
-              { Mc_apps.Em_field.rows = 9; cols = 5; steps = 3; seed = 5 }) );
-      ("cholesky locks", cholesky Cholesky.Lock_based);
-      ("cholesky counters", cholesky Cholesky.Counter_based);
-      ( "pipeline awaits",
-        record_app ~procs:3 (fun spawn ->
-            Mc_apps.Pipeline.launch ~spawn ~procs:3 ~impl:Mc_apps.Pipeline.Await_based
-              { Mc_apps.Pipeline.items = 15; slots = 3; work = 2.0 }) );
-    ]
+    (app_histories ())
+
+let test_walk_apps () =
+  List.iter
+    (fun (name, h) -> check (name ^ ": walk readers = reference") true (discipline_matches name h))
+    (app_histories ())
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -706,5 +811,10 @@ let () =
         [
           Alcotest.test_case "counts and json" `Quick test_driver_counts_and_json;
           Alcotest.test_case "clean report" `Quick test_driver_clean_report;
+        ] );
+      ( "walk",
+        [
+          QCheck_alcotest.to_alcotest discipline_differential;
+          Alcotest.test_case "Section-5 apps match the reference scans" `Quick test_walk_apps;
         ] );
     ]

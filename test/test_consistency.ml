@@ -342,9 +342,9 @@ let test_entry_consistent_program () =
         [ Dsl.rl ~seq:2 "m"; Dsl.rc "x" 1; Dsl.ru ~seq:3 "m" ];
       ]
   in
-  let r = Program_class.check_entry_consistent h in
-  check "no violations" true (r.Program_class.entry_violations = []);
-  check "x assigned to m" true (List.mem ("x", "m") r.Program_class.assignment);
+  (match Program_class.locksets h with
+  | [ { loc = "x"; candidates; _ } ] -> check "x covered by m" true (candidates = [ "m" ])
+  | _ -> Alcotest.fail "expected one shared location, x");
   check "classified entry-consistent" true (Program_class.is_entry_consistent h);
   (* Corollary 1: with causal reads the history is SC *)
   check "corollary 1 conclusion" true
@@ -357,6 +357,9 @@ let test_entry_violations () =
   in
   check "write outside lock detected" false
     (Program_class.is_entry_consistent unlocked_write);
+  (match Program_class.locksets unlocked_write with
+  | [ { loc = "x"; candidates = []; first_unprotected = Some 0; _ } ] -> ()
+  | _ -> Alcotest.fail "expected x's candidates emptied by the unlocked write, op 0");
   let read_lock_write =
     Dsl.make ~procs:2
       [
@@ -407,10 +410,10 @@ let test_pram_consistent_same_proc_read_after_write () =
   check "own read after write ok, foreign read not" false
     (Program_class.is_pram_consistent h);
   let ok =
-    Dsl.make ~procs:1 [ [ Dsl.w "x" 1; Dsl.rp "x" 1 ] ]
+    Dsl.make ~procs:2 [ [ Dsl.w "x" 1; Dsl.rp "x" 1; Dsl.bar 0 ]; [ Dsl.bar 0; Dsl.rp "x" 1 ] ]
   in
   check_int "no violation for own ordered read" 0
-    (List.length (Program_class.check_pram_consistent ok ~shared:(fun _ -> true)))
+    (List.length (Program_class.check_pram_consistent ok))
 
 let () =
   Alcotest.run "mc_consistency"

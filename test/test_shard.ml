@@ -230,6 +230,16 @@ let test_write_discipline () =
   check "group read raises" true !group_read;
   check "locks raise" true !lock
 
+(* a placement with group views or update batching is rejected when the
+   runtime is built, naming the field, not at its first use *)
+let rejected_at_creation field with_field () =
+  let pl = P.create ~shards:2 ~policy:(P.Range { objects = 20 }) () in
+  let cfg = with_field { (Config.default ~procs:2) with placement = Some pl } in
+  match Runtime.create (Engine.create ()) cfg with
+  | _ -> Alcotest.failf "%s under placement accepted" field
+  | exception Invalid_argument msg ->
+    check ("names " ^ field) true (String.starts_with ~prefix:("Runtime.create: " ^ field) msg)
+
 (* ------------------------------------------------------------------ *)
 (* Partial-view checking: online = offline on non-fetched reads        *)
 (* ------------------------------------------------------------------ *)
@@ -716,7 +726,13 @@ let () =
           qt churn_prop;
         ] );
       ( "discipline",
-        [ Alcotest.test_case "write subscription" `Quick test_write_discipline ] );
+        [
+          Alcotest.test_case "write subscription" `Quick test_write_discipline;
+          Alcotest.test_case "groups rejected at creation" `Quick
+            (rejected_at_creation "groups" (fun c -> { c with groups = [ [ 0; 1 ] ] }));
+          Alcotest.test_case "batching rejected at creation" `Quick
+            (rejected_at_creation "batch_max" (fun c -> { c with batch_max = 8 }));
+        ] );
       ( "partial-view checking",
         [
           Alcotest.test_case "online = offline off the fetch path" `Quick
