@@ -40,7 +40,7 @@ let run ~quick =
         cold, Seconds t_cold; warm, Seconds t_warm;
         warm_rate, Rate (float_of_int n /. Float.max t_warm 1e-9); streamable, Flag s;
         online,
-          (if s then Seconds (snd (time ~reps (fun () -> Online.check ~model:m h)))
+          (if s then Seconds (snd (time ~reps (fun () -> Online.check ~points:[ m ] h)))
            else Null "(offline only)") ]
   in
   let runs =

@@ -129,13 +129,13 @@ let run ~quick =
     note =
       "the offline path records all n operations and checks them with Lattice.failures,\n\
        which at Mixed replays the recorded history through the same streaming checker,\n\
-       with no stability sweeps, so it reclaims nothing before the end; the streaming\n\
-       checker validates each read at response time from incremental chain clocks and\n\
-       retires operations once their causal past is covered, so its window stays\n\
-       bounded while throughput scales. agree: both checkers count the failures the\n\
-       closure engine (Lattice.closure_failures, untimed) counts. words/op: minor words\n\
-       the checked run allocates beyond the plain run, per operation (exact for a given\n\
-       binary).";
+       announcing each value dead after its last reader in place of the stability\n\
+       sweeps; the streaming checker validates each read at response time from\n\
+       incremental chain clocks and retires operations once their causal past is\n\
+       covered, so its window stays bounded while throughput scales. agree: both\n\
+       checkers count the failures the closure engine (Lattice.closure_failures,\n\
+       untimed) counts. words/op: minor words the checked run allocates beyond the\n\
+       plain run, per operation (exact for a given binary).";
     json =
       [ "params",
         Fields

@@ -182,12 +182,21 @@ let print_model_report (m, failures) =
    human-readable lines on stderr, so `mcdsm <app> --json` is
    machine-parseable with or without --check. *)
 let check_report c ~extra { Memory.history; checker; _ } =
-  (* each failure list is computed once, for the report and the verdict *)
-  let offline = Option.map (fun h -> (h, Lattice.failures h Lattice.Mixed)) history in
-  let modelled =
-    match (c.model, history) with
-    | Some m, Some h -> Some (m, Lattice.failures h m)
-    | _ -> None
+  (* each failure list is computed once, for the report and the verdict:
+     Mixed and the model from one call, one replay where both stream *)
+  let offline, modelled =
+    match history with
+    | None -> (None, None)
+    | Some h -> (
+      let failures =
+        List.map
+          (function Ok fs -> fs | Error msg -> invalid_arg msg)
+          (Lattice.failures_at h (Lattice.Mixed :: Option.to_list c.model))
+      in
+      match (failures, c.model) with
+      | [ mixed ], None -> (Some (h, mixed), None)
+      | [ mixed; fs ], Some m -> (Some (h, mixed), Some (m, fs))
+      | _ -> assert false)
   in
   if c.json then print_endline (check_json ~modelled ~offline ~extra ~checker ())
   else begin
@@ -357,11 +366,25 @@ type outcome = {
   fields : (string * string) list;
 }
 
+(* A --model group names processes of the run: a member outside them is
+   rejected before anything runs, with one message on every path. *)
+let check_members ~procs = function
+  | Lattice.Group g as m ->
+    List.iter
+      (fun x ->
+        if x < 0 || x >= procs then
+          invalid_arg
+            (Printf.sprintf "--model %s: member %d is out of range 0..%d"
+               (Lattice.to_string m) x (procs - 1)))
+      g
+  | _ -> ()
+
 (* The body of solver, em and cholesky: run [launch] on the chosen
    memory (--model implies --check), print the app's summary and the
    sim-time line, then the check report, whose JSON carries the app's
    fields, the common ones and the placement's. *)
 let run_app c ~app ~procs ?placement launch outcome =
+  Option.iter (check_members ~procs) c.model;
   (* the online checker validates one lattice point only where it
      streams: a witness-based model is checked offline, with a note on
      stderr (never stdout — it must stay JSON-pure) *)
@@ -720,6 +743,18 @@ let check_cmd =
   let run app model online json strict memory propagation seed shards policy =
     let model = Option.value model ~default:Lattice.Mixed in
     let streamable = Online.supports model in
+    (* every history's processes, before anything is recorded *)
+    let procs a =
+      let _, procs, _, _ = small_app ~seed a in
+      procs
+    in
+    let litmus () = List.map (fun (_, h) -> Mc_history.History.procs h) (litmus_catalog ()) in
+    List.iter
+      (fun procs -> check_members ~procs model)
+      (match app with
+      | `Litmus -> litmus ()
+      | (`Solver | `Em | `Cholesky | `Delivery) as a -> [ procs a ]
+      | `All -> litmus () @ List.map procs [ `Solver; `Em; `Cholesky; `Delivery ]);
     (* One history's conformance; [checker] is the streaming checker
        that ran under the model, or its replay of the history. Sharded
        runs must stream the checker during execution: only the runtime
@@ -763,7 +798,9 @@ let check_cmd =
         List.map
           (fun (name, h) ->
             result
-              (name, h, if online && streamable then Some (Online.check ~model h) else None))
+              ( name,
+                h,
+                if online && streamable then Some (Online.check ~points:[ model ] h) else None ))
           (app_histories app memory propagation seed)
     in
     if json then

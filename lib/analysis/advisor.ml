@@ -2,6 +2,8 @@ module History = Mc_history.History
 module Op = Mc_history.Op
 module Pc = Mc_consistency.Program_class
 module Lattice = Mc_consistency.Lattice
+module Model = Mc_consistency.Model
+module Online = Mc_consistency.Online
 
 type advice = {
   read_id : int;
@@ -23,28 +25,38 @@ let advise h =
   let shared = Pc.shared h in
   let entry = Pc.is_entry_consistent h in
   let pramc = Pc.is_pram_consistent h in
-  (* each lattice point's failing reads, fetched once per history on
-     first use: one [Lattice.failures] call per point, where per-read
-     verdicts would build a closure per (point, reader). A point that
-     raises (a group with a member out of range) validates nothing. *)
-  let failing = Hashtbl.create 8 in
-  let lvalid m ~read_id =
-    let f =
-      match Hashtbl.find_opt failing m with
-      | Some f -> f
-      | None ->
-        let f =
-          match Lattice.failures h m with
-          | fs ->
+  (* every lattice point a read may need, its declared groups included,
+     decided by one [Lattice.failures_at] call: one replay of the
+     history where they stream, where per-read verdicts would build a
+     closure per (point, reader). A point that raises (a group with a
+     member out of range) validates nothing. *)
+  let key = function Lattice.Group g -> Lattice.Group (Model.norm_group g) | m -> m in
+  let points =
+    Lattice.
+      [
+        Session [];
+        Session [ Read_your_writes ];
+        Session [ Monotonic_reads ];
+        Session [ Read_your_writes; Monotonic_reads ];
+        PRAM;
+      ]
+    @ List.map (fun g -> Lattice.Group g) (Online.groups_of_history h)
+    @ [ Lattice.Causal ]
+  in
+  let failing =
+    List.map2
+      (fun m r ->
+        ( m,
+          match r with
+          | Ok fs ->
             let f = Array.make (History.length h) false in
             List.iter (fun (x : Lattice.failure) -> f.(x.Lattice.read_id) <- true) fs;
             Some f
-          | exception Invalid_argument _ -> None
-        in
-        Hashtbl.add failing m f;
-        f
-    in
-    match f with Some f -> not f.(read_id) | None -> false
+          | Error _ -> None ))
+      points (Lattice.failures_at h points)
+  in
+  let lvalid m ~read_id =
+    match List.assoc (key m) failing with Some f -> not f.(read_id) | None -> false
   in
   let advices = ref [] in
   Array.iter

@@ -15,12 +15,14 @@
       validates the value actually read, trying PRAM, then the declared
       group (if any), then Causal.
 
-    Each lattice point's failure set is fetched once per history, on
-    first use ({!Mc_consistency.Lattice.failures}: one [Online] replay
-    at a streamable point of a history within the stream's
-    restrictions), and every read is answered from those sets, with the
-    same advice as per-read {!Mc_consistency.Lattice.verdict_at} and
-    {!Mc_consistency.Lattice.verdict} calls would give.
+    The failure sets of every lattice point a read may need — the four
+    session points, PRAM, each group a read declares, and Causal — come
+    from one {!Mc_consistency.Lattice.failures_at} call per history: one
+    [Online] replay at all of them on a history within the stream's
+    restrictions. Every read is answered from those sets, with the same
+    advice as per-read {!Mc_consistency.Lattice.verdict_at} and
+    {!Mc_consistency.Lattice.verdict} calls would give; a point whose
+    check raises (a group member out of range) validates no read.
 
     Comparing the recommendation with the declared label yields:
     [A001] over-labelled (wasted causal-delivery cost), [A002]

@@ -33,7 +33,8 @@ let run_sc (module M : Sc_core.MEMORY) (cfg : Config.t) launch =
       waits = M.wait_summaries m;
       history = (if cfg.record then h else None);
       checker =
-        (if cfg.check_online then Option.map (Online.check ?model:cfg.check_model) h
+        (if cfg.check_online then
+           Option.map (Online.check ?points:(Option.map (fun m -> [ m ]) cfg.check_model)) h
          else None);
       runtime = None;
     } )

@@ -492,19 +492,43 @@ let closure_failures h model =
     scoped;
   List.sort (fun a b -> compare a.read_id b.read_id) !found
 
-(* At a streamable point a history within the stream's restrictions has
-   [History]'s covering, so one [Online] replay gives the closures'
-   failures. A replay that raises (a cyclic history, a group read by a
-   non-member, a malformed group) falls back to the closures, which
-   report such a history as they always have. Only [Mixed] reads need
-   the history's groups registered. *)
+let closures h model =
+  match closure_failures h model with
+  | fs -> Ok fs
+  | exception Invalid_argument msg -> Error msg
+
+(* a point [Online] accepts for [h]: a group's members name processes *)
+let replayable h = function
+  | Group g -> List.for_all (fun m -> m >= 0 && m < History.procs h) g
+  | m -> Online.supports m
+
+(* A history within the stream's restrictions has [History]'s covering,
+   so one [Online] replay at its streamable points gives the closures'
+   failures at each of them; the other points take the closures. A
+   replay that raises (a cyclic history, a group read by a non-member,
+   a malformed group) falls back to one replay per point, each falling
+   back to the closures, which report such a history as they always
+   have. Only [Mixed] reads need the history's groups registered. *)
+let rec failures_at h models =
+  match List.filter (replayable h) models with
+  | _ :: _ as points when Mc_history.Stream.meets_restrictions h -> (
+    let groups = if List.mem Mixed points then None else Some [] in
+    match Online.check ?groups ~points h with
+    | chk ->
+      let replayed = List.combine points (Online.point_failures chk) in
+      List.map
+        (fun m -> match List.assoc_opt m replayed with Some fs -> Ok fs | None -> closures h m)
+        models
+    | exception Invalid_argument _ when List.length points > 1 ->
+      List.concat_map (fun m -> failures_at h [ m ]) models
+    | exception Invalid_argument _ -> List.map (closures h) models)
+  | _ -> List.map (closures h) models
+
 let failures h model =
-  if Online.supports model && Mc_history.Stream.meets_restrictions h then
-    let groups = if model = Mixed then None else Some [] in
-    match Online.check ?groups ~model h with
-    | chk -> Online.failures chk
-    | exception Invalid_argument _ -> closure_failures h model
-  else closure_failures h model
+  match failures_at h [ model ] with
+  | [ Ok fs ] -> fs
+  | [ Error msg ] -> invalid_arg msg
+  | _ -> assert false
 
 let is_consistent h model = failures h model = []
 

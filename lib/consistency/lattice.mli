@@ -143,21 +143,33 @@ type failure = Model.failure = {
   verdict : Read_rule.verdict;
 }
 
-(** [failures h m] checks every memory read of [h] under [m], in
-    ascending id order, with the same results as {!verdict} read by
-    read. [failures h Mixed] is Definition 4: each read at its own
-    declared label.
+(** [failures_at h ms] checks every memory read of [h] under each point
+    of [ms], in that order: one result per point, [Ok] with the failing
+    reads in ascending id order, with the same results as {!verdict}
+    read by read, or [Error msg] where the closures raise
+    [Invalid_argument msg] (a group member out of range, a group read
+    by a non-member). The result at [Mixed] is Definition 4: each read
+    at its own declared label.
 
-    At a point {!Online.supports} accepts, on a history that meets
-    {!Mc_history.Stream.meets_restrictions}, the result is one
-    [Online.check ~model:m] replay: no closure is built. Every other
-    call, and a replay that raises (a cyclic history, a group read by a
-    non-member), takes the closures: those shared by all readers are
-    memoized on [h]; reads whose axioms are reader-scoped (PRAM,
+    On a history that meets {!Mc_history.Stream.meets_restrictions},
+    the points {!Online.supports} accepts (a group's members naming
+    processes of [h]) are decided by one [Online.check ~points] replay:
+    no closure is built for them. The other points take the closures,
+    and so does every point of a history outside the restrictions. A
+    replay that raises (a cyclic history, a group read by a
+    non-member) falls back to one replay per point, and a one-point
+    replay that raises to the closures, so every verdict and every
+    error is the one-point call's. The closures shared by all readers
+    are memoized on [h]; reads whose axioms are reader-scoped (PRAM,
     processor, slow, session, and Mixed's PRAM-labelled reads) are
     checked one reader at a time against closures built for that
     reader, which are not memoized and are dropped after its reads, so
     a second call rebuilds them. *)
+val failures_at :
+  Mc_history.History.t -> t list -> (failure list, string) result list
+
+(** [failures h m] is [failures_at h [m]]'s one result; an [Error msg]
+    raises [Invalid_argument msg]. *)
 val failures : Mc_history.History.t -> t -> failure list
 
 (** [closure_failures h m] is [failures h m] computed by the closures

@@ -55,11 +55,19 @@
    scans keep the smallest eligible id, reproducing the offline
    ascending scan.
 
-   State is reclaimed through runtime stability notifications: when a
-   value is dead (superseded at every replica, so no future operation can
-   read it) its writer summaries and their interposer lists are dropped;
-   when the initial value of a location is dead the location's
-   virtual-initial-write interposer list is dropped too. *)
+   Points. One checker validates every read at a list of lattice
+   points, each with its own failure list: [Mixed] at the read's label,
+   Causal, PRAM and group points in one family per reader, session
+   points on the reader's own timeline. The families are shared, so a
+   point costs its verdicts only.
+
+   State is reclaimed through stability notifications: when a value is
+   dead (no future operation can read it, and its readers have
+   finalized) its writer summaries and their interposer lists are
+   dropped; when the initial value of a location is dead the location's
+   virtual-initial-write interposer list is dropped too. The runtime's
+   stability sweeps send them in a live run, and a replay after each
+   value's last reader. *)
 
 module Stream = Mc_history.Stream
 module History = Mc_history.History
@@ -114,11 +122,12 @@ type lstate = {
   mutable li_values : vsum list; (* values with live summaries *)
 }
 
-(* Which lattice point every read is validated against. [Per_label] is
-   the seed behavior (the [Mixed] point of Definition 4); [Uniform m]
-   checks every memory read under model [m] regardless of its declared
-   label. *)
-type mode = Per_label | Uniform of Model.t
+(* A lattice point every memory read is validated against. [Label] is
+   [Mixed], Definition 4: each read at its declared label. [Fams f]
+   checks a read by process [p] in family [f.(p)] (causal, PRAM and
+   the reader-augmented group points), whatever its label. [Sess] is a
+   session point with its own guarantees. *)
+type point = Label | Fams of int array | Sess of { ryw : bool; mr : bool }
 
 (* Session-point state. A session relation keeps only the reader's own
    selected program-order edges (write→read for read-your-writes,
@@ -126,16 +135,28 @@ type mode = Per_label | Uniform of Model.t
    the reader, so every path to a read runs through the reader's own
    earlier memory operations — chain clocks (whose ranks cover whole
    program-order prefixes) over-approximate it. Instead each process
-   keeps its memory reads and writes per location, in program order
-   (finalization order within a process is program order: the stream's
-   U edges are finalized topologically), and the read rule is decided
-   directly on that structure. [sr_writers] records the writers of the
-   value a read returned, for reporting foreign-write interposers. *)
+   keeps its memory reads and writes per location, in finalization
+   order (the stream's U edges are finalized topologically, so this is
+   program order while the process's operations do not overlap), and
+   the read rule is decided directly on that structure. [sr_writers]
+   records the writers of the value a read returned, for reporting
+   foreign-write interposers. *)
 type sess_rec = { sr_id : int; sr_value : Op.value; sr_writers : int list }
 
-type sess_state = {
-  se_reads : (Op.location, sess_rec list ref) Hashtbl.t; (* newest first *)
-  se_writes : (Op.location, sess_rec list ref) Hashtbl.t;
+(* One process's reads and writes of one location, newest first, and
+   what a valid read's verdict asks of them in constant time: the
+   largest read id and its value, the largest id of a read of another
+   value than that, the first read of each value, and whether a
+   non-zero value was written. The lists serve a failing read's
+   diagnostic only. *)
+type sess_loc = {
+  mutable sl_reads : sess_rec list;
+  mutable sl_writes : sess_rec list;
+  mutable sl_max : int; (* -1 before the first read *)
+  mutable sl_max_value : Op.value;
+  mutable sl_other : int; (* largest read id of another value than [sl_max_value], or -1 *)
+  sl_first : (Op.value, int) Hashtbl.t;
+  mutable sl_wrote : bool; (* a write-like operation of a non-zero value *)
 }
 
 (* A read served by demand-driven fetch instead of the local replica
@@ -183,16 +204,14 @@ type build = {
 
 type t = {
   t_procs : int;
-  t_mode : mode;
-  sess_ryw : bool;
-  sess_mr : bool;
-  sess : sess_state array;
+  points : point array;
+  failures : Model.failure list array; (* per point, reverse finalization order *)
+  sess : (Op.location, sess_loc) Hashtbl.t array; (* per process *)
   group_idx : (int list, int) Hashtbl.t;
   own : int array array; (* per process: causal, its PRAM, its groups ascending *)
   empty : int array array array; (* per process: one [||] per own family *)
   b : build;
   locs : lstate Locs.t;
-  mutable failures : Model.failure list; (* reverse finalization order *)
   mutable ops_checked : int;
   mutable reads_checked : int;
   mutable pram_reads : int;
@@ -226,6 +245,18 @@ let rec sums_of v = function
   | [] -> []
   | vs :: rest -> if vs.vs_value = v then vs.vs_sums else sums_of v rest
 
+(* the family of a group [sg] that holds the reader, deduplicated and
+   range-checked: full length means every process *)
+let group_fam ~procs group_idx sg =
+  if List.length sg = procs then fam_causal
+  else
+    match sg with
+    | [ i ] -> 1 + i
+    | _ -> (
+      match Hashtbl.find_opt group_idx sg with
+      | Some f -> f
+      | None -> invalid_arg "Online: unregistered reader group (pass it via ~groups)")
+
 let fam_of_label t ~reader = function
   | Op.PRAM -> 1 + reader
   | Op.Causal -> fam_causal
@@ -237,18 +268,7 @@ let fam_of_label t ~reader = function
         if m < 0 || m >= t.t_procs then
           invalid_arg "Online: group member out of range")
       g;
-    let sg = List.sort_uniq compare g in
-    (* deduplicated and range-checked: full length means every process *)
-    if List.length sg = t.t_procs then fam_causal
-    else (
-      match sg with
-      | [ i ] -> 1 + i (* i = reader, by the membership check *)
-      | _ -> (
-        match Hashtbl.find_opt t.group_idx sg with
-        | Some f -> f
-        | None ->
-          invalid_arg
-            "Online: unregistered reader group (pass it via ~groups)"))
+    group_fam ~procs:t.t_procs t.group_idx (List.sort_uniq compare g)
 
 (* Lattice points the streaming engine can express as chain-clock
    families. The witness-based points (SC, linearizable, processor,
@@ -258,24 +278,29 @@ let supports = function
   | Model.Causal | Model.PRAM | Model.Mixed | Model.Group _ | Model.Session _ -> true
   | Model.SC | Model.Linearizable | Model.Processor | Model.Cache | Model.Slow -> false
 
-let make ~procs ?(groups = []) ?model () =
+let augmented ~reader g = List.sort_uniq compare (reader :: g)
+
+let make ~procs ?(groups = []) ?(points = [ Model.Mixed ]) () =
   if procs <= 0 then invalid_arg "Online.make: need at least one process";
-  let mode = match model with None -> Per_label | Some m -> Uniform m in
-  (match mode with
-  | Uniform m when not (supports m) ->
-    invalid_arg
-      (Printf.sprintf
-         "Online.make: model %s is not streamable (sim-time witness \
-          orders); use the offline Lattice checker"
-         (Model.to_string m))
-  | _ -> ());
+  if points = [] then invalid_arg "Online.make: no lattice point";
+  List.iter
+    (fun m ->
+      if not (supports m) then
+        invalid_arg
+          (Printf.sprintf
+             "Online.make: model %s is not streamable (sim-time witness \
+              orders); use the offline Lattice checker"
+             (Model.to_string m)))
+    points;
+  (* a group point checks every reader against its own reader-augmented
+     group *)
   let groups =
-    (* a uniform group point checks every reader against its own
-       reader-augmented group *)
-    match mode with
-    | Uniform (Model.Group g) ->
-      List.init procs (fun i -> List.sort_uniq compare (i :: g)) @ groups
-    | _ -> groups
+    List.concat_map
+      (function
+        | Model.Group g -> List.init procs (fun reader -> augmented ~reader g)
+        | _ -> [])
+      points
+    @ groups
   in
   let canonical =
     List.sort_uniq compare (List.map (List.sort_uniq compare) groups)
@@ -292,13 +317,6 @@ let make ~procs ?(groups = []) ?model () =
         match g with [] -> invalid_arg "Online.make: empty group" | [ _ ] -> false | _ -> g <> all)
       canonical
   in
-  let sessions = match mode with Uniform (Model.Session _) -> true | _ -> false in
-  let sess_ryw, sess_mr =
-    match mode with
-    | Uniform (Model.Session gs) ->
-      (List.mem Model.Read_your_writes gs, List.mem Model.Monotonic_reads gs)
-    | _ -> (false, false)
-  in
   let group_idx = Hashtbl.create 8 in
   let member_of = Array.make procs [] in
   List.iteri
@@ -311,22 +329,31 @@ let make ~procs ?(groups = []) ?model () =
     Array.init procs (fun p ->
         Array.of_list (fam_causal :: (1 + p) :: List.rev member_of.(p)))
   in
+  let point = function
+    | Model.Mixed -> Label
+    | Model.Causal -> Fams (Array.make procs fam_causal)
+    | Model.PRAM -> Fams (Array.init procs (fun p -> 1 + p))
+    | Model.Group g ->
+      Fams (Array.init procs (fun reader -> group_fam ~procs group_idx (augmented ~reader g)))
+    | Model.Session gs ->
+      Sess { ryw = List.mem Model.Read_your_writes gs; mr = List.mem Model.Monotonic_reads gs }
+    | Model.SC | Model.Linearizable | Model.Processor | Model.Cache | Model.Slow ->
+      assert false (* rejected above *)
+  in
+  let points = Array.of_list (List.map point points) in
   {
     t_procs = procs;
-    t_mode = mode;
-    sess_ryw;
-    sess_mr;
+    points;
+    failures = Array.make (Array.length points) [];
     sess =
-      (if sessions then
-         Array.init procs (fun _ ->
-             { se_reads = Hashtbl.create 8; se_writes = Hashtbl.create 8 })
+      (if Array.exists (function Sess _ -> true | Label | Fams _ -> false) points then
+         Array.init procs (fun _ -> Hashtbl.create 8)
        else [||]);
     group_idx;
     own;
     empty = Array.map (fun fs -> Array.make (Array.length fs) [||]) own;
     b = { b_proc = 0; b_chain = 0; b_rank = 0; b_base = [||]; b_own = [||]; b_po = []; b_far = IMap.empty };
     locs = Locs.create 16;
-    failures = [];
     ops_checked = 0;
     reads_checked = 0;
     pram_reads = 0;
@@ -546,98 +573,140 @@ let fetched_verdict ls ~value fn =
 
 (* --- the read rule at a session point -------------------------------- *)
 
+let session_loc t (op : Op.t) loc =
+  let tbl = t.sess.(op.proc) in
+  match Hashtbl.find_opt tbl loc with
+  | Some sl -> sl
+  | None ->
+    let sl =
+      { sl_reads = []; sl_writes = []; sl_max = -1; sl_max_value = 0; sl_other = -1;
+        sl_first = Hashtbl.create 4; sl_wrote = false }
+    in
+    Hashtbl.add tbl loc sl;
+    sl
+
+(* the largest id of a read of another value than [v], or -1 *)
+let other_than sl v = if sl.sl_max >= 0 && sl.sl_max_value <> v then sl.sl_max else sl.sl_other
+
+(* What every session point reads of one read of [value]: the reader's
+   state at the location, the candidate writers of the value as (id,
+   process), the reader's first read of the value and its largest read
+   id of another value (-1 for none). *)
+type sess_view = {
+  sv_loc : sess_loc;
+  sv_cands : (int * int) list;
+  sv_first : int;
+  sv_other : int;
+}
+
+let no_loc =
+  { sl_reads = []; sl_writes = []; sl_max = -1; sl_max_value = 0; sl_other = -1;
+    sl_first = Hashtbl.create 1; sl_wrote = false }
+
+let no_view = { sv_loc = no_loc; sv_cands = []; sv_first = -1; sv_other = -1 }
+
+let session_view t (op : Op.t) ls ~loc ~value =
+  let sl = session_loc t op loc in
+  {
+    sv_loc = sl;
+    sv_cands = List.map (fun s -> (s.s_node.n_id, s.s_node.n_proc)) (sums_of value ls.li_values);
+    sv_first = (match Hashtbl.find_opt sl.sl_first value with Some id -> id | None -> -1);
+    sv_other = other_than sl value;
+  }
+
+(* the id past which a read of another value interposes the candidate
+   writer [w_id], or [max_int] for none *)
+let sess_bound ~ryw ~mr ~reader v (w_id, w_proc) =
+  if not mr then max_int
+  else
+    min
+      (if v.sv_first >= 0 then v.sv_first else max_int)
+      (if ryw && w_proc = reader then w_id else max_int)
+
+let rec any_uninterposed ~ryw ~mr ~reader v = function
+  | [] -> false
+  | c :: rest ->
+    v.sv_other <= sess_bound ~ryw ~mr ~reader v c || any_uninterposed ~ryw ~mr ~reader v rest
+
+let min_of ids = List.fold_left min max_int ids
+
 (* Replicates [Read_rule.check] under [Lattice.axioms_of (Session gs)]:
    the relation is the reads-from edges touching the reader plus the
    reader's own write→read (ryw) / read→read (mr) edges, so
 
    - a real candidate writer [w] reaches an interposer o(x)u only
      through one of the reader's own reads: w →rf r1(x)v →mr o →mr r,
-     or (own write, ryw) w →ryw o →mr r;
+     or (own write, ryw) w →ryw o →mr r; so [w] is interposed iff
+     (mr) a read of another value has a larger id than the reader's
+     first read of [v], or (mr, ryw, [w] the reader's own write, which
+     every own write-like operation is) than [w];
    - against the virtual initial write, the reader's own earlier reads
      (mr) and writes (ryw) of another value interpose, as do the
      foreign writers of a value an earlier read returned (rf;mr).
 
    Ids are compared to pick the same (smallest-id) interposer as the
-   offline scan. Under the unique-writes assumption of Section 3 the
-   writers a read's verdict consulted are exactly the streamed
-   summaries at its finalization. *)
-let session_verdict t (op : Op.t) ls ~loc ~value =
-  let st = t.sess.(op.proc) in
-  let recs tbl =
-    match Hashtbl.find_opt tbl loc with Some l -> List.rev !l | None -> []
-  in
-  let reads = recs st.se_reads and writes = recs st.se_writes in
-  let cands =
-    List.map (fun s -> (s.s_node.n_id, s.s_node.n_proc)) (sums_of value ls.li_values)
-  in
-  let min_id = function
-    | [] -> None
-    | ids -> Some (List.fold_left min max_int ids)
-  in
-  let interposers (w_id, w_proc) =
-    if not t.sess_mr then []
-    else
-      let later_other_reads from_id =
-        List.filter_map
-          (fun r ->
-            if r.sr_id > from_id && r.sr_value <> value then Some r.sr_id
-            else None)
-          reads
-      in
-      (match List.find_opt (fun r -> r.sr_value = value) reads with
-      | Some rv -> later_other_reads rv.sr_id
-      | None -> [])
-      @
-      if
-        t.sess_ryw && w_proc = op.proc
-        && List.exists (fun w -> w.sr_id = w_id) writes
-      then later_other_reads w_id
-      else []
-  in
-  let rec first_valid = function
-    | [] -> None
-    | c :: rest -> if interposers c = [] then Some c else first_valid rest
-  in
-  match first_valid cands with
-  | Some _ -> Read_rule.Valid
-  | None -> (
+   offline scan, over the reader's lists, which only a failing read
+   walks. Under the unique-writes assumption of Section 3 the writers a
+   read's verdict consulted are exactly the streamed summaries at its
+   finalization. *)
+let session_verdict ~ryw ~mr ~reader ~value v =
+  if any_uninterposed ~ryw ~mr ~reader v v.sv_cands then Read_rule.Valid
+  else
+    let sl = v.sv_loc in
     if value = 0 then
       (* virtual initial write *)
-      let virt =
-        (if t.sess_mr then
-           List.concat_map
-             (fun r ->
-               if r.sr_value <> value then r.sr_id :: r.sr_writers else [])
-             reads
-         else [])
-        @
-        if t.sess_ryw then
-          List.filter_map
-            (fun w -> if w.sr_value <> value then Some w.sr_id else None)
-            writes
-        else []
-      in
-      match min_id virt with
-      | None -> Read_rule.Valid
-      | Some o -> Read_rule.Overwritten o
+      if (mr && v.sv_other >= 0) || (ryw && sl.sl_wrote) then
+        Read_rule.Overwritten
+          (min
+             (if mr then
+                min_of
+                  (List.concat_map
+                     (fun r -> if r.sr_value <> value then r.sr_id :: r.sr_writers else [])
+                     sl.sl_reads)
+              else max_int)
+             (if ryw then
+                min_of
+                  (List.filter_map
+                     (fun w -> if w.sr_value <> value then Some w.sr_id else None)
+                     sl.sl_writes)
+              else max_int))
+      else Read_rule.Valid
     else
-      match cands with
+      match v.sv_cands with
       | [] -> Read_rule.No_matching_write
-      | c :: _ -> (
-        match min_id (interposers c) with
-        | Some o -> Read_rule.Overwritten o
-        | None -> assert false))
+      | c :: _ ->
+        let lo = sess_bound ~ryw ~mr ~reader v c in
+        Read_rule.Overwritten
+          (min_of
+             (List.filter_map
+                (fun r -> if r.sr_id > lo && r.sr_value <> value then Some r.sr_id else None)
+                sl.sl_reads))
 
-(* the reader's own finalized memory operations, per location, in
-   program order — consulted by [session_verdict] for later reads;
-   awaits never carry session edges: they are neither memory reads (mr)
-   nor write-like (ryw) *)
-let session_push t (op : Op.t) ~reads loc r =
-  let st = t.sess.(op.proc) in
-  let tbl = if reads then st.se_reads else st.se_writes in
-  match Hashtbl.find_opt tbl loc with
-  | Some l -> l := r :: !l
-  | None -> Hashtbl.add tbl loc (ref [ r ])
+(* the reader's own finalized memory operations, per location —
+   consulted by [session_verdict] for later reads; awaits never carry
+   session edges: they are neither memory reads (mr) nor write-like
+   (ryw) *)
+let session_read t (op : Op.t) loc r =
+  let sl = session_loc t op loc in
+  sl.sl_reads <- r :: sl.sl_reads;
+  if not (Hashtbl.mem sl.sl_first r.sr_value) then Hashtbl.add sl.sl_first r.sr_value r.sr_id;
+  if sl.sl_max < 0 then begin
+    sl.sl_max <- r.sr_id;
+    sl.sl_max_value <- r.sr_value
+  end
+  else if r.sr_id > sl.sl_max then begin
+    if r.sr_value <> sl.sl_max_value then begin
+      sl.sl_other <- sl.sl_max;
+      sl.sl_max_value <- r.sr_value
+    end;
+    sl.sl_max <- r.sr_id
+  end
+  else if r.sr_value <> sl.sl_max_value && r.sr_id > sl.sl_other then sl.sl_other <- r.sr_id
+
+let session_write t (op : Op.t) loc w =
+  let sl = session_loc t op loc in
+  sl.sl_writes <- w :: sl.sl_writes;
+  if w.sr_value <> 0 then sl.sl_wrote <- true
 
 (* --- finalization ---------------------------------------------------- *)
 
@@ -799,42 +868,40 @@ let check_read t (op : Op.t) ls ~loc ~label ~value =
         Some (Queue.pop q)
       | _ -> None
   in
-  let v =
-    match (fetch, t.t_mode) with
-    | Some fn, _ ->
+  let view =
+    match fetch with
+    | Some _ ->
       t.fetched <- op.id :: t.fetched;
       t.n_fetched <- t.n_fetched + 1;
-      fetched_verdict ls ~value fn
-    | None, Uniform (Model.Session _) -> session_verdict t op ls ~loc ~value
-    | None, _ ->
-      let fam =
-        match t.t_mode with
-        | Per_label | Uniform Model.Mixed -> fam_of_label t ~reader:op.proc label
-        | Uniform Model.Causal -> fam_causal
-        | Uniform Model.PRAM -> 1 + op.proc
-        | Uniform (Model.Group g) ->
-          fam_of_label t ~reader:op.proc
-            (Op.Group (List.sort_uniq compare (op.proc :: g)))
-        | Uniform _ -> assert false (* rejected by [make] *)
-      in
-      verdict t t.b op ls ~value ~fam
+      no_view
+    | None -> if Array.length t.sess > 0 then session_view t op ls ~loc ~value else no_view
   in
-  match v with
-  | Read_rule.Valid -> ()
-  | v -> t.failures <- { Model.read_id = op.id; label; verdict = v } :: t.failures
+  for k = 0 to Array.length t.points - 1 do
+    let v =
+      match (fetch, t.points.(k)) with
+      | Some fn, _ -> fetched_verdict ls ~value fn
+      | None, Sess { ryw; mr } -> session_verdict ~ryw ~mr ~reader:op.proc ~value view
+      | None, Label -> verdict t t.b op ls ~value ~fam:(fam_of_label t ~reader:op.proc label)
+      | None, Fams fs -> verdict t t.b op ls ~value ~fam:fs.(op.proc)
+    in
+    match v with
+    | Read_rule.Valid -> ()
+    | v -> t.failures.(k) <- { Model.read_id = op.id; label; verdict = v } :: t.failures.(k)
+  done
 
 (* a write-like operation installing [v] (a decrement observed [observed]) *)
 let write t (op : Op.t) b loc v ~observed =
   let ls = lstate t loc in
   if Array.length t.sess > 0 then
-    session_push t op ~reads:false loc { sr_id = op.id; sr_value = v; sr_writers = [] };
+    session_write t op loc { sr_id = op.id; sr_value = v; sr_writers = [] };
   let n = node_of op b in
   register ls n ~reader:(-1) v observed;
   add_summary ls v n;
   n
 
-(* Validate a read before it registers as its own interposer, then index
-   the operation at the location it touches and summarize a writer. *)
+(* Validate a read at every point before it registers as its own
+   interposer, then index the operation at the location it touches and
+   summarize a writer. *)
 let finalize t (info : node Stream.info) =
   let op = info.Stream.op in
   t.ops_checked <- t.ops_checked + 1;
@@ -846,7 +913,7 @@ let finalize t (info : node Stream.info) =
     let ls = lstate t loc in
     check_read t op ls ~loc ~label ~value;
     if Array.length t.sess > 0 then
-      session_push t op ~reads:true loc
+      session_read t op loc
         { sr_id = op.id; sr_value = value;
           sr_writers = List.map (fun s -> s.s_node.n_id) (sums_of value ls.li_values) };
     let n = node_of op b in
@@ -883,8 +950,8 @@ let callbacks t =
 
 (* --- public API ------------------------------------------------------ *)
 
-let create ~procs ?groups ?model () =
-  let t = make ~procs ?groups ?model () in
+let create ~procs ?groups ?points () =
+  let t = make ~procs ?groups ?points () in
   let e = Stream.create ~procs (callbacks t) in
   t.t_engine <- Some e;
   t
@@ -895,8 +962,10 @@ let engine t =
   | None -> invalid_arg "Online.engine: checker has no engine"
 
 let sink t = Stream.sink (engine t)
-let failures t = List.sort (fun a b -> compare a.Model.read_id b.Model.read_id) t.failures
-let is_consistent t = t.failures = []
+let sorted fs = List.sort (fun a b -> compare a.Model.read_id b.Model.read_id) fs
+let point_failures t = Array.to_list (Array.map sorted t.failures)
+let failures t = sorted t.failures.(0)
+let is_consistent t = t.failures.(0) = []
 
 let note_fetch t ~proc ~loc ~admissible ~zero_ok =
   if proc < 0 || proc >= t.t_procs then
@@ -926,7 +995,7 @@ let stats t =
     causal_reads = t.causal_reads;
     group_reads = t.group_reads;
     fetched_reads = t.n_fetched;
-    failure_count = List.length t.failures;
+    failure_count = List.length t.failures.(0);
     chains = t.ch;
     max_resident = (match e with Some e -> Stream.max_resident e | None -> 0);
     live_summaries = live;
@@ -959,10 +1028,10 @@ let groups_of_history h =
     (History.ops h);
   !acc
 
-let check ?groups ?model h =
+let check ?groups ?points h =
   let groups =
     match groups with Some g -> g | None -> groups_of_history h
   in
-  let t = create ~procs:(History.procs h) ~groups ?model () in
+  let t = create ~procs:(History.procs h) ~groups ?points () in
   Stream.replay (engine t) h;
   t

@@ -9,8 +9,18 @@
     failures, verdict-for-verdict, as the offline closures of {!Lattice}
     at Mixed — see the differential test suites — while keeping only
     the in-flight operation window plus live writer summaries in
-    memory. [Lattice.failures] is therefore one replay of this checker
-    at every streamable point of such a history.
+    memory. One checker can validate every read at several lattice
+    points at once, each with its own failure list, over one stream:
+    [Lattice.failures_at] is one replay of this checker at all the
+    streamable points it is asked for on such a history.
+
+    Writer summaries are reclaimed through stability notifications: a
+    dead value (no operation will read it again, and every reader of it
+    has finalized) loses its summaries and their follower lists, and a
+    dead initial value its location's stamps. In a live run the
+    runtime's stability sweeps send them; a replay ({!check}) sends one
+    after the last reader of each value, so a replayed history keeps
+    only the summaries of values nobody reads.
 
     Lattice points and failures are {!Model}'s types, which {!Lattice}
     re-exports: a [Lattice.t] is a [Model.t].
@@ -61,16 +71,17 @@ type stats = {
     checks those with closures. *)
 val supports : Model.t -> bool
 
-(** [create ~procs ?groups ?model ()] makes a checker with its own
+(** [create ~procs ?groups ?points ()] makes a checker with its own
     {!Mc_history.Stream} engine. [groups] lists the reader groups that
     [Group]-labeled reads may use (order and duplicates irrelevant).
-    Without [model] every read is checked at its declared label (the
-    seed [Mixed] behavior); with [model] every memory read is checked
-    under that single lattice point instead ([Group g] is implicitly
-    reader-augmented per read). Raises [Invalid_argument] for a
-    non-positive [procs], out-of-range members, empty groups, or a model
-    [supports] rejects. *)
-val create : procs:int -> ?groups:int list list -> ?model:Model.t -> unit -> t
+    Every memory read is checked at each of [points] (default
+    [[Mixed]]): at [Mixed] under its declared label, at any other point
+    under that point's rule whatever its label ([Group g] is implicitly
+    reader-augmented per read); the points share one stream and one set
+    of clock families. Raises [Invalid_argument] for a non-positive
+    [procs], an empty [points], out-of-range members, empty groups, or
+    a point [supports] rejects. *)
+val create : procs:int -> ?groups:int list list -> ?points:Model.t list -> unit -> t
 
 (** [sink t] adapts the checker for [Recorder.subscribe]: operations are
     validated online as their causal covering past completes. *)
@@ -79,18 +90,26 @@ val sink : t -> Mc_history.Sink.t
 (** The checker's underlying engine (for window statistics). *)
 val engine : t -> clocks Mc_history.Stream.t
 
-(** [check ?groups ?model h] replays a materialized history through a
-    fresh checker. When [groups] is omitted the groups are harvested
+(** [check ?groups ?points h] replays a materialized history through a
+    fresh checker ({!Mc_history.Stream.replay}, which announces each
+    value dead after its last reader, so the summaries are reclaimed as
+    in a live run). When [groups] is omitted the groups are harvested
     from the history's read labels. *)
-val check : ?groups:int list list -> ?model:Model.t -> Mc_history.History.t -> t
+val check : ?groups:int list list -> ?points:Model.t list -> Mc_history.History.t -> t
 
-(** Invalid reads seen so far, in ascending id order — after a full
-    replay of a history within the stream's restrictions, equal to the
-    closure engine's failures at Mixed, or under a uniform [~model] at
-    that point ({!Lattice.verdict} read by read). *)
+(** Invalid reads seen so far at the first point, in ascending id order
+    — after a full replay of a history within the stream's
+    restrictions, equal to the closure engine's failures at that point
+    ({!Lattice.verdict} read by read). *)
 val failures : t -> Model.failure list
 
+(** [failures] at every point, in the order of [points]. *)
+val point_failures : t -> Model.failure list list
+
+(** No failure at the first point. *)
 val is_consistent : t -> bool
+
+(** Statistics; [failure_count] counts the first point's failures. *)
 val stats : t -> stats
 
 (** {1 Partial-view checking (sharded mode)}

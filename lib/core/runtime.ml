@@ -495,7 +495,7 @@ let create engine ?latency cfg =
            (if cfg.Config.check_online then
               Some
                 (Mc_consistency.Online.create ~procs:n ~groups:cfg.Config.groups
-                   ?model:cfg.Config.check_model ())
+                   ?points:(Option.map (fun m -> [ m ]) cfg.Config.check_model) ())
             else None);
          live_values = Hashtbl.create 32;
          counter_locs = Hashtbl.create 8;

@@ -77,7 +77,7 @@ and 'a vstate = {
   v_table : 'a vstate Vals.t; (* its location's values *)
   mutable v_writers : 'a node list;
   mutable v_parked : 'a node list; (* completed readers awaiting the writer *)
-  mutable v_pending : int; (* completed, not yet finalized readers *)
+  mutable v_pending : int; (* completed (in a replay: all), not yet finalized readers *)
   mutable v_dead : bool;
   mutable v_dead_sent : bool;
 }
@@ -542,7 +542,8 @@ let writes (n : 'a node) vs =
   each unpark n vs.v_parked;
   vs.v_parked <- []
 
-let handle_op t (op : Op.t) =
+(* handle a response; returns the operation's node *)
+let add_op t (op : Op.t) =
   let ps = t.pstates.(op.proc) in
   let chain = open_chain op.inv_seq ps.p_chains in
   let prev = chain.c_last and others = chain.c_others and lp = chain.c_lp in
@@ -635,7 +636,10 @@ let handle_op t (op : Op.t) =
     else Hashtbl.replace ls.l_buffer op.sync_seq n
   | None -> ());
   (match !close_after with Some e -> close_episode t e | None -> ());
-  enqueue_if_ready t n
+  enqueue_if_ready t n;
+  n
+
+let handle_op t op = ignore (add_op t op)
 
 let handle_dead t ~loc ~value =
   let vs = vstate (values_of t loc) loc value in
@@ -695,15 +699,39 @@ let sink t =
     ~on_close:(fun () -> handle_close t)
     (fun op -> handle_op t op)
 
+(* [loc]'s value [v] is dead once one more reader has finalized *)
+let pend_reader t loc v =
+  let vs = vstate (values_of t loc) loc v in
+  vs.v_dead <- true;
+  vs.v_pending <- vs.v_pending + 1
+
+(* A replay knows every reader of a value — a read, an await, or a
+   decrement's observed value — before it starts, so it announces every
+   value read dead up front, with all its readers pending: the notice
+   lands once the last of them has finalized. *)
+let pend_readers t ops =
+  Array.iter
+    (fun (o : Op.t) ->
+      match o.Op.kind with
+      | Op.Read { loc; value; _ } | Op.Await { loc; value } -> pend_reader t loc value
+      | Op.Decrement { loc; observed; _ } -> pend_reader t loc observed
+      | Op.Write _ | Op.Read_lock _ | Op.Read_unlock _ | Op.Write_lock _ | Op.Write_unlock _
+      | Op.Barrier _ | Op.Barrier_group _ ->
+        ())
+    ops
+
 (* Replay: invocation events go in process-local order; responses are
    additionally gated on global id (completion) order, which every
    recorder-produced history satisfies. Event [2k] is the invocation and
    [2k + 1] the response of [ops.(k)]; a recorded history lists each
-   process's events in seq order already. *)
+   process's events in seq order already. A replay holds the whole
+   history, so it stands in for the runtime's stability sweeps (see
+   [pend_readers]). *)
 let replay t h =
   let procs = History.procs h and ops = History.ops h in
   if procs > t.n_procs then
     invalid_arg "Stream.replay: history has more processes than the engine";
+  pend_readers t ops;
   let seq e = if e land 1 = 0 then ops.(e / 2).Op.inv_seq else ops.(e / 2).Op.resp_seq in
   let evs = Array.make procs [] in
   for k = Array.length ops - 1 downto 0 do
@@ -729,7 +757,16 @@ let replay t h =
           let o = ops.(e / 2) in
           let step =
             if e land 1 = 0 then (handle_inv t ~proc:p ~seq:o.inv_seq; true)
-            else if o.id = !next_id then (handle_op t o; incr next_id; true)
+            else if o.id = !next_id then begin
+              let vs = (add_op t o).n_read in
+              (* the reader was pending already: [reads_from] counted it again *)
+              if vs != t.no_value then begin
+                vs.v_pending <- vs.v_pending - 1;
+                if vs.v_pending <= 0 then send_dead t vs
+              end;
+              incr next_id;
+              true
+            end
             else false
           in
           if step then begin

@@ -87,7 +87,11 @@ val sink : 'a t -> Sink.t
 
 (** [replay t h] replays a materialized history through the engine
     (invocations in process order, responses gated on id order) and
-    closes it. Raises [Invalid_argument] if the history's event
+    closes it. It stands in for the runtime's stability notifications:
+    after the last operation, in id order, that reads a value (a read,
+    an await, or a decrement's observed value) it announces the value
+    dead, and [on_dead_value] fires once every reader of it has
+    finalized. Raises [Invalid_argument] if the history's event
     sequencing is inconsistent or its causality cyclic. *)
 val replay : 'a t -> History.t -> unit
 

@@ -69,6 +69,30 @@ expect 2 check --app em --shards 2
 expect 2 report --app em --shards 2
 expect 2 check --app solver --memory central --shards 2
 
+# a --model group member outside the run's processes: rejected before
+# anything runs (stdout stays empty), with a message naming the member,
+# on every path that checks a model
+expect_member() {
+  local member=$1
+  shift
+  expect 2 "$@" || return
+  if [ -s "$work/out" ]; then
+    fail "mcdsm $*: stdout is not empty"
+  elif ! grep -q "member $member is out of range" "$work/err"; then
+    fail "mcdsm $*: the message does not name member $member"
+    sed 's/^/    /' "$work/err"
+  fi
+}
+expect_member 9 em --check --model group:9
+expect_member 9 em --check-online --model group:9
+expect_member 9 em --memory central --check --model group:9
+expect_member 9 em --memory invalidate --check-online --model group:9
+expect_member 7 solver --check --model group:0,7
+expect_member -1 cholesky --check --model group:-1
+expect_member 2 check --model group:0,1,2
+expect_member 2 check --online --model group:0,1,2
+expect_member 3 check --app solver --shards 2 --model group:3
+
 # report --app violation runs one fixed workload: the flags it would
 # ignore are rejected
 expect 2 report --app violation --shards 2

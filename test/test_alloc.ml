@@ -6,8 +6,9 @@
    charge), one delivered network message, one deliverable update
    received by a replica, the words per engine event of a whole
    lock-based Cholesky run, the words per checked operation of the
-   online-checked handshake solver, and the words of checking and
-   linting a recorded Cholesky history. Each is measured after a warm-up, averaged
+   online-checked handshake solver and of a replay of its recorded
+   history, and the words of checking and linting a recorded Cholesky
+   history. Each is measured after a warm-up, averaged
    over a batch (the figure includes a few words per batch of the
    measurement itself), and must stay at or under its ceiling; a change
    that adds allocation to one of these paths fails here. The ceilings
@@ -150,14 +151,38 @@ let test_solver_online () =
        stats.Online.ops_checked)
     ~ceiling:74.5 (words /. float_of_int stats.Online.ops_checked)
 
+(* the same program recorded, then replayed through [Online.check] (the
+   benchmark's online.replay_s). The replay announces each value dead
+   after its last reader, so every summary of a value read is reclaimed
+   by the end, as the runtime's stability sweeps do in a live run. *)
+let test_solver_replay () =
+  let procs = 9 in
+  let problem = Solver.Problem.generate ~seed:42 ~n:96 in
+  let rt = Runtime.create (Engine.create ()) { (Config.default ~procs) with record = true } in
+  ignore (Solver.launch ~spawn:(Api.spawn rt) ~procs ~variant:Solver.Handshake_causal problem);
+  ignore (Runtime.run rt);
+  let h = Runtime.history rt in
+  ignore (Online.check h);
+  let w0 = Gc.minor_words () in
+  let chk = Online.check h in
+  let words = Gc.minor_words () -. w0 in
+  let stats = Online.stats chk in
+  Alcotest.(check int) "ops checked" 28833 stats.Online.ops_checked;
+  Alcotest.(check int) "failures" 0 stats.Online.failure_count;
+  Alcotest.(check int) "live summaries" 0 stats.Online.live_summaries;
+  check_ceiling
+    (Printf.sprintf "words per op of the replayed handshake solver history (%d ops)"
+       stats.Online.ops_checked)
+    ~ceiling:74.25 (words /. float_of_int stats.Online.ops_checked)
+
 (* mcdsm cholesky -n 20 --check: the benchmark's check-offline history
    (1,592 operations), checked at Mixed and linted. Both are streamable
-   work: the Mixed check is one Online replay, and the advisor reads one
-   failure set per lattice point it needs (three here), so the words
-   grow with the history, not with readers times points. Whether the
-   history meets the stream's restrictions is decided by the Mixed
-   check and memoized, so the advisor's three points do not decide it
-   again. *)
+   work: the Mixed check is one Online replay, and the advisor reads the
+   failure sets of all its lattice points (six here) from one more, so
+   the words grow with the history, not with readers times points.
+   Whether the history meets the stream's restrictions is decided by
+   the Mixed check and memoized, so the advisor's replay does not
+   decide it again. *)
 let test_check_offline () =
   let m = Sparse.generate ~seed:42 ~n:20 ~density:0.2 in
   let rt = Runtime.create (Engine.create ()) { (Config.default ~procs:4) with record = true } in
@@ -176,8 +201,8 @@ let test_check_offline () =
     ((Option.get !result).Cholesky.l = Sparse.factor_reference m);
   Alcotest.(check int) "mixed failures" 0 (List.length failures);
   Alcotest.(check int) "lint errors" 0 report.Analysis.errors;
-  check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:169_776. (w1 -. w0);
-  check_ceiling "minor words of Analysis.analyze h" ~ceiling:1_122_217. (w2 -. w1)
+  check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:138_934. (w1 -. w0);
+  check_ceiling "minor words of Analysis.analyze h" ~ceiling:765_802. (w2 -. w1)
 
 let () =
   Alcotest.run "alloc"
@@ -190,6 +215,7 @@ let () =
           Alcotest.test_case "replica receive" `Quick test_receive;
           Alcotest.test_case "cholesky run" `Quick test_cholesky;
           Alcotest.test_case "online-checked solver run" `Quick test_solver_online;
+          Alcotest.test_case "replayed solver history" `Quick test_solver_replay;
           Alcotest.test_case "checked and linted Cholesky history" `Quick test_check_offline;
         ] );
     ]

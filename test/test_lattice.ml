@@ -26,10 +26,12 @@
      written initial value, a reused barrier index, overlapping
      barriers, tied grant numbers and a cyclic history each take the
      closure engine, and the oracle comparison holds on both sides;
-   - online: for every streamable point the uniform online checker
-     reproduces the closure engine's verdicts ([Lattice.closure_failures],
-     itself held to the Warshall oracle at every pool point), since
-     [Lattice.failures] itself replays it;
+   - online: for every streamable point the online checker at that
+     point reproduces the closure engine's verdicts
+     ([Lattice.closure_failures], itself held to the Warshall oracle at
+     every pool point), since [Lattice.failures] itself replays it, and
+     so do one replay at all of them and one [Lattice.failures_at] call
+     that adds a group with a member out of range (its error included);
    - Section-5 apps: the same differential + monotonicity sweep on
      recorded solver/EM/Cholesky executions;
    - static: [Static.analyze] infers weakest models at or below the
@@ -384,7 +386,7 @@ let lattice_monotone =
       monotone_ok h)
 
 (* ------------------------------------------------------------------ *)
-(* Online uniform mode                                                 *)
+(* Online at lattice points                                            *)
 (* ------------------------------------------------------------------ *)
 
 let streamable_pool =
@@ -408,7 +410,7 @@ let online_uniform_ok h =
   let groups = Online.groups_of_history h in
   List.for_all
     (fun m ->
-      Online.failures (Online.check ~groups ~model:m h) = Lattice.closure_failures h m
+      Online.failures (Online.check ~groups ~points:[ m ] h) = Lattice.closure_failures h m
       || begin
            Format.eprintf "online disagrees under %a:@.%a@." Lattice.pp m
              History.pp h;
@@ -416,13 +418,53 @@ let online_uniform_ok h =
          end)
     streamable_pool
 
+let closure_result h m =
+  match Lattice.closure_failures h m with
+  | fs -> Ok fs
+  | exception Invalid_argument msg -> Error msg
+
+(* Mixed, Causal, PRAM, the four session points, each group (the
+   history's and the pool's) and a group with a member out of range:
+   one [Online.check] replay at the points in range and one
+   [Lattice.failures_at] call at all of them give each point the
+   closure engine's result, error included *)
+let multi_point_ok h =
+  let groups = Online.groups_of_history h in
+  let in_range =
+    Lattice.
+      [
+        Mixed;
+        Causal;
+        PRAM;
+        Session [];
+        Session [ Read_your_writes ];
+        Session [ Monotonic_reads ];
+        Session [ Read_your_writes; Monotonic_reads ];
+      ]
+    @ List.map (fun g -> Lattice.Group g) (groups @ [ []; [ 0; 1 ]; [ 0; 1; 2 ] ])
+  in
+  let points = in_range @ [ Lattice.Group [ 0; History.procs h ] ] in
+  let agree engine ms results =
+    List.for_all2
+      (fun m got ->
+        got = closure_result h m
+        || begin
+             Format.eprintf "%s disagrees under %a:@.%a@." engine Lattice.pp m History.pp h;
+             false
+           end)
+      ms results
+  in
+  agree "one replay" in_range
+    (List.map Result.ok (Online.point_failures (Online.check ~groups ~points:in_range h)))
+  && agree "failures_at" points (Lattice.failures_at h points)
+
 let online_uniform_diff =
   QCheck.Test.make ~name:"uniform online = closure verdicts" ~count:200
     (sync_history_arb ~procs:3 ~segments:2 ~max_ops:4)
     (fun progs ->
       let h = history_of_programs ~procs:3 progs in
       acyclic h;
-      online_uniform_ok h)
+      online_uniform_ok h && multi_point_ok h)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: Warshall, a restricted copy per reader, a full read scan    *)
@@ -568,7 +610,7 @@ let sides_ok v h =
   let replays =
     meets
     &&
-    match Online.check ~model:Lattice.Causal h with
+    match Online.check ~points:[ Lattice.Causal ] h with
     | _ -> true
     | exception Invalid_argument _ -> false
   in
@@ -590,7 +632,7 @@ let oracle_restrictions =
 let replay_agrees h =
   List.for_all
     (fun m ->
-      match Online.check ~model:m h with
+      match Online.check ~points:[ m ] h with
       | chk -> Online.failures chk = Lattice.closure_failures h m
       | exception Invalid_argument _ -> false)
     streamable_pool

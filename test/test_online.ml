@@ -8,8 +8,9 @@
      diagnostics, on random histories with locks, barriers, subset
      barriers, awaits and all three read labels, on 64-70 processes,
      with overlapping operations of one process, and on one location
-     with more than a thousand touchers — per label and under uniform
-     causal and uniform PRAM;
+     with more than a thousand touchers — per label, and also at the
+     causal, PRAM and session points on 64-70 processes and at the
+     causal and PRAM points with overlapping operations;
    - [History.program_order], built from suffix rows, must equal the
      definitional order of test/oracle.ml with overlapping fibers;
    - [History.causality], the closure of the covering, must equal the
@@ -18,7 +19,9 @@
      pair like it, on histories with overlapping fibers, group barriers
      and incomplete episodes;
    - the engine must retire operations (bounded in-flight window) on
-     workloads with synchronization;
+     workloads with synchronization, and a replay's death notices must
+     wait for every reader of the value, an earlier reader that
+     finalizes late and an await after the last memory read included;
    - recorder edge cases: overlapping fiber tokens, grant sequences,
      out-of-range processes. *)
 
@@ -263,22 +266,33 @@ let online_diff_more_procs =
     (sync_history_arb ~procs:4 ~segments:2 ~max_ops:4)
     (fun progs -> online_matches_offline (history_of_programs ~procs:4 progs))
 
-(* online = the closure engine per label ([Mixed]) and under uniform
-   causal and uniform PRAM, failure lists compared whole *)
-let online_matches_at_points h =
+(* the causal, PRAM and session points *)
+let uniform_points =
+  Lattice.
+    [
+      Causal;
+      PRAM;
+      Session [];
+      Session [ Read_your_writes ];
+      Session [ Monotonic_reads ];
+      Session [ Read_your_writes; Monotonic_reads ];
+    ]
+
+(* online = the closure engine per label ([Mixed]) and, in one more
+   replay, at each of [points], failure lists compared whole *)
+let online_matches_at_points ~points h =
   let groups = Online.groups_of_history h in
   online_matches_offline h
-  && List.for_all
-       (fun m ->
-         let offline = Lattice.closure_failures h m in
-         let online = Online.failures (Online.check ~groups ~model:m h) in
-         offline = online
+  && List.for_all2
+       (fun m online ->
+         Lattice.closure_failures h m = online
          || begin
               Format.eprintf "online disagrees under %a:@.%a@." Lattice.pp m
                 History.pp h;
               false
             end)
-       [ Lattice.Causal; Lattice.PRAM ]
+       points
+       (Online.point_failures (Online.check ~groups ~points h))
 
 (* 64-70 processes with pairwise group labels: 1 causal + one PRAM per
    process + the pair groups, more families than bits in an [int] *)
@@ -295,7 +309,7 @@ let online_diff_many_procs =
          Format.asprintf "%a" History.pp (history_of_programs ~procs progs))
        gen)
     (fun (procs, progs) ->
-      online_matches_at_points (history_of_programs ~procs progs))
+      online_matches_at_points ~points:uniform_points (history_of_programs ~procs progs))
 
 (* Overlapping operations of one process make program order partial, so
    a process runs on several chains and its clocks join across them. A
@@ -349,7 +363,12 @@ let overlapping_arb ~procs ~max_steps =
 let online_diff_overlapping =
   QCheck.Test.make ~name:"online = offline with overlapping operations" ~count:300
     (overlapping_arb ~procs:3 ~max_steps:30)
-    (fun steps -> online_matches_at_points (overlapping_history ~procs:3 steps))
+    (fun steps ->
+      (* not the session points: their rule reads a process's own
+         operations in finalization order, which is its program order
+         only when none of them overlap *)
+      online_matches_at_points ~points:Lattice.[ Causal; PRAM ]
+        (overlapping_history ~procs:3 steps))
 
 let program_order_definitional =
   QCheck.Test.make ~name:"program order = definitional with overlapping fibers" ~count:300
@@ -425,7 +444,8 @@ let test_hot_location () =
   let h = hot_history ~n:200 in
   check "acyclic" true (History.causality_is_acyclic h);
   check "more than 1000 touchers of x" true (List.length (History.ops_at h "x") > 1000);
-  check "online = offline per label, causal and PRAM" true (online_matches_at_points h);
+  check "online = offline per label, causal, PRAM and session" true
+    (online_matches_at_points ~points:uniform_points h);
   let ops = History.ops h in
   let find p kind =
     let r = ref (-1) in
@@ -450,7 +470,7 @@ let test_hot_location () =
   check "it does under causal" true
     (List.exists
        (fun (f : Lattice.failure) -> f.Lattice.read_id = tail)
-       (Online.failures (Online.check ~model:Lattice.Causal h)))
+       (Online.failures (Online.check ~points:[ Lattice.Causal ] h)))
 
 (* ------------------------------------------------------------------ *)
 (* Happens-before and the covering against the definitions            *)
@@ -516,6 +536,54 @@ let test_engine_retires () =
   check_int "all ops checked" (History.length h) stats.Online.ops_checked;
   check "window is bounded" true
     (stats.Online.max_resident < History.length h / 4)
+
+(* A replay announces a value dead after its last reader by id; the
+   notice lands once every reader of it has finalized. Both histories
+   below are checked at every streamable point in one replay, each
+   point against the closure engine. *)
+let replay_points = Lattice.Mixed :: uniform_points
+
+let check_replay_points h =
+  let chk = Online.check ~points:replay_points h in
+  List.iter2
+    (fun m got ->
+      check ("verdicts at " ^ Lattice.to_string m) true (got = Lattice.closure_failures h m))
+    replay_points (Online.point_failures chk);
+  chk
+
+(* p1's read of x = 1 (id 3) is its last reader by id and finalizes at
+   once; p0's read of it (id 2) comes first by id but waits on its
+   barrier's episode, which p2 closes last (id 5). A death sent at id 3
+   would drop the writer's summary before id 2 is checked. *)
+let test_death_waits_for_readers () =
+  let r = Recorder.create ~procs:3 () in
+  let record proc kind = ignore (Recorder.record r ~proc kind) in
+  record 2 (Op.Write { loc = "x"; value = 1 });
+  record 0 (Op.Barrier 0);
+  record 0 (Op.Read { loc = "x"; label = Op.PRAM; value = 1 });
+  record 1 (Op.Read { loc = "x"; label = Op.Causal; value = 1 });
+  record 1 (Op.Barrier 0);
+  record 2 (Op.Barrier 0);
+  let chk = check_replay_points (Recorder.history r) in
+  check_int "no failure" 0 (List.length (Online.failures chk));
+  check_int "the read value's summary is reclaimed" 0 (Online.stats chk).Online.live_summaries
+
+(* p1's read of x = 1 (id 2) is x's last memory read; p2's await of it
+   (id 3) comes later, and its reads-from edge from p0's write of x
+   orders p0's write of y before p2's causal read of y = 0 (id 4). A
+   death sent after id 2 would leave the await without its writer. *)
+let test_death_waits_for_awaits () =
+  let r = Recorder.create ~procs:3 () in
+  let record proc kind = ignore (Recorder.record r ~proc kind) in
+  record 0 (Op.Write { loc = "y"; value = 5 });
+  record 0 (Op.Write { loc = "x"; value = 1 });
+  record 1 (Op.Read { loc = "x"; label = Op.PRAM; value = 1 });
+  record 2 (Op.Await { loc = "x"; value = 1 });
+  record 2 (Op.Read { loc = "y"; label = Op.Causal; value = 0 });
+  let chk = check_replay_points (Recorder.history r) in
+  check "the causal read is overwritten by the write of y" true
+    (Online.failures chk
+    = [ { Lattice.read_id = 4; label = Op.Causal; verdict = Read_rule.Overwritten 0 } ])
 
 let test_online_rejects_unregistered_group () =
   let h = Dsl.make ~procs:3 [ [ Dsl.rg [ 0; 1 ] "x" 0 ]; []; [] ] in
@@ -810,6 +878,10 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "window bounded" `Quick test_engine_retires;
+          Alcotest.test_case "replay death waits for readers" `Quick
+            test_death_waits_for_readers;
+          Alcotest.test_case "replay death waits for awaits" `Quick
+            test_death_waits_for_awaits;
           Alcotest.test_case "unregistered group" `Quick
             test_online_rejects_unregistered_group;
           Alcotest.test_case "group harvest" `Quick test_groups_of_history;
