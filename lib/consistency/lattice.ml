@@ -497,9 +497,13 @@ let closures h model =
   | fs -> Ok fs
   | exception Invalid_argument msg -> Error msg
 
-(* a point [Online] accepts for [h]: a group's members name processes *)
+(* a point [Online] replays exactly on [h]: a group's members name
+   processes, and a session point, which reads each process's own
+   operations in finalization order, needs that order to be program
+   order, as it is when no process's operations overlap *)
 let replayable h = function
   | Group g -> List.for_all (fun m -> m >= 0 && m < History.procs h) g
+  | Session _ -> History.sequential h
   | m -> Online.supports m
 
 (* A history within the stream's restrictions has [History]'s covering,

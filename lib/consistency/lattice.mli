@@ -153,8 +153,11 @@ type failure = Model.failure = {
 
     On a history that meets {!Mc_history.Stream.meets_restrictions},
     the points {!Online.supports} accepts (a group's members naming
-    processes of [h]) are decided by one [Online.check ~points] replay:
-    no closure is built for them. The other points take the closures,
+    processes of [h]; a session point only when
+    {!Mc_history.History.sequential} holds, since the checker's session
+    rule reads each process's operations in finalization order) are
+    decided by one [Online.check ~points] replay: no closure is built
+    for them. The other points take the closures,
     and so does every point of a history outside the restrictions. A
     replay that raises (a cyclic history, a group read by a
     non-member) falls back to one replay per point, and a one-point

@@ -19,8 +19,16 @@
     has finalized) loses its summaries and their follower lists, and a
     dead initial value its location's stamps. In a live run the
     runtime's stability sweeps send them; a replay ({!check}) sends one
-    after the last reader of each value, so a replayed history keeps
-    only the summaries of values nobody reads.
+    after the last reader of each value, and for a value nobody reads
+    after its writer, so a replayed history ends with no live summary.
+
+    A session point decides a read on its process's own reads and
+    writes of the location in finalization order. That is program order
+    only while the process's operations do not overlap, so on a process
+    with overlapping operations (two fibers of one process) the session
+    verdicts, live or replayed, may differ from the closures'.
+    [Lattice.failures_at] replays session points only on histories that
+    are {!Mc_history.History.sequential}.
 
     Lattice points and failures are {!Model}'s types, which {!Lattice}
     re-exports: a [Lattice.t] is a [Model.t].
@@ -92,9 +100,10 @@ val engine : t -> clocks Mc_history.Stream.t
 
 (** [check ?groups ?points h] replays a materialized history through a
     fresh checker ({!Mc_history.Stream.replay}, which announces each
-    value dead after its last reader, so the summaries are reclaimed as
-    in a live run). When [groups] is omitted the groups are harvested
-    from the history's read labels. *)
+    value dead after its last reader, or after its writer when nothing
+    reads it, so the summaries are reclaimed as in a live run). When
+    [groups] is omitted the groups are harvested from the history's read
+    labels. *)
 val check : ?groups:int list list -> ?points:Model.t list -> Mc_history.History.t -> t
 
 (** Invalid reads seen so far at the first point, in ascending id order

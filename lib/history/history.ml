@@ -35,6 +35,8 @@ type t = {
   rel_cache : (string, Relation.t) Hashtbl.t;
   (* whether the history meets [Stream]'s restrictions, once asked *)
   mutable restrictions_memo : bool option;
+  (* whether no process's operations overlap, once asked *)
+  mutable sequential_memo : bool option;
   (* location -> ids of the operations reading or writing it, built on
      first use *)
   mutable loc_index : (Op.location, int list) Hashtbl.t option;
@@ -74,6 +76,7 @@ let create ~procs ops =
     causality_memo = None;
     rel_cache = Hashtbl.create 8;
     restrictions_memo = None;
+    sequential_memo = None;
     loc_index = None;
     walk_memo = None;
   }
@@ -112,13 +115,35 @@ let cached_relation t key compute =
     r
 
 (* the memo holds one of two constants, so filling it allocates nothing *)
-let memo_restrictions t check =
-  match t.restrictions_memo with
+let memo_bool get set t check =
+  match get t with
   | Some b -> b
   | None ->
     let b = check t in
-    t.restrictions_memo <- (if b then Some true else Some false);
+    set t (if b then Some true else Some false);
     b
+
+let memo_restrictions t check =
+  memo_bool (fun t -> t.restrictions_memo) (fun t v -> t.restrictions_memo <- v) t check
+
+(* One pass in id order: each operation of a process is invoked after
+   the response of the one before it, so the process's operations are a
+   chain of program order in id order. On a recorded history, numbered
+   in response order, the pass fails exactly when some process's
+   operations overlap; on another it may fail spuriously, which only
+   sends its session points to the closures. *)
+let check_sequential t =
+  let last = Array.make t.procs min_int in
+  Array.for_all
+    (fun (o : Op.t) ->
+      o.inv_seq > last.(o.proc)
+      && o.resp_seq > o.inv_seq
+      && (last.(o.proc) <- o.resp_seq;
+          true))
+    t.ops
+
+let sequential t =
+  memo_bool (fun t -> t.sequential_memo) (fun t v -> t.sequential_memo <- v) t check_sequential
 
 (* Memoization helper over the mutable record fields. *)
 let with_memo get set t compute =
@@ -535,35 +560,61 @@ let well_formedness_violations t =
           else Hashtbl.add seen_events key ())
         [ o.inv_seq; o.resp_seq ])
     t.ops;
-  (* 2. at most one pending invocation per (process, object) at a time *)
+  (* 2. at most one pending invocation per (process, object) at a time.
+     An object is a location or a lock, a namespace (0 or 1) and a name.
+     Each (process, object) group is swept in invocation order against
+     the operations before it still open at its invocation: an
+     operation that responded before an invocation is open at no later
+     one. Overlapping pairs are reported in (first id, second id) order,
+     as a scan of every ordered pair meets them. *)
   let object_of (o : Op.t) =
     match o.kind with
     | Op.Read { loc; _ } | Op.Write { loc; _ } | Op.Decrement { loc; _ }
     | Op.Await { loc; _ } ->
-      Some ("loc:" ^ loc)
-    | Op.Read_lock l | Op.Read_unlock l | Op.Write_lock l | Op.Write_unlock l ->
-      Some ("lock:" ^ l)
-    | Op.Barrier _ | Op.Barrier_group _ -> None
+      (0, loc)
+    | Op.Read_lock l | Op.Read_unlock l | Op.Write_lock l | Op.Write_unlock l -> (1, l)
+    | Op.Barrier _ | Op.Barrier_group _ -> (-1, "")
   in
-  Array.iter
-    (fun (o1 : Op.t) ->
-      Array.iter
-        (fun (o2 : Op.t) ->
-          if o1.id < o2.id && o1.proc = o2.proc then
-            match object_of o1, object_of o2 with
-            | Some obj1, Some obj2 when obj1 = obj2 ->
-              (* overlapping executions on the same object *)
-              let overlap =
-                not (o1.resp_seq < o2.inv_seq || o2.resp_seq < o1.inv_seq)
-              in
-              if overlap then
-                report ~op_id:o2.id
-                  (Printf.sprintf
-                     "two pending invocations on %s by process %d (ops %d, %d)"
-                     obj1 o1.proc o1.id o2.id)
-            | _ -> ())
-        t.ops)
-    t.ops;
+  let objects = Array.map object_of t.ops in
+  let compare_object a b =
+    let c = Int.compare t.ops.(a).proc t.ops.(b).proc in
+    if c <> 0 then c
+    else
+      let (s1, n1), (s2, n2) = (objects.(a), objects.(b)) in
+      let c = Int.compare s1 s2 in
+      if c <> 0 then c else String.compare n1 n2
+  in
+  let by_object = Array.init (Array.length t.ops) Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = compare_object a b in
+      if c <> 0 then c
+      else
+        let c = Int.compare t.ops.(a).inv_seq t.ops.(b).inv_seq in
+        if c <> 0 then c else Int.compare a b)
+    by_object;
+  let pairs = ref [] and open_ops = ref [] in
+  Array.iteri
+    (fun k b ->
+      if k = 0 || compare_object by_object.(k - 1) b <> 0 then open_ops := [];
+      if fst objects.(b) >= 0 then begin
+        let ob = t.ops.(b) in
+        open_ops := List.filter (fun a -> t.ops.(a).resp_seq >= ob.inv_seq) !open_ops;
+        List.iter
+          (fun a ->
+            if ob.resp_seq >= t.ops.(a).inv_seq then pairs := (min a b, max a b) :: !pairs)
+          !open_ops;
+        open_ops := b :: !open_ops
+      end)
+    by_object;
+  List.iter
+    (fun (i1, i2) ->
+      let space, name = objects.(i1) in
+      report ~op_id:i2
+        (Printf.sprintf "two pending invocations on %s%s by process %d (ops %d, %d)"
+           (if space = 0 then "loc:" else "lock:")
+           name t.ops.(i1).proc i1 i2))
+    (List.sort compare !pairs);
   (* 3. every unlock has a preceding matching lock by the same process,
      and global lock discipline holds in the manager grant order *)
   let by_lock = Hashtbl.create 8 in
@@ -616,23 +667,31 @@ let well_formedness_violations t =
         sorted)
     by_lock;
   (* 4. barrier operations are totally ordered w.r.t. all operations of
-     their process *)
-  let po = program_order t in
+     their process: neither a barrier nor the other operation responds
+     before the other's invocation means neither precedes the other in
+     program order. Each barrier meets its own process's operations *)
+  let by_proc = Array.make t.procs [] in
+  if
+    Array.exists
+      (fun (o : Op.t) ->
+        match o.kind with Op.Barrier _ | Op.Barrier_group _ -> true | _ -> false)
+      t.ops
+  then
+    for id = Array.length t.ops - 1 downto 0 do
+      let p = t.ops.(id).proc in
+      by_proc.(p) <- t.ops.(id) :: by_proc.(p)
+    done;
   Array.iter
     (fun (b : Op.t) ->
       match b.kind with
       | Op.Barrier _ | Op.Barrier_group _ ->
-        Array.iter
+        List.iter
           (fun (o : Op.t) ->
-            if o.proc = b.proc && o.id <> b.id then
-              if
-                (not (Relation.mem po o.id b.id))
-                && not (Relation.mem po b.id o.id)
-              then
-                report ~op_id:b.id
-                  (Printf.sprintf "barrier op %d overlaps op %d of process %d"
-                     b.id o.id b.proc))
-          t.ops
+            if o.id <> b.id && not (o.resp_seq < b.inv_seq || b.resp_seq < o.inv_seq) then
+              report ~op_id:b.id
+                (Printf.sprintf "barrier op %d overlaps op %d of process %d" b.id o.id
+                   b.proc))
+          by_proc.(b.proc)
       | _ -> ())
     t.ops;
   (* unique-writes assumption *)

@@ -175,4 +175,12 @@ val cached_relation : t -> string -> (unit -> Mc_util.Relation.t) -> Mc_util.Rel
     verdict here, so the checks of one history run it once. *)
 val memo_restrictions : t -> (t -> bool) -> bool
 
+(** [sequential h]: each process's operations, in id order, are each
+    invoked after the previous one's response, so no two of a process's
+    operations overlap and id order is program order. One pass,
+    memoized on [h]. A recorded history numbers operations in response
+    order, so it is [sequential] exactly when no process's operations
+    overlap. *)
+val sequential : t -> bool
+
 val pp : Format.formatter -> t -> unit

@@ -152,6 +152,7 @@ type 'a t = {
   values : 'a vstate Vals.t Locs.t;
   none : 'a node; (* no node: an empty chain tail, the ready stack's end *)
   no_value : 'a vstate; (* no value: what a lock or barrier op reads *)
+  mutable written : 'a vstate; (* what the last [add_op] wrote, or [no_value] *)
   mutable ready : 'a node;
   mutable ops_seen : int;
   mutable n_finalized : int;
@@ -182,6 +183,7 @@ let create ~procs cb =
     values = Locs.create 64;
     none;
     no_value;
+    written = no_value;
     ready = none;
     ops_seen = 0;
     n_finalized = 0;
@@ -621,6 +623,7 @@ let add_op t (op : Op.t) =
   (* reads-from, then writer registration and parked-read release *)
   if n.n_read != t.no_value then reads_from n n.n_read;
   if written != t.no_value then writes n written;
+  t.written <- written;
   (* lock grant ordering *)
   (match Op.lock_of op with
   | Some l ->
@@ -720,13 +723,21 @@ let pend_readers t ops =
         ())
     ops
 
+(* [n] wrote [vs]'s value, which nothing reads: dead once [n] has
+   finalized, now or, from [late], after a later response *)
+let unread_written t late n vs =
+  vs.v_dead <- true;
+  if final n then send_dead t vs else late := (n, vs) :: !late
+
 (* Replay: invocation events go in process-local order; responses are
    additionally gated on global id (completion) order, which every
    recorder-produced history satisfies. Event [2k] is the invocation and
    [2k + 1] the response of [ops.(k)]; a recorded history lists each
    process's events in seq order already. A replay holds the whole
-   history, so it stands in for the runtime's stability sweeps (see
-   [pend_readers]). *)
+   history, so it stands in for the runtime's stability sweeps: a value
+   read is dead after its last reader (see [pend_readers]), and a value
+   written and never read after its writer, which a replay sees as a
+   written value not announced dead up front. *)
 let replay t h =
   let procs = History.procs h and ops = History.ops h in
   if procs > t.n_procs then
@@ -748,35 +759,44 @@ let replay t h =
       evs
   in
   let pos = Array.make procs 0 and next_id = ref 0 and progress = ref true in
+  let late = ref [] in
+  (* one closure for the whole replay: each pass steps every process *)
+  let rec go p =
+    if pos.(p) < Array.length evs.(p) then begin
+      let e = evs.(p).(pos.(p)) in
+      let o = ops.(e / 2) in
+      let step =
+        if e land 1 = 0 then (handle_inv t ~proc:p ~seq:o.inv_seq; true)
+        else if o.id = !next_id then begin
+          let n = add_op t o in
+          let vs = n.n_read in
+          (* the reader was pending already: [reads_from] counted it again *)
+          if vs != t.no_value then begin
+            vs.v_pending <- vs.v_pending - 1;
+            if vs.v_pending <= 0 then send_dead t vs
+          end;
+          let ws = t.written in
+          if ws != t.no_value && (not ws.v_dead) && ws.v_value <> 0 then
+            unread_written t late n ws;
+          (match !late with
+          | [] -> ()
+          | l -> late := List.filter (fun (n, vs) -> not (final n) || (send_dead t vs; false)) l);
+          incr next_id;
+          true
+        end
+        else false
+      in
+      if step then begin
+        pos.(p) <- pos.(p) + 1;
+        progress := true;
+        go p
+      end
+    end
+  in
   while !progress do
     progress := false;
     for p = 0 to procs - 1 do
-      let rec go () =
-        if pos.(p) < Array.length evs.(p) then begin
-          let e = evs.(p).(pos.(p)) in
-          let o = ops.(e / 2) in
-          let step =
-            if e land 1 = 0 then (handle_inv t ~proc:p ~seq:o.inv_seq; true)
-            else if o.id = !next_id then begin
-              let vs = (add_op t o).n_read in
-              (* the reader was pending already: [reads_from] counted it again *)
-              if vs != t.no_value then begin
-                vs.v_pending <- vs.v_pending - 1;
-                if vs.v_pending <= 0 then send_dead t vs
-              end;
-              incr next_id;
-              true
-            end
-            else false
-          in
-          if step then begin
-            pos.(p) <- pos.(p) + 1;
-            progress := true;
-            go ()
-          end
-        end
-      in
-      go ()
+      go p
     done
   done;
   if Array.exists2 (fun i a -> i < Array.length a) pos evs then

@@ -91,8 +91,10 @@ val sink : 'a t -> Sink.t
     after the last operation, in id order, that reads a value (a read,
     an await, or a decrement's observed value) it announces the value
     dead, and [on_dead_value] fires once every reader of it has
-    finalized. Raises [Invalid_argument] if the history's event
-    sequencing is inconsistent or its causality cyclic. *)
+    finalized. A non-zero value written and never read is announced
+    once its writer has finalized. Raises [Invalid_argument] if the
+    history's event sequencing is inconsistent or its causality
+    cyclic. *)
 val replay : 'a t -> History.t -> unit
 
 (** [feed_history ~callbacks h] is {!replay} on a fresh engine. *)

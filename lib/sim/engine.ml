@@ -22,9 +22,10 @@ type action =
    longer pending is a second resume. *)
 type fiber = { name : string; mutable suspensions : int; mutable pending : int }
 
-(* An all-float record is stored flat, so neither field is ever boxed.
-   [at] carries an event's time into [push]. *)
-type clock = { mutable now : float; mutable at : float }
+(* An all-float record is stored flat, so no field is ever boxed.
+   [at] carries an event's time into [push]; [limit] is the time past
+   which the running [run_until] fires nothing ([infinity] under [run]). *)
+type clock = { mutable now : float; mutable at : float; mutable limit : float }
 
 (* The event queue is a binary heap over (time, seq) kept in parallel
    arrays; [seq] numbers events in scheduling order, so events at equal
@@ -45,6 +46,7 @@ type t = {
   mutable due_head : int;
   mutable due_len : int;
   mutable live : int;
+  mutable in_fiber : bool; (* a fiber's own code is running, not a callback *)
   mutable events : int;
   mutable failure : (exn * Printexc.raw_backtrace) option;
   mutable fibers : fiber list;
@@ -57,7 +59,7 @@ type _ Effect.t +=
 
 let create () =
   {
-    clock = { now = 0.; at = 0. };
+    clock = { now = 0.; at = 0.; limit = infinity };
     times = [||];
     seqs = [||];
     slots = [||];
@@ -68,6 +70,7 @@ let create () =
     due_head = 0;
     due_len = 0;
     live = 0;
+    in_fiber = false;
     events = 0;
     failure = None;
     fibers = [];
@@ -244,6 +247,15 @@ let count_suspend t =
   | Some o -> Mc_obs.Metrics.Counter.incr o.c_suspends
   | None -> ()
 
+(* what an event counts as it fires, once it is off the queue *)
+let count_event t =
+  t.events <- t.events + 1;
+  match t.obs with
+  | Some o ->
+    Mc_obs.Metrics.Counter.incr o.c_events;
+    Mc_obs.Metrics.Gauge.set o.g_queue (float_of_int (pending t))
+  | None -> ()
+
 let suspend_fiber t fiber k setup =
   count_suspend t;
   let n = fiber.suspensions + 1 in
@@ -255,19 +267,27 @@ let suspend_fiber t fiber k setup =
       t.clock.at <- t.clock.now;
       push t (Resume (k, v)))
 
+(* A fiber's own code runs from its start or a [continue] to its next
+   effect, its return or its exception: [in_fiber] holds in between,
+   and not in a suspension's [setup] or in a callback *)
 let handler t fiber =
   let open Effect.Deep in
   (* allocated once per fiber: a delay allocates only its two events *)
   let on_sleep =
     Some
       (fun (k : (unit, unit) continuation) ->
+        t.in_fiber <- false;
         count_suspend t;
         push t (Timer k))
   in
   {
-    retc = (fun () -> t.live <- t.live - 1);
+    retc =
+      (fun () ->
+        t.in_fiber <- false;
+        t.live <- t.live - 1);
     exnc =
       (fun exn ->
+        t.in_fiber <- false;
         t.live <- t.live - 1;
         if t.failure = None then
           t.failure <- Some (exn, Printexc.get_raw_backtrace ()));
@@ -275,9 +295,17 @@ let handler t fiber =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
         | Sleep -> on_sleep
-        | Suspend setup -> Some (fun k -> suspend_fiber t fiber k setup)
+        | Suspend setup ->
+          Some
+            (fun k ->
+              t.in_fiber <- false;
+              suspend_fiber t fiber k setup)
         | _ -> None);
   }
+
+let continue_fiber t k v =
+  t.in_fiber <- true;
+  Effect.Deep.continue k v
 
 let spawn t ?(name = "fiber") f =
   let fiber = { name; suspensions = 0; pending = 0 } in
@@ -286,17 +314,38 @@ let spawn t ?(name = "fiber") f =
   (match t.obs with
   | Some o -> Mc_obs.Metrics.Counter.incr o.c_spawns
   | None -> ());
-  schedule t ~delay:0. (fun () -> Effect.Deep.match_with f () (handler t fiber))
+  schedule t ~delay:0. (fun () ->
+      t.in_fiber <- true;
+      Effect.Deep.match_with f () (handler t fiber))
 
 let suspend _t setup = Effect.perform (Suspend setup)
 
-(* Two events, as for any suspension: the timer, then the resume at
-   delay 0. Resuming straight from the timer would run the fiber ahead
-   of the events scheduled for the same time between the two. *)
+(* A delay takes two events, as any suspension does: the timer, then
+   the resume at delay 0. Resuming straight from the timer would run
+   the fiber ahead of the events scheduled for the same time between
+   the two. When the timer would be the next event (nothing due now,
+   the heap's earliest entry later than [now + d], [now + d] within
+   [run_until]'s limit), nothing can fire before the timer or between
+   it and the resume: the fiber keeps running, and the clock, the
+   timer's seq (drawn by a timer in the heap, not one due now) and the
+   counts move as the two events would have moved them. Outside a
+   fiber the effect goes unhandled, as it always has. *)
 let delay t d =
   if d < 0. then invalid_arg "Engine.delay: negative delay";
-  t.clock.at <- t.clock.now +. d;
-  Effect.perform Sleep
+  let clock = t.clock in
+  let at = clock.now +. d in
+  if t.in_fiber && t.due_len = 0 && (t.size = 0 || t.times.(0) > at) && at <= clock.limit
+  then begin
+    if at <> clock.now then t.next_seq <- t.next_seq + 1;
+    clock.now <- at;
+    count_suspend t;
+    count_event t;
+    count_event t
+  end
+  else begin
+    clock.at <- at;
+    Effect.perform Sleep
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -311,22 +360,26 @@ let check_failure t =
 
 let step t =
   let act = pop t in
-  t.events <- t.events + 1;
-  (match t.obs with
-  | Some o ->
-    Mc_obs.Metrics.Counter.incr o.c_events;
-    Mc_obs.Metrics.Gauge.set o.g_queue (float_of_int (pending t))
-  | None -> ());
+  count_event t;
   (match act with
   | Call f -> f ()
-  | Resume (k, v) -> Effect.Deep.continue k v
+  | Resume (k, v) -> continue_fiber t k v
   | Timer k ->
-    t.clock.at <- t.clock.now;
-    push t (Resume (k, ()))
+    if t.due_len = 0 && (t.size = 0 || t.times.(0) > t.clock.now) then begin
+      (* the resume would fire next, at a time the limit let the timer
+         fire at: it fires here *)
+      count_event t;
+      continue_fiber t k ()
+    end
+    else begin
+      t.clock.at <- t.clock.now;
+      push t (Resume (k, ()))
+    end
   | Idle -> ());
   check_failure t
 
 let run t =
+  t.clock.limit <- infinity;
   while pending t > 0 do
     step t
   done;
@@ -342,6 +395,7 @@ let run t =
   t.clock.now
 
 let run_until t ~limit =
+  t.clock.limit <- limit;
   while pending t > 0 && not ((if t.due_len > 0 then t.clock.now else t.times.(0)) > limit) do
     step t
   done;

@@ -70,10 +70,19 @@ val reserve : t -> int
 val schedule_at : t -> at:float -> seq:int -> (unit -> unit) -> unit
 
 (** [delay t d] suspends the calling fiber for [d] units of virtual time.
-    Must be called from within a fiber of [t]. It takes two events, like
-    any suspension: a timer at [now + d], then the fiber's resume at
-    delay 0, which fires after the events already scheduled for that
-    time. *)
+    Must be called from within a fiber of [t]: called elsewhere (a
+    callback, a suspension's [setup]) its effect is unhandled. It takes
+    two events, like any suspension: a timer at [now + d], then the
+    fiber's resume at delay 0, which fires after the events already
+    scheduled for that time. When the timer would be the next event —
+    nothing due now, every other pending event later than [now + d], and
+    [now + d] within {!run_until}'s limit — nothing can fire before it or
+    between it and the resume, so the delay runs inline: the clock moves
+    to [now + d] and the fiber goes on without suspending, and the
+    timer's sequence number, {!events_processed} and the metrics move as
+    the two events would have moved them. No event's (time, seq)
+    position changes. A timer whose resume would fire next likewise
+    continues its fiber without queueing the resume. *)
 val delay : t -> float -> unit
 
 (** [suspend t setup] suspends the calling fiber. [setup] is called

@@ -3,16 +3,17 @@
    [Gc.minor_words] counts the words allocated on the minor heap
    exactly, so each figure below is the same on every run of a given
    binary: one scheduled event, one fiber delay (an operation's cost
-   charge), one delivered network message, one deliverable update
-   received by a replica, the words per engine event of a whole
-   lock-based Cholesky run, the words per checked operation of the
-   online-checked handshake solver and of a replay of its recorded
-   history, and the words of checking and linting a recorded Cholesky
-   history. Each is measured after a warm-up, averaged
-   over a batch (the figure includes a few words per batch of the
-   measurement itself), and must stay at or under its ceiling; a change
-   that adds allocation to one of these paths fails here. The ceilings
-   are the measured values of the current code, rounded up. *)
+   charge) run inline and one that suspends, one delivered network
+   message, one deliverable update received by a replica, the words per
+   engine event of a whole lock-based Cholesky run, the words per
+   checked operation of the online-checked handshake solver and of a
+   replay of its recorded history, and the words of checking
+   well-formedness, consistency and lint on a recorded Cholesky
+   history. Each is measured after a warm-up, averaged over a batch
+   (the figure includes a few words per batch of the measurement
+   itself), and must stay at or under its ceiling; a change that adds
+   allocation to one of these paths fails here. The ceilings are the
+   measured values of the current code, rounded up. *)
 
 module Engine = Mc_sim.Engine
 module Network = Mc_net.Network
@@ -56,7 +57,9 @@ let test_event () =
   in
   check_ceiling "one scheduled event" ~ceiling:2.01 words
 
-let test_delay () =
+(* A delay whose timer would be the next event, as for one fiber alone,
+   runs inline: no suspension, no event *)
+let test_inline_delay () =
   let e = Engine.create () in
   let words = ref nan in
   Engine.spawn e (fun () ->
@@ -66,7 +69,30 @@ let test_delay () =
               Engine.delay e Cost.op_cost
             done));
   ignore (Engine.run e);
-  check_ceiling "one Engine.delay" ~ceiling:7.01 !words
+  check_ceiling "one inline Engine.delay" ~ceiling:0.01 !words
+
+(* Two fibers in lockstep wake at the same times, so each delay's timer
+   has the other's beside it: every delay suspends and takes its two
+   events. The figure is per delay, over both fibers. *)
+let test_suspending_delay () =
+  let e = Engine.create () in
+  let delays () =
+    for _ = 1 to batch / 2 do
+      Engine.delay e Cost.op_cost
+    done
+  in
+  let w0 = ref 0. and w1 = ref 0. in
+  Engine.spawn e (fun () ->
+      delays ();
+      w0 := Gc.minor_words ();
+      delays ();
+      w1 := Gc.minor_words ());
+  Engine.spawn e (fun () ->
+      delays ();
+      delays ());
+  ignore (Engine.run e);
+  check_ceiling "one suspending Engine.delay" ~ceiling:7.01
+    ((!w1 -. !w0) /. float_of_int batch)
 
 let test_send () =
   let e = Engine.create () in
@@ -125,7 +151,7 @@ let test_cholesky () =
     ((Option.get !result).Cholesky.l = Sparse.factor_reference m);
   check_ceiling
     (Printf.sprintf "words per event of a lock-based Cholesky run (%d events)" events)
-    ~ceiling:14.2 (words /. float_of_int events)
+    ~ceiling:12.33 (words /. float_of_int events)
 
 (* mcdsm solver --variant handshake --check-online -n 96 -w 8: the
    benchmark's solver-online program, every operation recorded into the
@@ -149,12 +175,13 @@ let test_solver_online () =
   check_ceiling
     (Printf.sprintf "words per checked op of the online-checked handshake solver (%d ops)"
        stats.Online.ops_checked)
-    ~ceiling:74.5 (words /. float_of_int stats.Online.ops_checked)
+    ~ceiling:72.0 (words /. float_of_int stats.Online.ops_checked)
 
 (* the same program recorded, then replayed through [Online.check] (the
    benchmark's online.replay_s). The replay announces each value dead
-   after its last reader, so every summary of a value read is reclaimed
-   by the end, as the runtime's stability sweeps do in a live run. *)
+   after its last reader (a value nobody reads after its writer), so
+   every summary is reclaimed by the end, as the runtime's stability
+   sweeps do in a live run. *)
 let test_solver_replay () =
   let procs = 9 in
   let problem = Solver.Problem.generate ~seed:42 ~n:96 in
@@ -173,13 +200,15 @@ let test_solver_replay () =
   check_ceiling
     (Printf.sprintf "words per op of the replayed handshake solver history (%d ops)"
        stats.Online.ops_checked)
-    ~ceiling:74.25 (words /. float_of_int stats.Online.ops_checked)
+    ~ceiling:43.01 (words /. float_of_int stats.Online.ops_checked)
 
 (* mcdsm cholesky -n 20 --check: the benchmark's check-offline history
-   (1,592 operations), checked at Mixed and linted. Both are streamable
-   work: the Mixed check is one Online replay, and the advisor reads the
-   failure sets of all its lattice points (six here) from one more, so
-   the words grow with the history, not with readers times points.
+   (1,592 operations), checked for well-formedness, at Mixed and linted.
+   Well-formedness groups the operations by process and object, so its
+   words grow with the history. The other two are streamable work: the
+   Mixed check is one Online replay, and the advisor reads the failure
+   sets of all its lattice points (six here) from one more, so the
+   words grow with the history, not with readers times points.
    Whether the history meets the stream's restrictions is decided by
    the Mixed check and memoized, so the advisor's replay does not
    decide it again. *)
@@ -191,18 +220,22 @@ let test_check_offline () =
   in
   ignore (Runtime.run rt);
   let h = Runtime.history rt in
+  let w = Gc.minor_words () in
+  let well_formed = History.is_well_formed h in
   let w0 = Gc.minor_words () in
   let failures = Lattice.failures h Lattice.Mixed in
   let w1 = Gc.minor_words () in
   let report = Analysis.analyze h in
   let w2 = Gc.minor_words () in
   Alcotest.(check int) "ops" 1592 (History.length h);
+  Alcotest.(check bool) "well-formed" true well_formed;
   Alcotest.(check bool) "exact" true
     ((Option.get !result).Cholesky.l = Sparse.factor_reference m);
   Alcotest.(check int) "mixed failures" 0 (List.length failures);
   Alcotest.(check int) "lint errors" 0 report.Analysis.errors;
-  check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:138_934. (w1 -. w0);
-  check_ceiling "minor words of Analysis.analyze h" ~ceiling:765_802. (w2 -. w1)
+  check_ceiling "minor words of History.is_well_formed h" ~ceiling:86_748. (w0 -. w);
+  check_ceiling "minor words of Lattice.failures h Mixed" ~ceiling:133_907. (w1 -. w0);
+  check_ceiling "minor words of Analysis.analyze h" ~ceiling:755_763. (w2 -. w1)
 
 let () =
   Alcotest.run "alloc"
@@ -210,7 +243,8 @@ let () =
       ( "ceilings",
         [
           Alcotest.test_case "scheduled event" `Quick test_event;
-          Alcotest.test_case "fiber delay" `Quick test_delay;
+          Alcotest.test_case "inline fiber delay" `Quick test_inline_delay;
+          Alcotest.test_case "fiber delay" `Quick test_suspending_delay;
           Alcotest.test_case "network send" `Quick test_send;
           Alcotest.test_case "replica receive" `Quick test_receive;
           Alcotest.test_case "cholesky run" `Quick test_cholesky;

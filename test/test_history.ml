@@ -247,6 +247,55 @@ let test_overlapping_barrier_detected () =
   check "barrier must be totally ordered" true
     (History.well_formedness_violations h <> [])
 
+(* Random histories, mostly malformed: operations of up to three
+   processes on two locations and two locks, with barriers, invocation
+   and response numbers drawn from a small range (so operations on one
+   object overlap, barriers overlap, event numbers repeat and some
+   invocations follow their response), grant numbers that repeat, go
+   missing or grant a held lock, and written values that repeat. The
+   grouped checks must report what the pairwise ones report, in the
+   same order. *)
+let random_history_gen =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun procs ->
+    let op_gen =
+      map4
+        (fun proc (kind, name, value) inv (len, sync_seq) ->
+          let loc = [| "x"; "y" |].(name) and lock = [| "m"; "n" |].(name) in
+          let kind =
+            match kind with
+            | 0 -> Op.Read { loc; label = Op.PRAM; value }
+            | 1 -> Op.Write { loc; value }
+            | 2 -> Op.Decrement { loc; amount = 1; observed = value }
+            | 3 -> Op.Await { loc; value }
+            | 4 -> Op.Write_lock lock
+            | 5 -> Op.Write_unlock lock
+            | 6 -> Op.Read_lock lock
+            | 7 -> Op.Read_unlock lock
+            | 8 -> Op.Barrier value
+            | _ -> Op.Barrier_group { episode = value; members = [ 0; proc ] }
+          in
+          (proc, kind, inv, inv + len, sync_seq))
+        (int_bound (procs - 1))
+        (triple (int_bound 9) (int_bound 1) (int_bound 3))
+        (int_bound 30)
+        (pair (int_range (-2) 6) (int_range (-1) 8))
+    in
+    map
+      (fun ops ->
+        History.create ~procs
+          (Array.of_list
+             (List.mapi
+                (fun id (proc, kind, inv_seq, resp_seq, sync_seq) ->
+                  { Op.id; proc; kind; inv_seq; resp_seq; sync_seq })
+                ops)))
+      (list_size (int_bound 24) op_gen))
+
+let well_formedness_differential =
+  QCheck.Test.make ~name:"grouped checks = pairwise checks" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" History.pp) random_history_gen)
+    (fun h -> History.well_formedness_violations h = Oracle.well_formedness_violations h)
+
 let () =
   Alcotest.run "mc_history"
     [
@@ -278,5 +327,6 @@ let () =
           Alcotest.test_case "missing grant order" `Quick test_missing_grant_seq_detected;
           Alcotest.test_case "overlapping ops on one object" `Quick test_overlapping_same_object_ops_detected;
           Alcotest.test_case "overlapping barrier" `Quick test_overlapping_barrier_detected;
+          QCheck_alcotest.to_alcotest well_formedness_differential;
         ] );
     ]

@@ -653,6 +653,40 @@ let test_restriction_sides () =
       | Cyclic -> ())
     variants
 
+(* p0 starts a write of x = 1 and a PRAM read of x that returns 0, and
+   the write responds first. The two overlap, so program order does not
+   put the write before the read and read-your-writes asks nothing of
+   it; the checker's session rule, reading p0's operations in
+   finalization order, would take the write as earlier. Session points
+   take the closures on such a history, and every point agrees with
+   them. *)
+let test_session_overlapping () =
+  let r = Recorder.create ~procs:1 () in
+  let w = Recorder.start r ~proc:0 in
+  let rd = Recorder.start r ~proc:0 in
+  ignore (Recorder.finish r w (Op.Write { loc = "x"; value = 1 }));
+  ignore (Recorder.finish r rd (Op.Read { loc = "x"; label = Op.PRAM; value = 0 }));
+  let h = Recorder.history r in
+  check "meets the stream's restrictions" true (Stream.meets_restrictions h);
+  check "not sequential" false (History.sequential h);
+  List.iter
+    (fun m ->
+      check
+        ("failures = closures at " ^ Lattice.to_string m)
+        true
+        (Lattice.failures h m = Lattice.closure_failures h m))
+    Lattice.
+      [
+        Session [ Read_your_writes ];
+        Session [ Read_your_writes; Monotonic_reads ];
+        Session [ Monotonic_reads ];
+        Session [];
+        PRAM;
+        Causal;
+      ];
+  check "no read-your-writes failure" true
+    (Lattice.failures h (Lattice.Session [ Lattice.Read_your_writes ]) = [])
+
 (* ------------------------------------------------------------------ *)
 (* Section-5 applications                                              *)
 (* ------------------------------------------------------------------ *)
@@ -837,6 +871,8 @@ let () =
           qt oracle_cyclic;
           qt oracle_restrictions;
           Alcotest.test_case "restriction sides" `Quick test_restriction_sides;
+          Alcotest.test_case "session points on overlapping operations" `Quick
+            test_session_overlapping;
         ] );
       ( "online",
         [ Alcotest.test_case "supports" `Quick test_supports ] );

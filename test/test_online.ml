@@ -360,15 +360,28 @@ let overlapping_arb ~procs ~max_steps =
     ~print:(fun steps -> Format.asprintf "%a" History.pp (overlapping_history ~procs steps))
     QCheck.Gen.(list_size (int_range 4 max_steps) step)
 
+let session_points =
+  List.filter (function Lattice.Session _ -> true | _ -> false) uniform_points
+
+(* The session points go through [Lattice.failures]: their rule reads a
+   process's own operations in finalization order, which is its program
+   order only when none of them overlap, so [failures] replays them on a
+   sequential history and takes the closures on any other. *)
 let online_diff_overlapping =
   QCheck.Test.make ~name:"online = offline with overlapping operations" ~count:300
     (overlapping_arb ~procs:3 ~max_steps:30)
     (fun steps ->
-      (* not the session points: their rule reads a process's own
-         operations in finalization order, which is its program order
-         only when none of them overlap *)
-      online_matches_at_points ~points:Lattice.[ Causal; PRAM ]
-        (overlapping_history ~procs:3 steps))
+      let h = overlapping_history ~procs:3 steps in
+      online_matches_at_points ~points:Lattice.[ Causal; PRAM ] h
+      && List.for_all
+           (fun m ->
+             Lattice.failures h m = Lattice.closure_failures h m
+             || begin
+                  Format.eprintf "failures disagree under %a:@.%a@." Lattice.pp m
+                    History.pp h;
+                  false
+                end)
+           session_points)
 
 let program_order_definitional =
   QCheck.Test.make ~name:"program order = definitional with overlapping fibers" ~count:300
@@ -571,7 +584,8 @@ let test_death_waits_for_readers () =
 (* p1's read of x = 1 (id 2) is x's last memory read; p2's await of it
    (id 3) comes later, and its reads-from edge from p0's write of x
    orders p0's write of y before p2's causal read of y = 0 (id 4). A
-   death sent after id 2 would leave the await without its writer. *)
+   death sent after id 2 would leave the await without its writer.
+   Nothing reads y = 5: its death follows its writer's finalization. *)
 let test_death_waits_for_awaits () =
   let r = Recorder.create ~procs:3 () in
   let record proc kind = ignore (Recorder.record r ~proc kind) in
@@ -583,7 +597,51 @@ let test_death_waits_for_awaits () =
   let chk = check_replay_points (Recorder.history r) in
   check "the causal read is overwritten by the write of y" true
     (Online.failures chk
-    = [ { Lattice.read_id = 4; label = Op.Causal; verdict = Read_rule.Overwritten 0 } ])
+    = [ { Lattice.read_id = 4; label = Op.Causal; verdict = Read_rule.Overwritten 0 } ]);
+  check_int "the unread write of y is reclaimed" 0 (Online.stats chk).Online.live_summaries
+
+(* Nothing reads x = 7 (p0's write, id 1) or x = -1 (p0's decrement of
+   the initial value, id 3). Each follows p0's write lock of a grant
+   number not yet due, so neither finalizes at its response: both wait
+   until p1's lock and unlock (ids 4 and 5) release the grant buffer.
+   Each value's death follows its writer's finalization and comes before
+   the next operation's, not at the close. *)
+let test_death_of_unread_values () =
+  let r = Recorder.create ~procs:2 () in
+  let record proc ?sync_seq kind = ignore (Recorder.record r ~proc ?sync_seq kind) in
+  record 0 ~sync_seq:2 (Op.Write_lock "m");
+  record 0 (Op.Write { loc = "x"; value = 7 });
+  record 0 ~sync_seq:3 (Op.Write_unlock "m");
+  record 0 (Op.Decrement { loc = "x"; amount = 1; observed = 0 });
+  record 1 ~sync_seq:0 (Op.Write_lock "m");
+  record 1 ~sync_seq:1 (Op.Write_unlock "m");
+  record 1 (Op.Read { loc = "y"; label = Op.PRAM; value = 0 });
+  let h = Recorder.history r in
+  let log = ref [] in
+  let note e = log := e :: !log in
+  ignore
+    (Stream.feed_history
+       ~callbacks:
+         {
+           Stream.on_finalize = (fun info -> note (Printf.sprintf "f%d" info.Stream.op.Op.id));
+           on_retire = ignore;
+           on_dead_value = (fun ~loc ~value -> note (Printf.sprintf "dead %s=%d" loc value));
+           on_end = (fun () -> note "end");
+         }
+       h);
+  let log = List.rev !log in
+  let pos e =
+    let rec go i = function
+      | [] -> Alcotest.failf "%s missing from %s" e (String.concat ", " log)
+      | x :: rest -> if x = e then i else go (i + 1) rest
+    in
+    go 0 log
+  in
+  check "x = 7 dies after its writer" true (pos "f1" < pos "dead x=7");
+  check "x = -1 dies after its writer" true (pos "f3" < pos "dead x=-1");
+  check "both before the last operation" true
+    (pos "dead x=7" < pos "f6" && pos "dead x=-1" < pos "f6");
+  check_int "no live summary" 0 (Online.stats (check_replay_points h)).Online.live_summaries
 
 let test_online_rejects_unregistered_group () =
   let h = Dsl.make ~procs:3 [ [ Dsl.rg [ 0; 1 ] "x" 0 ]; []; [] ] in
@@ -882,6 +940,8 @@ let () =
             test_death_waits_for_readers;
           Alcotest.test_case "replay death waits for awaits" `Quick
             test_death_waits_for_awaits;
+          Alcotest.test_case "replay death of unread values" `Quick
+            test_death_of_unread_values;
           Alcotest.test_case "unregistered group" `Quick
             test_online_rejects_unregistered_group;
           Alcotest.test_case "group harvest" `Quick test_groups_of_history;

@@ -172,6 +172,157 @@ let test_negative_delay_rejected () =
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
       Engine.schedule e ~delay:(-1.) ignore)
 
+(* A delay outside a fiber's own code has no handler, even where its
+   timer would be the next event: in a callback, and in a suspension's
+   setup, which runs in the engine, not in the fiber. *)
+let test_delay_outside_fiber () =
+  let unhandled what f =
+    let e = Engine.create () in
+    f e;
+    match Engine.run e with
+    | (_ : float) -> Alcotest.failf "%s: the delay returned" what
+    | exception Effect.Unhandled _ -> ()
+  in
+  unhandled "callback" (fun e -> Engine.schedule e ~delay:1. (fun () -> Engine.delay e 1.));
+  unhandled "suspension setup" (fun e ->
+      Engine.spawn e (fun () -> Engine.suspend e (fun _resume -> Engine.delay e 1.)))
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the engine against the two-event engine               *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of a fiber; each logs once it is done. *)
+type step =
+  | Delay of float
+  | Wake of float (* a callback at the wake-up time of a delay of as long *)
+  | Park of float (* suspend; a callback that long after resumes the fiber *)
+  | Held of float * float
+      (* reserve a seq; a callback after the first length schedules
+         the event at the seq, the second length later *)
+
+type program = {
+  fibers : step list list;
+  callbacks : (float * float) list; (* at, then a follow-up that much later *)
+  limit : float option; (* [run_until] before [run] *)
+  metrics : bool;
+}
+
+(* zero, a few equal lengths and random ones *)
+let length_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 0.);
+        (3, oneofl [ 1.; 2.; 2.5 ]);
+        (2, map (fun k -> float_of_int k *. 0.375) (int_bound 12));
+      ])
+
+let step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun d -> Delay d) length_gen);
+        (2, map (fun d -> Wake d) length_gen);
+        (2, map (fun d -> Park d) length_gen);
+        (1, map2 (fun a b -> Held (a, b)) length_gen length_gen);
+      ])
+
+let program_gen =
+  QCheck.Gen.(
+    map4
+      (fun fibers callbacks limit metrics -> { fibers; callbacks; limit; metrics })
+      (list_size (int_range 1 4) (list_size (int_bound 8) step_gen))
+      (list_size (int_bound 4) (pair (map (fun k -> float_of_int k) (int_bound 8)) length_gen))
+      (opt (map (fun k -> float_of_int k *. 0.5) (int_bound 16)))
+      bool)
+
+let pp_program p =
+  let step = function
+    | Delay d -> Printf.sprintf "delay %g" d
+    | Wake d -> Printf.sprintf "wake %g" d
+    | Park d -> Printf.sprintf "park %g" d
+    | Held (a, b) -> Printf.sprintf "held %g %g" a b
+  in
+  let fiber i steps = Printf.sprintf "fiber %d: %s" i (String.concat "; " (List.map step steps)) in
+  let limit = function
+    | Some l -> Printf.sprintf "run_until %g, then run" l
+    | None -> "run"
+  in
+  String.concat "\n"
+    (List.mapi fiber p.fibers
+    @ List.map (fun (a, b) -> Printf.sprintf "callback at %g, then %g later" a b) p.callbacks
+    @ [ limit p.limit; Printf.sprintf "metrics %b" p.metrics ])
+
+module type ENGINE = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val spawn : t -> ?name:string -> (unit -> unit) -> unit
+  val schedule : t -> delay:float -> (unit -> unit) -> unit
+  val reserve : t -> int
+  val schedule_at : t -> at:float -> seq:int -> (unit -> unit) -> unit
+  val delay : t -> float -> unit
+  val suspend : t -> (('a -> unit) -> unit) -> 'a
+  val run : t -> float
+  val run_until : t -> limit:float -> float
+  val events_processed : t -> int
+  val attach_metrics : t -> Mc_obs.Metrics.Registry.t -> unit
+end
+
+(* a run's (label, time) log, its stop time and event count after each
+   phase, and its metrics *)
+module Script (E : ENGINE) = struct
+  let run p =
+    let e = E.create () in
+    let reg = Mc_obs.Metrics.Registry.create () in
+    if p.metrics then E.attach_metrics e reg;
+    let log = ref [] in
+    let note label = log := (label, E.now e) :: !log in
+    List.iteri
+      (fun i steps ->
+        E.spawn e (fun () ->
+            List.iteri
+              (fun j step ->
+                let label = Printf.sprintf "f%d.%d" i j in
+                (match step with
+                | Delay d -> E.delay e d
+                | Wake d ->
+                  E.schedule e ~delay:d (fun () -> note (label ^ " callback"));
+                  E.delay e d
+                | Park d ->
+                  E.suspend e (fun resume ->
+                      E.schedule e ~delay:d (fun () ->
+                          note (label ^ " resume");
+                          resume ()))
+                | Held (a, b) ->
+                  let seq = E.reserve e and at = E.now e +. a +. b in
+                  E.schedule e ~delay:a (fun () ->
+                      E.schedule_at e ~at ~seq (fun () -> note (label ^ " held"))));
+                note label)
+              steps))
+      p.fibers;
+    List.iteri
+      (fun i (at, later) ->
+        E.schedule e ~delay:at (fun () ->
+            note (Printf.sprintf "c%d" i);
+            E.schedule e ~delay:later (fun () -> note (Printf.sprintf "c%d later" i))))
+      p.callbacks;
+    let phases = ref [] in
+    let phase stop = phases := (stop, E.events_processed e, List.rev !log) :: !phases in
+    Option.iter (fun limit -> phase (E.run_until e ~limit)) p.limit;
+    phase (E.run e);
+    (List.rev !phases, if p.metrics then Mc_obs.Metrics.Registry.to_json reg else "")
+end
+
+module Inline = Script (Engine)
+module Two_events = Script (Oracle.Engine)
+
+let engine_differential =
+  QCheck.Test.make ~name:"inline delays = two-event engine" ~count:1000
+    (QCheck.make ~print:pp_program program_gen)
+    (fun p -> Inline.run p = Two_events.run p)
+
 let () =
   Alcotest.run "mc_sim"
     [
@@ -190,5 +341,7 @@ let () =
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "event counter" `Quick test_events_processed;
           Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
+          Alcotest.test_case "delay outside a fiber" `Quick test_delay_outside_fiber;
+          QCheck_alcotest.to_alcotest engine_differential;
         ] );
     ]
